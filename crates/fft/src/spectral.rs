@@ -148,6 +148,59 @@ pub fn embed_lowfreq(block: &[Complex], p: usize, n: usize) -> Result<Vec<Comple
     Ok(out)
 }
 
+/// Copies the low-frequency band `|k| <= band` (both axes) of one real
+/// transform's half-spectrum into another of a different grid size, without
+/// allocating. Both buffers use the transposed [`crate::Rfft2d`] layout
+/// (`(n/2 + 1) * n`, stored column `c` at `[c*n .. (c+1)*n]`).
+///
+/// Stored columns `0..=band` of `dst` are overwritten — the band rows with
+/// the copy, every other row with zero; columns beyond `band` are left
+/// untouched, so a caller that keeps them zero holds the zero-padded
+/// (`n_dst > n_src`) or low-passed (`n_dst < n_src`) spectrum of the same
+/// signed frequencies. Values are copied unscaled: the unnormalised
+/// forward DFTs of one band-limited image sampled on the two grids differ
+/// by `n_dst^2 / n_src^2`, which the caller folds into its inverse.
+///
+/// # Errors
+///
+/// Returns [`FftError::InvalidCrop`] unless `2 * band + 1` fits both grids
+/// (the band then stays clear of either Nyquist bin), or
+/// [`FftError::ShapeMismatch`] if a buffer is not a half-spectrum of its
+/// grid size.
+pub fn copy_half_band(
+    src: &[Complex],
+    n_src: usize,
+    dst: &mut [Complex],
+    n_dst: usize,
+    band: usize,
+) -> Result<(), FftError> {
+    let width = 2 * band + 1;
+    if width > n_src || width > n_dst {
+        return Err(FftError::InvalidCrop {
+            from: n_src,
+            to: n_dst,
+        });
+    }
+    for (buf_len, n) in [(src.len(), n_src), (dst.len(), n_dst)] {
+        if buf_len != (n / 2 + 1) * n {
+            return Err(FftError::ShapeMismatch {
+                expected: (n / 2 + 1) * n,
+                actual: buf_len,
+            });
+        }
+    }
+    for c in 0..=band {
+        let s = &src[c * n_src..(c + 1) * n_src];
+        let d = &mut dst[c * n_dst..(c + 1) * n_dst];
+        // Rows 0..=band hold the non-negative frequencies, the last `band`
+        // rows the negative ones — contiguous runs on either grid.
+        d[..=band].copy_from_slice(&s[..=band]);
+        d[band + 1..n_dst - band].fill(Complex::ZERO);
+        d[n_dst - band..].copy_from_slice(&s[n_src - band..]);
+    }
+    Ok(())
+}
+
 /// Evaluates a centered `p x p` spectrum at the fractional indices
 /// `(j/s, k/s)` required by Eq. (3)/(9) of the paper, producing a centered
 /// `(s*p) x (s*p)` spectrum over the same physical frequency support.
@@ -339,6 +392,83 @@ mod tests {
         for z in &back {
             assert!((*z - Complex::ONE).abs() < 1e-10);
         }
+    }
+
+    #[test]
+    fn half_band_copy_resamples_a_band_limited_image_exactly() {
+        use crate::rfft::Rfft2d;
+        use ilt_par::InnerPool;
+        // Frequencies up to 3 in both axes: band 3 fits the 8-point grid.
+        let image = |n: usize| -> Vec<f64> {
+            let w = 2.0 * std::f64::consts::PI / n as f64;
+            (0..n * n)
+                .map(|i| {
+                    let (y, x) = ((i / n) as f64, (i % n) as f64);
+                    0.7 + (w * (3.0 * x - 2.0 * y)).cos() + 0.5 * (w * (x + 3.0 * y)).sin()
+                })
+                .collect()
+        };
+        let (small, big, band) = (8usize, 32usize, 3usize);
+        let pool = InnerPool::serial();
+        let rs = Rfft2d::new(small).unwrap();
+        let rb = Rfft2d::new(big).unwrap();
+        let mut spec_s = vec![Complex::ZERO; rs.spectrum_len()];
+        let mut scratch_s = spec_s.clone();
+        let mut spec_b = vec![Complex::ZERO; rb.spectrum_len()];
+        let mut scratch_b = spec_b.clone();
+
+        // Small -> big (zero-pad): the inverse lands on the big grid's samples.
+        rs.forward(&image(small), &mut spec_s, &mut scratch_s, &pool)
+            .unwrap();
+        // Stale values in the copied columns must be cleared by the copy.
+        spec_b[..(band + 1) * big].fill(Complex::new(9.0, -9.0));
+        copy_half_band(&spec_s, small, &mut spec_b, big, band).unwrap();
+        let mut out_b = vec![0.0; big * big];
+        let scale = (big * big) as f64 / (small * small) as f64;
+        rb.inverse_support_scaled(&mut spec_b, &mut out_b, &mut scratch_b, None, scale, &pool)
+            .unwrap();
+        for (a, b) in out_b.iter().zip(image(big)) {
+            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
+        }
+
+        // Big -> small (low-pass crop) is the same copy the other way.
+        rb.forward(&image(big), &mut spec_b, &mut scratch_b, &pool)
+            .unwrap();
+        spec_s.fill(Complex::ZERO);
+        copy_half_band(&spec_b, big, &mut spec_s, small, band).unwrap();
+        let mut out_s = vec![0.0; small * small];
+        rs.inverse_support_scaled(
+            &mut spec_s,
+            &mut out_s,
+            &mut scratch_s,
+            None,
+            1.0 / scale,
+            &pool,
+        )
+        .unwrap();
+        for (a, b) in out_s.iter().zip(image(small)) {
+            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn half_band_copy_rejects_bad_shapes() {
+        let src = vec![Complex::ZERO; 5 * 8];
+        let mut dst = vec![Complex::ZERO; 9 * 16];
+        assert!(copy_half_band(&src, 8, &mut dst, 16, 3).is_ok());
+        // 2*4+1 = 9 bins do not fit an 8-point grid.
+        assert!(matches!(
+            copy_half_band(&src, 8, &mut dst, 16, 4),
+            Err(FftError::InvalidCrop { .. })
+        ));
+        assert!(matches!(
+            copy_half_band(&src[..39], 8, &mut dst, 16, 3),
+            Err(FftError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            copy_half_band(&src, 8, &mut dst[..100], 16, 3),
+            Err(FftError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]

@@ -16,24 +16,47 @@ use crate::grid::RealGrid;
 /// Panics if `s == 0` or the grid dimensions are not divisible by `s`.
 pub fn downsample(img: &RealGrid, s: usize) -> RealGrid {
     assert!(s > 0, "downsample factor must be nonzero");
-    if s == 1 {
-        return img.clone();
-    }
+    let mut out = RealGrid::new(img.width() / s, img.height() / s, 0.0);
+    downsample_into(img, s, &mut out);
+    out
+}
+
+/// [`downsample`] into a caller-owned grid (no allocation), for solver
+/// loops that resample every iteration.
+///
+/// # Panics
+///
+/// Panics if `s == 0`, the grid dimensions are not divisible by `s`, or
+/// `out` is not `width/s x height/s`.
+pub fn downsample_into(img: &RealGrid, s: usize, out: &mut RealGrid) {
+    assert!(s > 0, "downsample factor must be nonzero");
     let (w, h) = (img.width(), img.height());
     assert!(
         w % s == 0 && h % s == 0,
         "grid {w}x{h} is not divisible by factor {s}"
     );
+    assert!(
+        out.width() == w / s && out.height() == h / s,
+        "output grid does not match {w}x{h} downsampled by {s}"
+    );
+    if s == 1 {
+        out.as_mut_slice().copy_from_slice(img.as_slice());
+        return;
+    }
     let norm = 1.0 / (s * s) as f64;
-    RealGrid::from_fn(w / s, h / s, |x, y| {
-        let mut acc = 0.0;
-        for dy in 0..s {
-            for dx in 0..s {
-                acc += img.get(x * s + dx, y * s + dy);
+    let src = img.as_slice();
+    for (y, row) in out.as_mut_slice().chunks_exact_mut(w / s).enumerate() {
+        for (x, dst) in row.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for dy in 0..s {
+                let start = (y * s + dy) * w + x * s;
+                for v in &src[start..start + s] {
+                    acc += v;
+                }
             }
+            *dst = acc * norm;
         }
-        acc * norm
-    })
+    }
 }
 
 /// Downsamples by taking every `s`-th pixel (pure decimation). Provided for
@@ -63,12 +86,29 @@ pub fn decimate(img: &RealGrid, s: usize) -> RealGrid {
 /// Panics if `s == 0`.
 pub fn upsample_nearest(img: &RealGrid, s: usize) -> RealGrid {
     assert!(s > 0, "upsample factor must be nonzero");
-    if s == 1 {
-        return img.clone();
+    let mut out = RealGrid::new(img.width() * s, img.height() * s, 0.0);
+    upsample_nearest_into(img, s, &mut out);
+    out
+}
+
+/// [`upsample_nearest`] into a caller-owned grid (no allocation).
+///
+/// # Panics
+///
+/// Panics if `s == 0` or `out` is not `width*s x height*s`.
+pub fn upsample_nearest_into(img: &RealGrid, s: usize, out: &mut RealGrid) {
+    assert!(s > 0, "upsample factor must be nonzero");
+    let w = img.width();
+    assert!(
+        out.width() == w * s && out.height() == img.height() * s,
+        "output grid does not match {w}x{} upsampled by {s}",
+        img.height()
+    );
+    for (y, row) in out.as_mut_slice().chunks_exact_mut(w * s).enumerate() {
+        for (cell, v) in row.chunks_exact_mut(s).zip(img.row(y / s)) {
+            cell.fill(*v);
+        }
     }
-    RealGrid::from_fn(img.width() * s, img.height() * s, |x, y| {
-        img.get(x / s, y / s)
-    })
 }
 
 /// Upsamples by integer factor `s` with bilinear interpolation; used to
@@ -163,6 +203,27 @@ mod tests {
             let d = downsample(&u, s);
             assert_eq!(d, img, "s={s}");
         }
+    }
+
+    #[test]
+    fn into_variants_overwrite_stale_output_and_check_its_shape() {
+        let img = Grid::from_fn(4, 4, |x, y| ((x + 2 * y) % 5) as f64);
+        let mut down = Grid::new(2, 2, f64::NAN);
+        downsample_into(&img, 2, &mut down);
+        assert_eq!(down, downsample(&img, 2));
+        let mut up = Grid::new(8, 8, f64::NAN);
+        upsample_nearest_into(&img, 2, &mut up);
+        assert_eq!(up, upsample_nearest(&img, 2));
+        let wrong = std::panic::catch_unwind(|| {
+            let mut out = Grid::new(3, 2, 0.0);
+            downsample_into(&Grid::new(4, 4, 0.0), 2, &mut out);
+        });
+        assert!(wrong.is_err());
+        let wrong = std::panic::catch_unwind(|| {
+            let mut out = Grid::new(8, 4, 0.0);
+            upsample_nearest_into(&Grid::new(4, 4, 0.0), 2, &mut out);
+        });
+        assert!(wrong.is_err());
     }
 
     #[test]

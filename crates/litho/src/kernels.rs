@@ -181,6 +181,23 @@ impl KernelSet {
         Ok(set)
     }
 
+    /// A kernel set with caller-chosen spectra, for tests that need every
+    /// support bin populated (physical pupils leave the support's rim
+    /// empty, which hides off-by-one band errors).
+    #[cfg(test)]
+    pub(crate) fn from_spectra(support: usize, kernels: Vec<(f64, Vec<Complex>)>) -> Self {
+        assert!(kernels.iter().all(|(_, h)| h.len() == support * support));
+        KernelSet {
+            base_n: support,
+            support,
+            scale: 1,
+            kernels: kernels
+                .into_iter()
+                .map(|(w, h)| Kernel::new(w, h))
+                .collect(),
+        }
+    }
+
     /// Rescales weights so a clear field images at unit intensity.
     fn normalise_clear_field(&mut self) -> Result<(), LithoError> {
         let dc = self.clear_field_intensity();

@@ -1,34 +1,55 @@
 //! The Hopkins aerial-image simulator and its adjoint (gradient).
 //!
 //! Implements Eq. (1)–(3) of the paper: the aerial image is
-//! `I = sum_i w_i |IFFT(H_i . FFT(M))|^2`, where each `H_i` occupies only a
-//! small centered support of the spectrum, so the per-kernel product touches
-//! `P^2` bins while the transforms dominate the cost. The adjoint
+//! `I = sum_i w_i |IFFT([H_i . FFT(M)]_P)|^2`, where each `H_i` occupies only
+//! a small centered `P x P` support of the spectrum. The adjoint
 //! (`gradient`) backpropagates a loss derivative `dL/dI` to the mask:
 //! `dL/dM = 2 Re IFFT( sum_i w_i conj(H_i) . FFT((dL/dI) . A_i) )`.
 //!
 //! # Hot-path engineering
 //!
 //! The simulate/gradient pair is the inner loop of every ILT solver, so it
-//! is built to run allocation-free at steady state and to parallelise
-//! deterministically:
+//! is built to keep its cost off the mask resolution, to run
+//! allocation-free at steady state and to parallelise deterministically:
 //!
+//! * **Nyquist-grid evaluation.** Everything after the crop `[.]_P` is
+//!   band-limited: a field `A_i` to the `P` support bins, the intensity
+//!   `sum_i w_i |A_i|^2` to the `2P - 1` bins of their differences. Both
+//!   are therefore represented *exactly* by their samples on a grid of
+//!   `n_s = min(n, next_pow2(2P - 1))` points, and the real-Hermitian path
+//!   does all per-kernel work there. Forward: one `n`-size real transform
+//!   of the mask, `K` crop-multiplies into `n_s^2` buffers and `K`
+//!   `n_s`-size inverses, the intensity sum on `n_s^2`, then one `n_s`-size
+//!   real forward, a copy of the `2P - 1` band into the `n`-size
+//!   half-spectrum and one sparse `n`-size real inverse (scale
+//!   `n_s^2 / n^2`) interpolate it back to the mask grid. The adjoint is
+//!   the exact transpose: `dL/dI` is low-passed onto the `n_s` grid the
+//!   same way (only its `2P - 1` band can reach the support), the `K`
+//!   products and forward transforms run at `n_s`, and the accumulated
+//!   support goes through the one `n`-size real inverse. `n_s >= 2P - 1`
+//!   means no product aliases into a bin that is read, so the results
+//!   equal the mask-grid evaluation to rounding (~1e-15). When `n_s == n`
+//!   (the kernels nearly fill the grid) the resampling steps drop out and
+//!   the per-kernel transforms run at `n`: one code path, parameterised by
+//!   `n_s`. [`SpectralPath::Complex`] stays dense at `n` throughout and is
+//!   the reference the tests compare against.
 //! * [`SimWorkspace`] is a scratch arena holding every buffer the two
-//!   passes need (mask spectrum, per-kernel fields, per-kernel adjoint
-//!   partials, per-worker scratch, the adjoint accumulator, and the output
-//!   grids). [`LithoSimulator::simulate_into`] /
+//!   passes need. [`LithoSimulator::simulate_into`] /
 //!   [`LithoSimulator::gradient_into`] reuse it across iterations without
-//!   touching the heap; the original [`LithoSimulator::simulate`] /
-//!   [`LithoSimulator::gradient`] survive as thin allocate-per-call
-//!   wrappers.
+//!   touching the heap; [`LithoSimulator::simulate`] /
+//!   [`LithoSimulator::gradient`] are thin allocate-per-call wrappers.
+//!   The per-kernel fields, per-worker scratch and partials are `n_s^2`
+//!   (0.4 MB instead of 6.3 MB for a 256-pixel tile with `K = 6`,
+//!   `P = 27`), so the per-kernel loop works out of L2.
 //! * Per-kernel work (the `K` inverse transforms of `simulate`, the `K`
 //!   forward transforms of `gradient`) is spread across an
 //!   [`ilt_par::InnerPool`]. Each kernel writes its own buffer and all
 //!   cross-kernel reductions happen serially in kernel order afterwards, so
 //!   results are **bit-identical** for any thread count.
 //! * Per-kernel inverses use [`Fft2d::inverse_support`], skipping the
-//!   `n - P` first-pass transforms of rows that the `P x P` crop-multiply
-//!   left zero.
+//!   first-pass transforms of the `n_s - P` rows the `P x P` crop left
+//!   zero; per-kernel forwards use [`Fft2d::forward_support_transposed`],
+//!   skipping the `n_s - P` column transforms nobody reads.
 
 use ilt_fft::{spectral, Complex, Fft2d, Rfft2d};
 use ilt_grid::{Grid, RealGrid};
@@ -41,10 +62,10 @@ use crate::kernels::KernelSet;
 ///
 /// Masks and loss derivatives are real, so their spectra are conjugate
 /// symmetric; [`SpectralPath::RealHermitian`] (the default) exploits that
-/// with real-input transforms and half-spectrum storage, roughly halving
-/// the transform work of the mask forward, the per-kernel gradient
-/// forwards, and the final adjoint inverse. [`SpectralPath::Complex`] keeps
-/// the dense complex pipeline — useful as a reference, and as the
+/// with real-input transforms and half-spectrum storage, and evaluates the
+/// per-kernel fields on the optics' Nyquist grid (see the module docs).
+/// [`SpectralPath::Complex`] keeps the dense complex pipeline at the mask
+/// resolution — the reference the fast path is tested against, and the
 /// historical-cost baseline in the microbenchmarks.
 ///
 /// Both paths satisfy the same guarantees (allocation-free steady state,
@@ -54,7 +75,8 @@ use crate::kernels::KernelSet;
 pub enum SpectralPath {
     /// Dense complex transforms end to end (the historical path).
     Complex,
-    /// Real-input transforms and Hermitian half-spectrum storage.
+    /// Real-input transforms, Hermitian half-spectrum storage and
+    /// Nyquist-grid per-kernel fields.
     #[default]
     RealHermitian,
 }
@@ -74,6 +96,19 @@ pub struct LithoSimulator {
     /// Stored half-spectrum columns (`0..=n/2`) the Hermitianised adjoint
     /// accumulator can touch: the support columns and their reflections.
     rbin_cols: Vec<usize>,
+    /// Edge `n_s = min(n, next_pow2(2P - 1))` of the grid the Hermitian
+    /// path evaluates the per-kernel fields on.
+    ns: usize,
+    /// Complex plan for the `n_s`-grid per-kernel transforms.
+    ns_fft: Fft2d,
+    /// Real plan moving the intensity and `dL/dI` between the `n_s` and
+    /// `n` grids (`None` when `n_s == n`: nothing to resample).
+    ns_rfft: Option<Rfft2d>,
+    /// [`LithoSimulator::bin`] on the `n_s` grid.
+    ns_bin: Vec<usize>,
+    /// Stored half-spectrum columns `0..P` holding the intensity's
+    /// `2P - 1` band (the same indices on either grid).
+    band_cols: Vec<usize>,
     /// Which spectral representation to run on.
     path: SpectralPath,
     /// Worker pool for per-kernel and per-row-batch parallelism. Serial by
@@ -84,10 +119,29 @@ pub struct LithoSimulator {
 /// Everything the forward pass produced, retained for the adjoint pass.
 #[derive(Debug, Clone)]
 pub struct SimulationState {
-    /// Per-kernel complex fields `A_i = h_i (x) M`, each `n^2` long.
+    /// Per-kernel complex fields `A_i = h_i (x) M`. On the Hermitian path
+    /// each is sampled on the optics' Nyquist grid: `n_s^2` values, with
+    /// `fields[i][y * n_s + x] = (n / n_s)^2 . A_i` at mask pixel
+    /// `(x, y) . n / n_s` (the inverse is normalised for `n_s`, and the
+    /// adjoint and the intensity interpolation absorb the factor). On the
+    /// complex path, and whenever `n_s == n`, they are the `n^2` mask-grid
+    /// fields.
     pub fields: Vec<Vec<Complex>>,
-    /// The aerial image `I`.
+    /// The aerial image `I` on the `n x n` mask grid.
     pub intensity: RealGrid,
+}
+
+/// The buffer shape a [`SimWorkspace`] is sized for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WorkspaceShape {
+    n: usize,
+    /// Edge of the grid the per-kernel fields live on: `n_s` on the
+    /// Hermitian path, `n` on the complex path.
+    field_n: usize,
+    kernel_count: usize,
+    support: usize,
+    workers: usize,
+    real: bool,
 }
 
 /// Reusable scratch arena for [`LithoSimulator::simulate_into`] and
@@ -101,26 +155,38 @@ pub struct SimulationState {
 /// counter).
 #[derive(Debug)]
 pub struct SimWorkspace {
-    n: usize,
+    shape: WorkspaceShape,
     /// Mask spectrum `FFT(M)`, `n^2` (complex path only; empty otherwise).
     spectrum: Vec<Complex>,
-    /// Mask half-spectrum in transposed `(n/2+1) x n` layout (Hermitian
+    /// Half-spectrum of the mask (forward pass) or of `dL/dI` (adjoint
+    /// pass, when `n_s < n`) in transposed `(n/2+1) x n` layout (Hermitian
     /// path only; empty otherwise).
     half_spectrum: Vec<Complex>,
     /// Real-transform scratch, `(n/2+1) * n` (Hermitian path only).
     rscratch: Vec<Complex>,
-    /// Hermitianised adjoint half-spectrum accumulator, `(n/2+1) * n`
-    /// (Hermitian path only).
+    /// `n`-size half-spectrum staged for the sparse real inverse: the
+    /// Hermitianised adjoint accumulator, and the embedded intensity band
+    /// when `n_s < n`; `(n/2+1) * n` (Hermitian path only). Only its first
+    /// `min(P, n/2+1)` stored columns are ever written — each user clears
+    /// those and relies on the rest staying zero.
     raccum: Vec<Complex>,
-    /// Per-kernel fields `A_i`, each `n^2`.
+    /// Per-kernel fields `A_i`, each `field_n^2` (see
+    /// [`SimulationState::fields`]).
     fields: Vec<Vec<Complex>>,
     /// Per-kernel adjoint support products, each `P^2`.
     partials: Vec<Vec<Complex>>,
-    /// Per-worker dense scratch for the adjoint forward transforms, each
-    /// `n^2`.
+    /// Per-worker scratch for the adjoint forward transforms, each
+    /// `field_n^2`.
     scratch: Vec<Vec<Complex>>,
     /// Adjoint spectral accumulator, `n^2` (complex path only).
     accum: Vec<Complex>,
+    /// Real `n_s^2` image: the intensity before interpolation (forward
+    /// pass), the low-passed `dL/dI` (adjoint pass). Empty when `n_s == n`.
+    ns_real: Vec<f64>,
+    /// Its half-spectrum, `(n_s/2+1) * n_s`. Empty when `n_s == n`.
+    ns_half: Vec<Complex>,
+    /// Real-transform scratch of the same size. Empty when `n_s == n`.
+    ns_scratch: Vec<Complex>,
     /// The aerial image written by the forward pass.
     intensity: RealGrid,
     /// The mask gradient written by the adjoint pass.
@@ -128,26 +194,41 @@ pub struct SimWorkspace {
 }
 
 impl SimWorkspace {
-    fn new(n: usize, kernel_count: usize, support: usize, workers: usize, real: bool) -> Self {
-        let cells = n * n;
-        let half_len = if real { (n / 2 + 1) * n } else { 0 };
-        let dense_len = if real { 0 } else { cells };
-        SimWorkspace {
+    fn new(shape: WorkspaceShape) -> Self {
+        let WorkspaceShape {
             n,
+            field_n,
+            kernel_count,
+            support,
+            workers,
+            real,
+        } = shape;
+        let half_len = if real { (n / 2 + 1) * n } else { 0 };
+        let dense_len = if real { 0 } else { n * n };
+        let (ns_len, ns_half_len) = if field_n < n {
+            (field_n * field_n, (field_n / 2 + 1) * field_n)
+        } else {
+            (0, 0)
+        };
+        SimWorkspace {
+            shape,
             spectrum: vec![Complex::ZERO; dense_len],
             half_spectrum: vec![Complex::ZERO; half_len],
             rscratch: vec![Complex::ZERO; half_len],
             raccum: vec![Complex::ZERO; half_len],
             fields: (0..kernel_count)
-                .map(|_| vec![Complex::ZERO; cells])
+                .map(|_| vec![Complex::ZERO; field_n * field_n])
                 .collect(),
             partials: (0..kernel_count)
                 .map(|_| vec![Complex::ZERO; support * support])
                 .collect(),
-            scratch: (0..workers.max(1))
-                .map(|_| vec![Complex::ZERO; cells])
+            scratch: (0..workers)
+                .map(|_| vec![Complex::ZERO; field_n * field_n])
                 .collect(),
             accum: vec![Complex::ZERO; dense_len],
+            ns_real: vec![0.0; ns_len],
+            ns_half: vec![Complex::ZERO; ns_half_len],
+            ns_scratch: vec![Complex::ZERO; ns_half_len],
             intensity: Grid::new(n, n, 0.0),
             grad: Grid::new(n, n, 0.0),
         }
@@ -156,7 +237,7 @@ impl SimWorkspace {
     /// Grid edge length this workspace is currently sized for.
     #[inline]
     pub fn n(&self) -> usize {
-        self.n
+        self.shape.n
     }
 
     /// The aerial image produced by the most recent
@@ -167,7 +248,8 @@ impl SimWorkspace {
     }
 
     /// Per-kernel fields produced by the most recent
-    /// [`LithoSimulator::simulate_into`].
+    /// [`LithoSimulator::simulate_into`] — on the Hermitian path sampled on
+    /// the optics' Nyquist grid, see [`SimulationState::fields`].
     #[inline]
     pub fn fields(&self) -> &[Vec<Complex>] {
         &self.fields
@@ -189,40 +271,19 @@ impl SimWorkspace {
         }
     }
 
-    /// Resizes any buffer that does not match the requested shape.
-    /// Steady-state calls compare a handful of lengths and touch nothing.
-    fn ensure(
-        &mut self,
-        n: usize,
-        kernel_count: usize,
-        support: usize,
-        workers: usize,
-        real: bool,
-    ) {
-        let cells = n * n;
-        let p2 = support * support;
-        let workers = workers.max(1);
-        let half_len = if real { (n / 2 + 1) * n } else { 0 };
-        let dense_len = if real { 0 } else { cells };
-        let shape_ok = self.n == n
-            && self.spectrum.len() == dense_len
-            && self.half_spectrum.len() == half_len
-            && self.rscratch.len() == half_len
-            && self.raccum.len() == half_len
-            && self.fields.len() == kernel_count
-            && self.fields.iter().all(|f| f.len() == cells)
-            && self.partials.len() == kernel_count
-            && self.partials.iter().all(|p| p.len() == p2)
-            && self.scratch.len() >= workers
-            && self.scratch.iter().all(|s| s.len() == cells)
-            && self.accum.len() == dense_len
-            && self.intensity.width() == n
-            && self.intensity.height() == n
-            && self.grad.width() == n
-            && self.grad.height() == n;
-        if !shape_ok {
+    /// Re-creates the workspace unless it already fits `shape` (a larger
+    /// per-worker scratch set is fine). Steady-state calls compare a
+    /// handful of integers and touch nothing.
+    fn ensure(&mut self, shape: WorkspaceShape) {
+        let fits = self.shape.workers >= shape.workers
+            && shape
+                == WorkspaceShape {
+                    workers: shape.workers,
+                    ..self.shape
+                };
+        if !fits {
             ilt_telemetry::counter_add("litho.workspace.realloc", 1);
-            *self = SimWorkspace::new(n, kernel_count, support, workers, real);
+            *self = SimWorkspace::new(shape);
         }
     }
 }
@@ -250,9 +311,12 @@ impl LithoSimulator {
         let rfft = Rfft2d::new(n).ok();
         let p = kernels.support();
         let half = p as i64 / 2;
-        let bin: Vec<usize> = (0..p)
-            .map(|i| spectral::wrap_index(i as i64 - half, n))
-            .collect();
+        let bins = |grid: usize| -> Vec<usize> {
+            (0..p)
+                .map(|i| spectral::wrap_index(i as i64 - half, grid))
+                .collect()
+        };
+        let bin = bins(n);
         // Stored columns the Hermitianised adjoint accumulator can touch:
         // every support column that lands in the stored half, plus the
         // stored image of every support column's reflection.
@@ -267,6 +331,10 @@ impl LithoSimulator {
             .collect();
         rbin_cols.sort_unstable();
         rbin_cols.dedup();
+        // The fields span P bins and the intensity the 2P - 1 bins of their
+        // differences, so 2P - 1 samples per axis carry both exactly.
+        let ns = (2 * p).saturating_sub(1).next_power_of_two().min(n);
+        let ns_rfft = if ns < n { Some(Rfft2d::new(ns)?) } else { None };
         Ok(LithoSimulator {
             n,
             fft,
@@ -274,6 +342,11 @@ impl LithoSimulator {
             kernels,
             bin,
             rbin_cols,
+            ns,
+            ns_fft: Fft2d::new(ns, ns)?,
+            ns_rfft,
+            ns_bin: bins(ns),
+            band_cols: (0..p).collect(),
             path: SpectralPath::default(),
             pool: InnerPool::current(),
         })
@@ -312,6 +385,19 @@ impl LithoSimulator {
         self.path == SpectralPath::RealHermitian && self.rfft.is_some()
     }
 
+    /// When the current path evaluates the fields on a coarser grid than
+    /// the mask: the real plan for the `n_s` grid, and the factor
+    /// `n_s^2 / n^2` both resampling directions carry (the adjoint is the
+    /// transpose of the interpolation, so they must agree).
+    #[inline]
+    fn resampler(&self) -> Option<(&Rfft2d, f64)> {
+        let scale = (self.ns * self.ns) as f64 / (self.n * self.n) as f64;
+        self.ns_rfft
+            .as_ref()
+            .filter(|_| self.real_path())
+            .map(|plan| (plan, scale))
+    }
+
     /// Replaces the inner pool used for per-kernel parallelism.
     pub fn set_inner_pool(&mut self, pool: InnerPool) {
         self.pool = pool;
@@ -335,15 +421,22 @@ impl LithoSimulator {
         &self.kernels
     }
 
+    /// The workspace shape the current path and pool need.
+    fn shape(&self) -> WorkspaceShape {
+        let real = self.real_path();
+        WorkspaceShape {
+            n: self.n,
+            field_n: if real { self.ns } else { self.n },
+            kernel_count: self.kernels.len(),
+            support: self.kernels.support(),
+            workers: self.pool.threads(),
+            real,
+        }
+    }
+
     /// Creates a scratch arena sized for this simulator and its pool.
     pub fn workspace(&self) -> SimWorkspace {
-        SimWorkspace::new(
-            self.n,
-            self.kernels.len(),
-            self.kernels.support(),
-            self.pool.threads(),
-            self.real_path(),
-        )
+        SimWorkspace::new(self.shape())
     }
 
     /// Runs the forward model, returning the aerial image together with the
@@ -375,15 +468,15 @@ impl LithoSimulator {
         let n = self.n;
         let p = self.kernels.support();
         let real = self.real_path();
-        ws.ensure(n, self.kernels.len(), p, self.pool.threads(), real);
+        ws.ensure(self.shape());
 
         let kernels = self.kernels.iter().as_slice();
         let bin = &self.bin;
-        let fft = &self.fft;
         if real {
             // The mask is real: a half-length rfft produces the stored half
             // of its conjugate-symmetric spectrum; the crop-multiply reads
-            // the missing half through the symmetry.
+            // the missing half through the symmetry and writes the same
+            // signed frequencies of the n_s-grid field spectrum.
             let rfft = self.rfft.as_ref().expect("real path implies a plan");
             rfft.forward(
                 mask.as_slice(),
@@ -393,12 +486,13 @@ impl LithoSimulator {
             )?;
             let hw = n / 2 + 1;
             let half = &ws.half_spectrum;
+            let (ns, ns_bin, ns_fft) = (self.ns, &self.ns_bin, &self.ns_fft);
             self.pool.for_each_mut(&mut ws.fields, |k, field| {
                 let h = kernels[k].spectrum();
                 field.fill(Complex::ZERO);
                 for r in 0..p {
                     let rr = bin[r];
-                    let row = rr * n;
+                    let row = ns_bin[r] * ns;
                     for c in 0..p {
                         let cc = bin[c];
                         // Hermitian lookup: stored columns are transposed
@@ -408,10 +502,11 @@ impl LithoSimulator {
                         } else {
                             half[(n - cc) * n + (n - rr) % n].conj()
                         };
-                        field[row + cc] = m * h[r * p + c];
+                        field[row + ns_bin[c]] = m * h[r * p + c];
                     }
                 }
-                fft.inverse_support(field, bin)
+                ns_fft
+                    .inverse_support(field, ns_bin)
                     .expect("field buffer matches plan by construction");
             });
         } else {
@@ -424,6 +519,7 @@ impl LithoSimulator {
             // buffer: disjoint writes, so the pool changes nothing about
             // the result.
             let spectrum = &ws.spectrum;
+            let fft = &self.fft;
             self.pool.for_each_mut(&mut ws.fields, |k, field| {
                 let h = kernels[k].spectrum();
                 field.fill(Complex::ZERO);
@@ -440,13 +536,43 @@ impl LithoSimulator {
         }
 
         // Intensity reduction stays serial and in kernel order so the sum
-        // is bit-identical regardless of the pool.
-        ws.intensity.as_mut_slice().fill(0.0);
+        // is bit-identical regardless of the pool. It runs on the fields'
+        // own grid: straight into the output unless that grid is coarser.
+        let resample = self.resampler();
+        let sum: &mut [f64] = match resample {
+            Some(_) => &mut ws.ns_real,
+            None => ws.intensity.as_mut_slice(),
+        };
+        sum.fill(0.0);
         for (kernel, field) in kernels.iter().zip(&ws.fields) {
             let w = kernel.weight();
-            for (acc, z) in ws.intensity.as_mut_slice().iter_mut().zip(field) {
+            for (acc, z) in sum.iter_mut().zip(field) {
                 *acc += w * z.norm_sqr();
             }
+        }
+        if let Some((ns_rfft, scale)) = resample {
+            // Band-limited interpolation n_s -> n: the intensity occupies
+            // only |k| <= P - 1, so zero-padding its spectrum is exact. The
+            // n_s-size transforms are too small to be worth pool dispatch.
+            let rfft = self.rfft.as_ref().expect("real path implies a plan");
+            ns_rfft.forward(
+                &ws.ns_real,
+                &mut ws.ns_half,
+                &mut ws.ns_scratch,
+                &InnerPool::serial(),
+            )?;
+            spectral::copy_half_band(&ws.ns_half, self.ns, &mut ws.raccum, n, p - 1)?;
+            // Why n_s^2/n^2: the summed |field|^2 carries (n/n_s)^4 (see
+            // `SimulationState::fields`), and the n_s-point DFT of a
+            // band-limited image is (n_s/n)^2 of its n-point one.
+            rfft.inverse_support_scaled(
+                &mut ws.raccum,
+                ws.intensity.as_mut_slice(),
+                &mut ws.rscratch,
+                Some(&self.band_cols),
+                scale,
+                &self.pool,
+            )?;
         }
         Ok(())
     }
@@ -500,13 +626,7 @@ impl LithoSimulator {
         // Shape-check before splitting the fields out: `ensure` must see the
         // complete workspace, and the core borrows the fields immutably
         // while writing the other buffers.
-        ws.ensure(
-            self.n,
-            self.kernels.len(),
-            self.kernels.support(),
-            self.pool.threads(),
-            self.real_path(),
-        );
+        ws.ensure(self.shape());
         let fields = std::mem::take(&mut ws.fields);
         let result = self.gradient_core(&fields, dldi, ws);
         ws.fields = fields;
@@ -527,28 +647,59 @@ impl LithoSimulator {
         self.check_shape(dldi)?;
         let n = self.n;
         let p = self.kernels.support();
+        let WorkspaceShape { field_n, real, .. } = self.shape();
         assert_eq!(
             fields.len(),
             self.kernels.len(),
             "state does not match this simulator's kernel count"
         );
         for field in fields {
-            assert_eq!(field.len(), n * n, "field length mismatch");
+            assert_eq!(field.len(), field_n * field_n, "field length mismatch");
         }
+
+        // The per-kernel products run on the fields' grid. When that is the
+        // coarser n_s grid, dL/dI goes there first — the transpose of the
+        // forward pass's interpolation: keep its |k| <= P - 1 band (nothing
+        // else can reach the support through a product with a P-bin field)
+        // and carry the same scale.
+        let dldi_field: &[f64] = match self.resampler() {
+            Some((ns_rfft, scale)) => {
+                let rfft = self.rfft.as_ref().expect("real path implies a plan");
+                rfft.forward(
+                    dldi.as_slice(),
+                    &mut ws.half_spectrum,
+                    &mut ws.rscratch,
+                    &self.pool,
+                )?;
+                // The forward pass left the intensity's full spectrum here;
+                // the sparse inverse needs zeros outside the band columns.
+                ws.ns_half.fill(Complex::ZERO);
+                spectral::copy_half_band(&ws.half_spectrum, n, &mut ws.ns_half, self.ns, p - 1)?;
+                ns_rfft.inverse_support_scaled(
+                    &mut ws.ns_half,
+                    &mut ws.ns_real,
+                    &mut ws.ns_scratch,
+                    Some(&self.band_cols),
+                    scale,
+                    &InnerPool::serial(),
+                )?;
+                &ws.ns_real
+            }
+            None => dldi.as_slice(),
+        };
 
         // Per-kernel: scratch = A_i . dL/dI, forward transform, then record
         // the weighted conjugate-kernel product on the P x P support only.
         // Each kernel owns its partial buffer; workers never share scratch.
-        let real = self.real_path();
         let kernels = self.kernels.iter().as_slice();
         let bin = &self.bin;
         let fft = &self.fft;
-        let dldi_slice = dldi.as_slice();
+        let (ns, ns_bin, ns_fft) = (self.ns, &self.ns_bin, &self.ns_fft);
         self.pool.for_each_with_scratch(
             &mut ws.partials,
             &mut ws.scratch,
             |k, partial, scratch| {
-                for ((dst, a), &g) in scratch.iter_mut().zip(&fields[k]).zip(dldi_slice) {
+                for ((dst, a), &g) in scratch.iter_mut().zip(&fields[k]).zip(dldi_field) {
                     *dst = a.scale(g);
                 }
                 let adj = kernels[k].adjoint_spectrum();
@@ -557,11 +708,12 @@ impl LithoSimulator {
                     // below, so the forward can skip the other column
                     // transforms. The result is transposed; the pool slot is
                     // already a worker, so the column pass stays serial.
-                    fft.forward_support_transposed(scratch, bin, &InnerPool::serial())
+                    ns_fft
+                        .forward_support_transposed(scratch, ns_bin, &InnerPool::serial())
                         .expect("scratch buffer matches plan by construction");
                     for r in 0..p {
                         for c in 0..p {
-                            let idx = bin[c] * n + bin[r];
+                            let idx = ns_bin[c] * ns + ns_bin[r];
                             partial[r * p + c] = scratch[idx] * adj[r * p + c];
                         }
                     }
@@ -585,7 +737,7 @@ impl LithoSimulator {
             // the half-spectrum yields 2.Re(IFFT(S)) = dL/dM directly (the
             // trailing x2 of the complex path is absorbed here).
             let hw = n / 2 + 1;
-            ws.raccum.fill(Complex::ZERO);
+            ws.raccum[..p.min(hw) * n].fill(Complex::ZERO);
             for partial in &ws.partials {
                 for r in 0..p {
                     let rr = bin[r];
@@ -914,6 +1066,315 @@ mod tests {
         for (a, b) in ws_r.grad().as_slice().iter().zip(ws_c.grad().as_slice()) {
             assert!((a - b).abs() < 1e-9, "grad {a} vs {b}");
         }
+    }
+
+    // ---- Nyquist-grid evaluation (n_s < n) against the dense reference ----
+
+    /// Simulator set-ups whose Nyquist grid is coarser than the mask grid
+    /// (`n >= 2 n_s`), with the `n_s` each must pick.
+    fn nyquist_cases() -> Vec<(&'static str, usize, KernelSet, usize)> {
+        let small = KernelSet::build(&OpticsConfig::test_small(), false).unwrap();
+        let m1 = KernelSet::build(&OpticsConfig::m1_default(), false).unwrap();
+        // Every support bin populated, rim included, at the tightest fits:
+        // 2P - 1 = 13 and 15 of the 16 points (odd and even support).
+        let dense = |p: usize, seed: u64| {
+            let values = noise(2 * p, seed);
+            let spectrum = |k: usize| -> Vec<Complex> {
+                (0..p * p)
+                    .map(|i| {
+                        Complex::new(
+                            values.get(i % p, i / p),
+                            values.get(p + i % p, k * p + i / p),
+                        )
+                    })
+                    .collect()
+            };
+            KernelSet::from_spectra(p, vec![(0.6, spectrum(0)), (0.3, spectrum(1))])
+        };
+        vec![
+            ("dense P=7@32", 32, dense(7, 0x0bad_c0de_1234_5678), 16),
+            ("dense P=8@32", 32, dense(8, 0x8765_4321_0fed_cba9), 16),
+            // P = 23: 2P - 1 = 45 -> 64.
+            ("test_small@128", 128, small.clone(), 64),
+            ("test_small@256", 256, small.clone(), 64),
+            // Even support P = 46: 2P - 1 = 91 -> 128.
+            ("test_small x2@256", 256, small.scaled(2).unwrap(), 128),
+            // The paper-scale fine tile, P = 27: 53 -> 64.
+            ("m1_default@256", 256, m1, 64),
+        ]
+    }
+
+    /// Deterministic values in `[-1, 1)` with no spatial correlation.
+    fn noise(n: usize, mut state: u64) -> RealGrid {
+        Grid::from_fn(n, n, |_, _| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        })
+    }
+
+    /// Binary mask with hard edges, a one-pixel line and a lone pixel: a
+    /// spectrum that fills the whole `n`-grid band, far beyond `n_s`.
+    fn hard_mask(n: usize) -> RealGrid {
+        let mut mask = Grid::new(n, n, 0.0);
+        let e = n as i64;
+        mask.fill_rect(Rect::new(e / 8, e / 6, e / 2 + 3, e / 3), 1.0);
+        mask.fill_rect(Rect::new(e / 2 + 9, e / 2, e - 7, e - 11), 1.0);
+        mask.fill_rect(Rect::new(5, e - 9, e - 5, e - 8), 1.0);
+        mask.set(n - 3, 2, 1.0);
+        mask
+    }
+
+    fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0, f64::max)
+    }
+
+    fn dot(a: &[f64], b: &[f64]) -> f64 {
+        a.iter().zip(b).map(|(x, y)| x * y).sum()
+    }
+
+    #[test]
+    fn nyquist_grid_matches_dense_complex_reference() {
+        for (name, n, kernels, ns) in nyquist_cases() {
+            let fast = LithoSimulator::new(n, kernels.clone()).unwrap();
+            let dense = LithoSimulator::new(n, kernels)
+                .unwrap()
+                .with_spectral_path(SpectralPath::Complex);
+            let mask = hard_mask(n);
+            let dldi = noise(n, 0x9e37_79b9_7f4a_7c15);
+
+            let mut ws = fast.workspace();
+            fast.simulate_into(&mask, &mut ws).unwrap();
+            fast.gradient_into(&mut ws, &dldi).unwrap();
+            let mut ws_ref = dense.workspace();
+            dense.simulate_into(&mask, &mut ws_ref).unwrap();
+            dense.gradient_into(&mut ws_ref, &dldi).unwrap();
+
+            // The fast path really ran on the coarser grid, the reference
+            // on the mask grid.
+            assert!(ns < n);
+            assert_eq!(ws.fields()[0].len(), ns * ns, "{name}");
+            assert_eq!(ws_ref.fields()[0].len(), n * n, "{name}");
+
+            let di = max_abs_diff(ws.intensity().as_slice(), ws_ref.intensity().as_slice());
+            let dg = max_abs_diff(ws.grad().as_slice(), ws_ref.grad().as_slice());
+            assert!(di < 1e-12, "{name}: intensity differs by {di}");
+            assert!(dg < 1e-12, "{name}: gradient differs by {dg}");
+            // Guard against a vacuous comparison.
+            let (imax, gmax) = (ws_ref.intensity().max(), ws_ref.grad().max());
+            assert!(imax > 0.05 && gmax > 1e-3, "{name}: {imax}, {gmax}");
+        }
+    }
+
+    #[test]
+    fn nyquist_grid_adjoint_is_the_exact_transpose() {
+        for (name, n, kernels, _) in nyquist_cases() {
+            let sim = LithoSimulator::new(n, kernels).unwrap();
+            let mask = hard_mask(n);
+            let dldi = noise(n, 0x2545_f491_4f6c_dd1d);
+            let delta = noise(n, 0x1234_5678_9abc_def1);
+            let mut ws = sim.workspace();
+            sim.simulate_into(&mask, &mut ws).unwrap();
+            let grad = sim.gradient_into(&mut ws, &dldi).unwrap().clone();
+
+            // I(M) is quadratic in M, so a central difference gives J.dM
+            // with no truncation error at any step size.
+            let shifted = |sign: f64, step: &RealGrid| -> RealGrid {
+                let moved = Grid::from_vec(
+                    n,
+                    n,
+                    mask.as_slice()
+                        .iter()
+                        .zip(step.as_slice())
+                        .map(|(m, d)| m + sign * d)
+                        .collect(),
+                );
+                sim.aerial_image(&moved).unwrap()
+            };
+            let (plus, minus) = (shifted(1.0, &delta), shifted(-1.0, &delta));
+            let j_delta: Vec<f64> = plus
+                .as_slice()
+                .iter()
+                .zip(minus.as_slice())
+                .map(|(a, b)| 0.5 * (a - b))
+                .collect();
+            let lhs = dot(dldi.as_slice(), &j_delta);
+            let rhs = dot(grad.as_slice(), delta.as_slice());
+            assert!(
+                (lhs - rhs).abs() < 1e-10 * (1.0 + lhs.abs()),
+                "{name}: <dL/dI, J dM> = {lhs} vs <J^T dL/dI, dM> = {rhs}"
+            );
+            assert!(lhs.abs() > 1e-3, "{name}: vacuous inner product {lhs}");
+
+            // Central finite difference of L = <dL/dI, I(M)> at single
+            // pixels (on an edge, in the clear, in the dark).
+            for (px, py) in [(n / 8, n / 6), (n / 3, n / 4), (n - 2, n / 2)] {
+                let bump = Grid::from_fn(n, n, |x, y| if (x, y) == (px, py) { 0.25 } else { 0.0 });
+                let (plus, minus) = (shifted(1.0, &bump), shifted(-1.0, &bump));
+                let numeric = (dot(dldi.as_slice(), plus.as_slice())
+                    - dot(dldi.as_slice(), minus.as_slice()))
+                    / 0.5;
+                let analytic = grad.get(px, py);
+                assert!(
+                    (numeric - analytic).abs() < 1e-10 * (1.0 + analytic.abs()),
+                    "{name} at ({px},{py}): numeric {numeric} vs analytic {analytic}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn nyquist_grid_is_bit_identical_across_pools_and_workspace_reuse() {
+        for (name, n, kernels, _) in nyquist_cases() {
+            let serial = LithoSimulator::new(n, kernels.clone())
+                .unwrap()
+                .with_inner_pool(InnerPool::new(1));
+            let parallel = LithoSimulator::new(n, kernels)
+                .unwrap()
+                .with_inner_pool(InnerPool::new(4));
+            let mask = hard_mask(n);
+            let dldi = noise(n, 0xdead_beef_cafe_f00d);
+
+            let state = serial.simulate(&mask).unwrap();
+            let grad = serial.gradient(&state, &dldi).unwrap();
+
+            // One workspace reused across iterations, on four workers.
+            let mut ws = parallel.workspace();
+            for _ in 0..3 {
+                parallel.simulate_into(&mask, &mut ws).unwrap();
+                parallel.gradient_into(&mut ws, &dldi).unwrap();
+            }
+            assert_eq!(
+                state.intensity.as_slice(),
+                ws.intensity().as_slice(),
+                "{name}"
+            );
+            assert_eq!(grad.as_slice(), ws.grad().as_slice(), "{name}");
+            assert_eq!(state.fields.as_slice(), ws.fields(), "{name}");
+        }
+    }
+
+    #[test]
+    fn workspace_reshapes_between_nyquist_and_full_grid_simulators() {
+        let small = KernelSet::build(&OpticsConfig::test_small(), false).unwrap();
+        // Same mask grid; P = 23 evaluates at n_s = 64, P = 46 at n_s = n.
+        let coarse = LithoSimulator::new(128, small.clone()).unwrap();
+        let full = LithoSimulator::new(128, small.scaled(2).unwrap()).unwrap();
+        let mask = hard_mask(128);
+        let dldi = noise(128, 0x0123_4567_89ab_cdef);
+        let fresh = |sim: &LithoSimulator| {
+            let state = sim.simulate(&mask).unwrap();
+            let grad = sim.gradient(&state, &dldi).unwrap();
+            (state.intensity, grad)
+        };
+        let (coarse_ref, full_ref) = (fresh(&coarse), fresh(&full));
+
+        let mut ws = coarse.workspace();
+        for (sim, (intensity, grad), field_n) in [
+            (&coarse, &coarse_ref, 64usize),
+            (&full, &full_ref, 128),
+            (&coarse, &coarse_ref, 64),
+        ] {
+            sim.simulate_into(&mask, &mut ws).unwrap();
+            sim.gradient_into(&mut ws, &dldi).unwrap();
+            assert_eq!(ws.fields()[0].len(), field_n * field_n);
+            assert_eq!(intensity.as_slice(), ws.intensity().as_slice());
+            assert_eq!(grad.as_slice(), ws.grad().as_slice());
+        }
+    }
+
+    /// The real-Hermitian pipeline evaluated entirely on the mask grid,
+    /// written out with the public transforms: the arithmetic the simulator
+    /// must reproduce bit for bit whenever `n_s == n`.
+    fn mask_grid_hermitian(
+        sim: &LithoSimulator,
+        mask: &RealGrid,
+        dldi: &RealGrid,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let (n, p, hw) = (sim.n(), sim.kernels().support(), sim.n() / 2 + 1);
+        let serial = InnerPool::serial();
+        let fft = Fft2d::new(n, n).unwrap();
+        let rfft = Rfft2d::new(n).unwrap();
+        let bin: Vec<usize> = (0..p)
+            .map(|i| spectral::wrap_index(i as i64 - p as i64 / 2, n))
+            .collect();
+        let mut half = vec![Complex::ZERO; rfft.spectrum_len()];
+        let mut rscratch = half.clone();
+        rfft.forward(mask.as_slice(), &mut half, &mut rscratch, &serial)
+            .unwrap();
+        let mut intensity = vec![0.0; n * n];
+        let mut accum = vec![Complex::ZERO; rfft.spectrum_len()];
+        let mut partials = Vec::new();
+        for kernel in sim.kernels().iter() {
+            let mut field = vec![Complex::ZERO; n * n];
+            for r in 0..p {
+                for c in 0..p {
+                    let (rr, cc) = (bin[r], bin[c]);
+                    let m = if cc < hw {
+                        half[cc * n + rr]
+                    } else {
+                        half[(n - cc) * n + (n - rr) % n].conj()
+                    };
+                    field[rr * n + cc] = m * kernel.spectrum()[r * p + c];
+                }
+            }
+            fft.inverse_support(&mut field, &bin).unwrap();
+            for (acc, z) in intensity.iter_mut().zip(&field) {
+                *acc += kernel.weight() * z.norm_sqr();
+            }
+            for (z, &g) in field.iter_mut().zip(dldi.as_slice()) {
+                *z = z.scale(g);
+            }
+            fft.forward_support_transposed(&mut field, &bin, &serial)
+                .unwrap();
+            let mut partial = vec![Complex::ZERO; p * p];
+            for r in 0..p {
+                for c in 0..p {
+                    partial[r * p + c] =
+                        field[bin[c] * n + bin[r]] * kernel.adjoint_spectrum()[r * p + c];
+                }
+            }
+            partials.push(partial);
+        }
+        for partial in &partials {
+            for r in 0..p {
+                for c in 0..p {
+                    let (rr, cc, v) = (bin[r], bin[c], partial[r * p + c]);
+                    if cc < hw {
+                        accum[cc * n + rr] += v;
+                    }
+                    if (n - cc) % n < hw {
+                        accum[(n - cc) % n * n + (n - rr) % n] += v.conj();
+                    }
+                }
+            }
+        }
+        let mut grad = vec![0.0; n * n];
+        rfft.inverse_support_scaled(&mut accum, &mut grad, &mut rscratch, None, 1.0, &serial)
+            .unwrap();
+        (intensity, grad)
+    }
+
+    #[test]
+    fn full_grid_case_keeps_the_mask_grid_arithmetic_bit_for_bit() {
+        // test_small at its own 64-pixel grid: 2P - 1 = 45 > 32, so
+        // n_s = n and no resampling may happen — every tiny-scale baseline
+        // depends on these bits.
+        let sim = simulator();
+        let n = sim.n();
+        let mask = hard_mask(n);
+        let dldi = noise(n, 0x6a09_e667_f3bc_c908);
+        let mut ws = sim.workspace();
+        sim.simulate_into(&mask, &mut ws).unwrap();
+        sim.gradient_into(&mut ws, &dldi).unwrap();
+        assert_eq!(ws.fields()[0].len(), n * n);
+        let (intensity, grad) = mask_grid_hermitian(&sim, &mask, &dldi);
+        assert_eq!(ws.intensity().as_slice(), &intensity[..]);
+        assert_eq!(ws.grad().as_slice(), &grad[..]);
     }
 
     #[test]

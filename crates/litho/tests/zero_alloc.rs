@@ -61,53 +61,58 @@ fn allocations_on_this_thread() -> u64 {
 fn steady_state_simulate_gradient_is_allocation_free() {
     let cfg = OpticsConfig::test_small();
     let kernels = KernelSet::build(&cfg, false).unwrap();
-    // Serial pool: spawning scoped workers necessarily allocates, so the
-    // zero-allocation guarantee is about the compute path itself.
-    let sim = LithoSimulator::new(cfg.base_n, kernels)
-        .unwrap()
-        .with_inner_pool(InnerPool::serial());
-    let n = sim.n();
-    let mask = Grid::from_fn(n, n, |x, y| {
-        0.3 + 0.2 * ((x as f64 * 0.3).sin() * (y as f64 * 0.21).cos())
-    });
-    let dldi = Grid::from_fn(n, n, |x, y| ((x as f64 - y as f64) * 0.01).tanh());
-    let mut ws = sim.workspace();
+    // The kernels' own grid (fields evaluated at n) and a grid twice as
+    // fine (fields evaluated on the 64-point Nyquist grid, intensity and
+    // dL/dI resampled through the small real transforms).
+    for n in [cfg.base_n, 2 * cfg.base_n] {
+        // Serial pool: spawning scoped workers necessarily allocates, so the
+        // zero-allocation guarantee is about the compute path itself.
+        let sim = LithoSimulator::new(n, kernels.clone())
+            .unwrap()
+            .with_inner_pool(InnerPool::serial());
+        let mask = Grid::from_fn(n, n, |x, y| {
+            0.3 + 0.2 * ((x as f64 * 0.3).sin() * (y as f64 * 0.21).cos())
+        });
+        let dldi = Grid::from_fn(n, n, |x, y| ((x as f64 - y as f64) * 0.01).tanh());
+        let mut ws = sim.workspace();
 
-    // Warm-up: first iteration may fault in lazily initialised state
-    // (shared FFT plan cache, etc.).
-    sim.simulate_into(&mask, &mut ws).unwrap();
-    sim.gradient_into(&mut ws, &dldi).unwrap();
+        // Warm-up: first iteration may fault in lazily initialised state
+        // (shared FFT plan cache, etc.).
+        sim.simulate_into(&mask, &mut ws).unwrap();
+        sim.gradient_into(&mut ws, &dldi).unwrap();
 
-    // Watch the steady-state window with the tracking allocator too: only
-    // this thread wears the stage tag, so its per-stage counter sees
-    // exactly the events the thread-local counter sees — both must be 0.
-    ilt_prof::alloc::set_enabled(true);
-    let (delta, tracked_delta) = {
-        let _tag = ilt_prof::stage_scope(Stage::Fine);
+        // Watch the steady-state window with the tracking allocator too:
+        // only this thread wears the stage tag, so its per-stage counter
+        // sees exactly the events the thread-local counter sees — both
+        // must be 0.
+        ilt_prof::alloc::set_enabled(true);
+        let (delta, tracked_delta) = {
+            let _tag = ilt_prof::stage_scope(Stage::Fine);
+            let before = allocations_on_this_thread();
+            let tracked_before = ilt_prof::alloc::stats().stages[Stage::Fine as usize].calls;
+            for _ in 0..3 {
+                sim.simulate_into(&mask, &mut ws).unwrap();
+                sim.gradient_into(&mut ws, &dldi).unwrap();
+            }
+            (
+                allocations_on_this_thread() - before,
+                ilt_prof::alloc::stats().stages[Stage::Fine as usize].calls - tracked_before,
+            )
+        };
+        ilt_prof::alloc::set_enabled(false);
+        assert_eq!(
+            delta, 0,
+            "n={n}: steady-state simulate/gradient iterations must not allocate"
+        );
+        assert_eq!(
+            tracked_delta, 0,
+            "n={n}: tracking allocator per-stage count must agree: zero allocations in the window"
+        );
+
+        // Sanity: the measurement itself works — a fresh-workspace call
+        // does allocate.
         let before = allocations_on_this_thread();
-        let tracked_before = ilt_prof::alloc::stats().stages[Stage::Fine as usize].calls;
-        for _ in 0..3 {
-            sim.simulate_into(&mask, &mut ws).unwrap();
-            sim.gradient_into(&mut ws, &dldi).unwrap();
-        }
-        (
-            allocations_on_this_thread() - before,
-            ilt_prof::alloc::stats().stages[Stage::Fine as usize].calls - tracked_before,
-        )
-    };
-    ilt_prof::alloc::set_enabled(false);
-    assert_eq!(
-        delta, 0,
-        "steady-state simulate/gradient iterations must not allocate"
-    );
-    assert_eq!(
-        tracked_delta, 0,
-        "tracking allocator per-stage count must agree: zero allocations in the window"
-    );
-
-    // Sanity: the measurement itself works — a fresh-workspace call does
-    // allocate.
-    let before = allocations_on_this_thread();
-    let _ = sim.simulate(&mask).unwrap();
-    assert!(allocations_on_this_thread() > before);
+        let _ = sim.simulate(&mask).unwrap();
+        assert!(allocations_on_this_thread() > before);
+    }
 }

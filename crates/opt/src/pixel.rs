@@ -4,9 +4,10 @@
 //! engine `phi(.)`).
 //!
 //! The mask is relaxed through a sigmoid of a latent pixel field and
-//! optimised with Adam; the optional multi-level schedule runs the early
-//! iterations on a 2x-downsampled grid (simulated with 2x-scaled kernels,
-//! Eq. (9)) before refining at full resolution.
+//! optimised by plain gradient descent (see [`PixelIltConfig::lr`] for why
+//! not Adam); the optional multi-level schedule runs the early iterations
+//! on a 2x-downsampled grid (simulated with 2x-scaled kernels, Eq. (9))
+//! before refining at full resolution.
 
 use ilt_grid::{resample, RealGrid};
 use ilt_litho::{LithoError, LithoSystem};
@@ -242,11 +243,16 @@ fn run_loop(
     history: &mut Vec<f64>,
 ) -> Result<(), OptError> {
     let steepness = config.mask_steepness;
-    // One scratch arena for the whole loop: steady-state iterations run the
-    // forward/adjoint passes without heap allocation.
+    // One scratch arena and one set of grids for the whole loop:
+    // steady-state iterations run without heap allocation.
     let mut ws = system.workspace();
-    let mut coarse_mask: Option<RealGrid> = None;
     let sim_n = system.n();
+    let (w, h) = (latent.width(), latent.height());
+    let mut mask = RealGrid::new(w, h, 0.0);
+    let mut grad_latent = vec![0.0; w * h];
+    // Multi-level only: the downsampled mask and the upsampled gradient.
+    let mut resampled =
+        (sim_scale > 1).then(|| (RealGrid::new(sim_n, sim_n, 0.0), RealGrid::new(w, h, 0.0)));
     let mut eval = LossEval {
         value: 0.0,
         dldi: RealGrid::new(sim_n, sim_n, 0.0),
@@ -258,11 +264,13 @@ fn run_loop(
                 completed_iterations: history.len(),
             });
         }
-        let mask = latent_to_mask(latent, steepness);
-        let sim_mask: &RealGrid = if sim_scale > 1 {
-            coarse_mask.insert(resample::downsample(&mask, sim_scale))
-        } else {
-            &mask
+        latent_to_mask_into(latent, steepness, &mut mask);
+        let sim_mask: &RealGrid = match &mut resampled {
+            Some((coarse_mask, _)) => {
+                resample::downsample_into(&mask, sim_scale, coarse_mask);
+                coarse_mask
+            }
+            None => &mask,
         };
         system.simulate_into(sim_mask, &mut ws)?;
         evaluate_loss_into(system.resist(), ws.intensity(), target, &mut eval);
@@ -270,28 +278,29 @@ fn run_loop(
         let grad_sim = system.gradient_into(&mut ws, &eval.dldi)?;
         // Adjoint of s x s block averaging: each fine pixel receives its
         // coarse pixel's gradient divided by s^2.
-        let upsampled;
-        let grad_mask: &RealGrid = if sim_scale > 1 {
-            let inv = 1.0 / (sim_scale * sim_scale) as f64;
-            upsampled = resample::upsample_nearest(grad_sim, sim_scale).map(|&g| g * inv);
-            &upsampled
-        } else {
-            grad_sim
+        let grad_mask: &RealGrid = match &mut resampled {
+            Some((_, upsampled)) => {
+                let inv = 1.0 / (sim_scale * sim_scale) as f64;
+                resample::upsample_nearest_into(grad_sim, sim_scale, upsampled);
+                for g in upsampled.as_mut_slice() {
+                    *g *= inv;
+                }
+                upsampled
+            }
+            None => grad_sim,
         };
         // Chain rule through the sigmoid: dM/dlatent = k M (1 - M), plus
         // the binarisation penalty d/dm [m (1 - m)] = 1 - 2m.
-        let mut grad_latent: Vec<f64> = grad_mask
-            .as_slice()
-            .iter()
+        for ((out, g), m) in grad_latent
+            .iter_mut()
+            .zip(grad_mask.as_slice())
             .zip(mask.as_slice())
-            .map(|(g, m)| {
-                (g + config.binarize_weight * (1.0 - 2.0 * m)) * steepness * m * (1.0 - m)
-            })
-            .collect();
+        {
+            *out = (g + config.binarize_weight * (1.0 - 2.0 * m)) * steepness * m * (1.0 - m);
+        }
         // Latent smoothness: gradient of 1/2 |grad latent|^2 is -laplacian
         // (Neumann boundaries: missing neighbours contribute nothing).
         if config.smooth_weight > 0.0 {
-            let (w, h) = (latent.width(), latent.height());
             for y in 0..h {
                 for x in 0..w {
                     let center = latent.get(x, y);
@@ -352,7 +361,16 @@ fn to_latent(mask: &RealGrid, steepness: f64) -> RealGrid {
 
 /// Maps the latent field back to a `[0, 1]` mask.
 fn latent_to_mask(latent: &RealGrid, steepness: f64) -> RealGrid {
-    latent.map(|&t| 1.0 / (1.0 + (-steepness * t).exp()))
+    let mut mask = RealGrid::new(latent.width(), latent.height(), 0.0);
+    latent_to_mask_into(latent, steepness, &mut mask);
+    mask
+}
+
+/// [`latent_to_mask`] into a caller-owned grid of the same shape.
+fn latent_to_mask_into(latent: &RealGrid, steepness: f64, mask: &mut RealGrid) {
+    for (m, &t) in mask.as_mut_slice().iter_mut().zip(latent.as_slice()) {
+        *m = 1.0 / (1.0 + (-steepness * t).exp());
+    }
 }
 
 #[cfg(test)]
