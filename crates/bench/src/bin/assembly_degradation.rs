@@ -37,7 +37,7 @@ fn main() {
         vec![Box::new(PixelIlt::new()), Box::new(LevelSetIlt::new())];
     for solver in &solvers {
         let masks = executor
-            .run_fallible(partition.tiles().len(), |i| {
+            .run(partition.tiles().len(), |i| {
                 let tile = partition.tile(i);
                 let tile_target = restrict(&target_real, tile);
                 let ctx = SolveContext {
@@ -52,6 +52,8 @@ fn main() {
                     )
                     .map(|o| o.mask)
             })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
             .expect("tile solves failed");
         let assembled = assemble(&partition, &masks, AssemblyMode::Restricted).expect("assembly");
 

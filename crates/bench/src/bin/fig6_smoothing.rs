@@ -27,7 +27,7 @@ fn main() {
     // Solve every tile once, independently (so the overlaps genuinely
     // disagree), then assemble the same tile set both ways.
     let masks = executor
-        .run_fallible(partition.tiles().len(), |i| {
+        .run(partition.tiles().len(), |i| {
             let tile = partition.tile(i);
             let tile_target = restrict(&target_real, tile);
             let ctx = SolveContext {
@@ -42,6 +42,8 @@ fn main() {
                 )
                 .map(|o| o.mask)
         })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
         .expect("tile solves failed");
 
     let hard = assemble(&partition, &masks, AssemblyMode::Restricted).expect("assembly");

@@ -138,13 +138,6 @@ pub struct ExperimentConfig {
     /// then the fine level; the coarsest level is solved directly (it is a
     /// single tile whenever `clip <= s_max * tile`).
     pub s_max: usize,
-    /// Stream tile assembly: solve tiles one colour band at a time and fold
-    /// each band into the output immediately, bounding peak resident fine
-    /// tiles at one colour band instead of the whole grid. `false` holds
-    /// every tile until the stage ends (the pre-streaming behaviour, kept
-    /// for memory-comparison benches). Both paths fold in the same
-    /// canonical order and are bit-identical.
-    pub stream_tiles: bool,
     /// Worker threads for per-tile execution.
     pub workers: usize,
 }
@@ -176,7 +169,6 @@ impl ExperimentConfig {
             stitch: StitchConfig::paper_default(),
             blend_band: 0,
             s_max: 2,
-            stream_tiles: true,
             workers: 1,
         }
     }
@@ -229,7 +221,6 @@ impl ExperimentConfig {
             },
             blend_band: 0,
             s_max: 2,
-            stream_tiles: true,
             workers: 1,
         }
     }
@@ -283,16 +274,14 @@ impl ExperimentConfig {
     /// Over-keying (hashing fields like the generator that don't influence
     /// a solve given its target) only costs reuse, never correctness, so
     /// the digest conservatively covers the whole config via its `Debug`
-    /// rendering.
+    /// rendering. That also means adding, dropping or renaming a field
+    /// re-keys every stored tile, so such a change bumps the version tag:
+    /// entries written under an older tag become misses, never wrong masks.
     pub fn fingerprint(&self) -> u64 {
         let mut canonical = self.clone();
         canonical.workers = 1;
-        // Streaming changes when contributions fold, never their values
-        // (streamed and batch assembly are bit-identical), so it is
-        // canonicalized out like `workers`.
-        canonical.stream_tiles = true;
         let mut fp = ilt_store::Fingerprint::new();
-        fp.write_str("ilt-experiment-config-v1");
+        fp.write_str("ilt-experiment-config-v2");
         fp.write_str(&format!("{canonical:?}"));
         fp.finish()
     }
@@ -376,9 +365,6 @@ mod tests {
         let mut wider = ExperimentConfig::test_tiny();
         wider.workers = 8;
         assert_eq!(base.fingerprint(), wider.fingerprint());
-        let mut held = ExperimentConfig::test_tiny();
-        held.stream_tiles = false;
-        assert_eq!(base.fingerprint(), held.fingerprint());
     }
 
     #[test]

@@ -3,21 +3,19 @@
 //! of Eq. (6). No communication ever happens between tiles — this is the
 //! flow whose boundary mismatches motivate the paper.
 //!
-//! With `stream_tiles` the tiles are solved one colour band at a time and
-//! folded straight into a [`StreamingAssembler`], so peak resident masks
-//! are one band instead of the whole M×N grid; the maths is unchanged
-//! (restricted assembly writes disjoint cores, so fold order is moot, but
-//! the streamed and held paths still share one canonical order).
+//! The tiles are solved one colour band at a time and folded straight
+//! into the assembler, so peak resident masks are one band instead of the
+//! whole M×N grid (restricted assembly writes disjoint cores, so the fold
+//! order is moot for the result).
 
-use ilt_grid::{BitGrid, RealGrid};
+use ilt_grid::BitGrid;
 use ilt_litho::LithoBank;
 use ilt_opt::{SolveContext, SolveRequest, TileSolver};
-use ilt_tile::{
-    assemble, multi_coloring, restrict, AssemblyMode, Partition, StreamingAssembler, TileExecutor,
-};
+use ilt_tile::{restrict, AssemblyMode, Partition, TileExecutor};
 
 use crate::config::ExperimentConfig;
 use crate::error::CoreError;
+use crate::flows::stage::run_assembled_stage;
 use crate::flows::{trace, FlowResult};
 
 /// Runs the divide-and-conquer flow with the given single-tile solver.
@@ -57,43 +55,14 @@ pub fn divide_and_conquer(
         Ok::<_, CoreError>((outcome.mask, elapsed))
     };
 
-    let stage = trace::stage("dnc".to_string());
-    let (mask, timing) = if config.stream_tiles {
-        let total = partition.tiles().len();
-        let mut assembler = StreamingAssembler::new(&partition, AssemblyMode::Restricted);
-        let mut tile_seconds = vec![0.0; total];
-        let mut assembly_seconds = 0.0;
-        for group in multi_coloring(&partition).groups() {
-            if group.is_empty() {
-                continue;
-            }
-            let band: Vec<RealGrid> = executor
-                .run_fallible_over(&group, solve)?
+    // No recovery: the first tile error aborts the flow, a panic propagates.
+    let (mask, timing) =
+        run_assembled_stage("dnc", &partition, AssemblyMode::Restricted, |band| {
+            executor
+                .run(band.len(), |k| solve(band[k]))
                 .into_iter()
-                .zip(&group)
-                .map(|((mask, seconds), &i)| {
-                    tile_seconds[i] = seconds;
-                    mask
-                })
-                .collect();
-            let ((), fold_seconds) = trace::assembly_fold(|| {
-                for (mask, &i) in band.iter().zip(&group) {
-                    assembler.push(i, mask)?;
-                }
-                Ok::<_, CoreError>(())
-            })?;
-            assembly_seconds += fold_seconds;
-        }
-        let (mask, finish_seconds) =
-            trace::assembly_fold(|| assembler.finish().map_err(CoreError::from))?;
-        assembly_seconds += finish_seconds;
-        (mask, stage.finish_streamed(tile_seconds, assembly_seconds))
-    } else {
-        let solved = executor.run_fallible(partition.tiles().len(), solve)?;
-        stage.finish(solved, |masks| {
-            assemble(&partition, &masks, AssemblyMode::Restricted).map_err(CoreError::from)
-        })?
-    };
+                .collect()
+        })?;
 
     let wall_seconds = fspan.end();
     Ok(FlowResult {
@@ -151,20 +120,5 @@ mod tests {
             divide_and_conquer(&config, &bank, &target, &solver, &TileExecutor::new(3)).unwrap();
         // Identical math regardless of worker count.
         assert_eq!(seq.mask, par.mask);
-    }
-
-    #[test]
-    fn streamed_matches_hold_everything() {
-        let mut config = ExperimentConfig::test_tiny();
-        let bank = LithoBank::new(config.optics, ResistModel::m1_default()).unwrap();
-        let target = generate_clip(&config.generator, 4);
-        let solver = PixelIlt::new();
-        let executor = TileExecutor::sequential();
-        config.stream_tiles = true;
-        let streamed = divide_and_conquer(&config, &bank, &target, &solver, &executor).unwrap();
-        config.stream_tiles = false;
-        let held = divide_and_conquer(&config, &bank, &target, &solver, &executor).unwrap();
-        assert_eq!(streamed.mask, held.mask);
-        assert_eq!(streamed.stages[0].tile_seconds.len(), 9);
     }
 }

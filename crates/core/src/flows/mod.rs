@@ -5,13 +5,13 @@ mod divide_and_conquer;
 mod full_chip;
 mod multigrid;
 mod overlap_select;
+pub(crate) mod stage;
 mod stitch_heal;
 pub(crate) mod trace;
 
 pub use divide_and_conquer::divide_and_conquer;
 pub use full_chip::full_chip;
 pub use multigrid::multigrid_schwarz;
-pub(crate) use multigrid::{apply_weighted_update, recover_stage};
 pub use overlap_select::overlap_select;
 pub use stitch_heal::{stitch_and_heal, HealOutcome};
 

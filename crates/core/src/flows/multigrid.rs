@@ -20,164 +20,20 @@
 //!    overlap and run in parallel, and the layout is updated between
 //!    colours so later colours see earlier results.
 //!
-//! With `stream_tiles` (the default) the coarse and fine stages solve one
-//! colour band at a time and fold each band into a
-//! [`StreamingAssembler`] immediately, so peak resident tile masks are one
-//! colour band instead of the whole M×N grid; `stream_tiles: false` keeps
-//! the hold-everything path. Both fold in the assembler's canonical order
-//! and produce bit-identical layouts.
+//! The coarse and fine stages are colour-banded stages of the shared
+//! pipeline ([`run_assembled_stage`]): one colour band of tile masks is
+//! solved, folded into the assembler and dropped at a time, so peak
+//! resident tile masks are one band instead of the whole M×N grid.
 
-use ilt_grid::{resample, BitGrid, RealGrid};
+use ilt_grid::{resample, BitGrid};
 use ilt_litho::LithoBank;
 use ilt_opt::{SolveContext, SolveRequest, TileSolver};
-use ilt_telemetry as tele;
-use ilt_tile::{
-    assemble, multi_coloring, normalized_weight_map, restrict, AssemblyMode, Partition,
-    PartitionConfig, RetryPolicy, StreamingAssembler, TileExecutor, TileFailure,
-};
+use ilt_tile::{restrict, AssemblyMode, Partition, PartitionConfig, TileExecutor};
 
 use crate::config::ExperimentConfig;
 use crate::error::CoreError;
-use crate::flows::{trace, DegradedTile, FlowResult, StageTiming};
-
-/// What [`TileExecutor::run_recoverable`] hands back per tile: the outer
-/// layer is panic-vs-completed, the inner the solver's own result.
-type RecoveredTile = Result<Result<(RealGrid, f64), CoreError>, TileFailure>;
-
-/// Folds one recoverable stage's per-tile results into the `(mask, seconds)`
-/// pairs the assembly expects. A tile whose solve failed after retries —
-/// by panicking ([`TileFailure`]) or by returning a typed error — degrades
-/// gracefully: it keeps `fallback` (its pre-stage, i.e. coarse-grid, mask),
-/// gets flagged in diagnostics and the `flow.tiles_degraded` counter, and
-/// the stage's normal weighted-smoothing assembly stitches it in. The one
-/// exception is [`ilt_opt::OptError::DeadlineExceeded`]: the job's budget is
-/// already blown, so the whole flow aborts with the typed error instead of
-/// burning the remaining stages.
-pub(crate) fn recover_stage(
-    flow: &str,
-    label: &str,
-    results: Vec<RecoveredTile>,
-    tile_of: impl Fn(usize) -> usize,
-    fallback: impl Fn(usize) -> RealGrid,
-    degraded: &mut Vec<DegradedTile>,
-) -> Result<Vec<(RealGrid, f64)>, CoreError> {
-    let mut solved = Vec::with_capacity(results.len());
-    for (k, result) in results.into_iter().enumerate() {
-        let error = match result {
-            Ok(Ok(pair)) => {
-                solved.push(pair);
-                continue;
-            }
-            Ok(Err(e)) => {
-                if e.is_deadline_exceeded() {
-                    return Err(e);
-                }
-                e.to_string()
-            }
-            Err(failure) => failure.to_string(),
-        };
-        let tile = tile_of(k);
-        tele::counter_add("flow.tiles_degraded", 1);
-        ilt_diag::observe_degraded(flow, label, tile, &error);
-        degraded.push(DegradedTile {
-            stage: label.to_string(),
-            tile,
-            error,
-        });
-        solved.push((fallback(k), 0.0));
-    }
-    Ok(solved)
-}
-
-/// Bytes one solved tile mask keeps resident, for the
-/// [`ilt_prof::residency`] high-water accounting around assembly.
-fn grid_bytes(mask: &RealGrid) -> usize {
-    mask.width() * mask.height() * std::mem::size_of::<f64>()
-}
-
-/// Solves one additive stage's tiles and assembles them into a layout.
-///
-/// With `stream: true`, tiles are solved one colour band at a time (in the
-/// streaming assembler's canonical order) and each band is folded into the
-/// output as soon as it is recovered, so at most one colour band of tile
-/// masks is resident at once. With `stream: false`, every tile is solved
-/// first (index order, the pre-streaming behaviour) and the batch
-/// [`assemble`] folds them at the end. Both paths fold contributions in
-/// the same canonical order and return bit-identical layouts.
-///
-/// `solve` and `fallback` both take **tile indices**; `tile_seconds` in the
-/// returned timing is indexed by tile.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_banded_stage(
-    flow_name: &str,
-    label: String,
-    partition: &Partition,
-    mode: AssemblyMode,
-    stream: bool,
-    executor: &TileExecutor,
-    policy: RetryPolicy,
-    solve: impl Fn(usize) -> Result<(RealGrid, f64), CoreError> + Sync,
-    fallback: impl Fn(usize) -> RealGrid,
-    degraded: &mut Vec<DegradedTile>,
-) -> Result<(RealGrid, StageTiming), CoreError> {
-    let stage = trace::stage(label.clone());
-    let total = partition.tiles().len();
-    if !stream {
-        let results = executor.run_recoverable(total, policy, &solve);
-        let solved = recover_stage(flow_name, &label, results, |k| k, &fallback, degraded)?;
-        let resident: usize = solved.iter().map(|(m, _)| grid_bytes(m)).sum();
-        ilt_prof::residency::acquire(resident);
-        let out = stage.finish(solved, |masks| {
-            assemble(partition, &masks, mode).map_err(CoreError::from)
-        });
-        ilt_prof::residency::release(resident);
-        return out;
-    }
-    let mut assembler = StreamingAssembler::new(partition, mode);
-    let mut tile_seconds = vec![0.0; total];
-    let mut assembly_seconds = 0.0;
-    for group in multi_coloring(partition).groups() {
-        if group.is_empty() {
-            continue;
-        }
-        let results = executor.run_recoverable_over(&group, policy, &solve);
-        let solved = recover_stage(
-            flow_name,
-            &label,
-            results,
-            |k| group[k],
-            |k| fallback(group[k]),
-            degraded,
-        )?;
-        let band: Vec<RealGrid> = solved
-            .into_iter()
-            .zip(&group)
-            .map(|((mask, seconds), &i)| {
-                tile_seconds[i] = seconds;
-                mask
-            })
-            .collect();
-        let band_bytes: usize = band.iter().map(grid_bytes).sum();
-        ilt_prof::residency::acquire(band_bytes);
-        let ((), fold_seconds) = trace::assembly_fold(|| {
-            for (mask, &i) in band.iter().zip(&group) {
-                assembler.push(i, mask)?;
-            }
-            Ok::<_, CoreError>(())
-        })?;
-        assembly_seconds += fold_seconds;
-        ilt_prof::residency::release(band_bytes);
-        // `band` drops here: the streamed path never holds more than one
-        // colour band of fine tiles.
-    }
-    let (layout, finish_seconds) =
-        trace::assembly_fold(|| assembler.finish().map_err(CoreError::from))?;
-    assembly_seconds += finish_seconds;
-    Ok((
-        layout,
-        stage.finish_streamed(tile_seconds, assembly_seconds),
-    ))
-}
+use crate::flows::stage::{refine_pass, run_assembled_stage, FineTiles, Recovering};
+use crate::flows::{trace, FlowResult};
 
 /// Runs the multigrid-Schwarz flow.
 ///
@@ -201,8 +57,7 @@ pub fn multigrid_schwarz(
     // Algorithm 1 line 4: M <- Z_t.
     let mut mask = target_real.clone();
     let mut stages = Vec::new();
-    let mut degraded: Vec<DegradedTile> = Vec::new();
-    let policy = RetryPolicy::from_env();
+    let mut recovering = Recovering::new(&name, executor);
 
     // Phase 1: coarse grids, s = s_max .. 2 (Algorithm 1 stops addressing
     // stitching; assembly is the plain Eq. (6)).
@@ -214,41 +69,30 @@ pub fn multigrid_schwarz(
         };
         let partition = Partition::new(clip_w, clip_h, coarse)?;
         let label = format!("coarse s={s}");
-        let (assembled, timing) = run_banded_stage(
-            &name,
-            label.clone(),
-            &partition,
-            AssemblyMode::Restricted,
-            config.stream_tiles,
-            executor,
-            policy,
-            |i| {
-                let tile = partition.tile(i);
-                let tile_target = resample::downsample(&restrict(&target_real, tile), s);
-                let tile_init = resample::downsample(&restrict(&mask, tile), s);
-                let ctx = SolveContext { bank, n, scale: s };
-                let (outcome, elapsed) = trace::timed_tile(i, || {
-                    Ok::<_, CoreError>(solver.solve(
-                        &ctx,
-                        &SolveRequest::new(
-                            &tile_target,
-                            &tile_init,
-                            config.schedule.coarse_iterations,
-                        ),
-                    )?)
-                })?;
-                ilt_diag::observe_solve(&name, &label, i, &outcome.loss_history);
-                // Promote the coarse solution back to the fine grid with a
-                // band-limited interpolation: bilinear alone leaves blocky
-                // staircases that the fine stages (optically blind to them)
-                // would never remove.
-                let up = resample::upsample_bilinear(&outcome.mask, s);
-                let filter = ilt_grid::GaussianFilter::new(0.5 * s as f64);
-                Ok::<_, CoreError>((filter.apply(&up), elapsed))
-            },
-            |i| restrict(&mask, partition.tile(i)),
-            &mut degraded,
-        )?;
+        let solve = |i: usize| {
+            let tile = partition.tile(i);
+            let tile_target = resample::downsample(&restrict(&target_real, tile), s);
+            let tile_init = resample::downsample(&restrict(&mask, tile), s);
+            let ctx = SolveContext { bank, n, scale: s };
+            let (outcome, elapsed) = trace::timed_tile(i, || {
+                Ok::<_, CoreError>(solver.solve(
+                    &ctx,
+                    &SolveRequest::new(&tile_target, &tile_init, config.schedule.coarse_iterations),
+                )?)
+            })?;
+            ilt_diag::observe_solve(&name, &label, i, &outcome.loss_history);
+            // Promote the coarse solution back to the fine grid with a
+            // band-limited interpolation: bilinear alone leaves blocky
+            // staircases that the fine stages (optically blind to them)
+            // would never remove.
+            let up = resample::upsample_bilinear(&outcome.mask, s);
+            let filter = ilt_grid::GaussianFilter::new(0.5 * s as f64);
+            Ok::<_, CoreError>((filter.apply(&up), elapsed))
+        };
+        let (assembled, timing) =
+            run_assembled_stage(&label, &partition, AssemblyMode::Restricted, |band| {
+                recovering.solve(&label, &partition, &mask, band, solve)
+            })?;
         mask = assembled;
         stages.push(timing);
         s /= 2;
@@ -256,47 +100,24 @@ pub fn multigrid_schwarz(
 
     // Phase 2: staged fine-grid additive Schwarz with weighted assembly.
     let partition = Partition::new(clip_w, clip_h, config.partition)?;
-    let blend = if config.blend_band == 0 {
-        AssemblyMode::weighted_default(&partition)
-    } else {
-        AssemblyMode::Weighted {
-            band: config.blend_band,
-        }
+    let tiles = FineTiles {
+        flow: &name,
+        config,
+        bank,
+        solver,
+        partition: &partition,
+        target: &target_real,
     };
     for fine_stage in 0..config.schedule.fine_stages {
-        let iterations = config.schedule.fine_per_stage(fine_stage);
         let label = format!("fine stage {}", fine_stage + 1);
+        let iterations = config.schedule.fine_per_stage(fine_stage);
         // A degraded fine tile keeps its coarse-grid mask (= its crop of
         // the assembled layout) and is stitched by the same weighted blend.
-        let (assembled, timing) = run_banded_stage(
-            &name,
-            label.clone(),
-            &partition,
-            blend,
-            config.stream_tiles,
-            executor,
-            policy,
-            |i| {
-                let tile = partition.tile(i);
-                let tile_target = restrict(&target_real, tile);
-                let tile_init = restrict(&mask, tile);
-                let ctx = SolveContext { bank, n, scale: 1 };
-                let request = SolveRequest {
-                    target: &tile_target,
-                    initial: &tile_init,
-                    iterations,
-                    lr_scale: config.schedule.fine_lr_scale,
-                    gentle: false,
-                    warm: true,
-                };
-                let (outcome, elapsed) =
-                    trace::timed_tile(i, || Ok::<_, CoreError>(solver.solve(&ctx, &request)?))?;
-                ilt_diag::observe_solve(&name, &label, i, &outcome.loss_history);
-                Ok::<_, CoreError>((outcome.mask, elapsed))
-            },
-            |i| restrict(&mask, partition.tile(i)),
-            &mut degraded,
-        )?;
+        let (assembled, timing) = run_assembled_stage(&label, &partition, tiles.blend(), |band| {
+            recovering.solve(&label, &partition, &mask, band, |i| {
+                tiles.solve(&label, &mask, i, iterations, false)
+            })
+        })?;
         mask = assembled;
         stages.push(timing);
     }
@@ -310,60 +131,15 @@ pub fn multigrid_schwarz(
     mask = mask.threshold(0.5).to_real();
 
     // Phase 3: multi-colour multiplicative refine.
-    let coloring = multi_coloring(&partition);
-    for (color, group) in coloring.groups().into_iter().enumerate() {
-        if group.is_empty() {
-            continue;
-        }
-        let label = format!("refine color {}", color + 1);
-        let stage = trace::stage(label.clone());
-        let results = executor.run_recoverable(group.len(), policy, |k| {
-            let tile = partition.tile(group[k]);
-            let tile_target = restrict(&target_real, tile);
-            let tile_init = restrict(&mask, tile);
-            let ctx = SolveContext { bank, n, scale: 1 };
-            let request = SolveRequest {
-                target: &tile_target,
-                initial: &tile_init,
-                iterations: config.schedule.refine_iterations,
-                lr_scale: config.schedule.refine_lr_scale,
-                gentle: true,
-                warm: true,
-            };
-            let (outcome, elapsed) = trace::timed_tile(group[k], || {
-                Ok::<_, CoreError>(solver.solve(&ctx, &request)?)
-            })?;
-            ilt_diag::observe_solve(&name, &label, group[k], &outcome.loss_history);
-            Ok::<_, CoreError>((outcome.mask, elapsed))
-        });
-        // A degraded refine tile keeps its fine-stage mask: feeding its
-        // current crop back through the weighted update is a no-op.
-        let solved = recover_stage(
-            &name,
-            &label,
-            results,
-            |k| group[k],
-            |k| restrict(&mask, partition.tile(group[k])),
-            &mut degraded,
-        )?;
-        // Multiplicative replacement over the extended core: later colours
-        // re-author the boundary bands consistently instead of averaging
-        // into them.
-        let replace = AssemblyMode::ExtendedCore {
-            margin: match blend {
-                AssemblyMode::Weighted { band } => band,
-                _ => config.partition.overlap / 4,
-            },
-        };
-        let ((), timing) = stage.finish(solved, |masks| {
-            for (k, new_mask) in masks.iter().enumerate() {
-                apply_weighted_update(&mut mask, &partition, group[k], new_mask, replace);
-            }
-            Ok::<_, CoreError>(())
-        })?;
-        stages.push(timing);
-    }
+    stages.extend(refine_pass(
+        &tiles,
+        "",
+        |_| true,
+        &mut mask,
+        &mut recovering,
+    )?);
 
+    let degraded = recovering.degraded;
     let wall_seconds = fspan.end();
     Ok(FlowResult {
         name,
@@ -372,36 +148,6 @@ pub fn multigrid_schwarz(
         wall_seconds,
         degraded,
     })
-}
-
-/// Multiplicative partial update: replaces tile `index`'s weighted
-/// contribution in `layout` with `new_mask`, leaving every other tile's
-/// contribution untouched:
-/// `M <- M + W_j (M_j_new - R_j M)`.
-pub(crate) fn apply_weighted_update(
-    layout: &mut RealGrid,
-    partition: &Partition,
-    index: usize,
-    new_mask: &RealGrid,
-    blend: AssemblyMode,
-) {
-    let tile = partition.tile(index);
-    let w = normalized_weight_map(partition, index, blend);
-    let t = partition.config().tile;
-    for y in 0..t {
-        let gy = tile.rect.y0 as usize + y;
-        for x in 0..t {
-            let weight = w.get(x, y);
-            if weight == 0.0 {
-                continue;
-            }
-            let gx = tile.rect.x0 as usize + x;
-            let old = layout.get(gx, gy);
-            let local_old = old; // R_j M at this pixel
-            let updated = old + weight * (new_mask.get(x, y) - local_old);
-            layout.set(gx, gy, updated);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -476,31 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_flow_is_bit_identical_to_held() {
-        let mut streamed = ExperimentConfig::test_tiny();
-        streamed.stream_tiles = true;
-        let mut held = streamed.clone();
-        held.stream_tiles = false;
-        let bank = LithoBank::new(streamed.optics, ResistModel::m1_default()).unwrap();
-        let target = generate_clip(&streamed.generator, 7);
-        let executor = TileExecutor::sequential();
-        let solver = PixelIlt::new();
-        let a = multigrid_schwarz(&streamed, &bank, &target, &solver, &executor).unwrap();
-        let b = multigrid_schwarz(&held, &bank, &target, &solver, &executor).unwrap();
-        assert_eq!(
-            a.mask.as_slice(),
-            b.mask.as_slice(),
-            "streamed and hold-everything flows diverged"
-        );
-        // Same stages, same per-tile accounting shape.
-        assert_eq!(a.stages.len(), b.stages.len());
-        for (sa, sb) in a.stages.iter().zip(&b.stages) {
-            assert_eq!(sa.label, sb.label);
-            assert_eq!(sa.tile_seconds.len(), sb.tile_seconds.len());
-        }
-    }
-
-    #[test]
     fn deeper_hierarchy_runs_every_coarse_level() {
         // s_max = 4 at a 256-pixel clip: levels s = 4 (direct coarsest
         // solve, a single 256-wide tile) and s = 2 (warm-started from the
@@ -531,35 +252,5 @@ mod tests {
         assert!(result.stages[s2].tile_seconds.len() > 1);
         assert_eq!(result.mask.width(), 256);
         assert!(result.mask.min() >= -1e-9 && result.mask.max() <= 1.0 + 1e-9);
-    }
-
-    #[test]
-    fn weighted_update_is_local() {
-        let partition = Partition::new(
-            128,
-            128,
-            PartitionConfig {
-                tile: 64,
-                overlap: 32,
-            },
-        )
-        .unwrap();
-        let mut layout = RealGrid::new(128, 128, 0.25);
-        let new_mask = RealGrid::new(64, 64, 1.0);
-        apply_weighted_update(
-            &mut layout,
-            &partition,
-            0,
-            &new_mask,
-            AssemblyMode::Weighted { band: 8 },
-        );
-        // Inside tile 0's full-weight region the value is replaced.
-        assert!((layout.get(5, 5) - 1.0).abs() < 1e-12);
-        // Outside tile 0 nothing changed.
-        assert_eq!(layout.get(100, 100), 0.25);
-        // Within the blend band around the core boundary (x = 48, default
-        // band 8) the update is partial.
-        let mid = layout.get(46, 5);
-        assert!(mid > 0.25 && mid < 1.0, "mid {mid}");
     }
 }

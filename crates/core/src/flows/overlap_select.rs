@@ -9,10 +9,11 @@
 use ilt_grid::{BitGrid, RealGrid};
 use ilt_litho::{Corner, LithoBank};
 use ilt_opt::{SolveContext, SolveRequest, TileSolver};
-use ilt_tile::{multi_coloring, restrict, Partition, TileExecutor};
+use ilt_tile::{restrict, Partition, TileExecutor};
 
 use crate::config::ExperimentConfig;
 use crate::error::CoreError;
+use crate::flows::stage::run_banded_stage;
 use crate::flows::{trace, FlowResult};
 
 /// Runs the overlap-error-selection flow.
@@ -60,17 +61,24 @@ pub fn overlap_select(
 
     // Per-pixel selection: each pixel takes the value of the covering tile
     // with the smallest local error. The strict `<` makes the fold order
-    // observable at exact ties, so both the streamed and the hold-everything
-    // paths visit tiles in the same canonical colour-band order — the first
-    // tile in that order wins ties and the two paths stay bit-identical.
-    let groups = multi_coloring(&partition).groups();
-    let mut mask = RealGrid::new(partition.width(), partition.height(), 0.0);
-    let mut best = RealGrid::new(partition.width(), partition.height(), f64::INFINITY);
-    let stage = trace::stage("overlap-select".to_string());
-    // The `select` closure borrows `mask` and `best` mutably; scoping it to
-    // the timing block releases the borrows once selection is done.
-    let timing = {
-        let mut select = |i: usize, tile_mask: &RealGrid, error: &RealGrid| {
+    // observable at exact ties: the first tile in the canonical colour-band
+    // order wins.
+    let (width, height) = (partition.width(), partition.height());
+    let selection = (
+        RealGrid::new(width, height, 0.0),
+        RealGrid::new(width, height, f64::INFINITY),
+    );
+    let (mask, timing) = run_banded_stage(
+        "overlap-select",
+        &partition,
+        selection,
+        |band| {
+            executor
+                .run(band.len(), |k| solve(band[k]))
+                .into_iter()
+                .collect()
+        },
+        |(mask, best), i, (tile_mask, error): &(RealGrid, RealGrid)| {
             let tile = partition.tile(i);
             for y in 0..n {
                 let gy = tile.rect.y0 as usize + y;
@@ -83,40 +91,10 @@ pub fn overlap_select(
                     }
                 }
             }
-        };
-
-        if config.stream_tiles {
-            // One colour band of (mask, error) pairs resident at a time.
-            let mut tile_seconds = vec![0.0; partition.tiles().len()];
-            let mut assembly_seconds = 0.0;
-            for group in groups {
-                if group.is_empty() {
-                    continue;
-                }
-                let band = executor.run_fallible_over(&group, solve)?;
-                let ((), fold_seconds) = trace::assembly_fold(|| {
-                    for (((tile_mask, error), seconds), &i) in band.into_iter().zip(&group) {
-                        tile_seconds[i] = seconds;
-                        select(i, &tile_mask, &error);
-                    }
-                    Ok::<_, CoreError>(())
-                })?;
-                assembly_seconds += fold_seconds;
-            }
-            stage.finish_streamed(tile_seconds, assembly_seconds)
-        } else {
-            let order: Vec<usize> = groups.into_iter().flatten().collect();
-            let solved = executor.run_fallible(partition.tiles().len(), solve)?;
-            let ((), timing) = stage.finish(solved, |tiles| {
-                for &i in &order {
-                    let (tile_mask, error) = &tiles[i];
-                    select(i, tile_mask, error);
-                }
-                Ok::<_, CoreError>(())
-            })?;
-            timing
-        }
-    };
+            Ok(())
+        },
+        |(mask, _)| Ok(mask),
+    )?;
 
     let wall_seconds = fspan.end();
     Ok(FlowResult {
@@ -169,21 +147,5 @@ mod tests {
         let select = overlap_select(&config, &bank, &target, &solver, &executor).unwrap();
         let dnc = divide_and_conquer(&config, &bank, &target, &solver, &executor).unwrap();
         assert_ne!(select.mask, dnc.mask);
-    }
-
-    #[test]
-    fn streamed_matches_hold_everything() {
-        // Selection's tie-break makes fold order observable; both paths use
-        // the canonical colour-band order, so they must agree exactly.
-        let mut config = ExperimentConfig::test_tiny();
-        let bank = LithoBank::new(config.optics, ResistModel::m1_default()).unwrap();
-        let target = generate_clip(&config.generator, 6);
-        let solver = PixelIlt::new();
-        let executor = TileExecutor::sequential();
-        config.stream_tiles = true;
-        let streamed = overlap_select(&config, &bank, &target, &solver, &executor).unwrap();
-        config.stream_tiles = false;
-        let held = overlap_select(&config, &bank, &target, &solver, &executor).unwrap();
-        assert_eq!(streamed.mask, held.mask);
     }
 }

@@ -55,7 +55,7 @@ pub fn stitch_and_heal(
         let windows = heal_windows(line, t, target.width(), target.height());
         let label = format!("heal line {}", line_idx + 1);
         let stage = trace::stage(label.clone());
-        let solved = executor.run_fallible(windows.len(), |k| {
+        let solved = executor.run(windows.len(), |k| {
             let rect = windows[k];
             let fake_tile = Tile {
                 index: k,
@@ -83,7 +83,8 @@ pub fn stitch_and_heal(
                 trace::timed_tile(k, || Ok::<_, CoreError>(solver.solve(&ctx, &request)?))?;
             ilt_diag::observe_solve(&name, &label, k, &outcome.loss_history);
             Ok::<_, CoreError>((outcome.mask, elapsed))
-        })?;
+        });
+        let solved = solved.into_iter().collect::<Result<Vec<_>, _>>()?;
 
         let ((), timing) = stage.finish(solved, |healed_masks| {
             for (k, healed) in healed_masks.iter().enumerate() {

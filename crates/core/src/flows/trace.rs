@@ -58,36 +58,15 @@ impl StageGuard {
         solved: Vec<(T, f64)>,
         apply: impl FnOnce(Vec<T>) -> Result<R, E>,
     ) -> Result<(R, StageTiming), E> {
-        let StageGuard {
-            label,
-            span,
-            stage_tag,
-        } = self;
-        drop(stage_tag);
         let (payloads, times): (Vec<_>, Vec<_>) = solved.into_iter().unzip();
-        let _assembly_tag = ilt_prof::stage_scope(ilt_prof::Stage::Assembly);
-        let asm = tele::span(tele::names::ASSEMBLY);
-        let out = apply(payloads)?;
-        let assembly_seconds = asm.end();
-        drop(span);
-        Ok((
-            out,
-            StageTiming {
-                label,
-                tile_seconds: times,
-                assembly_seconds,
-            },
-        ))
+        let (out, assembly_seconds) = assembly_fold(|| apply(payloads))?;
+        Ok((out, self.finish_streamed(times, assembly_seconds)))
     }
-}
 
-impl StageGuard {
     /// Ends a stage whose assembly happened *incrementally* (one colour
     /// band at a time, via [`assembly_fold`]) while the guard was alive:
     /// the caller supplies the per-tile durations it recorded and the sum
-    /// of the fold spans' durations. Counterpart of [`StageGuard::finish`]
-    /// for streamed stages, where solving and assembly interleave instead
-    /// of forming two sequential blocks.
+    /// of the fold spans' durations.
     pub(crate) fn finish_streamed(
         self,
         tile_seconds: Vec<f64>,

@@ -36,23 +36,19 @@
 //!
 //! [`Schedule::warm_fine_iterations`]: crate::Schedule::warm_fine_iterations
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use ilt_grid::{BitGrid, RealGrid};
 use ilt_litho::LithoBank;
-use ilt_opt::{SolveContext, SolveRequest, TileSolver};
+use ilt_opt::TileSolver;
 use ilt_store::{tile_content_hash, MaskStore, StoreKey};
 use ilt_telemetry as tele;
-use ilt_tile::{
-    assemble, multi_coloring, restrict, AssemblyMode, Partition, RetryPolicy, StreamingAssembler,
-    Tile, TileExecutor,
-};
+use ilt_tile::{restrict, Partition, StreamingAssembler, Tile, TileExecutor};
 
 use crate::config::ExperimentConfig;
 use crate::error::CoreError;
-use crate::flows::{
-    apply_weighted_update, multigrid_schwarz, recover_stage, trace, DegradedTile, FlowResult,
-};
+use crate::flows::stage::{refine_pass, run_assembled_stage, FineTiles, Recovering};
+use crate::flows::{multigrid_schwarz, trace, FlowResult};
 
 /// Store method tag for masks produced by the multigrid-Schwarz flow with
 /// the pixel solver — the only flow the incremental path re-solves with.
@@ -242,14 +238,21 @@ pub fn run_incremental_in(
     config.validate();
     let name = format!("ours-eco:{}", solver.name());
     let fspan = trace::flow_span(&name);
-    let n = config.partition.tile;
     let partition = Partition::new(edited.width(), edited.height(), config.partition)?;
     let config_fp = config.fingerprint();
     let target_real = edited.to_real();
     let tile_count = partition.tiles().len();
-    let policy = RetryPolicy::from_env();
+    let tiles = FineTiles {
+        flow: &name,
+        config,
+        bank,
+        solver,
+        partition: &partition,
+        target: &target_real,
+    };
+    let blend = tiles.blend();
+    let mut recovering = Recovering::new(&name, executor);
     let mut stages = Vec::new();
-    let mut degraded: Vec<DegradedTile> = Vec::new();
     let mut store_hits = 0usize;
     let mut store_misses = 0usize;
 
@@ -269,93 +272,38 @@ pub fn run_incremental_in(
     // are identical, only the boundary conditions moved.
     let edited_tiles: BTreeSet<usize> = diff.edited.iter().copied().collect();
     let mut cold_budget: BTreeSet<usize> = edited_tiles.clone();
-    let blend = if config.blend_band == 0 {
-        AssemblyMode::weighted_default(&partition)
-    } else {
-        AssemblyMode::Weighted {
-            band: config.blend_band,
-        }
-    };
-    let reuse_stage = trace::stage("eco reuse".to_string());
-    // The `lookup` closure borrows the reuse counters and the re-solve set
-    // mutably; scoping it to this block releases the borrows once every
-    // tile has been looked up.
-    let (mut mask, timing) = {
-        let mut lookup = |i: usize| {
-            if dirty.contains(&i) {
-                resolve.push(i);
-                let warm_key = tile_key(base, &partition, i, config_fp);
-                match store.get(&warm_key) {
-                    Some(mut mask) => {
-                        store_hits += 1;
-                        if edited_tiles.contains(&i) {
-                            patch_changed_pixels(&mut mask, partition.tile(i), base, edited);
-                        }
-                        Ok::<_, CoreError>(mask)
-                    }
-                    None => {
-                        store_misses += 1;
-                        cold_budget.insert(i);
-                        Ok(restrict(&target_real, partition.tile(i)))
-                    }
-                }
-            } else {
-                match store.get(&tile_key(edited, &partition, i, config_fp)) {
-                    Some(mask) => {
-                        store_hits += 1;
-                        Ok(mask)
-                    }
-                    None => {
-                        store_misses += 1;
-                        resolve.push(i);
-                        cold_budget.insert(i);
-                        Ok(restrict(&target_real, partition.tile(i)))
-                    }
-                }
-            }
-        };
-        if config.stream_tiles {
-            // Stream the lookups straight into the assembler one colour band at
-            // a time: a reused crop is resident only while its band folds, so
-            // the reuse phase holds O(one band) masks instead of all T.
-            let mut assembler = StreamingAssembler::new(&partition, blend);
-            let mut tile_seconds = vec![0.0; tile_count];
-            let mut assembly_seconds = 0.0;
-            for group in multi_coloring(&partition).groups() {
-                if group.is_empty() {
-                    continue;
-                }
-                let mut band: Vec<RealGrid> = Vec::with_capacity(group.len());
-                for &i in &group {
-                    let (crop, seconds) = trace::timed_tile(i, || lookup(i))?;
-                    tile_seconds[i] = seconds;
-                    band.push(crop);
-                }
-                let ((), fold_seconds) = trace::assembly_fold(|| {
-                    for (crop, &i) in band.iter().zip(&group) {
-                        assembler.push(i, crop)?;
-                    }
-                    Ok::<_, CoreError>(())
-                })?;
-                assembly_seconds += fold_seconds;
-            }
-            let (out, finish_seconds) =
-                trace::assembly_fold(|| assembler.finish().map_err(CoreError::from))?;
-            assembly_seconds += finish_seconds;
-            (
-                out,
-                reuse_stage.finish_streamed(tile_seconds, assembly_seconds),
-            )
+    let mut lookup = |i: usize| {
+        let key = if dirty.contains(&i) {
+            resolve.push(i);
+            tile_key(base, &partition, i, config_fp)
         } else {
-            let mut looked_up: Vec<(RealGrid, f64)> = Vec::with_capacity(tile_count);
-            for i in 0..tile_count {
-                looked_up.push(trace::timed_tile(i, || lookup(i))?);
+            tile_key(edited, &partition, i, config_fp)
+        };
+        match store.get(&key) {
+            Some(mut mask) => {
+                store_hits += 1;
+                if edited_tiles.contains(&i) {
+                    patch_changed_pixels(&mut mask, partition.tile(i), base, edited);
+                }
+                mask
             }
-            reuse_stage.finish(looked_up, |masks| {
-                assemble(&partition, &masks, blend).map_err(CoreError::from)
-            })?
+            None => {
+                store_misses += 1;
+                if !dirty.contains(&i) {
+                    resolve.push(i);
+                }
+                cold_budget.insert(i);
+                restrict(&target_real, partition.tile(i))
+            }
         }
     };
+    // The lookups stream straight into the assembler one colour band at a
+    // time: a reused crop is resident only while its band folds.
+    let (mut mask, timing) = run_assembled_stage("eco reuse", &partition, blend, |band| {
+        band.iter()
+            .map(|&i| trace::timed_tile(i, || Ok(lookup(i))))
+            .collect()
+    })?;
     resolve.sort_unstable();
     let tiles_resolved = resolve.len();
     let tiles_reused = tile_count - tiles_resolved;
@@ -367,130 +315,50 @@ pub fn run_incremental_in(
     // Phase 2: warm fine stages over the re-solve set, with the same
     // assemble-and-re-crop boundary exchange as the cold flow (clean tiles
     // contribute their current crops, so assembly is the identity there).
+    // The whole re-solve set goes to the executor in one call rather than
+    // band by band: an edit's dirty tiles are mutual overlap neighbours, so
+    // each sits in a different colour band and banding would serialise them.
     for fine_stage in 0..config.schedule.fine_stages {
         let label = format!("eco fine stage {}", fine_stage + 1);
         let stage = trace::stage(label.clone());
-        let results = executor.run_recoverable(resolve.len(), policy, |k| {
-            let tile = partition.tile(resolve[k]);
-            let iterations = if cold_budget.contains(&resolve[k]) {
+        let solved = recovering.solve(&label, &partition, &mask, &resolve, |i| {
+            let iterations = if cold_budget.contains(&i) {
                 config.schedule.fine_per_stage(fine_stage)
             } else {
                 config.schedule.warm_per_stage(fine_stage)
             };
-            let tile_target = restrict(&target_real, tile);
-            let tile_init = restrict(&mask, tile);
-            let ctx = SolveContext { bank, n, scale: 1 };
-            let request = SolveRequest {
-                target: &tile_target,
-                initial: &tile_init,
-                iterations,
-                lr_scale: config.schedule.fine_lr_scale,
-                gentle: false,
-                warm: true,
-            };
-            let (outcome, elapsed) = trace::timed_tile(resolve[k], || {
-                Ok::<_, CoreError>(solver.solve(&ctx, &request)?)
-            })?;
-            ilt_diag::observe_solve(&name, &label, resolve[k], &outcome.loss_history);
-            Ok::<_, CoreError>((outcome.mask, elapsed))
-        });
-        let solved = recover_stage(
-            &name,
-            &label,
-            results,
-            |k| resolve[k],
-            |k| restrict(&mask, partition.tile(resolve[k])),
-            &mut degraded,
-        )?;
-        let (assembled, timing) = if config.stream_tiles {
-            // Hold only the re-solved masks; every clean tile's crop is
-            // materialised lazily, pushed, and dropped — peak residency is
-            // O(dirty) plus one tile, not O(T).
-            let (new_masks, times): (Vec<RealGrid>, Vec<f64>) = solved.into_iter().unzip();
-            let held: std::collections::BTreeMap<usize, RealGrid> =
-                resolve.iter().copied().zip(new_masks).collect();
-            let mut assembler = StreamingAssembler::new(&partition, blend);
-            let order = assembler.canonical_order().to_vec();
-            let (out, assembly_seconds) = trace::assembly_fold(|| {
-                for &i in &order {
-                    match held.get(&i) {
-                        Some(new_mask) => assembler.push(i, new_mask)?,
-                        None => {
-                            let crop = restrict(&mask, partition.tile(i));
-                            assembler.push(i, &crop)?;
-                        }
-                    }
+            tiles.solve(&label, &mask, i, iterations, false)
+        })?;
+        // Hold only the re-solved masks; every clean tile's crop is
+        // materialised lazily, pushed, and dropped — peak residency is
+        // O(dirty) plus one tile, not O(T).
+        let (new_masks, times): (Vec<RealGrid>, Vec<f64>) = solved.into_iter().unzip();
+        let held: BTreeMap<usize, RealGrid> = resolve.iter().copied().zip(new_masks).collect();
+        let mut assembler = StreamingAssembler::new(&partition, blend);
+        let order = assembler.canonical_order().to_vec();
+        let (assembled, assembly_seconds) = trace::assembly_fold(|| {
+            for &i in &order {
+                match held.get(&i) {
+                    Some(new_mask) => assembler.push(i, new_mask)?,
+                    None => assembler.push(i, &restrict(&mask, partition.tile(i)))?,
                 }
-                assembler.finish().map_err(CoreError::from)
-            })?;
-            (out, stage.finish_streamed(times, assembly_seconds))
-        } else {
-            stage.finish(solved, |new_masks| {
-                let mut all: Vec<RealGrid> = (0..tile_count)
-                    .map(|i| restrict(&mask, partition.tile(i)))
-                    .collect();
-                for (k, new_mask) in new_masks.into_iter().enumerate() {
-                    all[resolve[k]] = new_mask;
-                }
-                assemble(&partition, &all, blend).map_err(CoreError::from)
-            })?
-        };
+            }
+            assembler.finish().map_err(CoreError::from)
+        })?;
         mask = assembled;
-        stages.push(timing);
+        stages.push(stage.finish_streamed(times, assembly_seconds));
     }
 
     // Phase 3: warm multi-colour refine over the re-solve set only. No
     // global threshold first: the reused masks are post-refine already, and
     // re-thresholding would perturb clean tiles the edit never touched.
-    let coloring = multi_coloring(&partition);
-    for (color, group) in coloring.groups().into_iter().enumerate() {
-        let group: Vec<usize> = group.into_iter().filter(|i| resolve.contains(i)).collect();
-        if group.is_empty() {
-            continue;
-        }
-        let label = format!("eco refine color {}", color + 1);
-        let stage = trace::stage(label.clone());
-        let results = executor.run_recoverable(group.len(), policy, |k| {
-            let tile = partition.tile(group[k]);
-            let tile_target = restrict(&target_real, tile);
-            let tile_init = restrict(&mask, tile);
-            let ctx = SolveContext { bank, n, scale: 1 };
-            let request = SolveRequest {
-                target: &tile_target,
-                initial: &tile_init,
-                iterations: config.schedule.refine_iterations,
-                lr_scale: config.schedule.refine_lr_scale,
-                gentle: true,
-                warm: true,
-            };
-            let (outcome, elapsed) = trace::timed_tile(group[k], || {
-                Ok::<_, CoreError>(solver.solve(&ctx, &request)?)
-            })?;
-            ilt_diag::observe_solve(&name, &label, group[k], &outcome.loss_history);
-            Ok::<_, CoreError>((outcome.mask, elapsed))
-        });
-        let solved = recover_stage(
-            &name,
-            &label,
-            results,
-            |k| group[k],
-            |k| restrict(&mask, partition.tile(group[k])),
-            &mut degraded,
-        )?;
-        let replace = AssemblyMode::ExtendedCore {
-            margin: match blend {
-                AssemblyMode::Weighted { band } => band,
-                _ => config.partition.overlap / 4,
-            },
-        };
-        let ((), timing) = stage.finish(solved, |masks| {
-            for (k, new_mask) in masks.iter().enumerate() {
-                apply_weighted_update(&mut mask, &partition, group[k], new_mask, replace);
-            }
-            Ok::<_, CoreError>(())
-        })?;
-        stages.push(timing);
-    }
+    stages.extend(refine_pass(
+        &tiles,
+        "eco ",
+        |i| resolve.contains(&i),
+        &mut mask,
+        &mut recovering,
+    )?);
 
     // Store the re-solved tiles under their edited content keys, so the
     // next edit on top of this layout warm-starts from here.
@@ -499,6 +367,7 @@ pub fn run_incremental_in(
         store.put_crop(key, &mask, partition.tile(i).rect);
     }
 
+    let degraded = recovering.degraded;
     let wall_seconds = fspan.end();
     Ok(IncrementalOutcome {
         flow: FlowResult {

@@ -3,12 +3,16 @@
 //! reuses every clean tile verbatim, and leaves clean cores bit-identical
 //! to the base solve.
 
+use std::collections::BTreeSet;
+use std::sync::{Condvar, Mutex};
+use std::time::Duration;
+
 use ilt_core::incremental::{run_and_store, run_incremental_in};
 use ilt_core::ExperimentConfig;
 use ilt_grid::{BitGrid, Rect};
 use ilt_layout::generate_clip;
 use ilt_litho::{LithoBank, ResistModel};
-use ilt_opt::PixelIlt;
+use ilt_opt::{IltOutcome, OptError, PixelIlt, SolveContext, SolveRequest, TileSolver};
 use ilt_store::MaskStore;
 use ilt_tile::{Partition, TileExecutor};
 
@@ -159,4 +163,94 @@ fn cold_store_still_produces_a_full_solve() {
     assert_eq!(outcome.tiles_reused, 0);
     assert_eq!(outcome.store_misses, 9);
     assert_eq!(outcome.flow.mask.width(), config.clip);
+}
+
+/// A pixel solver that makes each fine-stage solve of the first stage wait —
+/// bounded — until a second one is in flight beside it, so the test forces
+/// the interleaving it checks instead of hoping the scheduler produces it.
+struct Rendezvous {
+    inner: PixelIlt,
+    /// Fine-stage solves per stage (the size of the re-solve set).
+    per_stage: usize,
+    /// `(started, in flight now, most in flight during the first stage)`.
+    state: Mutex<(usize, usize, usize)>,
+    joined: Condvar,
+}
+
+impl TileSolver for Rendezvous {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn solve(
+        &self,
+        ctx: &SolveContext<'_>,
+        request: &SolveRequest<'_>,
+    ) -> Result<IltOutcome, OptError> {
+        // Refine solves are gentle; the fine stages are not.
+        if request.gentle {
+            return self.inner.solve(ctx, request);
+        }
+        {
+            let mut state = self.state.lock().unwrap();
+            state.0 += 1;
+            state.1 += 1;
+            if state.0 <= self.per_stage {
+                state.2 = state.2.max(state.1);
+                self.joined.notify_all();
+                let _ = self
+                    .joined
+                    .wait_timeout_while(state, Duration::from_secs(2), |s| s.2 < 2)
+                    .unwrap();
+            }
+        }
+        let outcome = self.inner.solve(ctx, request);
+        self.state.lock().unwrap().1 -= 1;
+        outcome
+    }
+}
+
+#[test]
+fn corner_edit_resolves_its_dirty_tiles_concurrently() {
+    // A corner edit's dirty tiles {0, 1, 3, 4} are pairwise overlap
+    // neighbours, so each has its own colour: solving the ECO fine stage
+    // band by band would hand the executor one tile at a time and idle the
+    // second worker. The whole re-solve set must go out in one call.
+    let config = ExperimentConfig::test_tiny();
+    let bank = LithoBank::new(config.optics, ResistModel::m1_default()).unwrap();
+    let store = MaskStore::new(64 * 1024 * 1024, None);
+    let executor = TileExecutor::new(2);
+    let base = generate_clip(&config.generator, 1);
+    let edited = flip_rect(&base, Rect::new(10, 10, 18, 18));
+    run_and_store(&config, &bank, &store, &base, &PixelIlt::new(), &executor).unwrap();
+
+    let solver = Rendezvous {
+        inner: PixelIlt::new(),
+        per_stage: 4,
+        state: Mutex::new((0, 0, 0)),
+        joined: Condvar::new(),
+    };
+    let outcome =
+        run_incremental_in(&config, &bank, &store, &base, &edited, &solver, &executor).unwrap();
+    assert_eq!(outcome.diff.dirty, vec![0, 1, 3, 4]);
+    let partition = Partition::new(config.clip, config.clip, config.partition).unwrap();
+    let coloring = ilt_tile::multi_coloring(&partition);
+    let colors: BTreeSet<usize> = outcome
+        .diff
+        .dirty
+        .iter()
+        .map(|&i| coloring.color(i))
+        .collect();
+    assert_eq!(
+        colors.len(),
+        4,
+        "every dirty tile sits in its own colour band"
+    );
+
+    let (started, _, most_in_first_stage) = *solver.state.lock().unwrap();
+    assert_eq!(started, 2 * 4, "two fine stages over four dirty tiles");
+    assert!(
+        most_in_first_stage >= 2,
+        "eco fine stage 1 never had two solves in flight under two workers"
+    );
 }

@@ -2,7 +2,7 @@
 //!
 //! Deterministic intra-tile parallelism for the litho fast path.
 //!
-//! The tile-level [`ilt-tile`] executor parallelises *across* tiles; this
+//! The tile-level `ilt-tile` executor parallelises *across* tiles; this
 //! crate parallelises *inside* one tile's simulate/gradient evaluation —
 //! per-kernel field transforms and FFT row batches — without changing a
 //! single bit of the output. The rules that make that possible:

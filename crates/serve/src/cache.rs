@@ -1,6 +1,6 @@
 //! Per-worker session memoisation over the process-wide kernel caches.
 //!
-//! A [`Session`](ilt_core::Session) owns the full-clip inspection system,
+//! A [`Session`] owns the full-clip inspection system,
 //! which keeps per-instance FFT scratch and therefore cannot be shared
 //! across threads. Each job worker instead owns a `SessionCache`: the
 //! first job at a given scale builds that worker's session, every later
@@ -32,10 +32,10 @@ pub fn config_for_scale(scale: &str) -> Option<ExperimentConfig> {
     }
 }
 
-/// Session memoisation key: the scale plus the per-job config overrides
-/// that change the session's `ExperimentConfig`. Two jobs share a session
-/// exactly when they resolve to the same configuration.
-type SessionKey = (String, Option<usize>, Option<bool>);
+/// Session memoisation key: the scale plus the per-job `s_max` override,
+/// the only job field that changes the session's `ExperimentConfig`. Two
+/// jobs share a session exactly when they resolve to the same configuration.
+type SessionKey = (String, Option<usize>);
 
 /// Config-keyed session memoisation for one worker thread.
 #[derive(Default)]
@@ -59,8 +59,8 @@ impl SessionCache {
         self.sessions.is_empty()
     }
 
-    /// The session for a scale with the scale's default hierarchy depth and
-    /// streaming mode, building it on first use.
+    /// The session for a scale with the scale's default hierarchy depth,
+    /// building it on first use.
     ///
     /// # Errors
     ///
@@ -72,14 +72,14 @@ impl SessionCache {
     /// Panics on unknown scale names — callers must validate scales at
     /// admission (the job parser does).
     pub fn session(&mut self, scale: &str) -> Result<&Session, CoreError> {
-        self.session_with(scale, None, None)
+        self.session_with(scale, None)
     }
 
-    /// The session for a scale with optional `s_max` / `stream_tiles`
-    /// overrides applied on top of the scale's defaults. Sessions are keyed
-    /// by the full override tuple, so jobs with different hierarchy depths
-    /// never share (their config fingerprints differ and the mask store
-    /// keys with them), while repeat jobs at the same overrides reuse.
+    /// The session for a scale with an optional `s_max` override applied on
+    /// top of the scale's defaults. Sessions are keyed by the override, so
+    /// jobs with different hierarchy depths never share (their config
+    /// fingerprints differ and the mask store keys with them), while repeat
+    /// jobs at the same override reuse.
     ///
     /// # Errors
     ///
@@ -95,18 +95,14 @@ impl SessionCache {
         &mut self,
         scale: &str,
         s_max: Option<usize>,
-        stream: Option<bool>,
     ) -> Result<&Session, CoreError> {
-        let key: SessionKey = (scale.to_string(), s_max, stream);
+        let key: SessionKey = (scale.to_string(), s_max);
         if !self.sessions.contains_key(&key) {
             ilt_telemetry::counter_add("serve.session_cache.miss", 1);
             let mut config = config_for_scale(scale)
                 .unwrap_or_else(|| panic!("unvalidated scale {scale:?} reached the cache"));
             if let Some(s) = s_max {
                 config.s_max = s;
-            }
-            if let Some(stream) = stream {
-                config.stream_tiles = stream;
             }
             let session = Session::new(config)?;
             self.sessions.insert(key.clone(), session);
@@ -143,20 +139,20 @@ mod tests {
     fn overrides_get_their_own_sessions() {
         let mut cache = SessionCache::new();
         let default = cache.session("tiny").unwrap().config().clone();
-        assert!(default.stream_tiles, "streaming is the default");
-        let held = cache
-            .session_with("tiny", None, Some(false))
+        assert_eq!(default.s_max, 2);
+        let flat = cache
+            .session_with("tiny", Some(1))
             .unwrap()
             .config()
             .clone();
-        assert!(!held.stream_tiles);
+        assert_eq!(flat.s_max, 1);
         assert_eq!(cache.len(), 2, "distinct overrides must not share");
-        // Same overrides reuse the existing session.
-        cache.session_with("tiny", None, Some(false)).unwrap();
+        // Same override reuses the existing session.
+        cache.session_with("tiny", Some(1)).unwrap();
         assert_eq!(cache.len(), 2);
-        // stream_tiles is canonicalised out of the fingerprint (identical
-        // masks either way), so the store stays shareable across the two.
-        assert_eq!(default.fingerprint(), held.fingerprint());
+        // A different hierarchy solves different masks: the store must not
+        // serve one to the other.
+        assert_ne!(default.fingerprint(), flat.fingerprint());
     }
 
     #[test]

@@ -77,10 +77,6 @@ pub struct JobSpec {
     /// runs at scale `s_max` (power of two; the hierarchy then has
     /// `log2(s_max) + 1` levels). Unset keeps the scale's default.
     pub s_max: Option<usize>,
-    /// Optional override of streaming tile assembly. Unset keeps the
-    /// scale's default (streaming on); `false` forces the hold-everything
-    /// path. Results are bit-identical either way — this is a memory knob.
-    pub stream: Option<bool>,
     /// Optional deadline in milliseconds from admission. Jobs that exceed
     /// it — whether still queued or mid-solve — report `failed`.
     pub timeout_ms: Option<u64>,
@@ -97,8 +93,8 @@ impl JobSpec {
     /// `"gls-dnc"`, `"multi-level-dnc"`, `"full-chip"`; default `"ours"`;
     /// ECO jobs accept only `"ours"`), `scale` (`"tiny"` or `"default"`;
     /// default `"tiny"`), `s_max` (power of two whose coarsest level still
-    /// fits the scale's clip), `stream` (boolean), `timeout_ms` (positive
-    /// integer).
+    /// fits the scale's clip), `timeout_ms` (positive integer). Unknown
+    /// keys, among them the retired `stream`, are ignored.
     ///
     /// # Errors
     ///
@@ -182,13 +178,6 @@ impl JobSpec {
                 Some(s)
             }
         };
-        let stream = match json.get("stream") {
-            None => None,
-            Some(v) => Some(
-                v.as_bool()
-                    .ok_or_else(|| "\"stream\" must be a boolean".to_string())?,
-            ),
-        };
         let timeout_ms = match json.get("timeout_ms") {
             None => None,
             Some(v) => Some(
@@ -202,7 +191,6 @@ impl JobSpec {
             method,
             scale,
             s_max,
-            stream,
             timeout_ms,
         })
     }
@@ -427,9 +415,6 @@ impl JobRecord {
         if let Some(s) = self.spec.s_max {
             let _ = write!(out, ",\"s_max\":{s}");
         }
-        if let Some(stream) = self.spec.stream {
-            let _ = write!(out, ",\"stream\":{stream}");
-        }
         if let Some(ms) = self.spec.timeout_ms {
             let _ = write!(out, ",\"timeout_ms\":{ms}");
         }
@@ -499,16 +484,17 @@ mod tests {
         assert_eq!(spec.method, Method::Ours);
         assert_eq!(spec.scale, "tiny");
         assert_eq!(spec.s_max, None);
-        assert_eq!(spec.stream, None);
         assert_eq!(spec.timeout_ms, None);
     }
 
     #[test]
-    fn parses_hierarchy_and_streaming_overrides() {
+    fn parses_the_hierarchy_override_and_ignores_unknown_keys() {
         // Tiny scale: clip 128, tile 64 — s_max 2 is the deepest that fits.
-        let spec = JobSpec::parse(r#"{"case": 1, "s_max": 2, "stream": false}"#).unwrap();
+        // `stream` is not a job field: like any unknown key it is ignored
+        // whatever its value.
+        let spec = JobSpec::parse(r#"{"case": 1, "s_max": 2, "stream": "yes"}"#).unwrap();
         assert_eq!(spec.s_max, Some(2));
-        assert_eq!(spec.stream, Some(false));
+        assert_eq!(spec, JobSpec::parse(r#"{"case": 1, "s_max": 2}"#).unwrap());
         let record = JobRecord {
             id: 1,
             trace: 1,
@@ -517,7 +503,7 @@ mod tests {
         };
         let body = record.to_json();
         assert!(body.contains("\"s_max\":2"));
-        assert!(body.contains("\"stream\":false"));
+        assert!(!body.contains("stream"));
     }
 
     #[test]
@@ -526,7 +512,6 @@ mod tests {
             (r#"{"case": 1, "s_max": 3}"#, "power of two"),
             (r#"{"case": 1, "s_max": 0}"#, "power of two"),
             (r#"{"case": 1, "s_max": 4}"#, "larger than"),
-            (r#"{"case": 1, "stream": "yes"}"#, "boolean"),
         ] {
             let err = JobSpec::parse(body).unwrap_err();
             assert!(err.contains(needle), "{body}: {err:?} missing {needle:?}");

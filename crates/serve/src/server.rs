@@ -811,7 +811,7 @@ fn execute(
     executor: &TileExecutor,
 ) -> Result<JobOutcome, String> {
     let session = cache
-        .session_with(&spec.scale, spec.s_max, spec.stream)
+        .session_with(&spec.scale, spec.s_max)
         .map_err(|e| format!("session setup failed: {e}"))?;
     if let CaseSource::Eco { edit, .. } = &spec.source {
         let base = base.expect("eco jobs resolve their base before execution");

@@ -191,7 +191,7 @@ pub struct ObjectiveBurn {
     pub windows: Vec<WindowBurn>,
 }
 
-/// The live burn-rate engine. One per process ([`ilt-serve`] keeps it in a
+/// The live burn-rate engine. One per process (`ilt-serve` keeps it in a
 /// `OnceLock`); observation and report are one short mutex hold each.
 #[derive(Debug)]
 pub struct SloEngine {

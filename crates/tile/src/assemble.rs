@@ -263,8 +263,8 @@ impl<'a> StreamingAssembler<'a> {
     ///
     /// * [`TileError::StreamOrder`] if `tile_index` is not the next tile in
     ///   [`canonical_order`](Self::canonical_order);
-    /// * [`TileError::AssemblyMismatch`] if `data` is not tile-sized or
-    ///   every tile was already pushed.
+    /// * [`TileError::TileShape`] if `data` is not tile-sized;
+    /// * [`TileError::AssemblyMismatch`] if every tile was already pushed.
     pub fn push(&mut self, tile_index: usize, data: &RealGrid) -> Result<(), TileError> {
         let total = self.order.len();
         let Some(&expected) = self.order.get(self.cursor) else {
@@ -281,9 +281,10 @@ impl<'a> StreamingAssembler<'a> {
         }
         let t = self.partition.config().tile;
         if data.width() != t || data.height() != t {
-            return Err(TileError::AssemblyMismatch {
-                expected: total,
-                actual: total,
+            return Err(TileError::TileShape {
+                tile: tile_index,
+                expected: t,
+                actual: (data.width(), data.height()),
             });
         }
         let tile = *self.partition.tile(tile_index);
@@ -344,17 +345,18 @@ impl<'a> StreamingAssembler<'a> {
 }
 
 /// Assembles per-tile results into a full layout:
-/// `M = sum_j W_j . M_j` with `W_j` from [`normalized_weight_map`].
-///
-/// Delegates to [`StreamingAssembler`], pushing in the canonical
-/// colour-band order, so batch and streamed assembly are bit-identical.
-/// [`AssemblyMode::ExtendedCore`] (not a partition of unity) keeps a
-/// direct accumulation path in tile-index order.
+/// `M = sum_j W_j . M_j` with `W_j` from [`normalized_weight_map`] — every
+/// tile pushed through a [`StreamingAssembler`] in its canonical order.
 ///
 /// # Errors
 ///
-/// Returns [`TileError::AssemblyMismatch`] if the number or shape of the
-/// tile grids does not match the partition.
+/// Returns [`TileError::AssemblyMismatch`] if the number of tile grids does
+/// not match the partition, [`TileError::TileShape`] if one is not
+/// tile-sized.
+///
+/// # Panics
+///
+/// Panics on [`AssemblyMode::ExtendedCore`], like [`StreamingAssembler::new`].
 pub fn assemble(
     partition: &Partition,
     tiles: &[RealGrid],
@@ -365,38 +367,6 @@ pub fn assemble(
             expected: partition.tiles().len(),
             actual: tiles.len(),
         });
-    }
-    let t = partition.config().tile;
-    for data in tiles {
-        if data.width() != t || data.height() != t {
-            return Err(TileError::AssemblyMismatch {
-                expected: partition.tiles().len(),
-                actual: tiles.len(),
-            });
-        }
-    }
-    if let AssemblyMode::ExtendedCore { .. } = mode {
-        let mut out = RealGrid::new(partition.width(), partition.height(), 0.0);
-        for (tile, data) in partition.tiles().iter().zip(tiles) {
-            let w = weight_map(partition, tile.index, mode);
-            for y in 0..t {
-                let gy = tile.rect.y0 as usize + y;
-                for x in 0..t {
-                    let weight = w.get(x, y);
-                    if weight == 0.0 {
-                        continue;
-                    }
-                    let gx = tile.rect.x0 as usize + x;
-                    let v = out.get(gx, gy) + weight * data.get(x, y);
-                    out.set(gx, gy, v);
-                }
-            }
-        }
-        ilt_telemetry::counter_add(
-            "tile.pixels_assembled",
-            (partition.width() * partition.height()) as u64,
-        );
-        return Ok(out);
     }
     let mut assembler = StreamingAssembler::new(partition, mode);
     for i in 0..assembler.canonical_order().len() {
@@ -718,11 +688,23 @@ mod tests {
             asm.push(first, &data),
             Err(TileError::StreamOrder { .. })
         ));
-        // Wrong shape: rejected.
-        assert!(matches!(
-            asm.push(second, &Grid::new(64, 64, 0.0)),
-            Err(TileError::AssemblyMismatch { .. })
-        ));
+        // Wrong shape: rejected, naming the tile and both shapes.
+        let wrong_shape = asm.push(second, &Grid::new(64, 96, 0.0)).unwrap_err();
+        assert_eq!(
+            wrong_shape,
+            TileError::TileShape {
+                tile: second,
+                expected: 128,
+                actual: (64, 96)
+            }
+        );
+        assert_eq!(
+            wrong_shape.to_string(),
+            format!(
+                "assembly received a 64x96 grid for tile {second} but the partition's tiles \
+                 are 128x128"
+            )
+        );
         // Finishing early: rejected with the push count.
         assert_eq!(
             asm.finish(),
@@ -741,10 +723,15 @@ mod tests {
             assemble(&p, &too_few, AssemblyMode::Restricted),
             Err(TileError::AssemblyMismatch { .. })
         ));
-        let wrong_size = vec![Grid::new(64, 64, 0.0); 9];
-        assert!(matches!(
+        let mut wrong_size = vec![Grid::new(128, 128, 0.0); 9];
+        wrong_size[6] = Grid::new(64, 64, 0.0);
+        assert_eq!(
             assemble(&p, &wrong_size, AssemblyMode::weighted_default(&p)),
-            Err(TileError::AssemblyMismatch { .. })
-        ));
+            Err(TileError::TileShape {
+                tile: 6,
+                expected: 128,
+                actual: (64, 64)
+            })
+        );
     }
 }

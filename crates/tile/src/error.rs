@@ -36,6 +36,15 @@ pub enum TileError {
         /// Number of tile grids supplied.
         actual: usize,
     },
+    /// One tile grid supplied for assembly is not tile-sized.
+    TileShape {
+        /// Index of the offending tile.
+        tile: usize,
+        /// The partition's tile edge.
+        expected: usize,
+        /// The grid's actual `(width, height)`.
+        actual: (usize, usize),
+    },
 }
 
 impl fmt::Display for TileError {
@@ -57,6 +66,16 @@ impl fmt::Display for TileError {
             TileError::AssemblyMismatch { expected, actual } => write!(
                 f,
                 "assembly received {actual} tile grids but the partition has {expected}"
+            ),
+            TileError::TileShape {
+                tile,
+                expected,
+                actual,
+            } => write!(
+                f,
+                "assembly received a {}x{} grid for tile {tile} but the partition's tiles are \
+                 {expected}x{expected}",
+                actual.0, actual.1
             ),
         }
     }
@@ -94,6 +113,15 @@ mod tests {
         }
         .to_string()
         .contains('9'));
+        assert_eq!(
+            TileError::TileShape {
+                tile: 5,
+                expected: 128,
+                actual: (64, 96)
+            }
+            .to_string(),
+            "assembly received a 64x96 grid for tile 5 but the partition's tiles are 128x128"
+        );
     }
 
     #[test]

@@ -282,48 +282,20 @@ impl TileExecutor {
             .collect()
     }
 
-    /// Fallible variant: runs every job and returns the first error (by
-    /// index order) if any failed.
+    /// Recoverable variant over an explicit set of tile indices (e.g. one
+    /// colour band of a partition): `job` receives each **tile index**, not
+    /// its position in the slice, and results align with `indices`. Each
+    /// attempt runs under `catch_unwind` and panicking attempts are retried
+    /// per `policy` (exponential backoff between attempts). A job that
+    /// panics on every attempt yields `Err(TileFailure)` in its slot —
+    /// carrying its tile index — instead of taking down the whole run, so
+    /// callers can substitute a degraded per-tile answer.
     ///
-    /// # Errors
-    ///
-    /// Returns the error of the lowest-index failing job.
-    pub fn run_fallible<T, E, F>(&self, count: usize, job: F) -> Result<Vec<T>, E>
-    where
-        T: Send,
-        E: Send,
-        F: Fn(usize) -> Result<T, E> + Sync,
-    {
-        let mut results = self.run(count, job);
-        if let Some(pos) = results.iter().position(|r| r.is_err()) {
-            // Take the first error out without cloning.
-            return Err(results.swap_remove(pos).err().expect("checked is_err"));
-        }
-        results.into_iter().collect()
-    }
-
-    /// Runs `job` over an explicit set of tile indices (e.g. one colour
-    /// band of a partition), passing each job its **tile index** rather
-    /// than its position in the slice. Results align with `indices`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the earliest (by slice position) failing job.
-    pub fn run_fallible_over<T, E, F>(&self, indices: &[usize], job: F) -> Result<Vec<T>, E>
-    where
-        T: Send,
-        E: Send,
-        F: Fn(usize) -> Result<T, E> + Sync,
-    {
-        self.run_fallible(indices.len(), |k| job(indices[k]))
-    }
-
-    /// Recoverable variant of [`run_fallible_over`](Self::run_fallible_over):
-    /// runs `job` over an explicit set of tile indices with per-tile retry
-    /// and degradation semantics (see [`run_recoverable`](Self::run_recoverable)).
-    /// The `tile` field of any [`TileFailure`] is the actual tile index,
-    /// not the slice position.
-    pub fn run_recoverable_over<T, F>(
+    /// This is also where the `tile.panic` / `tile.slow` fault-injection
+    /// points live (see `ilt-fault`): injection happens inside the attempt,
+    /// so an injected panic exercises exactly the retry and degradation
+    /// machinery a real one would.
+    pub fn run_recoverable<T, F>(
         &self,
         indices: &[usize],
         policy: RetryPolicy,
@@ -333,38 +305,8 @@ impl TileExecutor {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        self.run_recoverable(indices.len(), policy, |k| job(indices[k]))
-            .into_iter()
-            .map(|r| {
-                r.map_err(|mut f| {
-                    f.tile = indices[f.tile];
-                    f
-                })
-            })
-            .collect()
-    }
-
-    /// Recoverable variant: each job attempt runs under `catch_unwind` and
-    /// panicking attempts are retried per `policy` (exponential backoff
-    /// between attempts). A job that panics on every attempt yields
-    /// `Err(TileFailure)` in its slot instead of taking down the whole run,
-    /// so callers can substitute a degraded per-tile answer.
-    ///
-    /// This is also where the `tile.panic` / `tile.slow` fault-injection
-    /// points live (see `ilt-fault`): injection happens inside the attempt,
-    /// so an injected panic exercises exactly the retry and degradation
-    /// machinery a real one would.
-    pub fn run_recoverable<T, F>(
-        &self,
-        count: usize,
-        policy: RetryPolicy,
-        job: F,
-    ) -> Vec<Result<T, TileFailure>>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run(count, |i| {
+        self.run(indices.len(), |k| {
+            let tile = indices[k];
             let mut attempt = 0;
             loop {
                 attempt += 1;
@@ -377,11 +319,11 @@ impl TileExecutor {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     if fault::should_fire(fault::points::TILE_PANIC) {
                         panic!(
-                            "{} tile.panic (tile {i}, attempt {attempt})",
+                            "{} tile.panic (tile {tile}, attempt {attempt})",
                             fault::INJECTED_PANIC_PREFIX
                         );
                     }
-                    job(i)
+                    job(tile)
                 }));
                 match outcome {
                     Ok(value) => return Ok(value),
@@ -389,7 +331,7 @@ impl TileExecutor {
                         tele::counter_add("executor.tile_panics", 1);
                         if attempt >= policy.attempts {
                             return Err(TileFailure {
-                                tile: i,
+                                tile,
                                 attempts: attempt,
                                 message: panic_text(payload.as_ref()),
                             });
@@ -470,21 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn fallible_success_and_failure() {
-        let e = TileExecutor::new(2);
-        let ok: Result<Vec<usize>, String> = e.run_fallible(4, Ok);
-        assert_eq!(ok.unwrap(), vec![0, 1, 2, 3]);
-        let err: Result<Vec<usize>, String> = e.run_fallible(4, |i| {
-            if i >= 2 {
-                Err(format!("job {i} failed"))
-            } else {
-                Ok(i)
-            }
-        });
-        assert_eq!(err.unwrap_err(), "job 2 failed");
-    }
-
-    #[test]
     fn default_is_sequential() {
         assert_eq!(TileExecutor::default().workers(), 1);
     }
@@ -503,7 +430,8 @@ mod tests {
     #[test]
     fn recoverable_matches_run_when_nothing_panics() {
         let e = TileExecutor::new(3);
-        let out = e.run_recoverable(8, RetryPolicy::default(), |i| i * 3);
+        let all: Vec<usize> = (0..8).collect();
+        let out = e.run_recoverable(&all, RetryPolicy::default(), |i| i * 3);
         let values: Vec<usize> = out.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(values, (0..8).map(|i| i * 3).collect::<Vec<_>>());
     }
@@ -512,8 +440,9 @@ mod tests {
     fn recoverable_retries_flaky_jobs_to_success() {
         ilt_fault::quiet_injected_panics();
         let attempts: Vec<AtomicUsize> = (0..6).map(|_| AtomicUsize::new(0)).collect();
+        let all: Vec<usize> = (0..6).collect();
         let out =
-            TileExecutor::new(2).run_recoverable(6, RetryPolicy::new(3, Duration::ZERO), |i| {
+            TileExecutor::new(2).run_recoverable(&all, RetryPolicy::new(3, Duration::ZERO), |i| {
                 let n = attempts[i].fetch_add(1, Ordering::Relaxed);
                 // Even tiles fail on their first two attempts, then succeed.
                 if i % 2 == 0 && n < 2 {
@@ -533,8 +462,9 @@ mod tests {
     #[test]
     fn recoverable_surfaces_persistent_failures_without_aborting_others() {
         ilt_fault::quiet_injected_panics();
+        let all: Vec<usize> = (0..10).collect();
         let out =
-            TileExecutor::new(4).run_recoverable(10, RetryPolicy::new(2, Duration::ZERO), |i| {
+            TileExecutor::new(4).run_recoverable(&all, RetryPolicy::new(2, Duration::ZERO), |i| {
                 if i == 7 {
                     panic!("{} always broken", ilt_fault::INJECTED_PANIC_PREFIX);
                 }
@@ -556,9 +486,10 @@ mod tests {
     #[test]
     fn recoverable_sequential_and_parallel_agree() {
         ilt_fault::quiet_injected_panics();
+        let all: Vec<usize> = (0..9).collect();
         let run = |workers: usize| -> Vec<Result<usize, usize>> {
             TileExecutor::new(workers)
-                .run_recoverable(9, RetryPolicy::no_retry(), |i| {
+                .run_recoverable(&all, RetryPolicy::no_retry(), |i| {
                     if i % 4 == 1 {
                         panic!("{} tile {i}", ilt_fault::INJECTED_PANIC_PREFIX);
                     }
@@ -572,21 +503,18 @@ mod tests {
     }
 
     #[test]
-    fn over_variants_pass_tile_indices_and_remap_failures() {
+    fn recoverable_passes_tile_indices_and_reports_them_in_failures() {
         ilt_fault::quiet_injected_panics();
         let band = [4usize, 7, 11];
-        let ok: Result<Vec<usize>, String> =
-            TileExecutor::new(2).run_fallible_over(&band, |i| Ok(i * 10));
-        assert_eq!(ok.unwrap(), vec![40, 70, 110]);
-        let out = TileExecutor::new(2).run_recoverable_over(&band, RetryPolicy::no_retry(), |i| {
+        let out = TileExecutor::new(2).run_recoverable(&band, RetryPolicy::no_retry(), |i| {
             if i == 7 {
                 panic!("{} tile {i}", ilt_fault::INJECTED_PANIC_PREFIX);
             }
-            i
+            i * 10
         });
-        assert_eq!(*out[0].as_ref().unwrap(), 4);
+        assert_eq!(*out[0].as_ref().unwrap(), 40);
         assert_eq!(out[1].as_ref().unwrap_err().tile, 7);
-        assert_eq!(*out[2].as_ref().unwrap(), 11);
+        assert_eq!(*out[2].as_ref().unwrap(), 110);
     }
 
     #[test]
