@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ilt_layout::{generate_clip, GeneratorConfig};
 use ilt_metrics::{stitch_loss, StitchConfig};
 use ilt_tile::{
-    assemble, multi_coloring, restrict, weight_map, AssemblyMode, Partition, PartitionConfig,
+    assemble, multi_coloring, restrict, AssemblyMode, Partition, PartitionConfig, TileWeights,
 };
 
 fn bench_tile_ops(c: &mut Criterion) {
@@ -61,8 +61,22 @@ fn bench_tile_ops(c: &mut Criterion) {
             .expect("assemble")
         })
     });
-    c.bench_function("weight_map_weighted", |b| {
-        b.iter(|| weight_map(&partition, 4, AssemblyMode::weighted_default(&partition)))
+    c.bench_function("tile_weights_weighted_256", |b| {
+        b.iter(|| TileWeights::new(&partition, AssemblyMode::weighted_default(&partition)))
+    });
+
+    // The paper-shaped point: a 1024x1024 clip in 7x7 tiles of 256.
+    let paper = Partition::new(1024, 1024, PartitionConfig::paper_ratio(256)).expect("partition");
+    let paper_tile = ilt_grid::RealGrid::new(256, 256, 0.5);
+    let paper_tiles = vec![paper_tile; paper.tiles().len()];
+    c.bench_function("assemble_weighted_1024_7x7", |b| {
+        b.iter(|| {
+            assemble(&paper, &paper_tiles, AssemblyMode::weighted_default(&paper))
+                .expect("assemble")
+        })
+    });
+    c.bench_function("tile_weights_weighted_1024_7x7", |b| {
+        b.iter(|| TileWeights::new(&paper, AssemblyMode::weighted_default(&paper)))
     });
     c.bench_function("multi_coloring", |b| b.iter(|| multi_coloring(&partition)));
 

@@ -227,10 +227,9 @@ fn main() {
     // Speed contract: warm-starting only the dirty set at the halved fine
     // budget must beat the cold re-solve by at least 2x end to end. The
     // asymptotic locality claim is asserted exactly above (dirty set,
-    // reuse count, store hits); this wall-clock floor is a smoke bound,
-    // deliberately below the ~2.5-3x a quiet machine measures at bench
-    // scales, where the warm path's fixed per-stage assembly overhead —
-    // not tile solves — bounds the achievable ratio.
+    // reuse count, store hits); this wall-clock floor is a smoke bound for
+    // any machine, well below the ~3.7-4.3x a quiet one measures at bench
+    // scales (CI gates the reported ratio at 3.0).
     assert!(
         speedup >= 2.0,
         "ECO speedup {speedup:.2}x is below the 2x acceptance floor \

@@ -69,25 +69,27 @@ pub fn multigrid_schwarz(
         };
         let partition = Partition::new(clip_w, clip_h, coarse)?;
         let label = format!("coarse s={s}");
+        // The tile's clock covers its restriction and prolongation too, so
+        // the stage's `tile_seconds` own everything a coarse tile costs.
         let solve = |i: usize| {
-            let tile = partition.tile(i);
-            let tile_target = resample::downsample(&restrict(&target_real, tile), s);
-            let tile_init = resample::downsample(&restrict(&mask, tile), s);
-            let ctx = SolveContext { bank, n, scale: s };
-            let (outcome, elapsed) = trace::timed_tile(i, || {
-                Ok::<_, CoreError>(solver.solve(
+            trace::timed_tile(i, || {
+                let tile = partition.tile(i);
+                let tile_target = resample::downsample(&restrict(&target_real, tile), s);
+                let tile_init = resample::downsample(&restrict(&mask, tile), s);
+                let ctx = SolveContext { bank, n, scale: s };
+                let outcome = solver.solve(
                     &ctx,
                     &SolveRequest::new(&tile_target, &tile_init, config.schedule.coarse_iterations),
-                )?)
-            })?;
-            ilt_diag::observe_solve(&name, &label, i, &outcome.loss_history);
-            // Promote the coarse solution back to the fine grid with a
-            // band-limited interpolation: bilinear alone leaves blocky
-            // staircases that the fine stages (optically blind to them)
-            // would never remove.
-            let up = resample::upsample_bilinear(&outcome.mask, s);
-            let filter = ilt_grid::GaussianFilter::new(0.5 * s as f64);
-            Ok::<_, CoreError>((filter.apply(&up), elapsed))
+                )?;
+                ilt_diag::observe_solve(&name, &label, i, &outcome.loss_history);
+                // Promote the coarse solution back to the fine grid with a
+                // band-limited interpolation: bilinear alone leaves blocky
+                // staircases that the fine stages (optically blind to them)
+                // would never remove.
+                let up = resample::upsample_bilinear(&outcome.mask, s);
+                let filter = ilt_grid::GaussianFilter::new(0.5 * s as f64);
+                Ok::<_, CoreError>(filter.apply(&up))
+            })
         };
         let (assembled, timing) =
             run_assembled_stage(&label, &partition, AssemblyMode::Restricted, |band| {

@@ -22,8 +22,8 @@ use ilt_litho::LithoBank;
 use ilt_opt::{SolveContext, SolveRequest, TileSolver};
 use ilt_telemetry as tele;
 use ilt_tile::{
-    multi_coloring, normalized_weight_map, restrict, AssemblyMode, Partition, RetryPolicy,
-    StreamingAssembler, TileExecutor,
+    multi_coloring, restrict, AssemblyMode, Partition, RetryPolicy, StreamingAssembler,
+    TileExecutor, TileWeights,
 };
 
 use crate::config::ExperimentConfig;
@@ -249,7 +249,7 @@ pub(crate) fn refine_pass(
     let AssemblyMode::Weighted { band: margin } = tiles.blend() else {
         unreachable!("the fine stages blend with a weighted ramp");
     };
-    let replace = AssemblyMode::ExtendedCore { margin };
+    let replace = TileWeights::new(partition, AssemblyMode::ExtendedCore { margin });
     let mut stages = Vec::new();
     for (color, group) in multi_coloring(partition).groups().into_iter().enumerate() {
         let group: Vec<usize> = group.into_iter().filter(|&i| resolve(i)).collect();
@@ -265,77 +265,11 @@ pub(crate) fn refine_pass(
         })?;
         let ((), timing) = stage.finish(solved, |masks| {
             for (new_mask, &i) in masks.iter().zip(&group) {
-                apply_weighted_update(mask, partition, i, new_mask, replace);
+                replace.update(mask, i, new_mask)?;
             }
             Ok::<_, CoreError>(())
         })?;
         stages.push(timing);
     }
     Ok(stages)
-}
-
-/// Multiplicative partial update: replaces tile `index`'s weighted
-/// contribution in `layout` with `new_mask`, leaving every other tile's
-/// contribution untouched:
-/// `M <- M + W_j (M_j_new - R_j M)`.
-pub(crate) fn apply_weighted_update(
-    layout: &mut RealGrid,
-    partition: &Partition,
-    index: usize,
-    new_mask: &RealGrid,
-    blend: AssemblyMode,
-) {
-    let tile = partition.tile(index);
-    let w = normalized_weight_map(partition, index, blend);
-    let t = partition.config().tile;
-    for y in 0..t {
-        let gy = tile.rect.y0 as usize + y;
-        for x in 0..t {
-            let weight = w.get(x, y);
-            if weight == 0.0 {
-                continue;
-            }
-            let gx = tile.rect.x0 as usize + x;
-            let old = layout.get(gx, gy);
-            let local_old = old; // R_j M at this pixel
-            let updated = old + weight * (new_mask.get(x, y) - local_old);
-            layout.set(gx, gy, updated);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ilt_tile::PartitionConfig;
-
-    #[test]
-    fn weighted_update_is_local() {
-        let partition = Partition::new(
-            128,
-            128,
-            PartitionConfig {
-                tile: 64,
-                overlap: 32,
-            },
-        )
-        .unwrap();
-        let mut layout = RealGrid::new(128, 128, 0.25);
-        let new_mask = RealGrid::new(64, 64, 1.0);
-        apply_weighted_update(
-            &mut layout,
-            &partition,
-            0,
-            &new_mask,
-            AssemblyMode::Weighted { band: 8 },
-        );
-        // Inside tile 0's full-weight region the value is replaced.
-        assert!((layout.get(5, 5) - 1.0).abs() < 1e-12);
-        // Outside tile 0 nothing changed.
-        assert_eq!(layout.get(100, 100), 0.25);
-        // Within the blend band around the core boundary (x = 48, default
-        // band 8) the update is partial.
-        let mid = layout.get(46, 5);
-        assert!(mid > 0.25 && mid < 1.0, "mid {mid}");
-    }
 }

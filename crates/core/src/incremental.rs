@@ -20,6 +20,13 @@
 //! 2. **Warm fine stages**: dirty tiles (plus any clean tile that missed,
 //!    e.g. after eviction with no spill directory) re-solve, re-cropping
 //!    from the assembled layout between stages exactly like the cold flow.
+//!    The layout is updated **in place**: a full weighted assembly would
+//!    feed every clean tile its own crop back, which the partition of unity
+//!    makes the identity, so a stage instead adds
+//!    `Σ_{j ∈ resolve} W_j ⊙ (M_j_new − R_j M_before_stage)`
+//!    ([`ilt_tile::TileWeights::update_stage`]) — O(|resolve| · tile²) work,
+//!    no clean-tile crop, no whole-clip buffer, and every pixel outside the
+//!    re-solved tiles' weight supports keeps its bits.
 //!    Overlap-only neighbours — same target, just moved boundary conditions
 //!    — run the warm schedule, half the cold fine budget
 //!    ([`Schedule::warm_fine_iterations`]), warm-started from the base
@@ -36,14 +43,14 @@
 //!
 //! [`Schedule::warm_fine_iterations`]: crate::Schedule::warm_fine_iterations
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use ilt_grid::{BitGrid, RealGrid};
 use ilt_litho::LithoBank;
 use ilt_opt::TileSolver;
 use ilt_store::{tile_content_hash, MaskStore, StoreKey};
 use ilt_telemetry as tele;
-use ilt_tile::{restrict, Partition, StreamingAssembler, Tile, TileExecutor};
+use ilt_tile::{multi_coloring, restrict, Partition, Tile, TileExecutor, TileWeights};
 
 use crate::config::ExperimentConfig;
 use crate::error::CoreError;
@@ -77,26 +84,49 @@ pub fn diff_layouts(partition: &Partition, base: &BitGrid, edited: &BitGrid) -> 
         (edited.width(), edited.height()),
         "base and edited layouts must have identical dimensions"
     );
+    let (width, tile) = (base.width(), partition.config().tile);
+    assert!(
+        width >= partition.width() && base.height() >= partition.height(),
+        "layouts must cover the partition"
+    );
+    // One pass over the rows: a changed pixel marks the tile columns
+    // covering its x, and the row's marks go to the tile rows covering y.
+    let nx = partition.tiles_x();
+    let origins_x: Vec<usize> = (0..nx)
+        .map(|c| partition.tile(c).rect.x0 as usize)
+        .collect();
+    let origins_y: Vec<usize> = (0..partition.tiles_y())
+        .map(|r| partition.tile(r * nx).rect.y0 as usize)
+        .collect();
     let mut changed_pixels = 0usize;
-    for (a, b) in base.as_slice().iter().zip(edited.as_slice()) {
-        if a != b {
-            changed_pixels += 1;
+    let mut tile_edited = vec![false; partition.tiles().len()];
+    let mut column_edited = vec![false; nx];
+    let rows = base
+        .as_slice()
+        .chunks_exact(width)
+        .zip(edited.as_slice().chunks_exact(width));
+    for (y, (a, b)) in rows.enumerate() {
+        if a == b {
+            continue;
         }
-    }
-    let mut edited_tiles = Vec::new();
-    if changed_pixels > 0 {
-        'tiles: for (i, tile) in partition.tiles().iter().enumerate() {
-            for y in tile.rect.y0..tile.rect.y1 {
-                for x in tile.rect.x0..tile.rect.x1 {
-                    let (x, y) = (x as usize, y as usize);
-                    if base.get(x, y) != edited.get(x, y) {
-                        edited_tiles.push(i);
-                        continue 'tiles;
-                    }
-                }
+        column_edited.fill(false);
+        for (x, _) in a.iter().zip(b).enumerate().filter(|(_, (p, q))| p != q) {
+            changed_pixels += 1;
+            for (hit, &x0) in column_edited.iter_mut().zip(&origins_x) {
+                *hit |= (x0..x0 + tile).contains(&x);
+            }
+        }
+        for (r, _) in origins_y
+            .iter()
+            .enumerate()
+            .filter(|(_, &y0)| (y0..y0 + tile).contains(&y))
+        {
+            for (hit, &column) in tile_edited[r * nx..][..nx].iter_mut().zip(&column_edited) {
+                *hit |= column;
             }
         }
     }
+    let edited_tiles: Vec<usize> = (0..tile_edited.len()).filter(|&i| tile_edited[i]).collect();
     let mut dirty: BTreeSet<usize> = edited_tiles.iter().copied().collect();
     for &i in &edited_tiles {
         dirty.extend(partition.neighbors(i));
@@ -312,15 +342,32 @@ pub fn run_incremental_in(
     tele::counter_add("incremental.tiles_reused", tiles_reused as u64);
     tele::counter_add("incremental.tiles_resolved", tiles_resolved as u64);
 
-    // Phase 2: warm fine stages over the re-solve set, with the same
-    // assemble-and-re-crop boundary exchange as the cold flow (clean tiles
-    // contribute their current crops, so assembly is the identity there).
-    // The whole re-solve set goes to the executor in one call rather than
-    // band by band: an edit's dirty tiles are mutual overlap neighbours, so
-    // each sits in a different colour band and banding would serialise them.
+    // Phase 2: warm fine stages over the re-solve set, with the cold flow's
+    // assemble-and-re-crop boundary exchange applied in place: a clean
+    // tile would contribute its current crop, for which the weighted
+    // assembly is the identity, so only the re-solved tiles' differences
+    // against the pre-stage layout are blended in (`update_stage`), in the
+    // assembler's canonical order. A stage costs O(|resolve| · tile²) and
+    // never reads or writes a pixel outside the re-solved tiles' weight
+    // supports. The whole re-solve set goes to the executor in one call
+    // rather than band by band: an edit's dirty tiles are mutual overlap
+    // neighbours, so each sits in a different colour band and banding would
+    // serialise them.
+    let weights = TileWeights::new(&partition, blend);
+    let mut fold_rank = vec![0usize; tile_count];
+    for (rank, i) in multi_coloring(&partition)
+        .groups()
+        .into_iter()
+        .flatten()
+        .enumerate()
+    {
+        fold_rank[i] = rank;
+    }
     for fine_stage in 0..config.schedule.fine_stages {
         let label = format!("eco fine stage {}", fine_stage + 1);
         let stage = trace::stage(label.clone());
+        // A degraded tile comes back as its own pre-stage crop: a zero
+        // difference, so the update leaves it untouched.
         let solved = recovering.solve(&label, &partition, &mask, &resolve, |i| {
             let iterations = if cold_budget.contains(&i) {
                 config.schedule.fine_per_stage(fine_stage)
@@ -329,24 +376,13 @@ pub fn run_incremental_in(
             };
             tiles.solve(&label, &mask, i, iterations, false)
         })?;
-        // Hold only the re-solved masks; every clean tile's crop is
-        // materialised lazily, pushed, and dropped — peak residency is
-        // O(dirty) plus one tile, not O(T).
-        let (new_masks, times): (Vec<RealGrid>, Vec<f64>) = solved.into_iter().unzip();
-        let held: BTreeMap<usize, RealGrid> = resolve.iter().copied().zip(new_masks).collect();
-        let mut assembler = StreamingAssembler::new(&partition, blend);
-        let order = assembler.canonical_order().to_vec();
-        let (assembled, assembly_seconds) = trace::assembly_fold(|| {
-            for &i in &order {
-                match held.get(&i) {
-                    Some(new_mask) => assembler.push(i, new_mask)?,
-                    None => assembler.push(i, &restrict(&mask, partition.tile(i)))?,
-                }
-            }
-            assembler.finish().map_err(CoreError::from)
+        let ((), timing) = stage.finish(solved, |new_masks| {
+            let mut updates: Vec<(usize, RealGrid)> =
+                resolve.iter().copied().zip(new_masks).collect();
+            updates.sort_by_key(|&(i, _)| fold_rank[i]);
+            weights.update_stage(&mut mask, updates)
         })?;
-        mask = assembled;
-        stages.push(stage.finish_streamed(times, assembly_seconds));
+        stages.push(timing);
     }
 
     // Phase 3: warm multi-colour refine over the re-solve set only. No

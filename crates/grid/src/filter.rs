@@ -89,7 +89,53 @@ impl GaussianFilter {
     }
 
     /// One separable pass; `horizontal` selects the axis.
+    ///
+    /// Every output pixel is `((0 + k_0 v_0) + k_1 v_1) + ...` over the taps
+    /// in kernel order, exactly as [`Self::pass_reference`] computes it;
+    /// the loops are tap-major over row slices so the mirror reflection is
+    /// paid once per (row, tap) — or only within `radius` of a vertical
+    /// border — instead of once per (pixel, tap).
     fn pass(&self, img: &RealGrid, horizontal: bool) -> RealGrid {
+        let (w, h) = (img.width(), img.height());
+        let r = self.radius;
+        let mut out = RealGrid::new(w, h, 0.0);
+        let rows = out.as_mut_slice().chunks_exact_mut(w).enumerate();
+        if horizontal {
+            // Columns whose taps all land inside the row.
+            let interior = if w > 2 * r { r..w - r } else { 0..0 };
+            for (y, acc) in rows {
+                let src = img.row(y);
+                if !interior.is_empty() {
+                    for (i, &k) in self.kernel.iter().enumerate() {
+                        let taps = &src[i..i + interior.len()];
+                        for (a, &v) in acc[interior.clone()].iter_mut().zip(taps) {
+                            *a += k * v;
+                        }
+                    }
+                }
+                for x in (0..interior.start).chain(interior.end..w) {
+                    for (i, &k) in self.kernel.iter().enumerate() {
+                        let sx = reflect(x as i64 + i as i64 - r as i64, w as i64);
+                        acc[x] += k * src[sx as usize];
+                    }
+                }
+            }
+        } else {
+            for (y, acc) in rows {
+                for (i, &k) in self.kernel.iter().enumerate() {
+                    let sy = reflect(y as i64 + i as i64 - r as i64, h as i64);
+                    for (a, &v) in acc.iter_mut().zip(img.row(sy as usize)) {
+                        *a += k * v;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The per-pixel definition [`Self::pass`] must reproduce bit for bit.
+    #[cfg(test)]
+    fn pass_reference(&self, img: &RealGrid, horizontal: bool) -> RealGrid {
         let (w, h) = (img.width(), img.height());
         let r = self.radius as i64;
         RealGrid::from_fn(w, h, |x, y| {
@@ -225,6 +271,25 @@ mod tests {
         let out = f.apply(&img);
         assert!((out.get(0, 0) - 1.0).abs() < 1e-12);
         assert!((out.get(9, 9) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn row_slice_pass_is_bit_identical_to_the_per_pixel_definition() {
+        // Sizes on both sides of `2 * radius` (no interior at all), odd and
+        // non-square; sigma 1 and 2 are the prolongation filters' values.
+        for (w, h) in [(1, 1), (3, 7), (12, 5), (13, 40), (64, 33)] {
+            let img = Grid::from_fn(w, h, |x, y| ((x * 37 + y * 101) % 29) as f64 / 7.0 - 1.5);
+            for sigma in [0.5, 1.0, 2.0] {
+                let f = GaussianFilter::new(sigma);
+                for horizontal in [true, false] {
+                    assert_eq!(
+                        f.pass(&img, horizontal).as_slice(),
+                        f.pass_reference(&img, horizontal).as_slice(),
+                        "{w}x{h} sigma {sigma} horizontal {horizontal}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -124,21 +124,32 @@ pub fn upsample_bilinear(img: &RealGrid, s: usize) -> RealGrid {
         return img.clone();
     }
     let (w, h) = (img.width(), img.height());
-    RealGrid::from_fn(w * s, h * s, |x, y| {
-        // Coarse pixel centers sit at (i + 0.5) * s - 0.5 on the fine grid.
-        let fx = (x as f64 + 0.5) / s as f64 - 0.5;
-        let fy = (y as f64 + 0.5) / s as f64 - 0.5;
-        let x0 = fx.floor().max(0.0) as usize;
-        let y0 = fy.floor().max(0.0) as usize;
-        let x1 = (x0 + 1).min(w - 1);
-        let y1 = (y0 + 1).min(h - 1);
-        let dx = (fx - x0 as f64).clamp(0.0, 1.0);
-        let dy = (fy - y0 as f64).clamp(0.0, 1.0);
-        img.get(x0, y0) * (1.0 - dx) * (1.0 - dy)
-            + img.get(x1, y0) * dx * (1.0 - dy)
-            + img.get(x0, y1) * (1.0 - dx) * dy
-            + img.get(x1, y1) * dx * dy
-    })
+    // Per fine coordinate: the two coarse samples it sits between and its
+    // fractional position. Coarse pixel centers sit at (i + 0.5) * s - 0.5
+    // on the fine grid.
+    let taps = |coarse: usize| -> Vec<(usize, usize, f64)> {
+        (0..coarse * s)
+            .map(|x| {
+                let f = (x as f64 + 0.5) / s as f64 - 0.5;
+                let i0 = f.floor().max(0.0) as usize;
+                let i1 = (i0 + 1).min(coarse - 1);
+                (i0, i1, (f - i0 as f64).clamp(0.0, 1.0))
+            })
+            .collect()
+    };
+    let (taps_x, taps_y) = (taps(w), taps(h));
+    let mut out = RealGrid::new(w * s, h * s, 0.0);
+    let rows = out.as_mut_slice().chunks_exact_mut(w * s);
+    for (row, &(y0, y1, dy)) in rows.zip(&taps_y) {
+        let (top, bottom) = (img.row(y0), img.row(y1));
+        for (v, &(x0, x1, dx)) in row.iter_mut().zip(&taps_x) {
+            *v = top[x0] * (1.0 - dx) * (1.0 - dy)
+                + top[x1] * dx * (1.0 - dy)
+                + bottom[x0] * (1.0 - dx) * dy
+                + bottom[x1] * dx * dy;
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -224,6 +235,40 @@ mod tests {
             upsample_nearest_into(&Grid::new(4, 4, 0.0), 2, &mut out);
         });
         assert!(wrong.is_err());
+    }
+
+    /// The per-pixel definition `upsample_bilinear` must reproduce bit for
+    /// bit.
+    fn upsample_bilinear_reference(img: &RealGrid, s: usize) -> RealGrid {
+        let (w, h) = (img.width(), img.height());
+        RealGrid::from_fn(w * s, h * s, |x, y| {
+            let fx = (x as f64 + 0.5) / s as f64 - 0.5;
+            let fy = (y as f64 + 0.5) / s as f64 - 0.5;
+            let x0 = fx.floor().max(0.0) as usize;
+            let y0 = fy.floor().max(0.0) as usize;
+            let x1 = (x0 + 1).min(w - 1);
+            let y1 = (y0 + 1).min(h - 1);
+            let dx = (fx - x0 as f64).clamp(0.0, 1.0);
+            let dy = (fy - y0 as f64).clamp(0.0, 1.0);
+            img.get(x0, y0) * (1.0 - dx) * (1.0 - dy)
+                + img.get(x1, y0) * dx * (1.0 - dy)
+                + img.get(x0, y1) * (1.0 - dx) * dy
+                + img.get(x1, y1) * dx * dy
+        })
+    }
+
+    #[test]
+    fn tabulated_bilinear_is_bit_identical_to_the_per_pixel_definition() {
+        for (w, h) in [(1, 1), (1, 5), (7, 3), (16, 16)] {
+            let img = Grid::from_fn(w, h, |x, y| ((x * 37 + y * 101) % 29) as f64 / 7.0 - 1.5);
+            for s in [2usize, 3, 4] {
+                assert_eq!(
+                    upsample_bilinear(&img, s).as_slice(),
+                    upsample_bilinear_reference(&img, s).as_slice(),
+                    "{w}x{h} s={s}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,37 @@
 //! Restriction and interpolation operators: Eq. (6) (restricted additive
 //! Schwarz assembly) and Eq. (12)–(14) (weighted-smoothing assembly).
+//!
+//! # Separable weights
+//!
+//! Tiles sit on a tensor-product lattice: tile `(c, r)` has its x origin
+//! and core x-range from column `c` alone and its y origin and core
+//! y-range from row `r` alone. Every interpolation weight here is a product
+//! of one function of `x` and one of `y` — the core (or extended-core)
+//! indicator is a product of two interval indicators, and Eq. (13)'s blend
+//! is a product of two 1-D ramps — so tile `(c, r)`'s raw weight at `(x, y)`
+//! is `wx_c(x) · wy_r(y)`. The partition-of-unity denominator, the sum of
+//! all covering tiles' raw weights, then factorises too:
+//!
+//! ```text
+//! Σ_{c,r} wx_c(x) · wy_r(y) = (Σ_c wx_c(x)) · (Σ_r wy_r(y))
+//! ```
+//!
+//! because the set of tiles covering `(x, y)` is {columns covering `x`} ×
+//! {rows covering `y`}. This is exact algebra on any lattice `Partition`
+//! builds, clamped last rows/columns included; only the rounding differs
+//! from dividing the 2-D product by the 2-D sum (≤ 1e-12, checked against
+//! [`normalized_weight_map`] by this module's tests).
+//!
+//! [`TileWeights`] therefore holds one normalised 1-D vector per tile
+//! column and per tile row — `O((nx + ny) · tile)` numbers for the whole
+//! partition — plus each vector's non-zero span, and both consumers
+//! ([`StreamingAssembler::push`] and the in-place updates
+//! [`TileWeights::update`] / [`TileWeights::update_stage`]) are row-slice
+//! loops over that span: `out[x] += (wy · wx[x]) · data[x]`. The 2-D maps
+//! [`weight_map`] / [`normalized_weight_map`] remain as the reference the
+//! tests compare against; no production path calls them.
+
+use std::ops::Range;
 
 use ilt_grid::RealGrid;
 
@@ -192,6 +224,269 @@ pub fn normalized_weight_map(
     })
 }
 
+/// One tile column's (or row's) normalised 1-D weights.
+#[derive(Debug, Clone)]
+struct AxisWeights {
+    /// Tile origin along the axis, in layout pixels.
+    origin: usize,
+    /// Weight per tile-local offset (`tile` entries).
+    weights: Vec<f64>,
+    /// Tile-local range outside which every weight is exactly 0.
+    span: Range<usize>,
+}
+
+/// The normalised 1-D weights of every tile along one axis. `lattice[i]` is
+/// tile `i`'s `(origin, core)` on that axis; the raw per-axis expressions
+/// are [`weight_map`]'s.
+fn axis_weights(
+    lattice: &[(usize, Range<usize>)],
+    tile: usize,
+    extent: usize,
+    overlap: usize,
+    mode: AssemblyMode,
+) -> Vec<AxisWeights> {
+    let last = lattice.len() - 1;
+    let raw = |i: usize, g: usize| -> f64 {
+        let (origin, core) = &lattice[i];
+        match mode {
+            AssemblyMode::Restricted => f64::from(core.contains(&g)),
+            AssemblyMode::ExtendedCore { margin } => {
+                let lo = core.start.saturating_sub(margin).max(*origin);
+                let hi = (core.end + margin).min(origin + tile);
+                f64::from((lo..hi).contains(&g))
+            }
+            AssemblyMode::Weighted { band } => {
+                let d = band.max(1).min(overlap) as f64;
+                let g = g as f64 + 0.5;
+                let mut w = 1.0f64;
+                if i > 0 {
+                    w = w.min((0.5 + (g - core.start as f64) / d).clamp(0.0, 1.0));
+                }
+                if i < last {
+                    w = w.min((0.5 + (core.end as f64 - g) / d).clamp(0.0, 1.0));
+                }
+                w
+            }
+        }
+    };
+    let mut weights: Vec<Vec<f64>> = lattice
+        .iter()
+        .enumerate()
+        .map(|(i, (origin, _))| (0..tile).map(|o| raw(i, origin + o)).collect())
+        .collect();
+    // Only the blend needs renormalising (see `normalized_weight_map`):
+    // per axis, divide by the sum over the tiles covering each pixel,
+    // accumulated in ascending tile order.
+    if matches!(mode, AssemblyMode::Weighted { .. }) {
+        let mut total = vec![0.0f64; extent];
+        for (w, (origin, _)) in weights.iter().zip(lattice) {
+            for (sum, &v) in total[*origin..origin + tile].iter_mut().zip(w) {
+                *sum += v;
+            }
+        }
+        for (w, (origin, _)) in weights.iter_mut().zip(lattice) {
+            for (v, &sum) in w.iter_mut().zip(&total[*origin..origin + tile]) {
+                *v = if sum > 0.0 { *v / sum } else { 0.0 };
+            }
+        }
+    }
+    weights
+        .into_iter()
+        .zip(lattice)
+        .map(|(weights, (origin, _))| {
+            let start = weights.iter().position(|&v| v != 0.0).unwrap_or(0);
+            let end = weights.iter().rposition(|&v| v != 0.0).map_or(0, |e| e + 1);
+            AxisWeights {
+                origin: *origin,
+                weights,
+                span: start..end,
+            }
+        })
+        .collect()
+}
+
+/// One layout row of a tile's non-zero weight support.
+struct SpanRow<'w> {
+    /// Offset of the row's first supported pixel in the layout's slice.
+    layout_start: usize,
+    /// Offset of the same pixel in the tile's slice.
+    tile_start: usize,
+    /// The row's weight along y.
+    wy: f64,
+    /// The weights along x over the support; the 2-D weight is `wy * wx[k]`.
+    wx: &'w [f64],
+}
+
+/// The separable interpolation weights of one partition under one
+/// [`AssemblyMode`]: a normalised 1-D vector per tile column and per tile
+/// row (see the module docs for why the product is the normalised 2-D
+/// weight of [`normalized_weight_map`]), derived from the partition and
+/// mode alone.
+///
+/// Besides feeding [`StreamingAssembler`], the weights apply the partial
+/// in-place updates of the multiplicative refine ([`update`](Self::update))
+/// and of the incremental fine stages
+/// ([`update_stage`](Self::update_stage)), which touch only the updated
+/// tiles' weight supports.
+#[derive(Debug, Clone)]
+pub struct TileWeights {
+    tile: usize,
+    width: usize,
+    height: usize,
+    cols: Vec<AxisWeights>,
+    rows: Vec<AxisWeights>,
+}
+
+impl TileWeights {
+    /// Builds the weights of every tile of `partition` under `mode`.
+    pub fn new(partition: &Partition, mode: AssemblyMode) -> Self {
+        let config = partition.config();
+        let nx = partition.tiles_x();
+        let columns: Vec<_> = (0..nx)
+            .map(|c| {
+                let t = partition.tile(c);
+                (t.rect.x0 as usize, t.core.x0 as usize..t.core.x1 as usize)
+            })
+            .collect();
+        let rows: Vec<_> = (0..partition.tiles_y())
+            .map(|r| {
+                let t = partition.tile(r * nx);
+                (t.rect.y0 as usize, t.core.y0 as usize..t.core.y1 as usize)
+            })
+            .collect();
+        let axis = |lattice: &[_], extent| {
+            axis_weights(lattice, config.tile, extent, config.overlap, mode)
+        };
+        TileWeights {
+            tile: config.tile,
+            width: partition.width(),
+            height: partition.height(),
+            cols: axis(&columns, partition.width()),
+            rows: axis(&rows, partition.height()),
+        }
+    }
+
+    /// The rows of tile `index`'s non-zero weight support, top to bottom.
+    fn span_rows(&self, index: usize) -> impl Iterator<Item = SpanRow<'_>> {
+        let col = &self.cols[index % self.cols.len()];
+        let row = &self.rows[index / self.cols.len()];
+        let wx = &col.weights[col.span.clone()];
+        row.span.clone().map(move |y| SpanRow {
+            layout_start: (row.origin + y) * self.width + col.origin + col.span.start,
+            tile_start: y * self.tile + col.span.start,
+            wy: row.weights[y],
+            wx,
+        })
+    }
+
+    fn check_tile_shape(&self, index: usize, data: &RealGrid) -> Result<(), TileError> {
+        if data.width() != self.tile || data.height() != self.tile {
+            return Err(TileError::TileShape {
+                tile: index,
+                expected: self.tile,
+                actual: (data.width(), data.height()),
+            });
+        }
+        Ok(())
+    }
+
+    fn check_layout(&self, layout: &RealGrid) {
+        assert!(
+            layout.width() == self.width && layout.height() == self.height,
+            "layout is {}x{} but the partition covers {}x{}",
+            layout.width(),
+            layout.height(),
+            self.width,
+            self.height
+        );
+    }
+
+    /// Multiplicative partial update: replaces tile `index`'s weighted
+    /// contribution in `layout` with `new_mask`, leaving every other tile's
+    /// contribution untouched: `M <- M + W_j (M_j_new - R_j M)`, reading the
+    /// live layout, so sequential updates see each other.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TileError::TileShape`] if `new_mask` is not tile-sized.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layout` is not the partition's size.
+    pub fn update(
+        &self,
+        layout: &mut RealGrid,
+        index: usize,
+        new_mask: &RealGrid,
+    ) -> Result<(), TileError> {
+        self.check_layout(layout);
+        self.check_tile_shape(index, new_mask)?;
+        let (out, new) = (layout.as_mut_slice(), new_mask.as_slice());
+        for row in self.span_rows(index) {
+            let n = row.wx.len();
+            let out = &mut out[row.layout_start..][..n];
+            let new = &new[row.tile_start..][..n];
+            for ((m, &v), &wx) in out.iter_mut().zip(new).zip(row.wx) {
+                *m += (row.wy * wx) * (v - *m);
+            }
+        }
+        Ok(())
+    }
+
+    /// Additive in-place stage update: every `(tile, new mask)` pair in
+    /// `updates` replaces that tile's contribution **relative to `layout` as
+    /// it is on entry**, `M <- M + sum_j W_j (M_j_new - R_j M_entry)`,
+    /// applied in the order given. With normalised weights this equals a
+    /// full assembly pass fed the new masks plus every other tile's crop of
+    /// the entry layout (to rounding), at `O(updates · tile²)` cost: pixels
+    /// outside the updated tiles' weight supports are not touched, and a
+    /// tile fed its own crop back is a no-op.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TileError::TileShape`] if a mask is not tile-sized; the
+    /// layout is then unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layout` is not the partition's size.
+    pub fn update_stage(
+        &self,
+        layout: &mut RealGrid,
+        mut updates: Vec<(usize, RealGrid)>,
+    ) -> Result<(), TileError> {
+        self.check_layout(layout);
+        for (index, mask) in &updates {
+            self.check_tile_shape(*index, mask)?;
+        }
+        // Overlapping updates must all difference against the entry layout,
+        // so turn every mask into its delta before the first write.
+        for (index, mask) in &mut updates {
+            let (entry, delta) = (layout.as_slice(), mask.as_mut_slice());
+            for row in self.span_rows(*index) {
+                let n = row.wx.len();
+                let entry = &entry[row.layout_start..][..n];
+                for (d, &m) in delta[row.tile_start..][..n].iter_mut().zip(entry) {
+                    *d -= m;
+                }
+            }
+        }
+        let out = layout.as_mut_slice();
+        for (index, delta) in &updates {
+            let delta = delta.as_slice();
+            for row in self.span_rows(*index) {
+                let n = row.wx.len();
+                let out = &mut out[row.layout_start..][..n];
+                let delta = &delta[row.tile_start..][..n];
+                for ((m, &d), &wx) in out.iter_mut().zip(delta).zip(row.wx) {
+                    *m += (row.wy * wx) * d;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Incremental (bounded-memory) assembly: tiles are folded into the output
 /// one at a time, in the canonical colour-band order, so a producer that
 /// solves tiles colour by colour only ever keeps one colour band of fine
@@ -210,6 +505,7 @@ pub fn normalized_weight_map(
 pub struct StreamingAssembler<'a> {
     partition: &'a Partition,
     mode: AssemblyMode,
+    weights: TileWeights,
     order: Vec<usize>,
     cursor: usize,
     out: RealGrid,
@@ -236,6 +532,7 @@ impl<'a> StreamingAssembler<'a> {
         StreamingAssembler {
             partition,
             mode,
+            weights: TileWeights::new(partition, mode),
             order,
             cursor: 0,
             out: RealGrid::new(partition.width(), partition.height(), 0.0),
@@ -279,28 +576,18 @@ impl<'a> StreamingAssembler<'a> {
                 actual: tile_index,
             });
         }
-        let t = self.partition.config().tile;
-        if data.width() != t || data.height() != t {
-            return Err(TileError::TileShape {
-                tile: tile_index,
-                expected: t,
-                actual: (data.width(), data.height()),
-            });
-        }
-        let tile = *self.partition.tile(tile_index);
-        let w = normalized_weight_map(self.partition, tile_index, self.mode);
-        for y in 0..t {
-            let gy = tile.rect.y0 as usize + y;
-            for x in 0..t {
-                let weight = w.get(x, y);
-                if weight == 0.0 {
-                    continue;
-                }
-                let gx = tile.rect.x0 as usize + x;
-                self.out
-                    .set(gx, gy, self.out.get(gx, gy) + weight * data.get(x, y));
-                self.coverage
-                    .set(gx, gy, self.coverage.get(gx, gy) + weight);
+        self.weights.check_tile_shape(tile_index, data)?;
+        let (out, coverage) = (self.out.as_mut_slice(), self.coverage.as_mut_slice());
+        let data = data.as_slice();
+        for row in self.weights.span_rows(tile_index) {
+            let n = row.wx.len();
+            let out = &mut out[row.layout_start..][..n];
+            let coverage = &mut coverage[row.layout_start..][..n];
+            let data = &data[row.tile_start..][..n];
+            for (((o, c), &v), &wx) in out.iter_mut().zip(coverage).zip(data).zip(row.wx) {
+                let weight = row.wy * wx;
+                *o += weight * v;
+                *c += weight;
             }
         }
         self.cursor += 1;
@@ -381,6 +668,136 @@ mod tests {
     use super::*;
     use crate::partition::PartitionConfig;
     use ilt_grid::Grid;
+    use proptest::prelude::*;
+
+    /// Tile `index`'s 2-D weights as the row kernels see them: the product
+    /// `wy * wx` scattered through `span_rows`' tile offsets, 0 elsewhere.
+    fn dense_weights(weights: &TileWeights, index: usize) -> RealGrid {
+        let mut dense = RealGrid::new(weights.tile, weights.tile, 0.0);
+        for row in weights.span_rows(index) {
+            let out = &mut dense.as_mut_slice()[row.tile_start..][..row.wx.len()];
+            for (o, &wx) in out.iter_mut().zip(row.wx) {
+                *o = row.wy * wx;
+            }
+        }
+        dense
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn separable_weights_match_the_2d_reference(
+            tile_pow in 4u32..6,        // tile in {16, 32}
+            half_overlap in 1usize..12,
+            extra_w in 0usize..70,      // clamped last column unless divisible
+            extra_h in 0usize..70,
+            band in 1usize..30,
+        ) {
+            let tile = 1usize << tile_pow;
+            let overlap = (2 * half_overlap).min(tile - 2);
+            let p = Partition::new(tile + extra_w, tile + extra_h, PartitionConfig { tile, overlap })
+                .unwrap();
+            for mode in [
+                AssemblyMode::Restricted,
+                AssemblyMode::Weighted { band },
+                AssemblyMode::ExtendedCore { margin: band },
+            ] {
+                let weights = TileWeights::new(&p, mode);
+                for t in p.tiles() {
+                    let reference = normalized_weight_map(&p, t.index, mode);
+                    let dense = dense_weights(&weights, t.index);
+                    for (i, (a, b)) in dense.as_slice().iter().zip(reference.as_slice()).enumerate() {
+                        prop_assert!(
+                            (a - b).abs() <= 1e-12,
+                            "{mode:?} tile {} at ({}, {}): separable {a} vs 2-D {b}",
+                            t.index, i % tile, i / tile
+                        );
+                    }
+                }
+                // Each axis is a 1-D partition of unity on its own.
+                if matches!(mode, AssemblyMode::ExtendedCore { .. }) {
+                    continue;
+                }
+                for (axis, extent) in [(&weights.cols, p.width()), (&weights.rows, p.height())] {
+                    let mut total = vec![0.0f64; extent];
+                    for a in axis {
+                        for (sum, &w) in total[a.origin..].iter_mut().zip(&a.weights) {
+                            *sum += w;
+                        }
+                    }
+                    for (g, &sum) in total.iter().enumerate() {
+                        if mode == AssemblyMode::Restricted {
+                            prop_assert!(sum == 1.0, "restricted axis sum {sum} at {g}");
+                        } else {
+                            prop_assert!((sum - 1.0).abs() <= 1e-12, "{mode:?}: axis sum {sum} at {g}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pixel-sum invariant")]
+    fn finish_panics_when_the_weights_are_not_a_partition_of_unity() {
+        let p = partition();
+        let mut asm = StreamingAssembler::new(&p, AssemblyMode::weighted_default(&p));
+        // One wrong entry inside tile column 1's support: every tile of
+        // that column now over-covers one layout column.
+        let k = asm.weights.cols[1].span.start + 20;
+        asm.weights.cols[1].weights[k] += 1e-3;
+        let data = Grid::new(128, 128, 0.5);
+        for i in 0..asm.canonical_order().len() {
+            let idx = asm.canonical_order()[i];
+            asm.push(idx, &data).unwrap();
+        }
+        let _ = asm.finish();
+    }
+
+    #[test]
+    fn weighted_update_is_local() {
+        let partition = Partition::new(
+            128,
+            128,
+            PartitionConfig {
+                tile: 64,
+                overlap: 32,
+            },
+        )
+        .unwrap();
+        let weights = TileWeights::new(&partition, AssemblyMode::Weighted { band: 8 });
+        let mut layout = RealGrid::new(128, 128, 0.25);
+        let new_mask = RealGrid::new(64, 64, 1.0);
+        weights.update(&mut layout, 0, &new_mask).unwrap();
+        // Inside tile 0's full-weight region the value is replaced.
+        assert!((layout.get(5, 5) - 1.0).abs() < 1e-12);
+        // Outside tile 0 nothing changed.
+        assert_eq!(layout.get(100, 100), 0.25);
+        // Within the blend band around the core boundary (x = 48, band 8)
+        // the update is partial.
+        let mid = layout.get(46, 5);
+        assert!(mid > 0.25 && mid < 1.0, "mid {mid}");
+    }
+
+    #[test]
+    fn updates_reject_a_wrong_sized_mask_and_leave_the_layout_alone() {
+        let p = partition();
+        let weights = TileWeights::new(&p, AssemblyMode::weighted_default(&p));
+        let mut layout = RealGrid::new(256, 256, 0.25);
+        let wrong = TileError::TileShape {
+            tile: 4,
+            expected: 128,
+            actual: (64, 128),
+        };
+        assert_eq!(
+            weights.update(&mut layout, 4, &Grid::new(64, 128, 1.0)),
+            Err(wrong)
+        );
+        let updates = vec![(0, Grid::new(128, 128, 1.0)), (4, Grid::new(64, 128, 1.0))];
+        assert_eq!(weights.update_stage(&mut layout, updates), Err(wrong));
+        assert!(layout.as_slice().iter().all(|&v| v == 0.25));
+    }
 
     fn partition() -> Partition {
         Partition::new(

@@ -7,8 +7,13 @@
 //!   disjoint core sections, stitch lines on shared core boundaries;
 //! * [`restrict`] / [`assemble`] — the `R_j`, `R~_j^T` (Eq. (6)) and
 //!   `R'_j^T` (Eq. (12)–(14)) operators; weighted assembly uses exact
-//!   partition-of-unity ramps across overlaps (renormalized at clamped
-//!   borders by [`normalized_weight_map`]);
+//!   partition-of-unity ramps across overlaps, renormalized at clamped
+//!   borders;
+//! * [`TileWeights`] — those operators' weights in separable form (one 1-D
+//!   vector per tile column and row, built once per partition and mode),
+//!   plus the in-place partial updates of the refine and incremental
+//!   stages (the 2-D maps stay exported as the reference the tests hold it
+//!   to);
 //! * [`StreamingAssembler`] — bounded-memory assembly: tiles fold into the
 //!   layout one colour band at a time, bit-identical to [`assemble`];
 //! * [`multi_coloring`] — the colouring of Section 3.4 (no two overlapping
@@ -43,6 +48,7 @@ mod partition;
 
 pub use assemble::{
     assemble, normalized_weight_map, restrict, weight_map, AssemblyMode, StreamingAssembler,
+    TileWeights,
 };
 pub use color::{multi_coloring, Coloring};
 pub use error::TileError;

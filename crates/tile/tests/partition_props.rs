@@ -1,9 +1,13 @@
 //! Property tests over random clamped M×N partitions: exact disjoint-core
-//! coverage, neighbour symmetry, and streamed-vs-batch assembly
-//! bit-identity (satellite of the paper-scale issue).
+//! coverage, neighbour symmetry, streamed-vs-batch assembly bit-identity
+//! (satellite of the paper-scale issue), and the in-place stage update
+//! against a full assembly pass.
 
 use ilt_grid::{Grid, RealGrid};
-use ilt_tile::{assemble, AssemblyMode, Partition, PartitionConfig, StreamingAssembler};
+use ilt_tile::{
+    assemble, normalized_weight_map, restrict, AssemblyMode, Partition, PartitionConfig,
+    StreamingAssembler, TileWeights,
+};
 use proptest::prelude::*;
 
 /// Deterministic per-tile fill so failures reproduce without shrinking.
@@ -112,5 +116,76 @@ proptest! {
             batch.as_slice() == streamed.as_slice(),
             "streamed and batch assembly diverged"
         );
+    }
+
+    #[test]
+    fn in_place_stage_update_matches_a_full_assembly_pass(
+        tile_pow in 4u32..6,        // tile in {16, 32}
+        half_overlap in 1usize..12,
+        extra_w in 0usize..80,
+        extra_h in 0usize..80,
+        band in 1usize..20,
+        dirty_bits in 1u64..u64::MAX,
+    ) {
+        let tile = 1usize << tile_pow;
+        let overlap = (2 * half_overlap).min(tile - 2);
+        let config = PartitionConfig { tile, overlap };
+        let (width, height) = (tile + extra_w, tile + extra_h);
+        let p = Partition::new(width, height, config).unwrap();
+        let mode = AssemblyMode::Weighted { band };
+        let before = Grid::from_fn(width, height, |x, y| ((x * 7 + y * 13) % 19) as f64 / 19.0);
+        let dirty: Vec<usize> = (0..p.tiles().len())
+            .filter(|i| dirty_bits >> (i % 64) & 1 == 1)
+            .collect();
+
+        // Full pass: new masks for the dirty tiles, own crops for the rest.
+        let mut assembler = StreamingAssembler::new(&p, mode);
+        let order = assembler.canonical_order().to_vec();
+        for &i in &order {
+            if dirty.contains(&i) {
+                assembler.push(i, &tile_data(tile, i)).unwrap();
+            } else {
+                assembler.push(i, &restrict(&before, p.tile(i))).unwrap();
+            }
+        }
+        let full = assembler.finish().unwrap();
+
+        // In place: only the dirty tiles, in the same canonical order.
+        let updates: Vec<(usize, RealGrid)> = order
+            .iter()
+            .filter(|i| dirty.contains(i))
+            .map(|&i| (i, tile_data(tile, i)))
+            .collect();
+        let mut in_place = before.clone();
+        TileWeights::new(&p, mode).update_stage(&mut in_place, updates).unwrap();
+
+        let mut supported = vec![false; width * height];
+        for &i in &dirty {
+            let t = p.tile(i);
+            let w = normalized_weight_map(&p, i, mode);
+            for (x, y, &v) in w.iter() {
+                if v != 0.0 {
+                    supported[(t.rect.y0 as usize + y) * width + t.rect.x0 as usize + x] = true;
+                }
+            }
+        }
+        for (k, ((&a, &b), &m)) in in_place
+            .as_slice()
+            .iter()
+            .zip(full.as_slice())
+            .zip(before.as_slice())
+            .enumerate()
+        {
+            prop_assert!(
+                (a - b).abs() <= 1e-12,
+                "pixel ({}, {}): in place {a} vs full pass {b}", k % width, k / width
+            );
+            if !supported[k] {
+                prop_assert!(
+                    a.to_bits() == m.to_bits(),
+                    "pixel ({}, {}) outside every dirty support changed", k % width, k / width
+                );
+            }
+        }
     }
 }
