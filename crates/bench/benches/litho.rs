@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ilt_grid::{Grid, RealGrid};
 use ilt_layout::{generate_clip, GeneratorConfig};
 use ilt_litho::{KernelSet, LithoBank, OpticsConfig, ResistModel};
-use ilt_opt::evaluate_loss;
+use ilt_opt::{evaluate_loss_into, LossEval};
 
 fn mask(n: usize) -> RealGrid {
     generate_clip(&GeneratorConfig::with_size(n), 5).to_real()
@@ -60,11 +60,17 @@ fn bench_simulation(c: &mut Criterion) {
 
     // One full forward + adjoint pass (the per-iteration ILT cost).
     let target = Grid::from_fn(n, n, |x, y| tile_mask.get(x, y));
+    let mut ws = system.workspace();
+    let mut eval = LossEval {
+        value: 0.0,
+        dldi: Grid::new(n, n, 0.0),
+        wafer: Grid::new(n, n, 0.0),
+    };
     c.bench_function("ilt_iteration_forward_adjoint_128", |b| {
         b.iter(|| {
-            let state = system.simulate(&tile_mask).expect("sim");
-            let eval = evaluate_loss(system.resist(), &state.intensity, &target);
-            system.gradient(&state, &eval.dldi).expect("grad")
+            system.simulate_into(&tile_mask, &mut ws).expect("sim");
+            evaluate_loss_into(system.resist(), ws.intensity(), &target, &mut eval);
+            system.gradient_into(&mut ws, &eval.dldi).expect("grad");
         })
     });
 }

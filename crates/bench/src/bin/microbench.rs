@@ -1,24 +1,21 @@
 //! `microbench`: fast-path micro-benchmarks for the litho hot loop.
 //!
-//! Times the building blocks the solvers spend their iterations in — 2-D
-//! FFT forward/inverse passes (dense and sparse-support), their real-input
-//! half-spectrum counterparts (`rfft_*`), the Hopkins forward/adjoint
-//! simulator passes (including the Hermitian path pinned explicitly), and
-//! a full pixel-ILT iteration — at the grid sizes of the configured
+//! Times the building blocks the solvers spend their iterations in — the
+//! real-input half-spectrum transforms (`rfft_*`), the sparse-support
+//! complex inverse, the Hopkins forward/adjoint simulator passes, and a
+//! full pixel-ILT iteration (`simulate_into` / loss / `gradient_into` with
+//! the `ILT_INNER_THREADS` budget) — at the grid sizes of the configured
 //! experiment scale (`base_n` for the simulator benches, plus the full
-//! `clip` edge for the large FFTs).
+//! `clip` edge for the large transform). These are smoke-level timings at
+//! the bench scale; per-layer speed at the sizes that matter is measured
+//! by `benchmark/ --trace 1` (`fft.*`, `litho.simulate_us`,
+//! `opt.pixel_iter_ms`).
 //!
-//! The full-iteration bench runs twice: once through the historical
-//! allocate-per-call API (`simulate`/`gradient`, serial, dense complex
-//! transforms) and once through the workspace fast path
-//! (`simulate_into`/`gradient_into` on the real-input path with the
-//! `ILT_INNER_THREADS` budget), and prints the speedup between them; the
-//! `microbench` report section carries that speedup (gated by
-//! `report_diff --min-iteration-speedup` in CI) together with the
-//! autotuned FFT plan parameters. A
-//! final three-way A/B re-runs the fast-path iteration with a span per
-//! iteration: recorder off, recorder on, and recorder + full `ilt-prof`
-//! layer (CPU sampler plus allocation tracking). The summary carries
+//! The `microbench` report section carries the iteration cost together
+//! with the autotuned FFT plan parameters. A final three-way A/B re-runs
+//! the iteration with a span per iteration: recorder off, recorder on,
+//! and recorder + full `ilt-prof` layer (CPU sampler plus allocation
+//! tracking). The summary carries
 //! `obs_overhead_ratio` (recorder vs off; CI asserts <= 2%) and
 //! `obs_profile_overhead_ratio` (everything on vs off; CI asserts <= 5%,
 //! the bar for leaving profiling enabled in production).
@@ -40,8 +37,7 @@ use std::fmt::Write as _;
 use ilt_bench::HarnessOptions;
 use ilt_fft::{spectral, Complex, Fft2d, Rfft2d};
 use ilt_grid::Grid;
-use ilt_litho::SpectralPath;
-use ilt_opt::{evaluate_loss, evaluate_loss_into, LossEval};
+use ilt_opt::{evaluate_loss_into, LossEval};
 use ilt_par::InnerPool;
 use ilt_telemetry as tele;
 
@@ -136,40 +132,11 @@ fn main() {
     let mut rng = Rng(0x5eed_5eed_5eed_5eed);
     let mut points = Vec::new();
 
-    // FFT stages at the tile grid size.
     let (fft_iters, sim_iters, iter_iters) = if tiny { (200, 30, 50) } else { (40, 8, 10) };
-    let fft = Fft2d::new(base_n, base_n).unwrap();
-    let mut buf: Vec<Complex> = (0..base_n * base_n)
-        .map(|_| Complex::new(rng.next(), rng.next()))
-        .collect();
-    bench(
-        &mut points,
-        format!("fft_forward_{base_n}"),
-        fft_iters,
-        || fft.forward(&mut buf).unwrap(),
-    );
-    bench(
-        &mut points,
-        format!("fft_inverse_{base_n}"),
-        fft_iters,
-        || fft.inverse(&mut buf).unwrap(),
-    );
 
-    // Large-area FFT at the clip edge (the inspection-system size).
-    let clip_fft = Fft2d::new(clip, clip).unwrap();
-    let mut clip_buf: Vec<Complex> = (0..clip * clip)
-        .map(|_| Complex::new(rng.next(), rng.next()))
-        .collect();
-    bench(
-        &mut points,
-        format!("fft_forward_{clip}"),
-        fft_iters / 8,
-        || clip_fft.forward(&mut clip_buf).unwrap(),
-    );
-
-    // Real-input transforms at the same sizes: the half-spectrum path the
-    // simulator runs on by default. Serial pools, like the complex FFT
-    // benches above, so the numbers compare transform work, not threading.
+    // Real-input transforms at the tile grid size and the clip edge (the
+    // inspection-system size). Serial pools, so the numbers compare
+    // transform work, not threading.
     let serial = InnerPool::serial();
     let rfft = Rfft2d::new(base_n).unwrap();
     let real_src: Vec<f64> = (0..base_n * base_n).map(|_| rng.next()).collect();
@@ -229,6 +196,7 @@ fn main() {
     });
 
     // Sparse-support inverse on the simulator's actual P x P support.
+    let fft = Fft2d::new(base_n, base_n).unwrap();
     let bins = support_bins(support, base_n);
     let supported = spectrum(&mut rng, base_n, &bins);
     let mut sparse_buf = supported.clone();
@@ -249,41 +217,8 @@ fn main() {
         system.gradient_into(&mut ws, &dldi).unwrap();
     });
 
-    // The Hermitian forward pass, pinned explicitly (so this point keeps
-    // measuring the half-spectrum path even if the default ever changes).
-    let mut hermitian_system = bank.system(base_n, 1).expect("system construction failed");
-    hermitian_system.set_spectral_path(SpectralPath::RealHermitian);
-    let mut hermitian_ws = hermitian_system.workspace();
-    bench(
-        &mut points,
-        format!("hermitian_simulate_{base_n}"),
-        sim_iters,
-        || {
-            hermitian_system
-                .simulate_into(&mask, &mut hermitian_ws)
-                .unwrap()
-        },
-    );
-
-    // Full solver iteration, pre-fast-path shape: allocate-per-call
-    // simulate/gradient on a serial pool with dense complex transforms
-    // (what the solvers did before the workspace arena, inner-thread
-    // budget, and real-input path existed).
-    let mut alloc_system = bank.system(base_n, 1).expect("system construction failed");
-    alloc_system.set_inner_pool(InnerPool::serial());
-    alloc_system.set_spectral_path(SpectralPath::Complex);
-    bench(
-        &mut points,
-        format!("ilt_iteration_alloc_{base_n}"),
-        iter_iters,
-        || {
-            let state = alloc_system.simulate(&mask).unwrap();
-            let eval = evaluate_loss(alloc_system.resist(), &state.intensity, &target);
-            let _ = alloc_system.gradient(&state, &eval.dldi).unwrap();
-        },
-    );
-    // Full solver iteration, fast path: workspace arena + inner pool +
-    // reused loss buffers, exactly the shape of the solvers' inner loops.
+    // Full solver iteration: workspace arena + inner pool + reused loss
+    // buffers, exactly the shape of the solvers' inner loops.
     let mut loss_eval = LossEval {
         value: 0.0,
         dldi: Grid::new(base_n, base_n, 0.0),
@@ -300,16 +235,9 @@ fn main() {
         },
     );
 
-    let alloc = points[points.len() - 2].seconds;
-    let fast = points[points.len() - 1].seconds;
-    let speedup = alloc / fast;
-    println!(
-        "\niteration speedup (alloc-per-call vs workspace fast path, \
-         inner_threads={}): {speedup:.2}x",
-        opts.inner_threads
-    );
+    let fast_us = points.last().map_or(0.0, BenchPoint::us_per_iter);
 
-    // Observability overhead, three ways: the same fast-path iteration
+    // Observability overhead, three ways: the same iteration
     // with a span per iteration, run with (1) recorder off, (2) recorder
     // on, and (3) recorder on plus the full ilt-prof layer — CPU sampler
     // at the default rate and allocation tracking — exactly as ilt-serve
@@ -363,36 +291,24 @@ fn main() {
     let path = opts.artifact("microbench_summary.json");
     std::fs::write(
         &path,
-        render_summary(&opts, &points, speedup, obs_overhead, obs_profile_overhead),
+        render_summary(&opts, &points, obs_overhead, obs_profile_overhead),
     )
     .expect("cannot write summary");
     println!("wrote {}", path.display());
 
-    // The `microbench` report section carries the iteration timings and
-    // in-run speedup (gated by `report_diff --min-iteration-speedup` in CI
-    // against the baseline's recorded pre-fast-path reference cost) and
-    // the transpose/row-batch parameters the plan cache autotuned for this
+    // The `microbench` report section carries the iteration cost and the
+    // transpose/row-batch parameters the plan cache autotuned for this
     // machine.
-    let alloc_us = points[points.len() - 2].us_per_iter();
-    let fast_us = points[points.len() - 1].us_per_iter();
-    ilt_bench::set_report_section(
-        "microbench",
-        render_microbench_section(speedup, alloc_us, fast_us),
-    );
+    ilt_bench::set_report_section("microbench", render_microbench_section(fast_us));
     opts.finish_run("microbench");
 }
 
-/// Renders the `microbench` report section: the per-iteration timings of
-/// the alloc and fast arms, the in-run speedup between them, plus every
-/// (size, threads) -> (block, row_batch) choice the FFT plan cache
-/// autotuned during the run.
-fn render_microbench_section(speedup: f64, alloc_us: f64, fast_us: f64) -> String {
+/// Renders the `microbench` report section: the per-iteration cost of the
+/// full solver iteration plus every (size, threads) -> (block, row_batch)
+/// choice the FFT plan cache autotuned during the run.
+fn render_microbench_section(fast_us: f64) -> String {
     use tele::json;
-    let mut out = String::from("{\"iteration_speedup\":");
-    json::push_f64(&mut out, speedup);
-    out.push_str(",\"iteration_alloc_us\":");
-    json::push_f64(&mut out, alloc_us);
-    out.push_str(",\"iteration_fast_us\":");
+    let mut out = String::from("{\"iteration_fast_us\":");
     json::push_f64(&mut out, fast_us);
     out.push_str(",\"autotune\":[");
     for (i, (n, threads, params)) in ilt_fft::tuned_summary().iter().enumerate() {
@@ -413,7 +329,6 @@ fn render_microbench_section(speedup: f64, alloc_us: f64, fast_us: f64) -> Strin
 fn render_summary(
     opts: &HarnessOptions,
     points: &[BenchPoint],
-    speedup: f64,
     obs_overhead: f64,
     obs_profile_overhead: f64,
 ) -> String {
@@ -422,8 +337,6 @@ fn render_summary(
     out.push_str(",\"scale\":");
     json::push_str_literal(&mut out, &opts.scale);
     let _ = write!(out, ",\"inner_threads\":{}", opts.inner_threads);
-    out.push_str(",\"iteration_speedup\":");
-    json::push_f64(&mut out, speedup);
     out.push_str(",\"obs_overhead_ratio\":");
     json::push_f64(&mut out, obs_overhead);
     out.push_str(",\"obs_profile_overhead_ratio\":");

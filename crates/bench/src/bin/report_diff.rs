@@ -25,10 +25,6 @@
 //! * `--max-rss-ratio F` — fail when the candidate's `memory.peak_rss_bytes`
 //!   exceeds `baseline * F` (default 1.10); skipped when either report
 //!   lacks the memory section;
-//! * `--min-iteration-speedup F` — fail when the candidate's
-//!   `microbench.iteration_speedup` is below `F` (absolute, not relative
-//!   to the baseline; a candidate without the section fails). Off by
-//!   default;
 //! * `--ignore-latency` — skip the latency comparison entirely (useful
 //!   across machines of different speed).
 
@@ -55,8 +51,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: report_diff <baseline.json> <candidate.json> \
                  [--max-latency-ratio F] [--max-quality-ratio F] \
-                 [--quality-slack F] [--max-rss-ratio F] \
-                 [--min-iteration-speedup F] [--ignore-latency]"
+                 [--quality-slack F] [--max-rss-ratio F] [--ignore-latency]"
             );
             ExitCode::from(2)
         }
@@ -73,9 +68,6 @@ fn run(args: &[String]) -> Result<Vec<ilt_diag::Regression>, String> {
             "--max-quality-ratio" => thresholds.max_quality_ratio = ratio_arg(arg, it.next())?,
             "--quality-slack" => thresholds.quality_slack = ratio_arg(arg, it.next())?,
             "--max-rss-ratio" => thresholds.max_rss_ratio = ratio_arg(arg, it.next())?,
-            "--min-iteration-speedup" => {
-                thresholds.min_iteration_speedup = ratio_arg(arg, it.next())?
-            }
             "--ignore-latency" => thresholds.check_latency = false,
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             path => paths.push(path.to_string()),

@@ -22,11 +22,6 @@ pub struct DiffThresholds {
     pub max_rss_ratio: f64,
     /// Compare latency at all (off for cross-machine comparisons).
     pub check_latency: bool,
-    /// Candidate `microbench.iteration_speedup` must be at least this
-    /// (absolute, not relative to the baseline). `0.0` disables the gate;
-    /// when enabled, a candidate *without* the section fails — the gate
-    /// exists precisely to stop the fast path from silently disappearing.
-    pub min_iteration_speedup: f64,
 }
 
 impl Default for DiffThresholds {
@@ -37,7 +32,6 @@ impl Default for DiffThresholds {
             quality_slack: 0.5,
             max_rss_ratio: 1.10,
             check_latency: true,
-            min_iteration_speedup: 0.0,
         }
     }
 }
@@ -134,22 +128,6 @@ fn tiles_degraded(report: &Json) -> u64 {
 fn peak_rss_bytes(report: &Json) -> Option<f64> {
     report
         .path(&["memory", "peak_rss_bytes"])
-        .and_then(Json::as_f64)
-        .filter(|v| *v > 0.0)
-}
-
-/// The candidate's `microbench.iteration_speedup` (`None` for reports from
-/// binaries that do not run the iteration A/B).
-fn iteration_speedup(report: &Json) -> Option<f64> {
-    report
-        .path(&["microbench", "iteration_speedup"])
-        .and_then(Json::as_f64)
-}
-
-/// One `microbench` section field as f64, if present and positive.
-fn microbench_us(report: &Json, field: &str) -> Option<f64> {
-    report
-        .path(&["microbench", field])
         .and_then(Json::as_f64)
         .filter(|v| *v > 0.0)
 }
@@ -277,34 +255,6 @@ pub fn compare_reports(
                 what: "incremental speedup".to_string(),
                 baseline: base.speedup,
                 candidate: cand.speedup,
-            });
-        }
-    }
-
-    // The iteration-speedup gate is absolute (enabled by a CLI flag in CI,
-    // not by the baseline). Preferred definition: the candidate's fast-path
-    // per-iteration cost against the baseline's recorded *pre-fast-path*
-    // reference (`microbench.reference_iteration_us`, seeded from the
-    // trajectory history when the baseline is refreshed) — the in-run
-    // alloc arm shares every kernel-level improvement with the fast arm,
-    // so only a cross-version reference can express "N x faster than the
-    // iteration used to be". Baselines without the reference fall back to
-    // the candidate's in-run alloc/fast ratio. Either way, a candidate
-    // that stopped emitting the section fails rather than passing
-    // silently.
-    if thresholds.min_iteration_speedup > 0.0 {
-        let cand_speedup = match (
-            microbench_us(baseline, "reference_iteration_us"),
-            microbench_us(candidate, "iteration_fast_us"),
-        ) {
-            (Some(reference), Some(fast)) => reference / fast,
-            _ => iteration_speedup(candidate).unwrap_or(0.0),
-        };
-        if cand_speedup < thresholds.min_iteration_speedup {
-            regressions.push(Regression {
-                what: "microbench iteration_speedup".to_string(),
-                baseline: thresholds.min_iteration_speedup,
-                candidate: cand_speedup,
             });
         }
     }
@@ -649,79 +599,6 @@ mod tests {
                 .iter()
                 .all(|r| !r.what.starts_with("incremental")));
         }
-    }
-
-    fn report_with_speedup(speedup: f64) -> Json {
-        Json::parse(&format!(
-            r#"{{"schema":"ilt-report/v2","flows":[{{"name":"ours:pgd","seconds":1.0}}],
-                 "microbench":{{"iteration_speedup":{speedup}}}}}"#
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn iteration_speedup_gate_is_absolute_and_opt_in() {
-        let base = Json::parse(
-            r#"{"schema":"ilt-report/v2","flows":[{"name":"ours:pgd","seconds":1.0}]}"#,
-        )
-        .unwrap();
-        // Disabled by default: a slow candidate passes.
-        assert!(
-            compare_reports(&base, &report_with_speedup(1.1), &DiffThresholds::default())
-                .unwrap()
-                .is_empty()
-        );
-        let gated = DiffThresholds {
-            min_iteration_speedup: 3.0,
-            ..DiffThresholds::default()
-        };
-        assert!(compare_reports(&base, &report_with_speedup(3.2), &gated)
-            .unwrap()
-            .is_empty());
-        let found = compare_reports(&base, &report_with_speedup(2.4), &gated).unwrap();
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].what, "microbench iteration_speedup");
-        assert_eq!(found[0].baseline, 3.0);
-        assert_eq!(found[0].candidate, 2.4);
-        // When enabled, a candidate without the section fails too.
-        let found = compare_reports(&base, &base, &gated).unwrap();
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].candidate, 0.0);
-    }
-
-    #[test]
-    fn iteration_speedup_prefers_the_baseline_reference_cost() {
-        // Baseline carries the recorded pre-fast-path reference; the gate
-        // then measures the candidate's fast arm against it, ignoring the
-        // candidate's in-run ratio (which shares kernel-level wins with
-        // the alloc arm and so understates the cumulative speedup).
-        let base = Json::parse(
-            r#"{"schema":"ilt-report/v2","flows":[{"name":"ours:pgd","seconds":1.0}],
-                 "microbench":{"reference_iteration_us":900.0}}"#,
-        )
-        .unwrap();
-        let cand = Json::parse(
-            r#"{"schema":"ilt-report/v2","flows":[{"name":"ours:pgd","seconds":1.0}],
-                 "microbench":{"iteration_speedup":1.3,"iteration_alloc_us":390.0,
-                   "iteration_fast_us":300.0}}"#,
-        )
-        .unwrap();
-        let gated = DiffThresholds {
-            min_iteration_speedup: 3.0,
-            ..DiffThresholds::default()
-        };
-        // 900 / 300 = 3.0: passes even though the in-run ratio is 1.3.
-        assert!(compare_reports(&base, &cand, &gated).unwrap().is_empty());
-        let slow = Json::parse(
-            r#"{"schema":"ilt-report/v2","flows":[{"name":"ours:pgd","seconds":1.0}],
-                 "microbench":{"iteration_speedup":9.9,"iteration_fast_us":450.0}}"#,
-        )
-        .unwrap();
-        // 900 / 450 = 2.0: fails despite a flattering in-run ratio.
-        let found = compare_reports(&base, &slow, &gated).unwrap();
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].what, "microbench iteration_speedup");
-        assert_eq!(found[0].candidate, 2.0);
     }
 
     #[test]

@@ -17,11 +17,7 @@
 //! transpose tile edge and the number of rows handed to a pool worker per
 //! work item. [`tuned_params`] measures the candidates once per
 //! `(size, thread budget)` pair at first use and persists the winner here,
-//! next to the plans it tunes for. Escape hatches:
-//!
-//! * `ILT_FFT_AUTOTUNE=0` — skip measurement, use the fixed defaults;
-//! * `ILT_FFT_BLOCK=<n>` — pin the transpose tile edge (still autotunes
-//!   the row batch).
+//! next to the plans it tunes for.
 //!
 //! Because the knobs only change *iteration order of data movement* and
 //! *which worker runs which row*, any tuning outcome preserves the
@@ -147,36 +143,10 @@ impl Default for TunedParams {
     }
 }
 
-fn autotune_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        std::env::var("ILT_FFT_AUTOTUNE")
-            .map(|v| v.trim() != "0")
-            .unwrap_or(true)
-    })
-}
-
-fn pinned_block() -> Option<usize> {
-    static PINNED: OnceLock<Option<usize>> = OnceLock::new();
-    *PINNED.get_or_init(|| {
-        let raw = std::env::var("ILT_FFT_BLOCK").ok()?;
-        match raw.trim().parse::<usize>() {
-            Ok(v) if v > 0 => Some(v),
-            _ => {
-                eprintln!("warning: invalid ILT_FFT_BLOCK={raw:?}; autotuning instead");
-                None
-            }
-        }
-    })
-}
-
 /// Returns the tuned layout parameters for square `n x n` transforms under
 /// an inner-thread budget of `threads`, measuring the candidates on first
-/// use and persisting the winner for the life of the process.
-///
-/// With `ILT_FFT_AUTOTUNE=0` the fixed defaults are returned (and cached)
-/// without measurement; `ILT_FFT_BLOCK=<edge>` pins the transpose tile
-/// edge. Each actual measurement bumps the `fft.autotune.runs` counter.
+/// use and persisting the winner for the life of the process. Each actual
+/// measurement bumps the `fft.autotune.runs` counter.
 pub fn tuned_params(n: usize, threads: usize) -> TunedParams {
     let key = (n, threads.max(1));
     let cache = TUNED.get_or_init(|| Mutex::new(HashMap::new()));
@@ -212,40 +182,32 @@ pub fn tuned_summary() -> Vec<(usize, usize, TunedParams)> {
 
 fn measure_params(n: usize, threads: usize) -> TunedParams {
     let mut params = TunedParams::default();
-    if !autotune_enabled() || n < 2 {
-        if let Some(b) = pinned_block() {
-            params.block = b;
-        }
+    if n < 2 {
         return params;
     }
     ilt_telemetry::counter_add("fft.autotune.runs", 1);
     let mut buf: Vec<Complex> = (0..n * n)
         .map(|i| Complex::new(i as f64 * 0.37, i as f64 * 0.11))
         .collect();
-    params.block = match pinned_block() {
-        Some(b) => b,
-        None => {
-            let mut best = (f64::INFINITY, params.block);
-            for cand in [16usize, 32, 64] {
-                let cand = cand.min(n);
-                // One warmup sweep, then best-of-3 timed sweeps.
-                transpose_square_block(&mut buf, n, cand);
-                let mut fastest = f64::INFINITY;
-                for _ in 0..3 {
-                    let t0 = Instant::now();
-                    transpose_square_block(&mut buf, n, cand);
-                    fastest = fastest.min(t0.elapsed().as_secs_f64());
-                }
-                if fastest < best.0 {
-                    best = (fastest, cand);
-                }
-                if cand == n {
-                    break;
-                }
-            }
-            best.1
+    let mut best = (f64::INFINITY, params.block);
+    for cand in [16usize, 32, 64] {
+        let cand = cand.min(n);
+        // One warmup sweep, then best-of-3 timed sweeps.
+        transpose_square_block(&mut buf, n, cand);
+        let mut fastest = f64::INFINITY;
+        for _ in 0..3 {
+            let t0 = Instant::now();
+            transpose_square_block(&mut buf, n, cand);
+            fastest = fastest.min(t0.elapsed().as_secs_f64());
         }
-    };
+        if fastest < best.0 {
+            best = (fastest, cand);
+        }
+        if cand == n {
+            break;
+        }
+    }
+    params.block = best.1;
     // Row batching only matters when a pool actually splits the rows.
     if threads > 1 {
         if let Ok(plan) = shared_plan(n) {

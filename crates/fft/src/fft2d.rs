@@ -126,7 +126,8 @@ impl Fft2d {
     ///
     /// Returns [`FftError::ShapeMismatch`] if `data.len() != rows * cols`.
     pub fn forward(&self, data: &mut [Complex]) -> Result<(), FftError> {
-        self.forward_with_pool(data, &InnerPool::serial())
+        ilt_telemetry::counter_add("fft.forward", 1);
+        self.transform_normalised(data, Direction::Forward, None)
     }
 
     /// In-place inverse 2-D FFT with `1/(rows*cols)` normalisation.
@@ -135,61 +136,8 @@ impl Fft2d {
     ///
     /// Returns [`FftError::ShapeMismatch`] if `data.len() != rows * cols`.
     pub fn inverse(&self, data: &mut [Complex]) -> Result<(), FftError> {
-        self.inverse_with_pool(data, &InnerPool::serial())
-    }
-
-    /// [`Fft2d::forward`] with row batches spread across `pool` workers.
-    ///
-    /// Every 1-D transform writes a disjoint row, so the result is
-    /// bit-identical to the serial transform for any worker count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::ShapeMismatch`] if `data.len() != rows * cols`.
-    pub fn forward_with_pool(
-        &self,
-        data: &mut [Complex],
-        pool: &InnerPool,
-    ) -> Result<(), FftError> {
-        ilt_telemetry::counter_add("fft.forward", 1);
-        self.transform_with_pool(data, Direction::Forward, pool)
-    }
-
-    /// [`Fft2d::inverse`] with row batches spread across `pool` workers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::ShapeMismatch`] if `data.len() != rows * cols`.
-    pub fn inverse_with_pool(
-        &self,
-        data: &mut [Complex],
-        pool: &InnerPool,
-    ) -> Result<(), FftError> {
         ilt_telemetry::counter_add("fft.inverse", 1);
-        self.transform_normalised(data, Direction::Inverse, pool, None)
-    }
-
-    /// In-place 2-D transform without normalisation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::ShapeMismatch`] if `data.len() != rows * cols`.
-    pub fn transform(&self, data: &mut [Complex], dir: Direction) -> Result<(), FftError> {
-        self.transform_with_pool(data, dir, &InnerPool::serial())
-    }
-
-    /// In-place 2-D transform without normalisation, row batches on `pool`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::ShapeMismatch`] if `data.len() != rows * cols`.
-    pub fn transform_with_pool(
-        &self,
-        data: &mut [Complex],
-        dir: Direction,
-        pool: &InnerPool,
-    ) -> Result<(), FftError> {
-        self.transform_normalised(data, dir, pool, None)
+        self.transform_normalised(data, Direction::Inverse, None)
     }
 
     /// In-place inverse of a spectrum known to be zero outside the listed
@@ -217,20 +165,6 @@ impl Fft2d {
         data: &mut [Complex],
         support_rows: &[usize],
     ) -> Result<(), FftError> {
-        self.inverse_support_with_pool(data, support_rows, &InnerPool::serial())
-    }
-
-    /// [`Fft2d::inverse_support`] with second-pass row batches on `pool`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Fft2d::inverse_support`].
-    pub fn inverse_support_with_pool(
-        &self,
-        data: &mut [Complex],
-        support_rows: &[usize],
-        pool: &InnerPool,
-    ) -> Result<(), FftError> {
         if let Some(&bad) = support_rows.iter().find(|&&r| r >= self.rows) {
             return Err(FftError::LengthMismatch {
                 expected: self.rows,
@@ -242,7 +176,7 @@ impl Fft2d {
             "fft.rows_skipped",
             (self.rows - support_rows.len().min(self.rows)) as u64,
         );
-        self.transform_normalised(data, Direction::Inverse, pool, Some(support_rows))
+        self.transform_normalised(data, Direction::Inverse, Some(support_rows))
     }
 
     /// The shared implementation: first-pass row transforms (optionally
@@ -254,7 +188,6 @@ impl Fft2d {
         &self,
         data: &mut [Complex],
         dir: Direction,
-        pool: &InnerPool,
         support_rows: Option<&[usize]>,
     ) -> Result<(), FftError> {
         if data.len() != self.len() {
@@ -278,38 +211,32 @@ impl Fft2d {
                 }
             }
             None => {
-                let plan = &self.row_plan;
-                let batch = self.row_batch.min(self.rows);
-                pool.for_each_chunk_mut(data, self.cols * batch, |_, rows| {
-                    for row in rows.chunks_exact_mut(self.cols) {
-                        plan.transform(row, dir)
-                            .expect("row length matches plan by construction");
-                    }
-                });
+                for row in data.chunks_exact_mut(self.cols) {
+                    self.row_plan
+                        .transform(row, dir)
+                        .expect("row length matches plan by construction");
+                }
             }
         }
         if self.rows == self.cols {
             // Square: transpose in place, no scratch at all.
             transpose_square_block(data, self.rows, self.block);
-            let plan = &self.col_plan;
-            let batch = self.row_batch.min(self.cols);
-            pool.for_each_chunk_mut(data, self.rows * batch, |_, rows| {
-                for row in rows.chunks_exact_mut(self.rows) {
-                    plan.transform(row, dir)
-                        .expect("column length matches plan by construction");
-                }
-            });
+            for row in data.chunks_exact_mut(self.rows) {
+                self.col_plan
+                    .transform(row, dir)
+                    .expect("column length matches plan by construction");
+            }
             transpose_square_scaled(data, self.rows, scale, self.block);
         } else {
             // Rectangular (test/diagnostic shapes only — the litho hot path
             // is square): transpose through a temporary.
             let mut t = vec![Complex::ZERO; data.len()];
             transpose_into_block(data, self.rows, self.cols, &mut t, self.block);
-            let plan = &self.col_plan;
-            pool.for_each_chunk_mut(&mut t, self.rows, |_, row| {
-                plan.transform(row, dir)
+            for row in t.chunks_exact_mut(self.rows) {
+                self.col_plan
+                    .transform(row, dir)
                     .expect("column length matches plan by construction");
-            });
+            }
             transpose_into_block(&t, self.cols, self.rows, data, self.block);
             if let Some(s) = scale {
                 for z in data.iter_mut() {
@@ -594,23 +521,6 @@ mod tests {
         let mut prod: Vec<Complex> = fa.iter().zip(&fb).map(|(x, y)| *x * *y).collect();
         fft.inverse(&mut prod).unwrap();
         assert!(max_err(&prod, &direct) < 1e-9);
-    }
-
-    #[test]
-    fn pooled_transform_is_bit_identical_to_serial() {
-        for (rows, cols) in [(64usize, 64usize), (16, 64)] {
-            let fft = Fft2d::new(rows, cols).unwrap();
-            let data = ramp(rows, cols);
-            let pool = InnerPool::new(4);
-            let mut serial = data.clone();
-            let mut pooled = data;
-            fft.forward(&mut serial).unwrap();
-            fft.forward_with_pool(&mut pooled, &pool).unwrap();
-            assert_eq!(serial, pooled, "{rows}x{cols} forward");
-            fft.inverse(&mut serial).unwrap();
-            fft.inverse_with_pool(&mut pooled, &pool).unwrap();
-            assert_eq!(serial, pooled, "{rows}x{cols} inverse");
-        }
     }
 
     #[test]

@@ -45,22 +45,3 @@ fn sparse_inverse_is_bit_identical_to_dense_on_random_supported_spectra() {
         }
     }
 }
-
-#[test]
-fn sparse_inverse_with_pool_matches_serial() {
-    let mut rng = Rng(42);
-    let (n, p) = (64usize, 23usize);
-    let fft = Fft2d::new(n, n).unwrap();
-    let bins = support_bins(p, n);
-    let mut data = vec![Complex::ZERO; n * n];
-    for &r in &bins {
-        for &c in &bins {
-            data[r * n + c] = Complex::new(rng.next(), rng.next());
-        }
-    }
-    let mut pooled = data.clone();
-    fft.inverse_support(&mut data, &bins).unwrap();
-    fft.inverse_support_with_pool(&mut pooled, &bins, &ilt_par::InnerPool::new(4))
-        .unwrap();
-    assert_eq!(data, pooled);
-}

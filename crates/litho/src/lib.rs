@@ -46,5 +46,5 @@ pub use error::LithoError;
 pub use kernels::{Kernel, KernelSet};
 pub use optics::{OpticsConfig, SourcePoint};
 pub use resist::ResistModel;
-pub use sim::{LithoSimulator, SimWorkspace, SimulationState, SpectralPath};
+pub use sim::{LithoSimulator, SimWorkspace};
 pub use system::{Corner, LithoBank, LithoSystem, PvBand};

@@ -3,7 +3,7 @@
 //! Implements Eq. (1)–(3) of the paper: the aerial image is
 //! `I = sum_i w_i |IFFT([H_i . FFT(M)]_P)|^2`, where each `H_i` occupies only
 //! a small centered `P x P` support of the spectrum. The adjoint
-//! (`gradient`) backpropagates a loss derivative `dL/dI` to the mask:
+//! (`gradient_into`) backpropagates a loss derivative `dL/dI` to the mask:
 //! `dL/dM = 2 Re IFFT( sum_i w_i conj(H_i) . FFT((dL/dI) . A_i) )`.
 //!
 //! # Hot-path engineering
@@ -12,12 +12,15 @@
 //! is built to keep its cost off the mask resolution, to run
 //! allocation-free at steady state and to parallelise deterministically:
 //!
+//! * **Real input.** Masks and loss derivatives are real, so their spectra
+//!   are conjugate symmetric: every `n`-size transform is a real-input
+//!   [`Rfft2d`] one over the stored half-spectrum.
 //! * **Nyquist-grid evaluation.** Everything after the crop `[.]_P` is
 //!   band-limited: a field `A_i` to the `P` support bins, the intensity
 //!   `sum_i w_i |A_i|^2` to the `2P - 1` bins of their differences. Both
 //!   are therefore represented *exactly* by their samples on a grid of
-//!   `n_s = min(n, next_pow2(2P - 1))` points, and the real-Hermitian path
-//!   does all per-kernel work there. Forward: one `n`-size real transform
+//!   `n_s = min(n, next_pow2(2P - 1))` points, and the simulator does
+//!   all per-kernel work there. Forward: one `n`-size real transform
 //!   of the mask, `K` crop-multiplies into `n_s^2` buffers and `K`
 //!   `n_s`-size inverses, the intensity sum on `n_s^2`, then one `n_s`-size
 //!   real forward, a copy of the `2P - 1` band into the `n`-size
@@ -31,18 +34,16 @@
 //!   equal the mask-grid evaluation to rounding (~1e-15). When `n_s == n`
 //!   (the kernels nearly fill the grid) the resampling steps drop out and
 //!   the per-kernel transforms run at `n`: one code path, parameterised by
-//!   `n_s`. [`SpectralPath::Complex`] stays dense at `n` throughout and is
-//!   the reference the tests compare against.
+//!   `n_s`. The tests compare it against a dense evaluation of the
+//!   equations above at mask resolution.
 //! * [`SimWorkspace`] is a scratch arena holding every buffer the two
 //!   passes need. [`LithoSimulator::simulate_into`] /
 //!   [`LithoSimulator::gradient_into`] reuse it across iterations without
-//!   touching the heap; [`LithoSimulator::simulate`] /
-//!   [`LithoSimulator::gradient`] are thin allocate-per-call wrappers.
-//!   The per-kernel fields, per-worker scratch and partials are `n_s^2`
-//!   (0.4 MB instead of 6.3 MB for a 256-pixel tile with `K = 6`,
-//!   `P = 27`), so the per-kernel loop works out of L2.
-//! * Per-kernel work (the `K` inverse transforms of `simulate`, the `K`
-//!   forward transforms of `gradient`) is spread across an
+//!   touching the heap. The per-kernel fields, per-worker scratch and
+//!   partials are `n_s^2` (0.4 MB instead of 6.3 MB for a 256-pixel tile
+//!   with `K = 6`, `P = 27`), so the per-kernel loop works out of L2.
+//! * Per-kernel work (the `K` inverse transforms of the forward pass, the
+//!   `K` forward transforms of the adjoint) is spread across an
 //!   [`ilt_par::InnerPool`]. Each kernel writes its own buffer and all
 //!   cross-kernel reductions happen serially in kernel order afterwards, so
 //!   results are **bit-identical** for any thread count.
@@ -58,37 +59,21 @@ use ilt_par::InnerPool;
 use crate::error::LithoError;
 use crate::kernels::KernelSet;
 
-/// Which spectral representation the simulate/gradient pair runs on.
-///
-/// Masks and loss derivatives are real, so their spectra are conjugate
-/// symmetric; [`SpectralPath::RealHermitian`] (the default) exploits that
-/// with real-input transforms and half-spectrum storage, and evaluates the
-/// per-kernel fields on the optics' Nyquist grid (see the module docs).
-/// [`SpectralPath::Complex`] keeps the dense complex pipeline at the mask
-/// resolution — the reference the fast path is tested against, and the
-/// historical-cost baseline in the microbenchmarks.
-///
-/// Both paths satisfy the same guarantees (allocation-free steady state,
-/// serial-vs-parallel bit-identity); their outputs agree to floating-point
-/// tolerance, not bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpectralPath {
-    /// Dense complex transforms end to end (the historical path).
-    Complex,
-    /// Real-input transforms, Hermitian half-spectrum storage and
-    /// Nyquist-grid per-kernel fields.
-    #[default]
-    RealHermitian,
+/// Edge `n_s = min(n, next_pow2(2P - 1))` of the grid the per-kernel fields
+/// are evaluated on: the fields span `P` bins and the intensity the
+/// `2P - 1` bins of their differences, so `2P - 1` samples per axis carry
+/// both exactly.
+fn nyquist_edge(n: usize, support: usize) -> usize {
+    (2 * support).saturating_sub(1).next_power_of_two().min(n)
 }
 
 /// A reusable aerial-image simulator for square `n x n` masks.
 #[derive(Debug)]
 pub struct LithoSimulator {
     n: usize,
-    fft: Fft2d,
-    /// Real-input 2-D plan for the Hermitian path (`None` only for grids
-    /// too small to pack, which fall back to the complex path).
-    rfft: Option<Rfft2d>,
+    /// Real-input plan for the `n`-size transforms of the mask, `dL/dI`,
+    /// the interpolated intensity and the gradient.
+    rfft: Rfft2d,
     kernels: KernelSet,
     /// `bin[i]` is the unshifted spectrum index of centered support row or
     /// column `i`.
@@ -96,8 +81,8 @@ pub struct LithoSimulator {
     /// Stored half-spectrum columns (`0..=n/2`) the Hermitianised adjoint
     /// accumulator can touch: the support columns and their reflections.
     rbin_cols: Vec<usize>,
-    /// Edge `n_s = min(n, next_pow2(2P - 1))` of the grid the Hermitian
-    /// path evaluates the per-kernel fields on.
+    /// Edge of the grid the per-kernel fields are evaluated on (see
+    /// [`nyquist_edge`]).
     ns: usize,
     /// Complex plan for the `n_s`-grid per-kernel transforms.
     ns_fft: Fft2d,
@@ -109,39 +94,18 @@ pub struct LithoSimulator {
     /// Stored half-spectrum columns `0..P` holding the intensity's
     /// `2P - 1` band (the same indices on either grid).
     band_cols: Vec<usize>,
-    /// Which spectral representation to run on.
-    path: SpectralPath,
     /// Worker pool for per-kernel and per-row-batch parallelism. Serial by
     /// default; see [`LithoSimulator::with_inner_pool`].
     pool: InnerPool,
-}
-
-/// Everything the forward pass produced, retained for the adjoint pass.
-#[derive(Debug, Clone)]
-pub struct SimulationState {
-    /// Per-kernel complex fields `A_i = h_i (x) M`. On the Hermitian path
-    /// each is sampled on the optics' Nyquist grid: `n_s^2` values, with
-    /// `fields[i][y * n_s + x] = (n / n_s)^2 . A_i` at mask pixel
-    /// `(x, y) . n / n_s` (the inverse is normalised for `n_s`, and the
-    /// adjoint and the intensity interpolation absorb the factor). On the
-    /// complex path, and whenever `n_s == n`, they are the `n^2` mask-grid
-    /// fields.
-    pub fields: Vec<Vec<Complex>>,
-    /// The aerial image `I` on the `n x n` mask grid.
-    pub intensity: RealGrid,
 }
 
 /// The buffer shape a [`SimWorkspace`] is sized for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct WorkspaceShape {
     n: usize,
-    /// Edge of the grid the per-kernel fields live on: `n_s` on the
-    /// Hermitian path, `n` on the complex path.
-    field_n: usize,
     kernel_count: usize,
     support: usize,
     workers: usize,
-    real: bool,
 }
 
 /// Reusable scratch arena for [`LithoSimulator::simulate_into`] and
@@ -156,30 +120,23 @@ struct WorkspaceShape {
 #[derive(Debug)]
 pub struct SimWorkspace {
     shape: WorkspaceShape,
-    /// Mask spectrum `FFT(M)`, `n^2` (complex path only; empty otherwise).
-    spectrum: Vec<Complex>,
     /// Half-spectrum of the mask (forward pass) or of `dL/dI` (adjoint
-    /// pass, when `n_s < n`) in transposed `(n/2+1) x n` layout (Hermitian
-    /// path only; empty otherwise).
+    /// pass, when `n_s < n`) in transposed `(n/2+1) x n` layout.
     half_spectrum: Vec<Complex>,
-    /// Real-transform scratch, `(n/2+1) * n` (Hermitian path only).
+    /// Real-transform scratch, `(n/2+1) * n`.
     rscratch: Vec<Complex>,
     /// `n`-size half-spectrum staged for the sparse real inverse: the
     /// Hermitianised adjoint accumulator, and the embedded intensity band
-    /// when `n_s < n`; `(n/2+1) * n` (Hermitian path only). Only its first
-    /// `min(P, n/2+1)` stored columns are ever written — each user clears
-    /// those and relies on the rest staying zero.
+    /// when `n_s < n`; `(n/2+1) * n`. Only its first `min(P, n/2+1)` stored
+    /// columns are ever written — each user clears those and relies on the
+    /// rest staying zero.
     raccum: Vec<Complex>,
-    /// Per-kernel fields `A_i`, each `field_n^2` (see
-    /// [`SimulationState::fields`]).
+    /// Per-kernel fields `A_i` (see [`SimWorkspace::fields`]).
     fields: Vec<Vec<Complex>>,
     /// Per-kernel adjoint support products, each `P^2`.
     partials: Vec<Vec<Complex>>,
-    /// Per-worker scratch for the adjoint forward transforms, each
-    /// `field_n^2`.
+    /// Per-worker scratch for the adjoint forward transforms, each `n_s^2`.
     scratch: Vec<Vec<Complex>>,
-    /// Adjoint spectral accumulator, `n^2` (complex path only).
-    accum: Vec<Complex>,
     /// Real `n_s^2` image: the intensity before interpolation (forward
     /// pass), the low-passed `dL/dI` (adjoint pass). Empty when `n_s == n`.
     ns_real: Vec<f64>,
@@ -197,35 +154,29 @@ impl SimWorkspace {
     fn new(shape: WorkspaceShape) -> Self {
         let WorkspaceShape {
             n,
-            field_n,
             kernel_count,
             support,
             workers,
-            real,
         } = shape;
-        let half_len = if real { (n / 2 + 1) * n } else { 0 };
-        let dense_len = if real { 0 } else { n * n };
-        let (ns_len, ns_half_len) = if field_n < n {
-            (field_n * field_n, (field_n / 2 + 1) * field_n)
+        let ns = nyquist_edge(n, support);
+        let half_len = (n / 2 + 1) * n;
+        let (ns_len, ns_half_len) = if ns < n {
+            (ns * ns, (ns / 2 + 1) * ns)
         } else {
             (0, 0)
         };
         SimWorkspace {
             shape,
-            spectrum: vec![Complex::ZERO; dense_len],
             half_spectrum: vec![Complex::ZERO; half_len],
             rscratch: vec![Complex::ZERO; half_len],
             raccum: vec![Complex::ZERO; half_len],
             fields: (0..kernel_count)
-                .map(|_| vec![Complex::ZERO; field_n * field_n])
+                .map(|_| vec![Complex::ZERO; ns * ns])
                 .collect(),
             partials: (0..kernel_count)
                 .map(|_| vec![Complex::ZERO; support * support])
                 .collect(),
-            scratch: (0..workers)
-                .map(|_| vec![Complex::ZERO; field_n * field_n])
-                .collect(),
-            accum: vec![Complex::ZERO; dense_len],
+            scratch: (0..workers).map(|_| vec![Complex::ZERO; ns * ns]).collect(),
             ns_real: vec![0.0; ns_len],
             ns_half: vec![Complex::ZERO; ns_half_len],
             ns_scratch: vec![Complex::ZERO; ns_half_len],
@@ -247,9 +198,13 @@ impl SimWorkspace {
         &self.intensity
     }
 
-    /// Per-kernel fields produced by the most recent
-    /// [`LithoSimulator::simulate_into`] — on the Hermitian path sampled on
-    /// the optics' Nyquist grid, see [`SimulationState::fields`].
+    /// Per-kernel complex fields `A_i = h_i (x) M` produced by the most
+    /// recent [`LithoSimulator::simulate_into`], sampled on the optics'
+    /// Nyquist grid: `n_s^2` values each, with
+    /// `fields[i][y * n_s + x] = (n / n_s)^2 . A_i` at mask pixel
+    /// `(x, y) . n / n_s` (the inverse is normalised for `n_s`, and the
+    /// adjoint and the intensity interpolation absorb the factor). When
+    /// `n_s == n` they are the `n^2` mask-grid fields.
     #[inline]
     pub fn fields(&self) -> &[Vec<Complex>] {
         &self.fields
@@ -260,15 +215,6 @@ impl SimWorkspace {
     #[inline]
     pub fn grad(&self) -> &RealGrid {
         &self.grad
-    }
-
-    /// Consumes the workspace, moving the forward-pass results out as a
-    /// [`SimulationState`] (no copies).
-    pub fn into_state(self) -> SimulationState {
-        SimulationState {
-            fields: self.fields,
-            intensity: self.intensity,
-        }
     }
 
     /// Re-creates the workspace unless it already fits `shape` (a larger
@@ -299,7 +245,7 @@ impl LithoSimulator {
     /// # Errors
     ///
     /// * [`LithoError::GridMismatch`] if the kernel support exceeds `n`;
-    /// * [`LithoError::Fft`] if `n` is not a power of two.
+    /// * [`LithoError::Fft`] if `n` is not a power of two of at least 2.
     pub fn new(n: usize, kernels: KernelSet) -> Result<Self, LithoError> {
         if kernels.support() > n {
             return Err(LithoError::GridMismatch {
@@ -307,8 +253,7 @@ impl LithoSimulator {
                 support: kernels.support(),
             });
         }
-        let fft = Fft2d::new(n, n)?;
-        let rfft = Rfft2d::new(n).ok();
+        let rfft = Rfft2d::new(n)?;
         let p = kernels.support();
         let half = p as i64 / 2;
         let bins = |grid: usize| -> Vec<usize> {
@@ -331,13 +276,10 @@ impl LithoSimulator {
             .collect();
         rbin_cols.sort_unstable();
         rbin_cols.dedup();
-        // The fields span P bins and the intensity the 2P - 1 bins of their
-        // differences, so 2P - 1 samples per axis carry both exactly.
-        let ns = (2 * p).saturating_sub(1).next_power_of_two().min(n);
+        let ns = nyquist_edge(n, p);
         let ns_rfft = if ns < n { Some(Rfft2d::new(ns)?) } else { None };
         Ok(LithoSimulator {
             n,
-            fft,
             rfft,
             kernels,
             bin,
@@ -347,7 +289,6 @@ impl LithoSimulator {
             ns_rfft,
             ns_bin: bins(ns),
             band_cols: (0..p).collect(),
-            path: SpectralPath::default(),
             pool: InnerPool::current(),
         })
     }
@@ -359,43 +300,14 @@ impl LithoSimulator {
         self
     }
 
-    /// Returns `self` running on the given spectral path (builder style).
-    #[must_use]
-    pub fn with_spectral_path(mut self, path: SpectralPath) -> Self {
-        self.path = path;
-        self
-    }
-
-    /// Replaces the spectral path used by simulate/gradient.
-    pub fn set_spectral_path(&mut self, path: SpectralPath) {
-        self.path = path;
-    }
-
-    /// The spectral path currently configured.
-    #[inline]
-    pub fn spectral_path(&self) -> SpectralPath {
-        self.path
-    }
-
-    /// Whether this simulator will actually run the Hermitian path (the
-    /// configured path, downgraded to complex if no real plan exists for
-    /// this grid size).
-    #[inline]
-    fn real_path(&self) -> bool {
-        self.path == SpectralPath::RealHermitian && self.rfft.is_some()
-    }
-
-    /// When the current path evaluates the fields on a coarser grid than
-    /// the mask: the real plan for the `n_s` grid, and the factor
-    /// `n_s^2 / n^2` both resampling directions carry (the adjoint is the
-    /// transpose of the interpolation, so they must agree).
+    /// When the fields live on a coarser grid than the mask: the real plan
+    /// for the `n_s` grid, and the factor `n_s^2 / n^2` both resampling
+    /// directions carry (the adjoint is the transpose of the
+    /// interpolation, so they must agree).
     #[inline]
     fn resampler(&self) -> Option<(&Rfft2d, f64)> {
         let scale = (self.ns * self.ns) as f64 / (self.n * self.n) as f64;
-        self.ns_rfft
-            .as_ref()
-            .filter(|_| self.real_path())
-            .map(|plan| (plan, scale))
+        self.ns_rfft.as_ref().map(|plan| (plan, scale))
     }
 
     /// Replaces the inner pool used for per-kernel parallelism.
@@ -421,37 +333,19 @@ impl LithoSimulator {
         &self.kernels
     }
 
-    /// The workspace shape the current path and pool need.
+    /// The workspace shape this simulator and its pool need.
     fn shape(&self) -> WorkspaceShape {
-        let real = self.real_path();
         WorkspaceShape {
             n: self.n,
-            field_n: if real { self.ns } else { self.n },
             kernel_count: self.kernels.len(),
             support: self.kernels.support(),
             workers: self.pool.threads(),
-            real,
         }
     }
 
     /// Creates a scratch arena sized for this simulator and its pool.
     pub fn workspace(&self) -> SimWorkspace {
         SimWorkspace::new(self.shape())
-    }
-
-    /// Runs the forward model, returning the aerial image together with the
-    /// per-kernel fields needed by [`LithoSimulator::gradient`].
-    ///
-    /// Allocates a fresh workspace per call; inner solver loops should use
-    /// [`LithoSimulator::simulate_into`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LithoError::MaskShape`] if the mask is not `n x n`.
-    pub fn simulate(&self, mask: &RealGrid) -> Result<SimulationState, LithoError> {
-        let mut ws = self.workspace();
-        self.simulate_into(mask, &mut ws)?;
-        Ok(ws.into_state())
     }
 
     /// Runs the forward model into a reusable workspace: the aerial image
@@ -467,73 +361,47 @@ impl LithoSimulator {
         self.check_shape(mask)?;
         let n = self.n;
         let p = self.kernels.support();
-        let real = self.real_path();
         ws.ensure(self.shape());
 
+        // The mask is real: a half-length rfft produces the stored half of
+        // its conjugate-symmetric spectrum; the crop-multiply reads the
+        // missing half through the symmetry and writes the same signed
+        // frequencies of the n_s-grid field spectrum.
+        self.rfft.forward(
+            mask.as_slice(),
+            &mut ws.half_spectrum,
+            &mut ws.rscratch,
+            &self.pool,
+        )?;
         let kernels = self.kernels.iter().as_slice();
         let bin = &self.bin;
-        if real {
-            // The mask is real: a half-length rfft produces the stored half
-            // of its conjugate-symmetric spectrum; the crop-multiply reads
-            // the missing half through the symmetry and writes the same
-            // signed frequencies of the n_s-grid field spectrum.
-            let rfft = self.rfft.as_ref().expect("real path implies a plan");
-            rfft.forward(
-                mask.as_slice(),
-                &mut ws.half_spectrum,
-                &mut ws.rscratch,
-                &self.pool,
-            )?;
-            let hw = n / 2 + 1;
-            let half = &ws.half_spectrum;
-            let (ns, ns_bin, ns_fft) = (self.ns, &self.ns_bin, &self.ns_fft);
-            self.pool.for_each_mut(&mut ws.fields, |k, field| {
-                let h = kernels[k].spectrum();
-                field.fill(Complex::ZERO);
-                for r in 0..p {
-                    let rr = bin[r];
-                    let row = ns_bin[r] * ns;
-                    for c in 0..p {
-                        let cc = bin[c];
-                        // Hermitian lookup: stored columns are transposed
-                        // (column-contiguous), mirrored columns conjugate.
-                        let m = if cc < hw {
-                            half[cc * n + rr]
-                        } else {
-                            half[(n - cc) * n + (n - rr) % n].conj()
-                        };
-                        field[row + ns_bin[c]] = m * h[r * p + c];
-                    }
+        let hw = n / 2 + 1;
+        let half = &ws.half_spectrum;
+        let (ns, ns_bin, ns_fft) = (self.ns, &self.ns_bin, &self.ns_fft);
+        // One kernel per buffer: disjoint writes, so the pool changes
+        // nothing about the result.
+        self.pool.for_each_mut(&mut ws.fields, |k, field| {
+            let h = kernels[k].spectrum();
+            field.fill(Complex::ZERO);
+            for r in 0..p {
+                let rr = bin[r];
+                let row = ns_bin[r] * ns;
+                for c in 0..p {
+                    let cc = bin[c];
+                    // Hermitian lookup: stored columns are transposed
+                    // (column-contiguous), mirrored columns conjugate.
+                    let m = if cc < hw {
+                        half[cc * n + rr]
+                    } else {
+                        half[(n - cc) * n + (n - rr) % n].conj()
+                    };
+                    field[row + ns_bin[c]] = m * h[r * p + c];
                 }
-                ns_fft
-                    .inverse_support(field, ns_bin)
-                    .expect("field buffer matches plan by construction");
-            });
-        } else {
-            for (dst, &v) in ws.spectrum.iter_mut().zip(mask.as_slice()) {
-                *dst = Complex::from_re(v);
             }
-            self.fft.forward_with_pool(&mut ws.spectrum, &self.pool)?;
-
-            // Per-kernel crop-multiply + sparse inverse, one kernel per
-            // buffer: disjoint writes, so the pool changes nothing about
-            // the result.
-            let spectrum = &ws.spectrum;
-            let fft = &self.fft;
-            self.pool.for_each_mut(&mut ws.fields, |k, field| {
-                let h = kernels[k].spectrum();
-                field.fill(Complex::ZERO);
-                for r in 0..p {
-                    let row = bin[r] * n;
-                    for c in 0..p {
-                        let idx = row + bin[c];
-                        field[idx] = spectrum[idx] * h[r * p + c];
-                    }
-                }
-                fft.inverse_support(field, bin)
-                    .expect("field buffer matches plan by construction");
-            });
-        }
+            ns_fft
+                .inverse_support(field, ns_bin)
+                .expect("field buffer matches plan by construction");
+        });
 
         // Intensity reduction stays serial and in kernel order so the sum
         // is bit-identical regardless of the pool. It runs on the fields'
@@ -554,7 +422,6 @@ impl LithoSimulator {
             // Band-limited interpolation n_s -> n: the intensity occupies
             // only |k| <= P - 1, so zero-padding its spectrum is exact. The
             // n_s-size transforms are too small to be worth pool dispatch.
-            let rfft = self.rfft.as_ref().expect("real path implies a plan");
             ns_rfft.forward(
                 &ws.ns_real,
                 &mut ws.ns_half,
@@ -563,9 +430,9 @@ impl LithoSimulator {
             )?;
             spectral::copy_half_band(&ws.ns_half, self.ns, &mut ws.raccum, n, p - 1)?;
             // Why n_s^2/n^2: the summed |field|^2 carries (n/n_s)^4 (see
-            // `SimulationState::fields`), and the n_s-point DFT of a
+            // `SimWorkspace::fields`), and the n_s-point DFT of a
             // band-limited image is (n_s/n)^2 of its n-point one.
-            rfft.inverse_support_scaled(
+            self.rfft.inverse_support_scaled(
                 &mut ws.raccum,
                 ws.intensity.as_mut_slice(),
                 &mut ws.rscratch,
@@ -577,37 +444,17 @@ impl LithoSimulator {
         Ok(())
     }
 
-    /// Convenience wrapper returning only the aerial image.
+    /// Convenience wrapper returning only the aerial image, through a
+    /// workspace of its own (what printing and inspection call; solver
+    /// loops use [`LithoSimulator::simulate_into`]).
     ///
     /// # Errors
     ///
-    /// Same as [`LithoSimulator::simulate`].
+    /// Same as [`LithoSimulator::simulate_into`].
     pub fn aerial_image(&self, mask: &RealGrid) -> Result<RealGrid, LithoError> {
-        Ok(self.simulate(mask)?.intensity)
-    }
-
-    /// Backpropagates `dL/dI` through the forward model, returning `dL/dM`.
-    ///
-    /// Allocates per call; inner solver loops should use
-    /// [`LithoSimulator::gradient_into`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LithoError::MaskShape`] if `dldi` is not `n x n`, or a
-    /// state/shape inconsistency is detected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` was produced by a different simulator (field
-    /// lengths disagree).
-    pub fn gradient(
-        &self,
-        state: &SimulationState,
-        dldi: &RealGrid,
-    ) -> Result<RealGrid, LithoError> {
         let mut ws = self.workspace();
-        self.gradient_core(&state.fields, dldi, &mut ws)?;
-        Ok(ws.grad)
+        self.simulate_into(mask, &mut ws)?;
+        Ok(ws.intensity)
     }
 
     /// Backpropagates `dL/dI` using the fields left in the workspace by the
@@ -623,39 +470,11 @@ impl LithoSimulator {
         ws: &'w mut SimWorkspace,
         dldi: &RealGrid,
     ) -> Result<&'w RealGrid, LithoError> {
-        // Shape-check before splitting the fields out: `ensure` must see the
-        // complete workspace, and the core borrows the fields immutably
-        // while writing the other buffers.
-        ws.ensure(self.shape());
-        let fields = std::mem::take(&mut ws.fields);
-        let result = self.gradient_core(&fields, dldi, ws);
-        ws.fields = fields;
-        result?;
-        Ok(&ws.grad)
-    }
-
-    /// The shared adjoint implementation. `fields` are the forward-pass
-    /// fields (from a [`SimulationState`] or a workspace); every scratch
-    /// buffer comes from `ws`.
-    fn gradient_core(
-        &self,
-        fields: &[Vec<Complex>],
-        dldi: &RealGrid,
-        ws: &mut SimWorkspace,
-    ) -> Result<(), LithoError> {
         ilt_telemetry::counter_add("litho.gradient", 1);
         self.check_shape(dldi)?;
         let n = self.n;
         let p = self.kernels.support();
-        let WorkspaceShape { field_n, real, .. } = self.shape();
-        assert_eq!(
-            fields.len(),
-            self.kernels.len(),
-            "state does not match this simulator's kernel count"
-        );
-        for field in fields {
-            assert_eq!(field.len(), field_n * field_n, "field length mismatch");
-        }
+        ws.ensure(self.shape());
 
         // The per-kernel products run on the fields' grid. When that is the
         // coarser n_s grid, dL/dI goes there first — the transpose of the
@@ -664,8 +483,7 @@ impl LithoSimulator {
         // and carry the same scale.
         let dldi_field: &[f64] = match self.resampler() {
             Some((ns_rfft, scale)) => {
-                let rfft = self.rfft.as_ref().expect("real path implies a plan");
-                rfft.forward(
+                self.rfft.forward(
                     dldi.as_slice(),
                     &mut ws.half_spectrum,
                     &mut ws.rscratch,
@@ -693,7 +511,7 @@ impl LithoSimulator {
         // Each kernel owns its partial buffer; workers never share scratch.
         let kernels = self.kernels.iter().as_slice();
         let bin = &self.bin;
-        let fft = &self.fft;
+        let fields = &ws.fields;
         let (ns, ns_bin, ns_fft) = (self.ns, &self.ns_bin, &self.ns_fft);
         self.pool.for_each_with_scratch(
             &mut ws.partials,
@@ -703,91 +521,55 @@ impl LithoSimulator {
                     *dst = a.scale(g);
                 }
                 let adj = kernels[k].adjoint_spectrum();
-                if real {
-                    // Only the P support columns of the spectrum are read
-                    // below, so the forward can skip the other column
-                    // transforms. The result is transposed; the pool slot is
-                    // already a worker, so the column pass stays serial.
-                    ns_fft
-                        .forward_support_transposed(scratch, ns_bin, &InnerPool::serial())
-                        .expect("scratch buffer matches plan by construction");
-                    for r in 0..p {
-                        for c in 0..p {
-                            let idx = ns_bin[c] * ns + ns_bin[r];
-                            partial[r * p + c] = scratch[idx] * adj[r * p + c];
-                        }
-                    }
-                } else {
-                    fft.forward(scratch)
-                        .expect("scratch buffer matches plan by construction");
-                    for r in 0..p {
-                        let row = bin[r] * n;
-                        for c in 0..p {
-                            let idx = row + bin[c];
-                            partial[r * p + c] = scratch[idx] * adj[r * p + c];
-                        }
+                // Only the P support columns of the spectrum are read
+                // below, so the forward can skip the other column
+                // transforms. The result is transposed; the pool slot is
+                // already a worker, so the column pass stays serial.
+                ns_fft
+                    .forward_support_transposed(scratch, ns_bin, &InnerPool::serial())
+                    .expect("scratch buffer matches plan by construction");
+                for r in 0..p {
+                    for c in 0..p {
+                        let idx = ns_bin[c] * ns + ns_bin[r];
+                        partial[r * p + c] = scratch[idx] * adj[r * p + c];
                     }
                 }
             },
         );
 
-        if real {
-            // Fixed-order Hermitianised reduction: accumulate S + R(S) where
-            // R(S)(r,c) = conj(S((n-r)%n, (n-c)%n)), so the inverse rfft of
-            // the half-spectrum yields 2.Re(IFFT(S)) = dL/dM directly (the
-            // trailing x2 of the complex path is absorbed here).
-            let hw = n / 2 + 1;
-            ws.raccum[..p.min(hw) * n].fill(Complex::ZERO);
-            for partial in &ws.partials {
-                for r in 0..p {
-                    let rr = bin[r];
-                    let r2 = (n - rr) % n;
-                    for c in 0..p {
-                        let cc = bin[c];
-                        let v = partial[r * p + c];
-                        if cc < hw {
-                            ws.raccum[cc * n + rr] += v;
-                        }
-                        let c2 = (n - cc) % n;
-                        if c2 < hw {
-                            ws.raccum[c2 * n + r2] += v.conj();
-                        }
+        // Fixed-order Hermitianised reduction: accumulate S + R(S) where
+        // R(S)(r,c) = conj(S((n-r)%n, (n-c)%n)), so the inverse rfft of
+        // the half-spectrum yields 2.Re(IFFT(S)) = dL/dM directly.
+        let hw = n / 2 + 1;
+        ws.raccum[..p.min(hw) * n].fill(Complex::ZERO);
+        for partial in &ws.partials {
+            for r in 0..p {
+                let rr = bin[r];
+                let r2 = (n - rr) % n;
+                for c in 0..p {
+                    let cc = bin[c];
+                    let v = partial[r * p + c];
+                    if cc < hw {
+                        ws.raccum[cc * n + rr] += v;
+                    }
+                    let c2 = (n - cc) % n;
+                    if c2 < hw {
+                        ws.raccum[c2 * n + r2] += v.conj();
                     }
                 }
-            }
-            // Only the support columns (and their reflections) are nonzero,
-            // so the inverse skips the rest of the first-pass transforms.
-            let rfft = self.rfft.as_ref().expect("real path implies a plan");
-            rfft.inverse_support_scaled(
-                &mut ws.raccum,
-                ws.grad.as_mut_slice(),
-                &mut ws.rscratch,
-                Some(&self.rbin_cols),
-                1.0,
-                &self.pool,
-            )?;
-        } else {
-            // Fixed-order reduction over the P x P support keeps the sum
-            // bit-identical for any pool size.
-            ws.accum.fill(Complex::ZERO);
-            for partial in &ws.partials {
-                for r in 0..p {
-                    let row = bin[r] * n;
-                    for c in 0..p {
-                        let idx = row + bin[c];
-                        ws.accum[idx] += partial[r * p + c];
-                    }
-                }
-            }
-            // The accumulator is zero outside the support rows, so the
-            // inverse can skip the remaining first-pass transforms.
-            self.fft
-                .inverse_support_with_pool(&mut ws.accum, bin, &self.pool)?;
-            for (dst, z) in ws.grad.as_mut_slice().iter_mut().zip(&ws.accum) {
-                *dst = 2.0 * z.re;
             }
         }
-        Ok(())
+        // Only the support columns (and their reflections) are nonzero,
+        // so the inverse skips the rest of the first-pass transforms.
+        self.rfft.inverse_support_scaled(
+            &mut ws.raccum,
+            ws.grad.as_mut_slice(),
+            &mut ws.rscratch,
+            Some(&self.rbin_cols),
+            1.0,
+            &self.pool,
+        )?;
+        Ok(&ws.grad)
     }
 
     fn check_shape(&self, grid: &RealGrid) -> Result<(), LithoError> {
@@ -828,6 +610,17 @@ mod tests {
             LithoSimulator::new(16, kernels),
             Err(LithoError::GridMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn rejects_a_grid_too_small_for_the_real_transform() {
+        // A 1 x 1 grid passes the support check but cannot be packed into a
+        // half-length complex transform.
+        let kernels = KernelSet::from_spectra(1, vec![(1.0, vec![Complex::new(1.0, 0.0)])]);
+        assert_eq!(
+            LithoSimulator::new(1, kernels).unwrap_err(),
+            LithoError::Fft(ilt_fft::FftError::NonPowerOfTwo { len: 1 })
+        );
     }
 
     #[test]
@@ -915,14 +708,15 @@ mod tests {
         let n = sim.n();
         let mut mask = Grid::new(n, n, 0.0);
         mask.fill_rect(Rect::new(16, 16, 48, 32), 1.0);
-        let state = sim.simulate(&mask).unwrap();
+        let mut ws = sim.workspace();
+        sim.simulate_into(&mask, &mut ws).unwrap();
         let recomputed: f64 = sim
             .kernels()
             .iter()
-            .zip(&state.fields)
+            .zip(ws.fields())
             .map(|(k, f)| k.weight() * f[33 * n + 20].norm_sqr())
             .sum();
-        assert!((recomputed - state.intensity.get(20, 33)).abs() < 1e-12);
+        assert!((recomputed - ws.intensity().get(20, 33)).abs() < 1e-12);
     }
 
     #[test]
@@ -932,12 +726,13 @@ mod tests {
         let mut mask = wavy_mask(n);
         // Loss: L = sum I (so dL/dI = 1 everywhere).
         let dldi = Grid::new(n, n, 1.0);
-        let state = sim.simulate(&mask).unwrap();
-        let grad = sim.gradient(&state, &dldi).unwrap();
+        let mut ws = sim.workspace();
+        sim.simulate_into(&mask, &mut ws).unwrap();
+        let base: f64 = ws.intensity().sum();
+        let grad = sim.gradient_into(&mut ws, &dldi).unwrap();
 
         let eps = 1e-5;
         for &(px, py) in &[(10usize, 10usize), (30, 17), (5, 40)] {
-            let base: f64 = state.intensity.sum();
             let original = mask.get(px, py);
             mask.set(px, py, original + eps);
             let bumped: f64 = sim.aerial_image(&mask).unwrap().sum();
@@ -958,8 +753,6 @@ mod tests {
         let n = sim.n();
         let mut mask = Grid::from_fn(n, n, |x, y| ((x + y) % 3) as f64 * 0.4);
         let dldi = Grid::from_fn(n, n, |x, y| ((x as f64 - y as f64) * 0.01).tanh());
-        let state = sim.simulate(&mask).unwrap();
-        let grad = sim.gradient(&state, &dldi).unwrap();
         let loss = |intensity: &RealGrid| -> f64 {
             intensity
                 .as_slice()
@@ -968,7 +761,10 @@ mod tests {
                 .map(|(i, g)| i * g)
                 .sum()
         };
-        let base = loss(&state.intensity);
+        let mut ws = sim.workspace();
+        sim.simulate_into(&mask, &mut ws).unwrap();
+        let base = loss(ws.intensity());
+        let grad = sim.gradient_into(&mut ws, &dldi).unwrap();
         let eps = 1e-5;
         let (px, py) = (22, 13);
         let original = mask.get(px, py);
@@ -990,9 +786,10 @@ mod tests {
         let mask = wavy_mask(n);
         let dldi = Grid::from_fn(n, n, |x, y| ((x * 3 + y) % 7) as f64 * 0.1 - 0.3);
 
-        // Fresh workspace per call.
-        let state = sim.simulate(&mask).unwrap();
-        let grad = sim.gradient(&state, &dldi).unwrap();
+        // A fresh workspace, used once.
+        let mut fresh = sim.workspace();
+        sim.simulate_into(&mask, &mut fresh).unwrap();
+        sim.gradient_into(&mut fresh, &dldi).unwrap();
 
         // One workspace reused across three iterations.
         let mut ws = sim.workspace();
@@ -1000,8 +797,8 @@ mod tests {
             sim.simulate_into(&mask, &mut ws).unwrap();
             sim.gradient_into(&mut ws, &dldi).unwrap();
         }
-        assert_eq!(state.intensity.as_slice(), ws.intensity().as_slice());
-        assert_eq!(grad.as_slice(), ws.grad().as_slice());
+        assert_eq!(fresh.intensity().as_slice(), ws.intensity().as_slice());
+        assert_eq!(fresh.grad().as_slice(), ws.grad().as_slice());
     }
 
     #[test]
@@ -1033,37 +830,72 @@ mod tests {
         }
     }
 
+    /// Eq. (1)–(3) and the adjoint evaluated densely at mask resolution with
+    /// plain complex transforms, straight from the formulas in the module
+    /// docs: the reference implementation the simulator is tested against.
+    fn dense_reference(
+        sim: &LithoSimulator,
+        mask: &RealGrid,
+        dldi: &RealGrid,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let (n, p) = (sim.n(), sim.kernels().support());
+        let fft = Fft2d::new(n, n).unwrap();
+        let bin: Vec<usize> = (0..p)
+            .map(|i| spectral::wrap_index(i as i64 - p as i64 / 2, n))
+            .collect();
+        let mut spectrum: Vec<Complex> = mask
+            .as_slice()
+            .iter()
+            .map(|&v| Complex::from_re(v))
+            .collect();
+        fft.forward(&mut spectrum).unwrap();
+        let mut intensity = vec![0.0; n * n];
+        let mut accum = vec![Complex::ZERO; n * n];
+        for kernel in sim.kernels().iter() {
+            let mut field = vec![Complex::ZERO; n * n];
+            for r in 0..p {
+                for c in 0..p {
+                    let idx = bin[r] * n + bin[c];
+                    field[idx] = spectrum[idx] * kernel.spectrum()[r * p + c];
+                }
+            }
+            fft.inverse(&mut field).unwrap();
+            for (acc, z) in intensity.iter_mut().zip(&field) {
+                *acc += kernel.weight() * z.norm_sqr();
+            }
+            for (z, &g) in field.iter_mut().zip(dldi.as_slice()) {
+                *z = z.scale(g);
+            }
+            fft.forward(&mut field).unwrap();
+            for r in 0..p {
+                for c in 0..p {
+                    let idx = bin[r] * n + bin[c];
+                    accum[idx] += field[idx] * kernel.adjoint_spectrum()[r * p + c];
+                }
+            }
+        }
+        fft.inverse(&mut accum).unwrap();
+        (intensity, accum.iter().map(|z| 2.0 * z.re).collect())
+    }
+
     #[test]
-    fn real_and_complex_paths_agree() {
-        let cfg = OpticsConfig::test_small();
-        let kernels = KernelSet::build(&cfg, false).unwrap();
-        let real = LithoSimulator::new(cfg.base_n, kernels.clone()).unwrap();
-        assert_eq!(real.spectral_path(), SpectralPath::RealHermitian);
-        let complex = LithoSimulator::new(cfg.base_n, kernels)
-            .unwrap()
-            .with_spectral_path(SpectralPath::Complex);
-        let n = real.n();
+    fn simulator_agrees_with_dense_reference() {
+        let sim = simulator();
+        let n = sim.n();
         let mask = wavy_mask(n);
         let dldi = Grid::from_fn(n, n, |x, y| ((x as f64 - y as f64) * 0.01).tanh());
 
-        let mut ws_r = real.workspace();
-        real.simulate_into(&mask, &mut ws_r).unwrap();
-        real.gradient_into(&mut ws_r, &dldi).unwrap();
-        let mut ws_c = complex.workspace();
-        complex.simulate_into(&mask, &mut ws_c).unwrap();
-        complex.gradient_into(&mut ws_c, &dldi).unwrap();
+        let mut ws = sim.workspace();
+        sim.simulate_into(&mask, &mut ws).unwrap();
+        sim.gradient_into(&mut ws, &dldi).unwrap();
+        let (intensity, grad) = dense_reference(&sim, &mask, &dldi);
 
         // Different transform orders: equal to floating-point tolerance,
         // not bit for bit.
-        for (a, b) in ws_r
-            .intensity()
-            .as_slice()
-            .iter()
-            .zip(ws_c.intensity().as_slice())
-        {
+        for (a, b) in ws.intensity().as_slice().iter().zip(&intensity) {
             assert!((a - b).abs() < 1e-10, "intensity {a} vs {b}");
         }
-        for (a, b) in ws_r.grad().as_slice().iter().zip(ws_c.grad().as_slice()) {
+        for (a, b) in ws.grad().as_slice().iter().zip(&grad) {
             assert!((a - b).abs() < 1e-9, "grad {a} vs {b}");
         }
     }
@@ -1138,34 +970,28 @@ mod tests {
     }
 
     #[test]
-    fn nyquist_grid_matches_dense_complex_reference() {
+    fn nyquist_grid_matches_dense_reference() {
         for (name, n, kernels, ns) in nyquist_cases() {
-            let fast = LithoSimulator::new(n, kernels.clone()).unwrap();
-            let dense = LithoSimulator::new(n, kernels)
-                .unwrap()
-                .with_spectral_path(SpectralPath::Complex);
+            let sim = LithoSimulator::new(n, kernels).unwrap();
             let mask = hard_mask(n);
             let dldi = noise(n, 0x9e37_79b9_7f4a_7c15);
 
-            let mut ws = fast.workspace();
-            fast.simulate_into(&mask, &mut ws).unwrap();
-            fast.gradient_into(&mut ws, &dldi).unwrap();
-            let mut ws_ref = dense.workspace();
-            dense.simulate_into(&mask, &mut ws_ref).unwrap();
-            dense.gradient_into(&mut ws_ref, &dldi).unwrap();
+            let mut ws = sim.workspace();
+            sim.simulate_into(&mask, &mut ws).unwrap();
+            sim.gradient_into(&mut ws, &dldi).unwrap();
+            let (intensity, grad) = dense_reference(&sim, &mask, &dldi);
 
-            // The fast path really ran on the coarser grid, the reference
-            // on the mask grid.
+            // The simulator really ran on the coarser grid.
             assert!(ns < n);
             assert_eq!(ws.fields()[0].len(), ns * ns, "{name}");
-            assert_eq!(ws_ref.fields()[0].len(), n * n, "{name}");
 
-            let di = max_abs_diff(ws.intensity().as_slice(), ws_ref.intensity().as_slice());
-            let dg = max_abs_diff(ws.grad().as_slice(), ws_ref.grad().as_slice());
+            let di = max_abs_diff(ws.intensity().as_slice(), &intensity);
+            let dg = max_abs_diff(ws.grad().as_slice(), &grad);
             assert!(di < 1e-12, "{name}: intensity differs by {di}");
             assert!(dg < 1e-12, "{name}: gradient differs by {dg}");
             // Guard against a vacuous comparison.
-            let (imax, gmax) = (ws_ref.intensity().max(), ws_ref.grad().max());
+            let max = |v: &[f64]| v.iter().copied().fold(f64::MIN, f64::max);
+            let (imax, gmax) = (max(&intensity), max(&grad));
             assert!(imax > 0.05 && gmax > 1e-3, "{name}: {imax}, {gmax}");
         }
     }
@@ -1239,22 +1065,26 @@ mod tests {
             let mask = hard_mask(n);
             let dldi = noise(n, 0xdead_beef_cafe_f00d);
 
-            let state = serial.simulate(&mask).unwrap();
-            let grad = serial.gradient(&state, &dldi).unwrap();
+            let mut once = serial.workspace();
+            serial.simulate_into(&mask, &mut once).unwrap();
+            serial.gradient_into(&mut once, &dldi).unwrap();
 
             // One workspace reused across iterations, on four workers.
             let mut ws = parallel.workspace();
             for _ in 0..3 {
                 parallel.simulate_into(&mask, &mut ws).unwrap();
+                // The adjoint stages dL/dI where the forward pass left the
+                // intensity's spectrum; none of that may leak through.
+                ws.ns_half.fill(Complex::new(1e3, -1e3));
                 parallel.gradient_into(&mut ws, &dldi).unwrap();
             }
             assert_eq!(
-                state.intensity.as_slice(),
+                once.intensity().as_slice(),
                 ws.intensity().as_slice(),
                 "{name}"
             );
-            assert_eq!(grad.as_slice(), ws.grad().as_slice(), "{name}");
-            assert_eq!(state.fields.as_slice(), ws.fields(), "{name}");
+            assert_eq!(once.grad().as_slice(), ws.grad().as_slice(), "{name}");
+            assert_eq!(once.fields(), ws.fields(), "{name}");
         }
     }
 
@@ -1267,9 +1097,10 @@ mod tests {
         let mask = hard_mask(128);
         let dldi = noise(128, 0x0123_4567_89ab_cdef);
         let fresh = |sim: &LithoSimulator| {
-            let state = sim.simulate(&mask).unwrap();
-            let grad = sim.gradient(&state, &dldi).unwrap();
-            (state.intensity, grad)
+            let mut ws = sim.workspace();
+            sim.simulate_into(&mask, &mut ws).unwrap();
+            sim.gradient_into(&mut ws, &dldi).unwrap();
+            (ws.intensity, ws.grad)
         };
         let (coarse_ref, full_ref) = (fresh(&coarse), fresh(&full));
 
@@ -1378,26 +1209,6 @@ mod tests {
     }
 
     #[test]
-    fn one_workspace_survives_a_path_switch() {
-        let cfg = OpticsConfig::test_small();
-        let kernels = KernelSet::build(&cfg, false).unwrap();
-        let mut sim = LithoSimulator::new(cfg.base_n, kernels).unwrap();
-        let mask = wavy_mask(sim.n());
-        let mut ws = sim.workspace();
-        sim.simulate_into(&mask, &mut ws).unwrap();
-        let real_intensity = ws.intensity().clone();
-        sim.set_spectral_path(SpectralPath::Complex);
-        sim.simulate_into(&mask, &mut ws).unwrap();
-        for (a, b) in real_intensity
-            .as_slice()
-            .iter()
-            .zip(ws.intensity().as_slice())
-        {
-            assert!((a - b).abs() < 1e-10);
-        }
-    }
-
-    #[test]
     fn workspace_adapts_to_mismatched_simulator() {
         let cfg = OpticsConfig::test_small();
         let kernels = KernelSet::build(&cfg, false).unwrap();
@@ -1408,7 +1219,7 @@ mod tests {
         let mut ws = sim.workspace();
         let mask = wavy_mask(big.n());
         big.simulate_into(&mask, &mut ws).unwrap();
-        let fresh = big.simulate(&mask).unwrap();
-        assert_eq!(fresh.intensity.as_slice(), ws.intensity().as_slice());
+        let fresh = big.aerial_image(&mask).unwrap();
+        assert_eq!(fresh.as_slice(), ws.intensity().as_slice());
     }
 }

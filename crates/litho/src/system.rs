@@ -7,7 +7,7 @@ use crate::error::LithoError;
 use crate::kernels::KernelSet;
 use crate::optics::OpticsConfig;
 use crate::resist::ResistModel;
-use crate::sim::{LithoSimulator, SimWorkspace, SimulationState};
+use crate::sim::{LithoSimulator, SimWorkspace};
 use ilt_par::InnerPool;
 
 /// A process corner of the variation band (Definition 3 of the paper).
@@ -150,28 +150,6 @@ impl LithoSystem {
         }
     }
 
-    /// Forward pass retaining per-kernel fields (nominal focus).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator shape errors.
-    pub fn simulate(&self, mask: &RealGrid) -> Result<SimulationState, LithoError> {
-        self.nominal.simulate(mask)
-    }
-
-    /// Adjoint pass (nominal focus).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator shape errors.
-    pub fn gradient(
-        &self,
-        state: &SimulationState,
-        dldi: &RealGrid,
-    ) -> Result<RealGrid, LithoError> {
-        self.nominal.gradient(state, dldi)
-    }
-
     /// Creates a scratch arena sized for the nominal simulator; reuse it
     /// across [`LithoSystem::simulate_into`] / [`LithoSystem::gradient_into`]
     /// iterations for allocation-free solver loops.
@@ -208,13 +186,6 @@ impl LithoSystem {
     pub fn set_inner_pool(&mut self, pool: InnerPool) {
         self.nominal.set_inner_pool(pool);
         self.defocused.set_inner_pool(pool);
-    }
-
-    /// Replaces the spectral path on both optical paths (see
-    /// [`crate::SpectralPath`]).
-    pub fn set_spectral_path(&mut self, path: crate::SpectralPath) {
-        self.nominal.set_spectral_path(path);
-        self.defocused.set_spectral_path(path);
     }
 
     /// Prints the wafer at a process corner.

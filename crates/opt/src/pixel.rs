@@ -10,7 +10,7 @@
 //! before refining at full resolution.
 
 use ilt_grid::{resample, RealGrid};
-use ilt_litho::{LithoError, LithoSystem};
+use ilt_litho::{LithoError, LithoSystem, SimWorkspace};
 
 use crate::error::OptError;
 use crate::loss::{evaluate_loss_into, LossEval};
@@ -228,9 +228,7 @@ impl PixelIlt {
 }
 
 /// Inner gradient loop. `sim_scale` selects the multi-level simulation
-/// factor: the latent stays at full resolution, while the forward model
-/// runs on a `sim_scale`-downsampled mask and the gradient is pulled back
-/// through the (linear) downsampling operator.
+/// factor (see [`LatentObjective`]).
 #[allow(clippy::too_many_arguments)]
 fn run_loop(
     system: &LithoSystem,
@@ -242,43 +240,104 @@ fn run_loop(
     config: &PixelIltConfig,
     history: &mut Vec<f64>,
 ) -> Result<(), OptError> {
-    let steepness = config.mask_steepness;
-    // One scratch arena and one set of grids for the whole loop:
-    // steady-state iterations run without heap allocation.
-    let mut ws = system.workspace();
-    let sim_n = system.n();
-    let (w, h) = (latent.width(), latent.height());
-    let mut mask = RealGrid::new(w, h, 0.0);
-    let mut grad_latent = vec![0.0; w * h];
-    // Multi-level only: the downsampled mask and the upsampled gradient.
-    let mut resampled =
-        (sim_scale > 1).then(|| (RealGrid::new(sim_n, sim_n, 0.0), RealGrid::new(w, h, 0.0)));
-    let mut eval = LossEval {
-        value: 0.0,
-        dldi: RealGrid::new(sim_n, sim_n, 0.0),
-        wafer: RealGrid::new(sim_n, sim_n, 0.0),
-    };
+    let mut objective = LatentObjective::new(
+        system,
+        target,
+        sim_scale,
+        config,
+        (latent.width(), latent.height()),
+    );
     for _ in 0..iterations {
         if ilt_fault::deadline::exceeded() {
             return Err(OptError::DeadlineExceeded {
                 completed_iterations: history.len(),
             });
         }
-        latent_to_mask_into(latent, steepness, &mut mask);
-        let sim_mask: &RealGrid = match &mut resampled {
+        history.push(objective.evaluate(latent)?);
+        optimizer.step(latent.as_mut_slice(), &objective.grad_latent);
+    }
+    Ok(())
+}
+
+/// What the loop descends, as a function of the latent field:
+/// `loss + binarize_weight . sum m (1 - m) + 1/2 smooth_weight . |grad latent|^2`
+/// with `m = sigmoid(steepness . latent)`. The latent stays at full
+/// resolution, while the forward model runs on a `sim_scale`-downsampled
+/// mask and the gradient is pulled back through the (linear) downsampling
+/// operator.
+///
+/// Owns one scratch arena and one set of grids for the whole loop:
+/// steady-state evaluations run without heap allocation.
+struct LatentObjective<'a> {
+    system: &'a LithoSystem,
+    target: &'a RealGrid,
+    sim_scale: usize,
+    config: &'a PixelIltConfig,
+    ws: SimWorkspace,
+    mask: RealGrid,
+    /// Multi-level only: the downsampled mask and the upsampled gradient.
+    resampled: Option<(RealGrid, RealGrid)>,
+    eval: LossEval,
+    /// The objective's gradient w.r.t. the latent at the last
+    /// [`LatentObjective::evaluate`].
+    grad_latent: Vec<f64>,
+}
+
+impl<'a> LatentObjective<'a> {
+    /// `target` lives on the simulation grid (`system.n()` square), the
+    /// latent on a `w x h = sim_scale . system.n()` square one.
+    fn new(
+        system: &'a LithoSystem,
+        target: &'a RealGrid,
+        sim_scale: usize,
+        config: &'a PixelIltConfig,
+        (w, h): (usize, usize),
+    ) -> Self {
+        let sim_n = system.n();
+        LatentObjective {
+            system,
+            target,
+            sim_scale,
+            config,
+            ws: system.workspace(),
+            mask: RealGrid::new(w, h, 0.0),
+            resampled: (sim_scale > 1)
+                .then(|| (RealGrid::new(sim_n, sim_n, 0.0), RealGrid::new(w, h, 0.0))),
+            eval: LossEval {
+                value: 0.0,
+                dldi: RealGrid::new(sim_n, sim_n, 0.0),
+                wafer: RealGrid::new(sim_n, sim_n, 0.0),
+            },
+            grad_latent: vec![0.0; w * h],
+        }
+    }
+
+    /// Evaluates the objective at `latent`: returns the loss term alone
+    /// (what the convergence history records) and leaves the gradient of
+    /// the whole objective in `grad_latent`.
+    fn evaluate(&mut self, latent: &RealGrid) -> Result<f64, OptError> {
+        let (system, config, sim_scale) = (self.system, self.config, self.sim_scale);
+        let steepness = config.mask_steepness;
+        let (w, h) = (latent.width(), latent.height());
+        latent_to_mask_into(latent, steepness, &mut self.mask);
+        let sim_mask: &RealGrid = match &mut self.resampled {
             Some((coarse_mask, _)) => {
-                resample::downsample_into(&mask, sim_scale, coarse_mask);
+                resample::downsample_into(&self.mask, sim_scale, coarse_mask);
                 coarse_mask
             }
-            None => &mask,
+            None => &self.mask,
         };
-        system.simulate_into(sim_mask, &mut ws)?;
-        evaluate_loss_into(system.resist(), ws.intensity(), target, &mut eval);
-        history.push(eval.value);
-        let grad_sim = system.gradient_into(&mut ws, &eval.dldi)?;
+        system.simulate_into(sim_mask, &mut self.ws)?;
+        evaluate_loss_into(
+            system.resist(),
+            self.ws.intensity(),
+            self.target,
+            &mut self.eval,
+        );
+        let grad_sim = system.gradient_into(&mut self.ws, &self.eval.dldi)?;
         // Adjoint of s x s block averaging: each fine pixel receives its
         // coarse pixel's gradient divided by s^2.
-        let grad_mask: &RealGrid = match &mut resampled {
+        let grad_mask: &RealGrid = match &mut self.resampled {
             Some((_, upsampled)) => {
                 let inv = 1.0 / (sim_scale * sim_scale) as f64;
                 resample::upsample_nearest_into(grad_sim, sim_scale, upsampled);
@@ -291,10 +350,11 @@ fn run_loop(
         };
         // Chain rule through the sigmoid: dM/dlatent = k M (1 - M), plus
         // the binarisation penalty d/dm [m (1 - m)] = 1 - 2m.
-        for ((out, g), m) in grad_latent
+        for ((out, g), m) in self
+            .grad_latent
             .iter_mut()
             .zip(grad_mask.as_slice())
-            .zip(mask.as_slice())
+            .zip(self.mask.as_slice())
         {
             *out = (g + config.binarize_weight * (1.0 - 2.0 * m)) * steepness * m * (1.0 - m);
         }
@@ -317,13 +377,12 @@ fn run_loop(
                     if y + 1 < h {
                         acc += center - latent.get(x, y + 1);
                     }
-                    grad_latent[y * w + x] += config.smooth_weight * acc;
+                    self.grad_latent[y * w + x] += config.smooth_weight * acc;
                 }
             }
         }
-        optimizer.step(latent.as_mut_slice(), &grad_latent);
+        Ok(self.eval.value)
     }
-    Ok(())
 }
 
 /// Adds a zero-mean, content-keyed perturbation to the latent field.
@@ -397,6 +456,71 @@ mod tests {
         let back = latent_to_mask(&latent, 4.0);
         for i in 0..3 {
             assert!((back.get(i, 0) - mask.get(i, 0)).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn objective_gradient_matches_central_differences() {
+        // The composed adjoint: latent -> sigmoid -> (downsample) ->
+        // simulate -> resist -> loss plus both penalties, differentiated as
+        // a whole — at full resolution and at the Eq. (9) coarse level of
+        // the multi-level schedule. The per-component checks cannot see an
+        // error made where the components meet.
+        let bank = bank();
+        let config = PixelIltConfig {
+            smooth_weight: 0.05,
+            ..PixelIltConfig::multi_level()
+        };
+        let steep = config.mask_steepness;
+        let penalties = |latent: &RealGrid| -> f64 {
+            let n = latent.width();
+            let mask = latent_to_mask(latent, steep);
+            let binarize: f64 = mask.as_slice().iter().map(|m| m * (1.0 - m)).sum();
+            let mut smooth = 0.0;
+            for y in 0..n {
+                for x in 0..n {
+                    if x + 1 < n {
+                        smooth += (latent.get(x + 1, y) - latent.get(x, y)).powi(2);
+                    }
+                    if y + 1 < n {
+                        smooth += (latent.get(x, y + 1) - latent.get(x, y)).powi(2);
+                    }
+                }
+            }
+            config.binarize_weight * binarize + 0.5 * config.smooth_weight * smooth
+        };
+        // test_small's 23-bin support doubles to 46 at the coarse level, so
+        // that level needs a 64-pixel simulation grid under a 128 latent.
+        for (sim_scale, n) in [(1usize, 64usize), (2, 128)] {
+            let system = bank.system(n / sim_scale, sim_scale).unwrap();
+            let target = resample::downsample(&target_grid(n), sim_scale);
+            let mut objective = LatentObjective::new(&system, &target, sim_scale, &config, (n, n));
+            // A mid-descent latent: gray everywhere, so no sigmoid is flat.
+            let mut latent = to_latent(&target_grid(n), steep);
+            perturb_latent(&mut latent, 0.3, &target);
+            objective.evaluate(&latent).unwrap();
+            let grad = objective.grad_latent.clone();
+
+            let eps = 1e-4;
+            let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+            for _ in 0..16 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let idx = (state % (n * n) as u64) as usize;
+                let original = latent.as_slice()[idx];
+                let mut at = |value: f64| -> f64 {
+                    latent.as_mut_slice()[idx] = value;
+                    objective.evaluate(&latent).unwrap() + penalties(&latent)
+                };
+                let numeric = (at(original + eps) - at(original - eps)) / (2.0 * eps);
+                at(original);
+                let analytic = grad[idx];
+                assert!(
+                    (numeric - analytic).abs() <= 1e-5 * analytic.abs(),
+                    "sim_scale {sim_scale}, pixel {idx}: numeric {numeric} vs analytic {analytic}"
+                );
+            }
         }
     }
 

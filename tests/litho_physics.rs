@@ -115,20 +115,37 @@ fn dose_monotonicity_of_prints() {
 
 #[test]
 fn simulator_rejects_foreign_state() {
-    // Gradient with a state from a different simulator must panic (shape
-    // assertion), not silently compute garbage.
+    // A workspace is compatible by shape, not identity: a same-shaped
+    // simulator uses it (and the fields in it) as is, while a differently
+    // shaped one replaces it with a fresh arena — counted — rather than
+    // computing garbage in stale buffers.
     let bank = bank();
     let sys64 = bank.system(64, 1).expect("system");
-    let mask = Grid::new(64, 64, 0.5);
-    let state = sys64.simulate(&mask).expect("sim");
-    let sim_other = LithoSimulator::new(
+    let defocused = LithoSimulator::new(
         64,
         KernelSet::build(&OpticsConfig::test_small(), true).expect("k"),
     )
     .expect("sim");
-    // Same kernel count and shape: the gradient is well-defined (no panic);
-    // this documents that state compatibility is by shape, not identity.
+    let sys128 = bank.system(128, 2).expect("system");
+    let mask = Grid::new(64, 64, 0.5);
     let dldi = Grid::new(64, 64, 1.0);
-    let grad = sim_other.gradient(&state, &dldi).expect("gradient");
+    let mask128 = generate_clip(&GeneratorConfig::with_size(128), 9).to_real();
+
+    let mut ws = sys64.workspace();
+    sys64.simulate_into(&mask, &mut ws).expect("sim");
+    ilt_telemetry::set_enabled(true);
+    let _ = ilt_telemetry::drain();
+    let grad = defocused.gradient_into(&mut ws, &dldi).expect("gradient");
     assert_eq!(grad.width(), 64);
+    sys128.simulate_into(&mask128, &mut ws).expect("sim");
+    let reallocs = ilt_telemetry::drain()
+        .counters
+        .get("litho.workspace.realloc")
+        .copied();
+    ilt_telemetry::set_enabled(false);
+
+    assert_eq!(reallocs, Some(1), "only the 128-pixel system reshapes");
+    assert_eq!(ws.n(), 128);
+    let fresh = sys128.aerial(&mask128, Corner::Nominal).expect("sim");
+    assert_eq!(fresh.as_slice(), ws.intensity().as_slice());
 }
