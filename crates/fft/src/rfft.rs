@@ -325,6 +325,32 @@ impl Rfft2d {
         scratch: &mut [Complex],
         pool: &InnerPool,
     ) -> Result<(), FftError> {
+        self.forward_support(src, spec, scratch, None, pool)
+    }
+
+    /// Forward real 2-D FFT of which only the listed stored columns are
+    /// wanted — the mirror of [`Rfft2d::inverse_support_scaled`].
+    ///
+    /// `support_cols` are stored-column indices (`0..=n/2`). Each listed
+    /// column of `spec` receives exactly the values [`Rfft2d::forward`]
+    /// would write there (the same arithmetic in the same order); every
+    /// other column is **left as it was** — its transform is skipped
+    /// outright, and the skipped count feeds the `fft.rows_skipped`
+    /// telemetry counter. `None` computes every column.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FftError::ShapeMismatch`] if any buffer has the wrong
+    /// length, or [`FftError::LengthMismatch`] if a support column index
+    /// is out of range.
+    pub fn forward_support(
+        &self,
+        src: &[f64],
+        spec: &mut [Complex],
+        scratch: &mut [Complex],
+        support_cols: Option<&[usize]>,
+        pool: &InnerPool,
+    ) -> Result<(), FftError> {
         let n = self.n;
         let hw = self.half_cols();
         if src.len() != n * n {
@@ -335,6 +361,7 @@ impl Rfft2d {
         }
         self.check_spectral(spec.len())?;
         self.check_spectral(scratch.len())?;
+        self.check_support(support_cols)?;
         ilt_telemetry::counter_add("fft.rfft_forward", 1);
         // Row pass: each real row becomes hw bins in row-major scratch.
         let row = &*self.row;
@@ -346,15 +373,30 @@ impl Rfft2d {
                     .expect("row length matches plan by construction");
             }
         });
-        // Transpose n x hw -> hw x n, then transform the hw stored columns
-        // as contiguous rows. No transpose back: the half-spectrum layout
-        // *is* transposed.
-        transpose_into_block(scratch, n, hw, spec, self.block);
+        // Column pass, one body for every column computed: gather stored
+        // column c out of the row-major scratch into its contiguous row of
+        // `spec`, then transform it in place. No transpose back: the
+        // half-spectrum layout *is* transposed.
         let plan = &self.col_plan;
-        pool.for_each_chunk_mut(spec, n, |_, col| {
+        let scratch = &*scratch;
+        let column = |c: usize, col: &mut [Complex]| {
+            for (r, z) in col.iter_mut().enumerate() {
+                *z = scratch[r * hw + c];
+            }
             plan.transform(col, Direction::Forward)
                 .expect("column length matches plan by construction");
-        });
+        };
+        match support_cols {
+            // A band of a few dozen columns is cheaper on the caller than
+            // a pool dispatch (as in `inverse_support_scaled`).
+            Some(cols) => {
+                ilt_telemetry::counter_add("fft.rows_skipped", (hw - cols.len().min(hw)) as u64);
+                for &c in cols {
+                    column(c, &mut spec[c * n..(c + 1) * n]);
+                }
+            }
+            None => pool.for_each_chunk_mut(spec, n, column),
+        }
         Ok(())
     }
 
@@ -412,14 +454,7 @@ impl Rfft2d {
                 actual: dst.len(),
             });
         }
-        if let Some(cols) = support_cols {
-            if let Some(&bad) = cols.iter().find(|&&c| c >= hw) {
-                return Err(FftError::LengthMismatch {
-                    expected: hw,
-                    actual: bad,
-                });
-            }
-        }
+        self.check_support(support_cols)?;
         ilt_telemetry::counter_add("fft.rfft_inverse", 1);
         // Column pass (stored columns are contiguous rows of `spec`).
         let plan = &self.col_plan;
@@ -452,6 +487,17 @@ impl Rfft2d {
             }
         });
         Ok(())
+    }
+
+    fn check_support(&self, support_cols: Option<&[usize]>) -> Result<(), FftError> {
+        let hw = self.half_cols();
+        match support_cols.and_then(|cols| cols.iter().find(|&&c| c >= hw)) {
+            Some(&bad) => Err(FftError::LengthMismatch {
+                expected: hw,
+                actual: bad,
+            }),
+            None => Ok(()),
+        }
     }
 
     fn check_spectral(&self, len: usize) -> Result<(), FftError> {
@@ -672,6 +718,81 @@ mod tests {
         } else {
             spec[(n - c) * n + (n - r) % n].conj()
         }
+    }
+
+    #[test]
+    fn forward_support_matches_dense_forward_bit_for_bit() {
+        // (n, P): the simulator asks for columns 0..=P/2 (the crop) and
+        // 0..P (the intensity band).
+        for (n, p) in [(2usize, 1usize), (4, 2), (64, 23), (256, 27), (512, 54)] {
+            let rfft = Rfft2d::new(n).unwrap();
+            let hw = rfft.half_cols();
+            let x = reals(n * n, 0.77);
+            let mut scratch = vec![Complex::ZERO; rfft.spectrum_len()];
+            let mut dense = vec![Complex::ZERO; rfft.spectrum_len()];
+            rfft.forward(&x, &mut dense, &mut scratch, &InnerPool::serial())
+                .unwrap();
+            let column_sets: [Vec<usize>; 4] = [
+                (0..=p / 2).collect(),
+                (0..p).collect(),
+                (0..hw).collect(),
+                Vec::new(),
+            ];
+            for cols in &column_sets {
+                for pool in [InnerPool::serial(), InnerPool::new(2)] {
+                    let sentinel = Complex::new(f64::NAN, -7.0);
+                    let mut sparse = vec![sentinel; rfft.spectrum_len()];
+                    rfft.forward_support(&x, &mut sparse, &mut scratch, Some(cols), &pool)
+                        .unwrap();
+                    for c in 0..hw {
+                        let (got, want) = (&sparse[c * n..(c + 1) * n], &dense[c * n..(c + 1) * n]);
+                        if cols.contains(&c) {
+                            assert_eq!(got, want, "n={n} column {c} of {cols:?}");
+                        } else {
+                            // Unlisted columns are not touched at all.
+                            assert!(
+                                got.iter().all(|z| z.re.is_nan() && z.im == -7.0),
+                                "n={n} column {c} written"
+                            );
+                        }
+                    }
+                }
+            }
+            // The dense transform itself does not depend on the pool.
+            let mut pooled = vec![Complex::ZERO; rfft.spectrum_len()];
+            rfft.forward(&x, &mut pooled, &mut scratch, &InnerPool::new(2))
+                .unwrap();
+            assert_eq!(dense, pooled, "n={n}");
+        }
+    }
+
+    #[test]
+    fn forward_support_reports_bad_input_as_typed_errors() {
+        let n = 8;
+        let rfft = Rfft2d::new(n).unwrap();
+        let x = vec![0.0; n * n];
+        let mut spec = vec![Complex::ZERO; rfft.spectrum_len()];
+        let mut scratch = vec![Complex::ZERO; rfft.spectrum_len()];
+        let serial = InnerPool::serial();
+        assert_eq!(
+            rfft.forward_support(&x, &mut spec, &mut scratch, Some(&[0, 5]), &serial),
+            Err(FftError::LengthMismatch {
+                expected: 5,
+                actual: 5
+            })
+        );
+        assert!(matches!(
+            rfft.forward_support(&x[1..], &mut spec, &mut scratch, Some(&[0]), &serial),
+            Err(FftError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            rfft.forward_support(&x, &mut spec[1..], &mut scratch, Some(&[0]), &serial),
+            Err(FftError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            rfft.forward_support(&x, &mut spec, &mut scratch[1..], None, &serial),
+            Err(FftError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]

@@ -81,6 +81,10 @@ pub struct LithoSimulator {
     /// Stored half-spectrum columns (`0..=n/2`) the Hermitianised adjoint
     /// accumulator can touch: the support columns and their reflections.
     rbin_cols: Vec<usize>,
+    /// Stored columns `0..=P/2` of the mask spectrum the crop `[.]_P`
+    /// reads: the support's columns `-P/2..P - P/2`, the negative ones
+    /// through the Hermitian mirror.
+    crop_cols: Vec<usize>,
     /// Edge of the grid the per-kernel fields are evaluated on (see
     /// [`nyquist_edge`]).
     ns: usize,
@@ -121,7 +125,9 @@ struct WorkspaceShape {
 pub struct SimWorkspace {
     shape: WorkspaceShape,
     /// Half-spectrum of the mask (forward pass) or of `dL/dI` (adjoint
-    /// pass, when `n_s < n`) in transposed `(n/2+1) x n` layout.
+    /// pass, when `n_s < n`) in transposed `(n/2+1) x n` layout. Only the
+    /// stored columns each pass reads (`0..=P/2`, `0..P`) are computed;
+    /// the rest hold whatever an earlier call left there.
     half_spectrum: Vec<Complex>,
     /// Real-transform scratch, `(n/2+1) * n`.
     rscratch: Vec<Complex>,
@@ -284,6 +290,7 @@ impl LithoSimulator {
             kernels,
             bin,
             rbin_cols,
+            crop_cols: (0..=p / 2).collect(),
             ns,
             ns_fft: Fft2d::new(ns, ns)?,
             ns_rfft,
@@ -366,11 +373,13 @@ impl LithoSimulator {
         // The mask is real: a half-length rfft produces the stored half of
         // its conjugate-symmetric spectrum; the crop-multiply reads the
         // missing half through the symmetry and writes the same signed
-        // frequencies of the n_s-grid field spectrum.
-        self.rfft.forward(
+        // frequencies of the n_s-grid field spectrum. Only the columns the
+        // crop reads are transformed.
+        self.rfft.forward_support(
             mask.as_slice(),
             &mut ws.half_spectrum,
             &mut ws.rscratch,
+            Some(&self.crop_cols),
             &self.pool,
         )?;
         let kernels = self.kernels.iter().as_slice();
@@ -422,10 +431,11 @@ impl LithoSimulator {
             // Band-limited interpolation n_s -> n: the intensity occupies
             // only |k| <= P - 1, so zero-padding its spectrum is exact. The
             // n_s-size transforms are too small to be worth pool dispatch.
-            ns_rfft.forward(
+            ns_rfft.forward_support(
                 &ws.ns_real,
                 &mut ws.ns_half,
                 &mut ws.ns_scratch,
+                Some(&self.band_cols),
                 &InnerPool::serial(),
             )?;
             spectral::copy_half_band(&ws.ns_half, self.ns, &mut ws.raccum, n, p - 1)?;
@@ -483,14 +493,15 @@ impl LithoSimulator {
         // and carry the same scale.
         let dldi_field: &[f64] = match self.resampler() {
             Some((ns_rfft, scale)) => {
-                self.rfft.forward(
+                self.rfft.forward_support(
                     dldi.as_slice(),
                     &mut ws.half_spectrum,
                     &mut ws.rscratch,
+                    Some(&self.band_cols),
                     &self.pool,
                 )?;
-                // The forward pass left the intensity's full spectrum here;
-                // the sparse inverse needs zeros outside the band columns.
+                // The forward pass left the intensity's spectrum here; the
+                // sparse inverse needs zeros outside the band.
                 ws.ns_half.fill(Complex::ZERO);
                 spectral::copy_half_band(&ws.half_spectrum, n, &mut ws.ns_half, self.ns, p - 1)?;
                 ns_rfft.inverse_support_scaled(
@@ -1085,6 +1096,44 @@ mod tests {
             );
             assert_eq!(once.grad().as_slice(), ws.grad().as_slice(), "{name}");
             assert_eq!(once.fields(), ws.fields(), "{name}");
+        }
+    }
+
+    #[test]
+    fn unsupported_spectrum_columns_are_never_read() {
+        // The support-limited forwards leave most of `half_spectrum` (and
+        // of `ns_half`) unwritten. Poison both: if any unsupported column
+        // reached a result, NaN would.
+        let mut cases: Vec<(&str, usize, KernelSet)> = nyquist_cases()
+            .into_iter()
+            .map(|(name, n, kernels, _)| (name, n, kernels))
+            .collect();
+        let small = OpticsConfig::test_small();
+        cases.push((
+            "test_small@64 (n_s = n)",
+            small.base_n,
+            KernelSet::build(&small, false).unwrap(),
+        ));
+        for (name, n, kernels) in cases {
+            let sim = LithoSimulator::new(n, kernels).unwrap();
+            let mask = hard_mask(n);
+            let dldi = noise(n, 0x517c_c1b7_2722_0a95);
+            let mut clean = sim.workspace();
+            sim.simulate_into(&mask, &mut clean).unwrap();
+            sim.gradient_into(&mut clean, &dldi).unwrap();
+
+            let poison = Complex::new(f64::NAN, f64::NAN);
+            let mut ws = sim.workspace();
+            ws.half_spectrum.fill(poison);
+            ws.ns_half.fill(poison);
+            sim.simulate_into(&mask, &mut ws).unwrap();
+            sim.gradient_into(&mut ws, &dldi).unwrap();
+            assert_eq!(
+                clean.intensity().as_slice(),
+                ws.intensity().as_slice(),
+                "{name}"
+            );
+            assert_eq!(clean.grad().as_slice(), ws.grad().as_slice(), "{name}");
         }
     }
 
