@@ -64,7 +64,6 @@ fn bench_simulation(c: &mut Criterion) {
     let mut eval = LossEval {
         value: 0.0,
         dldi: Grid::new(n, n, 0.0),
-        wafer: Grid::new(n, n, 0.0),
     };
     c.bench_function("ilt_iteration_forward_adjoint_128", |b| {
         b.iter(|| {

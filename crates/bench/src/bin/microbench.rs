@@ -222,7 +222,6 @@ fn main() {
     let mut loss_eval = LossEval {
         value: 0.0,
         dldi: Grid::new(base_n, base_n, 0.0),
-        wafer: Grid::new(base_n, base_n, 0.0),
     };
     bench(
         &mut points,

@@ -46,7 +46,7 @@ mod fft2d;
 mod plan;
 mod rfft;
 #[allow(unsafe_code)]
-mod simd;
+pub mod simd;
 pub mod spectral;
 
 pub use cache::{

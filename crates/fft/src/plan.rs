@@ -248,7 +248,7 @@ impl FftPlan {
 fn butterfly_dispatch() -> fn(&mut [Complex], &mut [Complex], &[Complex]) {
     #[cfg(target_arch = "x86_64")]
     {
-        if crate::simd::butterfly_kernel_available() {
+        if crate::simd::avx2_fma_available() {
             return crate::simd::butterfly_block_x86;
         }
     }

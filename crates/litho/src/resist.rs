@@ -7,6 +7,7 @@
 //! surrogate, so the same model also exposes the logistic relaxation
 //! `Z = sigmoid(steepness * (I - threshold))` and its derivative.
 
+use ilt_fft::simd::{logistic, logistic_scaled};
 use ilt_grid::{BitGrid, RealGrid};
 
 /// Constant-threshold resist with a sigmoid relaxation.
@@ -87,30 +88,29 @@ impl ResistModel {
         self.steepness * z * (1.0 - z)
     }
 
-    /// Sigmoid-relaxed wafer image `Z = sigmoid(k (I - th))`.
+    /// Sigmoid-relaxed wafer image `Z = sigmoid(k (I - th))`: one slice
+    /// sweep, pixel for pixel equal to [`ResistModel::sigmoid_at`].
     pub fn sigmoid(&self, aerial: &RealGrid) -> RealGrid {
-        aerial.map(|&i| self.sigmoid_at(i))
+        let mut wafer = RealGrid::new(aerial.width(), aerial.height(), 0.0);
+        logistic_scaled(
+            aerial.as_slice(),
+            self.threshold,
+            self.steepness,
+            wafer.as_mut_slice(),
+        );
+        wafer
     }
 
     /// Derivative `dZ/dI = k Z (1 - Z)` evaluated from the aerial image.
     pub fn sigmoid_derivative(&self, aerial: &RealGrid) -> RealGrid {
-        aerial.map(|&i| self.sigmoid_derivative_at(i))
+        self.sigmoid(aerial)
+            .map(|&z| self.sigmoid_derivative_from(z))
     }
 }
 
 impl Default for ResistModel {
     fn default() -> Self {
         ResistModel::m1_default()
-    }
-}
-
-/// Numerically stable logistic function.
-fn logistic(x: f64) -> f64 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
     }
 }
 
@@ -167,6 +167,10 @@ mod tests {
         assert!((z.get(1, 0) - 0.5).abs() < 1e-12);
         assert!(z.get(2, 0) > 0.5);
         assert!(z.get(0, 0) < z.get(1, 0) && z.get(1, 0) < z.get(2, 0));
+        // The grid sweep and the scalar form are one definition.
+        for (&i, &z) in aerial.as_slice().iter().zip(z.as_slice()) {
+            assert_eq!(z, r.sigmoid_at(i));
+        }
     }
 
     #[test]
@@ -183,9 +187,12 @@ mod tests {
     }
 
     #[test]
-    fn logistic_is_stable_for_large_inputs() {
-        assert!((logistic(800.0) - 1.0).abs() < 1e-15);
-        assert!(logistic(-800.0).abs() < 1e-15);
-        assert!((logistic(0.0) - 0.5).abs() < 1e-15);
+    fn sigmoid_saturates_far_from_threshold_and_keeps_nan() {
+        let r = ResistModel::default();
+        let far = 800.0 / r.steepness;
+        assert!((r.sigmoid_at(r.threshold + far) - 1.0).abs() < 1e-15);
+        assert!(r.sigmoid_at(r.threshold - far).abs() < 1e-15);
+        assert!((r.sigmoid_at(r.threshold) - 0.5).abs() < 1e-15);
+        assert!(r.sigmoid_at(f64::NAN).is_nan());
     }
 }

@@ -15,16 +15,25 @@
 //! * **Real input.** Masks and loss derivatives are real, so their spectra
 //!   are conjugate symmetric: every `n`-size transform is a real-input
 //!   [`Rfft2d`] one over the stored half-spectrum.
+//! * **Support-limited forwards.** Of the `n/2 + 1` stored columns of a
+//!   mask-grid spectrum the optics can see very few: the crop `[.]_P`
+//!   reads columns `0..=P/2` of the mask's, the `2P - 1` band columns
+//!   `0..P` of `dL/dI`'s (14 and 27 of 129 at `n = 256`, `P = 27`). Both
+//!   `n`-size forwards, and the `n_s`-size one of the intensity, go through
+//!   [`Rfft2d::forward_support`]: all `n` real row transforms, then only
+//!   the listed column transforms. A computed column is computed exactly
+//!   as the dense transform would; the others are never read (a test
+//!   poisons them with NaN).
 //! * **Nyquist-grid evaluation.** Everything after the crop `[.]_P` is
 //!   band-limited: a field `A_i` to the `P` support bins, the intensity
 //!   `sum_i w_i |A_i|^2` to the `2P - 1` bins of their differences. Both
 //!   are therefore represented *exactly* by their samples on a grid of
 //!   `n_s = min(n, next_pow2(2P - 1))` points, and the simulator does
 //!   all per-kernel work there. Forward: one `n`-size real transform
-//!   of the mask, `K` crop-multiplies into `n_s^2` buffers and `K`
-//!   `n_s`-size inverses, the intensity sum on `n_s^2`, then one `n_s`-size
-//!   real forward, a copy of the `2P - 1` band into the `n`-size
-//!   half-spectrum and one sparse `n`-size real inverse (scale
+//!   of the mask (crop columns only), `K` crop-multiplies into `n_s^2`
+//!   buffers and `K` `n_s`-size inverses, the intensity sum on `n_s^2`,
+//!   then one `n_s`-size real forward, a copy of the `2P - 1` band into
+//!   the `n`-size half-spectrum and one sparse `n`-size real inverse (scale
 //!   `n_s^2 / n^2`) interpolate it back to the mask grid. The adjoint is
 //!   the exact transpose: `dL/dI` is low-passed onto the `n_s` grid the
 //!   same way (only its `2P - 1` band can reach the support), the `K`
@@ -50,7 +59,10 @@
 //! * Per-kernel inverses use [`Fft2d::inverse_support`], skipping the
 //!   first-pass transforms of the `n_s - P` rows the `P x P` crop left
 //!   zero; per-kernel forwards use [`Fft2d::forward_support_transposed`],
-//!   skipping the `n_s - P` column transforms nobody reads.
+//!   skipping the `n_s - P` column transforms nobody reads. With the
+//!   support-limited real forwards above, what is left at mask resolution
+//!   is what cannot shrink: the real row passes over the `n^2` pixels that
+//!   come in and go out, and the `O(P)` column transforms between them.
 
 use ilt_fft::{spectral, Complex, Fft2d, Rfft2d};
 use ilt_grid::{Grid, RealGrid};
@@ -81,10 +93,6 @@ pub struct LithoSimulator {
     /// Stored half-spectrum columns (`0..=n/2`) the Hermitianised adjoint
     /// accumulator can touch: the support columns and their reflections.
     rbin_cols: Vec<usize>,
-    /// Stored columns `0..=P/2` of the mask spectrum the crop `[.]_P`
-    /// reads: the support's columns `-P/2..P - P/2`, the negative ones
-    /// through the Hermitian mirror.
-    crop_cols: Vec<usize>,
     /// Edge of the grid the per-kernel fields are evaluated on (see
     /// [`nyquist_edge`]).
     ns: usize,
@@ -96,7 +104,10 @@ pub struct LithoSimulator {
     /// [`LithoSimulator::bin`] on the `n_s` grid.
     ns_bin: Vec<usize>,
     /// Stored half-spectrum columns `0..P` holding the intensity's
-    /// `2P - 1` band (the same indices on either grid).
+    /// `2P - 1` band (the same indices on either grid). Its prefix
+    /// `0..=P/2` is what the crop `[.]_P` reads of the mask's spectrum:
+    /// the support's columns `-P/2..P - P/2`, the negative ones through
+    /// the Hermitian mirror.
     band_cols: Vec<usize>,
     /// Worker pool for per-kernel and per-row-batch parallelism. Serial by
     /// default; see [`LithoSimulator::with_inner_pool`].
@@ -290,7 +301,6 @@ impl LithoSimulator {
             kernels,
             bin,
             rbin_cols,
-            crop_cols: (0..=p / 2).collect(),
             ns,
             ns_fft: Fft2d::new(ns, ns)?,
             ns_rfft,
@@ -379,7 +389,7 @@ impl LithoSimulator {
             mask.as_slice(),
             &mut ws.half_spectrum,
             &mut ws.rscratch,
-            Some(&self.crop_cols),
+            Some(&self.band_cols[..=p / 2]),
             &self.pool,
         )?;
         let kernels = self.kernels.iter().as_slice();

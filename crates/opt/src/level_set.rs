@@ -136,7 +136,6 @@ impl LevelSetIlt {
         let mut eval = LossEval {
             value: 0.0,
             dldi: RealGrid::new(w, h, 0.0),
-            wafer: RealGrid::new(w, h, 0.0),
         };
         let mut step = vec![0.0f64; w * h];
         for iter in 0..request.iterations {

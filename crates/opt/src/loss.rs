@@ -1,6 +1,7 @@
 //! The ILT objective: squared error between the sigmoid-relaxed wafer image
 //! and the target, differentiated with respect to the aerial intensity.
 
+use ilt_fft::simd::logistic_loss;
 use ilt_grid::RealGrid;
 use ilt_litho::ResistModel;
 
@@ -12,8 +13,6 @@ pub struct LossEval {
     /// Derivative of the loss with respect to the aerial intensity,
     /// `dL/dI = 2 (Z - Z_t) . k Z (1 - Z)`.
     pub dldi: RealGrid,
-    /// The relaxed wafer image itself (useful for monitoring).
-    pub wafer: RealGrid,
 }
 
 /// Evaluates the relaxed L2 objective against `target` (0/1 valued).
@@ -40,7 +39,6 @@ pub fn evaluate_loss(resist: &ResistModel, aerial: &RealGrid, target: &RealGrid)
     let mut out = LossEval {
         value: 0.0,
         dldi: RealGrid::new(aerial.width(), aerial.height(), 0.0),
-        wafer: RealGrid::new(aerial.width(), aerial.height(), 0.0),
     };
     evaluate_loss_into(resist, aerial, target, &mut out);
     out
@@ -49,7 +47,9 @@ pub fn evaluate_loss(resist: &ResistModel, aerial: &RealGrid, target: &RealGrid)
 /// Evaluates the relaxed L2 objective into reusable buffers: at steady
 /// state (matching shapes) this performs zero heap allocations, which is
 /// what lets the level-set solver's iteration loop stay allocation-free.
-/// Mismatched buffer shapes are (re)allocated on first use.
+/// Mismatched buffer shapes are (re)allocated on first use. One vectorised
+/// sweep ([`ilt_fft::simd::logistic_loss`]): one logistic per pixel, and a
+/// NaN intensity yields a NaN loss.
 ///
 /// # Panics
 ///
@@ -69,26 +69,13 @@ pub fn evaluate_loss_into(
     if (out.dldi.width(), out.dldi.height()) != (w, h) {
         out.dldi = RealGrid::new(w, h, 0.0);
     }
-    if (out.wafer.width(), out.wafer.height()) != (w, h) {
-        out.wafer = RealGrid::new(w, h, 0.0);
-    }
-    let mut value = 0.0;
-    for (((i, zt), dldi), wafer) in aerial
-        .as_slice()
-        .iter()
-        .zip(target.as_slice())
-        .zip(out.dldi.as_mut_slice())
-        .zip(out.wafer.as_mut_slice())
-    {
-        let z = resist.sigmoid_at(*i);
-        let e = z - zt;
-        value += e * e;
-        // One logistic evaluation per pixel: the derivative reuses `z`
-        // instead of re-evaluating the sigmoid.
-        *dldi = 2.0 * e * resist.sigmoid_derivative_from(z);
-        *wafer = z;
-    }
-    out.value = value;
+    out.value = logistic_loss(
+        aerial.as_slice(),
+        resist.threshold,
+        resist.steepness,
+        target.as_slice(),
+        out.dldi.as_mut_slice(),
+    );
 }
 
 #[cfg(test)]
@@ -155,11 +142,24 @@ mod tests {
     }
 
     #[test]
-    fn exposes_wafer_image() {
+    fn agrees_with_the_resist_model_pixel_by_pixel() {
+        // The sweep and `ResistModel`'s scalar methods are one definition.
         let r = resist();
-        let aerial = Grid::new(3, 3, r.threshold);
-        let eval = evaluate_loss(&r, &aerial, &Grid::new(3, 3, 0.0));
-        assert!((eval.wafer.get(1, 1) - 0.5).abs() < 1e-12);
+        let aerial = Grid::from_fn(9, 7, |x, y| 0.05 * x as f64 + 0.03 * y as f64);
+        let target = Grid::from_fn(9, 7, |x, y| ((x + y) % 2) as f64);
+        let eval = evaluate_loss(&r, &aerial, &target);
+        let mut value = 0.0;
+        for ((&i, &zt), &d) in aerial
+            .as_slice()
+            .iter()
+            .zip(target.as_slice())
+            .zip(eval.dldi.as_slice())
+        {
+            let z = r.sigmoid_at(i);
+            value += (z - zt) * (z - zt);
+            assert_eq!(d, 2.0 * (z - zt) * r.sigmoid_derivative_from(z));
+        }
+        assert!((eval.value - value).abs() <= 1e-12 * value);
     }
 
     #[test]

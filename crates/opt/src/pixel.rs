@@ -9,12 +9,12 @@
 //! on a 2x-downsampled grid (simulated with 2x-scaled kernels, Eq. (9))
 //! before refining at full resolution.
 
+use ilt_fft::simd::logistic_scaled;
 use ilt_grid::{resample, RealGrid};
 use ilt_litho::{LithoError, LithoSystem, SimWorkspace};
 
 use crate::error::OptError;
 use crate::loss::{evaluate_loss_into, LossEval};
-use crate::optimizer::Optimizer;
 use crate::solver::{IltOutcome, SolveContext, SolveRequest, TileSolver};
 
 /// Configuration of the pixel-domain solver.
@@ -168,10 +168,6 @@ impl PixelIlt {
         let coarse_iters = (request.iterations as f64 * self.config.coarse_fraction) as usize;
         let mut remaining = request.iterations;
 
-        // Gradient descent throughout; `lr_mult` compensates the coarse
-        // phase's 1/s^2 gradient attenuation from the downsampling adjoint.
-        let make_optimizer = |lr_mult: f64| Optimizer::sgd(lr * lr_mult);
-
         // Multi-level lithography simulation (ref. [4]): the early
         // iterations evaluate the forward model and its gradient on a
         // 2x-downsampled grid while the latent mask stays at full
@@ -182,12 +178,13 @@ impl PixelIlt {
             match ctx.bank.system(ctx.n / 2, ctx.scale * 2) {
                 Ok(system) => {
                     let coarse_target = resample::downsample(request.target, 2);
-                    let mut optimizer = make_optimizer(4.0);
+                    // The 4x rate compensates the 1/s^2 attenuation the
+                    // downsampling adjoint puts on the gradient.
                     run_loop(
                         &system,
                         &coarse_target,
                         &mut latent,
-                        &mut optimizer,
+                        4.0 * lr,
                         coarse_iters,
                         2,
                         &self.config,
@@ -207,12 +204,11 @@ impl PixelIlt {
         let coarse_len = history.len();
 
         let system = ctx.system()?;
-        let mut optimizer = make_optimizer(1.0);
         run_loop(
             &system,
             request.target,
             &mut latent,
-            &mut optimizer,
+            lr,
             remaining,
             1,
             &self.config,
@@ -227,14 +223,14 @@ impl PixelIlt {
     }
 }
 
-/// Inner gradient loop. `sim_scale` selects the multi-level simulation
-/// factor (see [`LatentObjective`]).
+/// Inner gradient-descent loop at a fixed learning rate. `sim_scale`
+/// selects the multi-level simulation factor (see [`LatentObjective`]).
 #[allow(clippy::too_many_arguments)]
 fn run_loop(
     system: &LithoSystem,
     target: &RealGrid,
     latent: &mut RealGrid,
-    optimizer: &mut Optimizer,
+    lr: f64,
     iterations: usize,
     sim_scale: usize,
     config: &PixelIltConfig,
@@ -253,8 +249,7 @@ fn run_loop(
                 completed_iterations: history.len(),
             });
         }
-        history.push(objective.evaluate(latent)?);
-        optimizer.step(latent.as_mut_slice(), &objective.grad_latent);
+        history.push(objective.descend(latent, lr)?);
     }
     Ok(())
 }
@@ -267,7 +262,10 @@ fn run_loop(
 /// operator.
 ///
 /// Owns one scratch arena and one set of grids for the whole loop:
-/// steady-state evaluations run without heap allocation.
+/// steady-state evaluations run without heap allocation. Everything that
+/// is not the simulator is three slice sweeps: latent to mask and
+/// intensity to loss and `dL/dI` (both [`ilt_fft::simd`] kernels on one
+/// polynomial logistic), and the chain rule fused with the descent step.
 struct LatentObjective<'a> {
     system: &'a LithoSystem,
     target: &'a RealGrid,
@@ -278,8 +276,8 @@ struct LatentObjective<'a> {
     /// Multi-level only: the downsampled mask and the upsampled gradient.
     resampled: Option<(RealGrid, RealGrid)>,
     eval: LossEval,
-    /// The objective's gradient w.r.t. the latent at the last
-    /// [`LatentObjective::evaluate`].
+    /// The objective's gradient w.r.t. the latent, at the point the last
+    /// [`LatentObjective::descend`] stepped from.
     grad_latent: Vec<f64>,
 }
 
@@ -306,20 +304,30 @@ impl<'a> LatentObjective<'a> {
             eval: LossEval {
                 value: 0.0,
                 dldi: RealGrid::new(sim_n, sim_n, 0.0),
-                wafer: RealGrid::new(sim_n, sim_n, 0.0),
             },
             grad_latent: vec![0.0; w * h],
         }
     }
 
-    /// Evaluates the objective at `latent`: returns the loss term alone
-    /// (what the convergence history records) and leaves the gradient of
-    /// the whole objective in `grad_latent`.
-    fn evaluate(&mut self, latent: &RealGrid) -> Result<f64, OptError> {
+    /// Evaluates the objective at `latent` and takes one gradient-descent
+    /// step of rate `lr` from there. Returns the loss term alone, before
+    /// the step (what the convergence history records), and leaves the
+    /// gradient of the whole objective in `grad_latent`. `lr = 0` is a
+    /// pure evaluation: the latent is not written at all, so a non-finite
+    /// gradient cannot reach it (`0 . inf` is NaN).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `latent` is not the `w x h` grid the objective was built
+    /// for.
+    fn descend(&mut self, latent: &mut RealGrid, lr: f64) -> Result<f64, OptError> {
         let (system, config, sim_scale) = (self.system, self.config, self.sim_scale);
-        let steepness = config.mask_steepness;
-        let (w, h) = (latent.width(), latent.height());
-        latent_to_mask_into(latent, steepness, &mut self.mask);
+        assert_eq!(
+            (latent.width(), latent.height()),
+            (self.mask.width(), self.mask.height()),
+            "latent/objective shape mismatch"
+        );
+        latent_to_mask_into(latent, config.mask_steepness, &mut self.mask);
         let sim_mask: &RealGrid = match &mut self.resampled {
             Some((coarse_mask, _)) => {
                 resample::downsample_into(&self.mask, sim_scale, coarse_mask);
@@ -336,52 +344,68 @@ impl<'a> LatentObjective<'a> {
         );
         let grad_sim = system.gradient_into(&mut self.ws, &self.eval.dldi)?;
         // Adjoint of s x s block averaging: each fine pixel receives its
-        // coarse pixel's gradient divided by s^2.
+        // coarse pixel's gradient divided by s^2 (the division rides the
+        // sweep below).
         let grad_mask: &RealGrid = match &mut self.resampled {
             Some((_, upsampled)) => {
-                let inv = 1.0 / (sim_scale * sim_scale) as f64;
                 resample::upsample_nearest_into(grad_sim, sim_scale, upsampled);
-                for g in upsampled.as_mut_slice() {
-                    *g *= inv;
-                }
                 upsampled
             }
             None => grad_sim,
         };
-        // Chain rule through the sigmoid: dM/dlatent = k M (1 - M), plus
-        // the binarisation penalty d/dm [m (1 - m)] = 1 - 2m.
-        for ((out, g), m) in self
-            .grad_latent
+        // The smoothness term needs every neighbour's value from before
+        // the step, so it goes first and the sweep adds to it.
+        let smooth = config.smooth_weight > 0.0;
+        if smooth {
+            smoothness_gradient_into(latent, config.smooth_weight, &mut self.grad_latent);
+        }
+        // Chain rule through the sigmoid, dM/dlatent = k M (1 - M), plus
+        // the binarisation penalty d/dm [m (1 - m)] = 1 - 2m, and the
+        // descent step, in one sweep.
+        let inv = 1.0 / (sim_scale * sim_scale) as f64;
+        let (steepness, binarize) = (config.mask_steepness, config.binarize_weight);
+        let step = lr != 0.0;
+        for (((t, out), &g), &m) in latent
+            .as_mut_slice()
             .iter_mut()
+            .zip(&mut self.grad_latent)
             .zip(grad_mask.as_slice())
             .zip(self.mask.as_slice())
         {
-            *out = (g + config.binarize_weight * (1.0 - 2.0 * m)) * steepness * m * (1.0 - m);
-        }
-        // Latent smoothness: gradient of 1/2 |grad latent|^2 is -laplacian
-        // (Neumann boundaries: missing neighbours contribute nothing).
-        if config.smooth_weight > 0.0 {
-            for y in 0..h {
-                for x in 0..w {
-                    let center = latent.get(x, y);
-                    let mut acc = 0.0;
-                    if x > 0 {
-                        acc += center - latent.get(x - 1, y);
-                    }
-                    if x + 1 < w {
-                        acc += center - latent.get(x + 1, y);
-                    }
-                    if y > 0 {
-                        acc += center - latent.get(x, y - 1);
-                    }
-                    if y + 1 < h {
-                        acc += center - latent.get(x, y + 1);
-                    }
-                    self.grad_latent[y * w + x] += config.smooth_weight * acc;
-                }
+            let chain = (g * inv + binarize * (1.0 - 2.0 * m)) * steepness * m * (1.0 - m);
+            let total = if smooth { *out + chain } else { chain };
+            *out = total;
+            if step {
+                *t -= lr * total;
             }
         }
         Ok(self.eval.value)
+    }
+}
+
+/// Writes the gradient of `1/2 weight . |grad latent|^2` — minus the
+/// Laplacian, with Neumann boundaries: missing neighbours contribute
+/// nothing.
+fn smoothness_gradient_into(latent: &RealGrid, weight: f64, out: &mut [f64]) {
+    let (w, h) = (latent.width(), latent.height());
+    for y in 0..h {
+        for x in 0..w {
+            let center = latent.get(x, y);
+            let mut acc = 0.0;
+            if x > 0 {
+                acc += center - latent.get(x - 1, y);
+            }
+            if x + 1 < w {
+                acc += center - latent.get(x + 1, y);
+            }
+            if y > 0 {
+                acc += center - latent.get(x, y - 1);
+            }
+            if y + 1 < h {
+                acc += center - latent.get(x, y + 1);
+            }
+            out[y * w + x] = weight * acc;
+        }
     }
 }
 
@@ -427,9 +451,7 @@ fn latent_to_mask(latent: &RealGrid, steepness: f64) -> RealGrid {
 
 /// [`latent_to_mask`] into a caller-owned grid of the same shape.
 fn latent_to_mask_into(latent: &RealGrid, steepness: f64, mask: &mut RealGrid) {
-    for (m, &t) in mask.as_mut_slice().iter_mut().zip(latent.as_slice()) {
-        *m = 1.0 / (1.0 + (-steepness * t).exp());
-    }
+    logistic_scaled(latent.as_slice(), 0.0, steepness, mask.as_mut_slice());
 }
 
 #[cfg(test)]
@@ -498,7 +520,8 @@ mod tests {
             // A mid-descent latent: gray everywhere, so no sigmoid is flat.
             let mut latent = to_latent(&target_grid(n), steep);
             perturb_latent(&mut latent, 0.3, &target);
-            objective.evaluate(&latent).unwrap();
+            // A zero-rate step is a pure evaluation.
+            objective.descend(&mut latent, 0.0).unwrap();
             let grad = objective.grad_latent.clone();
 
             let eps = 1e-4;
@@ -511,7 +534,7 @@ mod tests {
                 let original = latent.as_slice()[idx];
                 let mut at = |value: f64| -> f64 {
                     latent.as_mut_slice()[idx] = value;
-                    objective.evaluate(&latent).unwrap() + penalties(&latent)
+                    objective.descend(&mut latent, 0.0).unwrap() + penalties(&latent)
                 };
                 let numeric = (at(original + eps) - at(original - eps)) / (2.0 * eps);
                 at(original);
@@ -522,6 +545,39 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn nan_latent_pixel_yields_nan_loss() {
+        // A diverged solve must stay visible: `ilt-diag`'s divergence
+        // anomaly keys on a non-finite loss, so no clamp on the way from
+        // latent to loss may turn NaN into a number.
+        let bank = bank();
+        let config = PixelIltConfig::multi_level();
+        let system = bank.system(64, 1).unwrap();
+        let target = target_grid(64);
+        let mut objective = LatentObjective::new(&system, &target, 1, &config, (64, 64));
+        let mut latent = to_latent(&target, config.mask_steepness);
+        assert!(objective.descend(&mut latent, 0.0).unwrap().is_finite());
+        latent.set(17, 40, f64::NAN);
+        let before: Vec<u64> = latent.as_slice().iter().map(|v| v.to_bits()).collect();
+        assert!(objective.descend(&mut latent, 0.0).unwrap().is_nan());
+        // The NaN spread through the FFTs into every gradient pixel, and a
+        // zero-rate step still left the latent alone, bit for bit.
+        assert!(objective.grad_latent.iter().all(|g| g.is_nan()));
+        let after: Vec<u64> = latent.as_slice().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(before, after);
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch")]
+    fn latent_of_another_shape_panics() {
+        let bank = bank();
+        let config = PixelIltConfig::multi_level();
+        let system = bank.system(64, 1).unwrap();
+        let target = target_grid(64);
+        let mut objective = LatentObjective::new(&system, &target, 1, &config, (64, 64));
+        let _ = objective.descend(&mut RealGrid::new(64, 32, 0.0), 0.1);
     }
 
     #[test]
