@@ -15,8 +15,7 @@
 //! The drill asserts the locality contract (exactly the dirty set
 //! re-solves), a >= 2x end-to-end speedup over the cold re-solve, and warm
 //! quality within the `report_diff` tolerances of the cold reference. It
-//! writes `BENCH_eco.json` (schema `ilt-bench-trajectory/v1`) and attaches
-//! an `incremental` section to `report.json` for baseline gating.
+//! attaches an `incremental` section to `report.json` for baseline gating.
 //!
 //! ```text
 //! ILT_SCALE=tiny cargo run --release -p ilt-bench --bin eco_smoke
@@ -32,7 +31,7 @@ use ilt_store::MaskStore;
 use ilt_telemetry::json;
 use ilt_tile::Partition;
 
-/// One phase of the drill, as a trajectory point.
+/// One phase of the drill.
 struct Phase {
     label: &'static str,
     wall_seconds: f64,
@@ -238,42 +237,8 @@ fn main() {
         outcome.flow.wall_seconds
     );
 
-    let path = opts.artifact("BENCH_eco.json");
-    std::fs::write(&path, render_trajectory(&opts, &phases, speedup)).expect("write trajectory");
-    println!("wrote {}", path.display());
-
     ilt_bench::set_report_section("incremental", render_section(&outcome, speedup, &phases));
     opts.finish_run("eco_smoke");
-}
-
-/// Renders the `ilt-bench-trajectory/v1` drill trajectory: one point per
-/// phase, so CI can track cold and warm wall times side by side.
-fn render_trajectory(opts: &HarnessOptions, phases: &[Phase], speedup: f64) -> String {
-    let mut out = String::from("{\"schema\":\"ilt-bench-trajectory/v1\",\"binary\":\"eco_smoke\"");
-    out.push_str(",\"scale\":");
-    json::push_str_literal(&mut out, &opts.scale);
-    let _ = write!(out, ",\"workers\":{}", opts.workers);
-    out.push_str(",\"speedup\":");
-    json::push_f64(&mut out, speedup);
-    out.push_str(",\"points\":[");
-    for (i, p) in phases.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"phase\":");
-        json::push_str_literal(&mut out, p.label);
-        out.push_str(",\"wall_seconds\":");
-        json::push_f64(&mut out, p.wall_seconds);
-        let _ = write!(
-            out,
-            ",\"tiles_solved\":{},\"l2\":{},\"pvband\":{},\"stitch\":",
-            p.tiles_solved, p.l2, p.pvband
-        );
-        json::push_f64(&mut out, p.stitch);
-        out.push('}');
-    }
-    out.push_str("]}\n");
-    out
 }
 
 /// Renders the optional `incremental` section of `report.json`: the reuse

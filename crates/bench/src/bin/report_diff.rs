@@ -5,9 +5,11 @@
 //!     results/baselines/smoke.json smoke/report.json
 //! ```
 //!
-//! Compares a candidate report against a baseline (per-flow latency and the
-//! per-case quality summaries of the `diagnostics` section) and exits
-//! non-zero when the candidate regressed:
+//! Compares a candidate report against a baseline (the per-case quality
+//! summaries and degraded-tile count of the `diagnostics` section, and the
+//! ECO drill's reuse accounting) and exits non-zero when the candidate
+//! regressed. Wall clock and memory are not compared — baselines come from
+//! other machines; `benchmark/` measures those, parent against change.
 //!
 //! * exit `0` — no regression;
 //! * exit `1` — at least one regression (each printed on stderr);
@@ -15,18 +17,10 @@
 //!
 //! Flags (all optional, after the two report paths):
 //!
-//! * `--max-latency-ratio F` — fail when a flow is more than `F`× slower
-//!   than the baseline (default 2.0; a 5 ms floor absorbs timer noise on
-//!   trivially fast flows);
 //! * `--max-quality-ratio F` — fail when a quality metric exceeds
 //!   `baseline * F + slack` (default 1.10);
 //! * `--quality-slack F` — absolute slack added to every quality bound
-//!   (default 0.5), so near-zero baselines don't fail on noise;
-//! * `--max-rss-ratio F` — fail when the candidate's `memory.peak_rss_bytes`
-//!   exceeds `baseline * F` (default 1.10); skipped when either report
-//!   lacks the memory section;
-//! * `--ignore-latency` — skip the latency comparison entirely (useful
-//!   across machines of different speed).
+//!   (default 0.5), so near-zero baselines don't fail on noise.
 
 use std::process::ExitCode;
 
@@ -50,8 +44,7 @@ fn main() -> ExitCode {
             eprintln!("report_diff: {message}");
             eprintln!(
                 "usage: report_diff <baseline.json> <candidate.json> \
-                 [--max-latency-ratio F] [--max-quality-ratio F] \
-                 [--quality-slack F] [--max-rss-ratio F] [--ignore-latency]"
+                 [--max-quality-ratio F] [--quality-slack F]"
             );
             ExitCode::from(2)
         }
@@ -64,11 +57,8 @@ fn run(args: &[String]) -> Result<Vec<ilt_diag::Regression>, String> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--max-latency-ratio" => thresholds.max_latency_ratio = ratio_arg(arg, it.next())?,
             "--max-quality-ratio" => thresholds.max_quality_ratio = ratio_arg(arg, it.next())?,
             "--quality-slack" => thresholds.quality_slack = ratio_arg(arg, it.next())?,
-            "--max-rss-ratio" => thresholds.max_rss_ratio = ratio_arg(arg, it.next())?,
-            "--ignore-latency" => thresholds.check_latency = false,
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             path => paths.push(path.to_string()),
         }

@@ -2,7 +2,10 @@
 //!
 //! Shared plumbing for the experiment binaries that regenerate every table
 //! and figure of the paper's evaluation (see `DESIGN.md` for the
-//! experiment-to-binary index), plus Criterion micro-benchmarks.
+//! experiment-to-binary index) and for the drills whose gates are counts,
+//! quality digits or same-process ratios (`eco_smoke`, `serve_load`,
+//! `memprofile`, `obs_overhead`, `report_diff`). Wall-clock speed is not
+//! measured here: that is `benchmark/` (`BENCHMARK.json`).
 //!
 //! Environment knobs honoured by all binaries:
 //!
@@ -17,9 +20,8 @@
 //! * `ILT_OUT` — output directory for CSV/PGM artifacts (default
 //!   `results/`);
 //! * `ILT_TRACE` — `1`/`true`/`on`/`yes` enables telemetry collection
-//!   (spans, counters, histograms) for the run;
-//! * `ILT_TRACE_OUT` — directory for the trace artifacts written by
-//!   [`HarnessOptions::finish_run`] (default: the `ILT_OUT` directory).
+//!   (spans, counters, histograms) for the run; the trace artifacts written
+//!   by [`HarnessOptions::finish_run`] land in the `ILT_OUT` directory.
 //!
 //! Invalid values of `ILT_SCALE`, `ILT_CASES`, `ILT_WORKERS`, or
 //! `ILT_INNER_THREADS` are reported on stderr (naming the variable and the
@@ -147,8 +149,7 @@ impl HarnessOptions {
     /// Always writes `report.json` (schema `ilt-report/v2`) into the
     /// artifact directory. When tracing is enabled (`ILT_TRACE=1`), also
     /// writes `<binary>_events.jsonl` and `<binary>_trace.json` (Chrome
-    /// `trace_event` format) into the trace directory (`ILT_TRACE_OUT`,
-    /// default: the artifact directory), renders the spatial diagnostic
+    /// `trace_event` format) beside it, renders the spatial diagnostic
     /// maps collected by `ilt-diag` (per-case EPE hotspot / seam mismatch /
     /// MRC overlay PGMs plus a `tile_quality.csv` matrix), and prints the
     /// span-tree summary.
@@ -167,17 +168,13 @@ impl HarnessOptions {
         std::fs::write(&path, report).expect("cannot write report.json");
         println!("wrote {}", path.display());
         if trace_enabled {
-            let dir = std::env::var("ILT_TRACE_OUT")
-                .map(PathBuf::from)
-                .unwrap_or_else(|_| self.out_dir.clone());
-            std::fs::create_dir_all(&dir).expect("cannot create trace output directory");
-            let events_path = dir.join(format!("{binary}_events.jsonl"));
+            let events_path = self.artifact(&format!("{binary}_events.jsonl"));
             std::fs::write(&events_path, tele.to_jsonl()).expect("cannot write JSONL event log");
-            let trace_path = dir.join(format!("{binary}_trace.json"));
+            let trace_path = self.artifact(&format!("{binary}_trace.json"));
             std::fs::write(&trace_path, tele.to_chrome_trace()).expect("cannot write Chrome trace");
             println!("wrote {}", events_path.display());
             println!("wrote {}", trace_path.display());
-            write_diag_artifacts(&dir, &diag);
+            write_diag_artifacts(&self.out_dir, &diag);
             print!("{}", tele.render_tree());
         }
     }
@@ -187,7 +184,7 @@ impl HarnessOptions {
 /// [`HarnessOptions::finish_run`], keyed by section name. The ECO smoke
 /// drill uses this to attach its `incremental` section (reuse accounting,
 /// cold-vs-warm timing, quality deltas) to the standard `ilt-report/v2`
-/// document, where `report_diff` gates it alongside latency and quality.
+/// document, where `report_diff` gates it alongside quality.
 static EXTRA_SECTIONS: std::sync::Mutex<Vec<(String, String)>> = std::sync::Mutex::new(Vec::new());
 
 /// Registers (or replaces) an extra top-level `report.json` section. The
@@ -481,9 +478,9 @@ fn push_profile_section(out: &mut String) {
     out.push_str("}}");
 }
 
-/// Appends the optional `memory` report section: current/peak RSS (the
-/// field the `report_diff` `--max-rss-ratio` gate reads) plus, when the
-/// tracking allocator is on, global and per-stage allocation counters.
+/// Appends the optional `memory` report section: current/peak RSS plus,
+/// when the tracking allocator is on, global and per-stage allocation
+/// counters.
 fn push_memory_section(out: &mut String) {
     use ilt_telemetry::json;
     let rss = ilt_prof::rss::read();
@@ -623,7 +620,7 @@ mod tests {
         }
         assert!(json.get("gauges").is_some(), "gauges section present");
         // On Linux the RSS reader always has something to say, so every
-        // report carries the memory section the RSS regression gate reads.
+        // report carries the memory section.
         #[cfg(target_os = "linux")]
         {
             let memory = json.get("memory").expect("memory section");

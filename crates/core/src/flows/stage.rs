@@ -101,18 +101,16 @@ pub(crate) struct Recovering<'a> {
     /// Flow report name, for diagnostics.
     flow: &'a str,
     executor: &'a TileExecutor,
-    policy: RetryPolicy,
     /// Every tile degraded so far, in stage order.
     pub degraded: Vec<DegradedTile>,
 }
 
 impl<'a> Recovering<'a> {
-    /// A recovery context with the environment's retry policy.
+    /// A recovery context with no tile degraded yet.
     pub(crate) fn new(flow: &'a str, executor: &'a TileExecutor) -> Self {
         Recovering {
             flow,
             executor,
-            policy: RetryPolicy::from_env(),
             degraded: Vec::new(),
         }
     }
@@ -135,7 +133,9 @@ impl<'a> Recovering<'a> {
         indices: &[usize],
         solve: impl Fn(usize) -> Result<(RealGrid, f64), CoreError> + Sync,
     ) -> Result<Vec<(RealGrid, f64)>, CoreError> {
-        let results = self.executor.run_recoverable(indices, self.policy, solve);
+        let results = self
+            .executor
+            .run_recoverable(indices, RetryPolicy::default(), solve);
         let mut solved = Vec::with_capacity(results.len());
         for (result, &tile) in results.into_iter().zip(indices) {
             let error = match result {
@@ -191,8 +191,7 @@ impl FineTiles<'_> {
     /// Solves tile `i` for `iterations`, warm-started from its crop of
     /// `mask`: between Schwarz stages the margins carry the neighbours'
     /// latest solutions (the boundary condition Eq. (11)). `gentle` selects
-    /// the refine pass's small, strictly gradient-proportional steps over
-    /// the fine stages'.
+    /// the refine pass's small learning rate over the fine stages'.
     pub(crate) fn solve(
         &self,
         label: &str,
@@ -219,7 +218,6 @@ impl FineTiles<'_> {
             } else {
                 schedule.fine_lr_scale
             },
-            gentle,
             warm: true,
         };
         let (outcome, elapsed) =

@@ -76,7 +76,6 @@ pub fn stitch_and_heal(
                 initial: &tile_init,
                 iterations: config.schedule.heal_iterations,
                 lr_scale: config.schedule.fine_lr_scale,
-                gentle: false,
                 warm: true,
             };
             let (outcome, elapsed) =

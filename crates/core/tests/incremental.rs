@@ -172,6 +172,8 @@ struct Rendezvous {
     inner: PixelIlt,
     /// Fine-stage solves per stage (the size of the re-solve set).
     per_stage: usize,
+    /// The schedule's refine learning-rate scale, which marks refine solves.
+    refine_lr_scale: f64,
     /// `(started, in flight now, most in flight during the first stage)`.
     state: Mutex<(usize, usize, usize)>,
     joined: Condvar,
@@ -187,8 +189,8 @@ impl TileSolver for Rendezvous {
         ctx: &SolveContext<'_>,
         request: &SolveRequest<'_>,
     ) -> Result<IltOutcome, OptError> {
-        // Refine solves are gentle; the fine stages are not.
-        if request.gentle {
+        // Refine solves run at the refine rate; the fine stages do not.
+        if request.lr_scale == self.refine_lr_scale {
             return self.inner.solve(ctx, request);
         }
         {
@@ -227,6 +229,7 @@ fn corner_edit_resolves_its_dirty_tiles_concurrently() {
     let solver = Rendezvous {
         inner: PixelIlt::new(),
         per_stage: 4,
+        refine_lr_scale: config.schedule.refine_lr_scale,
         state: Mutex::new((0, 0, 0)),
         joined: Condvar::new(),
     };

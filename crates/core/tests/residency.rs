@@ -15,45 +15,62 @@ use ilt_tile::{multi_coloring, Partition, TileExecutor};
 
 #[test]
 fn resident_tile_masks_are_bounded_by_one_colour_band() {
-    // clip = tile + 3 strides: a 4×4 grid of 16 fine tiles.
-    let mut config = ExperimentConfig::test_tiny();
-    let tile = config.partition.tile;
-    config.clip = tile + 3 * (tile - config.partition.overlap);
-    config.generator.size = config.clip;
-    let partition = Partition::new(config.clip, config.clip, config.partition).unwrap();
-    assert_eq!(partition.tiles().len(), 16);
-    let largest_band = multi_coloring(&partition)
-        .groups()
-        .iter()
-        .map(Vec::len)
-        .max()
+    let base = ExperimentConfig::test_tiny();
+    let tile = base.partition.tile;
+    let stride = tile - base.partition.overlap;
+    let bank = LithoBank::new(base.optics, ResistModel::m1_default()).unwrap();
+    // clip = tile + (count - 1) strides puts `count` tile origins on each
+    // axis: the 1×1, 2×2, 3×3 and 4×4 grids, each under the deepest
+    // hierarchy whose coarsest tile still fits the clip.
+    for count in 1usize..=4 {
+        let mut config = base.clone();
+        config.clip = tile + (count - 1) * stride;
+        config.generator.size = config.clip;
+        config.s_max = 1;
+        while 2 * config.s_max <= base.s_max && 2 * config.s_max * tile <= config.clip {
+            config.s_max *= 2;
+        }
+        let partition = Partition::new(config.clip, config.clip, config.partition).unwrap();
+        assert_eq!(partition.tiles().len(), count * count);
+        // One colour band of fine tile masks. The only coarse level these
+        // grids reach is s = 2, whose bands are a single (2·tile)² mask:
+        // four fine tiles' worth, which is also the largest fine band of
+        // every grid that has that level (3×3 and 4×4).
+        let largest_band = multi_coloring(&partition)
+            .groups()
+            .iter()
+            .map(Vec::len)
+            .max()
+            .unwrap();
+        let band_bound = (largest_band * tile * tile * std::mem::size_of::<f64>()) as i64;
+
+        let target = generate_clip(&config.generator, 1);
+        ilt_prof::residency::reset();
+        multigrid_schwarz(
+            &config,
+            &bank,
+            &target,
+            &PixelIlt::new(),
+            &TileExecutor::new(2),
+        )
         .unwrap();
-    assert_eq!(largest_band, 4);
-    let band_bound = (largest_band * tile * tile * std::mem::size_of::<f64>()) as i64;
 
-    let bank = LithoBank::new(config.optics, ResistModel::m1_default()).unwrap();
-    let target = generate_clip(&config.generator, 1);
-    ilt_prof::residency::reset();
-    multigrid_schwarz(
-        &config,
-        &bank,
-        &target,
-        &PixelIlt::new(),
-        &TileExecutor::new(2),
-    )
-    .unwrap();
-
-    let peak = ilt_prof::residency::peak_bytes();
-    assert!(peak > 0, "the flow never accounted a resident band");
-    // Holding every fine tile before folding would peak at 16 tiles, four
-    // times the bound.
-    assert!(
-        peak <= band_bound,
-        "resident tile masks peaked at {peak} B, above one colour band ({band_bound} B)"
-    );
-    assert_eq!(
-        ilt_prof::residency::resident_bytes(),
-        0,
-        "every acquired band must be released once folded"
-    );
+        let peak = ilt_prof::residency::peak_bytes();
+        assert!(
+            peak > 0,
+            "{count}x{count}: the flow never accounted a resident band"
+        );
+        // Holding every fine tile before folding would peak at count²
+        // tiles: 9 against a band of 4 at 3×3, 16 against 4 at 4×4.
+        assert!(
+            peak <= band_bound,
+            "{count}x{count}: resident tile masks peaked at {peak} B, above one colour \
+             band ({band_bound} B)"
+        );
+        assert_eq!(
+            ilt_prof::residency::resident_bytes(),
+            0,
+            "{count}x{count}: every acquired band must be released once folded"
+        );
+    }
 }

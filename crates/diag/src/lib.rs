@@ -13,7 +13,8 @@
 //!   telemetry tree and cells in the run's convergence matrix.
 //! * **Regression gating** ([`diff`]) — [`compare_reports`] diffs two
 //!   `ilt-report` JSON documents (parsed with the dependency-free
-//!   [`jsonv::Json`] parser) and lists quality/latency regressions; the
+//!   [`jsonv::Json`] parser) and lists quality, degradation and reuse
+//!   regressions; the
 //!   `report_diff` bench binary wraps it for CI.
 //!
 //! Everything funnels through the process-global [`sink`], gated — like

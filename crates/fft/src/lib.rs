@@ -10,7 +10,7 @@
 //! * [`Complex`] — a small `f64` complex number;
 //! * [`FftPlan`] / [`Fft2d`] — reusable radix-2 plans for 1-D and 2-D
 //!   transforms;
-//! * [`spectral`] — layout conversions (`fftshift`), the low-frequency crop
+//! * [`spectral`] — signed/unshifted bin conversions, the low-frequency crop
 //!   `[.]_P` and its adjoint, and the fractional-frequency kernel resampling
 //!   `H_i(j/s, k/s)` required by the paper's Eq. (3) and Eq. (9);
 //! * [`dft_reference`] / [`dft2_reference`] — `O(n^2)` oracles for testing.

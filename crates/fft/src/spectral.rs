@@ -55,39 +55,6 @@ pub fn signed_index(i: usize, n: usize) -> i64 {
     }
 }
 
-/// Moves DC from the corner to the center of a row-major `rows x cols`
-/// spectrum (a 2-D `fftshift`). Works for odd and even sizes.
-pub fn fftshift2(data: &[Complex], rows: usize, cols: usize) -> Vec<Complex> {
-    assert_eq!(data.len(), rows * cols, "buffer does not match shape");
-    let mut out = vec![Complex::ZERO; rows * cols];
-    let rshift = rows / 2;
-    let cshift = cols / 2;
-    for r in 0..rows {
-        let nr = (r + rshift) % rows;
-        for c in 0..cols {
-            let nc = (c + cshift) % cols;
-            out[nr * cols + nc] = data[r * cols + c];
-        }
-    }
-    out
-}
-
-/// Inverse of [`fftshift2`]: moves a centered DC back to the corner.
-pub fn ifftshift2(data: &[Complex], rows: usize, cols: usize) -> Vec<Complex> {
-    assert_eq!(data.len(), rows * cols, "buffer does not match shape");
-    let mut out = vec![Complex::ZERO; rows * cols];
-    let rshift = rows.div_ceil(2);
-    let cshift = cols.div_ceil(2);
-    for r in 0..rows {
-        let nr = (r + rshift) % rows;
-        for c in 0..cols {
-            let nc = (c + cshift) % cols;
-            out[nr * cols + nc] = data[r * cols + c];
-        }
-    }
-    out
-}
-
 /// Extracts the centered low-frequency `p x p` block `[.]_p` from an
 /// unshifted `n x n` spectrum. The output is **centered** (DC at `p/2, p/2`).
 ///
@@ -263,46 +230,6 @@ fn bilinear(block: &[Complex], p: usize, r: f64, c: f64) -> Complex {
         + f11.scale(dr * dc)
 }
 
-/// Restricts an unshifted `sn x sn` spectrum to its centered `n x n`
-/// low-frequency block (same signed frequency indices, scaled by `1/s^2`),
-/// yielding the unshifted `n x n` spectrum of the spatially `s`-downsampled
-/// image — the approximation of Eq. (8): for band-limited content,
-/// `F_N(M_s)(j,k) ~= F_sN(M)(j,k) / s^2`.
-///
-/// # Errors
-///
-/// Returns [`FftError::ShapeMismatch`] if the buffer does not match `sn*sn`,
-/// or [`FftError::InvalidCrop`] if `sn` is not divisible by `s`.
-pub fn subsample_spectrum(
-    spectrum: &[Complex],
-    sn: usize,
-    s: usize,
-) -> Result<Vec<Complex>, FftError> {
-    if s == 0 || !sn.is_multiple_of(s) {
-        return Err(FftError::InvalidCrop { from: sn, to: s });
-    }
-    if spectrum.len() != sn * sn {
-        return Err(FftError::ShapeMismatch {
-            expected: sn * sn,
-            actual: spectrum.len(),
-        });
-    }
-    let n = sn / s;
-    let mut out = vec![Complex::ZERO; n * n];
-    let scale = 1.0 / (s * s) as f64;
-    for r in 0..n {
-        // Bin r of the coarse grid (pixel pitch s) and bin r of the fine grid
-        // carry the same physical frequency signed(r)/(s*n); decimation of a
-        // band-limited image keeps exactly that alias.
-        let sr = wrap_index(signed_index(r, n), sn);
-        for c in 0..n {
-            let sc = wrap_index(signed_index(c, n), sn);
-            out[r * n + c] = spectrum[sr * sn + sc].scale(scale);
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,25 +242,6 @@ mod tests {
                 assert_eq!(wrap_index(signed_index(i, n), n), i, "n={n} i={i}");
             }
         }
-    }
-
-    #[test]
-    fn fftshift_roundtrip_even_and_odd() {
-        for n in [4usize, 5] {
-            let data: Vec<Complex> = (0..n * n).map(|i| Complex::from_re(i as f64)).collect();
-            let shifted = fftshift2(&data, n, n);
-            let back = ifftshift2(&shifted, n, n);
-            assert_eq!(back, data, "n={n}");
-        }
-    }
-
-    #[test]
-    fn fftshift_moves_dc_to_center() {
-        let n = 4;
-        let mut data = vec![Complex::ZERO; n * n];
-        data[0] = Complex::ONE;
-        let shifted = fftshift2(&data, n, n);
-        assert_eq!(shifted[(n / 2) * n + n / 2], Complex::ONE);
     }
 
     #[test]
@@ -512,47 +420,5 @@ mod tests {
     fn upsample_rejects_wrong_buffer() {
         let block = vec![Complex::ZERO; 8];
         assert!(upsample_centered(&block, 3, 2).is_err());
-    }
-
-    #[test]
-    fn subsample_matches_spatial_downsampling_for_bandlimited_input() {
-        // For an image containing only frequencies below n/(2s), decimating
-        // in space and subsampling the spectrum agree exactly.
-        let sn = 16;
-        let s = 2;
-        let n = sn / s;
-        let fft_big = Fft2d::new(sn, sn).unwrap();
-        let fft_small = Fft2d::new(n, n).unwrap();
-        // Band-limited image: single low-frequency cosine.
-        let img: Vec<Complex> = (0..sn * sn)
-            .map(|i| {
-                let (y, x) = (i / sn, i % sn);
-                Complex::from_re(
-                    (2.0 * std::f64::consts::PI * (x as f64 + 2.0 * y as f64) / sn as f64).cos(),
-                )
-            })
-            .collect();
-        let mut big_spec = img.clone();
-        fft_big.forward(&mut big_spec).unwrap();
-        let sub = subsample_spectrum(&big_spec, sn, s).unwrap();
-        // Spatial decimation.
-        let mut small: Vec<Complex> = Vec::with_capacity(n * n);
-        for y in 0..n {
-            for x in 0..n {
-                small.push(img[(y * s) * sn + x * s]);
-            }
-        }
-        fft_small.forward(&mut small).unwrap();
-        for (a, b) in sub.iter().zip(&small) {
-            assert!((*a - *b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn subsample_rejects_bad_factor() {
-        let spectrum = vec![Complex::ZERO; 36];
-        assert!(subsample_spectrum(&spectrum, 6, 4).is_err());
-        assert!(subsample_spectrum(&spectrum, 6, 0).is_err());
-        assert!(subsample_spectrum(&spectrum[..10], 6, 2).is_err());
     }
 }

@@ -41,7 +41,6 @@
 mod error;
 mod level_set;
 mod loss;
-mod optimizer;
 mod pixel;
 mod sdf;
 mod solver;
@@ -49,7 +48,6 @@ mod solver;
 pub use error::OptError;
 pub use level_set::{LevelSetIlt, LevelSetIltConfig};
 pub use loss::{evaluate_loss, evaluate_loss_into, LossEval};
-pub use optimizer::{AdamState, Optimizer};
 pub use pixel::{PixelIlt, PixelIltConfig};
 pub use sdf::{
     signed_distance, smooth_mask, smooth_mask_derivative, smooth_mask_derivative_into,

@@ -742,7 +742,6 @@ mod tests {
             initial: &initial,
             iterations: 1,
             lr_scale: 1e-9,
-            gentle: true,
             warm: true,
         };
         let outcome = PixelIlt::new().solve(&ctx, &req).unwrap();
@@ -757,9 +756,9 @@ mod tests {
     }
 
     #[test]
-    fn gentle_steps_scale_with_lr() {
-        // In gentle (SGD) mode the step is proportional to lr_scale: a
-        // 10x-smaller rate must move the mask strictly less.
+    fn warm_steps_scale_with_lr() {
+        // The descent step is proportional to lr_scale: a 10x-smaller rate
+        // must move the mask strictly less.
         let bank = bank();
         let ctx = SolveContext {
             bank: &bank,
@@ -773,7 +772,6 @@ mod tests {
                 initial: &target,
                 iterations: 2,
                 lr_scale,
-                gentle: true,
                 warm: true,
             };
             let outcome = PixelIlt::new().solve(&ctx, &req).unwrap();
@@ -787,10 +785,7 @@ mod tests {
         };
         let big = movement(0.1);
         let small = movement(0.01);
-        assert!(
-            small < big,
-            "gentle movement not monotone: {small} vs {big}"
-        );
+        assert!(small < big, "warm movement not monotone: {small} vs {big}");
     }
 
     #[test]

@@ -42,10 +42,6 @@ pub struct SolveRequest<'a> {
     pub iterations: usize,
     /// Learning-rate multiplier (the paper's refine ILT uses a small rate).
     pub lr_scale: f64,
-    /// Gentle mode for refinement passes: solvers take strictly
-    /// gradient-proportional steps (no adaptive-optimiser restart noise),
-    /// so a converged warm start is only nudged, never reshuffled.
-    pub gentle: bool,
     /// Warm-start mode: `initial` is already a near-converged solution
     /// (e.g. cropped from an assembled layout between Schwarz stages), so
     /// solvers must skip global restructuring steps — in particular the
@@ -62,7 +58,6 @@ impl<'a> SolveRequest<'a> {
             initial,
             iterations,
             lr_scale: 1.0,
-            gentle: false,
             warm: false,
         }
     }

@@ -18,7 +18,7 @@
 //!   trajectories.
 //! * [`residency`] — a high-water counter of solved-tile-mask bytes a
 //!   flow holds between solve and assembly, the quantity streaming
-//!   assembly bounds (the `fullchip` bench gates on it).
+//!   assembly bounds (`ilt-core`'s `residency` test gates on it).
 //!
 //! Results surface through `ilt-report/v2` `profile`/`memory` sections,
 //! `ilt-serve`'s `/debug/profile` and `/debug/memory`, and the

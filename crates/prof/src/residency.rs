@@ -7,14 +7,14 @@
 //! high-water mark and is identical whether tiles are folded band by
 //! band or held until a batch assemble. This module tracks the one
 //! quantity streaming actually bounds — the bytes of *solved tile masks
-//! resident at once* — at the point where flows hold them, so the
-//! `fullchip` gate measures real code behaviour: a regression that
-//! re-collects every tile before folding trips it regardless of what
-//! the allocator peak does.
+//! resident at once* — at the point where flows hold them, so
+//! `ilt-core`'s `residency` test measures real code behaviour: a
+//! regression that re-collects every tile before folding trips it
+//! regardless of what the allocator peak does.
 //!
 //! Flows call [`acquire`] when a batch of solved masks materialises and
 //! [`release`] when it is folded into the assembler and dropped. The
-//! counters are process-global like the rest of `ilt-prof`; benches
+//! counters are process-global like the rest of `ilt-prof`; callers
 //! [`reset`] around a measured run.
 
 use std::sync::atomic::{AtomicI64, Ordering};

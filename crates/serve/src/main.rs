@@ -32,7 +32,7 @@ fn main() {
     }
     ilt_telemetry::flight::init_from_env();
     // A service profiles by default: the sampler feeds /debug/profile and
-    // the RSS window, at ~1% overhead (gated by the microbench A/B).
+    // the RSS window, at well under 1% overhead (gated by the `obs_overhead` bin).
     ilt_prof::init_from_env(true);
     ilt_fault::configure_from_env();
     let config = ServeConfig::from_env();

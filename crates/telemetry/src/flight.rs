@@ -80,7 +80,7 @@ pub fn set_capacity(per_shard: usize) {
 }
 
 /// Turns recording off (or back on). The kill switch exists for overhead
-/// measurement (`microbench` compares recording on vs. off) and for
+/// measurement (`obs_overhead` times spans with recording on and off) and for
 /// embedders that want the old trace-or-nothing behaviour; it is on by
 /// default.
 pub fn set_recording(on: bool) {

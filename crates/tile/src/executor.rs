@@ -56,27 +56,6 @@ impl RetryPolicy {
         RetryPolicy::new(1, Duration::ZERO)
     }
 
-    /// Reads `ILT_TILE_RETRIES` (extra attempts after the first, default 1)
-    /// and `ILT_TILE_BACKOFF_MS` (base backoff, default 5). Unparsable
-    /// values warn on stderr and fall back to the defaults.
-    pub fn from_env() -> Self {
-        fn read(name: &str, default: u64) -> u64 {
-            match std::env::var(name) {
-                Ok(raw) => match raw.trim().parse() {
-                    Ok(v) => v,
-                    Err(_) => {
-                        eprintln!("ilt-tile: ignoring unparsable {name}={raw:?}");
-                        default
-                    }
-                },
-                Err(_) => default,
-            }
-        }
-        let retries = read("ILT_TILE_RETRIES", 1) as usize;
-        let backoff = Duration::from_millis(read("ILT_TILE_BACKOFF_MS", 5));
-        RetryPolicy::new(1 + retries, backoff)
-    }
-
     /// Backoff to sleep after failed attempt number `attempt` (1-based):
     /// `backoff * 2^(attempt-1)`, saturating.
     fn backoff_for(&self, attempt: usize) -> Duration {
