@@ -9,8 +9,9 @@
 //!
 //! The gate is attribution, not size: on each grid at least 90% of the
 //! tracked bytes must carry a named stage and the RSS reader must report
-//! a non-zero peak, or the binary exits non-zero. How much memory a run
-//! takes is `peak_rss_mib` in `benchmark/`.
+//! a non-zero peak, or the binary exits non-zero (after writing its
+//! artifacts). How much memory a run takes is `peak_rss_mib` in
+//! `benchmark/`.
 //!
 //! Artifacts, all in `ILT_OUT` (default `results/`):
 //!
@@ -63,6 +64,8 @@ fn main() {
     );
 
     let executor = opts.executor();
+    // The least-attributed grid, gated once the artifacts are written.
+    let mut worst = (1.0f64, String::new());
     // Clip factors 1 and 2 over the fixed tile/overlap geometry give the
     // 1×1 and paper-ratio 3×3 tile grids (stride is half a tile, so the
     // next admissible clip after 1×1 is already 3×3).
@@ -142,14 +145,12 @@ fn main() {
                 );
             }
         }
-        assert!(
-            attribution >= 0.9,
-            "{grid}: only {:.1}% of tracked bytes attributed to a named stage",
-            attribution * 100.0
-        );
         // Only Linux has the `/proc/self/status` the RSS reader parses.
         if cfg!(target_os = "linux") {
             assert!(window_peak_rss > 0, "{grid}: RSS reader saw no peak");
+        }
+        if attribution < worst.0 {
+            worst = (attribution, grid);
         }
     }
 
@@ -164,4 +165,10 @@ fn main() {
 
     ilt_prof::stop_sampler();
     opts.finish_run("memprofile");
+    assert!(
+        worst.0 >= 0.9,
+        "{}: only {:.1}% of tracked bytes attributed to a named stage",
+        worst.1,
+        worst.0 * 100.0
+    );
 }

@@ -97,7 +97,7 @@ fn main() {
         value: 0.0,
         dldi: Grid::new(n, n, 0.0),
     };
-    let mut iteration_ns: Vec<f64> = (0..WARMUP + ITERATIONS)
+    let mut timed: Vec<f64> = (0..WARMUP + ITERATIONS)
         .map(|_| {
             let started = Instant::now();
             system.simulate_into(&mask, &mut ws).unwrap();
@@ -107,8 +107,8 @@ fn main() {
         })
         .skip(WARMUP)
         .collect();
-    iteration_ns.sort_by(f64::total_cmp);
-    let iteration_ns = iteration_ns[ITERATIONS / 2];
+    timed.sort_by(f64::total_cmp);
+    let iteration_ns = timed[ITERATIONS / 2];
     println!(
         "iteration (simulate -> loss -> gradient): median {:.1} us of {ITERATIONS}",
         iteration_ns / 1e3

@@ -33,7 +33,13 @@ fn main() {
 
     println!("Parallel speedup experiment (schedule model beside measured wall clock)");
     let cores = ilt_par::available_cores();
-    let measured: Vec<usize> = workers.iter().copied().filter(|&w| w <= cores).collect();
+    // The measurable worker counts are a prefix of `workers` (ascending),
+    // so `median_wall[i]` below belongs to `workers[i]`.
+    let measured: Vec<usize> = workers
+        .iter()
+        .copied()
+        .take_while(|&w| w <= cores)
+        .collect();
     let mut walls = vec![Vec::with_capacity(REPS); measured.len()];
     // The model replays the last one-worker repetition: tile times no
     // second worker contended for, taken with every cache warm.
@@ -93,11 +99,11 @@ fn main() {
     let curve = speedup_curve(&flow, &workers, comm);
     println!("\nworkers  makespan(s)  speedup  measured wall(s)  measured speedup");
     let mut rows = Vec::new();
-    for p in &curve {
-        let (wall, measured_speedup) = match measured.iter().position(|&w| w == p.workers) {
-            Some(i) => (
-                format!("{:.4}", median_wall[i]),
-                format!("{:.3}", median_wall[0] / median_wall[i]),
+    for (i, p) in curve.iter().enumerate() {
+        let (wall, measured_speedup) = match median_wall.get(i) {
+            Some(wall) => (
+                format!("{wall:.4}"),
+                format!("{:.3}", median_wall[0] / wall),
             ),
             // Left empty: this host has too few cores to measure it.
             None => (String::new(), String::new()),
@@ -114,18 +120,14 @@ fn main() {
             measured_speedup,
         ]);
     }
-    for (i, &w) in measured.iter().enumerate().skip(1) {
-        let model = curve
-            .iter()
-            .find(|p| p.workers == w)
-            .expect("modelled point");
+    for (model, wall) in curve.iter().zip(&median_wall).skip(1) {
         println!(
-            "{w} workers on {cores} cores: model {:.2}x, measured {:.2}x \
-             ({:.3}s -> {:.3}s wall, medians of {REPS})",
+            "{} workers on {cores} cores: model {:.2}x, measured {:.2}x \
+             ({:.3}s -> {wall:.3}s wall, medians of {REPS})",
+            model.workers,
             model.speedup,
-            median_wall[0] / median_wall[i],
+            median_wall[0] / wall,
             median_wall[0],
-            median_wall[i]
         );
     }
     if measured.len() == 1 {
