@@ -253,8 +253,10 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.len(), 64);
         assert!(cached_plan_count() >= 1);
-        // rev: 64 u32s; stage-major twiddles: (64 - 4) complex values per direction.
-        assert_eq!(a.estimated_bytes(), 64 * 4 + 2 * (64 - 4) * 16);
+        // Bit reversal: the 28 swaps of the 56 non-palindromic indices and
+        // the 16-quad read order; stage-major twiddles: (64 - 4) complex
+        // values per direction.
+        assert_eq!(a.estimated_bytes(), 28 * 8 + 16 * 4 + 2 * (64 - 4) * 16);
         assert!(cached_plan_bytes() >= a.estimated_bytes());
     }
 

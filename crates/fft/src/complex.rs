@@ -20,7 +20,13 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 /// assert_eq!(a + b, Complex::new(4.0, 1.0));
 /// assert_eq!(a * Complex::I, Complex::new(-2.0, 1.0));
 /// ```
+///
+/// The layout is part of the type: `repr(C)`, so a `Complex` is exactly the
+/// two `f64`s `[re, im]` in that order, and a slice of them is a slice of
+/// interleaved pairs. The vector kernels in [`crate::simd`] load and store
+/// through that view.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C)]
 pub struct Complex {
     /// Real part.
     pub re: f64,
@@ -105,6 +111,13 @@ impl Complex {
             re: self.re * s,
             im: self.im * s,
         }
+    }
+
+    /// Both components' bit patterns, for the tests that hold one code
+    /// path to another bit for bit (`==` would let `0.0` pass for `-0.0`).
+    #[cfg(test)]
+    pub(crate) fn to_bits(self) -> [u64; 2] {
+        [self.re.to_bits(), self.im.to_bits()]
     }
 
     /// Returns `true` if either component is NaN.

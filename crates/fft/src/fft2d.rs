@@ -14,6 +14,7 @@
 //! `rows - P` all-zero first-pass transforms entirely; the skipped work is
 //! counted on the `fft.rows_skipped` telemetry counter.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use ilt_par::InnerPool;
@@ -231,13 +232,13 @@ impl Fft2d {
             // Rectangular (test/diagnostic shapes only — the litho hot path
             // is square): transpose through a temporary.
             let mut t = vec![Complex::ZERO; data.len()];
-            transpose_into_block(data, self.rows, self.cols, &mut t, self.block);
+            transpose_into_block(data, self.rows, self.cols, &mut t, self.block, 0..self.rows);
             for row in t.chunks_exact_mut(self.rows) {
                 self.col_plan
                     .transform(row, dir)
                     .expect("column length matches plan by construction");
             }
-            transpose_into_block(&t, self.cols, self.rows, data, self.block);
+            transpose_into_block(&t, self.cols, self.rows, data, self.block, 0..self.cols);
             if let Some(s) = scale {
                 for z in data.iter_mut() {
                     *z = z.scale(s);
@@ -354,21 +355,25 @@ fn transpose_square_scaled(data: &mut [Complex], n: usize, scale: Option<f64>, b
     }
 }
 
-/// Blocked out-of-place transpose: `src` is `rows x cols`, `dst` becomes
-/// `cols x rows`.
+/// Blocked out-of-place transpose of the rows `span` of `src`: `src` is
+/// `rows x cols`, `dst` is `cols x rows`, and `dst[j * rows + i]` becomes
+/// `src[i * cols + j]` for every `i` in `span`. The other columns of `dst`
+/// are left as they were.
 pub(crate) fn transpose_into_block(
     src: &[Complex],
     rows: usize,
     cols: usize,
     dst: &mut [Complex],
     block: usize,
+    span: Range<usize>,
 ) {
-    debug_assert_eq!(src.len(), rows * cols);
-    debug_assert_eq!(dst.len(), rows * cols);
+    assert_eq!(src.len(), rows * cols);
+    assert_eq!(dst.len(), rows * cols);
+    assert!(span.end <= rows);
     let block = block.max(1);
-    for bi in (0..rows).step_by(block) {
+    for bi in span.clone().step_by(block) {
         for bj in (0..cols).step_by(block) {
-            for i in bi..(bi + block).min(rows) {
+            for i in bi..(bi + block).min(span.end) {
                 for j in bj..(bj + block).min(cols) {
                     dst[j * rows + i] = src[i * cols + j];
                 }

@@ -1,4 +1,4 @@
-//! FFT planning: precomputed twiddle factors and bit-reversal permutations.
+//! FFT planning: precomputed twiddle factors and bit-reversal tables.
 //!
 //! All transforms in this crate are power-of-two radix-2 Cooley–Tukey. A
 //! [`FftPlan`] is created once per length and reused across the many
@@ -7,22 +7,35 @@
 //!
 //! # Butterfly engineering
 //!
-//! The transform is built for the autovectorizer and for branch-free inner
-//! loops:
+//! A transform is a bit-reversal and then `log2 n` radix-2 stages. The
+//! arithmetic is fixed — every product and sum of the textbook
+//! stage-at-a-time loop, in its order, with its roundings (that loop is the
+//! `#[cfg(test)]` oracle below, and the engine is bit-identical to it) —
+//! so what is engineered is how often the data moves:
 //!
+//! * **Whole-array passes, two stages at a time.** The stages of size 2 and
+//!   4 need no twiddle and form the first pass. Every later pass keeps two
+//!   consecutive stages in registers ([`simd::fused_pass`]): four values
+//!   are loaded, go through both butterflies, and are stored, once. An odd
+//!   stage count leaves one trailing [`simd::single_pass`]. A 128-point
+//!   transform is four sweeps over its data instead of seven, and no pass
+//!   is entered through a per-block call.
+//! * **Bit reversal off the critical path.** A transform that reads its
+//!   input from somewhere else ([`FftPlan::transform_from`]: the real row
+//!   passes and the gathered columns of [`crate::Rfft2d`]) reads it in
+//!   bit-reversed order *inside* the first pass, so the permutation costs
+//!   no pass of its own. An in-place transform applies it as a precomputed
+//!   list of disjoint swaps — no comparison, no self-swaps.
 //! * Twiddles are stored **stage-major** (each stage's factors contiguous,
-//!   walked sequentially) and **per direction** — the inverse table holds the
-//!   conjugates, so the hot loop never branches on [`Direction`] or strides
-//!   through a shared table.
-//! * The first two stages (`w = 1` and `w ∈ {1, ∓i}`) are algebraically
-//!   specialized: half the butterflies of a 64-point transform run with no
-//!   complex multiply at all.
-//! * The remaining stages run pairs of butterflies per iteration over
-//!   explicit `[f64; 4]`-shaped lanes (two complex values), which the
-//!   autovectorizer lowers to 256-bit vector ops on x86_64.
+//!   two consecutive stages' adjacent, walked sequentially) and **per
+//!   direction** — the inverse table holds the conjugates, so no loop
+//!   branches on [`Direction`] or strides through a shared table.
+//! * Each pass has one portable body and one `avx2,fma` body behind a
+//!   once-per-process CPU probe, both in [`crate::simd`].
 
 use crate::complex::Complex;
 use crate::error::FftError;
+use crate::simd::{self, Body, QuadOrder};
 
 /// Direction of a Fourier transform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,9 +59,11 @@ impl Direction {
 
 /// A reusable plan for power-of-two FFTs of a fixed length.
 ///
-/// The plan stores the bit-reversal permutation and stage-major twiddle
-/// tables for **both** directions (the inverse table holds conjugates), so
-/// the butterfly loops are branch-free and walk their table sequentially.
+/// The plan stores the bit-reversal permutation (as a swap list for
+/// in-place transforms and as a read order for out-of-place ones) and
+/// stage-major twiddle tables for **both** directions (the inverse table
+/// holds conjugates), so the butterfly passes are branch-free and walk
+/// their tables sequentially.
 ///
 /// # Examples
 ///
@@ -68,12 +83,17 @@ impl Direction {
 #[derive(Debug, Clone)]
 pub struct FftPlan {
     len: usize,
-    /// `rev[i]` is the bit-reversed index of `i` within `log2(len)` bits.
-    rev: Vec<u32>,
+    /// The bit-reversal permutation as its disjoint swaps `[i, rev(i)]`,
+    /// `i < rev(i)`: what an in-place transform applies before its first
+    /// pass.
+    swaps: Vec<[u32; 2]>,
+    /// The same permutation as the read order of an out-of-place first
+    /// pass (`None` below length 4, where there is no such pass).
+    order: Option<QuadOrder>,
     /// Stage-major forward twiddles for stages of size `8, 16, .., len`:
     /// the stage of size `s` contributes `s/2` sequential factors
-    /// `e^{-2 pi i k / s}`, `k in 0..s/2`. Stages of size 2 and 4 are
-    /// specialized in code and store nothing.
+    /// `e^{-2 pi i k / s}`, `k in 0..s/2`, starting at entry `s/2 - 4`.
+    /// Stages of size 2 and 4 are specialized in code and store nothing.
     fwd: Vec<Complex>,
     /// Conjugates of `fwd` (the inverse-direction table).
     inv: Vec<Complex>,
@@ -85,21 +105,19 @@ impl FftPlan {
     /// # Errors
     ///
     /// Returns [`FftError::NonPowerOfTwo`] unless `len` is a power of two
-    /// and at least 1.
+    /// of at least 1 (and below `2^32`: the tables index by `u32`).
     pub fn new(len: usize) -> Result<Self, FftError> {
-        if len == 0 || !len.is_power_of_two() {
+        if len == 0 || !len.is_power_of_two() || u32::try_from(len).is_err() {
             return Err(FftError::NonPowerOfTwo { len });
         }
         let bits = len.trailing_zeros();
-        let mut rev = vec![0u32; len];
-        for (i, r) in rev.iter_mut().enumerate() {
-            *r = (i as u32).reverse_bits() >> (32 - bits.max(1));
-        }
-        if bits == 0 {
-            rev[0] = 0;
-        }
+        let swaps = (0..len as u32)
+            .map(|i| [i, i.reverse_bits().checked_shr(32 - bits).unwrap_or(0)])
+            .filter(|[i, j]| i < j)
+            .collect();
+        let order = (len >= 4).then(|| QuadOrder::new(len));
         // Stage-major tables for stages of size >= 8 (sizes 2 and 4 are
-        // specialized in `butterflies`): total `8/2 + 16/2 + .. + len/2`
+        // the twiddle-free first pass): total `8/2 + 16/2 + .. + len/2`
         // entries, i.e. `len - 4` for `len >= 8`.
         let mut fwd = Vec::new();
         let mut size = 8;
@@ -112,7 +130,13 @@ impl FftPlan {
             size *= 2;
         }
         let inv = fwd.iter().map(|w| w.conj()).collect();
-        Ok(FftPlan { len, rev, fwd, inv })
+        Ok(FftPlan {
+            len,
+            swaps,
+            order,
+            fwd,
+            inv,
+        })
     }
 
     /// Transform length this plan was built for.
@@ -127,11 +151,12 @@ impl FftPlan {
         self.len == 0
     }
 
-    /// Estimated resident bytes of this plan's tables (bit-reversal
-    /// indices plus both per-direction stage-major twiddle tables). Used by
-    /// cache introspection (`/debug/caches`).
+    /// Estimated resident bytes of this plan's tables (both forms of the
+    /// bit reversal plus both per-direction stage-major twiddle tables).
+    /// Used by cache introspection (`/debug/caches`).
     pub fn estimated_bytes(&self) -> u64 {
-        (self.rev.len() * std::mem::size_of::<u32>()
+        (std::mem::size_of_val(&*self.swaps)
+            + self.order.as_ref().map_or(0, QuadOrder::bytes)
             + (self.fwd.len() + self.inv.len()) * std::mem::size_of::<Complex>()) as u64
     }
 
@@ -174,28 +199,120 @@ impl FftPlan {
                 actual: data.len(),
             });
         }
-        if self.len == 1 {
-            return Ok(());
+        self.transform_in_place(data, dir, Body::probed());
+        Ok(())
+    }
+
+    fn transform_in_place(&self, data: &mut [Complex], dir: Direction, body: Body) {
+        for &[i, j] in &self.swaps {
+            data.swap(i as usize, j as usize);
         }
-        // Bit-reversal permutation.
-        for i in 0..self.len {
-            let j = self.rev[i] as usize;
+        match self.len {
+            1 => {}
+            2 => two_point(data[0], data[1], data),
+            _ => simd::first_pass(data, dir == Direction::Inverse, body),
+        }
+        self.later_stages(data, dir, body);
+    }
+
+    /// The same transform out of place, its input read at a stride:
+    /// `dst = DFT(x)` with `x[k] = src[first + k * stride]`, bit for bit
+    /// what [`FftPlan::transform`] leaves after `x` is copied into `dst`.
+    /// The first pass reads `src` in bit-reversed order, so no permutation
+    /// pass (and no copy) runs at all.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst.len()` differs from the plan length or `src` is too
+    /// short for the elements addressed (callers are this crate's 2-D and
+    /// real-input drivers, which size both by construction).
+    pub(crate) fn transform_from(
+        &self,
+        src: &[Complex],
+        first: usize,
+        stride: usize,
+        dst: &mut [Complex],
+        dir: Direction,
+    ) {
+        self.transform_gathered(src, first, stride, dst, dir, Body::probed());
+    }
+
+    fn transform_gathered(
+        &self,
+        src: &[Complex],
+        first: usize,
+        stride: usize,
+        dst: &mut [Complex],
+        dir: Direction,
+        body: Body,
+    ) {
+        assert_eq!(dst.len(), self.len, "transform_from: output length");
+        match &self.order {
+            Some(order) => {
+                let inverse = dir == Direction::Inverse;
+                order.first_pass_from(src, first, stride, dst, inverse, body);
+            }
+            None if self.len == 2 => two_point(src[first], src[first + stride], dst),
+            None => dst[0] = src[first],
+        }
+        self.later_stages(dst, dir, body);
+    }
+
+    /// Every stage after the first pass, as whole-array passes over data
+    /// the first pass left in place: pairs of stages fused, then the one
+    /// stage an odd count leaves over. One code path per direction
+    /// regardless of caller, so every transform of the same values is
+    /// bit-identical no matter how it is batched, pooled or fed.
+    fn later_stages(&self, data: &mut [Complex], dir: Direction, body: Body) {
+        let table = match dir {
+            Direction::Forward => &self.fwd,
+            Direction::Inverse => &self.inv,
+        };
+        // The stage of size `s` owns entries `s/2 - 4 .. s - 4`, so the
+        // stages of size `s` and `2s` own the `3s/2` from `s/2 - 4` on.
+        let mut size = 8;
+        while 2 * size <= self.len {
+            let at = size / 2 - 4;
+            simd::fused_pass(data, &table[at..at + 3 * size / 2], body);
+            size *= 4;
+        }
+        if size <= self.len {
+            simd::single_pass(data, &table[size / 2 - 4..size - 4], body);
+        }
+    }
+}
+
+/// The length-2 transform (either direction): `out = [a + b, a - b]`.
+#[inline]
+fn two_point(a: Complex, b: Complex, out: &mut [Complex]) {
+    out[0] = a + b;
+    out[1] = a - b;
+}
+
+/// The engine the fused passes replaced, kept as their oracle: the
+/// bit-reversal loop, the fused first two stages, then one butterfly block
+/// per block per stage through a function pointer. The passes above must
+/// produce its output bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::{Complex, Direction, FftPlan};
+
+    /// `lo[k], hi[k] <- lo[k] ± tw[k] * hi[k]` over one block.
+    pub(super) type Block = fn(&mut [Complex], &mut [Complex], &[Complex]);
+
+    pub(super) fn transform(plan: &FftPlan, data: &mut [Complex], dir: Direction, block: Block) {
+        let n = plan.len;
+        assert_eq!(data.len(), n);
+        if n == 1 {
+            return;
+        }
+        let bits = n.trailing_zeros();
+        for i in 0..n {
+            let j = ((i as u32).reverse_bits() >> (32 - bits)) as usize;
             if i < j {
                 data.swap(i, j);
             }
         }
-        self.butterflies(data, dir);
-        Ok(())
-    }
-
-    /// The iterative butterfly passes over bit-reversed data. One code path
-    /// per direction regardless of caller, so every transform of the same
-    /// buffer is bit-identical no matter how it is batched or pooled.
-    fn butterflies(&self, data: &mut [Complex], dir: Direction) {
-        let n = self.len;
-        // Stages 1 and 2 fused: no twiddle loads at all. Stage 1 is
-        // `w = 1`; stage 2 is `w in {1, -i}` (forward) / `{1, i}`
-        // (inverse), and multiplying by `∓i` is an exact component swap.
         if n == 2 {
             let (a, b) = (data[0], data[1]);
             data[0] = a + b;
@@ -211,77 +328,50 @@ impl FftPlan {
             let d0 = q[0] - q[1];
             let s1 = q[2] + q[3];
             let d1 = q[2] - q[3];
-            // t = ∓i * d1, exactly.
             let t = Complex::new(flip * d1.im, -flip * d1.re);
             q[0] = s0 + s1;
             q[2] = s0 - s1;
             q[1] = d0 + t;
             q[3] = d0 - t;
         }
-        // Remaining stages: branch-free, sequential stage-major twiddles.
         let table = match dir {
-            Direction::Forward => &self.fwd,
-            Direction::Inverse => &self.inv,
+            Direction::Forward => &plan.fwd,
+            Direction::Inverse => &plan.inv,
         };
-        let block = butterfly_dispatch();
         let mut tw_off = 0;
         let mut size = 8;
         while size <= n {
             let half = size / 2;
             let tw = &table[tw_off..tw_off + half];
             tw_off += half;
-            let mut base = 0;
-            while base < n {
-                let (lo, hi) = data[base..base + size].split_at_mut(half);
+            for chunk in data.chunks_exact_mut(size) {
+                let (lo, hi) = chunk.split_at_mut(half);
                 block(lo, hi, tw);
-                base += size;
             }
             size *= 2;
         }
     }
-}
 
-/// Picks the butterfly-block kernel for this process: the AVX2+FMA
-/// [`crate::simd`] kernel when the CPU supports it, the portable
-/// autovectorized block otherwise. The choice is a pure function of the
-/// host CPU, so every transform in a process takes the same path.
-fn butterfly_dispatch() -> fn(&mut [Complex], &mut [Complex], &[Complex]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if crate::simd::avx2_fma_available() {
-            return crate::simd::butterfly_block_x86;
+    /// The portable block: two butterflies per iteration, the complex
+    /// product spelled out component-wise.
+    pub(super) fn butterfly_block(lo: &mut [Complex], hi: &mut [Complex], tw: &[Complex]) {
+        assert_eq!(lo.len(), hi.len());
+        assert_eq!(lo.len(), tw.len());
+        let lo2 = lo.chunks_exact_mut(2);
+        let hi2 = hi.chunks_exact_mut(2);
+        let tw2 = tw.chunks_exact(2);
+        for ((l, h), w) in lo2.zip(hi2).zip(tw2) {
+            let t0re = w[0].re * h[0].re - w[0].im * h[0].im;
+            let t0im = w[0].re * h[0].im + w[0].im * h[0].re;
+            let t1re = w[1].re * h[1].re - w[1].im * h[1].im;
+            let t1im = w[1].re * h[1].im + w[1].im * h[1].re;
+            let u0 = l[0];
+            let u1 = l[1];
+            l[0] = Complex::new(u0.re + t0re, u0.im + t0im);
+            h[0] = Complex::new(u0.re - t0re, u0.im - t0im);
+            l[1] = Complex::new(u1.re + t1re, u1.im + t1im);
+            h[1] = Complex::new(u1.re - t1re, u1.im - t1im);
         }
-    }
-    butterfly_block
-}
-
-/// One butterfly block: `lo[k], hi[k] <- lo[k] + w[k]*hi[k], lo[k] - w[k]*hi[k]`.
-///
-/// Runs two butterflies per iteration over explicit four-lane `f64` shapes
-/// (two complex values), which the autovectorizer turns into 256-bit loads,
-/// multiplies and add/sub pairs; `half >= 4` always holds here (the first
-/// two stages are specialized away), so the `chunks_exact` remainder is
-/// empty.
-#[inline]
-fn butterfly_block(lo: &mut [Complex], hi: &mut [Complex], tw: &[Complex]) {
-    debug_assert_eq!(lo.len(), hi.len());
-    debug_assert_eq!(lo.len(), tw.len());
-    let lo2 = lo.chunks_exact_mut(2);
-    let hi2 = hi.chunks_exact_mut(2);
-    let tw2 = tw.chunks_exact(2);
-    for ((l, h), w) in lo2.zip(hi2).zip(tw2) {
-        // t_j = w_j * h_j for the two lanes, spelled out component-wise so
-        // the whole iteration is straight-line f64 arithmetic.
-        let t0re = w[0].re * h[0].re - w[0].im * h[0].im;
-        let t0im = w[0].re * h[0].im + w[0].im * h[0].re;
-        let t1re = w[1].re * h[1].re - w[1].im * h[1].im;
-        let t1im = w[1].re * h[1].im + w[1].im * h[1].re;
-        let u0 = l[0];
-        let u1 = l[1];
-        l[0] = Complex::new(u0.re + t0re, u0.im + t0im);
-        h[0] = Complex::new(u0.re - t0re, u0.im - t0im);
-        l[1] = Complex::new(u1.re + t1re, u1.im + t1im);
-        h[1] = Complex::new(u1.re - t1re, u1.im - t1im);
     }
 }
 
@@ -289,6 +379,125 @@ fn butterfly_block(lo: &mut [Complex], hi: &mut [Complex], tw: &[Complex]) {
 mod tests {
     use super::*;
     use crate::dft::dft_reference;
+
+    /// Deterministic xorshift bits.
+    struct Rng(u64);
+
+    impl Rng {
+        fn bits(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        /// A value in `[-1, 1)`.
+        fn unit(&mut self) -> f64 {
+            (self.bits() >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        }
+
+        /// A finite value. Trial 0 draws order-one values only (every
+        /// rounding of every butterfly shows in the result); trial 1 mixes
+        /// in signed zeros and subnormals; trial 2 the far ends of the
+        /// normal range as well.
+        fn finite(&mut self, trial: usize) -> f64 {
+            let unit = self.unit();
+            match (trial, self.bits() % 8) {
+                (1.., 0) => 0.0,
+                (1.., 1) => -0.0,
+                (1.., 2) => unit * f64::MIN_POSITIVE * 0.125,
+                (1.., 3) => f64::from_bits(self.bits() % (1 << 52)),
+                (2.., 4) => unit * 1e-300,
+                (2.., 5) => unit * 1e150,
+                _ => unit,
+            }
+        }
+
+        fn signal(&mut self, n: usize, trial: usize) -> Vec<Complex> {
+            (0..n)
+                .map(|_| Complex::new(self.finite(trial), self.finite(trial)))
+                .collect()
+        }
+    }
+
+    fn bits_of(data: &[Complex]) -> Vec<[u64; 2]> {
+        data.iter().map(|z| z.to_bits()).collect()
+    }
+
+    /// The bit-identity oracle: at every power of two 1..=4096, in both
+    /// directions, in place and gathered at a stride, a body of the engine
+    /// reproduces the stage-at-a-time loop over the matching block kernel
+    /// bit for bit on finite data (signed zeros and subnormals included),
+    /// and is non-finite exactly where that loop is on data holding NaN or
+    /// infinities.
+    ///
+    /// Mutation it catches (checked by hand, both bodies): giving the
+    /// second pair `(B', D')` of `fused_pass` the larger stage's twiddle
+    /// `k` instead of `k + h` fails this at n = 16.
+    fn assert_matches_reference(body: Body, block: reference::Block) {
+        let mut rng = Rng(0x5eed_f00d_cafe_0001);
+        for log in 0..=12 {
+            let n = 1usize << log;
+            let plan = FftPlan::new(n).unwrap();
+            for dir in [Direction::Forward, Direction::Inverse] {
+                for trial in 0..3 {
+                    let x = rng.signal(n, trial);
+                    let mut want = x.clone();
+                    reference::transform(&plan, &mut want, dir, block);
+
+                    let mut got = x.clone();
+                    plan.transform_in_place(&mut got, dir, body);
+                    assert_eq!(bits_of(&got), bits_of(&want), "n={n} {dir:?} #{trial}");
+
+                    // The same input spread at stride 3 behind two others.
+                    let mut spread = vec![Complex::new(f64::NAN, f64::NAN); 3 * n + 2];
+                    for (k, &z) in x.iter().enumerate() {
+                        spread[2 + 3 * k] = z;
+                    }
+                    let mut got = vec![Complex::new(f64::NAN, f64::NAN); n];
+                    plan.transform_gathered(&spread, 2, 3, &mut got, dir, body);
+                    assert_eq!(
+                        bits_of(&got),
+                        bits_of(&want),
+                        "gathered n={n} {dir:?} #{trial}"
+                    );
+                }
+                // Non-finite inputs come back non-finite at the same
+                // positions (their payload bits are the compiler's
+                // business).
+                let mut x = rng.signal(n, 0);
+                x[n / 3] = Complex::new(f64::NAN, 1.0);
+                x[n / 2].im = f64::INFINITY;
+                x[n - 1].re = f64::NEG_INFINITY;
+                let mut want = x.clone();
+                reference::transform(&plan, &mut want, dir, block);
+                let mut got = x;
+                plan.transform_in_place(&mut got, dir, body);
+                for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.re.is_finite(), w.re.is_finite(), "n={n} re {k}");
+                    assert_eq!(g.im.is_finite(), w.im.is_finite(), "n={n} im {k}");
+                    if w.re.is_finite() && w.im.is_finite() {
+                        assert_eq!(bits_of(&[*g]), bits_of(&[*w]), "n={n} bin {k}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn portable_body_is_bit_identical_to_the_stage_at_a_time_loop() {
+        assert_matches_reference(Body::PORTABLE, reference::butterfly_block);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_fma_body_is_bit_identical_to_the_stage_at_a_time_loop() {
+        let body = Body::probed();
+        if body == Body::PORTABLE {
+            return;
+        }
+        assert_matches_reference(body, simd::butterfly_block_x86);
+    }
 
     fn max_err(a: &[Complex], b: &[Complex]) -> f64 {
         a.iter()

@@ -8,6 +8,20 @@
 //! post-processing pass — the classic "pack two reals per complex" scheme.
 //! Only the `n/2 + 1` non-redundant bins are ever materialised.
 //!
+//! The packing is a view, not a pass: a row of `n` reals *is* `n/2`
+//! interleaved `(re, im)` pairs ([`crate::Complex`] is `repr(C)`), so the
+//! forward transform's first butterfly pass reads the real row directly,
+//! in bit-reversed order, and the inverse transform's last pass leaves its
+//! result directly in the real output row. Neither direction packs,
+//! unpacks or permutes in a pass of its own.
+//!
+//! The untangle pairs bin `k` with bin `n/2 - k`, and each pair is
+//! independent of the others, so it has a **support-limited** form: given
+//! the contiguous range of bins a caller wants (forward) or vouches
+//! non-zero (inverse), only the pairs that hold such a bin are computed —
+//! each exactly as the full pass computes it — and on the inverse side the
+//! bins outside the range are never read.
+//!
 //! [`Rfft2d`] lifts this to square `n x n` real grids. The half-spectrum
 //! is stored **transposed** as `(n/2 + 1) x n`: stored column `c` of the
 //! logical spectrum occupies the contiguous run `spec[c*n .. (c+1)*n]`,
@@ -22,9 +36,12 @@
 //! The inverse accepts the same layout, skips all-zero stored columns the
 //! caller vouches for (feeding the `fft.rows_skipped` counter exactly like
 //! [`crate::Fft2d::inverse_support`]), and fuses an arbitrary extra scale
-//! into the final real unpacking, so Hermitian-symmetrised adjoint sums
-//! come back as real grids in one pass.
+//! into the row re-tangle, so Hermitian-symmetrised adjoint sums come back
+//! as real grids in one pass. Both support-limited 2-D entry points hand
+//! the span of their column list down to the row passes: the forward
+//! untangles, and the inverse transposes and re-tangles, those bins only.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use ilt_par::InnerPool;
@@ -34,6 +51,7 @@ use crate::complex::Complex;
 use crate::error::FftError;
 use crate::fft2d::transpose_into_block;
 use crate::plan::{Direction, FftPlan};
+use crate::simd;
 
 /// A reusable real-input FFT plan for one power-of-two length `n >= 2`.
 ///
@@ -123,6 +141,25 @@ impl RfftPlan {
     /// Returns [`FftError::LengthMismatch`] if either buffer has the wrong
     /// length.
     pub fn forward(&self, src: &[f64], dst: &mut [Complex]) -> Result<(), FftError> {
+        self.forward_bins(src, dst, 0..self.spectrum_len())
+    }
+
+    /// [`RfftPlan::forward`] of which only the bins in `bins` are wanted:
+    /// each of them receives exactly the value `forward` writes there, and
+    /// every other entry of `dst` is left unspecified (an intermediate of
+    /// the transform, or the value of a bin that shares a pair with a
+    /// wanted one).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FftError::LengthMismatch`] if either buffer has the wrong
+    /// length or `bins` reaches past `len/2 + 1`.
+    pub(crate) fn forward_bins(
+        &self,
+        src: &[f64],
+        dst: &mut [Complex],
+        bins: Range<usize>,
+    ) -> Result<(), FftError> {
         let n = self.len;
         if src.len() != n {
             return Err(FftError::LengthMismatch {
@@ -131,32 +168,29 @@ impl RfftPlan {
             });
         }
         let m = n / 2;
-        if dst.len() != m + 1 {
-            return Err(FftError::LengthMismatch {
-                expected: m + 1,
-                actual: dst.len(),
-            });
-        }
+        self.check_spectrum(dst.len(), &bins)?;
         if m == 1 {
             dst[0] = Complex::from_re(src[0] + src[1]);
             dst[1] = Complex::from_re(src[0] - src[1]);
             return Ok(());
         }
-        // Pack two reals per complex and run the half-length FFT.
-        for (z, pair) in dst[..m].iter_mut().zip(src.chunks_exact(2)) {
-            *z = Complex::new(pair[0], pair[1]);
-        }
+        // Two reals per complex, read where they lie: the half-length FFT
+        // takes the row as `m` interleaved pairs.
         self.half
-            .transform(&mut dst[..m], Direction::Forward)
-            .expect("half plan length matches by construction");
+            .transform_from(simd::as_pairs(src), 0, 1, &mut dst[..m], Direction::Forward);
         // Untangle: with E/O the spectra of the even/odd subsequences,
         // E[k] = (Z[k] + conj(Z[m-k]))/2, O[k] = -i (Z[k] - conj(Z[m-k]))/2
-        // and X[k] = E[k] + w^k O[k] with w = e^{-2 pi i / n}.
-        let z0 = dst[0];
-        dst[0] = Complex::from_re(z0.re + z0.im);
-        dst[m] = Complex::from_re(z0.re - z0.im);
+        // and X[k] = E[k] + w^k O[k] with w = e^{-2 pi i / n}. Bins k and
+        // m-k come out of one pair of inputs, and only the pairs holding a
+        // wanted bin are formed.
+        let pairs = self.pair_span(&bins);
         let h = m / 2;
-        for k in 1..h {
+        if pairs.contains(&0) {
+            let z0 = dst[0];
+            dst[0] = Complex::from_re(z0.re + z0.im);
+            dst[m] = Complex::from_re(z0.re - z0.im);
+        }
+        for k in pairs.start.max(1)..pairs.end.min(h) {
             let zk = dst[k];
             let zmk = dst[m - k];
             let e = Complex::new(0.5 * (zk.re + zmk.re), 0.5 * (zk.im - zmk.im));
@@ -168,7 +202,9 @@ impl RfftPlan {
         }
         // k = m/2 pairs with itself: E = Re Z, O = Im Z, w^{m/2} = -i
         // exactly, so X[m/2] = conj(Z[m/2]).
-        dst[h] = dst[h].conj();
+        if pairs.contains(&h) {
+            dst[h] = dst[h].conj();
+        }
         Ok(())
     }
 
@@ -201,54 +237,135 @@ impl RfftPlan {
         dst: &mut [f64],
         scale: f64,
     ) -> Result<(), FftError> {
+        self.inverse_bins_scaled(spec, 0..self.spectrum_len(), dst, scale)
+    }
+
+    /// [`RfftPlan::inverse_scaled`] of a spectrum that is zero outside
+    /// `bins`: the result is, bit for bit, that of `inverse_scaled` on
+    /// `spec` with every other bin set to zero, but those bins are **not
+    /// read** — they may hold anything. **Destroys `spec`.**
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FftError::LengthMismatch`] if either buffer has the wrong
+    /// length or `bins` reaches past `len/2 + 1`.
+    pub(crate) fn inverse_bins_scaled(
+        &self,
+        spec: &mut [Complex],
+        bins: Range<usize>,
+        dst: &mut [f64],
+        scale: f64,
+    ) -> Result<(), FftError> {
         let n = self.len;
         let m = n / 2;
-        if spec.len() != m + 1 {
-            return Err(FftError::LengthMismatch {
-                expected: m + 1,
-                actual: spec.len(),
-            });
-        }
+        self.check_spectrum(spec.len(), &bins)?;
         if dst.len() != n {
             return Err(FftError::LengthMismatch {
                 expected: n,
                 actual: dst.len(),
             });
         }
+        let at = |spec: &[Complex], k: usize| {
+            if bins.contains(&k) {
+                spec[k]
+            } else {
+                Complex::ZERO
+            }
+        };
+        let (x0, xm) = (at(spec, 0), at(spec, m));
         if m == 1 {
-            dst[0] = scale * (spec[0].re + spec[1].re);
-            dst[1] = scale * (spec[0].re - spec[1].re);
+            dst[0] = scale * (x0.re + xm.re);
+            dst[1] = scale * (x0.re - xm.re);
             return Ok(());
         }
         // Re-tangle in place: rebuild the half-length spectrum
         // Z[k] = E[k] + i O[k], folding `2 * scale` into every bin so the
-        // unpacking below is a plain copy. (The half inverse is run
-        // unnormalised; the forward packing identity contributes the
-        // factor 2 = n/m.)
-        let c2 = 2.0 * scale;
-        let x0 = spec[0];
-        let xm = spec[m];
+        // half inverse can run unnormalised straight into `dst`. (The
+        // forward packing identity contributes the factor 2 = n/m.)
         spec[0] = Complex::new(
             scale * ((x0.re + xm.re) - (x0.im - xm.im)),
             scale * ((x0.im + xm.im) + (x0.re - xm.re)),
         );
         let h = m / 2;
-        for k in 1..h {
-            let a = spec[k];
-            let b = spec[m - k].conj();
+        let retangle = |a: Complex, b: Complex, k: usize| {
+            let b = b.conj();
             let eh = Complex::new(scale * (a.re + b.re), scale * (a.im + b.im));
             let dh = Complex::new(scale * (a.re - b.re), scale * (a.im - b.im));
             let oh = self.post[k].conj() * dh;
-            spec[k] = Complex::new(eh.re - oh.im, eh.im + oh.re);
-            spec[m - k] = Complex::new(eh.re + oh.im, oh.re - eh.im);
+            (
+                Complex::new(eh.re - oh.im, eh.im + oh.re),
+                Complex::new(eh.re + oh.im, oh.re - eh.im),
+            )
+        };
+        // Pairs (k, m-k) holding a bin of `bins` are formed from it (and
+        // from zero for the partner outside it).
+        let pairs = self.pair_span(&bins);
+        let lo = pairs.start.max(1);
+        let hi = pairs.end.min(h).max(lo);
+        for k in lo..hi {
+            (spec[k], spec[m - k]) = retangle(at(spec, k), at(spec, m - k), k);
         }
-        spec[h] = spec[h].conj().scale(c2);
-        self.half
-            .transform(&mut spec[..m], Direction::Inverse)
-            .expect("half plan length matches by construction");
-        for (pair, z) in dst.chunks_exact_mut(2).zip(spec[..m].iter()) {
-            pair[0] = z.re;
-            pair[1] = z.im;
+        // Every other pair is a pair of zeros, and what the formula makes
+        // of two zeros does not depend on k: the twiddle enters only
+        // through products with zero, i.e. through the signs of its parts,
+        // and for 0 < k < m/2 the angle lies strictly inside a quadrant.
+        // (The result is all zeros for a positive scale, but their signs
+        // follow the scale's, so it is computed rather than assumed.)
+        if h > 1 {
+            let (zero_lo, zero_hi) = retangle(Complex::ZERO, Complex::ZERO, 1);
+            spec[1..lo].fill(zero_lo);
+            spec[hi..h].fill(zero_lo);
+            spec[h + 1..=m - hi].fill(zero_hi);
+            spec[m - lo + 1..m].fill(zero_hi);
+        }
+        spec[h] = at(spec, h).conj().scale(2.0 * scale);
+        // The half-length inverse reads Z in bit-reversed order and leaves
+        // its output as interleaved pairs — which is the real row.
+        self.half.transform_from(
+            &spec[..m],
+            0,
+            1,
+            simd::as_pairs_mut(dst),
+            Direction::Inverse,
+        );
+        Ok(())
+    }
+
+    /// The untangle works on pairs of bins `(k, len/2 - k)`, one per
+    /// `k in 0..=len/4`. Returns the `k` whose pair holds a bin of `bins`:
+    /// a contiguous range, because `bins` is and folding is monotone on
+    /// either side of `len/4`.
+    fn pair_span(&self, bins: &Range<usize>) -> Range<usize> {
+        let m = self.len / 2;
+        let h = m / 2;
+        if bins.is_empty() {
+            return 0..0;
+        }
+        let (lo, hi) = (bins.start, bins.end - 1);
+        let fold = |c: usize| c.min(m - c);
+        let first = fold(lo).min(fold(hi));
+        let last = if (lo..=hi).contains(&h) {
+            h
+        } else {
+            fold(lo).max(fold(hi))
+        };
+        first..last + 1
+    }
+
+    /// A spectrum buffer must hold `len/2 + 1` bins and `bins` stay inside.
+    fn check_spectrum(&self, len: usize, bins: &Range<usize>) -> Result<(), FftError> {
+        let expected = self.spectrum_len();
+        if len != expected {
+            return Err(FftError::LengthMismatch {
+                expected,
+                actual: len,
+            });
+        }
+        if bins.end > expected {
+            return Err(FftError::LengthMismatch {
+                expected,
+                actual: bins.end,
+            });
         }
         Ok(())
     }
@@ -363,34 +480,42 @@ impl Rfft2d {
         self.check_spectral(scratch.len())?;
         self.check_support(support_cols)?;
         ilt_telemetry::counter_add("fft.rfft_forward", 1);
-        // Row pass: each real row becomes hw bins in row-major scratch.
+        let bins = match support_cols {
+            Some(cols) => {
+                ilt_telemetry::counter_add("fft.rows_skipped", (hw - cols.len().min(hw)) as u64);
+                bin_span(cols)
+            }
+            None => 0..hw,
+        };
+        if bins.is_empty() {
+            return Ok(());
+        }
+        // Row pass: each real row becomes its bins `bins` in row-major
+        // scratch (the span of the wanted columns; the row untangle forms
+        // nothing else).
         let row = &*self.row;
         let batch = self.row_batch.min(n);
         pool.for_each_chunk_mut(scratch, hw * batch, |ci, rows| {
             for (j, out_row) in rows.chunks_exact_mut(hw).enumerate() {
                 let r = ci * batch + j;
-                row.forward(&src[r * n..(r + 1) * n], out_row)
+                row.forward_bins(&src[r * n..(r + 1) * n], out_row, bins.clone())
                     .expect("row length matches plan by construction");
             }
         });
-        // Column pass, one body for every column computed: gather stored
-        // column c out of the row-major scratch into its contiguous row of
-        // `spec`, then transform it in place. No transpose back: the
-        // half-spectrum layout *is* transposed.
+        // Column pass, one body for every column computed: transform
+        // stored column c out of the row-major scratch (stride hw, read in
+        // bit-reversed order by the first butterfly pass) into its
+        // contiguous row of `spec`. No transpose back: the half-spectrum
+        // layout *is* transposed.
         let plan = &self.col_plan;
         let scratch = &*scratch;
         let column = |c: usize, col: &mut [Complex]| {
-            for (r, z) in col.iter_mut().enumerate() {
-                *z = scratch[r * hw + c];
-            }
-            plan.transform(col, Direction::Forward)
-                .expect("column length matches plan by construction");
+            plan.transform_from(scratch, c, hw, col, Direction::Forward);
         };
         match support_cols {
             // A band of a few dozen columns is cheaper on the caller than
             // a pool dispatch (as in `inverse_support_scaled`).
             Some(cols) => {
-                ilt_telemetry::counter_add("fft.rows_skipped", (hw - cols.len().min(hw)) as u64);
                 for &c in cols {
                     column(c, &mut spec[c * n..(c + 1) * n]);
                 }
@@ -458,31 +583,37 @@ impl Rfft2d {
         ilt_telemetry::counter_add("fft.rfft_inverse", 1);
         // Column pass (stored columns are contiguous rows of `spec`).
         let plan = &self.col_plan;
-        match support_cols {
+        let bins = match support_cols {
             Some(cols) => {
                 ilt_telemetry::counter_add("fft.rows_skipped", (hw - cols.len().min(hw)) as u64);
                 for &c in cols {
                     plan.transform(&mut spec[c * n..(c + 1) * n], Direction::Inverse)
                         .expect("column length matches plan by construction");
                 }
+                bin_span(cols)
             }
             None => {
                 pool.for_each_chunk_mut(spec, n, |_, col| {
                     plan.transform(col, Direction::Inverse)
                         .expect("column length matches plan by construction");
                 });
+                0..hw
             }
-        }
-        // Transpose hw x n -> n x hw, then untangle each row back to
-        // reals. The whole 2-D normalisation (and the caller's extra
-        // scale) is fused into the row untangle.
-        transpose_into_block(spec, hw, n, scratch, self.block);
+        };
+        // Transpose hw x n -> n x hw, then re-tangle each row back to
+        // reals — both over the span of the listed columns only: a column
+        // inside the span but off the list is zero by the caller's word
+        // and is moved like the others; the bins outside the span are
+        // neither written by the transpose nor read by the rows. The whole
+        // 2-D normalisation (and the caller's extra scale) is fused into
+        // the row re-tangle.
+        transpose_into_block(spec, hw, n, scratch, self.block, bins.clone());
         let row = &*self.row;
         let scale = extra / (n * n) as f64;
         let batch = self.row_batch.min(n);
         pool.for_each_chunk_zip_mut(scratch, hw * batch, dst, n * batch, |_, srows, drows| {
             for (srow, drow) in srows.chunks_exact_mut(hw).zip(drows.chunks_exact_mut(n)) {
-                row.inverse_scaled(srow, drow, scale)
+                row.inverse_bins_scaled(srow, bins.clone(), drow, scale)
                     .expect("row length matches plan by construction");
             }
         });
@@ -508,6 +639,16 @@ impl Rfft2d {
             });
         }
         Ok(())
+    }
+}
+
+/// The smallest contiguous range of bins holding every listed column
+/// (empty for an empty list): what the row passes of the support-limited
+/// transforms work on.
+fn bin_span(cols: &[usize]) -> Range<usize> {
+    match (cols.iter().min(), cols.iter().max()) {
+        (Some(&first), Some(&last)) => first..last + 1,
+        _ => 0..0,
     }
 }
 
@@ -646,42 +787,116 @@ mod tests {
         }
     }
 
+    /// The column lists the support-limited tests run: 1 entry, the crop's
+    /// `P/2 + 1`, the band's `P`, every stored column, none — and two that
+    /// are no prefix (a lone high column; both ends, out of order), which
+    /// make the row passes work on a span wider than the list.
+    fn column_lists(p: usize, hw: usize) -> Vec<Vec<usize>> {
+        vec![
+            vec![(p / 2).min(hw - 1)],
+            (0..(p / 2 + 1).min(hw)).collect(),
+            (0..p.min(hw)).collect(),
+            (0..hw).collect(),
+            Vec::new(),
+            vec![hw - 1],
+            vec![hw - 1, 0],
+        ]
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn complex_bits(values: &[Complex]) -> Vec<[u64; 2]> {
+        values.iter().map(|z| z.to_bits()).collect()
+    }
+
+    /// `(n, P)` of the support-limited 2-D tests: the simulator asks for
+    /// columns `0..=P/2` (the crop) and `0..P` (the intensity band).
+    const GRID_AND_SUPPORT: [(usize, usize); 9] = [
+        (2, 1),
+        (4, 2),
+        (8, 3),
+        (16, 5),
+        (32, 9),
+        (64, 23),
+        (128, 23),
+        (256, 27),
+        (512, 54),
+    ];
+
+    const POISON: Complex = Complex::new(f64::NAN, f64::NAN);
+
     #[test]
     fn rfft2_sparse_support_matches_dense_inverse() {
-        // A Hermitian half-spectrum nonzero only on a few stored columns:
-        // the sparse entry point must agree with the dense inverse bit for
-        // bit, and with the full complex transform to tolerance.
+        // A half-spectrum nonzero only on the listed stored columns: the
+        // sparse entry point must agree with the dense inverse of the
+        // zero-padded spectrum bit for bit — with a scratch that arrives
+        // full of NaN, because a support-limited transpose overwrites only
+        // part of it and the rows must not read the rest — for either sign
+        // of the extra scale (the re-tangle of a zero pair follows it).
+        for (n, p) in GRID_AND_SUPPORT {
+            let rfft = Rfft2d::new(n).unwrap();
+            let hw = rfft.half_cols();
+            let len = rfft.spectrum_len();
+            let serial = InnerPool::serial();
+            for (cols, extra) in column_lists(p, hw).iter().zip([1.0, -0.37].iter().cycle()) {
+                let mut padded = vec![Complex::ZERO; len];
+                for &c in cols {
+                    for (r, z) in padded[c * n..(c + 1) * n].iter_mut().enumerate() {
+                        let t = (c * n + r) as f64;
+                        *z = Complex::new((t * 0.37).sin(), (t * 0.11 + 0.3).cos());
+                    }
+                }
+                let mut dense = padded.clone();
+                let mut want = vec![0.0; n * n];
+                let mut scratch = vec![Complex::ZERO; len];
+                rfft.inverse_support_scaled(
+                    &mut dense,
+                    &mut want,
+                    &mut scratch,
+                    None,
+                    *extra,
+                    &serial,
+                )
+                .unwrap();
+                assert!(want.iter().all(|v| v.is_finite()));
+                for pool in [InnerPool::serial(), InnerPool::new(2)] {
+                    let mut sparse = padded.clone();
+                    let mut got = vec![f64::NAN; n * n];
+                    let mut scratch = vec![POISON; len];
+                    rfft.inverse_support_scaled(
+                        &mut sparse,
+                        &mut got,
+                        &mut scratch,
+                        Some(cols),
+                        *extra,
+                        &pool,
+                    )
+                    .unwrap();
+                    assert_eq!(bits(&got), bits(&want), "n={n} columns {cols:?}");
+                }
+            }
+        }
+
+        // And to tolerance against the dense complex transform of the same
+        // crop: keep a full-spectrum column if its stored image is listed.
         let n = 32;
         let rfft = Rfft2d::new(n).unwrap();
         let hw = rfft.half_cols();
-        // Build a valid half-spectrum by transforming a real image whose
-        // spectrum we then crop to the support columns.
         let x: Vec<f64> = reals(n * n, 4.2);
         let mut spec = vec![Complex::ZERO; rfft.spectrum_len()];
         let mut scratch = vec![Complex::ZERO; rfft.spectrum_len()];
         rfft.forward(&x, &mut spec, &mut scratch, &InnerPool::serial())
             .unwrap();
-        let support = [0usize, 1, 2]; // low stored columns only
+        let support = [0usize, 1, 2];
         let mut cropped = vec![Complex::ZERO; rfft.spectrum_len()];
         for &c in &support {
             cropped[c * n..(c + 1) * n].copy_from_slice(&spec[c * n..(c + 1) * n]);
         }
-        // To keep the implied full spectrum Hermitian, the mirrored
-        // columns n-1, n-2 are implied by stored columns 1, 2 — the
-        // reference complex spectrum must crop those too.
-        let mut dense = cropped.clone();
-        let mut sparse = cropped;
-        let mut out_dense = vec![0.0; n * n];
         let mut out_sparse = vec![0.0; n * n];
-        rfft.inverse(
-            &mut dense,
-            &mut out_dense,
-            &mut scratch,
-            &InnerPool::serial(),
-        )
-        .unwrap();
         rfft.inverse_support_scaled(
-            &mut sparse,
+            &mut cropped,
             &mut out_sparse,
             &mut scratch,
             Some(&support),
@@ -689,9 +904,6 @@ mod tests {
             &InnerPool::serial(),
         )
         .unwrap();
-        assert_eq!(out_dense, out_sparse);
-        // And against the dense complex reference of the same crop: keep a
-        // full-spectrum column if its stored image is in the support.
         let full = Fft2d::new(n, n).unwrap();
         let mut cf = vec![Complex::ZERO; n * n];
         for c in 0..n {
@@ -722,9 +934,7 @@ mod tests {
 
     #[test]
     fn forward_support_matches_dense_forward_bit_for_bit() {
-        // (n, P): the simulator asks for columns 0..=P/2 (the crop) and
-        // 0..P (the intensity band).
-        for (n, p) in [(2usize, 1usize), (4, 2), (64, 23), (256, 27), (512, 54)] {
+        for (n, p) in GRID_AND_SUPPORT {
             let rfft = Rfft2d::new(n).unwrap();
             let hw = rfft.half_cols();
             let x = reals(n * n, 0.77);
@@ -732,22 +942,25 @@ mod tests {
             let mut dense = vec![Complex::ZERO; rfft.spectrum_len()];
             rfft.forward(&x, &mut dense, &mut scratch, &InnerPool::serial())
                 .unwrap();
-            let column_sets: [Vec<usize>; 4] = [
-                (0..=p / 2).collect(),
-                (0..p).collect(),
-                (0..hw).collect(),
-                Vec::new(),
-            ];
-            for cols in &column_sets {
+            assert!(dense.iter().all(|z| !z.is_nan()));
+            for cols in &column_lists(p, hw) {
                 for pool in [InnerPool::serial(), InnerPool::new(2)] {
+                    // Whatever the call does not compute is NaN going in —
+                    // the unlisted columns of `spec` and all of `scratch` —
+                    // and no NaN may reach a listed bin.
                     let sentinel = Complex::new(f64::NAN, -7.0);
                     let mut sparse = vec![sentinel; rfft.spectrum_len()];
+                    let mut scratch = vec![POISON; rfft.spectrum_len()];
                     rfft.forward_support(&x, &mut sparse, &mut scratch, Some(cols), &pool)
                         .unwrap();
                     for c in 0..hw {
                         let (got, want) = (&sparse[c * n..(c + 1) * n], &dense[c * n..(c + 1) * n]);
                         if cols.contains(&c) {
-                            assert_eq!(got, want, "n={n} column {c} of {cols:?}");
+                            assert_eq!(
+                                complex_bits(got),
+                                complex_bits(want),
+                                "n={n} column {c} of {cols:?}"
+                            );
                         } else {
                             // Unlisted columns are not touched at all.
                             assert!(
@@ -763,6 +976,52 @@ mod tests {
             rfft.forward(&x, &mut pooled, &mut scratch, &InnerPool::new(2))
                 .unwrap();
             assert_eq!(dense, pooled, "n={n}");
+        }
+    }
+
+    #[test]
+    fn every_bin_range_matches_the_dense_row_transforms() {
+        // The support-limited untangle / re-tangle over every contiguous
+        // range of bins (empty ones too), at lengths small enough to try
+        // them all: ranges on either side of the self-paired middle bin,
+        // across it, with and without the DC / Nyquist pair.
+        for n in [2usize, 4, 8, 16, 32, 64] {
+            let plan = RfftPlan::new(n).unwrap();
+            let hw = plan.spectrum_len();
+            let x = reals(n, 0.41);
+            let mut dense = vec![Complex::ZERO; hw];
+            plan.forward(&x, &mut dense).unwrap();
+            for lo in 0..=hw {
+                for hi in lo..=hw {
+                    let mut got = vec![POISON; hw];
+                    plan.forward_bins(&x, &mut got, lo..hi).unwrap();
+                    assert_eq!(
+                        complex_bits(&got[lo..hi]),
+                        complex_bits(&dense[lo..hi]),
+                        "forward n={n} bins {lo}..{hi}"
+                    );
+
+                    for scale in [1.0 / n as f64, -0.75] {
+                        let mut padded = vec![Complex::ZERO; hw];
+                        padded[lo..hi].copy_from_slice(&dense[lo..hi]);
+                        let mut want = vec![0.0; n];
+                        plan.inverse_scaled(&mut padded, &mut want, scale).unwrap();
+                        // Outside the range the spectrum is not read.
+                        let mut sparse = vec![POISON; hw];
+                        sparse[lo..hi].copy_from_slice(&dense[lo..hi]);
+                        let mut got = vec![f64::NAN; n];
+                        plan.inverse_bins_scaled(&mut sparse, lo..hi, &mut got, scale)
+                            .unwrap();
+                        assert_eq!(bits(&got), bits(&want), "inverse n={n} bins {lo}..{hi}");
+                    }
+                }
+            }
+            let mut out = vec![Complex::ZERO; hw];
+            assert!(plan.forward_bins(&x, &mut out, 0..hw + 1).is_err());
+            let mut back = vec![0.0; n];
+            assert!(plan
+                .inverse_bins_scaled(&mut out, 1..hw + 1, &mut back, 1.0)
+                .is_err());
         }
     }
 

@@ -1,13 +1,33 @@
-//! Runtime-gated x86_64 vector kernels: the FFT butterfly inner loop and
-//! the pointwise logistic sweeps of an ILT iteration.
+//! Runtime-gated x86_64 vector kernels: the passes of the FFT butterfly
+//! engine and the pointwise logistic sweeps of an ILT iteration.
 //!
-//! The portable butterfly of [`crate::FftPlan`] is written over explicit
-//! two-complex lanes so the autovectorizer can lower it to 128/256-bit ops,
-//! but the complex multiply still costs it a shuffle-heavy dance. On
-//! x86_64 with AVX2+FMA the whole two-lane butterfly is five vector
-//! instructions (`movedup`/`permute` to splat the twiddle components,
-//! `fmaddsub` for the complex product, one add and one sub), so this module
-//! provides that kernel behind a one-time `is_x86_feature_detected!` check.
+//! # The butterfly passes
+//!
+//! A transform of [`crate::FftPlan`] is a handful of whole-array passes, and
+//! every one of them lives here, once as portable safe Rust and once as an
+//! `avx2,fma` body:
+//!
+//! * `first_pass` / `QuadOrder::first_pass_from` — the stages of size 2
+//!   and 4, which need no twiddle (`w` is 1 or `∓i`). The second form reads
+//!   its input from another buffer *in bit-reversed order* (and at a
+//!   stride), so a transform that has somewhere else to read from pays for
+//!   no permutation pass at all.
+//! * `fused_pass` — two consecutive radix-2 stages in one sweep. Each
+//!   group of four values is loaded once, goes through its butterfly of the
+//!   smaller stage and then of the larger one in registers, and is stored
+//!   once: half the loads and stores of two separate sweeps. This is
+//!   *fusion*, not a radix-4 butterfly: every product and every sum is the
+//!   one the stage-at-a-time loop formed, in the same order with the same
+//!   roundings, so the transform is bit-identical to that loop (which
+//!   survives as the test oracle in `plan.rs`).
+//! * `single_pass` — one radix-2 stage, for the stage left over when the
+//!   count is odd.
+//!
+//! On x86_64 with AVX2+FMA a two-lane complex product is `movedup`/`permute`
+//! to splat the twiddle components and one `fmaddsub`; the portable bodies
+//! spell the same butterflies over [`Complex`] for the autovectorizer.
+//!
+//! # The logistic sweeps
 //!
 //! The same check gates the two slice kernels a pixel-ILT iteration
 //! spends most of its non-FFT time in — [`logistic_scaled`] (latent to
@@ -18,6 +38,8 @@
 //! [`logistic`] is the scalar form of the same definition: the workspace
 //! has one logistic function.
 //!
+//! # Dispatch and safety
+//!
 //! The dispatch decision is made once per process and never changes, so
 //! every transform in a process runs the same code path — the property the
 //! serial-vs-parallel and workspace-reuse bit-identity suites rely on.
@@ -26,13 +48,23 @@
 //! cross-machine comparisons in the workspace are tolerance-based.)
 //!
 //! This is the only module in the workspace's numeric crates allowed to
-//! use `unsafe`: the intrinsics and `#[target_feature]` bodies are safe for
-//! any input once the CPU supports them (verified at runtime before any is
-//! reached), and all loads/stores stay inside the slices' bounds by
-//! construction (`lo`, `hi` and `tw` share one length, a multiple of two;
-//! the slice kernels are safe code).
+//! use `unsafe`. Every entry point is a safe function that checks, with
+//! real assertions, the slice lengths its vector body indexes by; the
+//! bodies are only reached after the CPU probe passed; and the one table
+//! whose *contents* are indices (`QuadOrder`) keeps its field private to
+//! this module, so no safe caller can hand a kernel an index out of range.
 
 use crate::complex::Complex;
+
+// `Complex` is `repr(C)`: two `f64`s, `re` first. Every kernel below that
+// reads a `*const Complex` as `[re, im]` pairs of `f64`, and the two slice
+// views, rest on exactly this.
+const _: () = {
+    assert!(std::mem::size_of::<Complex>() == 16);
+    assert!(std::mem::align_of::<Complex>() == 8);
+    assert!(std::mem::offset_of!(Complex, re) == 0);
+    assert!(std::mem::offset_of!(Complex, im) == 8);
+};
 
 /// Returns `true` if the AVX2+FMA kernels are available on this CPU
 /// (always `false` off x86_64). The answer is computed once and cached.
@@ -52,26 +84,531 @@ pub(crate) fn avx2_fma_available() -> bool {
     false
 }
 
-/// AVX2+FMA butterfly block: `lo[k], hi[k] <- lo[k] ± w[k]*hi[k]`, two
-/// complex lanes per iteration.
+/// Which compiled body the butterfly passes run. Production code gets it
+/// from [`Body::probed`] alone, once per transform; the field is private, so
+/// no value can claim the vector body on a CPU the probe has not cleared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Body {
+    avx2_fma: bool,
+}
+
+impl Body {
+    /// The body for this CPU: `avx2,fma` where the probe passes, portable
+    /// otherwise. The same answer for the life of the process.
+    #[inline]
+    pub(crate) fn probed() -> Body {
+        Body {
+            avx2_fma: avx2_fma_available(),
+        }
+    }
+
+    /// The portable body, which runs anywhere: tests hold it against its
+    /// own oracle on hosts where the probe picks the other one.
+    #[cfg(test)]
+    pub(crate) const PORTABLE: Body = Body { avx2_fma: false };
+}
+
+/// `reals` read as `len / 2` interleaved `(re, im)` pairs: how a real row
+/// enters its half-length complex transform without a packing pass.
 ///
 /// # Panics
 ///
-/// Panics (debug) unless the three slices share one even length. Callers
-/// must only reach this after [`avx2_fma_available`] returned
-/// `true`.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn butterfly_block_x86(lo: &mut [Complex], hi: &mut [Complex], tw: &[Complex]) {
-    debug_assert_eq!(lo.len(), hi.len());
-    debug_assert_eq!(lo.len(), tw.len());
-    debug_assert!(lo.len().is_multiple_of(2));
-    // SAFETY: the caller checked `avx2_fma_available()`, which
-    // verified avx2+fma at runtime; the kernel only dereferences within
-    // the equal-length input slices.
-    unsafe { butterfly_block_avx(lo, hi, tw) }
+/// Panics if the length is odd.
+pub(crate) fn as_pairs(reals: &[f64]) -> &[Complex] {
+    assert!(reals.len().is_multiple_of(2), "odd number of reals");
+    // SAFETY: `Complex` is two `f64`s with `f64`'s alignment and no invalid
+    // bit pattern (asserted above), so `len / 2` of them cover exactly the
+    // bytes of `reals`; the borrow carries over unchanged.
+    unsafe { std::slice::from_raw_parts(reals.as_ptr().cast(), reals.len() / 2) }
+}
+
+/// The mutable form of [`as_pairs`]: how a half-length complex transform
+/// leaves its result directly in the real output row.
+///
+/// # Panics
+///
+/// Panics if the length is odd.
+pub(crate) fn as_pairs_mut(reals: &mut [f64]) -> &mut [Complex] {
+    assert!(reals.len().is_multiple_of(2), "odd number of reals");
+    // SAFETY: as in `as_pairs`; the exclusive borrow carries over unchanged.
+    unsafe { std::slice::from_raw_parts_mut(reals.as_mut_ptr().cast(), reals.len() / 2) }
+}
+
+// ---- The butterfly passes -----------------------------------------------
+
+/// The four-point transform of one quad, stages of size 2 and 4 together:
+/// `x` holds the inputs in bit-reversed order and `flip` is `1` forward,
+/// `-1` inverse (the size-4 stage's twiddles are `1` and `∓i`, and
+/// multiplying by `∓i` is an exact component swap).
+#[inline(always)]
+fn quad(x: [Complex; 4], flip: f64) -> [Complex; 4] {
+    let s0 = x[0] + x[1];
+    let d0 = x[0] - x[1];
+    let s1 = x[2] + x[3];
+    let d1 = x[2] - x[3];
+    // t = ∓i * d1, exactly.
+    let t = Complex::new(flip * d1.im, -flip * d1.re);
+    [s0 + s1, d0 + t, s0 - s1, d0 - t]
+}
+
+/// One radix-2 butterfly: `u + w v` and `u - w v`.
+#[inline(always)]
+fn butterfly(u: Complex, v: Complex, w: Complex) -> (Complex, Complex) {
+    let t = w * v;
+    (u + t, u - t)
+}
+
+#[inline]
+fn direction_flip(inverse: bool) -> f64 {
+    if inverse {
+        -1.0
+    } else {
+        1.0
+    }
+}
+
+/// The bit-reversal permutation of a power-of-two length `n >= 4` as the
+/// *read order* of a first pass: outputs `4q..4q + 4` are the four-point
+/// transform of the inputs at `rev(4q) + {0, n/2, n/4, 3n/4}`, and entry
+/// `q` of the table is `rev(4q)`.
+///
+/// The field is private to this module and only [`QuadOrder::new`] fills
+/// it, which is what lets the vector body index by its entries unchecked:
+/// there are `n / 4` of them and each is below `n / 4`.
+#[derive(Debug, Clone)]
+pub(crate) struct QuadOrder {
+    starts: Vec<u32>,
+}
+
+impl QuadOrder {
+    /// The read order for transforms of length `len`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `len` is a power of two of at least 4 that fits `u32`.
+    pub(crate) fn new(len: usize) -> Self {
+        assert!(len >= 4 && len.is_power_of_two(), "length {len}");
+        let quads = u32::try_from(len / 4).expect("transform length fits u32");
+        // rev(4q) within log2(len) bits is q reversed within two bits
+        // fewer: the two low zero bits of 4q become the two high ones.
+        let bits = quads.trailing_zeros();
+        let starts = (0..quads)
+            .map(|q| q.reverse_bits().checked_shr(32 - bits).unwrap_or(0))
+            .collect();
+        QuadOrder { starts }
+    }
+
+    /// Transform length this order was built for.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        4 * self.starts.len()
+    }
+
+    /// Bytes of the table.
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.starts)
+    }
+
+    /// The first pass of an out-of-place transform: element `k` of the
+    /// input is `src[first + k * stride]`, and `dst` receives the stages
+    /// of size 2 and 4 of its bit-reversed order — what [`first_pass`]
+    /// leaves after an in-place permutation, with no pass spent permuting.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `dst` has this order's length and `src` holds every
+    /// element addressed.
+    pub(crate) fn first_pass_from(
+        &self,
+        src: &[Complex],
+        first: usize,
+        stride: usize,
+        dst: &mut [Complex],
+        inverse: bool,
+        body: Body,
+    ) {
+        let n = self.len();
+        assert_eq!(dst.len(), n, "first_pass_from: output length");
+        let last = (n - 1)
+            .checked_mul(stride)
+            .and_then(|reach| reach.checked_add(first));
+        assert!(
+            last.is_some_and(|last| last < src.len()),
+            "first_pass_from: source too short"
+        );
+        if body.avx2_fma {
+            // SAFETY: only the probe sets `avx2_fma`, after it verified
+            // avx2+fma on this CPU; both lengths were asserted just above.
+            #[cfg(target_arch = "x86_64")]
+            return unsafe { self.first_pass_from_avx(src, first, stride, dst, inverse) };
+        }
+        let flip = direction_flip(inverse);
+        let quarter = self.starts.len();
+        let at = |k: usize| src[first + k * stride];
+        for (out, &start) in dst.chunks_exact_mut(4).zip(&self.starts) {
+            let r = start as usize;
+            let x = [
+                at(r),
+                at(r + 2 * quarter),
+                at(r + quarter),
+                at(r + 3 * quarter),
+            ];
+            out.copy_from_slice(&quad(x, flip));
+        }
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must have AVX2+FMA, `dst` this order's length, and
+    /// `first + (len - 1) * stride` must index `src`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn first_pass_from_avx(
+        &self,
+        src: &[Complex],
+        first: usize,
+        stride: usize,
+        dst: &mut [Complex],
+        inverse: bool,
+    ) {
+        use core::arch::x86_64::*;
+        let sign = rotation_sign(inverse);
+        let quarter = self.starts.len();
+        // Doubles between input elements a quarter of the length apart.
+        let step = 2 * stride * quarter;
+        let s = src.as_ptr().cast::<f64>();
+        let d = dst.as_mut_ptr().cast::<f64>();
+        for (q, &start) in self.starts.iter().enumerate() {
+            // SAFETY: `start < quarter` (the type's invariant), so the four
+            // elements read are `k = start + {0, 2, 1, 3} * quarter <=
+            // 4 * quarter - 1 = n - 1`, and the caller vouches that
+            // `first + (n - 1) * stride` indexes `src`; `dst` has
+            // `n = 4 * quarter` elements, so quad `q < quarter` is inside.
+            unsafe {
+                let x0 = s.add(2 * (first + start as usize * stride));
+                let out = quad_avx(
+                    [
+                        _mm_loadu_pd(x0),
+                        _mm_loadu_pd(x0.add(2 * step)),
+                        _mm_loadu_pd(x0.add(step)),
+                        _mm_loadu_pd(x0.add(3 * step)),
+                    ],
+                    sign,
+                );
+                store_quad(d.add(8 * q), out);
+            }
+        }
+    }
+}
+
+/// The stages of size 2 and 4 over data already in bit-reversed order, in
+/// place: each aligned quad becomes its four-point transform.
+///
+/// # Panics
+///
+/// Panics unless the length is a multiple of four.
+pub(crate) fn first_pass(data: &mut [Complex], inverse: bool, body: Body) {
+    assert!(data.len().is_multiple_of(4), "first_pass: length");
+    if body.avx2_fma {
+        // SAFETY: only the probe sets `avx2_fma`, after it verified
+        // avx2+fma on this CPU; the lengths were asserted just above.
+        #[cfg(target_arch = "x86_64")]
+        return unsafe { first_pass_avx(data, inverse) };
+    }
+    let flip = direction_flip(inverse);
+    for q in data.chunks_exact_mut(4) {
+        let out = quad([q[0], q[1], q[2], q[3]], flip);
+        q.copy_from_slice(&out);
+    }
+}
+
+/// Two consecutive radix-2 stages, of size `2h` and `4h`, over the whole
+/// array in one sweep. `tw` is their `3h` twiddles as the stage-major table
+/// holds them: `h` for the size-`2h` stage, then `2h` for the size-`4h`.
+///
+/// Within each block of `4h` values the quarters `A B C D` go through
+/// `(A, B)` and `(C, D)` with the smaller stage's twiddle `k`, then
+/// `(A', C')` with the larger stage's twiddle `k` and `(B', D')` with its
+/// twiddle `k + h` — the same butterflies two [`single_pass`]es would run,
+/// each value loaded and stored once instead of twice.
+///
+/// # Panics
+///
+/// Panics unless `h` is even and at least 2 and the array is whole blocks.
+pub(crate) fn fused_pass(data: &mut [Complex], tw: &[Complex], body: Body) {
+    let h = tw.len() / 3;
+    assert!(
+        tw.len() == 3 * h && h >= 2 && h.is_multiple_of(2),
+        "fused_pass: twiddles"
+    );
+    assert!(data.len().is_multiple_of(4 * h), "fused_pass: length");
+    if body.avx2_fma {
+        // SAFETY: only the probe sets `avx2_fma`, after it verified
+        // avx2+fma on this CPU; the lengths were asserted just above.
+        #[cfg(target_arch = "x86_64")]
+        return unsafe { fused_pass_avx(data, tw) };
+    }
+    let (w1, w2) = tw.split_at(h);
+    let (w2_lo, w2_hi) = w2.split_at(h);
+    for block in data.chunks_exact_mut(4 * h) {
+        let (ab, cd) = block.split_at_mut(2 * h);
+        let (a, b) = ab.split_at_mut(h);
+        let (c, d) = cd.split_at_mut(h);
+        let quarters = a.iter_mut().zip(b).zip(c.iter_mut().zip(d));
+        let twiddles = w1.iter().zip(w2_lo.iter().zip(w2_hi));
+        for (((a, b), (c, d)), (&w1, (&w2_lo, &w2_hi))) in quarters.zip(twiddles) {
+            let (a1, b1) = butterfly(*a, *b, w1);
+            let (c1, d1) = butterfly(*c, *d, w1);
+            (*a, *c) = butterfly(a1, c1, w2_lo);
+            (*b, *d) = butterfly(b1, d1, w2_hi);
+        }
+    }
+}
+
+/// One radix-2 stage of size `2 * tw.len()` over the whole array:
+/// `lo[k], hi[k] <- lo[k] ± tw[k] * hi[k]` in every block.
+///
+/// # Panics
+///
+/// Panics unless the half size is even and at least 2 and the array is
+/// whole blocks.
+pub(crate) fn single_pass(data: &mut [Complex], tw: &[Complex], body: Body) {
+    let half = tw.len();
+    assert!(half >= 2 && half.is_multiple_of(2), "single_pass: twiddles");
+    assert!(data.len().is_multiple_of(2 * half), "single_pass: length");
+    if body.avx2_fma {
+        // SAFETY: only the probe sets `avx2_fma`, after it verified
+        // avx2+fma on this CPU; the lengths were asserted just above.
+        #[cfg(target_arch = "x86_64")]
+        return unsafe { single_pass_avx(data, tw) };
+    }
+    for block in data.chunks_exact_mut(2 * half) {
+        let (lo, hi) = block.split_at_mut(half);
+        for ((l, h), &w) in lo.iter_mut().zip(hi).zip(tw) {
+            (*l, *h) = butterfly(*l, *h, w);
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
+mod x86 {
+    use core::arch::x86_64::*;
+
+    /// The sign mask that turns a component swap into a multiplication by
+    /// `-i` (forward: negate the new imaginary part) or `+i` (inverse:
+    /// negate the new real part).
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    pub(super) fn rotation_sign(inverse: bool) -> __m128d {
+        if inverse {
+            _mm_set_pd(0.0, -0.0)
+        } else {
+            _mm_set_pd(-0.0, 0.0)
+        }
+    }
+
+    /// [`super::quad`] on one complex value per register.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    pub(super) fn quad_avx(x: [__m128d; 4], sign: __m128d) -> [__m128d; 4] {
+        let s0 = _mm_add_pd(x[0], x[1]);
+        let d0 = _mm_sub_pd(x[0], x[1]);
+        let s1 = _mm_add_pd(x[2], x[3]);
+        let d1 = _mm_sub_pd(x[2], x[3]);
+        let t = _mm_xor_pd(_mm_permute_pd(d1, 0b01), sign);
+        [
+            _mm_add_pd(s0, s1),
+            _mm_add_pd(d0, t),
+            _mm_sub_pd(s0, s1),
+            _mm_sub_pd(d0, t),
+        ]
+    }
+
+    /// Stores four complex values at `out .. out + 8`.
+    ///
+    /// # Safety
+    ///
+    /// `out` must be valid for writing eight `f64`s.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    pub(super) unsafe fn store_quad(out: *mut f64, q: [__m128d; 4]) {
+        // SAFETY: the caller vouches for `out .. out + 8`.
+        unsafe {
+            _mm_storeu_pd(out, q[0]);
+            _mm_storeu_pd(out.add(2), q[1]);
+            _mm_storeu_pd(out.add(4), q[2]);
+            _mm_storeu_pd(out.add(6), q[3]);
+        }
+    }
+
+    /// Two twiddles with their components splat across their lanes:
+    /// `re = [re0, re0, re1, re1]`, `im` likewise.
+    #[derive(Clone, Copy)]
+    pub(super) struct Splat {
+        re: __m256d,
+        im: __m256d,
+    }
+
+    /// Loads the two twiddles at `w .. w + 4`.
+    ///
+    /// # Safety
+    ///
+    /// `w` must be valid for reading four `f64`s.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    pub(super) unsafe fn splat(w: *const f64) -> Splat {
+        // SAFETY: the caller vouches for `w .. w + 4`.
+        let w = unsafe { _mm256_loadu_pd(w) };
+        Splat {
+            re: _mm256_movedup_pd(w),
+            im: _mm256_permute_pd(w, 0b1111),
+        }
+    }
+
+    /// `w * v` on two interleaved complex lanes. `fmaddsub` gives the even
+    /// lanes `re.v - im.vs` and the odd ones `re.v + im.vs`, with `vs` the
+    /// lanes of `v` swapped: the complex product, the second term rounded
+    /// before the fused first — the one rounding sequence every vector
+    /// butterfly of this crate has used.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    pub(super) fn cmul(w: Splat, v: __m256d) -> __m256d {
+        let vs = _mm256_permute_pd(v, 0b0101);
+        _mm256_fmaddsub_pd(w.re, v, _mm256_mul_pd(w.im, vs))
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+use x86::{cmul, quad_avx, rotation_sign, splat, store_quad};
+
+/// # Safety
+///
+/// The CPU must have AVX2+FMA and the length must be a multiple of four.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn first_pass_avx(data: &mut [Complex], inverse: bool) {
+    use core::arch::x86_64::*;
+    let sign = rotation_sign(inverse);
+    let p = data.as_mut_ptr().cast::<f64>();
+    for q in 0..data.len() / 4 {
+        // SAFETY: quad `q < len / 4` is elements `4q .. 4q + 4 <= len`,
+        // i.e. doubles `8q .. 8q + 8`; it is read whole before it is
+        // written.
+        unsafe {
+            let at = p.add(8 * q);
+            let x = [
+                _mm_loadu_pd(at),
+                _mm_loadu_pd(at.add(2)),
+                _mm_loadu_pd(at.add(4)),
+                _mm_loadu_pd(at.add(6)),
+            ];
+            store_quad(at, quad_avx(x, sign));
+        }
+    }
+}
+
+/// # Safety
+///
+/// The CPU must have AVX2+FMA, `tw.len()` must be `3h` with `h` even, and
+/// `data.len()` a multiple of `4h`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn fused_pass_avx(data: &mut [Complex], tw: &[Complex]) {
+    use core::arch::x86_64::*;
+    // Doubles per quarter block.
+    let quarter = 2 * (tw.len() / 3);
+    let doubles = 2 * data.len();
+    let p = data.as_mut_ptr().cast::<f64>();
+    let w = tw.as_ptr().cast::<f64>();
+    let mut block = 0;
+    while block < doubles {
+        let mut k = 0;
+        while k < quarter {
+            // SAFETY: `k + 4 <= quarter` (a multiple of four, `h` being
+            // even) and `block + 4 * quarter <= doubles` (whole blocks,
+            // both vouched for by the caller), so the four data loads and
+            // stores at `block + j * quarter + k .. + 4`, `j < 4`, stay in
+            // `data`; the twiddle loads at `k`, `quarter + k` and
+            // `2 * quarter + k` stay in `tw`'s `3 * quarter` doubles.
+            unsafe {
+                let a = p.add(block + k);
+                let b = a.add(quarter);
+                let c = b.add(quarter);
+                let d = c.add(quarter);
+                let w1 = splat(w.add(k));
+                let (va, vc) = (_mm256_loadu_pd(a), _mm256_loadu_pd(c));
+                let t = cmul(w1, _mm256_loadu_pd(b));
+                let (a1, b1) = (_mm256_add_pd(va, t), _mm256_sub_pd(va, t));
+                let t = cmul(w1, _mm256_loadu_pd(d));
+                let (c1, d1) = (_mm256_add_pd(vc, t), _mm256_sub_pd(vc, t));
+                let t = cmul(splat(w.add(quarter + k)), c1);
+                _mm256_storeu_pd(a, _mm256_add_pd(a1, t));
+                _mm256_storeu_pd(c, _mm256_sub_pd(a1, t));
+                let t = cmul(splat(w.add(2 * quarter + k)), d1);
+                _mm256_storeu_pd(b, _mm256_add_pd(b1, t));
+                _mm256_storeu_pd(d, _mm256_sub_pd(b1, t));
+            }
+            k += 4;
+        }
+        block += 4 * quarter;
+    }
+}
+
+/// # Safety
+///
+/// The CPU must have AVX2+FMA, `tw.len()` must be even, and `data.len()` a
+/// multiple of `2 * tw.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn single_pass_avx(data: &mut [Complex], tw: &[Complex]) {
+    use core::arch::x86_64::*;
+    // Doubles per half block.
+    let half = 2 * tw.len();
+    let doubles = 2 * data.len();
+    let p = data.as_mut_ptr().cast::<f64>();
+    let w = tw.as_ptr().cast::<f64>();
+    let mut block = 0;
+    while block < doubles {
+        let mut k = 0;
+        while k < half {
+            // SAFETY: `k + 4 <= half` (a multiple of four) and
+            // `block + 2 * half <= doubles` (whole blocks, both vouched for
+            // by the caller), so both halves' accesses stay in `data` and
+            // the twiddle load in `tw`'s `half` doubles.
+            unsafe {
+                let lo = p.add(block + k);
+                let hi = lo.add(half);
+                let u = _mm256_loadu_pd(lo);
+                let t = cmul(splat(w.add(k)), _mm256_loadu_pd(hi));
+                _mm256_storeu_pd(lo, _mm256_add_pd(u, t));
+                _mm256_storeu_pd(hi, _mm256_sub_pd(u, t));
+            }
+            k += 4;
+        }
+        block += 2 * half;
+    }
+}
+
+/// The per-block AVX2+FMA butterfly the stage-at-a-time engine called
+/// through a function pointer, kept as the oracle the fused passes are
+/// compared against bit for bit (`plan.rs`).
+///
+/// # Panics
+///
+/// Panics unless the three slices share one even length and the CPU has
+/// AVX2+FMA.
+#[cfg(all(test, target_arch = "x86_64"))]
+pub(crate) fn butterfly_block_x86(lo: &mut [Complex], hi: &mut [Complex], tw: &[Complex]) {
+    assert_eq!(lo.len(), hi.len());
+    assert_eq!(lo.len(), tw.len());
+    assert!(lo.len().is_multiple_of(2));
+    assert!(avx2_fma_available());
+    // SAFETY: avx2+fma verified just above; the kernel only dereferences
+    // within the equal-length input slices.
+    unsafe { butterfly_block_avx(lo, hi, tw) }
+}
+
+#[cfg(all(test, target_arch = "x86_64"))]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn butterfly_block_avx(lo: &mut [Complex], hi: &mut [Complex], tw: &[Complex]) {
     use core::arch::x86_64::*;

@@ -1,7 +1,10 @@
 //! Dense vs sparse-support inverse parity on random `P x P`-supported
-//! spectra — the exact shape the per-kernel inverse of Eq. (2) sees.
+//! spectra — the exact shape the per-kernel inverse of Eq. (2) sees — and
+//! on the half-spectra the real-input inverse sees, whose support-limited
+//! form moves and re-tangles the listed columns only.
 
-use ilt_fft::{spectral, Complex, Fft2d};
+use ilt_fft::{spectral, Complex, Fft2d, Rfft2d};
+use ilt_par::InnerPool;
 
 /// Deterministic xorshift values in [-1, 1).
 struct Rng(u64);
@@ -42,6 +45,40 @@ fn sparse_inverse_is_bit_identical_to_dense_on_random_supported_spectra() {
             fft.inverse(&mut dense).unwrap();
             fft.inverse_support(&mut sparse, &bins).unwrap();
             assert_eq!(dense, sparse, "n={n} p={p} trial={trial}");
+        }
+
+        // The real-input inverse of a half-spectrum supported on the stored
+        // columns the adjoint accumulator touches (0..=P/2, capped at the
+        // stored half): the listed-columns call, handed a scratch full of
+        // NaN, returns the bits of the dense call on the same spectrum.
+        let rfft = Rfft2d::new(n).unwrap();
+        let cols: Vec<usize> = (0..(p / 2 + 1).min(n / 2 + 1)).collect();
+        let serial = InnerPool::serial();
+        for trial in 0..5 {
+            let mut dense = vec![Complex::ZERO; rfft.spectrum_len()];
+            for &c in &cols {
+                for &r in &bins {
+                    dense[c * n + r] = Complex::new(rng.next(), rng.next());
+                }
+            }
+            let mut sparse = dense.clone();
+            let mut want = vec![0.0; n * n];
+            let mut got = vec![f64::NAN; n * n];
+            let mut scratch = vec![Complex::ZERO; rfft.spectrum_len()];
+            rfft.inverse(&mut dense, &mut want, &mut scratch, &serial)
+                .unwrap();
+            scratch.fill(Complex::new(f64::NAN, f64::NAN));
+            rfft.inverse_support_scaled(
+                &mut sparse,
+                &mut got,
+                &mut scratch,
+                Some(&cols),
+                1.0,
+                &serial,
+            )
+            .unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "real n={n} p={p} trial={trial}");
         }
     }
 }

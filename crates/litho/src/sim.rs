@@ -15,15 +15,21 @@
 //! * **Real input.** Masks and loss derivatives are real, so their spectra
 //!   are conjugate symmetric: every `n`-size transform is a real-input
 //!   [`Rfft2d`] one over the stored half-spectrum.
-//! * **Support-limited forwards.** Of the `n/2 + 1` stored columns of a
-//!   mask-grid spectrum the optics can see very few: the crop `[.]_P`
+//! * **Support-limited real transforms.** Of the `n/2 + 1` stored columns
+//!   of a mask-grid spectrum the optics can see very few: the crop `[.]_P`
 //!   reads columns `0..=P/2` of the mask's, the `2P - 1` band columns
-//!   `0..P` of `dL/dI`'s (14 and 27 of 129 at `n = 256`, `P = 27`). Both
-//!   `n`-size forwards, and the `n_s`-size one of the intensity, go through
-//!   [`Rfft2d::forward_support`]: all `n` real row transforms, then only
-//!   the listed column transforms. A computed column is computed exactly
-//!   as the dense transform would; the others are never read (a test
-//!   poisons them with NaN).
+//!   `0..P` of `dL/dI`'s (14 and 27 of 129 at `n = 256`, `P = 27`), and the
+//!   two `n`-size inverses start from spectra that are zero outside the
+//!   same few columns. All four go through [`Rfft2d::forward_support`] /
+//!   [`Rfft2d::inverse_support_scaled`], which hand the span of the column
+//!   list down to their row passes: a forward row runs its half-length
+//!   transform (reading the real row in place, in bit-reversed order — no
+//!   packing or permutation pass) and untangles only the listed bins, the
+//!   listed columns are gathered straight into their column transforms,
+//!   and an inverse moves and re-tangles only the listed columns, its rows
+//!   landing directly in the real output. A computed value is computed
+//!   exactly as the dense transform would; what is not listed is never
+//!   read (tests poison it with NaN).
 //! * **Nyquist-grid evaluation.** Everything after the crop `[.]_P` is
 //!   band-limited: a field `A_i` to the `P` support bins, the intensity
 //!   `sum_i w_i |A_i|^2` to the `2P - 1` bins of their differences. Both
@@ -60,9 +66,15 @@
 //!   first-pass transforms of the `n_s - P` rows the `P x P` crop left
 //!   zero; per-kernel forwards use [`Fft2d::forward_support_transposed`],
 //!   skipping the `n_s - P` column transforms nobody reads. With the
-//!   support-limited real forwards above, what is left at mask resolution
+//!   support-limited real transforms above, what is left at mask resolution
 //!   is what cannot shrink: the real row passes over the `n^2` pixels that
 //!   come in and go out, and the `O(P)` column transforms between them.
+//! * Under all of it sits one 1-D engine (`ilt_fft::FftPlan`): whole-array
+//!   butterfly passes that keep two consecutive radix-2 stages in
+//!   registers, bit-identical to the stage-at-a-time loop they replaced.
+//!   At `n = 256`, `s = 1` the four `n`-size real transforms are ~0.4 ms
+//!   of a ~0.7 ms simulate + gradient pair; at the coarse levels, where
+//!   `n_s = n`, the per-kernel complex transforms are nearly all of it.
 
 use ilt_fft::{spectral, Complex, Fft2d, Rfft2d};
 use ilt_grid::{Grid, RealGrid};

@@ -17,10 +17,13 @@
 //!   per-item buffers in parallel and folded serially in item order by the
 //!   caller, so floating-point association never depends on thread timing.
 //!
-//! Workers are scoped threads ([`std::thread::scope`]): spawning costs a
-//! few microseconds per call, which is noise against the multi-millisecond
-//! FFT stacks this guards, and it keeps the crate `std`-only with no
-//! `unsafe`.
+//! Workers are scoped threads ([`std::thread::scope`]), which keeps the
+//! crate `std`-only with no `unsafe`, but a spawn costs tens of
+//! microseconds per call and the work it guards has shrunk under it: a
+//! 256-pixel `simulate_into` is ~0.4 ms, so two inner threads *slow it
+//! down* (`par.inner2_speedup` 0.53 on the benchmark's 2-core box, see
+//! EXPERIMENTS.md "The FFT rung"). The serial default stands until the
+//! persistent shared pool of ROADMAP item 2 replaces the per-call spawn.
 //!
 //! ## Thread budget
 //!
