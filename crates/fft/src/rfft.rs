@@ -480,13 +480,7 @@ impl Rfft2d {
         self.check_spectral(scratch.len())?;
         self.check_support(support_cols)?;
         ilt_telemetry::counter_add("fft.rfft_forward", 1);
-        let bins = match support_cols {
-            Some(cols) => {
-                ilt_telemetry::counter_add("fft.rows_skipped", (hw - cols.len().min(hw)) as u64);
-                bin_span(cols)
-            }
-            None => 0..hw,
-        };
+        let bins = self.listed_span(support_cols);
         if bins.is_empty() {
             return Ok(());
         }
@@ -583,23 +577,21 @@ impl Rfft2d {
         ilt_telemetry::counter_add("fft.rfft_inverse", 1);
         // Column pass (stored columns are contiguous rows of `spec`).
         let plan = &self.col_plan;
-        let bins = match support_cols {
+        match support_cols {
             Some(cols) => {
-                ilt_telemetry::counter_add("fft.rows_skipped", (hw - cols.len().min(hw)) as u64);
                 for &c in cols {
                     plan.transform(&mut spec[c * n..(c + 1) * n], Direction::Inverse)
                         .expect("column length matches plan by construction");
                 }
-                bin_span(cols)
             }
             None => {
                 pool.for_each_chunk_mut(spec, n, |_, col| {
                     plan.transform(col, Direction::Inverse)
                         .expect("column length matches plan by construction");
                 });
-                0..hw
             }
-        };
+        }
+        let bins = self.listed_span(support_cols);
         // Transpose hw x n -> n x hw, then re-tangle each row back to
         // reals — both over the span of the listed columns only: a column
         // inside the span but off the list is zero by the caller's word
@@ -618,6 +610,22 @@ impl Rfft2d {
             }
         });
         Ok(())
+    }
+
+    /// The smallest contiguous range of bins holding every listed column
+    /// (all of them for `None`, empty for an empty list) — what the row
+    /// passes of the support-limited transforms work on — after counting
+    /// the unlisted columns on `fft.rows_skipped`.
+    fn listed_span(&self, support_cols: Option<&[usize]>) -> Range<usize> {
+        let hw = self.half_cols();
+        let Some(cols) = support_cols else {
+            return 0..hw;
+        };
+        ilt_telemetry::counter_add("fft.rows_skipped", (hw - cols.len().min(hw)) as u64);
+        match (cols.iter().min(), cols.iter().max()) {
+            (Some(&first), Some(&last)) => first..last + 1,
+            _ => 0..0,
+        }
     }
 
     fn check_support(&self, support_cols: Option<&[usize]>) -> Result<(), FftError> {
@@ -639,16 +647,6 @@ impl Rfft2d {
             });
         }
         Ok(())
-    }
-}
-
-/// The smallest contiguous range of bins holding every listed column
-/// (empty for an empty list): what the row passes of the support-limited
-/// transforms work on.
-fn bin_span(cols: &[usize]) -> Range<usize> {
-    match (cols.iter().min(), cols.iter().max()) {
-        (Some(&first), Some(&last)) => first..last + 1,
-        _ => 0..0,
     }
 }
 

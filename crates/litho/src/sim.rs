@@ -73,7 +73,7 @@
 //!   butterfly passes that keep two consecutive radix-2 stages in
 //!   registers, bit-identical to the stage-at-a-time loop they replaced.
 //!   At `n = 256`, `s = 1` the four `n`-size real transforms are ~0.4 ms
-//!   of a ~0.7 ms simulate + gradient pair; at the coarse levels, where
+//!   of a ~0.8 ms simulate + gradient pair; at the coarse levels, where
 //!   `n_s = n`, the per-kernel complex transforms are nearly all of it.
 
 use ilt_fft::{spectral, Complex, Fft2d, Rfft2d};

@@ -21,7 +21,7 @@
 //! crate `std`-only with no `unsafe`, but a spawn costs tens of
 //! microseconds per call and the work it guards has shrunk under it: a
 //! 256-pixel `simulate_into` is ~0.4 ms, so two inner threads *slow it
-//! down* (`par.inner2_speedup` 0.53 on the benchmark's 2-core box, see
+//! down* (`par.inner2_speedup` 0.5–0.6 on the benchmark's 2-core box, see
 //! EXPERIMENTS.md "The FFT rung"). The serial default stands until the
 //! persistent shared pool of ROADMAP item 2 replaces the per-call spawn.
 //!
