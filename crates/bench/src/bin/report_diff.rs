@@ -24,7 +24,8 @@
 
 use std::process::ExitCode;
 
-use ilt_diag::{compare_reports, DiffThresholds, Json};
+use ilt_diag::{compare_reports, DiffThresholds};
+use ilt_json::Json;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

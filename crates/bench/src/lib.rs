@@ -20,8 +20,9 @@
 //! * `ILT_OUT` — output directory for CSV/PGM artifacts (default
 //!   `results/`);
 //! * `ILT_TRACE` — `1`/`true`/`on`/`yes` enables telemetry collection
-//!   (spans, counters, histograms) for the run; the trace artifacts written
-//!   by [`HarnessOptions::finish_run`] land in the `ILT_OUT` directory.
+//!   (counters, histograms, and every span of the run instead of the most
+//!   recent ones); the trace artifacts written by
+//!   [`HarnessOptions::finish_run`] land in the `ILT_OUT` directory.
 //!
 //! Invalid values of `ILT_SCALE`, `ILT_CASES`, `ILT_WORKERS`, or
 //! `ILT_INNER_THREADS` are reported on stderr (naming the variable and the
@@ -62,9 +63,13 @@ impl HarnessOptions {
     /// Reads options from the environment (see the crate docs),
     /// initialises telemetry collection from `ILT_TRACE`, and arms the
     /// fault-injection registry from `ILT_FAULTS` (fault drills run the
-    /// same binaries as clean benchmarks).
+    /// same binaries as clean benchmarks). A traced run keeps every span
+    /// until [`finish_run`](Self::finish_run) drains them, so it lifts the
+    /// span store's drop-oldest bound.
     pub fn from_env() -> Self {
-        ilt_telemetry::init_from_env();
+        if ilt_telemetry::init_from_env() {
+            ilt_telemetry::flight::set_capacity(usize::MAX);
+        }
         ilt_fault::configure_from_env();
         let scale = scale_or_warn(std::env::var("ILT_SCALE").ok());
         let config = match scale.as_str() {
@@ -160,10 +165,14 @@ impl HarnessOptions {
     /// harness.
     pub fn finish_run(&self, binary: &str) {
         let trace_enabled = ilt_telemetry::enabled();
-        let tele = ilt_telemetry::drain();
+        let mut tele = ilt_telemetry::drain();
+        if !trace_enabled {
+            // What the bounded span store happens to hold is not a record
+            // of this run; an untraced report carries no spans.
+            tele.events.clear();
+        }
         let diag = ilt_diag::sink::drain();
-        let anomalies = ilt_diag::anomalies_from(&tele);
-        let report = render_report(binary, self, &tele, trace_enabled, &diag, &anomalies);
+        let report = render_report(binary, self, &tele, trace_enabled, &diag);
         let path = self.artifact("report.json");
         std::fs::write(&path, report).expect("cannot write report.json");
         println!("wrote {}", path.display());
@@ -342,7 +351,6 @@ fn render_report(
     tele: &Telemetry,
     trace_enabled: bool,
     diag: &ilt_diag::RunDiagnostics,
-    anomalies: &[ilt_diag::AnomalyEvent],
 ) -> String {
     use ilt_telemetry::json;
     let mut out = String::from("{\"schema\":\"ilt-report/v2\",\"binary\":");
@@ -438,7 +446,7 @@ fn render_report(
     out.push_str(",\"latency_budget\":");
     out.push_str(&tele.latency_budget().to_json());
     out.push_str(",\"diagnostics\":");
-    out.push_str(&ilt_diag::render_diagnostics_json(diag, anomalies));
+    out.push_str(&ilt_diag::render_diagnostics_json(diag));
     out.push_str(",\"spans\":");
     out.push_str(&tele.span_tree_json());
     out.push('}');
@@ -577,7 +585,6 @@ mod tests {
             &Telemetry::default(),
             false,
             &ilt_diag::RunDiagnostics::default(),
-            &[],
         );
         assert!(report.starts_with("{\"schema\":\"ilt-report/v2\""));
         assert!(report.contains("\"binary\":\"smoke\""));
@@ -586,7 +593,7 @@ mod tests {
         assert!(report.ends_with('}'));
         // The whole report must be well-formed JSON with the v2 sections in
         // place (empty, since no telemetry was collected).
-        let json = ilt_diag::Json::parse(&report).expect("report parses");
+        let json = ilt_json::Json::parse(&report).expect("report parses");
         assert_eq!(
             json.get("schema").and_then(|s| s.as_str()),
             Some("ilt-report/v2")
@@ -657,9 +664,8 @@ mod tests {
             &Telemetry::default(),
             false,
             &ilt_diag::RunDiagnostics::default(),
-            &[],
         );
-        let json = ilt_diag::Json::parse(&report).expect("report parses");
+        let json = ilt_json::Json::parse(&report).expect("report parses");
         let profile = json.get("profile").expect("profile section");
         assert!(
             profile
@@ -700,9 +706,8 @@ mod tests {
             &Telemetry::default(),
             false,
             &ilt_diag::RunDiagnostics::default(),
-            &[],
         );
-        let json = ilt_diag::Json::parse(&report).expect("report parses");
+        let json = ilt_json::Json::parse(&report).expect("report parses");
         assert_eq!(
             json.path(&["extra_section_test", "speedup"])
                 .and_then(|v| v.as_f64()),

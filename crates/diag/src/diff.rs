@@ -6,7 +6,7 @@
 //! change on one box. The `report_diff` bench binary is a thin CLI over
 //! [`compare_reports`].
 
-use crate::jsonv::Json;
+use ilt_json::Json;
 
 /// What counts as a regression.
 #[derive(Debug, Clone, Copy, PartialEq)]

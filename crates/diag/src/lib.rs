@@ -13,9 +13,8 @@
 //!   telemetry tree and cells in the run's convergence matrix.
 //! * **Regression gating** ([`diff`]) — [`compare_reports`] diffs two
 //!   `ilt-report` JSON documents (parsed with the dependency-free
-//!   [`jsonv::Json`] parser) and lists quality, degradation and reuse
-//!   regressions; the
-//!   `report_diff` bench binary wraps it for CI.
+//!   [`ilt_json::Json`] parser) and lists quality, degradation and reuse
+//!   regressions; the `report_diff` bench binary wraps it for CI.
 //!
 //! Everything funnels through the process-global [`sink`], gated — like
 //! telemetry itself — on [`ilt_telemetry::enabled`]: with `ILT_TRACE`
@@ -27,19 +26,13 @@
 
 pub mod anomaly;
 pub mod diff;
-/// The JSON value parser, re-exported from [`ilt_json`] where it now lives
-/// (kept at its historical `ilt_diag::jsonv` path for compatibility).
-pub mod jsonv {
-    pub use ilt_json::Json;
-}
 pub mod report;
 pub mod sink;
 pub mod spatial;
 
 pub use anomaly::{detect, observe_solve, Anomaly, AnomalyConfig, AnomalyKind};
 pub use diff::{compare_reports, DiffThresholds, Regression};
-pub use jsonv::Json;
-pub use report::{anomalies_from, render_diagnostics_json, AnomalyEvent};
+pub use report::render_diagnostics_json;
 pub use sink::{
     observe_degraded, CaseQuality, DegradedTileRecord, QualitySummary, RunDiagnostics, StageCell,
     TileQuality,

@@ -1,72 +1,18 @@
 //! Renders drained diagnostics into the `diagnostics` section of
-//! `report.json` (schema `ilt-report/v2`) and extracts anomaly events back
-//! out of a telemetry snapshot.
+//! `report.json` (schema `ilt-report/v2`).
 
 use std::fmt::Write as _;
 
-use ilt_telemetry::{json, names, FieldValue, Telemetry};
+use ilt_telemetry::json;
 
+use crate::anomaly::Anomaly;
 use crate::sink::{CaseQuality, RunDiagnostics, StageCell};
-
-/// One anomaly event extracted from the span tree (the flattened form of
-/// the `anomaly` spans emitted by [`crate::observe_solve`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnomalyEvent {
-    /// Flow name.
-    pub flow: String,
-    /// Stage label.
-    pub stage: String,
-    /// Tile index.
-    pub tile: u64,
-    /// Anomaly kind code (`stall`, `divergence`, `oscillation`).
-    pub kind: String,
-    /// Iteration where detection fired.
-    pub iteration: u64,
-    /// Kind-specific magnitude.
-    pub value: f64,
-}
-
-fn field_str(e: &ilt_telemetry::SpanEvent, key: &str) -> String {
-    e.field(key)
-        .and_then(FieldValue::as_str)
-        .unwrap_or("?")
-        .to_string()
-}
-
-fn field_f64(e: &ilt_telemetry::SpanEvent, key: &str) -> f64 {
-    match e.field(key) {
-        Some(FieldValue::F64(v)) => *v,
-        Some(FieldValue::U64(v)) => *v as f64,
-        Some(FieldValue::I64(v)) => *v as f64,
-        _ => 0.0,
-    }
-}
-
-/// Collects every anomaly span from a drained telemetry snapshot, in
-/// record order.
-pub fn anomalies_from(telemetry: &Telemetry) -> Vec<AnomalyEvent> {
-    telemetry
-        .events
-        .iter()
-        .filter(|e| e.name == names::ANOMALY)
-        .map(|e| AnomalyEvent {
-            flow: field_str(e, "flow"),
-            stage: field_str(e, "stage"),
-            tile: e.field("tile").and_then(FieldValue::as_u64).unwrap_or(0),
-            kind: field_str(e, "kind"),
-            iteration: e
-                .field("iteration")
-                .and_then(FieldValue::as_u64)
-                .unwrap_or(0),
-            value: field_f64(e, "value"),
-        })
-        .collect()
-}
 
 /// Renders the `diagnostics` JSON object embedded in `ilt-report/v2`:
 /// the convergence matrix (one cell per observed tile solve), the per-case
-/// quality matrices with folded summaries, and the flattened anomaly list.
-pub fn render_diagnostics_json(diag: &RunDiagnostics, anomalies: &[AnomalyEvent]) -> String {
+/// quality matrices with folded summaries, and the anomaly list — the
+/// cells' anomalies flattened, in record order.
+pub fn render_diagnostics_json(diag: &RunDiagnostics) -> String {
     let mut out = String::from("{\"convergence\":[");
     for (i, cell) in diag.solves.iter().enumerate() {
         if i > 0 {
@@ -82,11 +28,15 @@ pub fn render_diagnostics_json(diag: &RunDiagnostics, anomalies: &[AnomalyEvent]
         push_case(&mut out, case);
     }
     out.push_str("],\"anomalies\":[");
-    for (i, a) in anomalies.iter().enumerate() {
+    let anomalies = diag
+        .solves
+        .iter()
+        .flat_map(|cell| cell.anomalies.iter().map(move |a| (cell, a)));
+    for (i, (cell, a)) in anomalies.enumerate() {
         if i > 0 {
             out.push(',');
         }
-        push_anomaly(&mut out, a);
+        push_anomaly(&mut out, cell, a);
     }
     out.push_str("],\"degraded\":[");
     for (i, d) in diag.degraded.iter().enumerate() {
@@ -170,14 +120,14 @@ fn push_degraded(out: &mut String, d: &crate::sink::DegradedTileRecord) {
     out.push('}');
 }
 
-fn push_anomaly(out: &mut String, a: &AnomalyEvent) {
+fn push_anomaly(out: &mut String, cell: &StageCell, a: &Anomaly) {
     out.push_str("{\"flow\":");
-    json::push_str_literal(out, &a.flow);
+    json::push_str_literal(out, &cell.flow);
     out.push_str(",\"stage\":");
-    json::push_str_literal(out, &a.stage);
+    json::push_str_literal(out, &cell.stage);
     out.push_str(",\"kind\":");
-    json::push_str_literal(out, &a.kind);
-    let _ = write!(out, ",\"tile\":{},\"iteration\":{}", a.tile, a.iteration);
+    json::push_str_literal(out, a.kind.code());
+    let _ = write!(out, ",\"tile\":{},\"iteration\":{}", cell.tile, a.iteration);
     out.push_str(",\"value\":");
     json::push_f64(out, a.value);
     out.push('}');
@@ -187,7 +137,7 @@ fn push_anomaly(out: &mut String, a: &AnomalyEvent) {
 mod tests {
     use super::*;
     use crate::anomaly::observe_solve;
-    use crate::jsonv::Json;
+    use ilt_json::Json;
     use ilt_telemetry as tele;
 
     #[test]
@@ -198,17 +148,10 @@ mod tests {
         let _ = crate::sink::drain();
         observe_solve("f:solver", "stage 0", 2, &[10.0, 5.0, 2.5, 1.25]);
         observe_solve("f:solver", "stage 0", 7, &[5.0; 20]);
-        tele::flush_thread();
-        let t = tele::drain();
         tele::set_enabled(false);
         let diag = crate::sink::drain();
-        let anomalies = anomalies_from(&t);
-        assert_eq!(anomalies.len(), 1);
-        assert_eq!(anomalies[0].kind, "stall");
-        assert_eq!(anomalies[0].tile, 7);
-        assert_eq!(anomalies[0].stage, "stage 0");
 
-        let rendered = render_diagnostics_json(&diag, &anomalies);
+        let rendered = render_diagnostics_json(&diag);
         let v = Json::parse(&rendered).expect("diagnostics JSON must parse");
         let cells = v.get("convergence").and_then(Json::as_arr).unwrap();
         assert_eq!(cells.len(), 2);
@@ -217,6 +160,24 @@ mod tests {
         let listed = v.get("anomalies").and_then(Json::as_arr).unwrap();
         assert_eq!(listed.len(), 1);
         assert_eq!(listed[0].get("kind").and_then(Json::as_str), Some("stall"));
+        assert_eq!(listed[0].get("tile").and_then(Json::as_f64), Some(7.0));
+        assert_eq!(
+            listed[0].get("stage").and_then(Json::as_str),
+            Some("stage 0")
+        );
+        assert_eq!(
+            listed[0].get("flow").and_then(Json::as_str),
+            Some("f:solver")
+        );
+        let stall = &diag.solves[1].anomalies[0];
+        assert_eq!(
+            listed[0].get("iteration").and_then(Json::as_f64),
+            Some(stall.iteration as f64)
+        );
+        assert_eq!(
+            listed[0].get("value").and_then(Json::as_f64),
+            Some(stall.value)
+        );
         assert_eq!(v.get("tiles_degraded").and_then(Json::as_f64), Some(0.0));
         assert!(v.get("degraded").and_then(Json::as_arr).unwrap().is_empty());
     }
@@ -239,7 +200,7 @@ mod tests {
             .iter()
             .any(|e| e.name == ilt_telemetry::names::DEGRADED));
 
-        let rendered = render_diagnostics_json(&diag, &[]);
+        let rendered = render_diagnostics_json(&diag);
         let v = Json::parse(&rendered).expect("diagnostics JSON must parse");
         assert_eq!(v.get("tiles_degraded").and_then(Json::as_f64), Some(1.0));
         let listed = v.get("degraded").and_then(Json::as_arr).unwrap();

@@ -161,14 +161,6 @@ pub fn record_case(case: CaseQuality) {
     lock().cases.push(case);
 }
 
-/// Records one degraded tile. No-op unless telemetry is enabled.
-pub fn record_degraded(record: DegradedTileRecord) {
-    if !tele::enabled() {
-        return;
-    }
-    lock().degraded.push(record);
-}
-
 /// Observes a tile falling back to its coarse-grid mask: emits a
 /// zero-length `degraded` span (so the event sits inside the span tree at
 /// the moment it happened) and records a [`DegradedTileRecord`] for the
@@ -182,7 +174,7 @@ pub fn observe_degraded(flow: &str, stage: &str, tile: usize, error: &str) {
     span.add_field("stage", stage.to_string());
     span.add_field("tile", tile);
     span.add_field("error", error.to_string());
-    record_degraded(DegradedTileRecord {
+    lock().degraded.push(DegradedTileRecord {
         flow: flow.to_string(),
         stage: stage.to_string(),
         tile,

@@ -2,48 +2,33 @@
 //!
 //! A job deadline set at the serve layer must be visible inside the solver's
 //! innermost iteration loop, several crates below, without threading an
-//! `Option<Instant>` through every signature. This module keeps the current
-//! deadline in a thread-local that callers set with an RAII [`scope`]; the
-//! tile executor re-applies the submitting thread's deadline on its worker
-//! threads (the same pattern telemetry uses for span parents and for the
-//! per-job trace ids of `ilt_telemetry::trace_scope` — the three ambient
-//! contexts are captured and re-applied together), so tile jobs observe
-//! the job deadline no matter which thread runs them.
+//! `Option<Instant>` through every signature. The deadline is a field of the
+//! thread's one [`ilt_telemetry::context`] record, beside the trace id and
+//! the profiling stage; callers set it with an RAII [`scope`], and the tile
+//! executor re-installs the submitting thread's whole record on its worker
+//! threads, so tile jobs observe the job deadline no matter which thread
+//! runs them.
 //!
-//! Checks are cheap (`Instant::now()` against a `Cell`), so solver loops can
-//! afford one per iteration.
+//! Checks are cheap (`Instant::now()` against one thread-local read), so
+//! solver loops can afford one per iteration.
 
-use std::cell::Cell;
 use std::time::{Duration, Instant};
 
-thread_local! {
-    static DEADLINE: Cell<Option<Instant>> = const { Cell::new(None) };
-}
+use ilt_telemetry::context;
 
 /// Restores the previous deadline when dropped.
-#[derive(Debug)]
-pub struct DeadlineScope {
-    previous: Option<Instant>,
-}
-
-impl Drop for DeadlineScope {
-    fn drop(&mut self) {
-        DEADLINE.with(|cell| cell.set(self.previous));
-    }
-}
+pub type DeadlineScope = context::Scope<Option<Instant>>;
 
 /// Sets the current thread's deadline (or clears it with `None`) until the
 /// returned guard drops. Scopes nest; the innermost wins.
-#[must_use = "the deadline is cleared when the scope guard drops"]
 pub fn scope(deadline: Option<Instant>) -> DeadlineScope {
-    let previous = DEADLINE.with(|cell| cell.replace(deadline));
-    DeadlineScope { previous }
+    context::scope(|c| &mut c.deadline, deadline)
 }
 
 /// The deadline currently in scope on this thread, if any.
 #[inline]
 pub fn current() -> Option<Instant> {
-    DEADLINE.with(Cell::get)
+    context::current().deadline
 }
 
 /// Whether the current deadline (if any) has passed.

@@ -10,9 +10,6 @@
 //! grammar — enough to load reports the workspace itself produced and to
 //! parse job-submission bodies, with real error positions for hand-edited
 //! baselines and hand-typed curl payloads.
-//!
-//! Historically this parser lived in `ilt-diag` (`ilt_diag::jsonv`); that
-//! path re-exports this crate so existing imports keep compiling.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

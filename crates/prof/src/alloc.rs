@@ -9,16 +9,18 @@
 //!
 //! Attribution has two axes:
 //!
-//! * **Stage** — a thread-local tag ([`stage_scope`]) naming the pipeline
+//! * **Stage** — a per-thread tag ([`stage_scope`]) naming the pipeline
 //!   phase the thread is working in (`kernel_build`, `coarse`, `fine`,
-//!   `refine`, `assembly`, `inspect`). The tile executor propagates the
-//!   submitting thread's tag to its workers the same way it propagates
-//!   the trace id and deadline. Bytes allocated with no tag in scope land
-//!   in `untagged`.
-//! * **Trace** — the ambient [`ilt_telemetry`] trace id, read through the
-//!   non-panicking [`ilt_telemetry::current_trace_raw`], accumulated in a
+//!   `refine`, `assembly`, `inspect`). Bytes allocated with no tag in
+//!   scope land in `untagged`.
+//! * **Trace** — the ambient [`ilt_telemetry`] trace id, accumulated in a
 //!   fixed lock-free table so `/debug/memory` can answer "which job
 //!   allocated the most".
+//!
+//! Both are fields of the thread's one [`ilt_telemetry::context`] record
+//! (the stage tag is stored there as this enum's index), so an allocation
+//! reads one thread-local slot, and the tile executor carries both to its
+//! workers, with the deadline, by re-installing that record.
 //!
 //! Caveat (documented, deliberate): *frees* are counted globally but not
 //! attributed per stage — a buffer allocated in `coarse` is routinely
@@ -27,13 +29,13 @@
 //! process-wide.
 //!
 //! Every hook is allocation-free and non-panicking: counting uses only
-//! relaxed atomics and `try_with` thread-local reads, so it is safe from
-//! any allocation context, including TLS teardown.
+//! relaxed atomics and the context record's `try_with` read, so it is safe
+//! from any allocation context, including TLS teardown.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+
+use ilt_telemetry::context;
 
 /// Number of attribution stages (including `untagged`).
 pub const STAGE_COUNT: usize = 7;
@@ -138,10 +140,6 @@ const EMPTY_SLOT: TraceSlot = TraceSlot {
 static TRACE_TABLE: [TraceSlot; TRACE_SLOTS] = [EMPTY_SLOT; TRACE_SLOTS];
 static TRACE_DROPPED: AtomicU64 = AtomicU64::new(0);
 
-thread_local! {
-    static STAGE: Cell<u8> = const { Cell::new(0) };
-}
-
 /// Enables or disables counting. Prefer `ILT_PROF_ALLOC` via
 /// [`crate::init_from_env`] in binaries; this entry point exists for tests
 /// and measurement harnesses.
@@ -157,38 +155,18 @@ pub fn enabled() -> bool {
 
 /// The calling thread's current attribution stage.
 pub fn current_stage() -> Stage {
-    Stage::from_index(STAGE.try_with(Cell::get).unwrap_or(0))
+    Stage::from_index(context::current().stage)
 }
 
 /// Installs `stage` as the calling thread's attribution stage until the
-/// returned guard drops. Scopes nest; the innermost wins. The tile
-/// executor re-applies the submitting thread's stage on its workers, like
-/// trace ids and deadlines.
-#[must_use = "the stage tag is restored when the scope guard drops"]
+/// returned guard drops. Scopes nest; the innermost wins.
 pub fn stage_scope(stage: Stage) -> StageScope {
-    let previous = STAGE
-        .try_with(|cell| cell.replace(stage as u8))
-        .unwrap_or(0);
-    StageScope {
-        previous,
-        _not_send: PhantomData,
-    }
+    context::scope(|c| &mut c.stage, stage as u8)
 }
 
 /// Guard restoring the thread's previous attribution stage (see
 /// [`stage_scope`]).
-#[derive(Debug)]
-pub struct StageScope {
-    previous: u8,
-    /// Must drop on the installing thread (thread-local slot).
-    _not_send: PhantomData<*const ()>,
-}
-
-impl Drop for StageScope {
-    fn drop(&mut self) {
-        let _ = STAGE.try_with(|cell| cell.set(self.previous));
-    }
-}
+pub type StageScope = context::Scope<u8>;
 
 #[inline]
 fn note_alloc(size: usize) {
@@ -200,12 +178,12 @@ fn note_alloc(size: usize) {
     ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
     let live = LIVE_BYTES.fetch_add(size as i64, Ordering::Relaxed) + size as i64;
     PEAK_LIVE.fetch_max(live, Ordering::Relaxed);
-    let stage = STAGE.try_with(Cell::get).unwrap_or(0) as usize % STAGE_COUNT;
+    let job = context::current();
+    let stage = job.stage as usize % STAGE_COUNT;
     STAGE_BYTES[stage].fetch_add(size, Ordering::Relaxed);
     STAGE_CALLS[stage].fetch_add(1, Ordering::Relaxed);
-    let trace = ilt_telemetry::current_trace_raw();
-    if trace != 0 {
-        note_trace(trace, size);
+    if job.trace != 0 {
+        note_trace(job.trace, size);
     }
 }
 

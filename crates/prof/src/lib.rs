@@ -10,8 +10,8 @@
 //!   top-N self-time table. `ILT_PROF_HZ` sets the rate.
 //! * [`alloc`] — a tracking global allocator ([`TrackingAlloc`])
 //!   attributing bytes allocated/freed/peak-live to the ambient
-//!   trace and the current pipeline stage ([`stage_scope`], propagated
-//!   by the tile executor like trace ids and deadlines). Opt-in via
+//!   trace and the current pipeline stage ([`stage_scope`]), both read
+//!   from the thread's one [`ilt_telemetry::context`] record. Opt-in via
 //!   `ILT_PROF_ALLOC`; off, it costs one relaxed load per allocation.
 //! * [`rss`] — `/proc/self/status` `VmRSS`/`VmHWM` sampling with a
 //!   resettable window high-water mark for per-run peak-RSS
@@ -52,11 +52,10 @@ pub use rss::RssSample;
 /// rate (97 Hz) avoids lock-step aliasing with millisecond-periodic work.
 pub const DEFAULT_HZ: f64 = 97.0;
 
-/// Parses `ILT_PROF_HZ`: `None` when unset or unparseable, `Some(0.0)`
-/// for an explicit `0`/`off`, `Some(hz)` otherwise.
-pub fn env_hz() -> Option<f64> {
-    let v = std::env::var("ILT_PROF_HZ").ok()?;
-    let v = v.trim().to_ascii_lowercase();
+/// The `ILT_PROF_HZ` grammar: `None` when unset or unparseable,
+/// `Some(0.0)` for an explicit `0`/`off`, `Some(hz)` otherwise.
+fn parse_hz(raw: Option<&str>) -> Option<f64> {
+    let v = raw?.trim().to_ascii_lowercase();
     if v == "off" {
         return Some(0.0);
     }
@@ -66,16 +65,6 @@ pub fn env_hz() -> Option<f64> {
     }
 }
 
-/// Whether `ILT_PROF_ALLOC` asks for allocation counting.
-pub fn env_alloc() -> bool {
-    std::env::var("ILT_PROF_ALLOC")
-        .map(|v| {
-            let v = v.trim().to_ascii_lowercase();
-            matches!(v.as_str(), "1" | "true" | "on" | "yes")
-        })
-        .unwrap_or(false)
-}
-
 /// Applies the environment: enables allocation counting when
 /// `ILT_PROF_ALLOC` asks for it, and starts the sampler when
 /// `ILT_PROF_HZ` is set to a positive rate. `default_on` binaries
@@ -83,10 +72,11 @@ pub fn env_alloc() -> bool {
 /// the variable is unset; an explicit `ILT_PROF_HZ=0`/`off` always wins.
 /// Returns whether the sampler is running afterwards.
 pub fn init_from_env(default_on: bool) -> bool {
-    if env_alloc() {
+    let var = |name: &str| std::env::var(name).ok();
+    if ilt_telemetry::parse_flag(var("ILT_PROF_ALLOC").as_deref()) {
         alloc::set_enabled(true);
     }
-    match env_hz() {
+    match parse_hz(var("ILT_PROF_HZ").as_deref()) {
         Some(hz) if hz > 0.0 => {
             cpu::start_sampler(hz);
         }
@@ -102,30 +92,18 @@ pub fn init_from_env(default_on: bool) -> bool {
 
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn env_hz_grammar() {
-        // Uses set_var/remove_var only in this single-threaded-unsafe way
-        // inside one test to avoid cross-test env races.
-        std::env::set_var("ILT_PROF_HZ", "250");
-        assert_eq!(super::env_hz(), Some(250.0));
-        std::env::set_var("ILT_PROF_HZ", "off");
-        assert_eq!(super::env_hz(), Some(0.0));
-        std::env::set_var("ILT_PROF_HZ", "0");
-        assert_eq!(super::env_hz(), Some(0.0));
-        std::env::set_var("ILT_PROF_HZ", "not-a-rate");
-        assert_eq!(super::env_hz(), None);
-        std::env::remove_var("ILT_PROF_HZ");
-        assert_eq!(super::env_hz(), None);
-    }
+    use super::parse_hz;
 
     #[test]
-    fn env_alloc_grammar() {
-        std::env::remove_var("ILT_PROF_ALLOC");
-        assert!(!super::env_alloc());
-        std::env::set_var("ILT_PROF_ALLOC", "yes");
-        assert!(super::env_alloc());
-        std::env::set_var("ILT_PROF_ALLOC", "0");
-        assert!(!super::env_alloc());
-        std::env::remove_var("ILT_PROF_ALLOC");
+    fn hz_grammar() {
+        assert_eq!(parse_hz(Some("250")), Some(250.0));
+        assert_eq!(parse_hz(Some(" 97.5 ")), Some(97.5));
+        assert_eq!(parse_hz(Some("off")), Some(0.0));
+        assert_eq!(parse_hz(Some("OFF")), Some(0.0));
+        assert_eq!(parse_hz(Some("0")), Some(0.0));
+        assert_eq!(parse_hz(Some("not-a-rate")), None);
+        assert_eq!(parse_hz(Some("-5")), None);
+        assert_eq!(parse_hz(Some("inf")), None);
+        assert_eq!(parse_hz(None), None);
     }
 }

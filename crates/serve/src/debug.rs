@@ -25,7 +25,7 @@ pub(crate) struct JobDebug {
 }
 
 /// `GET /debug/queue`: admission state plus the most recent jobs (newest
-/// last), each with its trace id so `/debug/jobs/{id}/trace` is one hop
+/// first), each with its trace id so `/debug/jobs/{id}/trace` is one hop
 /// away.
 pub(crate) fn render_queue(
     depth: usize,
@@ -147,8 +147,8 @@ pub(crate) fn render_store(enabled: bool, stats: &StoreStats, entries: &[EntryVi
     out
 }
 
-/// `GET /debug/jobs/{id}/trace`: the job's span forest as recorded by the
-/// flight recorder, plus the counters attributed to its trace. In-flight
+/// `GET /debug/jobs/{id}/trace`: the job's span forest as held by the
+/// span store, plus the counters attributed to its trace. In-flight
 /// jobs show the spans that have already closed (tiles land as they
 /// finish); finished jobs show the complete queue → session → tiles →
 /// assembly tree.
@@ -179,15 +179,15 @@ pub(crate) fn render_job_trace(
     out
 }
 
-/// Shared footer for `/metrics`: the flight recorder's drop counter as a
-/// Prometheus line, appended after the snapshot and SLO series.
+/// Shared footer for `/metrics`: the span store's occupancy and drop
+/// counter as Prometheus lines, appended after the snapshot and SLO series.
 pub(crate) fn obs_prometheus() -> String {
-    let mut out = String::from("# TYPE ilt_obs_spans_dropped_total counter\n");
-    out.push_str(&format!(
-        "ilt_obs_spans_dropped_total {}\n",
+    format!(
+        "# TYPE ilt_obs_spans_buffered gauge\nilt_obs_spans_buffered {}\n\
+         # TYPE ilt_obs_spans_dropped_total counter\nilt_obs_spans_dropped_total {}\n",
+        tele::flight::len(),
         tele::flight::spans_dropped()
-    ));
-    out
+    )
 }
 
 /// Profiling footer for `/metrics`: process RSS gauges (when readable)

@@ -6,12 +6,15 @@
 //! installed and the CPU sampler running, also exercises
 //! `/debug/profile` and `/debug/memory` against real jobs.
 //!
-//! One test function: telemetry, the flight recorder, and the profiler
-//! are process-global, so phases share one server.
+//! Telemetry, the flight recorder, and the profiler are process-global,
+//! so the endpoint phases share one server and one test function, and the
+//! second test — the daemon's span memory stays bounded with collection
+//! enabled — takes the same [`GLOBALS`] lock.
 
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use ilt_json::Json;
@@ -22,6 +25,9 @@ use ilt_telemetry as tele;
 // does the same so /debug/memory sees real attribution.
 #[global_allocator]
 static GLOBAL: ilt_prof::TrackingAlloc = ilt_prof::TrackingAlloc::new();
+
+/// Serialises the tests of this binary: both drive process-global state.
+static GLOBALS: Mutex<()> = Mutex::new(());
 
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 const POLL_BUDGET: Duration = Duration::from_secs(120);
@@ -141,6 +147,7 @@ fn job_spans(addr: SocketAddr, id: &str) -> (u64, Vec<(u64, u64, String)>) {
 
 #[test]
 fn debug_endpoints_and_disjoint_job_traces() {
+    let _globals = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
     tele::set_enabled(true);
     ilt_prof::alloc::set_enabled(true);
     assert!(ilt_prof::start_sampler(250.0), "sampler starts");
@@ -365,4 +372,75 @@ fn debug_endpoints_and_disjoint_job_traces() {
     ilt_prof::stop_sampler();
     ilt_prof::alloc::set_enabled(false);
     handle.shutdown();
+}
+
+/// A daemon enables collection (as `main.rs` does) and never drains, so
+/// whatever it stores per closed span or per tile solve has to be bounded:
+/// after a run that overflows the ring several times, the spans held are
+/// within the ring's bound, the overflow was counted, the counters still
+/// read right, the newest job's trace is still whole, and no convergence
+/// cells have piled up in `ilt-diag`'s sink.
+#[test]
+fn span_memory_stays_bounded_while_collection_is_enabled() {
+    const CAPACITY: usize = 512;
+    const SHARDS: usize = 8;
+    const JOBS: usize = 60; // ~115 spans each, all on the one job worker
+
+    let _globals = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    tele::set_enabled(true);
+    tele::flight::set_capacity(CAPACITY);
+    let dropped_before = tele::flight::spans_dropped();
+    let handle = start(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        queue_depth: 8,
+        workers: 1,
+        tile_workers: 1,
+        inner_threads: 1,
+    })
+    .expect("server starts");
+    let addr = handle.addr();
+    let accepted = |body: &str| -> u64 {
+        body.lines()
+            .find_map(|l| l.strip_prefix("ilt_serve_jobs_accepted_total "))
+            .map_or(0, |v| v.parse().expect("counter value"))
+    };
+    let accepted_before = accepted(&request(addr, "GET", "/metrics", None).body);
+
+    let mut last = String::new();
+    for case in 0..JOBS {
+        last = submit(
+            addr,
+            &format!(r#"{{"case": {}, "scale": "tiny"}}"#, case % 4 + 1),
+        );
+        poll_done(addr, &last);
+    }
+
+    let (_trace, spans) = job_spans(addr, &last);
+    for needed in ["serve.job", "queue", "session", "flow", "tile", "assembly"] {
+        assert!(
+            spans.iter().any(|(_, _, name)| name == needed),
+            "newest job's trace misses a {needed:?} span"
+        );
+    }
+    let metrics = request(addr, "GET", "/metrics", None).body;
+    assert_eq!(accepted(&metrics) - accepted_before, JOBS as u64);
+    let dropped = tele::flight::spans_dropped() - dropped_before;
+    assert!(
+        dropped as usize >= 2 * CAPACITY,
+        "the load was meant to overflow the ring several times, dropped {dropped}"
+    );
+    assert!(tele::flight::len() <= SHARDS * CAPACITY);
+    handle.shutdown();
+    assert!(
+        ilt_diag::sink::drain().is_empty(),
+        "the job workers leave no convergence cells behind"
+    );
+    // `drain` hands out every span the process still holds anywhere.
+    let held = tele::drain().events.len();
+    assert!(
+        held <= SHARDS * CAPACITY,
+        "{held} spans held after {JOBS} jobs against a bound of {}",
+        SHARDS * CAPACITY
+    );
+    tele::flight::set_capacity(tele::flight::DEFAULT_CAPACITY);
 }

@@ -1,16 +1,18 @@
-//! Per-thread buffers and the process-global sink they merge into.
+//! Per-thread metric buffers and the process-global sink they merge into.
 //!
-//! The hot path (span drop, counter bump) only touches a `thread_local!`
-//! buffer; the global mutex is taken once per thread lifetime (at thread
-//! exit) and once per [`drain`].
+//! A counter bump or histogram sample only touches a `thread_local!`
+//! buffer; the global mutex is taken when a thread flushes and once per
+//! [`snapshot`] or [`drain`]. Closed spans are not buffered here: they go
+//! straight into the one span store, [`crate::flight`], which [`drain`]
+//! empties.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::flight;
 use crate::live::LiveStack;
-use crate::metrics::Histogram;
+use crate::metrics::{self, Histogram};
 use crate::span::FieldValue;
 
 /// One completed span, as stored and exported.
@@ -53,7 +55,7 @@ impl SpanEvent {
 /// counters, gauges, and histograms.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    /// Completed spans, ordered by start time.
+    /// Completed spans, ordered by start time (empty in a [`snapshot`]).
     pub events: Vec<SpanEvent>,
     /// Merged named counters.
     pub counters: BTreeMap<String, u64>,
@@ -80,13 +82,14 @@ impl Telemetry {
 
 #[derive(Default)]
 struct Sink {
-    events: Vec<SpanEvent>,
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
-static SINK: Mutex<Option<Sink>> = Mutex::new(None);
-static THREAD_SEQ: AtomicU64 = AtomicU64::new(0);
+static SINK: Mutex<Sink> = Mutex::new(Sink {
+    counters: BTreeMap::new(),
+    histograms: BTreeMap::new(),
+});
 
 /// One trace's accumulated counter totals: `(trace, name -> total)`.
 type TraceCounterEntry = (u64, BTreeMap<String, u64>);
@@ -94,21 +97,14 @@ type TraceCounterEntry = (u64, BTreeMap<String, u64>);
 /// Per-trace counter totals, so `/debug/jobs/{id}/trace` can say "this
 /// job bumped `flow.tiles_degraded` once" without a process-wide diff.
 /// Bounded drop-oldest by trace, like the flight recorder.
-static TRACE_COUNTERS: Mutex<Option<VecDeque<TraceCounterEntry>>> = Mutex::new(None);
+static TRACE_COUNTERS: Mutex<VecDeque<TraceCounterEntry>> = Mutex::new(VecDeque::new());
 
 /// Maximum distinct traces retained in the per-trace counter registry.
 const TRACE_COUNTER_TRACES: usize = 256;
 
 pub(crate) struct LocalBuf {
-    pub thread: u64,
-    /// Stack of open span ids (innermost last); adopted parents from
-    /// [`crate::parent_scope`] are pushed here too.
-    pub stack: Vec<u64>,
-    /// Shared copy of the open-span stack, readable by the sampling
-    /// profiler (see [`crate::live`]). Unlike `stack`, adopted parents
-    /// are not mirrored here.
+    /// The thread's open-span stack and ordinal (see [`crate::live`]).
     pub live: Arc<LiveStack>,
-    pub events: Vec<SpanEvent>,
     pub counters: HashMap<&'static str, u64>,
     /// Counter increments attributed to an ambient trace, keyed
     /// `(trace, name)`.
@@ -118,12 +114,8 @@ pub(crate) struct LocalBuf {
 
 impl LocalBuf {
     fn new() -> Self {
-        let thread = THREAD_SEQ.fetch_add(1, Ordering::Relaxed);
         LocalBuf {
-            thread,
-            stack: Vec::new(),
-            live: LiveStack::register(thread),
-            events: Vec::new(),
+            live: LiveStack::register(),
             counters: HashMap::new(),
             trace_counters: HashMap::new(),
             histograms: HashMap::new(),
@@ -132,8 +124,7 @@ impl LocalBuf {
 
     fn flush(&mut self) {
         if !self.trace_counters.is_empty() {
-            let mut guard = TRACE_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
-            let registry = guard.get_or_insert_with(VecDeque::new);
+            let mut registry = TRACE_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
             for ((trace, name), v) in self.trace_counters.drain() {
                 let idx = match registry.iter().position(|(t, _)| *t == trace) {
                     Some(idx) => idx,
@@ -148,12 +139,10 @@ impl LocalBuf {
                 *registry[idx].1.entry(name.to_string()).or_insert(0) += v;
             }
         }
-        if self.events.is_empty() && self.counters.is_empty() && self.histograms.is_empty() {
+        if self.counters.is_empty() && self.histograms.is_empty() {
             return;
         }
         let mut sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
-        let sink = sink.get_or_insert_with(Sink::default);
-        sink.events.append(&mut self.events);
         for (name, v) in self.counters.drain() {
             *sink.counters.entry(name.to_string()).or_insert(0) += v;
         }
@@ -182,7 +171,8 @@ pub(crate) fn with_local<R>(f: impl FnOnce(&mut LocalBuf) -> R) -> Option<R> {
     LOCAL.try_with(|l| f(&mut l.borrow_mut())).ok()
 }
 
-/// Flushes the calling thread's buffered telemetry into the global sink.
+/// Flushes the calling thread's buffered counters and histograms into the
+/// global sink.
 ///
 /// Thread-local destructors also flush, but they may run *after* a
 /// `std::thread::scope` (or a `join`) observes the thread as finished, so
@@ -193,79 +183,49 @@ pub fn flush_thread() {
     let _ = with_local(LocalBuf::flush);
 }
 
-/// Fallback for events produced while the thread buffer is unavailable.
-pub(crate) fn sink_event(event: SpanEvent) {
-    let mut sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
-    sink.get_or_insert_with(Sink::default).events.push(event);
-}
-
 /// Counter totals attributed to `trace` across all flushed threads (see
 /// [`crate::counter_add`]; attribution requires an ambient trace and
 /// enabled collection). Returns an empty map for unknown traces.
 pub fn trace_counters(trace: u64) -> BTreeMap<String, u64> {
-    let _ = with_local(LocalBuf::flush);
-    let guard = TRACE_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
-    guard
-        .as_ref()
-        .and_then(|registry| registry.iter().find(|(t, _)| *t == trace))
+    flush_thread();
+    let registry = TRACE_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    registry
+        .iter()
+        .find(|(t, _)| *t == trace)
         .map(|(_, counters)| counters.clone())
         .unwrap_or_default()
 }
 
-/// A non-destructive copy of everything flushed so far: the calling
-/// thread's buffer plus the global sink. Unlike [`drain`], the sink keeps
-/// its contents, so long-lived processes (the `ilt-serve` `/metrics`
-/// endpoint) can expose running totals while a final [`drain`] at shutdown
-/// still sees the full run. Buffers on *other* live threads are not
+/// A non-destructive copy of the counters, gauges and histograms flushed
+/// so far (the calling thread's buffer included): what `ilt-serve`'s
+/// `/metrics` scrapes. It carries no spans — a scrape must not cost a walk
+/// of the span store ([`flight`]). Buffers on *other* live threads are not
 /// visible until those threads flush (see [`flush_thread`]).
 pub fn snapshot() -> Telemetry {
-    let _ = with_local(LocalBuf::flush);
-    let gauges = crate::metrics::gauges_snapshot();
-    let guard = SINK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut t = match guard.as_ref() {
-        Some(sink) => Telemetry {
-            events: sink.events.clone(),
-            counters: sink.counters.clone(),
-            gauges,
-            histograms: sink.histograms.clone(),
-        },
-        None => {
-            return Telemetry {
-                gauges,
-                ..Telemetry::default()
-            }
-        }
-    };
-    drop(guard);
-    t.events.sort_by_key(|e| (e.start_ns, e.id));
-    t
+    flush_thread();
+    let sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
+    Telemetry {
+        events: Vec::new(),
+        counters: sink.counters.clone(),
+        gauges: metrics::gauges_snapshot(),
+        histograms: sink.histograms.clone(),
+    }
 }
 
-/// Takes everything collected so far: the calling thread's buffer plus the
-/// global sink (which worker threads flushed into when they exited). Call
-/// from the thread that drove the work, after its worker threads joined.
-/// Gauges are taken too (the registry is cleared), so back-to-back runs in
-/// one process start clean.
+/// Takes everything collected so far: every span in the store
+/// ([`flight`]), the calling thread's buffer and the global sink (which
+/// worker threads flushed into). Call from the thread that drove the work,
+/// after its worker threads joined. Gauges are taken too (the registry is
+/// cleared), so back-to-back runs in one process start clean. The store is
+/// bounded: this is the whole run only if the caller lifted the bound
+/// before it started ([`flight::set_capacity`]).
 pub fn drain() -> Telemetry {
-    let _ = with_local(LocalBuf::flush);
-    let gauges = crate::metrics::gauges_take();
-    let mut guard = SINK.lock().unwrap_or_else(|e| e.into_inner());
-    let sink = match guard.take() {
-        Some(sink) => sink,
-        None => {
-            return Telemetry {
-                gauges,
-                ..Telemetry::default()
-            }
-        }
-    };
-    drop(guard);
-    let mut t = Telemetry {
-        events: sink.events,
+    flush_thread();
+    let sink = std::mem::take(&mut *SINK.lock().unwrap_or_else(|e| e.into_inner()));
+    Telemetry {
+        events: flight::take(),
         counters: sink.counters,
-        gauges,
+        gauges: metrics::gauges_take(),
         histograms: sink.histograms,
-    };
-    t.events.sort_by_key(|e| (e.start_ns, e.id));
-    t
+    }
 }

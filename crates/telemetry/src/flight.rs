@@ -1,27 +1,32 @@
-//! The always-on flight recorder: a bounded, sharded ring of recent spans.
+//! The span store: an always-on, bounded, sharded ring of closed spans.
 //!
-//! Unlike the sink (which only collects while tracing is enabled and is
-//! drained once per run), the flight recorder keeps the *most recent*
-//! spans continuously, in bounded memory, whether or not `ILT_TRACE` is
-//! set. `ilt-serve`'s `/debug` endpoints read it to reconstruct a job's
-//! span tree after (or while) the job runs, without any job-path locking
-//! beyond one short per-shard mutex hold.
+//! Every closed span is moved here, once, whether or not `ILT_TRACE` is
+//! set, and read from here: `ilt-serve`'s `/debug` endpoints rebuild a
+//! job's span tree with [`trace_spans`] after (or while) the job runs, and
+//! [`crate::drain`] empties the store into the [`crate::Telemetry`] the
+//! exporters render.
+//!
+//! Retention is the store's property: drop-oldest at [`DEFAULT_CAPACITY`]
+//! spans per shard, so a long-lived process keeps the *most recent* spans
+//! in bounded memory. A batch run that wants every span lifts the bound
+//! with [`set_capacity`] before it starts and drains when it ends (the
+//! bench harness, under `ILT_TRACE=1`); a daemon never does.
 //!
 //! Layout: a fixed number of shards, each an independent
-//! `Mutex<VecDeque<SpanEvent>>` with drop-oldest eviction. A recording
-//! thread always lands in the shard picked by its thread ordinal, so two
-//! threads contend only when their ordinals collide modulo the shard
-//! count. Spans from threads that have exited stay readable until evicted
-//! — deliberately, so short-lived connection threads leave their request
-//! spans behind without leaking per-thread buffers.
+//! `Mutex<VecDeque<SpanEvent>>`. A recording thread always lands in the
+//! shard picked by its thread ordinal, so two threads contend only when
+//! their ordinals collide modulo the shard count, and recording costs one
+//! short mutex hold. Spans from threads that have exited stay readable
+//! until evicted — deliberately, so short-lived connection threads leave
+//! their request spans behind without leaking per-thread buffers.
 //!
-//! Evictions are counted in the process-wide `obs.spans_dropped` counter
-//! ([`spans_dropped`]), exported on `/metrics` as
-//! `ilt_obs_spans_dropped_total`.
+//! Evictions are counted ([`spans_dropped`], on `/metrics` as
+//! `ilt_obs_spans_dropped_total`) beside the occupancy ([`len`],
+//! `ilt_obs_spans_buffered`).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use crate::collect::SpanEvent;
 
@@ -36,30 +41,23 @@ pub const DEFAULT_CAPACITY: usize = 4096;
 static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 static RECORDING: AtomicBool = AtomicBool::new(true);
-static SHARDS: OnceLock<Vec<Mutex<VecDeque<SpanEvent>>>> = OnceLock::new();
+static SHARDS: [Mutex<VecDeque<SpanEvent>>; SHARD_COUNT] =
+    [const { Mutex::new(VecDeque::new()) }; SHARD_COUNT];
 
-fn shards() -> &'static [Mutex<VecDeque<SpanEvent>>] {
-    SHARDS.get_or_init(|| {
-        (0..SHARD_COUNT)
-            .map(|_| Mutex::new(VecDeque::new()))
-            .collect()
-    })
-}
-
-/// Records one completed span into its thread's shard, evicting the oldest
+/// Moves one completed span into its thread's shard, evicting the oldest
 /// span of that shard if it is full.
-pub(crate) fn record(event: &SpanEvent) {
+pub(crate) fn record(event: SpanEvent) {
     if !RECORDING.load(Ordering::Relaxed) {
         return;
     }
-    let shard = &shards()[(event.thread as usize) % SHARD_COUNT];
+    let shard = &SHARDS[(event.thread as usize) % SHARD_COUNT];
     let cap = CAPACITY.load(Ordering::Relaxed);
     let mut ring = shard.lock().unwrap_or_else(|e| e.into_inner());
     while ring.len() >= cap {
         ring.pop_front();
         DROPPED.fetch_add(1, Ordering::Relaxed);
     }
-    ring.push_back(event.clone());
+    ring.push_back(event);
 }
 
 /// Total spans evicted (drop-oldest) since process start — the
@@ -68,28 +66,19 @@ pub fn spans_dropped() -> u64 {
     DROPPED.load(Ordering::Relaxed)
 }
 
-/// Per-shard capacity currently in force.
-pub fn capacity() -> usize {
-    CAPACITY.load(Ordering::Relaxed)
-}
-
-/// Sets the per-shard capacity (minimum 1). Existing shards shrink lazily:
-/// oversized rings evict on their next record.
+/// Sets the per-shard capacity (minimum 1; `usize::MAX` lifts the bound).
+/// Existing shards shrink lazily: oversized rings evict on their next
+/// record.
 pub fn set_capacity(per_shard: usize) {
     CAPACITY.store(per_shard.max(1), Ordering::Relaxed);
 }
 
-/// Turns recording off (or back on). The kill switch exists for overhead
-/// measurement (`obs_overhead` times spans with recording on and off) and for
-/// embedders that want the old trace-or-nothing behaviour; it is on by
-/// default.
+/// Turns recording off (or back on): while off, closed spans are timed and
+/// then dropped. The kill switch exists for overhead measurement
+/// (`obs_overhead` times spans with recording on and off) and for the
+/// zero-allocation tests; it is on by default.
 pub fn set_recording(on: bool) {
     RECORDING.store(on, Ordering::Relaxed);
-}
-
-/// Whether the recorder is currently accepting spans.
-pub fn recording() -> bool {
-    RECORDING.load(Ordering::Relaxed)
 }
 
 /// Reads `ILT_OBS_RING` (per-shard span capacity; `0` or `off` disables
@@ -106,23 +95,11 @@ pub fn init_from_env() {
     }
 }
 
-/// Everything currently buffered, across all shards, sorted by
-/// `(start_ns, id)` like [`crate::snapshot`].
-pub fn snapshot() -> Vec<SpanEvent> {
-    let mut out = Vec::new();
-    for shard in shards() {
-        let ring = shard.lock().unwrap_or_else(|e| e.into_inner());
-        out.extend(ring.iter().cloned());
-    }
-    out.sort_by_key(|e| (e.start_ns, e.id));
-    out
-}
-
 /// All buffered spans belonging to one trace, sorted by `(start_ns, id)`.
 /// The `/debug/jobs/{id}/trace` endpoint renders its tree from this.
 pub fn trace_spans(trace: u64) -> Vec<SpanEvent> {
     let mut out = Vec::new();
-    for shard in shards() {
+    for shard in &SHARDS {
         let ring = shard.lock().unwrap_or_else(|e| e.into_inner());
         out.extend(ring.iter().filter(|e| e.trace == trace).cloned());
     }
@@ -130,18 +107,21 @@ pub fn trace_spans(trace: u64) -> Vec<SpanEvent> {
     out
 }
 
+/// Takes everything currently buffered out of the store, sorted by
+/// `(start_ns, id)` — the span half of [`crate::drain`].
+pub(crate) fn take() -> Vec<SpanEvent> {
+    let mut out = Vec::new();
+    for shard in &SHARDS {
+        out.extend(shard.lock().unwrap_or_else(|e| e.into_inner()).drain(..));
+    }
+    out.sort_by_key(|e| (e.start_ns, e.id));
+    out
+}
+
 /// Number of spans currently buffered (all shards).
 pub fn len() -> usize {
-    shards()
+    SHARDS
         .iter()
         .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len())
         .sum()
-}
-
-/// Empties every shard (the dropped counter is left alone). For tests and
-/// for measurement harnesses that want a clean window.
-pub fn clear() {
-    for shard in shards() {
-        shard.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    }
 }

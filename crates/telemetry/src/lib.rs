@@ -16,29 +16,35 @@
 //!   power-of-two buckets with p50/p95/max summaries) cover hot paths where
 //!   per-event spans would be too heavy (FFT calls, litho simulations,
 //!   solver iterations, pixels assembled).
-//! * Everything is collected **per thread** (no locks on the hot path) and
-//!   merged into a process-global sink when the thread flushes — via
-//!   [`flush_thread`], automatically when a [`ParentScope`] drops, or at
-//!   thread exit as a backstop; [`drain`] takes the merged [`Telemetry`]
-//!   snapshot.
+//! * Each fact is kept **once**. A closed span is moved into the one span
+//!   store, the sharded [`flight`] ring, where [`drain`],
+//!   [`flight::trace_spans`] and through them every exporter read it. Each
+//!   thread has one open-span stack ([`live`]): it parents new spans and
+//!   is what the sampling profiler walks. Counters and histograms are
+//!   buffered **per thread** (no locks on the hot path) and merged into a
+//!   process-global sink when the thread flushes — via [`flush_thread`],
+//!   when a [`ParentScope`] drops, or at thread exit as a backstop;
+//!   [`snapshot`] copies the merged metrics, [`drain`] takes them and the
+//!   store's spans as one [`Telemetry`].
 //! * Every span carries a **trace id** attributing it to one job, bench
-//!   case, or request: install one with [`trace_scope`] (an ambient
-//!   thread-local, same pattern as `ilt_fault::deadline`), carry it to
-//!   workers with [`current_trace`], and spans opened with neither a
-//!   parent nor an ambient trace mint their own.
+//!   case, or request: install one with [`trace_scope`]; spans opened with
+//!   neither a parent nor an ambient trace mint their own. The id shares
+//!   the thread's one [`context`] record with the profiling stage and the
+//!   job deadline, and worker pools carry that record across whole.
 //!
 //! ## Gating
 //!
-//! Spans are **always on**: every closed span lands in the bounded
-//! [`flight`] recorder (drop-oldest ring, a few thousand recent spans), so
-//! live introspection — `ilt-serve`'s `/debug/jobs/{id}/trace` — works
-//! without restarting with tracing enabled. The `ILT_TRACE` flag
-//! ([`init_from_env`]/[`set_enabled`]) gates the *unbounded* collection:
-//! whether spans also reach the drainable sink, and whether counters,
-//! gauges, and histograms record at all. When disabled those entry points
-//! are no-ops behind a single relaxed atomic load, and [`drain`] stays
-//! empty. [`SpanGuard`]s measure wall time regardless (an `Instant` is a
-//! plain value), so flows derive their stage timings from the same guards
+//! Spans are **always on**: every closed span lands in the [`flight`]
+//! store, so live introspection — `ilt-serve`'s `/debug/jobs/{id}/trace` —
+//! works without restarting with tracing enabled. The store is a
+//! drop-oldest ring unless a batch run that will [`drain`] at its end
+//! lifts the bound ([`flight::set_capacity`]; the bench harness does under
+//! `ILT_TRACE=1`). What the `ILT_TRACE` flag
+//! ([`init_from_env`]/[`set_enabled`]) gates here is whether counters,
+//! gauges, and histograms record at all — disabled, those entry points are
+//! no-ops behind one relaxed atomic load — not a second span collection.
+//! [`SpanGuard`]s measure wall time regardless (an `Instant` is a plain
+//! value), so flows derive their stage timings from the same guards
 //! unconditionally.
 //!
 //! ## Example
@@ -62,8 +68,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ambient;
 mod collect;
+pub mod context;
 mod export;
 pub mod flight;
 pub mod json;
@@ -73,7 +79,6 @@ pub mod slo;
 mod span;
 mod trace;
 
-pub use ambient::{AmbientContext, AmbientGuards};
 pub use collect::{drain, flush_thread, snapshot, trace_counters, SpanEvent, Telemetry};
 pub use export::{span_forest_json, FlowSummary, LatencyBudget, StageSummary};
 pub use live::{sample_stacks, LiveFrame};
@@ -151,15 +156,18 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Reads `ILT_TRACE` and enables collection when it is `1`, `true`, `on`,
-/// or `yes` (case-insensitive). Returns the resulting enabled state.
+/// The workspace's on/off grammar for environment flags: `1`, `true`, `on`
+/// or `yes` (case-insensitive, surrounding whitespace ignored) is on;
+/// anything else, or an unset variable (`None`), is off.
+pub fn parse_flag(raw: Option<&str>) -> bool {
+    let raw = raw.unwrap_or("").trim().to_ascii_lowercase();
+    matches!(raw.as_str(), "1" | "true" | "on" | "yes")
+}
+
+/// Reads `ILT_TRACE` and enables collection when it is on (see
+/// [`parse_flag`]). Returns the resulting enabled state.
 pub fn init_from_env() -> bool {
-    let on = std::env::var("ILT_TRACE")
-        .map(|v| {
-            let v = v.trim().to_ascii_lowercase();
-            matches!(v.as_str(), "1" | "true" | "on" | "yes")
-        })
-        .unwrap_or(false);
+    let on = parse_flag(std::env::var("ILT_TRACE").ok().as_deref());
     set_enabled(on);
     on
 }

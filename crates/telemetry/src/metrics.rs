@@ -18,7 +18,7 @@ pub fn counter_add(name: &'static str, delta: u64) {
     }
     with_local(|l| {
         *l.counters.entry(name).or_insert(0) += delta;
-        let trace = trace::current_raw();
+        let trace = trace::current_trace_raw();
         if trace != 0 {
             *l.trace_counters.entry((trace, name)).or_insert(0) += delta;
         }

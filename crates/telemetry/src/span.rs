@@ -5,8 +5,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::collect::{self, SpanEvent};
-use crate::trace::{self, TraceId};
-use crate::{enabled, epoch, flight};
+use crate::trace::{self, TraceId, TraceScope};
+use crate::{epoch, flight};
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -88,26 +88,28 @@ impl From<String> for FieldValue {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRef(pub(crate) u64);
 
+#[derive(Debug)]
 struct Rec {
     id: u64,
     parent: Option<u64>,
     trace: u64,
-    /// This span is a process root that allocated its own trace id; clear
-    /// the ambient slot (back to "none") when the span closes.
-    owns_trace: bool,
+    /// A process root mints the trace id of its subtree and holds its
+    /// scope: the ambient trace goes back to "none" when the span closes.
+    _minted: Option<TraceScope>,
     name: &'static str,
     fields: Vec<(&'static str, FieldValue)>,
 }
 
-/// An open span. Records a [`SpanEvent`] when dropped (or via
-/// [`SpanGuard::end`]); always measures wall time, and since the
-/// flight recorder is always on, always records — the `ILT_TRACE` flag
-/// only decides whether the event additionally reaches the drainable sink.
+/// An open span. Moves a [`SpanEvent`] into the span store
+/// ([`crate::flight`]) when dropped (or via [`SpanGuard::end`]); always
+/// measures wall time and, the store being always on, always records —
+/// `ILT_TRACE` has no say in it.
+#[derive(Debug)]
 pub struct SpanGuard {
     start: Instant,
     rec: Option<Rec>,
-    /// Guards must drop on the thread that created them (thread-local
-    /// span stack), so the type is deliberately `!Send`.
+    /// Guards must drop on the thread that created them (per-thread
+    /// open-span stack), so the type is deliberately `!Send`.
     _not_send: PhantomData<*const ()>,
 }
 
@@ -119,29 +121,20 @@ pub struct SpanGuard {
 pub fn span(name: &'static str) -> SpanGuard {
     let start = Instant::now();
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-    let parent = collect::with_local(|l| {
-        let parent = l.stack.last().copied();
-        l.stack.push(id);
-        l.live.push(id, name);
-        parent
-    })
-    .flatten();
-    let mut trace_id = trace::current_raw();
-    let mut owns_trace = false;
-    if trace_id == 0 && parent.is_none() {
-        trace_id = trace::next_trace_id().0;
-        // Installed without a guard object: the span clears the slot back
-        // to "no trace" (what held before it opened) when it closes.
-        trace::set_raw(trace_id);
-        owns_trace = true;
-    }
+    let parent = collect::with_local(|l| l.live.push(id, name, false)).flatten();
+    let mut trace_id = trace::current_trace_raw();
+    let minted = (trace_id == 0 && parent.is_none()).then(|| {
+        let (id, scope) = trace::new_trace_scope();
+        trace_id = id.0;
+        scope
+    });
     SpanGuard {
         start,
         rec: Some(Rec {
             id,
             parent,
             trace: trace_id,
-            owns_trace,
+            _minted: minted,
             name,
             fields: Vec::new(),
         }),
@@ -150,17 +143,10 @@ pub fn span(name: &'static str) -> SpanGuard {
 }
 
 impl SpanGuard {
-    /// Elapsed wall time of this span so far, in seconds. Works whether or
-    /// not telemetry is enabled.
-    #[inline]
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
     /// Attaches a structured field. The first *identifying* string field
     /// (`label`, `name`, `what`, or `method`) also becomes the span's
-    /// frame detail on the live stack the sampling profiler reads, so
-    /// flamegraph frames read `stage:coarse s=4` rather than `stage`.
+    /// frame detail on the open-span stack the sampling profiler reads,
+    /// so flamegraph frames read `stage:coarse s=4` rather than `stage`.
     pub fn add_field(&mut self, key: &'static str, value: impl Into<FieldValue>) {
         if let Some(rec) = &mut self.rec {
             let value = value.into();
@@ -198,55 +184,22 @@ impl SpanGuard {
 
     fn record(&mut self, dur: Duration) {
         let Some(rec) = self.rec.take() else { return };
-        if rec.owns_trace {
-            // Restore "no ambient trace", which is what held before this
-            // root span opened.
-            trace::set_raw(0);
-        }
-        let start_ns = self
-            .start
-            .checked_duration_since(epoch())
-            .map_or(0, |d| d.as_nanos() as u64);
-        let mut rec = Some(rec);
-        let recorded = collect::with_local(|l| {
-            let rec = rec.take().expect("rec present on first use");
-            if let Some(pos) = l.stack.iter().rposition(|&x| x == rec.id) {
-                l.stack.truncate(pos);
-            }
+        // `None` while the thread's buffer is being torn down: the stack
+        // is gone with it, the span is still recorded.
+        let thread = collect::with_local(|l| {
             l.live.pop(rec.id);
-            let event = SpanEvent {
-                id: rec.id,
-                parent: rec.parent,
-                trace: rec.trace,
-                name: rec.name,
-                fields: rec.fields,
-                start_ns,
-                dur_ns: dur.as_nanos() as u64,
-                thread: l.thread,
-            };
-            flight::record(&event);
-            if enabled() {
-                l.events.push(event);
-            }
+            l.live.thread
         });
-        if recorded.is_none() {
-            if let Some(rec) = rec {
-                let event = SpanEvent {
-                    id: rec.id,
-                    parent: rec.parent,
-                    trace: rec.trace,
-                    name: rec.name,
-                    fields: rec.fields,
-                    start_ns,
-                    dur_ns: dur.as_nanos() as u64,
-                    thread: u64::MAX,
-                };
-                flight::record(&event);
-                if enabled() {
-                    collect::sink_event(event);
-                }
-            }
-        }
+        flight::record(SpanEvent {
+            id: rec.id,
+            parent: rec.parent,
+            trace: rec.trace,
+            name: rec.name,
+            fields: rec.fields,
+            start_ns: ns_since_epoch(self.start),
+            dur_ns: dur.as_nanos() as u64,
+            thread: thread.unwrap_or(u64::MAX),
+        });
     }
 }
 
@@ -259,12 +212,10 @@ impl Drop for SpanGuard {
     }
 }
 
-impl std::fmt::Debug for SpanGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanGuard")
-            .field("recording", &self.rec.is_some())
-            .finish()
-    }
+/// `at` as nanoseconds since the process trace epoch (0 if it predates it).
+fn ns_since_epoch(at: Instant) -> u64 {
+    at.checked_duration_since(epoch())
+        .map_or(0, |d| d.as_nanos() as u64)
 }
 
 /// Records a span for an interval that already happened (`start..end`),
@@ -278,54 +229,42 @@ pub fn record_span_at(
     end: Instant,
     fields: Vec<(&'static str, FieldValue)>,
 ) {
-    let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-    let parent = collect::with_local(|l| l.stack.last().copied()).flatten();
-    let start_ns = start
-        .checked_duration_since(epoch())
-        .map_or(0, |d| d.as_nanos() as u64);
-    let dur_ns = end
-        .checked_duration_since(start)
-        .map_or(0, |d| d.as_nanos() as u64);
-    let thread = collect::with_local(|l| l.thread).unwrap_or(u64::MAX);
-    let event = SpanEvent {
-        id,
+    let (parent, thread) =
+        collect::with_local(|l| (l.live.innermost(), l.live.thread)).unwrap_or((None, u64::MAX));
+    flight::record(SpanEvent {
+        id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
         parent,
-        trace: trace::current_raw(),
+        trace: trace::current_trace_raw(),
         name,
         fields,
-        start_ns,
-        dur_ns,
+        start_ns: ns_since_epoch(start),
+        dur_ns: end
+            .checked_duration_since(start)
+            .map_or(0, |d| d.as_nanos() as u64),
         thread,
-    };
-    flight::record(&event);
-    if enabled() {
-        let pushed = collect::with_local(|l| l.events.push(event.clone()));
-        if pushed.is_none() {
-            collect::sink_event(event);
-        }
-    }
+    });
 }
 
-/// The innermost open span on the current thread, if any.
+/// The innermost open span on the current thread (an adopted parent
+/// counts), if any.
 pub fn current_span() -> Option<SpanRef> {
-    collect::with_local(|l| l.stack.last().copied())
+    collect::with_local(|l| l.live.innermost())
         .flatten()
         .map(SpanRef)
 }
 
 /// Adopts `parent` as the current thread's span context until the returned
-/// guard drops. Worker pools call this so spans opened inside jobs attach
-/// to the span that was active where the jobs were submitted.
+/// guard drops: it becomes a frame on the thread's open-span stack, marked
+/// so the sampling profiler skips it. Worker pools call this so spans
+/// opened inside jobs attach to the span that was active where the jobs
+/// were submitted.
 pub fn parent_scope(parent: Option<SpanRef>) -> ParentScope {
-    let id = match parent {
-        Some(p) => {
-            collect::with_local(|l| l.stack.push(p.0));
-            Some(p.0)
-        }
-        None => None,
-    };
+    if let Some(p) = parent {
+        // Nameless: adopted frames are never shown.
+        collect::with_local(|l| l.live.push(p.0, "", true));
+    }
     ParentScope {
-        id,
+        id: parent.map(|p| p.0),
         _not_send: PhantomData,
     }
 }
@@ -340,11 +279,7 @@ pub struct ParentScope {
 impl Drop for ParentScope {
     fn drop(&mut self) {
         if let Some(id) = self.id {
-            collect::with_local(|l| {
-                if let Some(pos) = l.stack.iter().rposition(|&x| x == id) {
-                    l.stack.truncate(pos);
-                }
-            });
+            collect::with_local(|l| l.live.pop(id));
             // Worker threads end their useful life when the adopted scope
             // closes; flush now, because thread-local destructors may run
             // after the pool's join is observed (see `flush_thread`).

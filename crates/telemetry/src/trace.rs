@@ -4,28 +4,24 @@
 //! case, one HTTP request — and every span recorded while the id is in
 //! scope carries it, so the flight recorder can reassemble a single job's
 //! span tree even when concurrent jobs interleave on shared worker
-//! threads. The mechanism mirrors `ilt_fault::deadline`: a thread-local
-//! set with an RAII [`trace_scope`], re-applied by the tile executor on
-//! its worker threads next to the adopted span parent and deadline.
+//! threads. The id is the `trace` field of the thread's
+//! [`crate::context::Context`], set with an RAII [`trace_scope`]; the tile
+//! executor re-installs the whole record on its worker threads.
 //!
 //! Spans opened with *no* ambient trace and no parent (process roots)
 //! allocate a fresh trace id for their subtree, so every recorded span has
 //! a non-zero trace id.
 
-use std::cell::Cell;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::context;
+
 /// Process-unique trace id. Never zero (zero is the "no trace" sentinel in
-/// the thread-local slot and on the wire).
+/// the context record and on the wire).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TraceId(pub u64);
 
 static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    static CURRENT: Cell<u64> = const { Cell::new(0) };
-}
 
 /// Allocates a fresh process-unique trace id (does not install it; pair
 /// with [`trace_scope`]).
@@ -36,64 +32,30 @@ pub fn next_trace_id() -> TraceId {
 /// The trace id currently in scope on this thread, if any.
 #[inline]
 pub fn current_trace() -> Option<TraceId> {
-    match CURRENT.with(Cell::get) {
+    match current_trace_raw() {
         0 => None,
         id => Some(TraceId(id)),
     }
 }
 
-/// Raw accessor for the span layer: `0` means "no trace".
-#[inline]
-pub(crate) fn current_raw() -> u64 {
-    CURRENT.with(Cell::get)
-}
-
-/// Non-panicking raw accessor (`0` means "no trace"), safe to call from
-/// contexts where thread-local state may be mid-teardown — notably a
-/// global allocator hook (`ilt-prof`'s tracking allocator attributes
-/// bytes to the ambient trace on every allocation). Reads one `Cell`,
-/// never allocates, returns `0` during TLS destruction instead of
-/// panicking like [`current_trace`] would.
+/// Raw accessor (`0` means "no trace"). Like every read of the context
+/// record it never allocates and returns the default instead of panicking
+/// during thread teardown.
 #[inline]
 pub fn current_trace_raw() -> u64 {
-    CURRENT.try_with(Cell::get).unwrap_or(0)
-}
-
-/// Raw setter for the span layer's root-span auto-trace (which installs a
-/// fresh id when a root opens and clears it when the root closes, without
-/// a guard object).
-#[inline]
-pub(crate) fn set_raw(id: u64) {
-    CURRENT.with(|cell| cell.set(id));
+    context::current().trace
 }
 
 /// Installs `trace` (or clears it with `None`) as the calling thread's
 /// ambient trace until the returned guard drops. Scopes nest; the
-/// innermost wins. Worker pools re-apply the submitting thread's trace
-/// with this, exactly like `ilt_fault::deadline::scope`.
-#[must_use = "the trace id is restored when the scope guard drops"]
+/// innermost wins.
 pub fn trace_scope(trace: Option<TraceId>) -> TraceScope {
-    let previous = CURRENT.with(|cell| cell.replace(trace.map_or(0, |t| t.0)));
-    TraceScope {
-        previous,
-        _not_send: PhantomData,
-    }
+    context::scope(|c| &mut c.trace, trace.map_or(0, |t| t.0))
 }
 
 /// Guard restoring the thread's previous ambient trace (see
 /// [`trace_scope`]).
-#[derive(Debug)]
-pub struct TraceScope {
-    previous: u64,
-    /// Must drop on the installing thread (thread-local slot).
-    _not_send: PhantomData<*const ()>,
-}
-
-impl Drop for TraceScope {
-    fn drop(&mut self) {
-        CURRENT.with(|cell| cell.set(self.previous));
-    }
-}
+pub type TraceScope = context::Scope<u64>;
 
 /// Installs (and returns) a freshly allocated trace id in one call — the
 /// common "start a new job here" entry point.

@@ -1,7 +1,8 @@
 //! Integration tests for `ilt-telemetry`.
 //!
 //! Telemetry state is process-global, so every test that enables
-//! collection serialises on [`LOCK`] and drains fully before releasing it.
+//! collection or reads the span store serialises on [`LOCK`] and drains
+//! fully before releasing it.
 
 use std::sync::Mutex;
 
@@ -12,22 +13,25 @@ static LOCK: Mutex<()> = Mutex::new(());
 fn with_tracing<R>(f: impl FnOnce() -> R) -> (R, tele::Telemetry) {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _ = tele::drain(); // discard leftovers from other tests
+                           // Keep every span until the drain, as a batch harness does.
+    tele::flight::set_capacity(usize::MAX);
     tele::set_enabled(true);
     let r = f();
     tele::set_enabled(false);
     let t = tele::drain();
+    tele::flight::set_capacity(tele::flight::DEFAULT_CAPACITY);
     (r, t)
 }
 
 #[test]
-fn disabled_spans_record_nothing_but_still_time() {
+fn disabled_metrics_record_nothing_but_spans_still_time_and_record() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _ = tele::drain();
     tele::set_enabled(false);
     let mut s = tele::span("unit.disabled");
     s.add_field("k", 1u64);
-    // Spans are always on (the flight recorder needs ids and the stack),
-    // but the drainable sink stays empty while collection is disabled.
+    // Spans are always on: there is one span store and the flag has no say
+    // in it. Counters, gauges and histograms are what it gates.
     assert!(s.span_ref().is_some());
     assert!(s.trace_id().is_some(), "root spans mint a trace id");
     let secs = s.end();
@@ -36,7 +40,7 @@ fn disabled_spans_record_nothing_but_still_time() {
     tele::record_value("unit.disabled_hist", 5);
     tele::gauge_set("unit.disabled_gauge", 1.0);
     let t = tele::drain();
-    assert_eq!(t.span_count("unit.disabled"), 0);
+    assert_eq!(t.span_count("unit.disabled"), 1);
     assert!(!t.counters.contains_key("unit.disabled_counter"));
     assert!(!t.histograms.contains_key("unit.disabled_hist"));
     assert!(!t.gauges.contains_key("unit.disabled_gauge"));
@@ -212,14 +216,18 @@ fn snapshot_is_non_destructive_and_drain_still_sees_everything() {
     tele::set_enabled(true);
     tele::counter_add("unit.snap_counter", 2);
     tele::record_value("unit.snap_hist", 7);
+    let (id, scope) = tele::new_trace_scope();
     {
         let mut s = tele::span("unit.snap_span");
         s.add_field("k", 1u64);
     }
+    drop(scope);
     let first = tele::snapshot();
     assert_eq!(first.counters["unit.snap_counter"], 2);
     assert_eq!(first.histograms["unit.snap_hist"].count(), 1);
-    assert_eq!(first.span_count("unit.snap_span"), 1);
+    // A snapshot copies metrics only; the span stays in the store.
+    assert!(first.events.is_empty());
+    assert_eq!(tele::flight::trace_spans(id.0).len(), 1);
     // A second snapshot sees the same totals plus anything new.
     tele::counter_add("unit.snap_counter", 3);
     let second = tele::snapshot();
@@ -349,15 +357,14 @@ fn flight_recorder_keeps_spans_without_ilt_trace() {
     drop(tele::span("unit.flight_child"));
     drop(root);
     drop(scope);
-    assert!(
-        tele::drain().is_empty(),
-        "sink must stay empty when disabled"
-    );
     let spans = tele::flight::trace_spans(id.0);
     let names: Vec<&str> = spans.iter().map(|e| e.name).collect();
     assert!(names.contains(&"unit.flight_root"), "{names:?}");
     assert!(names.contains(&"unit.flight_child"), "{names:?}");
     assert!(spans.iter().all(|e| e.trace == id.0));
+    // The store is the only place they are: draining it takes them.
+    assert_eq!(tele::drain().events.len(), spans.len());
+    assert!(tele::flight::trace_spans(id.0).is_empty());
 }
 
 #[test]
@@ -365,7 +372,6 @@ fn flight_recorder_overflow_drops_oldest_and_counts() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _ = tele::drain();
     tele::set_enabled(false);
-    let before_cap = tele::flight::capacity();
     tele::flight::set_capacity(16);
     let dropped_before = tele::flight::spans_dropped();
     let (id, _scope) = tele::new_trace_scope();
@@ -379,7 +385,7 @@ fn flight_recorder_overflow_drops_oldest_and_counts() {
     assert!(kept > 0, "ring kept the newest spans");
     let dropped = tele::flight::spans_dropped() - dropped_before;
     assert!(dropped >= 100 - 16, "only {dropped} drops counted");
-    tele::flight::set_capacity(before_cap);
+    tele::flight::set_capacity(tele::flight::DEFAULT_CAPACITY);
 }
 
 #[test]
@@ -409,6 +415,17 @@ fn record_span_at_backfills_under_the_current_span() {
     assert_eq!(queue.parent, Some(job.id));
     assert_eq!(queue.trace, job.trace);
     assert_eq!(queue.field("job").and_then(|v| v.as_u64()), Some(7));
+}
+
+#[test]
+fn flag_grammar() {
+    for on in ["1", "true", "on", "yes", " YES ", "On"] {
+        assert!(tele::parse_flag(Some(on)), "{on:?}");
+    }
+    for off in ["0", "false", "off", "no", "", "2", "enabled"] {
+        assert!(!tele::parse_flag(Some(off)), "{off:?}");
+    }
+    assert!(!tele::parse_flag(None));
 }
 
 #[test]

@@ -107,42 +107,6 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Registers the ambient slots this crate's dependency position can see —
-/// the profiling stage (`ilt-prof`) and the job deadline (`ilt-fault`) —
-/// with `ilt-telemetry`'s ambient-context registry. Telemetry carries its
-/// own span parent and trace id natively; after this call a single
-/// [`tele::AmbientContext::capture`]/`install` pair propagates all four to
-/// worker threads. Idempotent and cheap, so every capture site can call it.
-pub fn register_ambient_slots() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        tele::ambient::register(tele::ambient::Propagator {
-            name: "prof.stage",
-            capture: || std::sync::Arc::new(ilt_prof::current_stage()),
-            install: |value| match value.downcast_ref::<ilt_prof::Stage>() {
-                Some(stage) => Box::new(ilt_prof::stage_scope(*stage)),
-                None => Box::new(()),
-            },
-        });
-        tele::ambient::register(tele::ambient::Propagator {
-            name: "fault.deadline",
-            capture: || std::sync::Arc::new(fault::deadline::current()),
-            install: |value| match value.downcast_ref::<Option<std::time::Instant>>() {
-                Some(deadline) => Box::new(fault::deadline::scope(*deadline)),
-                None => Box::new(()),
-            },
-        });
-    });
-}
-
-/// Captures the full ambient context (span parent, trace id, profiling
-/// stage, deadline) for hand-off to worker threads, registering this
-/// crate's slots first. Prefer this over assembling individual scopes.
-pub fn ambient_context() -> tele::AmbientContext {
-    register_ambient_slots();
-    tele::AmbientContext::capture()
-}
-
 /// Runs per-index jobs across a fixed number of worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileExecutor {
@@ -195,13 +159,15 @@ impl TileExecutor {
         if self.workers == 1 || count <= 1 {
             return (0..count).map(|i| traced_job(&job, i, 0)).collect();
         }
-        // Capture the caller's full ambient context — active span (so
-        // per-job spans attach to it instead of becoming roots), trace id
-        // (so spans stay attributable to the submitting job/request),
+        // What the caller knows about the job: its context record — trace
+        // id (so spans stay attributable to the submitting job/request),
         // profiling stage (so worker allocations keep billing to the stage
-        // that spawned them), and deadline (so jobs keep honouring it
-        // off-thread) — in one snapshot each worker re-installs.
-        let ambient = ambient_context();
+        // that spawned them) and deadline (so jobs keep honouring it
+        // off-thread) — and its innermost open span (so per-job spans
+        // attach to it instead of becoming roots). Each worker re-installs
+        // both.
+        let context = tele::context::current();
+        let parent = tele::current_span();
         let next = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
         // First panic payload wins; it is re-raised after the pool drains.
@@ -214,9 +180,11 @@ impl TileExecutor {
                 let stop = &stop;
                 let panicked = &panicked;
                 let job = &job;
-                let ambient = &ambient;
                 scope.spawn(move || {
-                    let _ambient = ambient.install();
+                    let _context = tele::context::scope(|c| c, context);
+                    // Dropped first, which flushes this worker's counters
+                    // into the sink before the scope joins it.
+                    let _parent = tele::parent_scope(parent);
                     loop {
                         if stop.load(Ordering::Relaxed) {
                             break;
@@ -519,5 +487,55 @@ mod tests {
             seen.iter().all(|s| *s == ilt_prof::Stage::Refine),
             "{seen:?}"
         );
+    }
+
+    #[test]
+    fn scopes_of_different_fields_restore_independently() {
+        use ilt_prof::{current_stage, stage_scope, Stage};
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        // A stage scope opened inside a deadline scope and dropped after it.
+        let outer = ilt_fault::deadline::scope(Some(deadline));
+        let inner = stage_scope(Stage::Fine);
+        drop(outer);
+        assert_eq!(ilt_fault::deadline::current(), None);
+        assert_eq!(current_stage(), Stage::Fine, "stage outlives the deadline");
+        drop(inner);
+        assert_eq!(current_stage(), Stage::Untagged);
+        assert_eq!(ilt_fault::deadline::current(), None);
+        // And the other way round, with a trace scope in between.
+        let outer = stage_scope(Stage::Coarse);
+        let (id, trace) = tele::new_trace_scope();
+        let inner = ilt_fault::deadline::scope(Some(deadline));
+        drop(outer);
+        assert_eq!(current_stage(), Stage::Untagged);
+        assert_eq!(ilt_fault::deadline::current(), Some(deadline));
+        assert_eq!(tele::current_trace(), Some(id));
+        drop(inner);
+        drop(trace);
+        assert_eq!(tele::context::current(), tele::context::Context::default());
+    }
+
+    #[test]
+    fn a_workers_install_restores_that_threads_previous_record() {
+        let (outer_id, _outer_trace) = tele::new_trace_scope();
+        let _outer_stage = ilt_prof::stage_scope(ilt_prof::Stage::Coarse);
+        let submitted = tele::context::current();
+        std::thread::spawn(move || {
+            // This thread is already inside another job when it picks up
+            // work for `submitted`.
+            let (own_id, _own_trace) = tele::new_trace_scope();
+            let _own_stage = ilt_prof::stage_scope(ilt_prof::Stage::Refine);
+            let own = tele::context::current();
+            {
+                let _installed = tele::context::scope(|c| c, submitted);
+                assert_eq!(tele::current_trace(), Some(outer_id));
+                assert_eq!(ilt_prof::current_stage(), ilt_prof::Stage::Coarse);
+            }
+            assert_eq!(tele::context::current(), own);
+            assert_eq!(tele::current_trace(), Some(own_id));
+        })
+        .join()
+        .unwrap();
+        assert_eq!(tele::context::current(), submitted);
     }
 }

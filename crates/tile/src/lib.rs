@@ -52,7 +52,5 @@ pub use assemble::{
 };
 pub use color::{multi_coloring, Coloring};
 pub use error::TileError;
-pub use executor::{
-    ambient_context, register_ambient_slots, RetryPolicy, TileExecutor, TileFailure,
-};
+pub use executor::{RetryPolicy, TileExecutor, TileFailure};
 pub use partition::{Orientation, Partition, PartitionConfig, StitchLine, Tile};
