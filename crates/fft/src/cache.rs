@@ -1,5 +1,5 @@
 //! A process-wide plan cache: one [`FftPlan`] / [`RfftPlan`] per transform
-//! length, shared behind an `Arc`, plus autotuned layout parameters.
+//! length, shared behind an `Arc`.
 //!
 //! Plan construction is cheap (`O(n)`), but the workspace creates one
 //! [`crate::Fft2d`] per simulator and a long-lived service creates
@@ -9,33 +9,17 @@
 //! out `Arc` clones, so a hit is one lock acquisition and one refcount
 //! bump. Hits and misses feed the `fft.plan_cache.hit` / `.miss`
 //! telemetry counters.
-//!
-//! ## Autotuning
-//!
-//! The 2-D transforms have two tunable layout knobs that matter on real
-//! machines but have no effect on the computed values: the blocked
-//! transpose tile edge and the number of rows handed to a pool worker per
-//! work item. [`tuned_params`] measures the candidates once per
-//! `(size, thread budget)` pair at first use and persists the winner here,
-//! next to the plans it tunes for.
-//!
-//! Because the knobs only change *iteration order of data movement* and
-//! *which worker runs which row*, any tuning outcome preserves the
-//! bit-identity guarantees of the transforms.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
-use crate::complex::Complex;
 use crate::error::FftError;
-use crate::fft2d::{transpose_square_block, DEFAULT_ROW_BATCH, DEFAULT_TRANSPOSE_BLOCK};
-use crate::plan::{Direction, FftPlan};
+use crate::fft2d::TRANSPOSE_BLOCK;
+use crate::plan::FftPlan;
 use crate::rfft::RfftPlan;
 
 static PLANS: OnceLock<Mutex<HashMap<usize, Arc<FftPlan>>>> = OnceLock::new();
 static RPLANS: OnceLock<Mutex<HashMap<usize, Arc<RfftPlan>>>> = OnceLock::new();
-static TUNED: OnceLock<Mutex<HashMap<(usize, usize), TunedParams>>> = OnceLock::new();
 
 /// Returns the shared plan for transforms of length `len`, building it on
 /// first use.
@@ -122,124 +106,31 @@ pub fn cached_plan_bytes() -> u64 {
     complex + real
 }
 
-/// Layout parameters tuned per `(transform size, inner-thread budget)`.
+/// The layout constants of the 2-D transforms, in the shape run records
+/// print them.
 ///
-/// Both knobs affect only memory traffic and work distribution, never the
-/// arithmetic, so any value yields bit-identical transform results.
+/// Both affect only memory traffic and work distribution, never the
+/// arithmetic. They were once timed at first use per `(size, thread
+/// budget)`; the candidates differed by less than that timing's noise (one
+/// session recorded both 16 and 32 for each of 64, 256 and 512), so they
+/// are constants now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TunedParams {
     /// Edge length of the blocked-transpose tiles.
     pub block: usize,
-    /// Rows per pooled work item in batched 1-D row passes.
+    /// Rows per pooled work item in the 2-D row passes.
     pub row_batch: usize,
 }
 
-impl Default for TunedParams {
-    fn default() -> Self {
-        TunedParams {
-            block: DEFAULT_TRANSPOSE_BLOCK,
-            row_batch: DEFAULT_ROW_BATCH,
-        }
-    }
-}
-
-/// Returns the tuned layout parameters for square `n x n` transforms under
-/// an inner-thread budget of `threads`, measuring the candidates on first
-/// use and persisting the winner for the life of the process. Each actual
-/// measurement bumps the `fft.autotune.runs` counter.
-pub fn tuned_params(n: usize, threads: usize) -> TunedParams {
-    let key = (n, threads.max(1));
-    let cache = TUNED.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(p) = cache.lock().unwrap_or_else(|e| e.into_inner()).get(&key) {
-        return *p;
-    }
-    // Measure without holding the lock: autotuning runs transforms, and a
-    // worker thread doing the same could otherwise deadlock on re-entry.
-    let params = measure_params(n, key.1);
-    cache
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .insert(key, params);
-    params
-}
-
-/// Snapshot of every tuned `(size, threads) -> params` entry, sorted, for
-/// report emission.
+/// The layout constants as `(size, threads, params)` entries for report
+/// emission: one entry, whose size and thread budget of `0` stand for
+/// "any" — no size or budget changes them.
 pub fn tuned_summary() -> Vec<(usize, usize, TunedParams)> {
-    let mut out: Vec<(usize, usize, TunedParams)> = TUNED
-        .get()
-        .map(|c| {
-            c.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .iter()
-                .map(|(&(n, t), &p)| (n, t, p))
-                .collect()
-        })
-        .unwrap_or_default();
-    out.sort_unstable_by_key(|&(n, t, _)| (n, t));
-    out
-}
-
-fn measure_params(n: usize, threads: usize) -> TunedParams {
-    let mut params = TunedParams::default();
-    if n < 2 {
-        return params;
-    }
-    ilt_telemetry::counter_add("fft.autotune.runs", 1);
-    let mut buf: Vec<Complex> = (0..n * n)
-        .map(|i| Complex::new(i as f64 * 0.37, i as f64 * 0.11))
-        .collect();
-    let mut best = (f64::INFINITY, params.block);
-    for cand in [16usize, 32, 64] {
-        let cand = cand.min(n);
-        // One warmup sweep, then best-of-3 timed sweeps.
-        transpose_square_block(&mut buf, n, cand);
-        let mut fastest = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            transpose_square_block(&mut buf, n, cand);
-            fastest = fastest.min(t0.elapsed().as_secs_f64());
-        }
-        if fastest < best.0 {
-            best = (fastest, cand);
-        }
-        if cand == n {
-            break;
-        }
-    }
-    params.block = best.1;
-    // Row batching only matters when a pool actually splits the rows.
-    if threads > 1 {
-        if let Ok(plan) = shared_plan(n) {
-            let pool = ilt_par::InnerPool::new(threads);
-            let mut best = (f64::INFINITY, params.row_batch);
-            for cand in [1usize, 2, 4] {
-                if cand > n {
-                    break;
-                }
-                let run = |data: &mut [Complex]| {
-                    pool.for_each_chunk_mut(data, n * cand, |_, rows| {
-                        for row in rows.chunks_exact_mut(n) {
-                            plan.transform(row, Direction::Forward)
-                                .expect("row length matches plan by construction");
-                        }
-                    });
-                };
-                run(&mut buf); // warmup
-                let mut fastest = f64::INFINITY;
-                for _ in 0..3 {
-                    let t0 = Instant::now();
-                    run(&mut buf);
-                    fastest = fastest.min(t0.elapsed().as_secs_f64());
-                }
-                if fastest < best.0 {
-                    best = (fastest, cand);
-                }
-            }
-            params.row_batch = best.1;
-        }
-    }
-    params
+    let fixed = TunedParams {
+        block: TRANSPOSE_BLOCK,
+        row_batch: 1,
+    };
+    vec![(0, 0, fixed)]
 }
 
 #[cfg(test)]
@@ -296,20 +187,11 @@ mod tests {
     }
 
     #[test]
-    fn tuned_params_are_cached_and_sane() {
-        let a = tuned_params(32, 1);
-        let b = tuned_params(32, 1);
-        assert_eq!(a, b);
-        assert!(a.block >= 1 && a.block <= 64);
-        assert!(a.row_batch >= 1);
-        assert!(tuned_summary()
-            .iter()
-            .any(|&(n, t, p)| { n == 32 && t == 1 && p == a }));
-    }
-
-    #[test]
-    fn tuned_params_with_threads_pick_valid_batch() {
-        let p = tuned_params(16, 2);
-        assert!(p.row_batch >= 1 && 16 % p.row_batch == 0);
+    fn tuned_summary_reports_the_constants() {
+        let [(_, _, params)] = tuned_summary()[..] else {
+            panic!("one entry for every size");
+        };
+        assert_eq!(params.block, TRANSPOSE_BLOCK);
+        assert_eq!(params.row_batch, 1);
     }
 }

@@ -19,19 +19,20 @@ use std::sync::Arc;
 
 use ilt_par::InnerPool;
 
-use crate::cache::{shared_plan, tuned_params};
+use crate::cache::shared_plan;
 use crate::complex::Complex;
 use crate::error::FftError;
 use crate::plan::{Direction, FftPlan};
 
-/// Default edge length of the blocked-transpose tiles. 32 complex values
-/// per row of a block is 512 bytes — two blocks fit comfortably in L1
-/// alongside the twiddle tables. [`crate::cache::tuned_params`] may pick a
-/// different edge per transform size.
-pub(crate) const DEFAULT_TRANSPOSE_BLOCK: usize = 32;
-
-/// Default number of rows per pooled work item in batched row passes.
-pub(crate) const DEFAULT_ROW_BATCH: usize = 1;
+/// Edge length of the blocked-transpose tiles. From 256 up a row is a
+/// multiple of 4 KiB long, so the rows of one tile all map to the same L1
+/// sets: eight of them fit the 8 or 12 ways of current L1 data caches and
+/// every line fetched is used whole before it is evicted, where 16 or 32
+/// (what a first-use timing loop used to choose between) fetch each line
+/// four times. In-place transposes at 256^2 run 3x (plain) and 4.5x
+/// (scaled) faster than at 32, and no slower at any size from 64 to 1024
+/// (EXPERIMENTS.md "Paired kernels").
+pub(crate) const TRANSPOSE_BLOCK: usize = 8;
 
 /// A reusable 2-D FFT for row-major `rows x cols` buffers.
 ///
@@ -64,10 +65,6 @@ pub struct Fft2d {
     /// `Fft2d` of a given shape shares one set of twiddle tables.
     row_plan: Arc<FftPlan>,
     col_plan: Arc<FftPlan>,
-    /// Transpose tile edge, autotuned per size (square shapes only).
-    block: usize,
-    /// Rows per pooled work item, autotuned per (size, thread budget).
-    row_batch: usize,
 }
 
 impl Fft2d {
@@ -78,22 +75,11 @@ impl Fft2d {
     /// Returns [`FftError::NonPowerOfTwo`] if either dimension is not a
     /// nonzero power of two.
     pub fn new(rows: usize, cols: usize) -> Result<Self, FftError> {
-        let row_plan = shared_plan(cols)?;
-        let col_plan = shared_plan(rows)?;
-        // Layout knobs are autotuned for the square hot-path shape; the
-        // rectangular diagnostic shapes just take the defaults.
-        let params = if rows == cols {
-            tuned_params(rows, ilt_par::configured_inner_threads())
-        } else {
-            crate::cache::TunedParams::default()
-        };
         Ok(Fft2d {
             rows,
             cols,
-            row_plan,
-            col_plan,
-            block: params.block,
-            row_batch: params.row_batch,
+            row_plan: shared_plan(cols)?,
+            col_plan: shared_plan(rows)?,
         })
     }
 
@@ -221,24 +207,24 @@ impl Fft2d {
         }
         if self.rows == self.cols {
             // Square: transpose in place, no scratch at all.
-            transpose_square_block(data, self.rows, self.block);
+            transpose_square_block(data, self.rows);
             for row in data.chunks_exact_mut(self.rows) {
                 self.col_plan
                     .transform(row, dir)
                     .expect("column length matches plan by construction");
             }
-            transpose_square_scaled(data, self.rows, scale, self.block);
+            transpose_square_scaled(data, self.rows, scale);
         } else {
             // Rectangular (test/diagnostic shapes only — the litho hot path
             // is square): transpose through a temporary.
             let mut t = vec![Complex::ZERO; data.len()];
-            transpose_into_block(data, self.rows, self.cols, &mut t, self.block, 0..self.rows);
+            transpose_into_block(data, self.rows, self.cols, &mut t, 0..self.rows);
             for row in t.chunks_exact_mut(self.rows) {
                 self.col_plan
                     .transform(row, dir)
                     .expect("column length matches plan by construction");
             }
-            transpose_into_block(&t, self.cols, self.rows, data, self.block, 0..self.cols);
+            transpose_into_block(&t, self.cols, self.rows, data, 0..self.cols);
             if let Some(s) = scale {
                 for z in data.iter_mut() {
                     *z = z.scale(s);
@@ -290,14 +276,11 @@ impl Fft2d {
         );
         let n = self.rows;
         let plan = &self.row_plan;
-        let batch = self.row_batch.min(n);
-        pool.for_each_chunk_mut(data, n * batch, |_, rows| {
-            for row in rows.chunks_exact_mut(n) {
-                plan.transform(row, Direction::Forward)
-                    .expect("row length matches plan by construction");
-            }
+        pool.for_each_chunk_mut(data, n, |_, row| {
+            plan.transform(row, Direction::Forward)
+                .expect("row length matches plan by construction");
         });
-        transpose_square_block(data, n, self.block);
+        transpose_square_block(data, n);
         for &c in support_cols {
             self.col_plan
                 .transform(&mut data[c * n..(c + 1) * n], Direction::Forward)
@@ -308,9 +291,9 @@ impl Fft2d {
 }
 
 /// In-place blocked transpose of a square `n x n` row-major buffer with a
-/// `block x block` tile walk.
-pub(crate) fn transpose_square_block(data: &mut [Complex], n: usize, block: usize) {
-    let block = block.max(1);
+/// [`TRANSPOSE_BLOCK`]-edged tile walk.
+fn transpose_square_block(data: &mut [Complex], n: usize) {
+    let block = TRANSPOSE_BLOCK;
     for bi in (0..n).step_by(block) {
         for bj in (bi..n).step_by(block) {
             let i_end = (bi + block).min(n);
@@ -327,12 +310,12 @@ pub(crate) fn transpose_square_block(data: &mut [Complex], n: usize, block: usiz
 
 /// [`transpose_square_block`] with an optional per-element scale fused
 /// into the swap (each element is scaled exactly once).
-fn transpose_square_scaled(data: &mut [Complex], n: usize, scale: Option<f64>, block: usize) {
+fn transpose_square_scaled(data: &mut [Complex], n: usize, scale: Option<f64>) {
     let Some(s) = scale else {
-        transpose_square_block(data, n, block);
+        transpose_square_block(data, n);
         return;
     };
-    let block = block.max(1);
+    let block = TRANSPOSE_BLOCK;
     for bi in (0..n).step_by(block) {
         for bj in (bi..n).step_by(block) {
             let i_end = (bi + block).min(n);
@@ -364,13 +347,12 @@ pub(crate) fn transpose_into_block(
     rows: usize,
     cols: usize,
     dst: &mut [Complex],
-    block: usize,
     span: Range<usize>,
 ) {
     assert_eq!(src.len(), rows * cols);
     assert_eq!(dst.len(), rows * cols);
     assert!(span.end <= rows);
-    let block = block.max(1);
+    let block = TRANSPOSE_BLOCK;
     for bi in span.clone().step_by(block) {
         for bj in (0..cols).step_by(block) {
             for i in bi..(bi + block).min(span.end) {
@@ -559,19 +541,18 @@ mod tests {
 
     #[test]
     fn transpose_square_roundtrip() {
-        for n in [1usize, 2, 31, 32, 33, 64] {
-            for block in [8usize, 32, 64] {
-                let data: Vec<Complex> = (0..n * n).map(|i| Complex::from_re(i as f64)).collect();
-                let mut t = data.clone();
-                transpose_square_block(&mut t, n, block);
-                for i in 0..n {
-                    for j in 0..n {
-                        assert_eq!(t[j * n + i], data[i * n + j]);
-                    }
+        // Below, at, just over and at a multiple of the tile edge.
+        for n in [1usize, 2, 7, 8, 9, 31, 32, 33, 64] {
+            let data: Vec<Complex> = (0..n * n).map(|i| Complex::from_re(i as f64)).collect();
+            let mut t = data.clone();
+            transpose_square_block(&mut t, n);
+            for i in 0..n {
+                for j in 0..n {
+                    assert_eq!(t[j * n + i], data[i * n + j]);
                 }
-                transpose_square_block(&mut t, n, block);
-                assert_eq!(t, data);
             }
+            transpose_square_block(&mut t, n);
+            assert_eq!(t, data);
         }
     }
 
@@ -582,7 +563,7 @@ mod tests {
             .map(|i| Complex::from_re(i as f64 + 1.0))
             .collect();
         let mut t = data.clone();
-        transpose_square_scaled(&mut t, n, Some(0.5), 32);
+        transpose_square_scaled(&mut t, n, Some(0.5));
         for i in 0..n {
             for j in 0..n {
                 assert_eq!(t[j * n + i], data[i * n + j].scale(0.5));

@@ -50,8 +50,7 @@ pub mod simd;
 pub mod spectral;
 
 pub use cache::{
-    cached_plan_bytes, cached_plan_count, shared_plan, shared_rplan, tuned_params, tuned_summary,
-    TunedParams,
+    cached_plan_bytes, cached_plan_count, shared_plan, shared_rplan, tuned_summary, TunedParams,
 };
 pub use complex::Complex;
 pub use dft::{dft2_reference, dft_reference};

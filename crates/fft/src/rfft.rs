@@ -46,7 +46,7 @@ use std::sync::Arc;
 
 use ilt_par::InnerPool;
 
-use crate::cache::{shared_plan, shared_rplan, tuned_params};
+use crate::cache::{shared_plan, shared_rplan};
 use crate::complex::Complex;
 use crate::error::FftError;
 use crate::fft2d::transpose_into_block;
@@ -375,16 +375,12 @@ impl RfftPlan {
 /// only the `n/2 + 1` non-redundant spectrum columns (transposed layout —
 /// see the module docs).
 ///
-/// Plans come from the process-wide cache, and the layout knobs (transpose
-/// tile edge, pooled row batch) are autotuned per size through
-/// [`crate::cache::tuned_params`].
+/// Plans come from the process-wide cache.
 #[derive(Debug)]
 pub struct Rfft2d {
     n: usize,
     row: Arc<RfftPlan>,
     col_plan: Arc<FftPlan>,
-    block: usize,
-    row_batch: usize,
 }
 
 impl Rfft2d {
@@ -395,15 +391,10 @@ impl Rfft2d {
     /// Returns [`FftError::NonPowerOfTwo`] unless `n` is a power of two of
     /// at least 2.
     pub fn new(n: usize) -> Result<Self, FftError> {
-        let row = shared_rplan(n)?;
-        let col_plan = shared_plan(n)?;
-        let params = tuned_params(n, ilt_par::configured_inner_threads());
         Ok(Rfft2d {
             n,
-            row,
-            col_plan,
-            block: params.block,
-            row_batch: params.row_batch,
+            row: shared_rplan(n)?,
+            col_plan: shared_plan(n)?,
         })
     }
 
@@ -488,13 +479,9 @@ impl Rfft2d {
         // scratch (the span of the wanted columns; the row untangle forms
         // nothing else).
         let row = &*self.row;
-        let batch = self.row_batch.min(n);
-        pool.for_each_chunk_mut(scratch, hw * batch, |ci, rows| {
-            for (j, out_row) in rows.chunks_exact_mut(hw).enumerate() {
-                let r = ci * batch + j;
-                row.forward_bins(&src[r * n..(r + 1) * n], out_row, bins.clone())
-                    .expect("row length matches plan by construction");
-            }
+        pool.for_each_chunk_mut(scratch, hw, |r, out_row| {
+            row.forward_bins(&src[r * n..(r + 1) * n], out_row, bins.clone())
+                .expect("row length matches plan by construction");
         });
         // Column pass, one body for every column computed: transform
         // stored column c out of the row-major scratch (stride hw, read in
@@ -599,15 +586,12 @@ impl Rfft2d {
         // neither written by the transpose nor read by the rows. The whole
         // 2-D normalisation (and the caller's extra scale) is fused into
         // the row re-tangle.
-        transpose_into_block(spec, hw, n, scratch, self.block, bins.clone());
+        transpose_into_block(spec, hw, n, scratch, bins.clone());
         let row = &*self.row;
         let scale = extra / (n * n) as f64;
-        let batch = self.row_batch.min(n);
-        pool.for_each_chunk_zip_mut(scratch, hw * batch, dst, n * batch, |_, srows, drows| {
-            for (srow, drow) in srows.chunks_exact_mut(hw).zip(drows.chunks_exact_mut(n)) {
-                row.inverse_bins_scaled(srow, bins.clone(), drow, scale)
-                    .expect("row length matches plan by construction");
-            }
+        pool.for_each_chunk_zip_mut(scratch, hw, dst, n, |_, srow, drow| {
+            row.inverse_bins_scaled(srow, bins.clone(), drow, scale)
+                .expect("row length matches plan by construction");
         });
         Ok(())
     }

@@ -131,12 +131,13 @@ mod tests {
         let b = shared_bank(&config, ResistModel::m1_default()).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert!(cached_bank_count() >= 1);
-        // Each kernel stores its P x P spectrum plus a same-size precomputed
-        // adjoint table; a bank holds the nominal and defocused sets.
-        let p = a.config().kernel_support();
-        let per_set = (a.config().kernel_count * p * p * 16 * 2) as u64;
+        // A set holds one P x P spectrum per kernel and one table per slot:
+        // the nominal kernels pair up (K / 2 slots), the defocused ones
+        // cannot (K slots).
+        let (k, p) = (a.config().kernel_count, a.config().kernel_support());
+        let tables = (k + k / 2) + (k + k);
         assert!(cached_bank_bytes() >= a.estimated_bytes());
-        assert_eq!(a.estimated_bytes(), 2 * per_set);
+        assert_eq!(a.estimated_bytes(), (tables * p * p * 16) as u64);
     }
 
     #[test]

@@ -28,22 +28,9 @@ use crate::optics::OpticsConfig;
 pub struct Kernel {
     weight: f64,
     spectrum: Vec<Complex>,
-    /// Precomputed adjoint tabulation `w_i conj(H_i)`, same layout as
-    /// `spectrum` — the constant every gradient pass multiplies by per
-    /// support bin, hoisted out of the hot loop.
-    adjoint: Vec<Complex>,
 }
 
 impl Kernel {
-    fn new(weight: f64, spectrum: Vec<Complex>) -> Self {
-        let adjoint = spectrum.iter().map(|h| h.conj().scale(weight)).collect();
-        Kernel {
-            weight,
-            spectrum,
-            adjoint,
-        }
-    }
-
     /// SOCS weight `w_i`.
     #[inline]
     pub fn weight(&self) -> f64 {
@@ -55,13 +42,135 @@ impl Kernel {
     pub fn spectrum(&self) -> &[Complex] {
         &self.spectrum
     }
+}
 
-    /// Centered adjoint tabulation `w_i conj(H_i)`, row-major
-    /// `support x support`.
-    #[inline]
-    pub fn adjoint_spectrum(&self) -> &[Complex] {
-        &self.adjoint
+/// Relative tolerance (of the table's peak magnitude) of the slot proof:
+/// how far from real, and from even or odd, a kernel may be and still share
+/// a transform. Rounding leaves the nominal kernels ~3e-15 off; anything
+/// physical (defocus) is off by order one.
+const PARITY_TOLERANCE: f64 = 1e-12;
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Parity {
+    Even,
+    Odd,
+}
+
+/// Proves that a centered `p x p` table is real and even or odd under
+/// `f -> -f`, to [`PARITY_TOLERANCE`], or returns `None`.
+///
+/// The table is the kernel on the *zero-extended* support: frequency `-f`
+/// of index `i` sits at `2 (p / 2) - i`, so for even `p` the row and column
+/// at `-p / 2` have no partner (`+p / 2` is outside the table) and must
+/// themselves vanish. Mirroring inside the table (`p - 1 - i`) would test a
+/// symmetry the transform does not have.
+fn proven_parity(spectrum: &[Complex], p: usize) -> Option<Parity> {
+    let peak = spectrum.iter().map(|h| h.abs()).fold(0.0, f64::max);
+    let tolerance = PARITY_TOLERANCE * peak;
+    if spectrum.iter().any(|h| h.im.abs() > tolerance) {
+        return None;
     }
+    let at = |r: usize, c: usize| {
+        if r < p && c < p {
+            spectrum[r * p + c].re
+        } else {
+            0.0
+        }
+    };
+    let (mut even_defect, mut odd_defect) = (0.0f64, 0.0f64);
+    for r in 0..p {
+        for c in 0..p {
+            let (here, there) = (at(r, c), at(2 * (p / 2) - r, 2 * (p / 2) - c));
+            even_defect = even_defect.max((here - there).abs());
+            odd_defect = odd_defect.max((here + there).abs());
+        }
+    }
+    if even_defect <= tolerance {
+        Some(Parity::Even)
+    } else if odd_defect <= tolerance {
+        Some(Parity::Odd)
+    } else {
+        None
+    }
+}
+
+/// The kernels one complex transform carries: a proven-even and a
+/// proven-odd real kernel together, or any single kernel.
+///
+/// For a real mask `M` with spectrum `X`, a real even `H_e` makes `H_e X`
+/// Hermitian and a real odd `H_o` makes `H_o X` anti-Hermitian, so
+/// `IFFT((H_e + H_o) X) = A_e + A_o` with `A_e` purely real and `A_o`
+/// purely imaginary: one transform, both fields.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Slot {
+    table: Vec<Complex>,
+    w_re: f64,
+    w_im: f64,
+    kernels: (usize, Option<usize>),
+}
+
+impl Slot {
+    /// What the mask spectrum is multiplied by, centered row-major
+    /// `support x support`: `H_e + H_o` for a pair, the kernel's own
+    /// spectrum for a singleton.
+    #[inline]
+    pub fn table(&self) -> &[Complex] {
+        &self.table
+    }
+
+    /// Weights `(w_re, w_im)` of the squared real and imaginary parts of
+    /// the slot's field in the intensity: `(w_e, w_o)` for a pair, `(w, w)`
+    /// for a singleton.
+    #[inline]
+    pub fn weights(&self) -> (f64, f64) {
+        (self.w_re, self.w_im)
+    }
+
+    /// Indices into the kernel set of the kernel whose field is the real
+    /// part (the even one, or the singleton) and, for a pair, of the odd
+    /// kernel whose field is `i` times the imaginary part.
+    #[inline]
+    pub fn kernels(&self) -> (usize, Option<usize>) {
+        self.kernels
+    }
+}
+
+/// Groups kernels into slots, greedily in weight order: each kernel not yet
+/// taken pairs with the strongest later kernel of the opposite proven
+/// parity, or stands alone.
+fn build_slots(kernels: &[Kernel], p: usize) -> Vec<Slot> {
+    let parity: Vec<Option<Parity>> = kernels
+        .iter()
+        .map(|k| proven_parity(&k.spectrum, p))
+        .collect();
+    let mut taken = vec![false; kernels.len()];
+    let mut slots = Vec::with_capacity(kernels.len().div_ceil(2));
+    for i in 0..kernels.len() {
+        if taken[i] {
+            continue;
+        }
+        let partner = (i + 1..kernels.len()).find(|&j| {
+            !taken[j] && parity[i].is_some() && parity[j].is_some() && parity[j] != parity[i]
+        });
+        let (re, im) = match partner {
+            Some(j) if parity[i] == Some(Parity::Odd) => (j, Some(i)),
+            _ => (i, partner),
+        };
+        let mut table = kernels[re].spectrum.clone();
+        if let (Some(j), Some(im)) = (partner, im) {
+            taken[j] = true;
+            for (t, h) in table.iter_mut().zip(&kernels[im].spectrum) {
+                *t += *h;
+            }
+        }
+        slots.push(Slot {
+            table,
+            w_re: kernels[re].weight,
+            w_im: kernels[im.unwrap_or(re)].weight,
+            kernels: (re, im),
+        });
+    }
+    slots
 }
 
 /// A truncated SOCS kernel set tabulated on a base FFT grid.
@@ -86,9 +195,25 @@ pub struct KernelSet {
     support: usize,
     scale: usize,
     kernels: Vec<Kernel>,
+    /// What the simulator's per-transform loop runs over; rebuilt by every
+    /// constructor from the kernels it ends up with.
+    slots: Vec<Slot>,
 }
 
 impl KernelSet {
+    /// The one place a set is put together, so the slots always describe
+    /// the kernels held.
+    fn from_kernels(base_n: usize, support: usize, scale: usize, kernels: Vec<Kernel>) -> Self {
+        let slots = build_slots(&kernels, support);
+        KernelSet {
+            base_n,
+            support,
+            scale,
+            kernels,
+            slots,
+        }
+    }
+
     /// Builds the kernel set for the given optics; `defocused` selects the
     /// aberrated pupil (used for the process-window inner corner).
     ///
@@ -163,7 +288,10 @@ impl KernelSet {
                     *out = out.mul_add(*pv, coeff);
                 }
             }
-            kernels.push(Kernel::new(lambda, spectrum));
+            kernels.push(Kernel {
+                weight: lambda,
+                spectrum,
+            });
         }
         if kernels.is_empty() {
             return Err(LithoError::KernelConstruction {
@@ -171,14 +299,17 @@ impl KernelSet {
             });
         }
 
-        let mut set = KernelSet {
-            base_n: config.base_n,
-            support: p,
-            scale: 1,
-            kernels,
-        };
-        set.normalise_clear_field()?;
-        Ok(set)
+        // Rescale the weights so a clear field images at unit intensity.
+        let dc = clear_field_intensity(&kernels, p);
+        if dc <= 0.0 {
+            return Err(LithoError::KernelConstruction {
+                reason: "clear-field intensity is zero; cannot normalise".to_string(),
+            });
+        }
+        for k in &mut kernels {
+            k.weight /= dc;
+        }
+        Ok(KernelSet::from_kernels(config.base_n, p, 1, kernels))
     }
 
     /// A kernel set with caller-chosen spectra, for tests that need every
@@ -187,41 +318,17 @@ impl KernelSet {
     #[cfg(test)]
     pub(crate) fn from_spectra(support: usize, kernels: Vec<(f64, Vec<Complex>)>) -> Self {
         assert!(kernels.iter().all(|(_, h)| h.len() == support * support));
-        KernelSet {
-            base_n: support,
-            support,
-            scale: 1,
-            kernels: kernels
-                .into_iter()
-                .map(|(w, h)| Kernel::new(w, h))
-                .collect(),
-        }
-    }
-
-    /// Rescales weights so a clear field images at unit intensity.
-    fn normalise_clear_field(&mut self) -> Result<(), LithoError> {
-        let dc = self.clear_field_intensity();
-        if dc <= 0.0 {
-            return Err(LithoError::KernelConstruction {
-                reason: "clear-field intensity is zero; cannot normalise".to_string(),
-            });
-        }
-        for k in &mut self.kernels {
-            // Rebuild rather than rescale so the adjoint table is always
-            // exactly `weight * conj(spectrum)` bit for bit.
-            *k = Kernel::new(k.weight / dc, std::mem::take(&mut k.spectrum));
-        }
-        Ok(())
+        let kernels = kernels
+            .into_iter()
+            .map(|(weight, spectrum)| Kernel { weight, spectrum })
+            .collect();
+        KernelSet::from_kernels(support, support, 1, kernels)
     }
 
     /// Intensity a fully transparent mask would produce
     /// (`sum_i w_i |H_i(0)|^2`); exactly 1 after normalisation.
     pub fn clear_field_intensity(&self) -> f64 {
-        let center = (self.support / 2) * self.support + self.support / 2;
-        self.kernels
-            .iter()
-            .map(|k| k.weight * k.spectrum[center].norm_sqr())
-            .sum()
+        clear_field_intensity(&self.kernels, self.support)
     }
 
     /// Number of kernels.
@@ -254,15 +361,14 @@ impl KernelSet {
         self.scale
     }
 
-    /// Estimated resident bytes of this set's kernel tables — the
-    /// `support x support` complex spectrum *and* the same-size precomputed
-    /// adjoint table per kernel (per-kernel headers are ignored). Used by
-    /// cache introspection (`/debug/caches`) and store budget math.
+    /// Estimated resident bytes of this set's tables — one
+    /// `support x support` complex spectrum per kernel and one same-size
+    /// table per slot (headers are ignored). Used by cache introspection
+    /// (`/debug/caches`) and store budget math.
     pub fn estimated_bytes(&self) -> u64 {
-        self.kernels
-            .iter()
-            .map(|k| ((k.spectrum.len() + k.adjoint.len()) * std::mem::size_of::<Complex>()) as u64)
-            .sum()
+        let values = self.kernels.iter().map(|k| k.spectrum.len()).sum::<usize>()
+            + self.slots.iter().map(|s| s.table.len()).sum::<usize>();
+        (values * std::mem::size_of::<Complex>()) as u64
     }
 
     /// Iterates over the kernels, largest weight first.
@@ -270,11 +376,18 @@ impl KernelSet {
         self.kernels.iter()
     }
 
+    /// The transforms a simulate or gradient pass runs, in order: every
+    /// kernel is in exactly one slot.
+    #[inline]
+    pub fn slots(&self) -> &[Slot] {
+        &self.slots
+    }
+
     /// Keeps only the `count` strongest kernels (saturating).
     pub fn truncate(&self, count: usize) -> KernelSet {
-        let mut out = self.clone();
-        out.kernels.truncate(count.max(1));
-        out
+        let mut kernels = self.kernels.clone();
+        kernels.truncate(count.max(1));
+        KernelSet::from_kernels(self.base_n, self.support, self.scale, kernels)
     }
 
     /// Resamples every kernel at fractional bins `j/s` (Eq. (3)/(9) of the
@@ -302,20 +415,69 @@ impl KernelSet {
                         reason: format!("kernel resampling failed: {source}"),
                     }
                 })?;
-            kernels.push(Kernel::new(k.weight, spectrum));
+            kernels.push(Kernel {
+                weight: k.weight,
+                spectrum,
+            });
         }
-        Ok(KernelSet {
-            base_n: self.base_n,
-            support: self.support * s,
-            scale: self.scale * s,
+        Ok(KernelSet::from_kernels(
+            self.base_n,
+            self.support * s,
+            self.scale * s,
             kernels,
-        })
+        ))
     }
 }
 
+fn clear_field_intensity(kernels: &[Kernel], support: usize) -> f64 {
+    let center = (support / 2) * support + support / 2;
+    kernels
+        .iter()
+        .map(|k| k.weight * k.spectrum[center].norm_sqr())
+        .sum()
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Five hand-built kernels in weight order — even, even, odd, complex,
+    /// real without parity — on the zero-extended support (for even `p` the
+    /// two with a parity vanish on the row and column at `-p / 2`): one
+    /// pair `(0, 2)` and three singletons `1, 3, 4`.
+    pub(crate) fn mixed_parity_set(p: usize) -> KernelSet {
+        fn bell(fy: f64, fx: f64) -> f64 {
+            1.0 / (1.0 + 0.3 * (fx * fx + fy * fy))
+        }
+        let half = (p / 2) as f64;
+        let table = |h: fn(f64, f64) -> Complex, has_parity: bool| -> Vec<Complex> {
+            (0..p * p)
+                .map(|i| {
+                    let (fy, fx) = ((i / p) as f64 - half, (i % p) as f64 - half);
+                    if has_parity && p.is_multiple_of(2) && (fy == -half || fx == -half) {
+                        Complex::ZERO
+                    } else {
+                        h(fy, fx)
+                    }
+                })
+                .collect()
+        };
+        let even_a = |fy, fx| Complex::from_re(bell(fy, fx));
+        let even_b = |fy: f64, fx: f64| Complex::from_re((0.4 * fx).cos() * (0.7 * fy).cos());
+        let odd = |fy, fx| Complex::from_re((fx - 0.5 * fy) * bell(fy, fx));
+        let complex = |fy, fx| Complex::from_polar(bell(fy, fx), 0.2 * fx * fx + 0.3 * fy);
+        let lopsided = |fy, fx| Complex::from_re((1.0 + 0.5 * fx) * bell(fy, fx));
+        KernelSet::from_spectra(
+            p,
+            vec![
+                (0.4, table(even_a, true)),
+                (0.25, table(even_b, true)),
+                (0.2, table(odd, true)),
+                (0.1, table(complex, false)),
+                (0.05, table(lopsided, false)),
+            ],
+        )
+    }
 
     fn small() -> KernelSet {
         KernelSet::build(&OpticsConfig::test_small(), false).unwrap()
@@ -340,15 +502,127 @@ mod tests {
         assert!(w.windows(2).all(|p| p[0] >= p[1]));
     }
 
+    /// Which kernels each slot holds, as `(real part, imaginary part)`.
+    fn grouping(set: &KernelSet) -> Vec<(usize, Option<usize>)> {
+        set.slots().iter().map(|s| s.kernels()).collect()
+    }
+
     #[test]
-    fn adjoint_table_is_weighted_conjugate() {
-        let set = small();
-        for k in set.iter() {
-            assert_eq!(k.adjoint_spectrum().len(), k.spectrum().len());
-            for (a, h) in k.adjoint_spectrum().iter().zip(k.spectrum()) {
-                assert_eq!(*a, h.conj().scale(k.weight()));
+    fn nominal_kernels_pair_at_every_scale() {
+        // The speed-up is the pairing: if a rebuilt bank, a resampling or a
+        // tolerance ever stopped proving parity, the simulator would fall
+        // back to K transforms without failing anything else.
+        for cfg in [OpticsConfig::m1_default(), OpticsConfig::test_small()] {
+            let base = KernelSet::build(&cfg, false).unwrap();
+            for s in [1usize, 2, 4] {
+                let set = base.scaled(s).unwrap();
+                let slots = set.slots();
+                assert_eq!(slots.len(), set.len().div_ceil(2), "scale {s}");
+                let mut seen = vec![0usize; set.len()];
+                for slot in slots {
+                    let (e, o) = slot.kernels();
+                    let o = o.unwrap_or_else(|| panic!("scale {s}: kernel {e} is unpaired"));
+                    seen[e] += 1;
+                    seen[o] += 1;
+                    let (ke, ko) = (&set.kernels[e], &set.kernels[o]);
+                    assert_eq!(slot.weights(), (ke.weight(), ko.weight()));
+                    for ((t, a), b) in slot.table().iter().zip(ke.spectrum()).zip(ko.spectrum()) {
+                        assert_eq!(*t, *a + *b);
+                    }
+                }
+                assert!(seen.iter().all(|&n| n == 1), "scale {s}: {seen:?}");
             }
         }
+        let m1 = KernelSet::build(&OpticsConfig::m1_default(), false).unwrap();
+        assert_eq!(
+            grouping(&m1),
+            [(0, Some(1)), (3, Some(2)), (4, Some(5))],
+            "pairs form greedily in weight order"
+        );
+    }
+
+    #[test]
+    fn defocused_kernels_stay_singletons() {
+        for cfg in [OpticsConfig::m1_default(), OpticsConfig::test_small()] {
+            let set = KernelSet::build(&cfg, true).unwrap();
+            let alone: Vec<_> = (0..set.len()).map(|i| (i, None)).collect();
+            assert_eq!(grouping(&set), alone);
+            for (slot, k) in set.slots().iter().zip(set.iter()) {
+                assert_eq!(slot.table(), k.spectrum());
+                assert_eq!(slot.weights(), (k.weight(), k.weight()));
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_set_pairs_what_it_can_prove_and_nothing_else() {
+        for p in [7usize, 8] {
+            let set = mixed_parity_set(p);
+            assert_eq!(
+                grouping(&set),
+                [(0, Some(2)), (1, None), (3, None), (4, None)],
+                "P = {p}"
+            );
+            // Truncation can split a pair: the slots follow the kernels.
+            assert_eq!(grouping(&set.truncate(2)), [(0, None), (1, None)]);
+        }
+    }
+
+    #[test]
+    fn near_misses_stay_unpaired() {
+        let spectra = |set: &KernelSet| -> Vec<(f64, Vec<Complex>)> {
+            set.iter()
+                .take(3)
+                .map(|k| (k.weight(), k.spectrum().to_vec()))
+                .collect()
+        };
+        let pairs = |p: usize, kernels: Vec<(f64, Vec<Complex>)>| {
+            let set = KernelSet::from_spectra(p, kernels);
+            set.slots().iter().any(|s| s.kernels().1.is_some())
+        };
+        for p in [7usize, 8] {
+            let clean = spectra(&mixed_parity_set(p));
+            let peak = |h: &[Complex]| h.iter().map(|z| z.abs()).fold(0.0, f64::max);
+            assert!(pairs(p, clean.clone()));
+            // Kernel 2 is the only odd one; spoil it three ways, each a
+            // thousand tolerances out.
+            let centre = (p / 2) * p + p / 2;
+            let mut off_parity = clean.clone();
+            off_parity[2].1[centre + 1].re += 1e-9 * peak(&clean[2].1);
+            assert!(!pairs(p, off_parity), "P = {p}: parity defect 1e-9");
+            let mut off_real = clean.clone();
+            off_real[2].1[centre + 1].im = 1e-9 * peak(&clean[2].1);
+            assert!(!pairs(p, off_real), "P = {p}: Im of 1e-9 of the peak");
+            if p.is_multiple_of(2) {
+                // Row 0 is frequency -P/2: its mirror +P/2 is outside the
+                // table, so anything there breaks the symmetry — though a
+                // `P - 1 - i` mirror could be made to miss it.
+                let mut rim = clean.clone();
+                rim[2].1[p / 2] = Complex::from_re(0.3);
+                rim[2].1[(p - 1) * p + p / 2 - 1] = Complex::from_re(-0.3);
+                assert!(!pairs(p, rim), "P = {p}: nonzero -P/2 row");
+            }
+        }
+    }
+
+    #[test]
+    fn estimated_bytes_counts_the_tables_held() {
+        for set in [
+            small(),
+            KernelSet::build(&OpticsConfig::test_small(), true).unwrap(),
+            mixed_parity_set(8),
+            small().scaled(2).unwrap().truncate(3),
+        ] {
+            let held: usize = set
+                .iter()
+                .map(|k| std::mem::size_of_val(k.spectrum()))
+                .chain(set.slots().iter().map(|s| std::mem::size_of_val(s.table())))
+                .sum();
+            assert_eq!(set.estimated_bytes(), held as u64);
+        }
+        // Nominal: K spectra + K/2 pair tables; defocused: K + K singletons.
+        let (k, p) = (small().len() as u64, small().support() as u64);
+        assert_eq!(small().estimated_bytes(), (k + k / 2) * p * p * 16);
     }
 
     #[test]

@@ -43,7 +43,7 @@ mod system;
 
 pub use cache::{cached_bank_bytes, cached_bank_count, shared_bank};
 pub use error::LithoError;
-pub use kernels::{Kernel, KernelSet};
+pub use kernels::{Kernel, KernelSet, Slot};
 pub use optics::{OpticsConfig, SourcePoint};
 pub use resist::ResistModel;
 pub use sim::{LithoSimulator, SimWorkspace};

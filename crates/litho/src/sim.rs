@@ -6,6 +6,25 @@
 //! (`gradient_into`) backpropagates a loss derivative `dL/dI` to the mask:
 //! `dL/dM = 2 Re IFFT( sum_i w_i conj(H_i) . FFT((dL/dI) . A_i) )`.
 //!
+//! # Slots, not kernels
+//!
+//! The sums over `i` above run over the kernel set's [`crate::Slot`]s, one
+//! complex transform each. A slot is a single kernel, or a pair of kernels
+//! [`KernelSet`] has *proved* real in the frequency domain, one even and
+//! one odd under `f -> -f` (the nominal kernels: six kernels, three
+//! slots; no defocused kernel qualifies). For a real mask `H_e . FFT(M)` is
+//! then Hermitian and `H_o . FFT(M)` anti-Hermitian, so the one inverse of
+//! `(H_e + H_o) . FFT(M)` holds the purely real `A_e` in its real part and
+//! the purely imaginary `A_o` in its imaginary part, and the intensity is
+//! `sum_slots w_re Re^2 + w_im Im^2` (`w_re = w_im = w_i` for a single
+//! kernel, whose `|A_i|^2` this is). The adjoint sends
+//! `(dL/dI) . (w_re Re + i w_im Im)` through one forward transform and
+//! multiplies by `conj(H_e + H_o)`; besides the two wanted terms the
+//! product holds `w_o H_e X_o + w_e H_o X_e`, which is anti-Hermitian and
+//! vanishes under the `2 Re IFFT(.)` (computed below as `S + R(S)` on the
+//! stored half-spectrum). Exact algebra, no truncation: the tests hold both
+//! passes to 1e-12 of a dense evaluation that never pairs anything.
+//!
 //! # Hot-path engineering
 //!
 //! The simulate/gradient pair is the inner loop of every ILT solver, so it
@@ -35,36 +54,37 @@
 //!   `sum_i w_i |A_i|^2` to the `2P - 1` bins of their differences. Both
 //!   are therefore represented *exactly* by their samples on a grid of
 //!   `n_s = min(n, next_pow2(2P - 1))` points, and the simulator does
-//!   all per-kernel work there. Forward: one `n`-size real transform
-//!   of the mask (crop columns only), `K` crop-multiplies into `n_s^2`
-//!   buffers and `K` `n_s`-size inverses, the intensity sum on `n_s^2`,
+//!   all per-slot work there. Forward: one `n`-size real transform
+//!   of the mask (crop columns only), one crop-multiply into an `n_s^2`
+//!   buffer and one `n_s`-size inverse per slot, the intensity sum on `n_s^2`,
 //!   then one `n_s`-size real forward, a copy of the `2P - 1` band into
 //!   the `n`-size half-spectrum and one sparse `n`-size real inverse (scale
 //!   `n_s^2 / n^2`) interpolate it back to the mask grid. The adjoint is
 //!   the exact transpose: `dL/dI` is low-passed onto the `n_s` grid the
-//!   same way (only its `2P - 1` band can reach the support), the `K`
+//!   same way (only its `2P - 1` band can reach the support), the per-slot
 //!   products and forward transforms run at `n_s`, and the accumulated
 //!   support goes through the one `n`-size real inverse. `n_s >= 2P - 1`
 //!   means no product aliases into a bin that is read, so the results
 //!   equal the mask-grid evaluation to rounding (~1e-15). When `n_s == n`
 //!   (the kernels nearly fill the grid) the resampling steps drop out and
-//!   the per-kernel transforms run at `n`: one code path, parameterised by
+//!   the per-slot transforms run at `n`: one code path, parameterised by
 //!   `n_s`. The tests compare it against a dense evaluation of the
 //!   equations above at mask resolution.
 //! * [`SimWorkspace`] is a scratch arena holding every buffer the two
 //!   passes need. [`LithoSimulator::simulate_into`] /
 //!   [`LithoSimulator::gradient_into`] reuse it across iterations without
-//!   touching the heap. The per-kernel fields, per-worker scratch and
-//!   partials are `n_s^2` (0.4 MB instead of 6.3 MB for a 256-pixel tile
-//!   with `K = 6`, `P = 27`), so the per-kernel loop works out of L2.
-//! * Per-kernel work (the `K` inverse transforms of the forward pass, the
-//!   `K` forward transforms of the adjoint) is spread across an
-//!   [`ilt_par::InnerPool`]. Each kernel writes its own buffer and all
-//!   cross-kernel reductions happen serially in kernel order afterwards, so
+//!   touching the heap. The per-slot fields, per-worker scratch and
+//!   partials are `n_s^2` (0.2 MB instead of 6.3 MB for a 256-pixel tile
+//!   with `K = 6` in three slots, `P = 27`), so the per-slot loop works
+//!   out of L2.
+//! * Per-slot work (the inverse transforms of the forward pass, the
+//!   forward transforms of the adjoint) is spread across an
+//!   [`ilt_par::InnerPool`]. Each slot writes its own buffer and all
+//!   cross-slot reductions happen serially in slot order afterwards, so
 //!   results are **bit-identical** for any thread count.
-//! * Per-kernel inverses use [`Fft2d::inverse_support`], skipping the
+//! * Per-slot inverses use [`Fft2d::inverse_support`], skipping the
 //!   first-pass transforms of the `n_s - P` rows the `P x P` crop left
-//!   zero; per-kernel forwards use [`Fft2d::forward_support_transposed`],
+//!   zero; per-slot forwards use [`Fft2d::forward_support_transposed`],
 //!   skipping the `n_s - P` column transforms nobody reads. With the
 //!   support-limited real transforms above, what is left at mask resolution
 //!   is what cannot shrink: the real row passes over the `n^2` pixels that
@@ -73,8 +93,8 @@
 //!   butterfly passes that keep two consecutive radix-2 stages in
 //!   registers, bit-identical to the stage-at-a-time loop they replaced.
 //!   At `n = 256`, `s = 1` the four `n`-size real transforms are ~0.4 ms
-//!   of a ~0.8 ms simulate + gradient pair; at the coarse levels, where
-//!   `n_s = n`, the per-kernel complex transforms are nearly all of it.
+//!   of a ~0.6 ms simulate + gradient pair; at the coarsest level, where
+//!   `n_s = n`, the three slots' complex transforms are 2.0 ms of 3.3 ms.
 
 use ilt_fft::{spectral, Complex, Fft2d, Rfft2d};
 use ilt_grid::{Grid, RealGrid};
@@ -83,7 +103,7 @@ use ilt_par::InnerPool;
 use crate::error::LithoError;
 use crate::kernels::KernelSet;
 
-/// Edge `n_s = min(n, next_pow2(2P - 1))` of the grid the per-kernel fields
+/// Edge `n_s = min(n, next_pow2(2P - 1))` of the grid the per-slot fields
 /// are evaluated on: the fields span `P` bins and the intensity the
 /// `2P - 1` bins of their differences, so `2P - 1` samples per axis carry
 /// both exactly.
@@ -105,10 +125,10 @@ pub struct LithoSimulator {
     /// Stored half-spectrum columns (`0..=n/2`) the Hermitianised adjoint
     /// accumulator can touch: the support columns and their reflections.
     rbin_cols: Vec<usize>,
-    /// Edge of the grid the per-kernel fields are evaluated on (see
+    /// Edge of the grid the per-slot fields are evaluated on (see
     /// [`nyquist_edge`]).
     ns: usize,
-    /// Complex plan for the `n_s`-grid per-kernel transforms.
+    /// Complex plan for the `n_s`-grid per-slot transforms.
     ns_fft: Fft2d,
     /// Real plan moving the intensity and `dL/dI` between the `n_s` and
     /// `n` grids (`None` when `n_s == n`: nothing to resample).
@@ -121,7 +141,7 @@ pub struct LithoSimulator {
     /// the support's columns `-P/2..P - P/2`, the negative ones through
     /// the Hermitian mirror.
     band_cols: Vec<usize>,
-    /// Worker pool for per-kernel and per-row-batch parallelism. Serial by
+    /// Worker pool for per-slot and per-row-batch parallelism. Serial by
     /// default; see [`LithoSimulator::with_inner_pool`].
     pool: InnerPool,
 }
@@ -130,7 +150,7 @@ pub struct LithoSimulator {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct WorkspaceShape {
     n: usize,
-    kernel_count: usize,
+    slots: usize,
     support: usize,
     workers: usize,
 }
@@ -160,9 +180,9 @@ pub struct SimWorkspace {
     /// columns are ever written — each user clears those and relies on the
     /// rest staying zero.
     raccum: Vec<Complex>,
-    /// Per-kernel fields `A_i` (see [`SimWorkspace::fields`]).
+    /// Per-slot fields (see [`SimWorkspace::fields`]).
     fields: Vec<Vec<Complex>>,
-    /// Per-kernel adjoint support products, each `P^2`.
+    /// Per-slot adjoint support products, each `P^2`.
     partials: Vec<Vec<Complex>>,
     /// Per-worker scratch for the adjoint forward transforms, each `n_s^2`.
     scratch: Vec<Vec<Complex>>,
@@ -183,7 +203,7 @@ impl SimWorkspace {
     fn new(shape: WorkspaceShape) -> Self {
         let WorkspaceShape {
             n,
-            kernel_count,
+            slots,
             support,
             workers,
         } = shape;
@@ -199,10 +219,8 @@ impl SimWorkspace {
             half_spectrum: vec![Complex::ZERO; half_len],
             rscratch: vec![Complex::ZERO; half_len],
             raccum: vec![Complex::ZERO; half_len],
-            fields: (0..kernel_count)
-                .map(|_| vec![Complex::ZERO; ns * ns])
-                .collect(),
-            partials: (0..kernel_count)
+            fields: (0..slots).map(|_| vec![Complex::ZERO; ns * ns]).collect(),
+            partials: (0..slots)
                 .map(|_| vec![Complex::ZERO; support * support])
                 .collect(),
             scratch: (0..workers).map(|_| vec![Complex::ZERO; ns * ns]).collect(),
@@ -227,12 +245,17 @@ impl SimWorkspace {
         &self.intensity
     }
 
-    /// Per-kernel complex fields `A_i = h_i (x) M` produced by the most
-    /// recent [`LithoSimulator::simulate_into`], sampled on the optics'
-    /// Nyquist grid: `n_s^2` values each, with
-    /// `fields[i][y * n_s + x] = (n / n_s)^2 . A_i` at mask pixel
-    /// `(x, y) . n / n_s` (the inverse is normalised for `n_s`, and the
-    /// adjoint and the intensity interpolation absorb the factor). When
+    /// One complex field per [`crate::Slot`] of the kernel set, produced
+    /// by the most recent [`LithoSimulator::simulate_into`]. A singleton
+    /// slot holds its kernel's field `A_i = h_i (x) M`; a paired slot holds
+    /// `A_e + A_o`, whose real part **is** the even kernel's (purely real)
+    /// field and whose imaginary part is the odd kernel's (purely
+    /// imaginary) field over `i` — so the intensity is
+    /// `sum_slots w_re . Re^2 + w_im . Im^2` with [`crate::Slot::weights`].
+    /// Fields are sampled on the optics' Nyquist grid: `n_s^2` values each,
+    /// with `fields[k][y * n_s + x] = (n / n_s)^2 .` the field at mask
+    /// pixel `(x, y) . n / n_s` (the inverse is normalised for `n_s`, and
+    /// the adjoint and the intensity interpolation absorb the factor). When
     /// `n_s == n` they are the `n^2` mask-grid fields.
     #[inline]
     pub fn fields(&self) -> &[Vec<Complex>] {
@@ -339,7 +362,7 @@ impl LithoSimulator {
         self.ns_rfft.as_ref().map(|plan| (plan, scale))
     }
 
-    /// Replaces the inner pool used for per-kernel parallelism.
+    /// Replaces the inner pool used for per-slot parallelism.
     pub fn set_inner_pool(&mut self, pool: InnerPool) {
         self.pool = pool;
     }
@@ -366,7 +389,7 @@ impl LithoSimulator {
     fn shape(&self) -> WorkspaceShape {
         WorkspaceShape {
             n: self.n,
-            kernel_count: self.kernels.len(),
+            slots: self.kernels.slots().len(),
             support: self.kernels.support(),
             workers: self.pool.threads(),
         }
@@ -378,7 +401,7 @@ impl LithoSimulator {
     }
 
     /// Runs the forward model into a reusable workspace: the aerial image
-    /// lands in [`SimWorkspace::intensity`], the per-kernel fields (needed
+    /// lands in [`SimWorkspace::intensity`], the per-slot fields (needed
     /// by the adjoint) in [`SimWorkspace::fields`]. Performs no heap
     /// allocation when the workspace already matches this simulator.
     ///
@@ -404,15 +427,15 @@ impl LithoSimulator {
             Some(&self.band_cols[..=p / 2]),
             &self.pool,
         )?;
-        let kernels = self.kernels.iter().as_slice();
+        let slots = self.kernels.slots();
         let bin = &self.bin;
         let hw = n / 2 + 1;
         let half = &ws.half_spectrum;
         let (ns, ns_bin, ns_fft) = (self.ns, &self.ns_bin, &self.ns_fft);
-        // One kernel per buffer: disjoint writes, so the pool changes
+        // One slot per buffer: disjoint writes, so the pool changes
         // nothing about the result.
         self.pool.for_each_mut(&mut ws.fields, |k, field| {
-            let h = kernels[k].spectrum();
+            let h = slots[k].table();
             field.fill(Complex::ZERO);
             for r in 0..p {
                 let rr = bin[r];
@@ -434,7 +457,7 @@ impl LithoSimulator {
                 .expect("field buffer matches plan by construction");
         });
 
-        // Intensity reduction stays serial and in kernel order so the sum
+        // Intensity reduction stays serial and in slot order so the sum
         // is bit-identical regardless of the pool. It runs on the fields'
         // own grid: straight into the output unless that grid is coarser.
         let resample = self.resampler();
@@ -443,10 +466,10 @@ impl LithoSimulator {
             None => ws.intensity.as_mut_slice(),
         };
         sum.fill(0.0);
-        for (kernel, field) in kernels.iter().zip(&ws.fields) {
-            let w = kernel.weight();
+        for (slot, field) in slots.iter().zip(&ws.fields) {
+            let (w_re, w_im) = slot.weights();
             for (acc, z) in sum.iter_mut().zip(field) {
-                *acc += w * z.norm_sqr();
+                *acc += w_re * (z.re * z.re) + w_im * (z.im * z.im);
             }
         }
         if let Some((ns_rfft, scale)) = resample {
@@ -508,7 +531,7 @@ impl LithoSimulator {
         let p = self.kernels.support();
         ws.ensure(self.shape());
 
-        // The per-kernel products run on the fields' grid. When that is the
+        // The per-slot products run on the fields' grid. When that is the
         // coarser n_s grid, dL/dI goes there first — the transpose of the
         // forward pass's interpolation: keep its |k| <= P - 1 band (nothing
         // else can reach the support through a product with a P-bin field)
@@ -539,10 +562,13 @@ impl LithoSimulator {
             None => dldi.as_slice(),
         };
 
-        // Per-kernel: scratch = A_i . dL/dI, forward transform, then record
-        // the weighted conjugate-kernel product on the P x P support only.
-        // Each kernel owns its partial buffer; workers never share scratch.
-        let kernels = self.kernels.iter().as_slice();
+        // Per slot: scratch = dL/dI . (w_re Re + i w_im Im) of its field,
+        // forward transform, then record the conjugate-table product on the
+        // P x P support only. For a pair that product also holds the cross
+        // terms H_e X_o + H_o X_e; they are anti-Hermitian, so the
+        // Hermitianised reduction below cancels them. Each slot owns its
+        // partial buffer; workers never share scratch.
+        let slots = self.kernels.slots();
         let bin = &self.bin;
         let fields = &ws.fields;
         let (ns, ns_bin, ns_fft) = (self.ns, &self.ns_bin, &self.ns_fft);
@@ -550,10 +576,11 @@ impl LithoSimulator {
             &mut ws.partials,
             &mut ws.scratch,
             |k, partial, scratch| {
+                let (w_re, w_im) = slots[k].weights();
                 for ((dst, a), &g) in scratch.iter_mut().zip(&fields[k]).zip(dldi_field) {
-                    *dst = a.scale(g);
+                    *dst = Complex::new(w_re * g * a.re, w_im * g * a.im);
                 }
-                let adj = kernels[k].adjoint_spectrum();
+                let h = slots[k].table();
                 // Only the P support columns of the spectrum are read
                 // below, so the forward can skip the other column
                 // transforms. The result is transposed; the pool slot is
@@ -564,7 +591,7 @@ impl LithoSimulator {
                 for r in 0..p {
                     for c in 0..p {
                         let idx = ns_bin[c] * ns + ns_bin[r];
-                        partial[r * p + c] = scratch[idx] * adj[r * p + c];
+                        partial[r * p + c] = scratch[idx] * h[r * p + c].conj();
                     }
                 }
             },
@@ -619,6 +646,7 @@ impl LithoSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::tests::mixed_parity_set;
     use crate::kernels::KernelSet;
     use crate::optics::OpticsConfig;
     use ilt_grid::{Grid, Rect};
@@ -743,11 +771,16 @@ mod tests {
         mask.fill_rect(Rect::new(16, 16, 48, 32), 1.0);
         let mut ws = sim.workspace();
         sim.simulate_into(&mask, &mut ws).unwrap();
+        assert_eq!(ws.fields().len(), sim.kernels().slots().len());
         let recomputed: f64 = sim
             .kernels()
+            .slots()
             .iter()
             .zip(ws.fields())
-            .map(|(k, f)| k.weight() * f[33 * n + 20].norm_sqr())
+            .map(|(slot, f)| {
+                let ((w_re, w_im), z) = (slot.weights(), f[33 * n + 20]);
+                w_re * z.re * z.re + w_im * z.im * z.im
+            })
             .sum();
         assert!((recomputed - ws.intensity().get(20, 33)).abs() < 1e-12);
     }
@@ -781,7 +814,7 @@ mod tests {
 
     #[test]
     fn gradient_of_weighted_loss_matches_finite_difference() {
-        // dL/dI varying per pixel exercises the per-kernel product path.
+        // dL/dI varying per pixel exercises the per-slot product path.
         let sim = simulator();
         let n = sim.n();
         let mut mask = Grid::from_fn(n, n, |x, y| ((x + y) % 3) as f64 * 0.4);
@@ -864,8 +897,9 @@ mod tests {
     }
 
     /// Eq. (1)–(3) and the adjoint evaluated densely at mask resolution with
-    /// plain complex transforms, straight from the formulas in the module
-    /// docs: the reference implementation the simulator is tested against.
+    /// plain complex transforms, one kernel at a time, straight from the
+    /// formulas in the module docs: the reference implementation the
+    /// simulator (and its pairing of kernels into slots) is tested against.
     fn dense_reference(
         sim: &LithoSimulator,
         mask: &RealGrid,
@@ -903,7 +937,8 @@ mod tests {
             for r in 0..p {
                 for c in 0..p {
                     let idx = bin[r] * n + bin[c];
-                    accum[idx] += field[idx] * kernel.adjoint_spectrum()[r * p + c];
+                    let adjoint = kernel.spectrum()[r * p + c].conj().scale(kernel.weight());
+                    accum[idx] += field[idx] * adjoint;
                 }
             }
         }
@@ -935,8 +970,9 @@ mod tests {
 
     // ---- Nyquist-grid evaluation (n_s < n) against the dense reference ----
 
-    /// Simulator set-ups whose Nyquist grid is coarser than the mask grid
-    /// (`n >= 2 n_s`), with the `n_s` each must pick.
+    /// Simulator set-ups with the `n_s` each must pick: coarser than the
+    /// mask grid (`n >= 2 n_s`) except for the last, where the kernels fill
+    /// the grid and pairing them is all that is left to save.
     fn nyquist_cases() -> Vec<(&'static str, usize, KernelSet, usize)> {
         let small = KernelSet::build(&OpticsConfig::test_small(), false).unwrap();
         let m1 = KernelSet::build(&OpticsConfig::m1_default(), false).unwrap();
@@ -964,8 +1000,17 @@ mod tests {
             ("test_small@256", 256, small.clone(), 64),
             // Even support P = 46: 2P - 1 = 91 -> 128.
             ("test_small x2@256", 256, small.scaled(2).unwrap(), 128),
+            // One pair and three singletons (a second even kernel, a complex
+            // one, a real one without parity), odd and even support.
+            ("mixed P=7@32", 32, mixed_parity_set(7), 16),
+            ("mixed P=8@32", 32, mixed_parity_set(8), 16),
             // The paper-scale fine tile, P = 27: 53 -> 64.
-            ("m1_default@256", 256, m1, 64),
+            ("m1_default@256", 256, m1.clone(), 64),
+            // The coarse levels, where the per-slot transforms are nearly
+            // all of a pass: even support P = 54 (107 -> 128) and P = 108
+            // (215 -> 256 = n).
+            ("m1_default x2@256", 256, m1.scaled(2).unwrap(), 128),
+            ("m1_default x4@256", 256, m1.scaled(4).unwrap(), 256),
         ]
     }
 
@@ -1014,8 +1059,7 @@ mod tests {
             sim.gradient_into(&mut ws, &dldi).unwrap();
             let (intensity, grad) = dense_reference(&sim, &mask, &dldi);
 
-            // The simulator really ran on the coarser grid.
-            assert!(ns < n);
+            // The simulator really ran on the grid it should have picked.
             assert_eq!(ws.fields()[0].len(), ns * ns, "{name}");
 
             let di = max_abs_diff(ws.intensity().as_slice(), &intensity);
@@ -1189,9 +1233,9 @@ mod tests {
         }
     }
 
-    /// The real-Hermitian pipeline evaluated entirely on the mask grid,
-    /// written out with the public transforms: the arithmetic the simulator
-    /// must reproduce bit for bit whenever `n_s == n`.
+    /// The real-Hermitian pipeline evaluated entirely on the mask grid, slot
+    /// by slot, written out with the public transforms: the arithmetic the
+    /// simulator must reproduce bit for bit whenever `n_s == n`.
     fn mask_grid_hermitian(
         sim: &LithoSimulator,
         mask: &RealGrid,
@@ -1211,7 +1255,8 @@ mod tests {
         let mut intensity = vec![0.0; n * n];
         let mut accum = vec![Complex::ZERO; rfft.spectrum_len()];
         let mut partials = Vec::new();
-        for kernel in sim.kernels().iter() {
+        for slot in sim.kernels().slots() {
+            let (table, (w_re, w_im)) = (slot.table(), slot.weights());
             let mut field = vec![Complex::ZERO; n * n];
             for r in 0..p {
                 for c in 0..p {
@@ -1221,23 +1266,22 @@ mod tests {
                     } else {
                         half[(n - cc) * n + (n - rr) % n].conj()
                     };
-                    field[rr * n + cc] = m * kernel.spectrum()[r * p + c];
+                    field[rr * n + cc] = m * table[r * p + c];
                 }
             }
             fft.inverse_support(&mut field, &bin).unwrap();
             for (acc, z) in intensity.iter_mut().zip(&field) {
-                *acc += kernel.weight() * z.norm_sqr();
+                *acc += w_re * (z.re * z.re) + w_im * (z.im * z.im);
             }
             for (z, &g) in field.iter_mut().zip(dldi.as_slice()) {
-                *z = z.scale(g);
+                *z = Complex::new(w_re * g * z.re, w_im * g * z.im);
             }
             fft.forward_support_transposed(&mut field, &bin, &serial)
                 .unwrap();
             let mut partial = vec![Complex::ZERO; p * p];
             for r in 0..p {
                 for c in 0..p {
-                    partial[r * p + c] =
-                        field[bin[c] * n + bin[r]] * kernel.adjoint_spectrum()[r * p + c];
+                    partial[r * p + c] = field[bin[c] * n + bin[r]] * table[r * p + c].conj();
                 }
             }
             partials.push(partial);

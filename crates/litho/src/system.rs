@@ -65,8 +65,9 @@ impl LithoBank {
         &self.resist
     }
 
-    /// Estimated resident bytes of this bank (nominal + defocused kernel
-    /// spectra; see [`KernelSet::estimated_bytes`]).
+    /// Estimated resident bytes of this bank (the nominal and defocused
+    /// sets' kernel spectra and slot tables; see
+    /// [`KernelSet::estimated_bytes`]).
     pub fn estimated_bytes(&self) -> u64 {
         self.nominal.estimated_bytes() + self.defocused.estimated_bytes()
     }

@@ -118,33 +118,60 @@ fn simulator_rejects_foreign_state() {
     // A workspace is compatible by shape, not identity: a same-shaped
     // simulator uses it (and the fields in it) as is, while a differently
     // shaped one replaces it with a fresh arena — counted — rather than
-    // computing garbage in stale buffers.
+    // computing garbage in stale buffers. The slot count is part of the
+    // shape: the nominal kernels pair up and the defocused ones cannot, so
+    // a nominal workspace is foreign to a defocused simulator of the same
+    // grid and must be replaced before anything reads its fields.
     let bank = bank();
     let sys64 = bank.system(64, 1).expect("system");
+    let twin = LithoSimulator::new(
+        64,
+        KernelSet::build(&OpticsConfig::test_small(), false).expect("k"),
+    )
+    .expect("sim");
     let defocused = LithoSimulator::new(
         64,
         KernelSet::build(&OpticsConfig::test_small(), true).expect("k"),
     )
     .expect("sim");
+    assert_ne!(
+        defocused.kernels().slots().len(),
+        twin.kernels().slots().len()
+    );
     let sys128 = bank.system(128, 2).expect("system");
     let mask = Grid::new(64, 64, 0.5);
     let dldi = Grid::new(64, 64, 1.0);
     let mask128 = generate_clip(&GeneratorConfig::with_size(128), 9).to_real();
+    let reallocs = || {
+        ilt_telemetry::drain()
+            .counters
+            .get("litho.workspace.realloc")
+            .copied()
+    };
 
     let mut ws = sys64.workspace();
     sys64.simulate_into(&mask, &mut ws).expect("sim");
     ilt_telemetry::set_enabled(true);
     let _ = ilt_telemetry::drain();
-    let grad = defocused.gradient_into(&mut ws, &dldi).expect("gradient");
+    let grad = twin.gradient_into(&mut ws, &dldi).expect("gradient");
     assert_eq!(grad.width(), 64);
+    assert_eq!(reallocs(), None, "a same-shaped simulator reuses the arena");
+
+    defocused.gradient_into(&mut ws, &dldi).expect("gradient");
+    assert_eq!(reallocs(), Some(1), "the slot count differs");
+    assert_eq!(ws.fields().len(), defocused.kernels().slots().len());
+    let untouched = ws
+        .fields()
+        .iter()
+        .flatten()
+        .all(|z| z.re == 0.0 && z.im == 0.0);
+    assert!(untouched, "the nominal fields must not survive the swap");
+    assert!(ws.grad().as_slice().iter().all(|&g| g == 0.0));
+
     sys128.simulate_into(&mask128, &mut ws).expect("sim");
-    let reallocs = ilt_telemetry::drain()
-        .counters
-        .get("litho.workspace.realloc")
-        .copied();
+    assert_eq!(reallocs(), Some(1), "the 128-pixel system reshapes");
     ilt_telemetry::set_enabled(false);
 
-    assert_eq!(reallocs, Some(1), "only the 128-pixel system reshapes");
     assert_eq!(ws.n(), 128);
     let fresh = sys128.aerial(&mask128, Corner::Nominal).expect("sim");
     assert_eq!(fresh.as_slice(), ws.intensity().as_slice());
