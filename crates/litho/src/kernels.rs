@@ -152,13 +152,15 @@ fn build_slots(kernels: &[Kernel], p: usize) -> Vec<Slot> {
         let partner = (i + 1..kernels.len()).find(|&j| {
             !taken[j] && parity[i].is_some() && parity[j].is_some() && parity[j] != parity[i]
         });
+        if let Some(j) = partner {
+            taken[j] = true;
+        }
         let (re, im) = match partner {
             Some(j) if parity[i] == Some(Parity::Odd) => (j, Some(i)),
             _ => (i, partner),
         };
         let mut table = kernels[re].spectrum.clone();
-        if let (Some(j), Some(im)) = (partner, im) {
-            taken[j] = true;
+        if let Some(im) = im {
             for (t, h) in table.iter_mut().zip(&kernels[im].spectrum) {
                 *t += *h;
             }
@@ -385,8 +387,8 @@ impl KernelSet {
 
     /// Keeps only the `count` strongest kernels (saturating).
     pub fn truncate(&self, count: usize) -> KernelSet {
-        let mut kernels = self.kernels.clone();
-        kernels.truncate(count.max(1));
+        let kept = count.clamp(1, self.kernels.len());
+        let kernels = self.kernels[..kept].to_vec();
         KernelSet::from_kernels(self.base_n, self.support, self.scale, kernels)
     }
 
