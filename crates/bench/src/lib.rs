@@ -334,7 +334,9 @@ where
     }
 }
 
-/// Renders the `ilt-report/v2` run report: run parameters, per-flow stage
+/// Renders the `ilt-report/v2` run report: run parameters (among them
+/// `kernel_body`, the compiled body the CPU probe chose for the FFT passes
+/// and logistic sweeps — a timing means little without it), per-flow stage
 /// summaries (with interpolated per-tile latency percentiles), merged
 /// counters/gauges/histograms, the per-stage latency budget (queue wait
 /// vs kernel build vs tile classes vs assembly), the diagnostics section
@@ -359,8 +361,13 @@ fn render_report(
     json::push_str_literal(&mut out, &opts.scale);
     let _ = write!(
         out,
-        ",\"cases\":{},\"workers\":{},\"inner_threads\":{},\"trace_enabled\":{}",
-        opts.cases, opts.workers, opts.inner_threads, trace_enabled
+        ",\"cases\":{},\"workers\":{},\"inner_threads\":{},\"kernel_body\":\"{}\",\
+         \"trace_enabled\":{}",
+        opts.cases,
+        opts.workers,
+        opts.inner_threads,
+        ilt_fft::simd::body_name(),
+        trace_enabled
     );
     out.push_str(",\"flows\":[");
     for (i, flow) in tele.flow_summaries().iter().enumerate() {
@@ -590,6 +597,10 @@ mod tests {
         assert!(report.contains("\"binary\":\"smoke\""));
         assert!(report.contains("\"scale\":\"tiny\""));
         assert!(report.contains("\"trace_enabled\":false"));
+        assert!(report.contains(&format!(
+            "\"kernel_body\":\"{}\"",
+            ilt_fft::simd::body_name()
+        )));
         assert!(report.ends_with('}'));
         // The whole report must be well-formed JSON with the v2 sections in
         // place (empty, since no telemetry was collected).

@@ -9,7 +9,15 @@
 //!    and assemble with the hard RAS interpolation of Eq. (6) — stitching
 //!    errors are deliberately left for the fine grid. The coarsest level is
 //!    solved directly (a single tile whenever `clip <= s_max * N`); every
-//!    finer level warm-starts from the prolongated coarse mask.
+//!    finer level is *initialised* from the prolongated coarse mask — and
+//!    only that: its request is the cold one ([`SolveRequest::new`],
+//!    `warm: false`), so the solver perturbs that initial mask with its
+//!    start-up noise and runs the cold schedule, whose first fifth of the
+//!    iterations simulates at twice the level's pixel size — the resolution
+//!    the level above just finished at. A warm request there
+//!    (`warm: true`, as the fine stages use) measured `l2_px` +22…+27% for
+//!    a stitch loss −18…−22% at 1024² (EXPERIMENTS.md "Known deviations");
+//!    it is a point on ROADMAP item 4(c)'s frontier, not a fix.
 //! 2. **Staged fine-grid ILT** (modified additive Schwarz): the fine
 //!    iteration budget is split into stages; after each stage the tiles are
 //!    assembled with the weighted interpolation of Eq. (14) and the next
@@ -226,7 +234,7 @@ mod tests {
     #[test]
     fn deeper_hierarchy_runs_every_coarse_level() {
         // s_max = 4 at a 256-pixel clip: levels s = 4 (direct coarsest
-        // solve, a single 256-wide tile) and s = 2 (warm-started from the
+        // solve, a single 256-wide tile) and s = 2 (initialised from the
         // prolongated s = 4 mask), then the fine stages.
         let mut config = ExperimentConfig::test_tiny();
         config.clip = 256;

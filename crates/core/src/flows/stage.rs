@@ -84,14 +84,32 @@ pub(crate) fn run_assembled_stage(
     mode: AssemblyMode,
     solve_band: impl FnMut(&[usize]) -> Result<Vec<(RealGrid, f64)>, CoreError>,
 ) -> Result<(RealGrid, StageTiming), CoreError> {
-    run_banded_stage(
+    run_assembled_stage_lent(label, partition, mode, &mut Vec::new(), solve_band)
+}
+
+/// [`run_assembled_stage`] with the assembler's pixel-sum accumulator in
+/// `coverage`, which the caller keeps for its next stage: the incremental
+/// flow assembles once per operation, and allocating that clip-sized block
+/// afresh each time (8 MiB at 1024²: mapped, faulted in page by page,
+/// unmapped) was two thirds of its assembly seconds.
+pub(crate) fn run_assembled_stage_lent(
+    label: &str,
+    partition: &Partition,
+    mode: AssemblyMode,
+    coverage: &mut Vec<f64>,
+    solve_band: impl FnMut(&[usize]) -> Result<Vec<(RealGrid, f64)>, CoreError>,
+) -> Result<(RealGrid, StageTiming), CoreError> {
+    let lent = std::mem::take(coverage);
+    let ((assembled, lent), timing) = run_banded_stage(
         label,
         partition,
-        StreamingAssembler::new(partition, mode),
+        StreamingAssembler::with_coverage(partition, mode, lent),
         solve_band,
         |assembler, i, mask| Ok(assembler.push(i, mask)?),
-        |assembler| Ok(assembler.finish()?),
-    )
+        |assembler| Ok(assembler.finish_lent()?),
+    )?;
+    *coverage = lent;
+    Ok((assembled, timing))
 }
 
 /// The failure policy of Ours and its incremental re-solve: tile solves

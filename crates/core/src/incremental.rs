@@ -54,7 +54,7 @@ use ilt_tile::{multi_coloring, restrict, Partition, Tile, TileExecutor, TileWeig
 
 use crate::config::ExperimentConfig;
 use crate::error::CoreError;
-use crate::flows::stage::{refine_pass, run_assembled_stage, FineTiles, Recovering};
+use crate::flows::stage::{refine_pass, run_assembled_stage_lent, FineTiles, Recovering};
 use crate::flows::{multigrid_schwarz, trace, FlowResult};
 
 /// Store method tag for masks produced by the multigrid-Schwarz flow with
@@ -265,6 +265,33 @@ pub fn run_incremental_in(
     solver: &dyn TileSolver,
     executor: &TileExecutor,
 ) -> Result<IncrementalOutcome, CoreError> {
+    run_incremental_lent(
+        config,
+        bank,
+        store,
+        base,
+        edited,
+        solver,
+        executor,
+        &mut Vec::new(),
+    )
+}
+
+/// [`run_incremental_in`] with its assembler's pixel-sum accumulator in
+/// storage the caller lends: the flow builds exactly one assembler, so only
+/// a caller that outlives the operation ([`crate::Session`]) can spare it
+/// the allocation.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_incremental_lent(
+    config: &ExperimentConfig,
+    bank: &LithoBank,
+    store: &MaskStore,
+    base: &BitGrid,
+    edited: &BitGrid,
+    solver: &dyn TileSolver,
+    executor: &TileExecutor,
+    coverage: &mut Vec<f64>,
+) -> Result<IncrementalOutcome, CoreError> {
     config.validate();
     let name = format!("ours-eco:{}", solver.name());
     let fspan = trace::flow_span(&name);
@@ -329,11 +356,12 @@ pub fn run_incremental_in(
     };
     // The lookups stream straight into the assembler one colour band at a
     // time: a reused crop is resident only while its band folds.
-    let (mut mask, timing) = run_assembled_stage("eco reuse", &partition, blend, |band| {
-        band.iter()
-            .map(|&i| trace::timed_tile(i, || Ok(lookup(i))))
-            .collect()
-    })?;
+    let (mut mask, timing) =
+        run_assembled_stage_lent("eco reuse", &partition, blend, coverage, |band| {
+            band.iter()
+                .map(|&i| trace::timed_tile(i, || Ok(lookup(i))))
+                .collect()
+        })?;
     resolve.sort_unstable();
     let tiles_resolved = resolve.len();
     let tiles_reused = tile_count - tiles_resolved;
@@ -525,6 +553,40 @@ mod tests {
                 i == 0 || partition.tile(i).rect.overlaps(partition.tile(0).rect),
                 "tile {i} in the frontier without overlapping the edit"
             );
+        }
+    }
+
+    #[test]
+    fn an_accumulator_kept_between_operations_leaks_nothing() {
+        let config = ExperimentConfig::test_tiny();
+        let bank = LithoBank::new(config.optics, config.resist).unwrap();
+        let (solver, executor) = (ilt_opt::PixelIlt::new(), TileExecutor::sequential());
+        let base = ilt_layout::generate_clip(&config.generator, 1);
+        // A re-solve overwrites its overlap-only neighbours' entries (same
+        // content, same key), so each arm edits its own stored base.
+        let stored_base = || {
+            let store = MaskStore::new(64 << 20, None);
+            run_and_store(&config, &bank, &store, &base, &solver, &executor).unwrap();
+            store
+        };
+        let (kept_store, mut coverage) = (stored_base(), Vec::new());
+        let fresh_store = stored_base();
+        // The second edit assembles in what the first left behind.
+        for corner in [10, 40] {
+            let mut edited = base.clone();
+            let rect = Rect::new(corner, corner, corner + 8, corner + 8);
+            edited.fill_rect(rect, 1 - base.get(corner as usize, corner as usize));
+            let run = |store: &MaskStore, coverage: &mut Vec<f64>| {
+                run_incremental_lent(
+                    &config, &bank, store, &base, &edited, &solver, &executor, coverage,
+                )
+                .unwrap()
+                .flow
+                .mask
+            };
+            let fresh = run(&fresh_store, &mut Vec::new());
+            let kept = run(&kept_store, &mut coverage);
+            assert!(kept.as_slice() == fresh.as_slice());
         }
     }
 

@@ -8,12 +8,17 @@
 //! costs. A [`Session`] is cheap to construct once its bank is cached:
 //! warm construction is a cache hit plus one inspection-system resample.
 //!
+//! A session also keeps the incremental re-solve's clip-sized pixel-sum
+//! accumulator from one operation to the next: that flow builds a single
+//! assembler per operation, so nothing inside it can spare the allocator
+//! mapping, faulting in and unmapping the block every time.
+//!
 //! Simulators and FFT plans are `Sync` (scratch lives in per-call
 //! [`ilt_litho::SimWorkspace`] arenas, not in the plans), but sessions are
 //! still best treated as per-worker state: give each worker thread its own
 //! `Session` and let the bank cache dedupe the heavy state underneath.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use ilt_grid::{BitGrid, RealGrid};
 use ilt_layout::Clip;
@@ -32,6 +37,11 @@ pub struct Session {
     config: ExperimentConfig,
     bank: Arc<LithoBank>,
     inspection: LithoSystem,
+    /// The incremental flow's pixel-sum accumulator between operations.
+    /// Locked only to take it out and to put it back, never across a flow:
+    /// of two concurrent operations the second starts with none (and
+    /// allocates), and the last to finish leaves its own here.
+    coverage: Mutex<Vec<f64>>,
 }
 
 impl Session {
@@ -64,6 +74,7 @@ impl Session {
             config,
             bank,
             inspection,
+            coverage: Mutex::default(),
         })
     }
 
@@ -157,7 +168,10 @@ impl Session {
     ) -> Result<crate::incremental::IncrementalOutcome, CoreError> {
         let mut span = ilt_telemetry::span(ilt_telemetry::names::SESSION);
         span.add_field("method", "ours-eco");
-        crate::incremental::run_incremental_in(
+        // A poisoned lock still guards a valid (possibly empty) vector.
+        let slot = || self.coverage.lock().unwrap_or_else(|e| e.into_inner());
+        let mut coverage = std::mem::take(&mut *slot());
+        let outcome = crate::incremental::run_incremental_lent(
             &self.config,
             &self.bank,
             ilt_store::shared_store(),
@@ -165,7 +179,10 @@ impl Session {
             edited,
             &ilt_opt::PixelIlt::new(),
             executor,
-        )
+            &mut coverage,
+        );
+        *slot() = coverage;
+        outcome
     }
 
     /// Runs all four methods on one clip (one Table 1 row), reusing the

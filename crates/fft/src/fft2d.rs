@@ -83,6 +83,18 @@ impl Fft2d {
         })
     }
 
+    /// A square [`Fft2d::new`] over a private plan on a body chosen by hand.
+    #[cfg(test)]
+    fn with_body(n: usize, body: crate::simd::Body) -> Self {
+        let plan = Arc::new(FftPlan::with_body(n, body).expect("power of two"));
+        Fft2d {
+            rows: n,
+            cols: n,
+            row_plan: Arc::clone(&plan),
+            col_plan: plan,
+        }
+    }
+
     /// Number of rows this plan transforms.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -589,6 +601,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The simulator's two complex 2-D entry points at its kernel-grid
+    /// sizes, on every vector body the host runs: one source at two lane
+    /// widths, so not a bit may differ (positions either call leaves
+    /// unspecified excluded).
+    #[test]
+    fn support_transforms_are_bit_identical_across_the_vector_bodies() {
+        use crate::simd::Body;
+        let bits = |v: &[Complex]| -> Vec<[u64; 2]> { v.iter().map(|z| z.to_bits()).collect() };
+        for n in [64usize, 128, 256] {
+            // A wrapped centred support of 27 rows / columns.
+            let support: Vec<usize> = (n - 13..n).chain(0..14).collect();
+            let mut sparse = vec![Complex::ZERO; n * n];
+            for &r in &support {
+                sparse[r * n..(r + 1) * n].copy_from_slice(&ramp(1, n));
+            }
+            let dense = ramp(n, n);
+            let outputs: Vec<_> = Body::supported()
+                .into_iter()
+                .filter(|&body| body != Body::PORTABLE)
+                .map(|body| {
+                    let fft = Fft2d::with_body(n, body);
+                    let mut inverse = sparse.clone();
+                    fft.inverse_support(&mut inverse, &support).unwrap();
+                    let mut forward = dense.clone();
+                    fft.forward_support_transposed(&mut forward, &support, &InnerPool::serial())
+                        .unwrap();
+                    let kept: Vec<Complex> = support
+                        .iter()
+                        .flat_map(|&c| forward[c * n..(c + 1) * n].to_vec())
+                        .collect();
+                    (bits(&inverse), bits(&kept))
+                })
+                .collect();
+            for pair in outputs.windows(2) {
+                assert!(pair[0] == pair[1], "n={n}");
+            }
+        }
+        println!(
+            "{}",
+            crate::simd::tests::covered("Fft2d support transforms")
+        );
     }
 
     #[test]

@@ -30,8 +30,12 @@
 //!   two consecutive stages' adjacent, walked sequentially) and **per
 //!   direction** — the inverse table holds the conjugates, so no loop
 //!   branches on [`Direction`] or strides through a shared table.
-//! * Each pass has one portable body and one `avx2,fma` body behind a
-//!   once-per-process CPU probe, both in [`crate::simd`].
+//! * Each pass has three compiled bodies in [`crate::simd`] — portable,
+//!   `avx2,fma` and `avx512f` — and a plan runs the widest one the CPU
+//!   reports ([`simd::body_name`]), chosen once per process. The two
+//!   vector bodies of a twiddled pass are one source at two lane widths
+//!   and bit-identical to each other; the portable one (no FMA) is
+//!   bit-identical to the portable form of the oracle.
 
 use crate::complex::Complex;
 use crate::error::FftError;
@@ -97,6 +101,8 @@ pub struct FftPlan {
     fwd: Vec<Complex>,
     /// Conjugates of `fwd` (the inverse-direction table).
     inv: Vec<Complex>,
+    /// The compiled body every pass of this plan runs: the probe's choice.
+    body: Body,
 }
 
 impl FftPlan {
@@ -107,6 +113,12 @@ impl FftPlan {
     /// Returns [`FftError::NonPowerOfTwo`] unless `len` is a power of two
     /// of at least 1 (and below `2^32`: the tables index by `u32`).
     pub fn new(len: usize) -> Result<Self, FftError> {
+        Self::with_body(len, Body::probed())
+    }
+
+    /// [`FftPlan::new`] on a body chosen by hand: how the tests hold every
+    /// body the host supports against the oracle and against each other.
+    pub(crate) fn with_body(len: usize, body: Body) -> Result<Self, FftError> {
         if len == 0 || !len.is_power_of_two() || u32::try_from(len).is_err() {
             return Err(FftError::NonPowerOfTwo { len });
         }
@@ -136,6 +148,7 @@ impl FftPlan {
             order,
             fwd,
             inv,
+            body,
         })
     }
 
@@ -199,20 +212,16 @@ impl FftPlan {
                 actual: data.len(),
             });
         }
-        self.transform_in_place(data, dir, Body::probed());
-        Ok(())
-    }
-
-    fn transform_in_place(&self, data: &mut [Complex], dir: Direction, body: Body) {
         for &[i, j] in &self.swaps {
             data.swap(i as usize, j as usize);
         }
         match self.len {
             1 => {}
             2 => two_point(data[0], data[1], data),
-            _ => simd::first_pass(data, dir == Direction::Inverse, body),
+            _ => simd::first_pass(data, dir == Direction::Inverse, self.body),
         }
-        self.later_stages(data, dir, body);
+        self.later_stages(data, dir);
+        Ok(())
     }
 
     /// The same transform out of place, its input read at a stride:
@@ -234,28 +243,16 @@ impl FftPlan {
         dst: &mut [Complex],
         dir: Direction,
     ) {
-        self.transform_gathered(src, first, stride, dst, dir, Body::probed());
-    }
-
-    fn transform_gathered(
-        &self,
-        src: &[Complex],
-        first: usize,
-        stride: usize,
-        dst: &mut [Complex],
-        dir: Direction,
-        body: Body,
-    ) {
         assert_eq!(dst.len(), self.len, "transform_from: output length");
         match &self.order {
             Some(order) => {
                 let inverse = dir == Direction::Inverse;
-                order.first_pass_from(src, first, stride, dst, inverse, body);
+                order.first_pass_from(src, first, stride, dst, inverse, self.body);
             }
             None if self.len == 2 => two_point(src[first], src[first + stride], dst),
             None => dst[0] = src[first],
         }
-        self.later_stages(dst, dir, body);
+        self.later_stages(dst, dir);
     }
 
     /// Every stage after the first pass, as whole-array passes over data
@@ -263,21 +260,23 @@ impl FftPlan {
     /// stage an odd count leaves over. One code path per direction
     /// regardless of caller, so every transform of the same values is
     /// bit-identical no matter how it is batched, pooled or fed.
-    fn later_stages(&self, data: &mut [Complex], dir: Direction, body: Body) {
+    fn later_stages(&self, data: &mut [Complex], dir: Direction) {
         let table = match dir {
             Direction::Forward => &self.fwd,
             Direction::Inverse => &self.inv,
         };
         // The stage of size `s` owns entries `s/2 - 4 .. s - 4`, so the
         // stages of size `s` and `2s` own the `3s/2` from `s/2 - 4` on.
+        // The smallest pass has `h = size / 2 = 4`: four complex values,
+        // one register of the widest body (the passes assert it).
         let mut size = 8;
         while 2 * size <= self.len {
             let at = size / 2 - 4;
-            simd::fused_pass(data, &table[at..at + 3 * size / 2], body);
+            simd::fused_pass(data, &table[at..at + 3 * size / 2], self.body);
             size *= 4;
         }
         if size <= self.len {
-            simd::single_pass(data, &table[size / 2 - 4..size - 4], body);
+            simd::single_pass(data, &table[size / 2 - 4..size - 4], self.body);
         }
     }
 }
@@ -424,21 +423,57 @@ mod tests {
         data.iter().map(|z| z.to_bits()).collect()
     }
 
+    /// The stage-at-a-time block kernel a body must reproduce: the portable
+    /// one for the portable body, the per-block `avx2,fma` one for both
+    /// vector bodies (which makes those two bit-identical to each other).
+    fn oracle_block(body: Body) -> reference::Block {
+        #[cfg(target_arch = "x86_64")]
+        if body != Body::PORTABLE {
+            return simd::butterfly_block_x86;
+        }
+        assert_eq!(body, Body::PORTABLE);
+        reference::butterfly_block
+    }
+
+    /// `x` spread at stride 3 behind two other values, NaN everywhere else.
+    fn spread(x: &[Complex]) -> Vec<Complex> {
+        let mut spread = vec![Complex::new(f64::NAN, f64::NAN); 3 * x.len() + 2];
+        for (k, &z) in x.iter().enumerate() {
+            spread[2 + 3 * k] = z;
+        }
+        spread
+    }
+
     /// The bit-identity oracle: at every power of two 1..=4096, in both
-    /// directions, in place and gathered at a stride, a body of the engine
-    /// reproduces the stage-at-a-time loop over the matching block kernel
-    /// bit for bit on finite data (signed zeros and subnormals included),
-    /// and is non-finite exactly where that loop is on data holding NaN or
-    /// infinities.
+    /// directions, in place and gathered at a stride, every body this host
+    /// runs reproduces the stage-at-a-time loop over the matching block
+    /// kernel bit for bit on finite data (signed zeros and subnormals
+    /// included), and is non-finite exactly where that loop is on data
+    /// holding NaN or infinities.
     ///
-    /// Mutation it catches (checked by hand, both bodies): giving the
+    /// Both vector bodies are held to the *same* per-block kernel, so this
+    /// is also the proof that `transform` / `transform_from` are
+    /// bit-identical between `avx2,fma` and `avx512f`.
+    ///
+    /// Mutation it catches (checked by hand, all three bodies): giving the
     /// second pair `(B', D')` of `fused_pass` the larger stage's twiddle
     /// `k` instead of `k + h` fails this at n = 16.
+    #[test]
+    fn every_body_is_bit_identical_to_the_stage_at_a_time_loop() {
+        for body in Body::supported() {
+            assert_matches_reference(body, oracle_block(body));
+        }
+        println!(
+            "{}",
+            crate::simd::tests::covered("FftPlan vs the stage-at-a-time oracle")
+        );
+    }
+
     fn assert_matches_reference(body: Body, block: reference::Block) {
         let mut rng = Rng(0x5eed_f00d_cafe_0001);
         for log in 0..=12 {
             let n = 1usize << log;
-            let plan = FftPlan::new(n).unwrap();
+            let plan = FftPlan::with_body(n, body).unwrap();
             for dir in [Direction::Forward, Direction::Inverse] {
                 for trial in 0..3 {
                     let x = rng.signal(n, trial);
@@ -446,20 +481,19 @@ mod tests {
                     reference::transform(&plan, &mut want, dir, block);
 
                     let mut got = x.clone();
-                    plan.transform_in_place(&mut got, dir, body);
-                    assert_eq!(bits_of(&got), bits_of(&want), "n={n} {dir:?} #{trial}");
-
-                    // The same input spread at stride 3 behind two others.
-                    let mut spread = vec![Complex::new(f64::NAN, f64::NAN); 3 * n + 2];
-                    for (k, &z) in x.iter().enumerate() {
-                        spread[2 + 3 * k] = z;
-                    }
-                    let mut got = vec![Complex::new(f64::NAN, f64::NAN); n];
-                    plan.transform_gathered(&spread, 2, 3, &mut got, dir, body);
+                    plan.transform(&mut got, dir).unwrap();
                     assert_eq!(
                         bits_of(&got),
                         bits_of(&want),
-                        "gathered n={n} {dir:?} #{trial}"
+                        "{body:?} n={n} {dir:?} #{trial}"
+                    );
+
+                    let mut got = vec![Complex::new(f64::NAN, f64::NAN); n];
+                    plan.transform_from(&spread(&x), 2, 3, &mut got, dir);
+                    assert_eq!(
+                        bits_of(&got),
+                        bits_of(&want),
+                        "{body:?} gathered n={n} {dir:?} #{trial}"
                     );
                 }
                 // Non-finite inputs come back non-finite at the same
@@ -472,7 +506,7 @@ mod tests {
                 let mut want = x.clone();
                 reference::transform(&plan, &mut want, dir, block);
                 let mut got = x;
-                plan.transform_in_place(&mut got, dir, body);
+                plan.transform(&mut got, dir).unwrap();
                 for (k, (g, w)) in got.iter().zip(&want).enumerate() {
                     assert_eq!(g.re.is_finite(), w.re.is_finite(), "n={n} re {k}");
                     assert_eq!(g.im.is_finite(), w.im.is_finite(), "n={n} im {k}");
@@ -482,21 +516,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn portable_body_is_bit_identical_to_the_stage_at_a_time_loop() {
-        assert_matches_reference(Body::PORTABLE, reference::butterfly_block);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_fma_body_is_bit_identical_to_the_stage_at_a_time_loop() {
-        let body = Body::probed();
-        if body == Body::PORTABLE {
-            return;
-        }
-        assert_matches_reference(body, simd::butterfly_block_x86);
     }
 
     fn max_err(a: &[Complex], b: &[Complex]) -> f64 {

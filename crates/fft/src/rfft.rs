@@ -98,13 +98,18 @@ impl RfftPlan {
         if len < 2 || !len.is_power_of_two() {
             return Err(FftError::NonPowerOfTwo { len });
         }
-        let m = len / 2;
-        let half = shared_plan(m)?;
+        Ok(Self::over(shared_plan(len / 2)?))
+    }
+
+    /// The real plan of length `2 * half.len()` over its half-length
+    /// complex plan.
+    fn over(half: Arc<FftPlan>) -> Self {
+        let (m, len) = (half.len(), 2 * half.len());
         let step = -2.0 * std::f64::consts::PI / len as f64;
         let post = (0..=m / 2)
             .map(|k| Complex::from_polar(1.0, step * k as f64))
             .collect();
-        Ok(RfftPlan { len, half, post })
+        RfftPlan { len, half, post }
     }
 
     /// Real transform length this plan was built for.
@@ -396,6 +401,17 @@ impl Rfft2d {
             row: shared_rplan(n)?,
             col_plan: shared_plan(n)?,
         })
+    }
+
+    /// [`Rfft2d::new`] over private plans on a body chosen by hand.
+    #[cfg(test)]
+    fn with_body(n: usize, body: crate::simd::Body) -> Self {
+        let plan = |len| Arc::new(FftPlan::with_body(len, body).expect("power of two"));
+        Rfft2d {
+            n,
+            row: Arc::new(RfftPlan::over(plan(n / 2))),
+            col_plan: plan(n),
+        }
     }
 
     /// Grid edge length.
@@ -959,6 +975,50 @@ mod tests {
                 .unwrap();
             assert_eq!(dense, pooled, "n={n}");
         }
+    }
+
+    /// The simulator's two real 2-D entry points at its tile sizes, on
+    /// every vector body the host runs: one source at two lane widths, so
+    /// not a bit may differ.
+    #[test]
+    fn support_transforms_are_bit_identical_across_the_vector_bodies() {
+        use crate::simd::Body;
+        for (n, p) in [(64, 23), (128, 23), (256, 27)] {
+            let x = reals(n * n, 0.41);
+            let cols: Vec<usize> = (0..p).collect();
+            let pool = InnerPool::serial();
+            let outputs: Vec<_> = Body::supported()
+                .into_iter()
+                .filter(|&body| body != Body::PORTABLE)
+                .map(|body| {
+                    let rfft = Rfft2d::with_body(n, body);
+                    // Unlisted columns stay as they are: zero on both sides.
+                    let mut spec = vec![Complex::ZERO; rfft.spectrum_len()];
+                    let mut scratch = vec![POISON; rfft.spectrum_len()];
+                    rfft.forward_support(&x, &mut spec, &mut scratch, Some(&cols), &pool)
+                        .unwrap();
+                    let forward = complex_bits(&spec);
+                    let mut back = vec![0.0; n * n];
+                    rfft.inverse_support_scaled(
+                        &mut spec,
+                        &mut back,
+                        &mut scratch,
+                        Some(&cols),
+                        0.75,
+                        &pool,
+                    )
+                    .unwrap();
+                    (forward, bits(&back))
+                })
+                .collect();
+            for pair in outputs.windows(2) {
+                assert!(pair[0] == pair[1], "n={n}");
+            }
+        }
+        println!(
+            "{}",
+            crate::simd::tests::covered("Rfft2d support transforms")
+        );
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! # The butterfly passes
 //!
 //! A transform of [`crate::FftPlan`] is a handful of whole-array passes, and
-//! every one of them lives here, once as portable safe Rust and once as an
-//! `avx2,fma` body:
+//! every one of them lives here, as portable safe Rust and as vector code:
 //!
 //! * `first_pass` / `QuadOrder::first_pass_from` — the stages of size 2
 //!   and 4, which need no twiddle (`w` is 1 or `∓i`). The second form reads
@@ -23,36 +22,54 @@
 //! * `single_pass` — one radix-2 stage, for the stage left over when the
 //!   count is odd.
 //!
-//! On x86_64 with AVX2+FMA a two-lane complex product is `movedup`/`permute`
-//! to splat the twiddle components and one `fmaddsub`; the portable bodies
-//! spell the same butterflies over [`Complex`] for the autovectorizer.
+//! # Three bodies, one source per pass
+//!
+//! Every kernel here is compiled three times — portable, `avx2,fma`
+//! (256-bit lanes) and `avx512f` (512-bit lanes) — and a process runs the
+//! widest body its CPU reports ([`body_name`]), chosen from `cpuid` once
+//! (`Body::probed`: no variable, no feature flag, no timing), so every
+//! transform in a process runs the same code path — the property the
+//! serial-vs-parallel and workspace-reuse bit-identity suites rely on.
+//!
+//! * The twiddled passes are written **once** over a lane width
+//!   (`vector_passes!`) and stamped for `__m256d` and `__m512d`: a complex
+//!   product is `movedup`/`permute` to splat the twiddle components, one
+//!   `mul` and one `fmaddsub`, on two or four complex values per register.
+//!   Both instances do the same to every lane, so they are bit-identical
+//!   to each other and to the per-block `avx2,fma` oracle. Every pass of a
+//!   plan has `h >= 4`, so four values always fit; the entries assert it.
+//! * The first passes hold one complex value per 128-bit register and
+//!   gather their reads; both vector bodies run the one `avx2,fma` form (a
+//!   two-quads-per-register form measured −3.5% / +2.1% on a 128-point
+//!   transform, EXPERIMENTS.md "512-bit lanes").
+//! * The portable bodies spell the same butterflies over [`Complex`] for
+//!   the autovectorizer, without FMA: they differ from the vector bodies in
+//!   the last ulp (as do machines with and without FMA; cross-machine
+//!   comparisons in the workspace are tolerance-based) and are
+//!   bit-identical to the portable form of the oracle.
 //!
 //! # The logistic sweeps
 //!
-//! The same check gates the two slice kernels a pixel-ILT iteration
+//! The same choice covers the two slice kernels a pixel-ILT iteration
 //! spends most of its non-FFT time in — [`logistic_scaled`] (latent to
 //! mask) and [`logistic_loss`] (intensity to loss and `dL/dI`). They are
 //! built on one branch-free polynomial `exp` (so the loops vectorise;
-//! libm's `exp` is an opaque scalar call) and each body is written once,
-//! compiled once for the baseline target and once under `avx2,fma`.
-//! [`logistic`] is the scalar form of the same definition: the workspace
-//! has one logistic function.
+//! libm's `exp` is an opaque scalar call), each body written once and
+//! compiled per instruction set. They are compute-bound (as slow from L1
+//! as from memory), so they scale with lane width until, at eight lanes,
+//! the division binds. The two FMA instances are bit-identical: the loss
+//! sums in pixel-index order whatever the lane count. [`logistic`] is the
+//! scalar form: the workspace has one logistic function.
 //!
-//! # Dispatch and safety
-//!
-//! The dispatch decision is made once per process and never changes, so
-//! every transform in a process runs the same code path — the property the
-//! serial-vs-parallel and workspace-reuse bit-identity suites rely on.
-//! (FMA contraction rounds differently from the two-step scalar product,
-//! so results may differ across *machines* in the last ulp; all
-//! cross-machine comparisons in the workspace are tolerance-based.)
+//! # Safety
 //!
 //! This is the only module in the workspace's numeric crates allowed to
 //! use `unsafe`. Every entry point is a safe function that checks, with
 //! real assertions, the slice lengths its vector body indexes by; the
-//! bodies are only reached after the CPU probe passed; and the one table
-//! whose *contents* are indices (`QuadOrder`) keeps its field private to
-//! this module, so no safe caller can hand a kernel an index out of range.
+//! bodies are only reached through a `Body` the CPU probe made; and the
+//! one table whose *contents* are indices (`QuadOrder`) keeps its field
+//! private to this module, so no safe caller can hand a kernel an index out
+//! of range.
 
 use crate::complex::Complex;
 
@@ -66,46 +83,75 @@ const _: () = {
     assert!(std::mem::offset_of!(Complex, im) == 8);
 };
 
-/// Returns `true` if the AVX2+FMA kernels are available on this CPU
-/// (always `false` off x86_64). The answer is computed once and cached.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn avx2_fma_available() -> bool {
-    use std::sync::OnceLock;
-    static AVAILABLE: OnceLock<bool> = OnceLock::new();
-    *AVAILABLE.get_or_init(|| {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    })
+/// The instruction sets a body is compiled for, widest last: safe Rust for
+/// the baseline target (no FMA), `avx2,fma`, `avx512f`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Isa {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    Avx2Fma,
+    #[cfg(target_arch = "x86_64")]
+    Avx512f,
 }
 
-/// Returns `true` if the AVX2+FMA kernels are available on this CPU
-/// (always `false` off x86_64).
-#[cfg(not(target_arch = "x86_64"))]
-pub(crate) fn avx2_fma_available() -> bool {
-    false
-}
-
-/// Which compiled body the butterfly passes run. Production code gets it
-/// from [`Body::probed`] alone, once per transform; the field is private, so
-/// no value can claim the vector body on a CPU the probe has not cleared.
+/// Which compiled body the kernels of this module run. Production code
+/// gets it from [`Body::probed`] alone; the field is private, so no value
+/// can claim a vector body on a CPU the probe has not cleared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Body {
-    avx2_fma: bool,
+    isa: Isa,
 }
 
 impl Body {
-    /// The body for this CPU: `avx2,fma` where the probe passes, portable
-    /// otherwise. The same answer for the life of the process.
+    /// The widest body this CPU reports, computed once: the same answer
+    /// for the life of the process.
     #[inline]
     pub(crate) fn probed() -> Body {
-        Body {
-            avx2_fma: avx2_fma_available(),
-        }
+        use std::sync::OnceLock;
+        static PROBED: OnceLock<Body> = OnceLock::new();
+        *PROBED.get_or_init(|| {
+            *Body::supported()
+                .last()
+                .expect("the portable body runs anywhere")
+        })
     }
 
-    /// The portable body, which runs anywhere: tests hold it against its
-    /// own oracle on hosts where the probe picks the other one.
-    #[cfg(test)]
-    pub(crate) const PORTABLE: Body = Body { avx2_fma: false };
+    /// Every body this CPU can run, narrowest first: what the probe chooses
+    /// from, and what the tests iterate so each body is held against its
+    /// oracle (and the two vector bodies against each other) on one host.
+    pub(crate) fn supported() -> Vec<Body> {
+        #[allow(unused_mut)]
+        let mut bodies = vec![Body::PORTABLE];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
+            bodies.push(Body { isa: Isa::Avx2Fma });
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                bodies.push(Body { isa: Isa::Avx512f });
+            }
+        }
+        bodies
+    }
+
+    /// The portable body, which runs anywhere.
+    pub(crate) const PORTABLE: Body = Body { isa: Isa::Portable };
+
+    /// `"portable"`, `"avx2+fma"` or `"avx512f"`.
+    pub(crate) fn name(self) -> &'static str {
+        match self.isa {
+            Isa::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2Fma => "avx2+fma",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512f => "avx512f",
+        }
+    }
+}
+
+/// The compiled body every kernel of this module runs in this process —
+/// `"portable"`, `"avx2+fma"` or `"avx512f"` — for run records.
+pub fn body_name() -> &'static str {
+    Body::probed().name()
 }
 
 /// `reals` read as `len / 2` interleaved `(re, im)` pairs: how a real row
@@ -236,10 +282,13 @@ impl QuadOrder {
             last.is_some_and(|last| last < src.len()),
             "first_pass_from: source too short"
         );
-        if body.avx2_fma {
-            // SAFETY: only the probe sets `avx2_fma`, after it verified
-            // avx2+fma on this CPU; both lengths were asserted just above.
-            #[cfg(target_arch = "x86_64")]
+        // One complex value per 128-bit register: both vector bodies run
+        // the `avx2,fma` form.
+        #[cfg(target_arch = "x86_64")]
+        if body != Body::PORTABLE {
+            // SAFETY: a non-portable body exists only after the probe
+            // verified avx2+fma on this CPU; both lengths were asserted
+            // just above.
             return unsafe { self.first_pass_from_avx(src, first, stride, dst, inverse) };
         }
         let flip = direction_flip(inverse);
@@ -309,10 +358,10 @@ impl QuadOrder {
 /// Panics unless the length is a multiple of four.
 pub(crate) fn first_pass(data: &mut [Complex], inverse: bool, body: Body) {
     assert!(data.len().is_multiple_of(4), "first_pass: length");
-    if body.avx2_fma {
-        // SAFETY: only the probe sets `avx2_fma`, after it verified
-        // avx2+fma on this CPU; the lengths were asserted just above.
-        #[cfg(target_arch = "x86_64")]
+    #[cfg(target_arch = "x86_64")]
+    if body != Body::PORTABLE {
+        // SAFETY: a non-portable body exists only after the probe verified
+        // avx2+fma on this CPU; the length was asserted just above.
         return unsafe { first_pass_avx(data, inverse) };
     }
     let flip = direction_flip(inverse);
@@ -334,19 +383,24 @@ pub(crate) fn first_pass(data: &mut [Complex], inverse: bool, body: Body) {
 ///
 /// # Panics
 ///
-/// Panics unless `h` is even and at least 2 and the array is whole blocks.
+/// Panics unless `h` is a positive multiple of four (every pass of a plan
+/// has `h >= 4`, a power of two, so the widest body's four complex values
+/// per register always fit) and the array is whole blocks.
 pub(crate) fn fused_pass(data: &mut [Complex], tw: &[Complex], body: Body) {
     let h = tw.len() / 3;
     assert!(
-        tw.len() == 3 * h && h >= 2 && h.is_multiple_of(2),
+        tw.len() == 3 * h && h >= 4 && h.is_multiple_of(4),
         "fused_pass: twiddles"
     );
     assert!(data.len().is_multiple_of(4 * h), "fused_pass: length");
-    if body.avx2_fma {
-        // SAFETY: only the probe sets `avx2_fma`, after it verified
-        // avx2+fma on this CPU; the lengths were asserted just above.
+    match body.isa {
+        // SAFETY (both arms): the probe verified the arm's features on this
+        // CPU before it made the body; the lengths were asserted just above.
         #[cfg(target_arch = "x86_64")]
-        return unsafe { fused_pass_avx(data, tw) };
+        Isa::Avx2Fma => return unsafe { lanes256::fused_pass(data, tw) },
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512f => return unsafe { lanes512::fused_pass(data, tw) },
+        Isa::Portable => {}
     }
     let (w1, w2) = tw.split_at(h);
     let (w2_lo, w2_hi) = w2.split_at(h);
@@ -370,17 +424,20 @@ pub(crate) fn fused_pass(data: &mut [Complex], tw: &[Complex], body: Body) {
 ///
 /// # Panics
 ///
-/// Panics unless the half size is even and at least 2 and the array is
-/// whole blocks.
+/// Panics unless the half size is a positive multiple of four (as in
+/// [`fused_pass`]) and the array is whole blocks.
 pub(crate) fn single_pass(data: &mut [Complex], tw: &[Complex], body: Body) {
     let half = tw.len();
-    assert!(half >= 2 && half.is_multiple_of(2), "single_pass: twiddles");
+    assert!(half >= 4 && half.is_multiple_of(4), "single_pass: twiddles");
     assert!(data.len().is_multiple_of(2 * half), "single_pass: length");
-    if body.avx2_fma {
-        // SAFETY: only the probe sets `avx2_fma`, after it verified
-        // avx2+fma on this CPU; the lengths were asserted just above.
+    match body.isa {
+        // SAFETY (both arms): the probe verified the arm's features on this
+        // CPU before it made the body; the lengths were asserted just above.
         #[cfg(target_arch = "x86_64")]
-        return unsafe { single_pass_avx(data, tw) };
+        Isa::Avx2Fma => return unsafe { lanes256::single_pass(data, tw) },
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512f => return unsafe { lanes512::single_pass(data, tw) },
+        Isa::Portable => {}
     }
     for block in data.chunks_exact_mut(2 * half) {
         let (lo, hi) = block.split_at_mut(half);
@@ -440,46 +497,10 @@ mod x86 {
             _mm_storeu_pd(out.add(6), q[3]);
         }
     }
-
-    /// Two twiddles with their components splat across their lanes:
-    /// `re = [re0, re0, re1, re1]`, `im` likewise.
-    #[derive(Clone, Copy)]
-    pub(super) struct Splat {
-        re: __m256d,
-        im: __m256d,
-    }
-
-    /// Loads the two twiddles at `w .. w + 4`.
-    ///
-    /// # Safety
-    ///
-    /// `w` must be valid for reading four `f64`s.
-    #[target_feature(enable = "avx2,fma")]
-    #[inline]
-    pub(super) unsafe fn splat(w: *const f64) -> Splat {
-        // SAFETY: the caller vouches for `w .. w + 4`.
-        let w = unsafe { _mm256_loadu_pd(w) };
-        Splat {
-            re: _mm256_movedup_pd(w),
-            im: _mm256_permute_pd(w, 0b1111),
-        }
-    }
-
-    /// `w * v` on two interleaved complex lanes. `fmaddsub` gives the even
-    /// lanes `re.v - im.vs` and the odd ones `re.v + im.vs`, with `vs` the
-    /// lanes of `v` swapped: the complex product, the second term rounded
-    /// before the fused first — the one rounding sequence every vector
-    /// butterfly of this crate has used.
-    #[target_feature(enable = "avx2,fma")]
-    #[inline]
-    pub(super) fn cmul(w: Splat, v: __m256d) -> __m256d {
-        let vs = _mm256_permute_pd(v, 0b0101);
-        _mm256_fmaddsub_pd(w.re, v, _mm256_mul_pd(w.im, vs))
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
-use x86::{cmul, quad_avx, rotation_sign, splat, store_quad};
+use x86::{quad_avx, rotation_sign, store_quad};
 
 /// # Safety
 ///
@@ -507,86 +528,160 @@ unsafe fn first_pass_avx(data: &mut [Complex], inverse: bool) {
     }
 }
 
-/// # Safety
-///
-/// The CPU must have AVX2+FMA, `tw.len()` must be `3h` with `h` even, and
-/// `data.len()` a multiple of `4h`.
+/// The twiddled passes on vector lanes, written once and stamped at two
+/// widths: `$lanes` doubles (`$lanes / 2` complex values) per `$vec`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn fused_pass_avx(data: &mut [Complex], tw: &[Complex]) {
-    use core::arch::x86_64::*;
-    // Doubles per quarter block.
-    let quarter = 2 * (tw.len() / 3);
-    let doubles = 2 * data.len();
-    let p = data.as_mut_ptr().cast::<f64>();
-    let w = tw.as_ptr().cast::<f64>();
-    let mut block = 0;
-    while block < doubles {
-        let mut k = 0;
-        while k < quarter {
-            // SAFETY: `k + 4 <= quarter` (a multiple of four, `h` being
-            // even) and `block + 4 * quarter <= doubles` (whole blocks,
-            // both vouched for by the caller), so the four data loads and
-            // stores at `block + j * quarter + k .. + 4`, `j < 4`, stay in
-            // `data`; the twiddle loads at `k`, `quarter + k` and
-            // `2 * quarter + k` stay in `tw`'s `3 * quarter` doubles.
-            unsafe {
-                let a = p.add(block + k);
-                let b = a.add(quarter);
-                let c = b.add(quarter);
-                let d = c.add(quarter);
-                let w1 = splat(w.add(k));
-                let (va, vc) = (_mm256_loadu_pd(a), _mm256_loadu_pd(c));
-                let t = cmul(w1, _mm256_loadu_pd(b));
-                let (a1, b1) = (_mm256_add_pd(va, t), _mm256_sub_pd(va, t));
-                let t = cmul(w1, _mm256_loadu_pd(d));
-                let (c1, d1) = (_mm256_add_pd(vc, t), _mm256_sub_pd(vc, t));
-                let t = cmul(splat(w.add(quarter + k)), c1);
-                _mm256_storeu_pd(a, _mm256_add_pd(a1, t));
-                _mm256_storeu_pd(c, _mm256_sub_pd(a1, t));
-                let t = cmul(splat(w.add(2 * quarter + k)), d1);
-                _mm256_storeu_pd(b, _mm256_add_pd(b1, t));
-                _mm256_storeu_pd(d, _mm256_sub_pd(b1, t));
+macro_rules! vector_passes {
+    (
+        $module:ident, $feature:literal, $vec:ty, $lanes:literal,
+        $load:ident, $store:ident, $add:ident, $sub:ident, $mul:ident,
+        $movedup:ident, $permute:ident, $fmaddsub:ident
+    ) => {
+        mod $module {
+            use crate::complex::Complex;
+            use core::arch::x86_64::*;
+
+            /// Doubles per register.
+            const LANES: usize = $lanes;
+            /// `permute` selectors, one bit per lane: every pair's odd lane
+            /// into both of its lanes, and every pair swapped.
+            const ODD: i32 = (1 << LANES) - 1;
+            const SWAP: i32 = 0x55 & ODD;
+
+            /// `LANES / 2` twiddles with their components splat across
+            /// their lanes: `re = [re0, re0, re1, re1, ..]`, `im` likewise.
+            #[derive(Clone, Copy)]
+            struct Splat {
+                re: $vec,
+                im: $vec,
             }
-            k += 4;
+
+            /// Loads the twiddles at `w .. w + LANES`.
+            ///
+            /// # Safety
+            ///
+            /// `w` must be valid for reading `LANES` `f64`s.
+            #[target_feature(enable = $feature)]
+            #[inline]
+            unsafe fn splat(w: *const f64) -> Splat {
+                // SAFETY: the caller vouches for `w .. w + LANES`.
+                let w = unsafe { $load(w) };
+                Splat {
+                    re: $movedup(w),
+                    im: $permute::<ODD>(w),
+                }
+            }
+
+            /// `w * v` on interleaved complex lanes. `fmaddsub` gives the
+            /// even lanes `re.v - im.vs` and the odd ones `re.v + im.vs`,
+            /// with `vs` the lanes of `v` swapped: the complex product, the
+            /// second term rounded before the fused first — the one
+            /// rounding sequence every vector butterfly of this crate has
+            /// used.
+            #[target_feature(enable = $feature)]
+            #[inline]
+            fn cmul(w: Splat, v: $vec) -> $vec {
+                let vs = $permute::<SWAP>(v);
+                $fmaddsub(w.re, v, $mul(w.im, vs))
+            }
+
+            /// # Safety
+            ///
+            /// The CPU must have this module's features, `tw.len()` must be
+            /// `3h` with `2h` a multiple of `LANES`, and `data.len()` a
+            /// multiple of `4h`.
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn fused_pass(data: &mut [Complex], tw: &[Complex]) {
+                // Doubles per quarter block.
+                let quarter = 2 * (tw.len() / 3);
+                let doubles = 2 * data.len();
+                let p = data.as_mut_ptr().cast::<f64>();
+                let w = tw.as_ptr().cast::<f64>();
+                let mut block = 0;
+                while block < doubles {
+                    let mut k = 0;
+                    while k < quarter {
+                        // SAFETY: `k + LANES <= quarter` (a multiple of
+                        // `LANES`) and `block + 4 * quarter <= doubles`
+                        // (whole blocks, both vouched for by the caller),
+                        // so the four data loads and stores at
+                        // `block + j * quarter + k .. + LANES`, `j < 4`,
+                        // stay in `data`; the twiddle loads at `k`,
+                        // `quarter + k` and `2 * quarter + k` stay in
+                        // `tw`'s `3 * quarter` doubles.
+                        unsafe {
+                            let a = p.add(block + k);
+                            let b = a.add(quarter);
+                            let c = b.add(quarter);
+                            let d = c.add(quarter);
+                            let w1 = splat(w.add(k));
+                            let (va, vc) = ($load(a), $load(c));
+                            let t = cmul(w1, $load(b));
+                            let (a1, b1) = ($add(va, t), $sub(va, t));
+                            let t = cmul(w1, $load(d));
+                            let (c1, d1) = ($add(vc, t), $sub(vc, t));
+                            let t = cmul(splat(w.add(quarter + k)), c1);
+                            $store(a, $add(a1, t));
+                            $store(c, $sub(a1, t));
+                            let t = cmul(splat(w.add(2 * quarter + k)), d1);
+                            $store(b, $add(b1, t));
+                            $store(d, $sub(b1, t));
+                        }
+                        k += LANES;
+                    }
+                    block += 4 * quarter;
+                }
+            }
+
+            /// # Safety
+            ///
+            /// The CPU must have this module's features, `2 * tw.len()` must
+            /// be a multiple of `LANES`, and `data.len()` a multiple of
+            /// `2 * tw.len()`.
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn single_pass(data: &mut [Complex], tw: &[Complex]) {
+                // Doubles per half block.
+                let half = 2 * tw.len();
+                let doubles = 2 * data.len();
+                let p = data.as_mut_ptr().cast::<f64>();
+                let w = tw.as_ptr().cast::<f64>();
+                let mut block = 0;
+                while block < doubles {
+                    let mut k = 0;
+                    while k < half {
+                        // SAFETY: `k + LANES <= half` (a multiple of
+                        // `LANES`) and `block + 2 * half <= doubles` (whole
+                        // blocks, both vouched for by the caller), so both
+                        // halves' accesses stay in `data` and the twiddle
+                        // load in `tw`'s `half` doubles.
+                        unsafe {
+                            let lo = p.add(block + k);
+                            let hi = lo.add(half);
+                            let u = $load(lo);
+                            let t = cmul(splat(w.add(k)), $load(hi));
+                            $store(lo, $add(u, t));
+                            $store(hi, $sub(u, t));
+                        }
+                        k += LANES;
+                    }
+                    block += 2 * half;
+                }
+            }
         }
-        block += 4 * quarter;
-    }
+    };
 }
 
-/// # Safety
-///
-/// The CPU must have AVX2+FMA, `tw.len()` must be even, and `data.len()` a
-/// multiple of `2 * tw.len()`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn single_pass_avx(data: &mut [Complex], tw: &[Complex]) {
-    use core::arch::x86_64::*;
-    // Doubles per half block.
-    let half = 2 * tw.len();
-    let doubles = 2 * data.len();
-    let p = data.as_mut_ptr().cast::<f64>();
-    let w = tw.as_ptr().cast::<f64>();
-    let mut block = 0;
-    while block < doubles {
-        let mut k = 0;
-        while k < half {
-            // SAFETY: `k + 4 <= half` (a multiple of four) and
-            // `block + 2 * half <= doubles` (whole blocks, both vouched for
-            // by the caller), so both halves' accesses stay in `data` and
-            // the twiddle load in `tw`'s `half` doubles.
-            unsafe {
-                let lo = p.add(block + k);
-                let hi = lo.add(half);
-                let u = _mm256_loadu_pd(lo);
-                let t = cmul(splat(w.add(k)), _mm256_loadu_pd(hi));
-                _mm256_storeu_pd(lo, _mm256_add_pd(u, t));
-                _mm256_storeu_pd(hi, _mm256_sub_pd(u, t));
-            }
-            k += 4;
-        }
-        block += 2 * half;
-    }
+vector_passes! {
+    lanes256, "avx2,fma", __m256d, 4,
+    _mm256_loadu_pd, _mm256_storeu_pd, _mm256_add_pd, _mm256_sub_pd, _mm256_mul_pd,
+    _mm256_movedup_pd, _mm256_permute_pd, _mm256_fmaddsub_pd
+}
+#[cfg(target_arch = "x86_64")]
+vector_passes! {
+    lanes512, "avx512f", __m512d, 8,
+    _mm512_loadu_pd, _mm512_storeu_pd, _mm512_add_pd, _mm512_sub_pd, _mm512_mul_pd,
+    _mm512_movedup_pd, _mm512_permute_pd, _mm512_fmaddsub_pd
 }
 
 /// The per-block AVX2+FMA butterfly the stage-at-a-time engine called
@@ -602,9 +697,9 @@ pub(crate) fn butterfly_block_x86(lo: &mut [Complex], hi: &mut [Complex], tw: &[
     assert_eq!(lo.len(), hi.len());
     assert_eq!(lo.len(), tw.len());
     assert!(lo.len().is_multiple_of(2));
-    assert!(avx2_fma_available());
-    // SAFETY: avx2+fma verified just above; the kernel only dereferences
-    // within the equal-length input slices.
+    assert_ne!(Body::probed(), Body::PORTABLE);
+    // SAFETY: a non-portable probe means avx2+fma, verified just above; the
+    // kernel only dereferences within the equal-length input slices.
     unsafe { butterfly_block_avx(lo, hi, tw) }
 }
 
@@ -766,22 +861,59 @@ fn logistic_loss_body<const FMA: bool>(
     (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
 }
 
+/// The two slice kernels' `FMA = true` bodies compiled under `$feature`:
+/// safe Rust, the same IEEE operations on every lane of either width.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn logistic_scaled_avx(xs: &[f64], center: f64, scale: f64, out: &mut [f64]) {
-    logistic_scaled_body::<true>(xs, center, scale, out)
+macro_rules! logistic_bodies {
+    ($feature:literal, $scaled:ident, $loss:ident) => {
+        #[target_feature(enable = $feature)]
+        fn $scaled(xs: &[f64], center: f64, scale: f64, out: &mut [f64]) {
+            logistic_scaled_body::<true>(xs, center, scale, out)
+        }
+
+        #[target_feature(enable = $feature)]
+        fn $loss(xs: &[f64], center: f64, scale: f64, target: &[f64], dldx: &mut [f64]) -> f64 {
+            logistic_loss_body::<true>(xs, center, scale, target, dldx)
+        }
+    };
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn logistic_loss_avx(
+logistic_bodies!("avx2,fma", logistic_scaled_256, logistic_loss_256);
+#[cfg(target_arch = "x86_64")]
+logistic_bodies!("avx512f", logistic_scaled_512, logistic_loss_512);
+
+/// [`logistic_scaled`] on a given body (equal lengths checked by the caller).
+fn logistic_scaled_on(body: Body, xs: &[f64], center: f64, scale: f64, out: &mut [f64]) {
+    match body.isa {
+        // SAFETY (both arms): the probe verified the arm's features on this
+        // CPU before it made the body.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2Fma => unsafe { logistic_scaled_256(xs, center, scale, out) },
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512f => unsafe { logistic_scaled_512(xs, center, scale, out) },
+        Isa::Portable => logistic_scaled_body::<false>(xs, center, scale, out),
+    }
+}
+
+/// [`logistic_loss`] on a given body (equal lengths checked by the caller).
+fn logistic_loss_on(
+    body: Body,
     xs: &[f64],
     center: f64,
     scale: f64,
     target: &[f64],
     dldx: &mut [f64],
 ) -> f64 {
-    logistic_loss_body::<true>(xs, center, scale, target, dldx)
+    match body.isa {
+        // SAFETY (both arms): the probe verified the arm's features on this
+        // CPU before it made the body.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2Fma => unsafe { logistic_loss_256(xs, center, scale, target, dldx) },
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512f => unsafe { logistic_loss_512(xs, center, scale, target, dldx) },
+        Isa::Portable => logistic_loss_body::<false>(xs, center, scale, target, dldx),
+    }
 }
 
 /// The logistic function `1 / (1 + exp(-x))`: the scalar form of
@@ -814,13 +946,7 @@ pub fn logistic(x: f64) -> f64 {
 /// Panics if the slices differ in length.
 pub fn logistic_scaled(xs: &[f64], center: f64, scale: f64, out: &mut [f64]) {
     assert_eq!(xs.len(), out.len(), "logistic_scaled: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if avx2_fma_available() {
-        // SAFETY: the probe verified avx2+fma on this CPU; the body is
-        // safe code.
-        return unsafe { logistic_scaled_avx(xs, center, scale, out) };
-    }
-    logistic_scaled_body::<false>(xs, center, scale, out)
+    logistic_scaled_on(Body::probed(), xs, center, scale, out)
 }
 
 /// The sigmoid-relaxed squared-error objective in one sweep: with
@@ -830,8 +956,8 @@ pub fn logistic_scaled(xs: &[f64], center: f64, scale: f64, out: &mut [f64]) {
 ///
 /// The sum is accumulated in four interleaved partial sums combined in a
 /// fixed order, so it is a function of the values alone (not of the
-/// slices' alignment, and the same on either compiled body given the same
-/// `z`). A NaN input yields a NaN sum.
+/// slices' alignment or the lane width, and the same on every compiled
+/// body given the same `z`). A NaN input yields a NaN sum.
 ///
 /// # Panics
 ///
@@ -839,28 +965,33 @@ pub fn logistic_scaled(xs: &[f64], center: f64, scale: f64, out: &mut [f64]) {
 pub fn logistic_loss(xs: &[f64], center: f64, scale: f64, target: &[f64], dldx: &mut [f64]) -> f64 {
     assert_eq!(xs.len(), target.len(), "logistic_loss: length mismatch");
     assert_eq!(xs.len(), dldx.len(), "logistic_loss: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if avx2_fma_available() {
-        // SAFETY: the probe verified avx2+fma on this CPU; the body is
-        // safe code.
-        return unsafe { logistic_loss_avx(xs, center, scale, target, dldx) };
-    }
-    logistic_loss_body::<false>(xs, center, scale, target, dldx)
+    logistic_loss_on(Body::probed(), xs, center, scale, target, dldx)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
+    /// The line a cross-body test prints, so a green log says which bodies
+    /// the host let it cover.
+    pub(crate) fn covered(what: &str) -> String {
+        let names: Vec<&str> = Body::supported().iter().map(|b| b.name()).collect();
+        format!("bodies covered ({what}): {}", names.join(" "))
+    }
+
     #[test]
-    fn availability_is_stable() {
-        assert_eq!(avx2_fma_available(), avx2_fma_available());
+    fn the_probe_is_stable_and_picks_the_widest_supported_body() {
+        assert_eq!(Body::probed(), Body::probed());
+        assert_eq!(Body::supported().first(), Some(&Body::PORTABLE));
+        assert_eq!(Body::supported().last(), Some(&Body::probed()));
+        assert_eq!(body_name(), Body::probed().name());
+        println!("kernel body: {}; {}", body_name(), covered("probe"));
     }
 
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn kernel_matches_scalar_butterfly() {
-        if !avx2_fma_available() {
+        if Body::probed() == Body::PORTABLE {
             return;
         }
         let n = 8;
@@ -910,16 +1041,19 @@ mod tests {
         for len in LENGTHS {
             let xs = sweep(len);
             let mut dispatched = vec![0.0; len];
-            let mut portable = vec![0.0; len];
             logistic_scaled(&xs, 0.0, 1.0, &mut dispatched);
-            logistic_scaled_body::<false>(&xs, 0.0, 1.0, &mut portable);
-            for ((&x, &d), &p) in xs.iter().zip(&dispatched).zip(&portable) {
-                let reference = logistic_reference(x);
-                assert!(ulps(d, reference) <= 2, "x={x}: {d:e} vs {reference:e}");
-                assert!(ulps(p, reference) <= 2, "x={x}: {p:e} vs {reference:e}");
-                // Whichever body the probe picked, the other agrees.
-                assert!(ulps(d, p) <= 2, "x={x}: {d:e} vs {p:e}");
+            for (&x, &d) in xs.iter().zip(&dispatched) {
                 assert_eq!(d, logistic(x), "scalar form differs at x={x}");
+            }
+            // Whichever body the probe picked, every other one agrees.
+            for body in Body::supported() {
+                let mut on_body = vec![0.0; len];
+                logistic_scaled_on(body, &xs, 0.0, 1.0, &mut on_body);
+                for ((&x, &b), &d) in xs.iter().zip(&on_body).zip(&dispatched) {
+                    let reference = logistic_reference(x);
+                    assert!(ulps(b, reference) <= 2, "x={x}: {b:e} vs {reference:e}");
+                    assert!(ulps(b, d) <= 2, "{body:?} x={x}: {b:e} vs {d:e}");
+                }
             }
         }
         // Centre and scale are applied before the logistic, nothing more.
@@ -1004,6 +1138,64 @@ mod tests {
         xs[777] = f64::NAN;
         let mut dldx = vec![0.0; 1000];
         assert!(logistic_loss(&xs, center, scale, &vec![1.0; 1000], &mut dldx).is_nan());
+    }
+
+    /// Latents no sweep produces but a diverged solve can: non-finite
+    /// values, the `exp` floor to either side, subnormals and signed zeros
+    /// among order-one values, `len` of them.
+    fn hostile(len: usize) -> Vec<f64> {
+        let special = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            EXP_FLOOR,
+            EXP_FLOOR.next_up(),
+            EXP_FLOOR.next_down(),
+            -EXP_FLOOR,
+            f64::MIN_POSITIVE * 0.25,
+            -f64::MIN_POSITIVE * 0.25,
+            0.0,
+            -0.0,
+            1e300,
+        ];
+        (0..len)
+            .map(|i| match i % 3 {
+                0 => special[(i / 3) % special.len()],
+                _ => -40.0 + 80.0 * (i as f64 * 0.618_033_988_75).fract(),
+            })
+            .collect()
+    }
+
+    /// The same fused operations lane for lane: on every length a 4- or
+    /// 8-lane loop treats differently, hostile inputs included, the two
+    /// vector bodies' masks, derivatives and loss agree in every bit.
+    #[test]
+    fn logistic_kernels_are_bit_identical_across_the_vector_bodies() {
+        let vector: Vec<Body> = Body::supported()
+            .into_iter()
+            .filter(|&b| b != Body::PORTABLE)
+            .collect();
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        for len in [1, 7, 9, 255, 257, 65_536] {
+            // Centre 0 and scale 1 leave the hostile values as they are.
+            for (xs, center, scale) in [(hostile(len), 0.0, 1.0), (sweep(len), 0.32, 32.0)] {
+                let target: Vec<f64> = (0..len).map(|i| (i % 3 == 0) as u8 as f64).collect();
+                let outputs: Vec<_> = vector
+                    .iter()
+                    .map(|&body| {
+                        let mut z = vec![0.0; len];
+                        logistic_scaled_on(body, &xs, center, scale, &mut z);
+                        let mut dldx = vec![0.0; len];
+                        let loss = logistic_loss_on(body, &xs, center, scale, &target, &mut dldx);
+                        (bits(&z), bits(&dldx), loss.to_bits())
+                    })
+                    .collect();
+                for pair in outputs.windows(2) {
+                    assert!(pair[0] == pair[1], "len {len} scale {scale}");
+                }
+            }
+        }
+        println!("{}", covered("logistic sweeps"));
     }
 
     #[test]

@@ -434,11 +434,31 @@ fn perturb_latent(latent: &mut RealGrid, sigma: f64, target: &RealGrid) {
     }
 }
 
+/// Where [`to_latent`] clamps the mask: the latent of 0 or 1 is infinite.
+const LATENT_CLAMP: (f64, f64) = (0.02, 0.98);
+
 /// Maps a `[0, 1]` mask to the latent field (inverse sigmoid).
+///
+/// Most of an initial mask sits *at* a clamp (all of a binary target, half
+/// of a warm start), so the two clamped latents are computed once, by the
+/// expression every other pixel goes through, and the `ln` runs only in
+/// between: bit for bit the plain `clamp` map.
 fn to_latent(mask: &RealGrid, steepness: f64) -> RealGrid {
+    let latent = |c: f64| (c / (1.0 - c)).ln() / steepness;
+    // `black_box`: a constant argument would let the compiler fold the `ln`
+    // with its own libm, which need not round as the one linked here does.
+    let (lo, hi) = LATENT_CLAMP;
+    let at_lo = latent(std::hint::black_box(lo));
+    let at_hi = latent(std::hint::black_box(hi));
     mask.map(|&m| {
-        let c = m.clamp(0.02, 0.98);
-        (c / (1.0 - c)).ln() / steepness
+        if m <= lo {
+            at_lo
+        } else if m >= hi {
+            at_hi
+        } else {
+            // Strictly inside (where `clamp` is the identity), or NaN.
+            latent(m)
+        }
     })
 }
 
@@ -478,6 +498,39 @@ mod tests {
         let back = latent_to_mask(&latent, 4.0);
         for i in 0..3 {
             assert!((back.get(i, 0) - mask.get(i, 0)).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn to_latent_is_bit_identical_to_the_plain_clamp_map() {
+        let (lo, hi) = LATENT_CLAMP;
+        let values = vec![
+            0.0,
+            -0.0,
+            lo.next_down(),
+            lo,
+            lo.next_up(),
+            0.5,
+            hi.next_down(),
+            hi,
+            hi.next_up(),
+            1.0,
+            -3.0,
+            7.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for steep in [4.0, 3.7] {
+            let plain = |m: f64| {
+                let c = m.clamp(lo, hi);
+                (c / (1.0 - c)).ln() / steep
+            };
+            let mask = Grid::from_vec(values.len(), 1, values.clone());
+            let latent = to_latent(&mask, steep);
+            for (&m, &l) in values.iter().zip(latent.as_slice()) {
+                assert_eq!(l.to_bits(), plain(m).to_bits(), "m = {m:e}");
+            }
         }
     }
 

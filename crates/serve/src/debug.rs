@@ -57,7 +57,8 @@ pub(crate) fn render_queue(
 }
 
 /// `GET /debug/caches`: entry counts and estimated resident bytes of the
-/// process-wide kernel-bank and FFT-plan caches plus the per-worker
+/// process-wide kernel-bank and FFT-plan caches (with the compiled kernel
+/// body the CPU probe chose, `fft_plan_cache.body`) plus the per-worker
 /// session caches, with their hit/miss counters and gauges pulled from
 /// the telemetry snapshot.
 pub(crate) fn render_caches(
@@ -79,11 +80,15 @@ pub(crate) fn render_caches(
         counter("litho.bank_cache.miss")
     ));
     out.push_str(&format!(
-        ",\"fft_plan_cache\":{{\"entries\":{},\"estimated_bytes\":{},\"hits\":{},\"misses\":{}}}",
+        ",\"fft_plan_cache\":{{\"entries\":{},\"estimated_bytes\":{},\"hits\":{},\"misses\":{},\
+         \"body\":\"{}\"}}",
         fft_plans,
         fft_plan_bytes,
         counter("fft.plan_cache.hit"),
-        counter("fft.plan_cache.miss")
+        counter("fft.plan_cache.miss"),
+        // The compiled body every plan (and logistic sweep) of this process
+        // runs: one of three fixed names, no escaping needed.
+        ilt_fft::simd::body_name()
     ));
     out.push_str(&format!(
         ",\"mask_store\":{{\"entries\":{},\"bytes\":{},\"hits\":{},\"misses\":{},\
@@ -383,6 +388,12 @@ mod tests {
                 .path(&["fft_plan_cache", "estimated_bytes"])
                 .and_then(|v| v.as_u64()),
             Some(4096)
+        );
+        assert_eq!(
+            parsed
+                .path(&["fft_plan_cache", "body"])
+                .and_then(|v| v.as_str()),
+            Some(ilt_fft::simd::body_name())
         );
         assert!(body.contains("\"session_cache\":{\"entries\":2"));
         assert_eq!(

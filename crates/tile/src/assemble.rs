@@ -520,6 +520,26 @@ impl<'a> StreamingAssembler<'a> {
     /// Panics on [`AssemblyMode::ExtendedCore`], which is not a partition
     /// of unity and only meaningful for sequential in-place replacement.
     pub fn new(partition: &'a Partition, mode: AssemblyMode) -> Self {
+        Self::with_coverage(partition, mode, Vec::new())
+    }
+
+    /// Like [`new`](Self::new), but keeping the pixel-sum accumulator in
+    /// storage the caller lends and gets back from
+    /// [`finish_lent`](Self::finish_lent); whatever it held is discarded.
+    /// The layout accumulator leaves with the result, so it cannot be
+    /// lent; this one can, and a caller that builds one assembler per
+    /// operation (the incremental re-solve) then touches pages it already
+    /// owns instead of having the allocator map, fault in and unmap a
+    /// clip-sized block every time.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`AssemblyMode::ExtendedCore`], like [`new`](Self::new).
+    pub fn with_coverage(
+        partition: &'a Partition,
+        mode: AssemblyMode,
+        mut coverage: Vec<f64>,
+    ) -> Self {
         assert!(
             !matches!(mode, AssemblyMode::ExtendedCore { .. }),
             "extended-core replacement is sequential, not an additive assembly"
@@ -529,6 +549,14 @@ impl<'a> StreamingAssembler<'a> {
             .into_iter()
             .flatten()
             .collect();
+        let pixels = partition.width() * partition.height();
+        if coverage.capacity() < pixels {
+            // Fresh zeroed pages cost nothing until they are touched.
+            coverage = vec![0.0; pixels];
+        } else {
+            coverage.clear();
+            coverage.resize(pixels, 0.0);
+        }
         StreamingAssembler {
             partition,
             mode,
@@ -536,7 +564,7 @@ impl<'a> StreamingAssembler<'a> {
             order,
             cursor: 0,
             out: RealGrid::new(partition.width(), partition.height(), 0.0),
-            coverage: RealGrid::new(partition.width(), partition.height(), 0.0),
+            coverage: RealGrid::from_vec(partition.width(), partition.height(), coverage),
         }
     }
 
@@ -607,6 +635,20 @@ impl<'a> StreamingAssembler<'a> {
     /// Panics if the accumulated weights do not cover some pixel with total
     /// weight 1 — a partition-of-unity bug, not a caller error.
     pub fn finish(self) -> Result<RealGrid, TileError> {
+        self.finish_lent().map(|(layout, _)| layout)
+    }
+
+    /// [`finish`](Self::finish), handing the pixel-sum accumulator's storage
+    /// back for the next [`with_coverage`](Self::with_coverage).
+    ///
+    /// # Errors
+    ///
+    /// As [`finish`](Self::finish).
+    ///
+    /// # Panics
+    ///
+    /// As [`finish`](Self::finish).
+    pub fn finish_lent(self) -> Result<(RealGrid, Vec<f64>), TileError> {
         if self.cursor != self.order.len() {
             return Err(TileError::AssemblyMismatch {
                 expected: self.order.len(),
@@ -627,7 +669,7 @@ impl<'a> StreamingAssembler<'a> {
             "tile.pixels_assembled",
             (self.partition.width() * self.partition.height()) as u64,
         );
-        Ok(self.out)
+        Ok((self.out, self.coverage.into_vec()))
     }
 }
 
