@@ -18,7 +18,7 @@
 //!   thread;
 //!
 //! over the median of `simulate_into` → `evaluate_loss_into` →
-//! `gradient_into` iterations at one inner thread. Every unit cost and
+//! `gradient_into` iterations on one thread. Every unit cost and
 //! count is printed; the binary panics (non-zero exit) when the recorder
 //! alone exceeds 2% or the whole stack 5% — the bar for leaving it on in
 //! `ilt-serve`. It reads no `ILT_*` variable and writes no artifact.
@@ -77,14 +77,13 @@ fn off_on_ns(set: impl Fn(bool), op: impl Fn()) -> [f64; 2] {
 }
 
 fn main() {
-    ilt_par::set_inner_threads(1);
     let config = ExperimentConfig::test_tiny();
     let n = config.optics.base_n;
     let bank = LithoBank::new(config.optics, ResistModel::m1_default()).expect("kernel bank");
     let target = Grid::from_fn(n, n, |x, y| {
         f64::from(u8::from(x > n / 4 && x < 3 * n / 4 && y > n / 3))
     });
-    println!("obs_overhead: {n}x{n} tile, 1 inner thread");
+    println!("obs_overhead: {n}x{n} tile");
 
     // The denominator: one solver iteration, median of individually timed
     // repetitions so a scheduler hiccup moves nothing.

@@ -14,9 +14,7 @@
 //! * `ILT_CASES` — number of benchmark clips (default 20, the paper's
 //!   count);
 //! * `ILT_WORKERS` — worker threads for per-tile execution (default 1);
-//! * `ILT_INNER_THREADS` — threads for intra-tile (per-kernel / FFT row
-//!   batch) parallelism (default 1). Capped so
-//!   `ILT_WORKERS x ILT_INNER_THREADS` never exceeds the available cores;
+//!   tiles are the only unit of parallelism;
 //! * `ILT_OUT` — output directory for CSV/PGM artifacts (default
 //!   `results/`);
 //! * `ILT_TRACE` — `1`/`true`/`on`/`yes` enables telemetry collection
@@ -24,9 +22,9 @@
 //!   recent ones); the trace artifacts written by
 //!   [`HarnessOptions::finish_run`] land in the `ILT_OUT` directory.
 //!
-//! Invalid values of `ILT_SCALE`, `ILT_CASES`, `ILT_WORKERS`, or
-//! `ILT_INNER_THREADS` are reported on stderr (naming the variable and the
-//! fallback used) instead of being silently ignored.
+//! Invalid values of `ILT_SCALE`, `ILT_CASES` or `ILT_WORKERS` are
+//! reported on stderr (naming the variable and the fallback used) instead
+//! of being silently ignored.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,10 +49,6 @@ pub struct HarnessOptions {
     pub cases: usize,
     /// Tile executor.
     pub workers: usize,
-    /// Intra-tile worker threads (per-kernel / FFT row-batch parallelism),
-    /// already capped against `workers` so the product stays within the
-    /// available cores.
-    pub inner_threads: usize,
     /// Artifact output directory.
     pub out_dir: PathBuf,
 }
@@ -80,19 +74,6 @@ impl HarnessOptions {
             parse_or_warn("ILT_CASES", std::env::var("ILT_CASES").ok(), 20usize).clamp(1, 20);
         let workers =
             parse_or_warn("ILT_WORKERS", std::env::var("ILT_WORKERS").ok(), 1usize).max(1);
-        let inner_threads = capped_inner_threads(
-            parse_or_warn(
-                "ILT_INNER_THREADS",
-                std::env::var("ILT_INNER_THREADS").ok(),
-                1usize,
-            )
-            .max(1),
-            workers,
-            ilt_par::available_cores(),
-        );
-        // Publish the budget so simulators built anywhere in the process
-        // (sessions, solvers, serve jobs) pick it up.
-        ilt_par::set_inner_threads(inner_threads);
         let out_dir = std::env::var("ILT_OUT")
             .map(PathBuf::from)
             .unwrap_or_else(|_| PathBuf::from("results"));
@@ -101,7 +82,6 @@ impl HarnessOptions {
             scale,
             cases,
             workers,
-            inner_threads,
             out_dir,
         }
     }
@@ -299,23 +279,6 @@ fn scale_or_warn(raw: Option<String>) -> String {
     }
 }
 
-/// Caps the inner-thread budget so `tiles x inner <= cores`, warning when
-/// the requested value would oversubscribe the machine alongside the tile
-/// workers.
-fn capped_inner_threads(requested: usize, workers: usize, cores: usize) -> usize {
-    if workers.saturating_mul(requested) <= cores {
-        return requested;
-    }
-    let capped = (cores / workers.max(1)).max(1);
-    if capped < requested {
-        eprintln!(
-            "warning: ILT_INNER_THREADS={requested} with ILT_WORKERS={workers} oversubscribes \
-             {cores} cores; capping inner threads to {capped}"
-        );
-    }
-    capped
-}
-
 /// Parses an environment value, warning on stderr (naming the variable and
 /// the fallback used) when the value is present but unparsable.
 fn parse_or_warn<T>(var: &str, raw: Option<String>, fallback: T) -> T
@@ -361,11 +324,9 @@ fn render_report(
     json::push_str_literal(&mut out, &opts.scale);
     let _ = write!(
         out,
-        ",\"cases\":{},\"workers\":{},\"inner_threads\":{},\"kernel_body\":\"{}\",\
-         \"trace_enabled\":{}",
+        ",\"cases\":{},\"workers\":{},\"kernel_body\":\"{}\",\"trace_enabled\":{}",
         opts.cases,
         opts.workers,
-        opts.inner_threads,
         ilt_fft::simd::body_name(),
         trace_enabled
     );
@@ -567,10 +528,7 @@ mod tests {
         assert_eq!(parse_or_warn("ILT_CASES", Some("-3".into()), 20usize), 20);
         assert_eq!(parse_or_warn("ILT_CASES", Some(" 7 ".into()), 20usize), 7);
         assert_eq!(parse_or_warn("ILT_WORKERS", None, 1usize), 1);
-        assert_eq!(
-            parse_or_warn("ILT_INNER_THREADS", Some("x".into()), 1usize),
-            1
-        );
+        assert_eq!(parse_or_warn("ILT_WORKERS", Some("x".into()), 1usize), 1);
         assert_eq!(scale_or_warn(Some("tiny".into())), "tiny");
         assert_eq!(scale_or_warn(Some("huge".into())), "default");
         assert_eq!(scale_or_warn(None), "default");
@@ -583,7 +541,6 @@ mod tests {
             scale: "tiny".to_string(),
             cases: 1,
             workers: 1,
-            inner_threads: 1,
             out_dir: PathBuf::from("results"),
         };
         let report = render_report(
@@ -666,7 +623,6 @@ mod tests {
             scale: "tiny".to_string(),
             cases: 1,
             workers: 1,
-            inner_threads: 1,
             out_dir: PathBuf::from("results"),
         };
         let report = render_report(
@@ -705,7 +661,6 @@ mod tests {
             scale: "tiny".to_string(),
             cases: 1,
             workers: 1,
-            inner_threads: 1,
             out_dir: PathBuf::from("results"),
         };
         set_report_section("extra_section_test", "{\"speedup\":3.5}".to_string());
@@ -725,17 +680,6 @@ mod tests {
             Some(4.0)
         );
         assert_eq!(report.matches("extra_section_test").count(), 1);
-    }
-
-    #[test]
-    fn inner_threads_capped_against_tile_workers() {
-        // Within budget: untouched.
-        assert_eq!(capped_inner_threads(2, 2, 8), 2);
-        assert_eq!(capped_inner_threads(1, 8, 8), 1);
-        // Oversubscribed: capped to cores / workers, floor 1.
-        assert_eq!(capped_inner_threads(8, 2, 8), 4);
-        assert_eq!(capped_inner_threads(4, 3, 8), 2);
-        assert_eq!(capped_inner_threads(16, 16, 8), 1);
     }
 
     #[test]

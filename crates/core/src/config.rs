@@ -368,6 +368,26 @@ mod tests {
     }
 
     #[test]
+    fn fingerprints_are_pinned() {
+        // Every `ILT_STORE_DIR` entry is keyed by these digests: a change
+        // that moves them must be deliberate.
+        for (config, pinned) in [
+            (ExperimentConfig::test_tiny(), 16_678_105_887_975_644_636),
+            (
+                ExperimentConfig::paper_default(),
+                14_568_345_696_493_157_370,
+            ),
+        ] {
+            assert_eq!(
+                config.fingerprint(),
+                pinned,
+                "the `Debug` rendering changed — every `ILT_STORE_DIR` entry is re-keyed; \
+                 bump `ilt-experiment-config-v2` deliberately and update the literals"
+            );
+        }
+    }
+
+    #[test]
     fn clamped_clips_validate() {
         // 160 = 2.5 tiles: valid now that the partition clamps; the coarse
         // hierarchy requirement is only that one coarsest tile fits.

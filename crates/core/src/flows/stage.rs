@@ -99,11 +99,17 @@ pub(crate) fn run_assembled_stage_lent(
     coverage: &mut Vec<f64>,
     solve_band: impl FnMut(&[usize]) -> Result<Vec<(RealGrid, f64)>, CoreError>,
 ) -> Result<(RealGrid, StageTiming), CoreError> {
-    let lent = std::mem::take(coverage);
+    // The assembler's two clip-sized grids are assembly memory; they are
+    // built before `run_banded_stage` opens the stage's own tag. No
+    // `assembly` span: their time stays out of the assembly seconds.
+    let assembler = {
+        let _tag = ilt_prof::stage_scope(ilt_prof::Stage::Assembly);
+        StreamingAssembler::with_coverage(partition, mode, std::mem::take(coverage))
+    };
     let ((assembled, lent), timing) = run_banded_stage(
         label,
         partition,
-        StreamingAssembler::with_coverage(partition, mode, lent),
+        assembler,
         solve_band,
         |assembler, i, mask| Ok(assembler.push(i, mask)?),
         |assembler| Ok(assembler.finish_lent()?),

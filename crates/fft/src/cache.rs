@@ -118,7 +118,8 @@ pub fn cached_plan_bytes() -> u64 {
 pub struct TunedParams {
     /// Edge length of the blocked-transpose tiles.
     pub block: usize,
-    /// Rows per pooled work item in the 2-D row passes.
+    /// Rows per work item in the 2-D row passes: always 1, the passes run
+    /// row by row on the calling thread. Kept because run records print it.
     pub row_batch: usize,
 }
 

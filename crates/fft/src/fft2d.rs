@@ -39,7 +39,7 @@ pub(crate) const TRANSPOSE_BLOCK: usize = 8;
 /// Both dimensions must be powers of two. The transform is separable: each
 /// row is transformed, then each column (via transposes). The plan holds no
 /// per-call state, so one `Fft2d` can be shared freely across threads
-/// (`Fft2d: Sync`), e.g. by [`ilt_par::InnerPool`] workers.
+/// (`Fft2d: Sync`), e.g. by the tile executor's workers.
 ///
 /// # Examples
 ///
@@ -256,7 +256,8 @@ impl Fft2d {
     /// the paper's per-kernel gradient forward, where only the centered
     /// `P x P` support is sampled afterwards, this removes `n - P` of the
     /// `n` column transforms *and* one full transpose sweep. The skipped
-    /// count feeds the `fft.rows_skipped` telemetry counter.
+    /// count feeds the `fft.rows_skipped` telemetry counter. `_pool` is
+    /// ignored; `benchmark/` still passes it.
     ///
     /// # Errors
     ///
@@ -267,7 +268,7 @@ impl Fft2d {
         &self,
         data: &mut [Complex],
         support_cols: &[usize],
-        pool: &InnerPool,
+        _pool: &InnerPool,
     ) -> Result<(), FftError> {
         if self.rows != self.cols || data.len() != self.len() {
             return Err(FftError::ShapeMismatch {
@@ -287,11 +288,11 @@ impl Fft2d {
             (self.cols - support_cols.len().min(self.cols)) as u64,
         );
         let n = self.rows;
-        let plan = &self.row_plan;
-        pool.for_each_chunk_mut(data, n, |_, row| {
-            plan.transform(row, Direction::Forward)
+        for row in data.chunks_exact_mut(n) {
+            self.row_plan
+                .transform(row, Direction::Forward)
                 .expect("row length matches plan by construction");
-        });
+        }
         transpose_square_block(data, n);
         for &c in support_cols {
             self.col_plan
@@ -591,14 +592,12 @@ mod tests {
         let data = ramp(n, n);
         let mut dense = data.clone();
         fft.forward(&mut dense).unwrap();
-        for pool in [InnerPool::serial(), InnerPool::new(4)] {
-            let mut sparse = data.clone();
-            fft.forward_support_transposed(&mut sparse, &support, &pool)
-                .unwrap();
-            for &c in &support {
-                for r in 0..n {
-                    assert_eq!(sparse[c * n + r], dense[r * n + c], "bin ({r},{c})");
-                }
+        let mut sparse = data.clone();
+        fft.forward_support_transposed(&mut sparse, &support, &InnerPool::serial())
+            .unwrap();
+        for &c in &support {
+            for r in 0..n {
+                assert_eq!(sparse[c * n + r], dense[r * n + c], "bin ({r},{c})");
             }
         }
     }

@@ -259,7 +259,7 @@ impl FftPlan {
     /// the first pass left in place: pairs of stages fused, then the one
     /// stage an odd count leaves over. One code path per direction
     /// regardless of caller, so every transform of the same values is
-    /// bit-identical no matter how it is batched, pooled or fed.
+    /// bit-identical no matter how it is batched or fed.
     fn later_stages(&self, data: &mut [Complex], dir: Direction) {
         let table = match dir {
             Direction::Forward => &self.fwd,

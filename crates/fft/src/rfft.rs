@@ -438,6 +438,8 @@ impl Rfft2d {
     /// layout (`spec[c*n + r] = X(r, c)` for `c <= n/2`), and `scratch`
     /// is a caller-owned buffer of the same size.
     ///
+    /// `_pool` is ignored; `benchmark/` still passes it.
+    ///
     /// # Errors
     ///
     /// Returns [`FftError::ShapeMismatch`] if any buffer has the wrong
@@ -447,9 +449,9 @@ impl Rfft2d {
         src: &[f64],
         spec: &mut [Complex],
         scratch: &mut [Complex],
-        pool: &InnerPool,
+        _pool: &InnerPool,
     ) -> Result<(), FftError> {
-        self.forward_support(src, spec, scratch, None, pool)
+        self.forward_support(src, spec, scratch, None)
     }
 
     /// Forward real 2-D FFT of which only the listed stored columns are
@@ -473,7 +475,6 @@ impl Rfft2d {
         spec: &mut [Complex],
         scratch: &mut [Complex],
         support_cols: Option<&[usize]>,
-        pool: &InnerPool,
     ) -> Result<(), FftError> {
         let n = self.n;
         let hw = self.half_cols();
@@ -494,30 +495,29 @@ impl Rfft2d {
         // Row pass: each real row becomes its bins `bins` in row-major
         // scratch (the span of the wanted columns; the row untangle forms
         // nothing else).
-        let row = &*self.row;
-        pool.for_each_chunk_mut(scratch, hw, |r, out_row| {
-            row.forward_bins(&src[r * n..(r + 1) * n], out_row, bins.clone())
+        for (src_row, out_row) in src.chunks_exact(n).zip(scratch.chunks_exact_mut(hw)) {
+            self.row
+                .forward_bins(src_row, out_row, bins.clone())
                 .expect("row length matches plan by construction");
-        });
+        }
         // Column pass, one body for every column computed: transform
         // stored column c out of the row-major scratch (stride hw, read in
         // bit-reversed order by the first butterfly pass) into its
         // contiguous row of `spec`. No transpose back: the half-spectrum
         // layout *is* transposed.
         let plan = &self.col_plan;
-        let scratch = &*scratch;
-        let column = |c: usize, col: &mut [Complex]| {
-            plan.transform_from(scratch, c, hw, col, Direction::Forward);
-        };
         match support_cols {
-            // A band of a few dozen columns is cheaper on the caller than
-            // a pool dispatch (as in `inverse_support_scaled`).
             Some(cols) => {
                 for &c in cols {
-                    column(c, &mut spec[c * n..(c + 1) * n]);
+                    let col = &mut spec[c * n..(c + 1) * n];
+                    plan.transform_from(scratch, c, hw, col, Direction::Forward);
                 }
             }
-            None => pool.for_each_chunk_mut(spec, n, column),
+            None => {
+                for (c, col) in spec.chunks_exact_mut(n).enumerate() {
+                    plan.transform_from(scratch, c, hw, col, Direction::Forward);
+                }
+            }
         }
         Ok(())
     }
@@ -534,9 +534,8 @@ impl Rfft2d {
         spec: &mut [Complex],
         dst: &mut [f64],
         scratch: &mut [Complex],
-        pool: &InnerPool,
     ) -> Result<(), FftError> {
-        self.inverse_support_scaled(spec, dst, scratch, None, 1.0, pool)
+        self.inverse_support_scaled(spec, dst, scratch, None, 1.0, &InnerPool::serial())
     }
 
     /// Inverse real 2-D FFT of a half-spectrum known to be zero outside
@@ -550,7 +549,8 @@ impl Rfft2d {
     /// [`crate::Fft2d::inverse_support`]. The output is
     /// `extra * ifft2(spec)` (pass `extra = 1.0` for the plain inverse);
     /// the scale costs nothing, it rides the untangle pass of the final
-    /// real row transforms.
+    /// real row transforms. `_pool` is ignored; `benchmark/` still passes
+    /// it.
     ///
     /// # Errors
     ///
@@ -564,7 +564,7 @@ impl Rfft2d {
         scratch: &mut [Complex],
         support_cols: Option<&[usize]>,
         extra: f64,
-        pool: &InnerPool,
+        _pool: &InnerPool,
     ) -> Result<(), FftError> {
         let n = self.n;
         let hw = self.half_cols();
@@ -588,10 +588,10 @@ impl Rfft2d {
                 }
             }
             None => {
-                pool.for_each_chunk_mut(spec, n, |_, col| {
+                for col in spec.chunks_exact_mut(n) {
                     plan.transform(col, Direction::Inverse)
                         .expect("column length matches plan by construction");
-                });
+                }
             }
         }
         let bins = self.listed_span(support_cols);
@@ -603,12 +603,12 @@ impl Rfft2d {
         // 2-D normalisation (and the caller's extra scale) is fused into
         // the row re-tangle.
         transpose_into_block(spec, hw, n, scratch, bins.clone());
-        let row = &*self.row;
         let scale = extra / (n * n) as f64;
-        pool.for_each_chunk_zip_mut(scratch, hw, dst, n, |_, srow, drow| {
-            row.inverse_bins_scaled(srow, bins.clone(), drow, scale)
+        for (srow, drow) in scratch.chunks_exact_mut(hw).zip(dst.chunks_exact_mut(n)) {
+            self.row
+                .inverse_bins_scaled(srow, bins.clone(), drow, scale)
                 .expect("row length matches plan by construction");
-        });
+        }
         Ok(())
     }
 
@@ -764,23 +764,17 @@ mod tests {
     }
 
     #[test]
-    fn rfft2_roundtrip_and_pool_bit_identity() {
+    fn rfft2_roundtrip() {
         let n = 64;
         let rfft = Rfft2d::new(n).unwrap();
         let x: Vec<f64> = reals(n * n, 2.3);
-        let run = |pool: &InnerPool| {
-            let mut spec = vec![Complex::ZERO; rfft.spectrum_len()];
-            let mut scratch = vec![Complex::ZERO; rfft.spectrum_len()];
-            rfft.forward(&x, &mut spec, &mut scratch, pool).unwrap();
-            let mut back = vec![0.0; n * n];
-            rfft.inverse(&mut spec, &mut back, &mut scratch, pool)
-                .unwrap();
-            back
-        };
-        let serial = run(&InnerPool::serial());
-        let pooled = run(&InnerPool::new(4));
-        assert_eq!(serial, pooled, "pooled rfft2 must be bit-identical");
-        for (a, b) in x.iter().zip(&serial) {
+        let mut spec = vec![Complex::ZERO; rfft.spectrum_len()];
+        let mut scratch = vec![Complex::ZERO; rfft.spectrum_len()];
+        rfft.forward(&x, &mut spec, &mut scratch, &InnerPool::serial())
+            .unwrap();
+        let mut back = vec![0.0; n * n];
+        rfft.inverse(&mut spec, &mut back, &mut scratch).unwrap();
+        for (a, b) in x.iter().zip(&back) {
             assert!((a - b).abs() < 1e-12);
         }
     }
@@ -859,21 +853,19 @@ mod tests {
                 )
                 .unwrap();
                 assert!(want.iter().all(|v| v.is_finite()));
-                for pool in [InnerPool::serial(), InnerPool::new(2)] {
-                    let mut sparse = padded.clone();
-                    let mut got = vec![f64::NAN; n * n];
-                    let mut scratch = vec![POISON; len];
-                    rfft.inverse_support_scaled(
-                        &mut sparse,
-                        &mut got,
-                        &mut scratch,
-                        Some(cols),
-                        *extra,
-                        &pool,
-                    )
-                    .unwrap();
-                    assert_eq!(bits(&got), bits(&want), "n={n} columns {cols:?}");
-                }
+                let mut sparse = padded.clone();
+                let mut got = vec![f64::NAN; n * n];
+                let mut scratch = vec![POISON; len];
+                rfft.inverse_support_scaled(
+                    &mut sparse,
+                    &mut got,
+                    &mut scratch,
+                    Some(cols),
+                    *extra,
+                    &serial,
+                )
+                .unwrap();
+                assert_eq!(bits(&got), bits(&want), "n={n} columns {cols:?}");
             }
         }
 
@@ -942,38 +934,31 @@ mod tests {
                 .unwrap();
             assert!(dense.iter().all(|z| !z.is_nan()));
             for cols in &column_lists(p, hw) {
-                for pool in [InnerPool::serial(), InnerPool::new(2)] {
-                    // Whatever the call does not compute is NaN going in —
-                    // the unlisted columns of `spec` and all of `scratch` —
-                    // and no NaN may reach a listed bin.
-                    let sentinel = Complex::new(f64::NAN, -7.0);
-                    let mut sparse = vec![sentinel; rfft.spectrum_len()];
-                    let mut scratch = vec![POISON; rfft.spectrum_len()];
-                    rfft.forward_support(&x, &mut sparse, &mut scratch, Some(cols), &pool)
-                        .unwrap();
-                    for c in 0..hw {
-                        let (got, want) = (&sparse[c * n..(c + 1) * n], &dense[c * n..(c + 1) * n]);
-                        if cols.contains(&c) {
-                            assert_eq!(
-                                complex_bits(got),
-                                complex_bits(want),
-                                "n={n} column {c} of {cols:?}"
-                            );
-                        } else {
-                            // Unlisted columns are not touched at all.
-                            assert!(
-                                got.iter().all(|z| z.re.is_nan() && z.im == -7.0),
-                                "n={n} column {c} written"
-                            );
-                        }
+                // Whatever the call does not compute is NaN going in — the
+                // unlisted columns of `spec` and all of `scratch` — and no
+                // NaN may reach a listed bin.
+                let sentinel = Complex::new(f64::NAN, -7.0);
+                let mut sparse = vec![sentinel; rfft.spectrum_len()];
+                let mut scratch = vec![POISON; rfft.spectrum_len()];
+                rfft.forward_support(&x, &mut sparse, &mut scratch, Some(cols))
+                    .unwrap();
+                for c in 0..hw {
+                    let (got, want) = (&sparse[c * n..(c + 1) * n], &dense[c * n..(c + 1) * n]);
+                    if cols.contains(&c) {
+                        assert_eq!(
+                            complex_bits(got),
+                            complex_bits(want),
+                            "n={n} column {c} of {cols:?}"
+                        );
+                    } else {
+                        // Unlisted columns are not touched at all.
+                        assert!(
+                            got.iter().all(|z| z.re.is_nan() && z.im == -7.0),
+                            "n={n} column {c} written"
+                        );
                     }
                 }
             }
-            // The dense transform itself does not depend on the pool.
-            let mut pooled = vec![Complex::ZERO; rfft.spectrum_len()];
-            rfft.forward(&x, &mut pooled, &mut scratch, &InnerPool::new(2))
-                .unwrap();
-            assert_eq!(dense, pooled, "n={n}");
         }
     }
 
@@ -995,7 +980,7 @@ mod tests {
                     // Unlisted columns stay as they are: zero on both sides.
                     let mut spec = vec![Complex::ZERO; rfft.spectrum_len()];
                     let mut scratch = vec![POISON; rfft.spectrum_len()];
-                    rfft.forward_support(&x, &mut spec, &mut scratch, Some(&cols), &pool)
+                    rfft.forward_support(&x, &mut spec, &mut scratch, Some(&cols))
                         .unwrap();
                     let forward = complex_bits(&spec);
                     let mut back = vec![0.0; n * n];
@@ -1074,24 +1059,23 @@ mod tests {
         let x = vec![0.0; n * n];
         let mut spec = vec![Complex::ZERO; rfft.spectrum_len()];
         let mut scratch = vec![Complex::ZERO; rfft.spectrum_len()];
-        let serial = InnerPool::serial();
         assert_eq!(
-            rfft.forward_support(&x, &mut spec, &mut scratch, Some(&[0, 5]), &serial),
+            rfft.forward_support(&x, &mut spec, &mut scratch, Some(&[0, 5])),
             Err(FftError::LengthMismatch {
                 expected: 5,
                 actual: 5
             })
         );
         assert!(matches!(
-            rfft.forward_support(&x[1..], &mut spec, &mut scratch, Some(&[0]), &serial),
+            rfft.forward_support(&x[1..], &mut spec, &mut scratch, Some(&[0])),
             Err(FftError::ShapeMismatch { .. })
         ));
         assert!(matches!(
-            rfft.forward_support(&x, &mut spec[1..], &mut scratch, Some(&[0]), &serial),
+            rfft.forward_support(&x, &mut spec[1..], &mut scratch, Some(&[0])),
             Err(FftError::ShapeMismatch { .. })
         ));
         assert!(matches!(
-            rfft.forward_support(&x, &mut spec, &mut scratch[1..], None, &serial),
+            rfft.forward_support(&x, &mut spec, &mut scratch[1..], None),
             Err(FftError::ShapeMismatch { .. })
         ));
     }

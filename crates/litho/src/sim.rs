@@ -73,15 +73,15 @@
 //! * [`SimWorkspace`] is a scratch arena holding every buffer the two
 //!   passes need. [`LithoSimulator::simulate_into`] /
 //!   [`LithoSimulator::gradient_into`] reuse it across iterations without
-//!   touching the heap. The per-slot fields, per-worker scratch and
-//!   partials are `n_s^2` (0.2 MB instead of 6.3 MB for a 256-pixel tile
-//!   with `K = 6` in three slots, `P = 27`), so the per-slot loop works
-//!   out of L2.
+//!   touching the heap. The per-slot fields, the adjoint's transform
+//!   scratch and the partials are `n_s^2` (0.2 MB instead of 6.3 MB for a
+//!   256-pixel tile with `K = 6` in three slots, `P = 27`), so the
+//!   per-slot loop works out of L2.
 //! * Per-slot work (the inverse transforms of the forward pass, the
-//!   forward transforms of the adjoint) is spread across an
-//!   [`ilt_par::InnerPool`]. Each slot writes its own buffer and all
-//!   cross-slot reductions happen serially in slot order afterwards, so
-//!   results are **bit-identical** for any thread count.
+//!   forward transforms of the adjoint) runs in slot order on the calling
+//!   thread: tiles are the unit of parallelism, and inside a tile the FFT
+//!   kernels' vector lanes are. Each slot writes its own buffer and every
+//!   cross-slot reduction is a serial sum in slot order.
 //! * Per-slot inverses use [`Fft2d::inverse_support`], skipping the
 //!   first-pass transforms of the `n_s - P` rows the `P x P` crop left
 //!   zero; per-slot forwards use [`Fft2d::forward_support_transposed`],
@@ -144,9 +144,6 @@ pub struct LithoSimulator {
     /// the support's columns `-P/2..P - P/2`, the negative ones through
     /// the Hermitian mirror.
     band_cols: Vec<usize>,
-    /// Worker pool for per-slot and per-row-batch parallelism. Serial by
-    /// default; see [`LithoSimulator::with_inner_pool`].
-    pool: InnerPool,
 }
 
 /// The buffer shape a [`SimWorkspace`] is sized for.
@@ -155,7 +152,6 @@ struct WorkspaceShape {
     n: usize,
     slots: usize,
     support: usize,
-    workers: usize,
 }
 
 /// Reusable scratch arena for [`LithoSimulator::simulate_into`] and
@@ -187,8 +183,8 @@ pub struct SimWorkspace {
     fields: Vec<Vec<Complex>>,
     /// Per-slot adjoint support products, each `P^2`.
     partials: Vec<Vec<Complex>>,
-    /// Per-worker scratch for the adjoint forward transforms, each `n_s^2`.
-    scratch: Vec<Vec<Complex>>,
+    /// Scratch for the adjoint's per-slot forward transforms, `n_s^2`.
+    scratch: Vec<Complex>,
     /// Real `n_s^2` image: the intensity before interpolation (forward
     /// pass), the low-passed `dL/dI` (adjoint pass). Empty when `n_s == n`.
     ns_real: Vec<f64>,
@@ -204,12 +200,7 @@ pub struct SimWorkspace {
 
 impl SimWorkspace {
     fn new(shape: WorkspaceShape) -> Self {
-        let WorkspaceShape {
-            n,
-            slots,
-            support,
-            workers,
-        } = shape;
+        let WorkspaceShape { n, slots, support } = shape;
         let ns = nyquist_edge(n, support);
         let half_len = (n / 2 + 1) * n;
         let (ns_len, ns_half_len) = if ns < n {
@@ -226,7 +217,7 @@ impl SimWorkspace {
             partials: (0..slots)
                 .map(|_| vec![Complex::ZERO; support * support])
                 .collect(),
-            scratch: (0..workers).map(|_| vec![Complex::ZERO; ns * ns]).collect(),
+            scratch: vec![Complex::ZERO; ns * ns],
             ns_real: vec![0.0; ns_len],
             ns_half: vec![Complex::ZERO; ns_half_len],
             ns_scratch: vec![Complex::ZERO; ns_half_len],
@@ -272,17 +263,10 @@ impl SimWorkspace {
         &self.grad
     }
 
-    /// Re-creates the workspace unless it already fits `shape` (a larger
-    /// per-worker scratch set is fine). Steady-state calls compare a
-    /// handful of integers and touch nothing.
+    /// Re-creates the workspace unless it is already sized for `shape`.
+    /// Steady-state calls compare three integers and touch nothing.
     fn ensure(&mut self, shape: WorkspaceShape) {
-        let fits = self.shape.workers >= shape.workers
-            && shape
-                == WorkspaceShape {
-                    workers: shape.workers,
-                    ..self.shape
-                };
-        if !fits {
+        if self.shape != shape {
             ilt_telemetry::counter_add("litho.workspace.realloc", 1);
             *self = SimWorkspace::new(shape);
         }
@@ -292,10 +276,6 @@ impl SimWorkspace {
 impl LithoSimulator {
     /// Creates a simulator for `n x n` masks using the given (already
     /// scaled) kernel set.
-    ///
-    /// The simulator starts with the process-configured inner pool
-    /// ([`InnerPool::current`], i.e. the `ILT_INNER_THREADS` budget); use
-    /// [`LithoSimulator::with_inner_pool`] to override it explicitly.
     ///
     /// # Errors
     ///
@@ -344,15 +324,7 @@ impl LithoSimulator {
             ns_rfft,
             ns_bin: bins(ns),
             band_cols: (0..p).collect(),
-            pool: InnerPool::current(),
         })
-    }
-
-    /// Returns `self` with the given inner pool (builder style).
-    #[must_use]
-    pub fn with_inner_pool(mut self, pool: InnerPool) -> Self {
-        self.pool = pool;
-        self
     }
 
     /// When the fields live on a coarser grid than the mask: the real plan
@@ -363,17 +335,6 @@ impl LithoSimulator {
     fn resampler(&self) -> Option<(&Rfft2d, f64)> {
         let scale = (self.ns * self.ns) as f64 / (self.n * self.n) as f64;
         self.ns_rfft.as_ref().map(|plan| (plan, scale))
-    }
-
-    /// Replaces the inner pool used for per-slot parallelism.
-    pub fn set_inner_pool(&mut self, pool: InnerPool) {
-        self.pool = pool;
-    }
-
-    /// The inner pool currently in use.
-    #[inline]
-    pub fn inner_pool(&self) -> InnerPool {
-        self.pool
     }
 
     /// Simulation grid edge length.
@@ -388,17 +349,16 @@ impl LithoSimulator {
         &self.kernels
     }
 
-    /// The workspace shape this simulator and its pool need.
+    /// The workspace shape this simulator needs.
     fn shape(&self) -> WorkspaceShape {
         WorkspaceShape {
             n: self.n,
             slots: self.kernels.slots().len(),
             support: self.kernels.support(),
-            workers: self.pool.threads(),
         }
     }
 
-    /// Creates a scratch arena sized for this simulator and its pool.
+    /// Creates a scratch arena sized for this simulator.
     pub fn workspace(&self) -> SimWorkspace {
         SimWorkspace::new(self.shape())
     }
@@ -428,17 +388,14 @@ impl LithoSimulator {
             &mut ws.half_spectrum,
             &mut ws.rscratch,
             Some(&self.band_cols[..=p / 2]),
-            &self.pool,
         )?;
         let slots = self.kernels.slots();
         let bin = &self.bin;
         let hw = n / 2 + 1;
         let half = &ws.half_spectrum;
         let (ns, ns_bin, ns_fft) = (self.ns, &self.ns_bin, &self.ns_fft);
-        // One slot per buffer: disjoint writes, so the pool changes
-        // nothing about the result.
-        self.pool.for_each_mut(&mut ws.fields, |k, field| {
-            let h = slots[k].table();
+        for (slot, field) in slots.iter().zip(&mut ws.fields) {
+            let h = slot.table();
             field.fill(Complex::ZERO);
             for r in 0..p {
                 let rr = bin[r];
@@ -458,11 +415,10 @@ impl LithoSimulator {
             ns_fft
                 .inverse_support(field, ns_bin)
                 .expect("field buffer matches plan by construction");
-        });
+        }
 
-        // Intensity reduction stays serial and in slot order so the sum
-        // is bit-identical regardless of the pool. It runs on the fields'
-        // own grid: straight into the output unless that grid is coarser.
+        // Intensity reduction in slot order, on the fields' own grid:
+        // straight into the output unless that grid is coarser.
         let resample = self.resampler();
         let sum: &mut [f64] = match resample {
             Some(_) => &mut ws.ns_real,
@@ -477,14 +433,12 @@ impl LithoSimulator {
         }
         if let Some((ns_rfft, scale)) = resample {
             // Band-limited interpolation n_s -> n: the intensity occupies
-            // only |k| <= P - 1, so zero-padding its spectrum is exact. The
-            // n_s-size transforms are too small to be worth pool dispatch.
+            // only |k| <= P - 1, so zero-padding its spectrum is exact.
             ns_rfft.forward_support(
                 &ws.ns_real,
                 &mut ws.ns_half,
                 &mut ws.ns_scratch,
                 Some(&self.band_cols),
-                &InnerPool::serial(),
             )?;
             spectral::copy_half_band(&ws.ns_half, self.ns, &mut ws.raccum, n, p - 1)?;
             // Why n_s^2/n^2: the summed |field|^2 carries (n/n_s)^4 (see
@@ -496,7 +450,7 @@ impl LithoSimulator {
                 &mut ws.rscratch,
                 Some(&self.band_cols),
                 scale,
-                &self.pool,
+                &InnerPool::serial(),
             )?;
         }
         Ok(())
@@ -546,7 +500,6 @@ impl LithoSimulator {
                     &mut ws.half_spectrum,
                     &mut ws.rscratch,
                     Some(&self.band_cols),
-                    &self.pool,
                 )?;
                 // The forward pass left the intensity's spectrum here; the
                 // sparse inverse needs zeros outside the band.
@@ -570,35 +523,30 @@ impl LithoSimulator {
         // P x P support only. For a pair that product also holds the cross
         // terms H_e X_o + H_o X_e; they are anti-Hermitian, so the
         // Hermitianised reduction below cancels them. Each slot owns its
-        // partial buffer; workers never share scratch.
+        // partial buffer.
         let slots = self.kernels.slots();
         let bin = &self.bin;
-        let fields = &ws.fields;
+        let scratch = &mut ws.scratch;
         let (ns, ns_bin, ns_fft) = (self.ns, &self.ns_bin, &self.ns_fft);
-        self.pool.for_each_with_scratch(
-            &mut ws.partials,
-            &mut ws.scratch,
-            |k, partial, scratch| {
-                let (w_re, w_im) = slots[k].weights();
-                for ((dst, a), &g) in scratch.iter_mut().zip(&fields[k]).zip(dldi_field) {
-                    *dst = Complex::new(w_re * g * a.re, w_im * g * a.im);
+        for ((slot, field), partial) in slots.iter().zip(&ws.fields).zip(&mut ws.partials) {
+            let (w_re, w_im) = slot.weights();
+            for ((dst, a), &g) in scratch.iter_mut().zip(field).zip(dldi_field) {
+                *dst = Complex::new(w_re * g * a.re, w_im * g * a.im);
+            }
+            let h = slot.table();
+            // Only the P support columns of the spectrum are read below, so
+            // the forward can skip the other column transforms. The result
+            // is transposed.
+            ns_fft
+                .forward_support_transposed(scratch, ns_bin, &InnerPool::serial())
+                .expect("scratch buffer matches plan by construction");
+            for r in 0..p {
+                for c in 0..p {
+                    let idx = ns_bin[c] * ns + ns_bin[r];
+                    partial[r * p + c] = scratch[idx] * h[r * p + c].conj();
                 }
-                let h = slots[k].table();
-                // Only the P support columns of the spectrum are read
-                // below, so the forward can skip the other column
-                // transforms. The result is transposed; the pool slot is
-                // already a worker, so the column pass stays serial.
-                ns_fft
-                    .forward_support_transposed(scratch, ns_bin, &InnerPool::serial())
-                    .expect("scratch buffer matches plan by construction");
-                for r in 0..p {
-                    for c in 0..p {
-                        let idx = ns_bin[c] * ns + ns_bin[r];
-                        partial[r * p + c] = scratch[idx] * h[r * p + c].conj();
-                    }
-                }
-            },
-        );
+            }
+        }
 
         // Fixed-order Hermitianised reduction: accumulate S + R(S) where
         // R(S)(r,c) = conj(S((n-r)%n, (n-c)%n)), so the inverse rfft of
@@ -630,7 +578,7 @@ impl LithoSimulator {
             &mut ws.rscratch,
             Some(&self.rbin_cols),
             1.0,
-            &self.pool,
+            &InnerPool::serial(),
         )?;
         Ok(&ws.grad)
     }
@@ -870,35 +818,6 @@ mod tests {
         assert_eq!(fresh.grad().as_slice(), ws.grad().as_slice());
     }
 
-    #[test]
-    fn parallel_pool_is_bit_identical_to_serial() {
-        let cfg = OpticsConfig::test_small();
-        let kernels = KernelSet::build(&cfg, false).unwrap();
-        let serial = LithoSimulator::new(cfg.base_n, kernels.clone())
-            .unwrap()
-            .with_inner_pool(InnerPool::serial());
-        let parallel = LithoSimulator::new(cfg.base_n, kernels)
-            .unwrap()
-            .with_inner_pool(InnerPool::new(4));
-        let n = serial.n();
-        let mask = wavy_mask(n);
-        let dldi = Grid::from_fn(n, n, |x, y| ((x as f64 - y as f64) * 0.01).tanh());
-
-        let mut ws_s = serial.workspace();
-        serial.simulate_into(&mask, &mut ws_s).unwrap();
-        serial.gradient_into(&mut ws_s, &dldi).unwrap();
-
-        let mut ws_p = parallel.workspace();
-        parallel.simulate_into(&mask, &mut ws_p).unwrap();
-        parallel.gradient_into(&mut ws_p, &dldi).unwrap();
-
-        assert_eq!(ws_s.intensity().as_slice(), ws_p.intensity().as_slice());
-        assert_eq!(ws_s.grad().as_slice(), ws_p.grad().as_slice());
-        for (a, b) in ws_s.fields().iter().zip(ws_p.fields()) {
-            assert_eq!(a, b);
-        }
-    }
-
     /// Eq. (1)–(3) and the adjoint evaluated densely at mask resolution with
     /// plain complex transforms, one kernel at a time, straight from the
     /// formulas in the module docs: the reference implementation the
@@ -1134,29 +1053,24 @@ mod tests {
     }
 
     #[test]
-    fn nyquist_grid_is_bit_identical_across_pools_and_workspace_reuse() {
+    fn nyquist_grid_is_bit_identical_across_workspace_reuse() {
         for (name, n, kernels, _) in nyquist_cases() {
-            let serial = LithoSimulator::new(n, kernels.clone())
-                .unwrap()
-                .with_inner_pool(InnerPool::new(1));
-            let parallel = LithoSimulator::new(n, kernels)
-                .unwrap()
-                .with_inner_pool(InnerPool::new(4));
+            let sim = LithoSimulator::new(n, kernels).unwrap();
             let mask = hard_mask(n);
             let dldi = noise(n, 0xdead_beef_cafe_f00d);
 
-            let mut once = serial.workspace();
-            serial.simulate_into(&mask, &mut once).unwrap();
-            serial.gradient_into(&mut once, &dldi).unwrap();
+            let mut once = sim.workspace();
+            sim.simulate_into(&mask, &mut once).unwrap();
+            sim.gradient_into(&mut once, &dldi).unwrap();
 
-            // One workspace reused across iterations, on four workers.
-            let mut ws = parallel.workspace();
+            // One workspace reused across iterations.
+            let mut ws = sim.workspace();
             for _ in 0..3 {
-                parallel.simulate_into(&mask, &mut ws).unwrap();
+                sim.simulate_into(&mask, &mut ws).unwrap();
                 // The adjoint stages dL/dI where the forward pass left the
                 // intensity's spectrum; none of that may leak through.
                 ws.ns_half.fill(Complex::new(1e3, -1e3));
-                parallel.gradient_into(&mut ws, &dldi).unwrap();
+                sim.gradient_into(&mut ws, &dldi).unwrap();
             }
             assert_eq!(
                 once.intensity().as_slice(),

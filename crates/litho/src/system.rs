@@ -183,11 +183,9 @@ impl LithoSystem {
         self.nominal.gradient_into(ws, dldi)
     }
 
-    /// Replaces the inner pool on both optical paths.
-    pub fn set_inner_pool(&mut self, pool: InnerPool) {
-        self.nominal.set_inner_pool(pool);
-        self.defocused.set_inner_pool(pool);
-    }
+    /// Does nothing: both optical paths always run on the calling thread.
+    /// Kept for `benchmark/`; goes with ROADMAP item 1.
+    pub fn set_inner_pool(&mut self, _pool: InnerPool) {}
 
     /// Prints the wafer at a process corner.
     ///

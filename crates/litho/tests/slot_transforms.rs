@@ -7,7 +7,6 @@
 
 use ilt_grid::Grid;
 use ilt_litho::{KernelSet, LithoSimulator, OpticsConfig};
-use ilt_par::InnerPool;
 
 #[test]
 fn a_pass_runs_one_complex_transform_per_slot() {
@@ -20,10 +19,7 @@ fn a_pass_runs_one_complex_transform_per_slot() {
     for (defocused, transforms) in [(false, 3u64), (true, 6)] {
         let kernels = KernelSet::build(&cfg, defocused).unwrap();
         assert_eq!(kernels.len(), 6);
-        // Serial, so every transform is counted on this thread.
-        let sim = LithoSimulator::new(n, kernels)
-            .unwrap()
-            .with_inner_pool(InnerPool::serial());
+        let sim = LithoSimulator::new(n, kernels).unwrap();
         let mut ws = sim.workspace();
 
         ilt_telemetry::set_enabled(true);

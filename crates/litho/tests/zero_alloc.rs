@@ -15,7 +15,6 @@ use std::cell::Cell;
 
 use ilt_grid::Grid;
 use ilt_litho::{KernelSet, LithoSimulator, OpticsConfig};
-use ilt_par::InnerPool;
 use ilt_prof::Stage;
 
 thread_local! {
@@ -65,11 +64,7 @@ fn steady_state_simulate_gradient_is_allocation_free() {
     // fine (fields evaluated on the 64-point Nyquist grid, intensity and
     // dL/dI resampled through the small real transforms).
     for n in [cfg.base_n, 2 * cfg.base_n] {
-        // Serial pool: spawning scoped workers necessarily allocates, so the
-        // zero-allocation guarantee is about the compute path itself.
-        let sim = LithoSimulator::new(n, kernels.clone())
-            .unwrap()
-            .with_inner_pool(InnerPool::serial());
+        let sim = LithoSimulator::new(n, kernels.clone()).unwrap();
         let mask = Grid::from_fn(n, n, |x, y| {
             0.3 + 0.2 * ((x as f64 * 0.3).sin() * (y as f64 * 0.21).cos())
         });

@@ -141,10 +141,6 @@ fn solver_steady_state_is_allocation_free_and_counters_agree() {
     // two runs' allocation counts differ by harness noise; the guarantee
     // under test is about the solvers, so switch recording off.
     ilt_telemetry::flight::set_recording(false);
-    // Spawning scoped inner workers necessarily allocates; the guarantee is
-    // about the compute path, whatever `ILT_INNER_THREADS` the suite runs
-    // under.
-    ilt_par::set_inner_threads(1);
 
     let bank = LithoBank::new(OpticsConfig::test_small(), ResistModel::default()).unwrap();
     let ctx = SolveContext {

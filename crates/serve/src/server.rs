@@ -71,11 +71,6 @@ pub struct ServeConfig {
     /// Worker threads for per-tile execution inside each job
     /// (`ILT_WORKERS`, default 1).
     pub tile_workers: usize,
-    /// Intra-tile threads (per-kernel / FFT row-batch parallelism,
-    /// `ILT_INNER_THREADS`, default 1). Capped so
-    /// `workers x tile_workers x inner_threads` never exceeds the
-    /// available cores.
-    pub inner_threads: usize,
 }
 
 impl Default for ServeConfig {
@@ -85,7 +80,6 @@ impl Default for ServeConfig {
             queue_depth: 64,
             workers: 1,
             tile_workers: 1,
-            inner_threads: 1,
         }
     }
 }
@@ -95,40 +89,13 @@ impl ServeConfig {
     /// defaults above and warning on stderr about unparsable values.
     pub fn from_env() -> Self {
         let defaults = ServeConfig::default();
-        let workers = env_usize("ILT_SERVE_WORKERS", defaults.workers).max(1);
-        let tile_workers = env_usize("ILT_WORKERS", defaults.tile_workers).max(1);
-        let inner_threads = capped_inner_threads(
-            env_usize("ILT_INNER_THREADS", defaults.inner_threads).max(1),
-            workers.saturating_mul(tile_workers),
-            ilt_par::available_cores(),
-        );
-        // Publish the budget so every simulator the job workers build picks
-        // it up.
-        ilt_par::set_inner_threads(inner_threads);
         ServeConfig {
             addr: std::env::var("ILT_SERVE_ADDR").unwrap_or(defaults.addr),
             queue_depth: env_usize("ILT_SERVE_QUEUE", defaults.queue_depth).max(1),
-            workers,
-            tile_workers,
-            inner_threads,
+            workers: env_usize("ILT_SERVE_WORKERS", defaults.workers).max(1),
+            tile_workers: env_usize("ILT_WORKERS", defaults.tile_workers).max(1),
         }
     }
-}
-
-/// Caps the inner-thread budget so concurrent tile solves
-/// (`outer` = job workers x tile workers) never oversubscribe the machine.
-fn capped_inner_threads(requested: usize, outer: usize, cores: usize) -> usize {
-    if outer.saturating_mul(requested) <= cores {
-        return requested;
-    }
-    let capped = (cores / outer.max(1)).max(1);
-    if capped < requested {
-        eprintln!(
-            "warning: ILT_INNER_THREADS={requested} with {outer} concurrent tile solves \
-             oversubscribes {cores} cores; capping inner threads to {capped}"
-        );
-    }
-    capped
 }
 
 fn env_usize(var: &str, fallback: usize) -> usize {
@@ -915,14 +882,6 @@ fn resolve_target(spec: &JobSpec, config: &ilt_core::ExperimentConfig) -> BitGri
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn inner_threads_capped_against_worker_product() {
-        assert_eq!(capped_inner_threads(2, 2, 8), 2);
-        assert_eq!(capped_inner_threads(8, 4, 8), 2);
-        assert_eq!(capped_inner_threads(4, 16, 8), 1);
-        assert_eq!(capped_inner_threads(1, 1, 1), 1);
-    }
 
     #[test]
     fn suite_target_matches_the_benchmark_suite() {

@@ -77,7 +77,6 @@ fn eco_job_reuses_clean_tiles_from_the_base_solve() {
         queue_depth: 8,
         workers: 1,
         tile_workers: 2,
-        inner_threads: 1,
     })
     .expect("bind ephemeral port");
     let addr = handle.addr();

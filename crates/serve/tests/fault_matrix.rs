@@ -115,7 +115,6 @@ fn every_injection_point_fails_cleanly_and_deterministically() {
         queue_depth: 4,
         workers: 1,
         tile_workers: 1,
-        inner_threads: 1,
     })
     .expect("bind ephemeral port");
     let addr = handle.addr();

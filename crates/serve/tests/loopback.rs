@@ -148,7 +148,6 @@ fn loopback_end_to_end() {
         queue_depth: 2,
         workers: 1,
         tile_workers: 2,
-        inner_threads: 1,
     })
     .expect("bind ephemeral port");
     let addr = handle.addr();
@@ -299,7 +298,6 @@ fn rejects_after_drain_and_reports_errors() {
         queue_depth: 4,
         workers: 1,
         tile_workers: 1,
-        inner_threads: 1,
     })
     .expect("bind ephemeral port");
     let addr = handle.addr();

@@ -156,7 +156,6 @@ fn debug_endpoints_and_disjoint_job_traces() {
         queue_depth: 8,
         workers: 2,
         tile_workers: 1,
-        inner_threads: 1,
     })
     .expect("server starts");
     let addr = handle.addr();
@@ -395,7 +394,6 @@ fn span_memory_stays_bounded_while_collection_is_enabled() {
         queue_depth: 8,
         workers: 1,
         tile_workers: 1,
-        inner_threads: 1,
     })
     .expect("server starts");
     let addr = handle.addr();

@@ -132,15 +132,6 @@ impl TileExecutor {
         self.workers
     }
 
-    /// The intra-tile thread budget for jobs running on this executor: the
-    /// configured `ILT_INNER_THREADS` value, capped so
-    /// `workers x inner <= cores` (see [`ilt_par::budget`]). Tile jobs that
-    /// parallelise internally (per-kernel simulate/gradient, FFT row
-    /// batches) should size their [`ilt_par::InnerPool`] with this.
-    pub fn inner_budget(&self) -> ilt_par::InnerPool {
-        ilt_par::InnerPool::new(ilt_par::budget(self.workers))
-    }
-
     /// Evaluates `job(i)` for `i in 0..count`, returning results in index
     /// order. Jobs are claimed dynamically, so stragglers do not idle other
     /// workers.
@@ -340,16 +331,6 @@ mod tests {
         let e = TileExecutor::new(0);
         assert_eq!(e.workers(), 1);
         assert_eq!(e.run(3, |i| i), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn inner_budget_never_oversubscribes() {
-        // With `workers x inner <= cores` enforced (floor 1), an executor
-        // that already saturates the cores leaves exactly one inner thread
-        // per tile, whatever the environment requested.
-        let cores = ilt_par::available_cores();
-        assert_eq!(TileExecutor::new(cores).inner_budget().threads(), 1);
-        assert_eq!(TileExecutor::new(cores * 4).inner_budget().threads(), 1);
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! Property-based cross-crate invariants (proptest).
+//! Cross-crate invariants: property-based ones (proptest), and one of the
+//! written record — every section of `EXPERIMENTS.md` that the code and
+//! docs cite by name exists.
 
 use multigrid_schwarz_ilt::fft::{spectral, Complex, Fft2d, FftPlan, RfftPlan};
 use multigrid_schwarz_ilt::grid::{Grid, RealGrid};
@@ -215,4 +217,61 @@ fn stitch_loss_is_translation_invariant_along_the_line() {
             "translation changed the loss: {losses:?}"
         );
     }
+}
+
+/// Every section of `EXPERIMENTS.md` cited by quoted name (the file name,
+/// a space, the name in double quotes) in the sources and the top-level
+/// docs is the start of one of its headings. Citations may wrap across
+/// comment lines.
+#[test]
+fn cited_experiments_sections_exist() {
+    use std::path::{Path, PathBuf};
+
+    fn collect(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("readable directory") {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                collect(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs" || e == "md") {
+                out.push(path);
+            }
+        }
+    }
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let headings: Vec<String> = std::fs::read_to_string(root.join("EXPERIMENTS.md"))
+        .expect("EXPERIMENTS.md")
+        .lines()
+        .filter(|l| l.starts_with('#'))
+        .map(|l| l.trim_start_matches('#').trim().to_string())
+        .collect();
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests"] {
+        collect(&root.join(dir), &mut files);
+    }
+    files.extend(["README.md", "DESIGN.md", "ROADMAP.md"].map(|f| root.join(f)));
+
+    const CITE: &str = "EXPERIMENTS.md \"";
+    let mut cited = 0;
+    for file in &files {
+        // One line per file, comment markers dropped, so a citation that
+        // wraps reads as it would unwrapped.
+        let text = std::fs::read_to_string(file).expect("readable source");
+        let flat = text
+            .lines()
+            .map(|l| l.trim().trim_start_matches(['/', '!']).trim_start())
+            .collect::<Vec<_>>()
+            .join(" ");
+        for (at, _) in flat.match_indices(CITE) {
+            let rest = &flat[at + CITE.len()..];
+            let name = &rest[..rest.find('"').expect("closing quote")];
+            assert!(
+                headings.iter().any(|h| h.starts_with(name)),
+                "{} cites EXPERIMENTS.md \"{name}\", which is no heading there",
+                file.display()
+            );
+            cited += 1;
+        }
+    }
+    assert!(cited > 0, "no citation found: the scan is broken");
 }
