@@ -1,11 +1,11 @@
 //! # ilt-bench
 //!
-//! Shared plumbing for the experiment binaries that regenerate every table
-//! and figure of the paper's evaluation (see `DESIGN.md` for the
-//! experiment-to-binary index) and for the drills whose gates are counts,
-//! quality digits or same-process ratios (`eco_smoke`, `serve_load`,
-//! `memprofile`, `obs_overhead`, `report_diff`). Wall-clock speed is not
-//! measured here: that is `benchmark/` (`BENCHMARK.json`).
+//! Shared plumbing for `reproduce`, the one driver that regenerates every
+//! table and figure of the paper's evaluation (see `DESIGN.md` for the
+//! experiment-to-section index), and for the drills whose gates are
+//! counts, quality digits or same-process ratios (`eco_smoke`,
+//! `serve_load`, `memprofile`, `obs_overhead`, `report_diff`). Wall-clock
+//! speed is not measured here: that is `benchmark/` (`BENCHMARK.json`).
 //!
 //! Environment knobs honoured by all binaries:
 //!
@@ -33,11 +33,10 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use ilt_core::ExperimentConfig;
-use ilt_litho::{LithoBank, ResistModel};
 use ilt_telemetry::Telemetry;
 use ilt_tile::TileExecutor;
 
-/// Runtime options shared by the experiment binaries.
+/// Runtime options shared by the bench binaries.
 #[derive(Debug, Clone)]
 pub struct HarnessOptions {
     /// Experiment configuration (scale-dependent).
@@ -84,18 +83,6 @@ impl HarnessOptions {
             workers,
             out_dir,
         }
-    }
-
-    /// Builds a private kernel bank for the configured optics. Prefer
-    /// [`session`](Self::session), which shares the bank process-wide and
-    /// carries the prebuilt inspection system.
-    ///
-    /// # Panics
-    ///
-    /// Panics if kernel construction fails — unrecoverable for a harness.
-    pub fn bank(&self) -> LithoBank {
-        LithoBank::new(self.config.optics, ResistModel::m1_default())
-            .expect("kernel bank construction failed")
     }
 
     /// Prepares an [`ilt_core::Session`] for the configured experiment:
@@ -495,16 +482,6 @@ fn push_memory_section(out: &mut String) {
     out.push('}');
 }
 
-/// Formats a fixed-width table row for terminal output.
-pub fn row(cells: &[String], widths: &[usize]) -> String {
-    cells
-        .iter()
-        .zip(widths)
-        .map(|(c, w)| format!("{c:>w$}", w = w))
-        .collect::<Vec<_>>()
-        .join("  ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -680,11 +657,5 @@ mod tests {
             Some(4.0)
         );
         assert_eq!(report.matches("extra_section_test").count(), 1);
-    }
-
-    #[test]
-    fn row_formatting() {
-        let r = row(&["a".into(), "bb".into()], &[3, 4]);
-        assert_eq!(r, "  a    bb");
     }
 }

@@ -1,6 +1,8 @@
 //! The Table 1 experiment engine: run every flow on a clip, inspect the
 //! results over the whole region (Eq. (3)), and aggregate across the suite.
 
+use std::borrow::Borrow;
+
 use ilt_grid::{BitGrid, RealGrid};
 use ilt_layout::Clip;
 use ilt_litho::{Corner, LithoBank, LithoSystem};
@@ -266,6 +268,25 @@ pub fn run_case_in(
     clip: &Clip,
     executor: &TileExecutor,
 ) -> Result<CaseResult, CoreError> {
+    run_case_with(config, inspection, clip, |method| {
+        run_method(method, config, bank, &clip.target, executor)
+    })
+}
+
+/// Like [`run_case_in`], but takes each method's flow from `solve`, asked
+/// once per method in column order, so a caller that keeps flows (the
+/// paper-record driver shares them with its figure sections) hands over
+/// the ones it already has instead of solving them again.
+///
+/// # Errors
+///
+/// Propagates `solve`'s and inspection failures.
+pub fn run_case_with<F: Borrow<FlowResult>>(
+    config: &ExperimentConfig,
+    inspection: &LithoSystem,
+    clip: &Clip,
+    mut solve: impl FnMut(Method) -> Result<F, CoreError>,
+) -> Result<CaseResult, CoreError> {
     // Each bench case gets its own trace id (unless the caller already
     // installed one, e.g. a serve job), so the flight recorder can tell
     // concurrent or consecutive cases apart.
@@ -277,8 +298,9 @@ pub fn run_case_in(
     let lines = partition.stitch_lines();
     let mut methods = Vec::new();
     for method in Method::all() {
-        let flow = run_method(method, config, bank, &clip.target, executor)?;
-        let metrics = inspect(config, inspection, &lines, &clip.target, &flow)?;
+        let flow = solve(method)?;
+        let flow = flow.borrow();
+        let metrics = inspect(config, inspection, &lines, &clip.target, flow)?;
         if ilt_telemetry::enabled() {
             record_quality_diagnostics(
                 config,

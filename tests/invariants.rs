@@ -275,3 +275,33 @@ fn cited_experiments_sections_exist() {
     }
     assert!(cited > 0, "no citation found: the scan is broken");
 }
+
+/// EXPERIMENTS.md "Shape comparison" is a copy of `results/shape.csv`, the
+/// table the `reproduce` driver computes from Table 1's averages: the same
+/// header and rows, cell for cell.
+#[test]
+fn experiments_shape_table_copies_shape_csv() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |name: &str| std::fs::read_to_string(root.join(name)).expect(name);
+    let csv: Vec<Vec<String>> = read("results/shape.csv")
+        .lines()
+        .map(|l| l.split(',').map(str::to_string).collect())
+        .collect();
+    let experiments = read("EXPERIMENTS.md");
+    let table: Vec<Vec<String>> = experiments
+        .lines()
+        .skip_while(|l| l.trim() != "### Shape comparison")
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .filter(|l| !l.starts_with("|---"))
+        .map(|l| {
+            let cells = l.trim().trim_start_matches('|').trim_end_matches('|');
+            cells.split('|').map(|c| c.trim().to_string()).collect()
+        })
+        .collect();
+    assert!(csv.len() > 1, "results/shape.csv has no rows");
+    assert_eq!(
+        table, csv,
+        "the Shape comparison table of EXPERIMENTS.md differs from results/shape.csv"
+    );
+}
