@@ -47,8 +47,8 @@ fn main() {
     if !ilt_telemetry::enabled() && std::env::var("ILT_TRACE").is_err() {
         ilt_telemetry::set_enabled(true);
     }
-    let conns = env_usize("ILT_LOAD_CONNS", 2).max(1);
-    let jobs = env_usize("ILT_LOAD_JOBS", 8).max(1);
+    let conns = ilt_telemetry::env_or_warn("ILT_LOAD_CONNS", 2usize).max(1);
+    let jobs = ilt_telemetry::env_or_warn("ILT_LOAD_JOBS", 8usize).max(1);
 
     let (target, server) = match std::env::var("ILT_SERVE_TARGET") {
         Ok(addr) => (addr, None),
@@ -355,17 +355,4 @@ fn http_request(
         headers,
         body: String::from_utf8_lossy(&body).into_owned(),
     })
-}
-
-fn env_usize(var: &str, fallback: usize) -> usize {
-    match std::env::var(var) {
-        Err(_) => fallback,
-        Ok(raw) => match raw.trim().parse() {
-            Ok(v) => v,
-            Err(_) => {
-                eprintln!("warning: invalid {var}={raw:?}; using default {fallback}");
-                fallback
-            }
-        },
-    }
 }

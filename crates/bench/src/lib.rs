@@ -63,16 +63,14 @@ impl HarnessOptions {
         if ilt_telemetry::init_from_env() {
             ilt_telemetry::flight::set_capacity(usize::MAX);
         }
-        ilt_fault::configure_from_env();
+        ilt_telemetry::fault::configure_from_env();
         let scale = scale_or_warn(std::env::var("ILT_SCALE").ok());
         let config = match scale.as_str() {
             "tiny" => ExperimentConfig::test_tiny(),
             _ => ExperimentConfig::paper_default(),
         };
-        let cases =
-            parse_or_warn("ILT_CASES", std::env::var("ILT_CASES").ok(), 20usize).clamp(1, 20);
-        let workers =
-            parse_or_warn("ILT_WORKERS", std::env::var("ILT_WORKERS").ok(), 1usize).max(1);
+        let cases = ilt_telemetry::env_or_warn("ILT_CASES", 20usize).clamp(1, 20);
+        let workers = ilt_telemetry::env_or_warn("ILT_WORKERS", 1usize).max(1);
         let out_dir = std::env::var("ILT_OUT")
             .map(PathBuf::from)
             .unwrap_or_else(|_| PathBuf::from("results"));
@@ -263,24 +261,6 @@ fn scale_or_warn(raw: Option<String>) -> String {
             "default".to_string()
         }
         None => "default".to_string(),
-    }
-}
-
-/// Parses an environment value, warning on stderr (naming the variable and
-/// the fallback used) when the value is present but unparsable.
-fn parse_or_warn<T>(var: &str, raw: Option<String>, fallback: T) -> T
-where
-    T: std::str::FromStr + std::fmt::Display,
-{
-    match raw {
-        None => fallback,
-        Some(raw) => match raw.trim().parse() {
-            Ok(v) => v,
-            Err(_) => {
-                eprintln!("warning: invalid {var}={raw:?}; using default {fallback}");
-                fallback
-            }
-        },
     }
 }
 
@@ -497,15 +477,7 @@ mod tests {
     }
 
     #[test]
-    fn invalid_values_fall_back() {
-        assert_eq!(
-            parse_or_warn("ILT_CASES", Some("bogus".into()), 20usize),
-            20
-        );
-        assert_eq!(parse_or_warn("ILT_CASES", Some("-3".into()), 20usize), 20);
-        assert_eq!(parse_or_warn("ILT_CASES", Some(" 7 ".into()), 20usize), 7);
-        assert_eq!(parse_or_warn("ILT_WORKERS", None, 1usize), 1);
-        assert_eq!(parse_or_warn("ILT_WORKERS", Some("x".into()), 1usize), 1);
+    fn invalid_scale_falls_back() {
         assert_eq!(scale_or_warn(Some("tiny".into())), "tiny");
         assert_eq!(scale_or_warn(Some("huge".into())), "default");
         assert_eq!(scale_or_warn(None), "default");

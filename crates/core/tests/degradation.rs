@@ -11,10 +11,10 @@ use std::time::{Duration, Instant};
 
 use ilt_core::flows::multigrid_schwarz;
 use ilt_core::ExperimentConfig;
-use ilt_fault::{points, FaultSpec};
 use ilt_layout::generate_clip;
 use ilt_litho::{LithoBank, ResistModel};
 use ilt_opt::PixelIlt;
+use ilt_telemetry::fault::{self, points, FaultSpec};
 use ilt_tile::TileExecutor;
 
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
@@ -39,16 +39,16 @@ fn run_tiny() -> Result<ilt_core::flows::FlowResult, ilt_core::CoreError> {
 #[test]
 fn one_fine_tile_failure_degrades_to_the_coarse_mask() {
     let _g = lock();
-    ilt_fault::quiet_injected_panics();
+    fault::quiet_injected_panics();
     // Skip the single coarse tile's attempt, then fire on both retry
     // attempts of the first fine-stage tile (default policy = 2 attempts).
-    ilt_fault::configure(vec![FaultSpec {
+    fault::configure(vec![FaultSpec {
         limit: Some(2),
         skip: 1,
         ..FaultSpec::always(points::TILE_PANIC, 1913)
     }]);
     let result = run_tiny();
-    ilt_fault::clear();
+    fault::clear();
     let result = result.expect("flow must complete despite the failed tile");
     assert_eq!(result.degraded.len(), 1, "exactly one degraded tile");
     let d = &result.degraded[0];
@@ -77,15 +77,15 @@ fn one_fine_tile_failure_degrades_to_the_coarse_mask() {
 #[test]
 fn fault_pattern_is_deterministic_for_a_fixed_seed() {
     let _g = lock();
-    ilt_fault::quiet_injected_panics();
+    fault::quiet_injected_panics();
     let run_with_seed = |seed: u64| {
-        ilt_fault::configure(vec![FaultSpec {
+        fault::configure(vec![FaultSpec {
             limit: Some(2),
             skip: 1,
             ..FaultSpec::always(points::TILE_PANIC, seed)
         }]);
         let result = run_tiny().expect("flow completes");
-        ilt_fault::clear();
+        fault::clear();
         (
             result
                 .degraded
@@ -105,12 +105,12 @@ fn fault_pattern_is_deterministic_for_a_fixed_seed() {
 fn slow_tiles_do_not_change_the_result() {
     let _g = lock();
     let clean = run_tiny().expect("clean run");
-    ilt_fault::configure(vec![FaultSpec {
+    fault::configure(vec![FaultSpec {
         rate: 0.25,
         ..FaultSpec::always(points::TILE_SLOW, 11)
     }]);
     let slowed = run_tiny().expect("slowed run");
-    ilt_fault::clear();
+    fault::clear();
     assert!(slowed.degraded.is_empty());
     assert_eq!(
         clean.mask.as_slice(),
@@ -122,7 +122,7 @@ fn slow_tiles_do_not_change_the_result() {
 #[test]
 fn expired_deadline_aborts_the_flow_with_a_typed_error() {
     let _g = lock();
-    let _scope = ilt_fault::deadline::scope(Some(Instant::now() - Duration::from_millis(1)));
+    let _scope = ilt_telemetry::deadline::scope(Some(Instant::now() - Duration::from_millis(1)));
     let err = run_tiny().expect_err("expired deadline must abort");
     assert!(err.is_deadline_exceeded(), "got {err:?}");
     assert!(err.to_string().contains("deadline exceeded"));
@@ -131,10 +131,10 @@ fn expired_deadline_aborts_the_flow_with_a_typed_error() {
 #[test]
 fn all_tiles_failing_still_yields_a_complete_mask() {
     let _g = lock();
-    ilt_fault::quiet_injected_panics();
-    ilt_fault::configure(vec![FaultSpec::always(points::TILE_PANIC, 3)]);
+    fault::quiet_injected_panics();
+    fault::configure(vec![FaultSpec::always(points::TILE_PANIC, 3)]);
     let result = run_tiny();
-    ilt_fault::clear();
+    fault::clear();
     let result = result.expect("total failure still degrades, never aborts");
     let config = ExperimentConfig::test_tiny();
     // 1 coarse + 2 x 9 fine + 9 refine tiles, all degraded.

@@ -7,6 +7,8 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
+use ilt_telemetry::fault;
+
 use crate::grid::{BitGrid, RealGrid};
 
 /// Writes a real grid as an 8-bit binary PGM (P5), linearly mapping
@@ -63,7 +65,7 @@ pub fn read_pgm_from<R: Read>(mut r: R) -> io::Result<RealGrid> {
     r.read_to_end(&mut bytes)?;
     // Fault drill: simulate a payload cut short on the wire/disk; the
     // size check below must turn it into a typed error, never a panic.
-    if ilt_fault::should_fire(ilt_fault::points::GRID_PGM_TRUNCATE) {
+    if fault::should_fire(fault::points::GRID_PGM_TRUNCATE) {
         bytes.pop();
     }
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, format!("bad PGM: {msg}"));

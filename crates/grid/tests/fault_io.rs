@@ -3,9 +3,9 @@
 //! crate's other test binaries; within this binary the single test owns
 //! the registry for its whole duration.
 
-use ilt_fault::{points, FaultSpec};
 use ilt_grid::io::{read_pgm_from, write_pgm_to};
 use ilt_grid::Grid;
+use ilt_telemetry::fault::{self, points, FaultSpec};
 
 #[test]
 fn injected_pgm_truncation_is_a_typed_error_and_deterministic() {
@@ -18,17 +18,17 @@ fn injected_pgm_truncation_is_a_typed_error_and_deterministic() {
 
     // At rate 1.0 every read sees a truncated payload and must return a
     // typed InvalidData error, never panic.
-    ilt_fault::configure(vec![FaultSpec::always(points::GRID_PGM_TRUNCATE, 42)]);
+    fault::configure(vec![FaultSpec::always(points::GRID_PGM_TRUNCATE, 42)]);
     for _ in 0..4 {
         let err = read_pgm_from(&buf[..]).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("payload"), "{err}");
     }
-    assert_eq!(ilt_fault::fired_count(points::GRID_PGM_TRUNCATE), 4);
+    assert_eq!(fault::fired_count(points::GRID_PGM_TRUNCATE), 4);
 
     // At rate 0.5 the fire pattern is a pure function of the seed.
     let pattern = |seed: u64| -> Vec<bool> {
-        ilt_fault::configure(vec![FaultSpec {
+        fault::configure(vec![FaultSpec {
             rate: 0.5,
             ..FaultSpec::always(points::GRID_PGM_TRUNCATE, seed)
         }]);
@@ -39,6 +39,6 @@ fn injected_pgm_truncation_is_a_typed_error_and_deterministic() {
     assert_eq!(a, b, "same seed, same corruption pattern");
     assert!(a.iter().any(|e| *e) && !a.iter().all(|e| *e));
 
-    ilt_fault::clear();
+    fault::clear();
     assert!(read_pgm_from(&buf[..]).is_ok(), "disarmed reads recover");
 }

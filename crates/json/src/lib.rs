@@ -1,8 +1,8 @@
 //! # ilt-json
 //!
 //! A minimal JSON value parser shared by the workspace, std-only by design
-//! like everything else here (its single in-workspace dependency is the
-//! `ilt-fault` injection registry).
+//! like everything else here (its single in-workspace dependency is
+//! `ilt-telemetry`, for the fault-injection registry).
 //!
 //! The workspace writes JSON by hand (`ilt_telemetry::json`) and has no
 //! serde; `report_diff` and the `ilt-serve` request path need the reverse
@@ -16,6 +16,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+use ilt_telemetry::fault;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,7 +46,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         // Fault drill: a corrupt payload on the wire surfaces here as a
         // parse failure; every caller must treat it as a typed error.
-        if ilt_fault::should_fire(ilt_fault::points::JSON_INVALID) {
+        if fault::should_fire(fault::points::JSON_INVALID) {
             return Err("injected fault: json.invalid".to_string());
         }
         let mut p = Parser {

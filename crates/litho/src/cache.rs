@@ -55,74 +55,169 @@ impl BankKey {
     }
 }
 
-static BANKS: OnceLock<Mutex<HashMap<BankKey, Arc<LithoBank>>>> = OnceLock::new();
+/// One key's slot: the bank once built, and the lock its one builder holds
+/// while building, so callers for other keys never wait on it.
+#[derive(Default)]
+struct Entry {
+    bank: OnceLock<Arc<LithoBank>>,
+    build: Mutex<()>,
+}
+
+static BANKS: OnceLock<Mutex<HashMap<BankKey, Arc<Entry>>>> = OnceLock::new();
+
+fn banks() -> std::sync::MutexGuard<'static, HashMap<BankKey, Arc<Entry>>> {
+    BANKS
+        .get_or_init(|| Mutex::new(HashMap::new()))
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+}
 
 /// Returns the shared kernel bank for the given parameters, building it on
 /// first use.
 ///
-/// The build runs *outside* the cache lock (it can take seconds), so
-/// concurrent first requests for the same key may race and both build; the
-/// first to finish wins and the loser's bank is dropped. That wastes one
-/// build in the worst case but never blocks readers of other keys behind a
-/// long eigendecomposition.
+/// The build is single-flight per key: the first caller builds (it can take
+/// seconds) while concurrent callers for the same key wait for it and count
+/// a hit. The cache-wide lock is held only to find the key's entry, so
+/// callers for other keys are never blocked behind a long
+/// eigendecomposition.
 ///
 /// # Errors
 ///
 /// Returns [`LithoError::KernelConstruction`] if the TCC decomposition
-/// fails (never cached).
+/// fails (never cached: the next caller builds again).
 pub fn shared_bank(
     config: &OpticsConfig,
     resist: ResistModel,
 ) -> Result<Arc<LithoBank>, LithoError> {
-    let cache = BANKS.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = BankKey::new(config, &resist);
-    if let Some(bank) = cache
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .get(&key)
-        .map(Arc::clone)
-    {
+    get_or_build(BankKey::new(config, &resist), || {
+        LithoBank::new(*config, resist)
+    })
+}
+
+fn get_or_build(
+    key: BankKey,
+    build: impl FnOnce() -> Result<LithoBank, LithoError>,
+) -> Result<Arc<LithoBank>, LithoError> {
+    let entry = Arc::clone(banks().entry(key).or_default());
+    let hit = |bank: &Arc<LithoBank>| {
         ilt_telemetry::counter_add("litho.bank_cache.hit", 1);
-        return Ok(bank);
+        Ok(Arc::clone(bank))
+    };
+    if let Some(bank) = entry.bank.get() {
+        return hit(bank);
     }
-    let mut build = ilt_telemetry::span(ilt_telemetry::names::BUILD);
-    build.add_field("what", "kernel_bank");
-    let built = Arc::new(LithoBank::new(*config, resist)?);
-    drop(build);
-    let mut map = cache.lock().unwrap_or_else(|e| e.into_inner());
-    let bank = map
-        .entry(BankKey::new(config, &resist))
-        .or_insert_with(|| Arc::clone(&built));
+    let _building = entry.build.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(bank) = entry.bank.get() {
+        return hit(bank);
+    }
+    let mut span = ilt_telemetry::span(ilt_telemetry::names::BUILD);
+    span.add_field("what", "kernel_bank");
+    let bank = Arc::new(build()?);
+    drop(span);
     ilt_telemetry::counter_add("litho.bank_cache.miss", 1);
-    Ok(Arc::clone(bank))
+    Ok(Arc::clone(entry.bank.get_or_init(|| bank)))
+}
+
+/// The banks built so far (an entry whose build is running or failed has
+/// none).
+fn built_banks() -> Vec<Arc<LithoBank>> {
+    banks()
+        .values()
+        .filter_map(|entry| entry.bank.get().map(Arc::clone))
+        .collect()
 }
 
 /// Number of distinct parameter sets currently cached (diagnostics only).
 pub fn cached_bank_count() -> usize {
-    BANKS
-        .get()
-        .map(|c| c.lock().unwrap_or_else(|e| e.into_inner()).len())
-        .unwrap_or(0)
+    built_banks().len()
 }
 
 /// Estimated resident bytes of all cached banks (sum of
 /// [`LithoBank::estimated_bytes`]; diagnostics only).
 pub fn cached_bank_bytes() -> u64 {
-    BANKS
-        .get()
-        .map(|c| {
-            c.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .values()
-                .map(|bank| bank.estimated_bytes())
-                .sum()
-        })
-        .unwrap_or(0)
+    built_banks()
+        .iter()
+        .map(|bank| bank.estimated_bytes())
+        .sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{mpsc, Barrier};
+    use std::time::Duration;
+
+    /// A key no other test builds: the resist threshold is part of it.
+    fn fresh(threshold: f64) -> (OpticsConfig, ResistModel) {
+        let resist = ResistModel {
+            threshold,
+            ..ResistModel::m1_default()
+        };
+        (OpticsConfig::test_small(), resist)
+    }
+
+    #[test]
+    fn concurrent_first_requests_build_once() {
+        let (config, resist) = fresh(0.4321);
+        let builds = AtomicUsize::new(0);
+        let barrier = Barrier::new(2);
+        let request = || {
+            barrier.wait();
+            get_or_build(BankKey::new(&config, &resist), || {
+                builds.fetch_add(1, Ordering::SeqCst);
+                // Outlasts the other request's lookup, so before builds were
+                // single-flight both requests built. Correctness does not
+                // depend on it: whatever the timing, one build is allowed.
+                std::thread::sleep(Duration::from_millis(50));
+                LithoBank::new(config, resist)
+            })
+            .unwrap()
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(request);
+            let b = s.spawn(request);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn other_keys_do_not_wait_for_a_running_build() {
+        let (config, slow) = fresh(0.4322);
+        let (_, other) = fresh(0.4323);
+        let (started_tx, started) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                get_or_build(BankKey::new(&config, &slow), || {
+                    started_tx.send(()).unwrap();
+                    released
+                        .recv_timeout(Duration::from_secs(30))
+                        .expect("the other key's request was blocked");
+                    LithoBank::new(config, slow)
+                })
+                .unwrap()
+            });
+            started.recv().unwrap();
+            shared_bank(&config, other).unwrap();
+            release.send(()).unwrap();
+        });
+    }
+
+    #[test]
+    fn failed_builds_are_not_cached() {
+        let (config, resist) = fresh(0.4324);
+        let key = || BankKey::new(&config, &resist);
+        let failed = get_or_build(key(), || {
+            Err(LithoError::KernelConstruction {
+                reason: "injected".to_string(),
+            })
+        });
+        assert!(failed.is_err());
+        assert!(get_or_build(key(), || LithoBank::new(config, resist)).is_ok());
+    }
 
     #[test]
     fn identical_parameters_share_one_bank() {

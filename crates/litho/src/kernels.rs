@@ -17,8 +17,8 @@
 //! the same decomposition the ICCAD-2013 kernels were distributed as.
 
 use ilt_fft::{spectral, Complex};
-use ilt_linalg::{eigh, Matrix};
 
+use crate::eigen::{eigh, Matrix};
 use crate::error::LithoError;
 use crate::optics::OpticsConfig;
 
@@ -252,7 +252,7 @@ impl KernelSet {
         }
 
         // Gram matrix G[s, t] = sqrt(J_s J_t) sum_f conj(P(s+f)) P(t+f).
-        let gram = Matrix::from_fn(n_src, n_src, |s, t| {
+        let gram = Matrix::from_fn(n_src, |s, t| {
             let js = sources[s].weight;
             let jt = sources[t].weight;
             let mut acc = Complex::ZERO;
@@ -262,9 +262,7 @@ impl KernelSet {
             acc.scale((js * jt).sqrt())
         });
 
-        let eig = eigh(&gram).map_err(|source| LithoError::KernelConstruction {
-            reason: source.to_string(),
-        })?;
+        let eig = eigh(&gram)?;
 
         let lambda_max = eig.values.first().copied().unwrap_or(0.0);
         if lambda_max <= 0.0 {
@@ -730,6 +728,24 @@ pub(crate) mod tests {
         }
         // Clear field intensity is preserved under scaling.
         assert!((scaled.clear_field_intensity() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn nominal_kernel_set_is_pinned() {
+        // The nominal pupil and the Jacobi sweeps use only + - * / sqrt, so
+        // these bits do not depend on the platform's libm: a change that
+        // moves them changes every simulated image.
+        let set = KernelSet::build(&OpticsConfig::test_small(), false).unwrap();
+        let mut digest = 0xcbf2_9ce4_8422_2325u64; // FNV-1a
+        for k in set.iter() {
+            let bits = k.spectrum().iter().flat_map(|h| [h.re, h.im]);
+            for value in std::iter::once(k.weight()).chain(bits) {
+                for byte in value.to_bits().to_le_bytes() {
+                    digest = (digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(digest, 10_869_913_172_981_967_343);
     }
 
     #[test]

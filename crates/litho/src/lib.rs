@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+mod eigen;
 mod error;
 mod kernels;
 mod optics;

@@ -22,7 +22,7 @@ pub enum OptError {
         /// Human-readable cause.
         reason: String,
     },
-    /// The ambient job deadline (see `ilt_fault::deadline`) expired while
+    /// The ambient job deadline (see `ilt_telemetry::deadline`) expired while
     /// the solver was iterating. Checked once per iteration, so a tile stops
     /// within one forward/adjoint pass of its budget instead of relying on
     /// the harness to reap the worker.

@@ -139,7 +139,7 @@ impl LevelSetIlt {
         };
         let mut step = vec![0.0f64; w * h];
         for iter in 0..request.iterations {
-            if ilt_fault::deadline::exceeded() {
+            if ilt_telemetry::deadline::exceeded() {
                 return Err(OptError::DeadlineExceeded {
                     completed_iterations: history.len(),
                 });
@@ -349,7 +349,7 @@ mod tests {
         };
         let target = target_grid(64);
         let solver = LevelSetIlt::new();
-        let _scope = ilt_fault::deadline::scope(Some(std::time::Instant::now()));
+        let _scope = ilt_telemetry::deadline::scope(Some(std::time::Instant::now()));
         match solver.solve(&ctx, &SolveRequest::new(&target, &target, 20)) {
             Err(OptError::DeadlineExceeded {
                 completed_iterations,

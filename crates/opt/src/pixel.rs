@@ -244,7 +244,7 @@ fn run_loop(
         (latent.width(), latent.height()),
     );
     for _ in 0..iterations {
-        if ilt_fault::deadline::exceeded() {
+        if ilt_telemetry::deadline::exceeded() {
             return Err(OptError::DeadlineExceeded {
                 completed_iterations: history.len(),
             });
@@ -888,7 +888,7 @@ mod tests {
         let target = target_grid(64);
         let solver = PixelIlt::new();
         let request = SolveRequest::new(&target, &target, 50);
-        let _scope = ilt_fault::deadline::scope(Some(std::time::Instant::now()));
+        let _scope = ilt_telemetry::deadline::scope(Some(std::time::Instant::now()));
         match solver.solve(&ctx, &request) {
             Err(OptError::DeadlineExceeded {
                 completed_iterations,
@@ -909,7 +909,7 @@ mod tests {
         let solver = PixelIlt::new();
         let request = SolveRequest::new(&target, &target, 5);
         let free = solver.solve(&ctx, &request).unwrap();
-        let _scope = ilt_fault::deadline::scope(Some(
+        let _scope = ilt_telemetry::deadline::scope(Some(
             std::time::Instant::now() + std::time::Duration::from_secs(600),
         ));
         let bounded = solver.solve(&ctx, &request).unwrap();

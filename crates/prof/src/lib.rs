@@ -1,7 +1,7 @@
 //! # ilt-prof
 //!
 //! Continuous, in-process resource profiling for the multigrid-Schwarz
-//! ILT stack. Std-only, like `ilt-par` and `ilt-fault`. Four parts:
+//! ILT stack. Std-only, like `ilt-par` and `ilt-telemetry`. Four parts:
 //!
 //! * [`cpu`] — a sampling CPU profiler. A timer thread walks the live
 //!   open-span stacks every recording thread publishes through

@@ -13,7 +13,7 @@
 use std::fmt;
 use std::io::{BufRead, Write};
 
-use ilt_fault::points;
+use ilt_telemetry::fault::{self, points};
 
 /// Longest accepted request line (method + path + version), in bytes.
 pub const MAX_REQUEST_LINE: usize = 8 * 1024;
@@ -262,7 +262,7 @@ impl Request {
                         )))
                     }
                 };
-                if ilt_fault::should_fire(points::SERVE_BODY_OVERSIZE) {
+                if fault::should_fire(points::SERVE_BODY_OVERSIZE) {
                     len = MAX_BODY as u64 + 1;
                 }
                 if len > MAX_BODY as u64 {
@@ -271,7 +271,7 @@ impl Request {
                     )));
                 }
                 let mut body = vec![0u8; len as usize];
-                let read = if ilt_fault::should_fire(points::SERVE_BODY_TRUNCATE) {
+                let read = if fault::should_fire(points::SERVE_BODY_TRUNCATE) {
                     Err(std::io::Error::new(
                         std::io::ErrorKind::UnexpectedEof,
                         "injected fault: serve.body_truncate",

@@ -9,7 +9,7 @@
 //! Environment: `ILT_SERVE_ADDR`, `ILT_SERVE_QUEUE` (queue depth, default
 //! 64), `ILT_SERVE_WORKERS` (job workers, default 1), `ILT_WORKERS`
 //! (tile threads per job, default 1), `ILT_TRACE`, `ILT_FAULTS`
-//! (deterministic fault-injection profile for drills, see `ilt-fault`),
+//! (deterministic fault-injection profile for drills, see `ilt_telemetry::fault`),
 //! `ILT_OBS_RING` (flight-recorder capacity per shard, or `off`),
 //! `ILT_SLO` / `ILT_SLO_WINDOWS` (burn-rate objectives, see
 //! `ilt_telemetry::slo`), `ILT_PROF_HZ` (CPU sampler rate; on by default
@@ -34,7 +34,7 @@ fn main() {
     // A service profiles by default: the sampler feeds /debug/profile and
     // the RSS window, at well under 1% overhead (gated by the `obs_overhead` bin).
     ilt_prof::init_from_env(true);
-    ilt_fault::configure_from_env();
+    ilt_telemetry::fault::configure_from_env();
     let config = ServeConfig::from_env();
     let handle = match ilt_serve::start(config.clone()) {
         Ok(handle) => handle,

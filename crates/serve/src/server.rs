@@ -23,10 +23,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use ilt_fault::points;
 use ilt_grid::BitGrid;
 use ilt_layout::generate_clip;
 use ilt_telemetry as tele;
+use ilt_telemetry::fault::{self, points};
 use ilt_telemetry::slo::{SloConfig, SloEngine};
 use ilt_tile::{Partition, TileExecutor};
 
@@ -91,23 +91,10 @@ impl ServeConfig {
         let defaults = ServeConfig::default();
         ServeConfig {
             addr: std::env::var("ILT_SERVE_ADDR").unwrap_or(defaults.addr),
-            queue_depth: env_usize("ILT_SERVE_QUEUE", defaults.queue_depth).max(1),
-            workers: env_usize("ILT_SERVE_WORKERS", defaults.workers).max(1),
-            tile_workers: env_usize("ILT_WORKERS", defaults.tile_workers).max(1),
+            queue_depth: tele::env_or_warn("ILT_SERVE_QUEUE", defaults.queue_depth).max(1),
+            workers: tele::env_or_warn("ILT_SERVE_WORKERS", defaults.workers).max(1),
+            tile_workers: tele::env_or_warn("ILT_WORKERS", defaults.tile_workers).max(1),
         }
-    }
-}
-
-fn env_usize(var: &str, fallback: usize) -> usize {
-    match std::env::var(var) {
-        Err(_) => fallback,
-        Ok(raw) => match raw.trim().parse() {
-            Ok(v) => v,
-            Err(_) => {
-                eprintln!("warning: invalid {var}={raw:?}; using default {fallback}");
-                fallback
-            }
-        },
     }
 }
 
@@ -316,7 +303,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                 span.add_field("path", request.path.as_str());
                 span.add_field("status", u64::from(response.status));
                 drop(span);
-                if ilt_fault::should_fire(points::SERVE_CONN_DROP) {
+                if fault::should_fire(points::SERVE_CONN_DROP) {
                     // Hang up without answering, as a flaky network would.
                     tele::counter_add("serve.http.conn_dropped", 1);
                     break;
@@ -539,7 +526,7 @@ fn submit(shared: &Shared, body: &[u8]) -> Response {
     }
     // The injected overflow takes the exact production rejection path —
     // 429 body, Retry-After hint, and registry cleanup included.
-    let pushed = if ilt_fault::should_fire(points::SERVE_QUEUE_FULL) {
+    let pushed = if fault::should_fire(points::SERVE_QUEUE_FULL) {
         Err(PushError::Full)
     } else {
         shared.queue.push(id)
@@ -666,7 +653,7 @@ fn run_job(shared: &Shared, cache: &mut SessionCache, executor: &TileExecutor, i
     // `serve.deadline` simulates a budget that expires mid-solve: the job
     // passed admission, but the solver's in-loop deadline checks trip on
     // the first iteration.
-    let solve_deadline = if ilt_fault::should_fire(points::SERVE_DEADLINE) {
+    let solve_deadline = if fault::should_fire(points::SERVE_DEADLINE) {
         let now = Instant::now();
         Some(now.checked_sub(Duration::from_millis(1)).unwrap_or(now))
     } else {
@@ -677,7 +664,7 @@ fn run_job(shared: &Shared, cache: &mut SessionCache, executor: &TileExecutor, i
         // Publish the deadline to this thread and, via the tile
         // executor, to every tile worker, so iteration loops deep in the
         // solvers can stop instead of burning a blown budget.
-        let _scope = ilt_fault::deadline::scope(solve_deadline);
+        let _scope = ilt_telemetry::deadline::scope(solve_deadline);
         catch_unwind(AssertUnwindSafe(|| {
             execute(&spec, base_spec.as_ref(), cache, executor)
         }))
@@ -902,10 +889,5 @@ mod tests {
         assert_eq!(a.width(), config.clip);
         assert_eq!(b.width(), config.clip);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn env_parsing_falls_back() {
-        assert_eq!(env_usize("ILT_SERVE_NO_SUCH_VAR", 7), 7);
     }
 }

@@ -13,10 +13,10 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use ilt_fault::{points, FaultSpec};
 use ilt_json::Json;
 use ilt_serve::{start, ServeConfig};
 use ilt_telemetry as tele;
+use ilt_telemetry::fault::{self, points, FaultSpec};
 
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 const POLL_BUDGET: Duration = Duration::from_secs(120);
@@ -107,7 +107,7 @@ fn counter(name: &str) -> u64 {
 #[test]
 fn every_injection_point_fails_cleanly_and_deterministically() {
     tele::set_enabled(true);
-    ilt_fault::quiet_injected_panics();
+    fault::quiet_injected_panics();
     // One tile worker so the fault registry sees tile invocations in
     // deterministic order (matters for the skip/limit acceptance drill).
     let handle = start(ServeConfig {
@@ -126,10 +126,10 @@ fn every_injection_point_fails_cleanly_and_deterministically() {
     // tile.panic at rate 1.0: every attempt of every tile dies, yet the
     // job completes with a full mask — every tile degraded to its
     // coarse-grid fallback (1 coarse + 2x9 fine + 9 refine at tiny scale).
-    ilt_fault::configure(vec![FaultSpec::always(points::TILE_PANIC, 1)]);
+    fault::configure(vec![FaultSpec::always(points::TILE_PANIC, 1)]);
     let id = submit(addr, spec);
     let record = poll_done(addr, &id);
-    ilt_fault::clear();
+    fault::clear();
     assert_eq!(record.get("status").and_then(Json::as_str), Some("done"));
     assert_eq!(
         record.get("tiles_degraded").and_then(Json::as_u64),
@@ -144,28 +144,28 @@ fn every_injection_point_fails_cleanly_and_deterministically() {
     healthy(addr);
 
     // tile.slow at rate 1.0: latency only, zero degradation.
-    ilt_fault::configure(vec![FaultSpec::always(points::TILE_SLOW, 2)]);
+    fault::configure(vec![FaultSpec::always(points::TILE_SLOW, 2)]);
     let id = submit(addr, spec);
     let record = poll_done(addr, &id);
-    ilt_fault::clear();
+    fault::clear();
     assert_eq!(record.get("status").and_then(Json::as_str), Some("done"));
     assert_eq!(record.get("tiles_degraded").and_then(Json::as_u64), Some(0));
     swept.push(points::TILE_SLOW);
 
     // serve.queue_full: the production 429 path, Retry-After included.
-    ilt_fault::configure(vec![FaultSpec::always(points::SERVE_QUEUE_FULL, 3)]);
+    fault::configure(vec![FaultSpec::always(points::SERVE_QUEUE_FULL, 3)]);
     let response = request(addr, "POST", "/v1/jobs", Some(spec));
-    ilt_fault::clear();
+    fault::clear();
     assert_eq!(response.status, 429, "{}", response.body);
     swept.push(points::SERVE_QUEUE_FULL);
     healthy(addr);
 
     // serve.deadline: admission passes, but the budget expires mid-solve
     // and the in-loop deadline checks surface a typed failure.
-    ilt_fault::configure(vec![FaultSpec::always(points::SERVE_DEADLINE, 4)]);
+    fault::configure(vec![FaultSpec::always(points::SERVE_DEADLINE, 4)]);
     let id = submit(addr, spec);
     let record = poll_done(addr, &id);
-    ilt_fault::clear();
+    fault::clear();
     assert_eq!(record.get("status").and_then(Json::as_str), Some("failed"));
     let error = record
         .get("error")
@@ -178,9 +178,9 @@ fn every_injection_point_fails_cleanly_and_deterministically() {
     // serve.conn_drop: the server hangs up without answering, and the
     // next (disarmed) request finds it alive.
     let dropped_before = counter("serve.http.conn_dropped");
-    ilt_fault::configure(vec![FaultSpec::always(points::SERVE_CONN_DROP, 5)]);
+    fault::configure(vec![FaultSpec::always(points::SERVE_CONN_DROP, 5)]);
     let dropped = raw_request(addr, "GET", "/healthz", None);
-    ilt_fault::clear();
+    fault::clear();
     assert!(dropped.is_none(), "conn_drop must close without a response");
     assert!(counter("serve.http.conn_dropped") > dropped_before);
     swept.push(points::SERVE_CONN_DROP);
@@ -188,18 +188,18 @@ fn every_injection_point_fails_cleanly_and_deterministically() {
 
     // serve.body_truncate: the body read comes up short of Content-Length
     // — a typed 400, not a hang or a worker crash.
-    ilt_fault::configure(vec![FaultSpec::always(points::SERVE_BODY_TRUNCATE, 6)]);
+    fault::configure(vec![FaultSpec::always(points::SERVE_BODY_TRUNCATE, 6)]);
     let response = request(addr, "POST", "/v1/jobs", Some(spec));
-    ilt_fault::clear();
+    fault::clear();
     assert_eq!(response.status, 400, "{}", response.body);
     assert!(response.body.contains("shorter than Content-Length"));
     swept.push(points::SERVE_BODY_TRUNCATE);
     healthy(addr);
 
     // serve.body_oversize: the declared size inflates past MAX_BODY → 413.
-    ilt_fault::configure(vec![FaultSpec::always(points::SERVE_BODY_OVERSIZE, 7)]);
+    fault::configure(vec![FaultSpec::always(points::SERVE_BODY_OVERSIZE, 7)]);
     let response = request(addr, "POST", "/v1/jobs", Some(spec));
-    ilt_fault::clear();
+    fault::clear();
     assert_eq!(response.status, 413, "{}", response.body);
     swept.push(points::SERVE_BODY_OVERSIZE);
     healthy(addr);
@@ -207,9 +207,9 @@ fn every_injection_point_fails_cleanly_and_deterministically() {
     // json.invalid: spec parsing fails with a client-safe 400. (While this
     // point is armed every in-process parse fails, so assert on the raw
     // body, not through Json::parse.)
-    ilt_fault::configure(vec![FaultSpec::always(points::JSON_INVALID, 8)]);
+    fault::configure(vec![FaultSpec::always(points::JSON_INVALID, 8)]);
     let response = request(addr, "POST", "/v1/jobs", Some(spec));
-    ilt_fault::clear();
+    fault::clear();
     assert_eq!(response.status, 400, "{}", response.body);
     assert!(response.body.contains("invalid JSON"), "{}", response.body);
     swept.push(points::JSON_INVALID);
@@ -217,12 +217,12 @@ fn every_injection_point_fails_cleanly_and_deterministically() {
 
     // grid.pgm_truncate is not on the serve request path; drill the
     // reader directly in the same armed process.
-    ilt_fault::configure(vec![FaultSpec::always(points::GRID_PGM_TRUNCATE, 9)]);
+    fault::configure(vec![FaultSpec::always(points::GRID_PGM_TRUNCATE, 9)]);
     let img = ilt_grid::Grid::from_fn(4, 4, |x, y| (x + y) as f64);
     let mut buf = Vec::new();
     ilt_grid::io::write_pgm_to(&mut buf, &img).unwrap();
     let err = ilt_grid::io::read_pgm_from(&buf[..]).unwrap_err();
-    ilt_fault::clear();
+    fault::clear();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     swept.push(points::GRID_PGM_TRUNCATE);
 
@@ -240,14 +240,14 @@ fn every_injection_point_fails_cleanly_and_deterministically() {
     // outcome must be a pure function of the seed.
     let degraded_jobs_before = counter("serve.jobs.degraded");
     let drill = |seed: u64| -> (String, u64, String) {
-        ilt_fault::configure(vec![FaultSpec {
+        fault::configure(vec![FaultSpec {
             limit: Some(2),
             skip: 1,
             ..FaultSpec::always(points::TILE_PANIC, seed)
         }]);
         let id = submit(addr, spec);
         let record = poll_done(addr, &id);
-        ilt_fault::clear();
+        fault::clear();
         let status = record
             .get("status")
             .and_then(Json::as_str)

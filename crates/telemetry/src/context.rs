@@ -5,7 +5,7 @@
 //! through every signature: the **trace id** its spans and counters are
 //! attributed to ([`crate::trace_scope`]), the **pipeline stage** its
 //! allocations bill to (`ilt_prof::stage_scope`) and the **deadline** its
-//! solver loops honour (`ilt_fault::deadline::scope`). They are the fields
+//! solver loops honour ([`crate::deadline::scope`]). They are the fields
 //! of one [`Context`], kept in the crate at the bottom of the dependency
 //! graph; those functions are [`scope`]s of one field each, so scopes of
 //! different fields nest and unwind independently. The one worker pool,

@@ -31,6 +31,9 @@
 //!   neither a parent nor an ambient trace mint their own. The id shares
 //!   the thread's one [`context`] record with the profiling stage and the
 //!   job deadline, and worker pools carry that record across whole.
+//! * **Drills.** [`fault`] is the seeded, deterministic fault-injection
+//!   registry `ILT_FAULTS` arms; [`deadline`] reads and scopes the job
+//!   deadline field of the same [`context`] record.
 //!
 //! ## Gating
 //!
@@ -70,7 +73,9 @@
 
 mod collect;
 pub mod context;
+pub mod deadline;
 mod export;
+pub mod fault;
 pub mod flight;
 pub mod json;
 pub mod live;
@@ -91,6 +96,8 @@ pub use trace::{
     TraceScope,
 };
 
+use std::fmt::Display;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -164,6 +171,26 @@ pub fn parse_flag(raw: Option<&str>) -> bool {
     matches!(raw.as_str(), "1" | "true" | "on" | "yes")
 }
 
+/// Reads the environment variable `var` as a `T`: `fallback` when it is
+/// unset, and also — with a warning on stderr naming the variable and the
+/// fallback — when it does not parse (surrounding whitespace ignored).
+pub fn env_or_warn<T: FromStr + Display>(var: &str, fallback: T) -> T {
+    parse_or_warn(var, std::env::var(var).ok().as_deref(), fallback)
+}
+
+fn parse_or_warn<T: FromStr + Display>(var: &str, raw: Option<&str>, fallback: T) -> T {
+    match raw {
+        None => fallback,
+        Some(raw) => match raw.trim().parse() {
+            Ok(v) => v,
+            Err(_) => {
+                eprintln!("warning: invalid {var}={raw:?}; using default {fallback}");
+                fallback
+            }
+        },
+    }
+}
+
 /// Reads `ILT_TRACE` and enables collection when it is on (see
 /// [`parse_flag`]). Returns the resulting enabled state.
 pub fn init_from_env() -> bool {
@@ -175,4 +202,19 @@ pub fn init_from_env() -> bool {
 /// The process-wide time origin all span timestamps are relative to.
 pub(crate) fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn invalid_values_fall_back() {
+        assert_eq!(parse_or_warn("ILT_CASES", Some("bogus"), 20usize), 20);
+        assert_eq!(parse_or_warn("ILT_CASES", Some("-3"), 20usize), 20);
+        assert_eq!(parse_or_warn("ILT_CASES", Some(" 7 "), 20usize), 7);
+        assert_eq!(parse_or_warn("ILT_WORKERS", None, 1usize), 1);
+        assert_eq!(parse_or_warn("ILT_WORKERS", Some("x"), 1usize), 1);
+        assert_eq!(env_or_warn("ILT_SERVE_NO_SUCH_VAR", 7usize), 7);
+    }
 }

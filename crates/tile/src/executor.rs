@@ -10,8 +10,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
-use ilt_fault as fault;
 use ilt_telemetry as tele;
+use ilt_telemetry::fault;
 
 /// How long an injected `tile.slow` fault stalls a job attempt. Long enough
 /// to trip a short job deadline, short enough to keep fault drills fast.
@@ -230,7 +230,7 @@ impl TileExecutor {
     /// callers can substitute a degraded per-tile answer.
     ///
     /// This is also where the `tile.panic` / `tile.slow` fault-injection
-    /// points live (see `ilt-fault`): injection happens inside the attempt,
+    /// points live (see `ilt_telemetry::fault`): injection happens inside the attempt,
     /// so an injected panic exercises exactly the retry and degradation
     /// machinery a real one would.
     pub fn run_recoverable<T, F>(
@@ -366,7 +366,7 @@ mod tests {
 
     #[test]
     fn recoverable_retries_flaky_jobs_to_success() {
-        ilt_fault::quiet_injected_panics();
+        fault::quiet_injected_panics();
         let attempts: Vec<AtomicUsize> = (0..6).map(|_| AtomicUsize::new(0)).collect();
         let all: Vec<usize> = (0..6).collect();
         let out =
@@ -374,7 +374,7 @@ mod tests {
                 let n = attempts[i].fetch_add(1, Ordering::Relaxed);
                 // Even tiles fail on their first two attempts, then succeed.
                 if i % 2 == 0 && n < 2 {
-                    panic!("{} flaky tile {i}", ilt_fault::INJECTED_PANIC_PREFIX);
+                    panic!("{} flaky tile {i}", fault::INJECTED_PANIC_PREFIX);
                 }
                 i
             });
@@ -389,12 +389,12 @@ mod tests {
 
     #[test]
     fn recoverable_surfaces_persistent_failures_without_aborting_others() {
-        ilt_fault::quiet_injected_panics();
+        fault::quiet_injected_panics();
         let all: Vec<usize> = (0..10).collect();
         let out =
             TileExecutor::new(4).run_recoverable(&all, RetryPolicy::new(2, Duration::ZERO), |i| {
                 if i == 7 {
-                    panic!("{} always broken", ilt_fault::INJECTED_PANIC_PREFIX);
+                    panic!("{} always broken", fault::INJECTED_PANIC_PREFIX);
                 }
                 i * i
             });
@@ -413,13 +413,13 @@ mod tests {
 
     #[test]
     fn recoverable_sequential_and_parallel_agree() {
-        ilt_fault::quiet_injected_panics();
+        fault::quiet_injected_panics();
         let all: Vec<usize> = (0..9).collect();
         let run = |workers: usize| -> Vec<Result<usize, usize>> {
             TileExecutor::new(workers)
                 .run_recoverable(&all, RetryPolicy::no_retry(), |i| {
                     if i % 4 == 1 {
-                        panic!("{} tile {i}", ilt_fault::INJECTED_PANIC_PREFIX);
+                        panic!("{} tile {i}", fault::INJECTED_PANIC_PREFIX);
                     }
                     i
                 })
@@ -432,11 +432,11 @@ mod tests {
 
     #[test]
     fn recoverable_passes_tile_indices_and_reports_them_in_failures() {
-        ilt_fault::quiet_injected_panics();
+        fault::quiet_injected_panics();
         let band = [4usize, 7, 11];
         let out = TileExecutor::new(2).run_recoverable(&band, RetryPolicy::no_retry(), |i| {
             if i == 7 {
-                panic!("{} tile {i}", ilt_fault::INJECTED_PANIC_PREFIX);
+                panic!("{} tile {i}", fault::INJECTED_PANIC_PREFIX);
             }
             i * 10
         });
@@ -448,8 +448,8 @@ mod tests {
     #[test]
     fn deadline_propagates_to_worker_threads() {
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        let _scope = ilt_fault::deadline::scope(Some(deadline));
-        let seen = TileExecutor::new(4).run(8, |_| ilt_fault::deadline::current());
+        let _scope = tele::deadline::scope(Some(deadline));
+        let seen = TileExecutor::new(4).run(8, |_| tele::deadline::current());
         assert!(seen.iter().all(|d| *d == Some(deadline)));
     }
 
@@ -475,21 +475,21 @@ mod tests {
         use ilt_prof::{current_stage, stage_scope, Stage};
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
         // A stage scope opened inside a deadline scope and dropped after it.
-        let outer = ilt_fault::deadline::scope(Some(deadline));
+        let outer = tele::deadline::scope(Some(deadline));
         let inner = stage_scope(Stage::Fine);
         drop(outer);
-        assert_eq!(ilt_fault::deadline::current(), None);
+        assert_eq!(tele::deadline::current(), None);
         assert_eq!(current_stage(), Stage::Fine, "stage outlives the deadline");
         drop(inner);
         assert_eq!(current_stage(), Stage::Untagged);
-        assert_eq!(ilt_fault::deadline::current(), None);
+        assert_eq!(tele::deadline::current(), None);
         // And the other way round, with a trace scope in between.
         let outer = stage_scope(Stage::Coarse);
         let (id, trace) = tele::new_trace_scope();
-        let inner = ilt_fault::deadline::scope(Some(deadline));
+        let inner = tele::deadline::scope(Some(deadline));
         drop(outer);
         assert_eq!(current_stage(), Stage::Untagged);
-        assert_eq!(ilt_fault::deadline::current(), Some(deadline));
+        assert_eq!(tele::deadline::current(), Some(deadline));
         assert_eq!(tele::current_trace(), Some(id));
         drop(inner);
         drop(trace);

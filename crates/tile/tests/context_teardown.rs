@@ -18,7 +18,7 @@ impl Drop for Probe {
         let _ = self.0.send((
             ilt_telemetry::current_trace_raw(),
             ilt_prof::current_stage(),
-            ilt_fault::deadline::current(),
+            ilt_telemetry::deadline::current(),
         ));
     }
 }
@@ -36,7 +36,8 @@ fn accessors_return_the_defaults_from_a_thread_local_destructor() {
         // so the destructor must see the record back at its default.
         let (_id, _trace) = ilt_telemetry::new_trace_scope();
         let _stage = ilt_prof::stage_scope(Stage::Fine);
-        let _deadline = ilt_fault::deadline::scope(Some(Instant::now() + Duration::from_secs(5)));
+        let _deadline =
+            ilt_telemetry::deadline::scope(Some(Instant::now() + Duration::from_secs(5)));
         // Registers the telemetry buffer's own destructor on this thread.
         drop(ilt_telemetry::span("teardown.probe"));
         assert_eq!(ilt_prof::current_stage(), Stage::Fine);

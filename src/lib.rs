@@ -9,7 +9,6 @@
 //! This facade crate re-exports the workspace members:
 //!
 //! * [`fft`] — complex FFTs and spectral utilities;
-//! * [`linalg`] — the Hermitian eigensolver behind SOCS kernels;
 //! * [`grid`] — rasters, rectangles, filtering, morphology;
 //! * [`layout`] — synthetic M1 clips and design rules;
 //! * [`litho`] — Hopkins partially-coherent simulation and process corners;
@@ -38,7 +37,6 @@ pub use ilt_core as core;
 pub use ilt_fft as fft;
 pub use ilt_grid as grid;
 pub use ilt_layout as layout;
-pub use ilt_linalg as linalg;
 pub use ilt_litho as litho;
 pub use ilt_metrics as metrics;
 pub use ilt_opt as opt;
