@@ -29,7 +29,6 @@ use ilt_core::experiment::Method;
 use ilt_core::Session;
 use ilt_layout::suite_of_size;
 use ilt_prof::Stage;
-use ilt_telemetry as tele;
 
 // Attribution needs the tracking allocator to BE the global allocator;
 // `main` then switches the counting on.
@@ -45,8 +44,7 @@ struct StageDelta {
 }
 
 fn main() {
-    let opts = HarnessOptions::from_env();
-    tele::set_enabled(true);
+    let opts = HarnessOptions::from_env_traced();
     // This binary exists to profile: allocation counting is always on and
     // the sampler defaults to DEFAULT_HZ (ILT_PROF_HZ=0 still disables).
     ilt_prof::alloc::set_enabled(true);

@@ -41,12 +41,9 @@ const POLL_INTERVAL: Duration = Duration::from_millis(25);
 const POLL_BUDGET: Duration = Duration::from_secs(300);
 
 fn main() {
-    // A load test without telemetry would have nothing to report: enable
-    // collection unless the environment explicitly said otherwise.
-    let opts = HarnessOptions::from_env();
-    if !ilt_telemetry::enabled() && std::env::var("ILT_TRACE").is_err() {
-        ilt_telemetry::set_enabled(true);
-    }
+    // A load test without telemetry would have nothing to report: collect
+    // unless the environment explicitly said otherwise.
+    let opts = HarnessOptions::from_env_traced();
     let conns = ilt_telemetry::env_or_warn("ILT_LOAD_CONNS", 2usize).max(1);
     let jobs = ilt_telemetry::env_or_warn("ILT_LOAD_JOBS", 8usize).max(1);
 

@@ -54,13 +54,25 @@ pub struct HarnessOptions {
 
 impl HarnessOptions {
     /// Reads options from the environment (see the crate docs),
-    /// initialises telemetry collection from `ILT_TRACE`, and arms the
-    /// fault-injection registry from `ILT_FAULTS` (fault drills run the
-    /// same binaries as clean benchmarks). A traced run keeps every span
-    /// until [`finish_run`](Self::finish_run) drains them, so it lifts the
-    /// span store's drop-oldest bound.
+    /// initialises telemetry collection from `ILT_TRACE` (off when unset),
+    /// and arms the fault-injection registry from `ILT_FAULTS` (fault
+    /// drills run the same binaries as clean benchmarks). A traced run
+    /// keeps every span until [`finish_run`](Self::finish_run) drains
+    /// them, so it lifts the span store's drop-oldest bound.
     pub fn from_env() -> Self {
-        if ilt_telemetry::init_from_env() {
+        Self::read_env(false)
+    }
+
+    /// [`from_env`](Self::from_env) for the drills that have nothing to
+    /// report without telemetry (`memprofile`, `serve_load`): collection is
+    /// on unless `ILT_TRACE` says off, and the traced run lifts the span
+    /// store's bound on the same path.
+    pub fn from_env_traced() -> Self {
+        Self::read_env(true)
+    }
+
+    fn read_env(trace_by_default: bool) -> Self {
+        if ilt_telemetry::init_from_env(trace_by_default) {
             ilt_telemetry::flight::set_capacity(usize::MAX);
         }
         ilt_telemetry::fault::configure_from_env();
@@ -117,12 +129,12 @@ impl HarnessOptions {
     /// writes the machine-readable artifacts.
     ///
     /// Always writes `report.json` (schema `ilt-report/v2`) into the
-    /// artifact directory. When tracing is enabled (`ILT_TRACE=1`), also
-    /// writes `<binary>_events.jsonl` and `<binary>_trace.json` (Chrome
-    /// `trace_event` format) beside it, renders the spatial diagnostic
-    /// maps collected by `ilt-diag` (per-case EPE hotspot / seam mismatch /
-    /// MRC overlay PGMs plus a `tile_quality.csv` matrix), and prints the
-    /// span-tree summary.
+    /// artifact directory; on a traced run its `spans` section holds every
+    /// span as nested JSON. A traced run also writes `<binary>_trace.json`
+    /// (Chrome `trace_event` format, for Perfetto) beside it and renders
+    /// the spatial diagnostic maps collected by `ilt-diag` (per-case EPE
+    /// hotspot / seam mismatch / MRC overlay PGMs plus a
+    /// `tile_quality.csv` matrix).
     ///
     /// # Panics
     ///
@@ -142,14 +154,10 @@ impl HarnessOptions {
         std::fs::write(&path, report).expect("cannot write report.json");
         println!("wrote {}", path.display());
         if trace_enabled {
-            let events_path = self.artifact(&format!("{binary}_events.jsonl"));
-            std::fs::write(&events_path, tele.to_jsonl()).expect("cannot write JSONL event log");
             let trace_path = self.artifact(&format!("{binary}_trace.json"));
             std::fs::write(&trace_path, tele.to_chrome_trace()).expect("cannot write Chrome trace");
-            println!("wrote {}", events_path.display());
             println!("wrote {}", trace_path.display());
             write_diag_artifacts(&self.out_dir, &diag);
-            print!("{}", tele.render_tree());
         }
     }
 }
@@ -274,9 +282,12 @@ fn scale_or_warn(raw: Option<String>) -> String {
 /// tree. v2 is a strict superset of v1: every v1 field is unchanged, and
 /// the `gauges`/`latency_budget`/`profile`/`memory` sections are optional
 /// for report consumers (`report_diff` skips sections absent from either
-/// side). `profile` appears only when the `ilt-prof` CPU sampler collected
-/// anything this run; `memory` appears whenever RSS is readable
-/// (`/proc/self/status`) or allocation tracking is on.
+/// side). `profile` and `memory` have the shape `ilt-serve`'s
+/// `/debug/profile` and `/debug/memory` serve (one renderer,
+/// [`ilt_prof::render`]), less the daemon-only `collapsed` and
+/// `top_traces`; `profile` appears only when the `ilt-prof` CPU sampler
+/// collected anything this run, `memory` always (`"rss": null` where RSS
+/// is unreadable).
 fn render_report(
     binary: &str,
     opts: &HarnessOptions,
@@ -376,90 +387,25 @@ fn render_report(
         out.push(':');
         out.push_str(&section);
     }
-    push_profile_section(&mut out);
-    push_memory_section(&mut out);
+    // The sections `/debug/profile` and `/debug/memory` serve, less the
+    // daemon-only members; `profile` only when the sampler ran.
+    let (samples, _) = ilt_prof::cpu::sample_counts();
+    if samples > 0 || ilt_prof::sampler_running() {
+        out.push_str(",\"profile\":{");
+        ilt_prof::render::push_profile(&mut out);
+        out.push('}');
+    }
+    out.push_str(",\"memory\":{");
+    ilt_prof::render::push_memory(&mut out, ilt_prof::rss::read(), &ilt_prof::alloc::stats());
+    out.push('}');
     out.push_str(",\"latency_budget\":");
     out.push_str(&tele.latency_budget().to_json());
     out.push_str(",\"diagnostics\":");
     out.push_str(&ilt_diag::render_diagnostics_json(diag));
     out.push_str(",\"spans\":");
-    out.push_str(&tele.span_tree_json());
+    out.push_str(&ilt_telemetry::span_forest_json(&tele.events));
     out.push('}');
     out
-}
-
-/// Appends the optional `profile` report section: CPU-sampler state, the
-/// top self-time frames, and the per-stage sample split. Skipped entirely
-/// when the sampler neither ran nor collected anything, so reports from
-/// unprofiled runs keep the pre-profiling shape.
-fn push_profile_section(out: &mut String) {
-    use ilt_telemetry::json;
-    let (samples, ticks) = ilt_prof::cpu::sample_counts();
-    if samples == 0 && !ilt_prof::sampler_running() {
-        return;
-    }
-    out.push_str(",\"profile\":{\"sampler_hz\":");
-    json::push_f64(out, ilt_prof::sampler_hz());
-    let _ = write!(out, ",\"samples\":{samples},\"ticks\":{ticks}");
-    out.push_str(",\"top_self\":[");
-    for (i, (frame, n)) in ilt_prof::cpu::top_self(20).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"frame\":");
-        json::push_str_literal(out, frame);
-        let _ = write!(out, ",\"samples\":{n}}}");
-    }
-    out.push_str("],\"samples_per_stage\":{");
-    for (i, (stage, n)) in ilt_prof::cpu::samples_per_stage().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::push_str_literal(out, stage);
-        let _ = write!(out, ":{n}");
-    }
-    out.push_str("}}");
-}
-
-/// Appends the optional `memory` report section: current/peak RSS plus,
-/// when the tracking allocator is on, global and per-stage allocation
-/// counters.
-fn push_memory_section(out: &mut String) {
-    use ilt_telemetry::json;
-    let rss = ilt_prof::rss::read();
-    let alloc = ilt_prof::alloc::stats();
-    if rss.is_none() && !alloc.enabled {
-        return;
-    }
-    out.push_str(",\"memory\":{");
-    let (current, peak) = rss.map_or((0, 0), |r| (r.current_bytes, r.peak_bytes));
-    let _ = write!(
-        out,
-        "\"current_rss_bytes\":{current},\"peak_rss_bytes\":{peak}"
-    );
-    if alloc.enabled {
-        let _ = write!(
-            out,
-            ",\"alloc\":{{\"allocated_bytes\":{},\"allocation_calls\":{},\
-             \"freed_bytes\":{},\"free_calls\":{},\"live_bytes\":{},\
-             \"peak_live_bytes\":{},\"stages\":{{",
-            alloc.allocated_bytes,
-            alloc.allocation_calls,
-            alloc.freed_bytes,
-            alloc.free_calls,
-            alloc.live_bytes,
-            alloc.peak_live_bytes
-        );
-        for (i, s) in alloc.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::push_str_literal(out, s.stage.name());
-            let _ = write!(out, ":{{\"bytes\":{},\"calls\":{}}}", s.bytes, s.calls);
-        }
-        out.push_str("}}");
-    }
-    out.push('}');
 }
 
 #[cfg(test)]
@@ -543,19 +489,18 @@ mod tests {
             );
         }
         assert!(json.get("gauges").is_some(), "gauges section present");
-        // On Linux the RSS reader always has something to say, so every
-        // report carries the memory section.
+        // Every report carries the memory section; on Linux the RSS reader
+        // always has something to say.
+        let memory = json.get("memory").expect("memory section");
+        assert!(memory.path(&["alloc", "enabled"]).is_some());
         #[cfg(target_os = "linux")]
-        {
-            let memory = json.get("memory").expect("memory section");
-            assert!(
-                memory
-                    .get("peak_rss_bytes")
-                    .and_then(|v| v.as_f64())
-                    .is_some_and(|v| v > 0.0),
-                "peak_rss_bytes is a positive number"
-            );
-        }
+        assert!(
+            memory
+                .path(&["rss", "peak_bytes"])
+                .and_then(|v| v.as_f64())
+                .is_some_and(|v| v > 0.0),
+            "rss.peak_bytes is a positive number"
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! # ilt-prof
 //!
 //! Continuous, in-process resource profiling for the multigrid-Schwarz
-//! ILT stack. Std-only, like `ilt-par` and `ilt-telemetry`. Four parts:
+//! ILT stack. Std-only, like `ilt-par` and `ilt-telemetry`. Four parts,
+//! plus [`render`], their one JSON rendering:
 //!
 //! * [`cpu`] — a sampling CPU profiler. A timer thread walks the live
 //!   open-span stacks every recording thread publishes through
@@ -20,15 +21,15 @@
 //!   flow holds between solve and assembly, the quantity streaming
 //!   assembly bounds (`ilt-core`'s `residency` test gates on it).
 //!
-//! Results surface through `ilt-report/v2` `profile`/`memory` sections,
-//! `ilt-serve`'s `/debug/profile` and `/debug/memory`, and the
-//! `memprofile` bench bin.
+//! Results surface through `ilt-report/v2` `profile`/`memory` sections
+//! and `ilt-serve`'s `/debug/profile` and `/debug/memory`, all rendered by
+//! [`render`], and through the `memprofile` bench bin.
 //!
 //! ## Environment
 //!
 //! | Variable | Meaning |
 //! |---|---|
-//! | `ILT_PROF_HZ` | Sampler rate in Hz; `0` or `off` disables. Binaries that profile by default (serve, `memprofile`) use [`DEFAULT_HZ`] when unset; others only sample when set. |
+//! | `ILT_PROF_HZ` | Sampler rate in Hz; `0` or `off` disables. Binaries that profile by default (serve, `memprofile`) use [`DEFAULT_HZ`] when unset; others only sample when set. A malformed value warns and falls back to that default. |
 //! | `ILT_PROF_ALLOC` | `1`/`true`/`on`/`yes` enables allocation counting (requires the binary to install [`TrackingAlloc`]). |
 
 #![warn(missing_docs)]
@@ -38,6 +39,7 @@
 
 pub mod alloc;
 pub mod cpu;
+pub mod render;
 pub mod residency;
 pub mod rss;
 
@@ -52,16 +54,19 @@ pub use rss::RssSample;
 /// rate (97 Hz) avoids lock-step aliasing with millisecond-periodic work.
 pub const DEFAULT_HZ: f64 = 97.0;
 
-/// The `ILT_PROF_HZ` grammar: `None` when unset or unparseable,
-/// `Some(0.0)` for an explicit `0`/`off`, `Some(hz)` otherwise.
-fn parse_hz(raw: Option<&str>) -> Option<f64> {
-    let v = raw?.trim().to_ascii_lowercase();
-    if v == "off" {
-        return Some(0.0);
+/// The `ILT_PROF_HZ` grammar: a finite rate `>= 0` in Hz, `0` for `off`
+/// (case-insensitive); unset or malformed (with a warning) it is
+/// `fallback`.
+fn parse_hz(raw: Option<&str>, fallback: f64) -> f64 {
+    let Some(raw) = raw else {
+        return fallback;
+    };
+    if raw.trim().eq_ignore_ascii_case("off") {
+        return 0.0;
     }
-    match v.parse::<f64>() {
-        Ok(hz) if hz.is_finite() && hz >= 0.0 => Some(hz),
-        _ => None,
+    match raw.trim().parse::<f64>() {
+        Ok(hz) if hz.is_finite() && hz >= 0.0 => hz,
+        _ => ilt_telemetry::warn_invalid("ILT_PROF_HZ", raw, fallback),
     }
 }
 
@@ -76,34 +81,31 @@ pub fn init_from_env(default_on: bool) -> bool {
     if ilt_telemetry::parse_flag(var("ILT_PROF_ALLOC").as_deref()) {
         alloc::set_enabled(true);
     }
-    match parse_hz(var("ILT_PROF_HZ").as_deref()) {
-        Some(hz) if hz > 0.0 => {
-            cpu::start_sampler(hz);
-        }
-        Some(_) => {} // explicit off
-        None => {
-            if default_on {
-                cpu::start_sampler(DEFAULT_HZ);
-            }
-        }
+    let fallback = if default_on { DEFAULT_HZ } else { 0.0 };
+    let hz = parse_hz(var("ILT_PROF_HZ").as_deref(), fallback);
+    if hz > 0.0 {
+        cpu::start_sampler(hz);
     }
     cpu::sampler_running()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::parse_hz;
+    use super::{parse_hz, DEFAULT_HZ};
 
     #[test]
     fn hz_grammar() {
-        assert_eq!(parse_hz(Some("250")), Some(250.0));
-        assert_eq!(parse_hz(Some(" 97.5 ")), Some(97.5));
-        assert_eq!(parse_hz(Some("off")), Some(0.0));
-        assert_eq!(parse_hz(Some("OFF")), Some(0.0));
-        assert_eq!(parse_hz(Some("0")), Some(0.0));
-        assert_eq!(parse_hz(Some("not-a-rate")), None);
-        assert_eq!(parse_hz(Some("-5")), None);
-        assert_eq!(parse_hz(Some("inf")), None);
-        assert_eq!(parse_hz(None), None);
+        for fallback in [DEFAULT_HZ, 0.0] {
+            assert_eq!(parse_hz(Some("250"), fallback), 250.0);
+            assert_eq!(parse_hz(Some(" 97.5 "), fallback), 97.5);
+            assert_eq!(parse_hz(Some("off"), fallback), 0.0);
+            assert_eq!(parse_hz(Some("OFF"), fallback), 0.0);
+            assert_eq!(parse_hz(Some("0"), fallback), 0.0);
+            assert_eq!(parse_hz(None, fallback), fallback);
+            // Malformed values warn and fall back instead of vanishing.
+            assert_eq!(parse_hz(Some("fast"), fallback), fallback);
+            assert_eq!(parse_hz(Some("-5"), fallback), fallback);
+            assert_eq!(parse_hz(Some("inf"), fallback), fallback);
+        }
     }
 }

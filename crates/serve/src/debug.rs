@@ -184,118 +184,26 @@ pub(crate) fn render_job_trace(
     out
 }
 
-/// Shared footer for `/metrics`: the span store's occupancy and drop
-/// counter as Prometheus lines, appended after the snapshot and SLO series.
-pub(crate) fn obs_prometheus() -> String {
-    format!(
-        "# TYPE ilt_obs_spans_buffered gauge\nilt_obs_spans_buffered {}\n\
-         # TYPE ilt_obs_spans_dropped_total counter\nilt_obs_spans_dropped_total {}\n",
-        tele::flight::len(),
-        tele::flight::spans_dropped()
-    )
-}
-
-/// Profiling footer for `/metrics`: process RSS gauges (when readable)
-/// plus the tracking allocator's live/allocated byte counters.
-pub(crate) fn prof_prometheus() -> String {
-    let mut out = String::new();
-    if let Some(rss) = ilt_prof::rss::read() {
-        out.push_str("# TYPE ilt_process_rss_bytes gauge\n");
-        out.push_str(&format!("ilt_process_rss_bytes {}\n", rss.current_bytes));
-        out.push_str("# TYPE ilt_process_peak_rss_bytes gauge\n");
-        out.push_str(&format!("ilt_process_peak_rss_bytes {}\n", rss.peak_bytes));
-    }
-    let alloc = ilt_prof::alloc::stats();
-    if alloc.enabled {
-        out.push_str("# TYPE ilt_alloc_live_bytes gauge\n");
-        out.push_str(&format!("ilt_alloc_live_bytes {}\n", alloc.live_bytes));
-        out.push_str("# TYPE ilt_alloc_allocated_bytes_total counter\n");
-        out.push_str(&format!(
-            "ilt_alloc_allocated_bytes_total {}\n",
-            alloc.allocated_bytes
-        ));
-        out.push_str("# TYPE ilt_alloc_freed_bytes_total counter\n");
-        out.push_str(&format!(
-            "ilt_alloc_freed_bytes_total {}\n",
-            alloc.freed_bytes
-        ));
-    }
-    out
-}
-
-/// `GET /debug/profile`: the sampler's state plus the accumulated profile
-/// — collapsed-stack text (flamegraph-ready, embedded as one JSON string)
-/// and the top-N self-time leaves.
+/// `GET /debug/profile`: the sampler's state and profile as the bench
+/// report renders them ([`ilt_prof::render::push_profile`]), plus the
+/// collapsed-stack text (flamegraph-ready, embedded as one JSON string).
 pub(crate) fn render_profile() -> String {
-    let (samples, ticks) = ilt_prof::cpu::sample_counts();
     let mut out = String::from("{");
-    out.push_str(&format!(
-        "\"sampler_running\":{},\"sampler_hz\":{},\"samples\":{samples},\"ticks\":{ticks}",
-        ilt_prof::sampler_running(),
-        ilt_prof::sampler_hz()
-    ));
-    out.push_str(",\"top_self\":[");
-    for (i, (leaf, count)) in ilt_prof::cpu::top_self(10).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"frame\":");
-        push_str_literal(&mut out, leaf);
-        out.push_str(&format!(",\"samples\":{count}}}"));
-    }
-    out.push_str("],\"samples_per_stage\":{");
-    for (i, (stage, count)) in ilt_prof::cpu::samples_per_stage().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_str_literal(&mut out, stage);
-        out.push_str(&format!(":{count}"));
-    }
-    out.push_str("},\"collapsed\":");
+    ilt_prof::render::push_profile(&mut out);
+    out.push_str(",\"collapsed\":");
     push_str_literal(&mut out, &ilt_prof::collapsed());
     out.push('}');
     out
 }
 
-/// `GET /debug/memory`: current/peak RSS, the tracking allocator's
-/// global and per-stage counters, and the heaviest-allocating traces
-/// (job ids are resolved by the route handler and passed in as
-/// `(trace, job_id)` pairs; unresolved traces render without a job).
+/// `GET /debug/memory`: RSS and the tracking allocator's counters as the
+/// bench report renders them ([`ilt_prof::render::push_memory`]), plus
+/// the heaviest-allocating traces (job ids are resolved by the route
+/// handler and passed in as `(trace, job_id)` pairs; unresolved traces
+/// render without a job).
 pub(crate) fn render_memory(trace_jobs: &[(u64, Option<u64>)]) -> String {
     let mut out = String::from("{");
-    match ilt_prof::rss::read() {
-        Some(rss) => out.push_str(&format!(
-            "\"rss\":{{\"current_bytes\":{},\"peak_bytes\":{},\"window_peak_bytes\":{}}}",
-            rss.current_bytes,
-            rss.peak_bytes,
-            ilt_prof::rss::window_peak()
-        )),
-        None => out.push_str("\"rss\":null"),
-    }
-    let alloc = ilt_prof::alloc::stats();
-    out.push_str(&format!(
-        ",\"alloc\":{{\"enabled\":{},\"allocated_bytes\":{},\"allocation_calls\":{},\
-         \"freed_bytes\":{},\"free_calls\":{},\"live_bytes\":{},\"peak_live_bytes\":{}",
-        alloc.enabled,
-        alloc.allocated_bytes,
-        alloc.allocation_calls,
-        alloc.freed_bytes,
-        alloc.free_calls,
-        alloc.live_bytes,
-        alloc.peak_live_bytes
-    ));
-    out.push_str(",\"stages\":{");
-    for (i, stage) in alloc.stages.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_str_literal(&mut out, stage.stage.name());
-        out.push_str(&format!(
-            ":{{\"bytes\":{},\"calls\":{}}}",
-            stage.bytes, stage.calls
-        ));
-    }
-    out.push_str("}}");
+    ilt_prof::render::push_memory(&mut out, ilt_prof::rss::read(), &ilt_prof::alloc::stats());
     out.push_str(",\"top_traces\":[");
     for (i, (trace, job)) in trace_jobs.iter().enumerate() {
         if i > 0 {

@@ -13,11 +13,13 @@
 //! | `POST /v1/jobs` | Admit a job (JSON spec); `202` with an id, or `429` + `Retry-After` when the queue is full |
 //! | `GET /v1/jobs/{id}` | Job status; when `done`, Table 1 quality metrics and a mask summary |
 //! | `GET /healthz` | Liveness plus queue depth/capacity |
-//! | `GET /metrics` | Prometheus text exposition of counters, gauges, histograms, and SLO burn rates |
+//! | `GET /metrics` | Prometheus text exposition of counters, gauges, histograms (span-store, RSS and allocator facts included), and SLO burn rates |
 //! | `GET /debug/jobs/{id}/trace` | The job's span tree (queue → session → tiles → assembly) from the flight recorder |
 //! | `GET /debug/queue` | Admission state plus recent jobs with their trace ids |
 //! | `GET /debug/caches` | Kernel-bank / FFT-plan / session-cache sizes and hit rates |
-//! | `GET /debug/slo` | Burn rates per objective and window, with raw good/bad counts |
+//! | `GET /debug/slo` | Burn rates per objective and window, with raw good/bad counts, over the daemon's three fixed objectives |
+//! | `GET /debug/profile` | CPU sampler state and profile (the `report.json` `profile` section) plus the collapsed-stack text |
+//! | `GET /debug/memory` | RSS and allocator counters (the `report.json` `memory` section) plus the heaviest-allocating traces |
 //! | `POST /admin/shutdown` | Start the graceful drain (in-flight and queued jobs still finish) |
 //!
 //! ## Job spec
@@ -54,5 +56,6 @@ pub mod http;
 pub mod job;
 pub mod queue;
 pub mod server;
+mod slo;
 
 pub use server::{start, DrainSummary, ServeConfig, ServeError, ServerHandle};

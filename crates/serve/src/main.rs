@@ -11,10 +11,9 @@
 //! (tile threads per job, default 1), `ILT_TRACE`, `ILT_FAULTS`
 //! (deterministic fault-injection profile for drills, see `ilt_telemetry::fault`),
 //! `ILT_OBS_RING` (flight-recorder capacity per shard, or `off`),
-//! `ILT_SLO` / `ILT_SLO_WINDOWS` (burn-rate objectives, see
-//! `ilt_telemetry::slo`), `ILT_PROF_HZ` (CPU sampler rate; on by default
-//! for the service, `0`/`off` disables) and `ILT_PROF_ALLOC` (allocation
-//! counting for `/debug/memory`).
+//! `ILT_PROF_HZ` (CPU sampler rate; on by default for the service,
+//! `0`/`off` disables) and `ILT_PROF_ALLOC` (allocation counting for
+//! `/debug/memory`). The SLO objectives and windows are fixed.
 
 use ilt_serve::ServeConfig;
 
@@ -27,9 +26,7 @@ static GLOBAL: ilt_prof::TrackingAlloc = ilt_prof::TrackingAlloc::new();
 fn main() {
     // Opposite default from the batch binaries: a service should expose
     // metrics unless explicitly muted.
-    if !ilt_telemetry::init_from_env() && std::env::var("ILT_TRACE").is_err() {
-        ilt_telemetry::set_enabled(true);
-    }
+    ilt_telemetry::init_from_env(true);
     ilt_telemetry::flight::init_from_env();
     // A service profiles by default: the sampler feeds /debug/profile and
     // the RSS window, at well under 1% overhead (gated by the `obs_overhead` bin).

@@ -27,7 +27,6 @@ use ilt_grid::BitGrid;
 use ilt_layout::generate_clip;
 use ilt_telemetry as tele;
 use ilt_telemetry::fault::{self, points};
-use ilt_telemetry::slo::{SloConfig, SloEngine};
 use ilt_tile::{Partition, TileExecutor};
 
 use ilt_core::experiment::Method;
@@ -41,13 +40,14 @@ use crate::job::{
     JobStatus, MaskSummary,
 };
 use crate::queue::{JobQueue, PushError, RETRY_AFTER_SECONDS};
+use crate::slo::{SloConfig, SloEngine};
 
-/// The process-wide SLO burn-rate engine, configured from `ILT_SLO` /
-/// `ILT_SLO_WINDOWS` on first use and fed by every job completion.
+/// The process-wide SLO burn-rate engine over the daemon's objectives,
+/// fed by every job completion.
 static SLO: OnceLock<SloEngine> = OnceLock::new();
 
 fn slo_engine() -> &'static SloEngine {
-    SLO.get_or_init(|| SloEngine::new(SloConfig::from_env()))
+    SLO.get_or_init(|| SloEngine::new(SloConfig::serve_default()))
 }
 
 /// Idle keep-alive connections are dropped after this long, which also
@@ -360,13 +360,30 @@ fn route(shared: &Shared, request: &Request) -> Response {
 }
 
 /// `GET /metrics`: the telemetry snapshot (counters, gauges, histogram
-/// summaries) plus the SLO burn-rate series and the flight recorder's
-/// drop counter.
+/// summaries) plus the SLO burn-rate series. The span store's occupancy
+/// and drop count, the process RSS and the tracking allocator's totals
+/// are written straight into the snapshot's maps — not through
+/// `gauge_set`, a no-op while collection is off — so one writer renders
+/// them all (`obs.spans_buffered` becomes `ilt_obs_spans_buffered`,
+/// `alloc.allocated_bytes` becomes `ilt_alloc_allocated_bytes_total`).
 fn metrics() -> Response {
-    let mut body = tele::snapshot().to_prometheus();
+    let mut snapshot = tele::snapshot();
+    let gauges = &mut snapshot.gauges;
+    let counters = &mut snapshot.counters;
+    gauges.insert("obs.spans_buffered".into(), tele::flight::len() as f64);
+    counters.insert("obs.spans_dropped".into(), tele::flight::spans_dropped());
+    if let Some(rss) = ilt_prof::rss::read() {
+        gauges.insert("process.rss_bytes".into(), rss.current_bytes as f64);
+        gauges.insert("process.peak_rss_bytes".into(), rss.peak_bytes as f64);
+    }
+    let alloc = ilt_prof::alloc::stats();
+    if alloc.enabled {
+        gauges.insert("alloc.live_bytes".into(), alloc.live_bytes as f64);
+        counters.insert("alloc.allocated_bytes".into(), alloc.allocated_bytes);
+        counters.insert("alloc.freed_bytes".into(), alloc.freed_bytes);
+    }
+    let mut body = snapshot.to_prometheus();
     body.push_str(&slo_engine().to_prometheus());
-    body.push_str(&debug::obs_prometheus());
-    body.push_str(&debug::prof_prometheus());
     Response::text(200, body)
 }
 

@@ -11,9 +11,11 @@
 //!
 //! `burn == 1` means the error budget is being consumed exactly as fast as
 //! the objective allows; `burn > 1` on a short *and* a long window is the
-//! classic page condition. `ilt-serve` feeds the engine from job
+//! classic page condition. The daemon feeds the engine from job
 //! completions and exports the series on `/metrics` as
-//! `ilt_slo_burn_rate{objective=...,window=...}`.
+//! `ilt_slo_burn_rate{objective=...,window=...}`. Its objectives and
+//! windows are the constants of [`SloConfig::serve_default`]; tests build
+//! their own [`SloConfig`]s.
 //!
 //! Everything is wall-clock-free below the public API: observations and
 //! reports can be pinned to an explicit second for deterministic tests.
@@ -26,14 +28,14 @@ use std::time::Instant;
 pub enum SloKind {
     /// Good iff the job finished (successfully or not) within the
     /// threshold, in microseconds end-to-end (queue wait included).
-    JobLatency {
+    Latency {
         /// Latency threshold in microseconds.
         threshold_us: u64,
     },
     /// Good iff the job did not fail.
-    JobErrors,
+    Errors,
     /// Good iff no tile of the job degraded to its coarse fallback.
-    JobDegraded,
+    Degraded,
 }
 
 /// One declarative objective: a kind plus the target good-fraction.
@@ -58,92 +60,31 @@ pub struct SloConfig {
 }
 
 impl SloConfig {
-    /// The default serving objectives: p99-style job latency under 30 s,
-    /// 99.9% non-failed, 99% non-degraded, over 1 m / 5 m / 30 m windows.
+    /// The daemon's objectives: p99-style job latency under 30 s, 99.9%
+    /// non-failed, 99% non-degraded, over 1 m / 5 m / 30 m windows.
     pub fn serve_default() -> Self {
         SloConfig {
             objectives: vec![
                 Objective {
                     name: "job_latency".to_string(),
-                    kind: SloKind::JobLatency {
+                    kind: SloKind::Latency {
                         threshold_us: 30_000_000,
                     },
                     target: 0.99,
                 },
                 Objective {
                     name: "job_errors".to_string(),
-                    kind: SloKind::JobErrors,
+                    kind: SloKind::Errors,
                     target: 0.999,
                 },
                 Objective {
                     name: "job_degraded".to_string(),
-                    kind: SloKind::JobDegraded,
+                    kind: SloKind::Degraded,
                     target: 0.99,
                 },
             ],
             windows: vec![60, 300, 1800],
         }
-    }
-
-    /// Builds the config from `ILT_SLO` / `ILT_SLO_WINDOWS`, falling back
-    /// to [`SloConfig::serve_default`] for anything unset or malformed.
-    ///
-    /// Grammar: `ILT_SLO` is a comma-separated list of
-    /// `job_latency:<threshold_ms>:<target>`, `job_errors:<target>`, and
-    /// `job_degraded:<target>` entries; `ILT_SLO_WINDOWS` is a
-    /// comma-separated list of window lengths in seconds.
-    pub fn from_env() -> Self {
-        let mut config = Self::serve_default();
-        if let Ok(spec) = std::env::var("ILT_SLO") {
-            if let Some(objectives) = parse_objectives(&spec) {
-                config.objectives = objectives;
-            }
-        }
-        if let Ok(spec) = std::env::var("ILT_SLO_WINDOWS") {
-            let windows: Option<Vec<u64>> = spec
-                .split(',')
-                .map(|w| w.trim().parse::<u64>().ok().filter(|&w| w > 0))
-                .collect();
-            if let Some(mut windows) = windows.filter(|w| !w.is_empty()) {
-                windows.sort_unstable();
-                config.windows = windows;
-            }
-        }
-        config
-    }
-}
-
-fn parse_objectives(spec: &str) -> Option<Vec<Objective>> {
-    let mut out = Vec::new();
-    for entry in spec.split(',').filter(|e| !e.trim().is_empty()) {
-        let parts: Vec<&str> = entry.trim().split(':').collect();
-        let target_of = |s: &str| s.parse::<f64>().ok().filter(|t| (0.0..1.0).contains(t));
-        let objective = match parts.as_slice() {
-            ["job_latency", threshold_ms, target] => Objective {
-                name: "job_latency".to_string(),
-                kind: SloKind::JobLatency {
-                    threshold_us: threshold_ms.parse::<u64>().ok()?.checked_mul(1000)?,
-                },
-                target: target_of(target)?,
-            },
-            ["job_errors", target] => Objective {
-                name: "job_errors".to_string(),
-                kind: SloKind::JobErrors,
-                target: target_of(target)?,
-            },
-            ["job_degraded", target] => Objective {
-                name: "job_degraded".to_string(),
-                kind: SloKind::JobDegraded,
-                target: target_of(target)?,
-            },
-            _ => return None,
-        };
-        out.push(objective);
-    }
-    if out.is_empty() {
-        None
-    } else {
-        Some(out)
     }
 }
 
@@ -238,9 +179,9 @@ impl SloEngine {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         for obj in state.iter_mut() {
             let good = match obj.objective.kind {
-                SloKind::JobLatency { threshold_us } => latency_us <= threshold_us,
-                SloKind::JobErrors => !failed,
-                SloKind::JobDegraded => !degraded,
+                SloKind::Latency { threshold_us } => latency_us <= threshold_us,
+                SloKind::Errors => !failed,
+                SloKind::Degraded => !degraded,
             };
             let len = obj.ring.len() as u64;
             let bucket = &mut obj.ring[(sec % len) as usize];
@@ -346,18 +287,18 @@ impl SloEngine {
             }
             out.push('{');
             out.push_str("\"name\":");
-            crate::json::push_str_literal(&mut out, &report.objective.name);
+            ilt_telemetry::json::push_str_literal(&mut out, &report.objective.name);
             let (kind, threshold_us) = match report.objective.kind {
-                SloKind::JobLatency { threshold_us } => ("latency", Some(threshold_us)),
-                SloKind::JobErrors => ("errors", None),
-                SloKind::JobDegraded => ("degraded", None),
+                SloKind::Latency { threshold_us } => ("latency", Some(threshold_us)),
+                SloKind::Errors => ("errors", None),
+                SloKind::Degraded => ("degraded", None),
             };
             out.push_str(&format!(",\"kind\":\"{kind}\""));
             if let Some(threshold_us) = threshold_us {
                 out.push_str(&format!(",\"threshold_us\":{threshold_us}"));
             }
             out.push_str(",\"target\":");
-            crate::json::push_f64(&mut out, report.objective.target);
+            ilt_telemetry::json::push_f64(&mut out, report.objective.target);
             out.push_str(&format!(
                 ",\"total_good\":{},\"total_bad\":{},\"windows\":[",
                 report.total_good, report.total_bad
@@ -370,7 +311,7 @@ impl SloEngine {
                     "{{\"seconds\":{},\"good\":{},\"bad\":{},\"burn_rate\":",
                     window.window_s, window.good, window.bad
                 ));
-                crate::json::push_f64(&mut out, window.burn_rate);
+                ilt_telemetry::json::push_f64(&mut out, window.burn_rate);
                 out.push('}');
             }
             out.push_str("]}");
@@ -388,7 +329,7 @@ mod tests {
         SloEngine::new(SloConfig {
             objectives: vec![Objective {
                 name: "job_latency".to_string(),
-                kind: SloKind::JobLatency { threshold_us },
+                kind: SloKind::Latency { threshold_us },
                 target,
             }],
             windows,
@@ -442,12 +383,12 @@ mod tests {
             objectives: vec![
                 Objective {
                     name: "job_errors".to_string(),
-                    kind: SloKind::JobErrors,
+                    kind: SloKind::Errors,
                     target: 0.5,
                 },
                 Objective {
                     name: "job_degraded".to_string(),
-                    kind: SloKind::JobDegraded,
+                    kind: SloKind::Degraded,
                     target: 0.5,
                 },
             ],
@@ -467,23 +408,6 @@ mod tests {
         let engine = latency_only(1000, 0.99, vec![60]);
         let reports = engine.burn_rates_at(0);
         assert_eq!(reports[0].windows[0].burn_rate, 0.0);
-    }
-
-    #[test]
-    fn env_grammar_parses() {
-        let objectives =
-            parse_objectives("job_latency:2000:0.95, job_errors:0.999,job_degraded:0.9").unwrap();
-        assert_eq!(objectives.len(), 3);
-        assert_eq!(
-            objectives[0].kind,
-            SloKind::JobLatency {
-                threshold_us: 2_000_000
-            }
-        );
-        assert_eq!(objectives[0].target, 0.95);
-        assert!(parse_objectives("nonsense").is_none());
-        assert!(parse_objectives("job_latency:abc:0.9").is_none());
-        assert!(parse_objectives("job_errors:1.5").is_none());
     }
 
     #[test]

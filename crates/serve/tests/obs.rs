@@ -280,15 +280,38 @@ fn debug_endpoints_and_disjoint_job_traces() {
         );
     }
 
-    // /metrics carries the SLO series, the recorder drop counter, and
-    // the profiling gauges next to the ordinary exposition.
+    // /metrics carries the SLO series next to the ordinary exposition,
+    // and the span-store, RSS and allocator facts the handler writes into
+    // the snapshot each exactly once (one sample line, one TYPE line).
     let metrics = request(addr, "GET", "/metrics", None);
     assert_eq!(metrics.status, 200);
     assert!(metrics.body.contains("ilt_slo_burn_rate{"));
-    assert!(metrics.body.contains("ilt_obs_spans_dropped_total"));
-    assert!(metrics.body.contains("ilt_alloc_live_bytes"));
-    #[cfg(target_os = "linux")]
-    assert!(metrics.body.contains("ilt_process_rss_bytes"));
+    let mut series = vec![
+        ("ilt_obs_spans_buffered", "gauge"),
+        ("ilt_obs_spans_dropped_total", "counter"),
+        ("ilt_alloc_live_bytes", "gauge"),
+        ("ilt_alloc_allocated_bytes_total", "counter"),
+        ("ilt_alloc_freed_bytes_total", "counter"),
+    ];
+    if cfg!(target_os = "linux") {
+        series.push(("ilt_process_rss_bytes", "gauge"));
+        series.push(("ilt_process_peak_rss_bytes", "gauge"));
+    }
+    for (name, kind) in series {
+        let samples = metrics
+            .body
+            .lines()
+            .filter(|l| l.split_once(' ').is_some_and(|(n, _)| n == name))
+            .count();
+        assert_eq!(samples, 1, "{name} samples in {}", metrics.body);
+        let type_line = format!("# TYPE {name} {kind}");
+        assert_eq!(
+            metrics.body.lines().filter(|l| *l == type_line).count(),
+            1,
+            "{type_line:?} in {}",
+            metrics.body
+        );
+    }
 
     // /debug/profile: sampler state plus a collapsed-stack body. One
     // deterministic in-process sample under a named span guarantees a

@@ -1,6 +1,7 @@
-//! Exporters over a drained [`Telemetry`] snapshot: a human-readable tree,
-//! a JSONL event log, the Chrome `trace_event` format, and per-flow
-//! summaries that mirror the workspace's `StageTiming` shape.
+//! Exporters over a drained [`Telemetry`] snapshot: the span tree as
+//! nested JSON and in the Chrome `trace_event` format, counters, gauges
+//! and histograms as Prometheus text, and per-flow summaries that mirror
+//! the workspace's `StageTiming` shape.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -102,113 +103,7 @@ fn display_label(e: &SpanEvent) -> String {
     }
 }
 
-fn push_event_json(out: &mut String, e: &SpanEvent) {
-    out.push_str("{\"type\":\"span\",\"id\":");
-    let _ = write!(out, "{}", e.id);
-    out.push_str(",\"parent\":");
-    match e.parent {
-        Some(p) => {
-            let _ = write!(out, "{p}");
-        }
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"trace\":");
-    let _ = write!(out, "{}", e.trace);
-    out.push_str(",\"name\":");
-    json::push_str_literal(out, e.name);
-    out.push_str(",\"thread\":");
-    let _ = write!(out, "{}", e.thread);
-    out.push_str(",\"start_us\":");
-    let _ = write!(out, "{}", e.start_ns / 1_000);
-    out.push_str(",\"dur_us\":");
-    let _ = write!(out, "{}", e.dur_ns / 1_000);
-    out.push_str(",\"fields\":");
-    json::push_fields_object(out, &e.fields);
-    out.push('}');
-}
-
 impl Telemetry {
-    /// Renders the span tree (with counters and histograms) as an indented,
-    /// human-readable report.
-    pub fn render_tree(&self) -> String {
-        let tree = index_tree(&self.events);
-        let mut out = String::new();
-        out.push_str("spans:\n");
-        for &root in &tree.roots {
-            render_node(&mut out, &self.events, &tree, root, 1);
-        }
-        if !self.counters.is_empty() {
-            out.push_str("counters:\n");
-            for (name, v) in &self.counters {
-                let _ = writeln!(out, "  {name} = {v}");
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for (name, v) in &self.gauges {
-                let _ = writeln!(out, "  {name} = {v}");
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("histograms:\n");
-            for (name, h) in &self.histograms {
-                let _ = writeln!(
-                    out,
-                    "  {name}: count={} p50={} p95={} p99={} max={} mean={:.1}",
-                    h.count(),
-                    h.quantile(0.5),
-                    h.quantile(0.95),
-                    h.quantile(0.99),
-                    h.max(),
-                    h.mean()
-                );
-            }
-        }
-        out
-    }
-
-    /// Serialises the snapshot as JSON Lines: one `span` record per span
-    /// (start order), then one `counter` record per counter and one
-    /// `histogram` record per histogram.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            push_event_json(&mut out, e);
-            out.push('\n');
-        }
-        for (name, v) in &self.counters {
-            out.push_str("{\"type\":\"counter\",\"name\":");
-            json::push_str_literal(&mut out, name);
-            let _ = write!(out, ",\"value\":{v}}}");
-            out.push('\n');
-        }
-        for (name, v) in &self.gauges {
-            out.push_str("{\"type\":\"gauge\",\"name\":");
-            json::push_str_literal(&mut out, name);
-            out.push_str(",\"value\":");
-            json::push_f64(&mut out, *v);
-            out.push('}');
-            out.push('\n');
-        }
-        for (name, h) in &self.histograms {
-            out.push_str("{\"type\":\"histogram\",\"name\":");
-            json::push_str_literal(&mut out, name);
-            let _ = write!(
-                out,
-                ",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                h.count(),
-                h.sum(),
-                h.min(),
-                h.max(),
-                h.quantile(0.5),
-                h.quantile(0.95),
-                h.quantile(0.99)
-            );
-            out.push('\n');
-        }
-        out
-    }
-
     /// Renders counters and histograms in the Prometheus text exposition
     /// format (version 0.0.4), the shape `GET /metrics` endpoints serve.
     ///
@@ -280,11 +175,6 @@ impl Telemetry {
         out
     }
 
-    /// Serialises the span tree as nested JSON (used inside `report.json`).
-    pub fn span_tree_json(&self) -> String {
-        span_forest_json(&self.events)
-    }
-
     /// Derives per-flow summaries from the span tree: every `flow` span
     /// becomes a [`FlowSummary`], its child `stage` spans become
     /// [`StageSummary`] entries, and tile/assembly attribution comes from
@@ -334,30 +224,13 @@ impl Telemetry {
     }
 }
 
-fn render_node(out: &mut String, events: &[SpanEvent], tree: &TreeIndex, i: usize, depth: usize) {
-    let e = &events[i];
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-    let _ = writeln!(
-        out,
-        "{} {:.3} ms (t{})",
-        display_label(e),
-        e.dur_ns as f64 / 1e6,
-        e.thread
-    );
-    if let Some(kids) = tree.children.get(&e.id) {
-        for &k in kids {
-            render_node(out, events, tree, k, depth + 1);
-        }
-    }
-}
-
-/// Serialises any span slice as a nested JSON forest — the same shape as
-/// [`Telemetry::span_tree_json`], usable over flight-recorder snapshots
-/// (the `/debug/jobs/{id}/trace` endpoint) without building a
-/// [`Telemetry`]. Events whose parent is absent from `events` become
-/// roots; events should be sorted by `(start_ns, id)` for stable order.
+/// Serialises a span slice as a nested JSON forest: one `{name, id,
+/// trace, thread, start_us, seconds, fields, children}` node per span,
+/// children in start order — the `spans` section of `report.json` (over
+/// a drained [`Telemetry`]'s events) and of `/debug/jobs/{id}/trace` (over
+/// a flight-recorder snapshot). Events whose parent is absent from
+/// `events` become roots; events should be sorted by `(start_ns, id)` for
+/// stable order.
 pub fn span_forest_json(events: &[SpanEvent]) -> String {
     let tree = index_tree(events);
     let mut out = String::new();
@@ -374,8 +247,14 @@ fn push_subtree_json(out: &mut String, events: &[SpanEvent], tree: &TreeIndex, n
         let e = &events[i];
         out.push_str("{\"name\":");
         json::push_str_literal(out, e.name);
-        let _ = write!(out, ",\"id\":{},\"trace\":{}", e.id, e.trace);
-        let _ = write!(out, ",\"thread\":{},\"seconds\":", e.thread);
+        let _ = write!(
+            out,
+            ",\"id\":{},\"trace\":{},\"thread\":{},\"start_us\":{},\"seconds\":",
+            e.id,
+            e.trace,
+            e.thread,
+            e.start_ns / 1_000
+        );
         json::push_f64(out, e.seconds());
         out.push_str(",\"fields\":");
         json::push_fields_object(out, &e.fields);

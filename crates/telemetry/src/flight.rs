@@ -10,7 +10,7 @@
 //! spans per shard, so a long-lived process keeps the *most recent* spans
 //! in bounded memory. A batch run that wants every span lifts the bound
 //! with [`set_capacity`] before it starts and drains when it ends (the
-//! bench harness, under `ILT_TRACE=1`); a daemon never does.
+//! bench harness, on every traced run); a daemon never does.
 //!
 //! Layout: a fixed number of shards, each an independent
 //! `Mutex<VecDeque<SpanEvent>>`. A recording thread always lands in the
@@ -20,9 +20,9 @@
 //! until evicted — deliberately, so short-lived connection threads leave
 //! their request spans behind without leaking per-thread buffers.
 //!
-//! Evictions are counted ([`spans_dropped`], on `/metrics` as
-//! `ilt_obs_spans_dropped_total`) beside the occupancy ([`len`],
-//! `ilt_obs_spans_buffered`).
+//! Evictions are counted ([`spans_dropped`], the `obs.spans_dropped`
+//! counter of `/metrics`) beside the occupancy ([`len`], the
+//! `obs.spans_buffered` gauge).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -82,16 +82,22 @@ pub fn set_recording(on: bool) {
 }
 
 /// Reads `ILT_OBS_RING` (per-shard span capacity; `0` or `off` disables
-/// recording) and applies it. Called by binaries next to
+/// recording) and applies it. Called by the daemon next to
 /// [`crate::init_from_env`].
 pub fn init_from_env() {
-    if let Ok(v) = std::env::var("ILT_OBS_RING") {
-        let v = v.trim().to_ascii_lowercase();
-        if v == "off" || v == "0" {
-            set_recording(false);
-        } else if let Ok(n) = v.parse::<usize>() {
-            set_capacity(n);
-        }
+    match parse_ring(std::env::var("ILT_OBS_RING").ok().as_deref()) {
+        0 => set_recording(false),
+        per_shard => set_capacity(per_shard),
+    }
+}
+
+/// The `ILT_OBS_RING` grammar: a per-shard capacity, `0` for `0`/`off`
+/// (case-insensitive); unset or malformed (with a warning) it is
+/// [`DEFAULT_CAPACITY`].
+fn parse_ring(raw: Option<&str>) -> usize {
+    match raw {
+        Some(v) if v.trim().eq_ignore_ascii_case("off") => 0,
+        raw => crate::parse_or_warn("ILT_OBS_RING", raw, DEFAULT_CAPACITY),
     }
 }
 
@@ -124,4 +130,20 @@ pub fn len() -> usize {
         .iter()
         .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len())
         .sum()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ring_grammar_keeps_off_and_warns_on_the_rest() {
+        assert_eq!(parse_ring(None), DEFAULT_CAPACITY);
+        assert_eq!(parse_ring(Some(" 256 ")), 256);
+        assert_eq!(parse_ring(Some("0")), 0);
+        assert_eq!(parse_ring(Some("off")), 0);
+        assert_eq!(parse_ring(Some("OFF")), 0);
+        assert_eq!(parse_ring(Some("25x")), DEFAULT_CAPACITY);
+        assert_eq!(parse_ring(Some("-1")), DEFAULT_CAPACITY);
+    }
 }

@@ -2,7 +2,7 @@
 //!
 //! Zero-dependency observability for the multigrid-Schwarz ILT workspace:
 //! hierarchical RAII spans, counters, and log-bucketed histograms, with
-//! human-readable, JSONL, and Chrome `trace_event` exporters.
+//! nested-JSON, Chrome `trace_event` and Prometheus exporters.
 //!
 //! ## Model
 //!
@@ -16,6 +16,11 @@
 //!   power-of-two buckets with p50/p95/max summaries) cover hot paths where
 //!   per-event spans would be too heavy (FFT calls, litho simulations,
 //!   solver iterations, pixels assembled).
+//! * **Exports.** A span tree renders two ways, each read by a consumer:
+//!   nested JSON ([`span_forest_json`], the `spans` of `report.json` and
+//!   `/debug/jobs/{id}/trace`) and the Chrome `trace_event` format
+//!   ([`Telemetry::to_chrome_trace`], for Perfetto). Counters, gauges and
+//!   histograms render as Prometheus text ([`Telemetry::to_prometheus`]).
 //! * Each fact is kept **once**. A closed span is moved into the one span
 //!   store, the sharded [`flight`] ring, where [`drain`],
 //!   [`flight::trace_spans`] and through them every exporter read it. Each
@@ -41,8 +46,8 @@
 //! store, so live introspection — `ilt-serve`'s `/debug/jobs/{id}/trace` —
 //! works without restarting with tracing enabled. The store is a
 //! drop-oldest ring unless a batch run that will [`drain`] at its end
-//! lifts the bound ([`flight::set_capacity`]; the bench harness does under
-//! `ILT_TRACE=1`). What the `ILT_TRACE` flag
+//! lifts the bound ([`flight::set_capacity`]; the bench harness does on
+//! every traced run). What the `ILT_TRACE` flag
 //! ([`init_from_env`]/[`set_enabled`]) gates here is whether counters,
 //! gauges, and histograms record at all — disabled, those entry points are
 //! no-ops behind one relaxed atomic load — not a second span collection.
@@ -80,7 +85,6 @@ pub mod flight;
 pub mod json;
 pub mod live;
 mod metrics;
-pub mod slo;
 mod span;
 mod trace;
 
@@ -178,23 +182,33 @@ pub fn env_or_warn<T: FromStr + Display>(var: &str, fallback: T) -> T {
     parse_or_warn(var, std::env::var(var).ok().as_deref(), fallback)
 }
 
-fn parse_or_warn<T: FromStr + Display>(var: &str, raw: Option<&str>, fallback: T) -> T {
+pub(crate) fn parse_or_warn<T: FromStr + Display>(var: &str, raw: Option<&str>, fallback: T) -> T {
     match raw {
         None => fallback,
         Some(raw) => match raw.trim().parse() {
             Ok(v) => v,
-            Err(_) => {
-                eprintln!("warning: invalid {var}={raw:?}; using default {fallback}");
-                fallback
-            }
+            Err(_) => warn_invalid(var, raw, fallback),
         },
     }
 }
 
+/// Warns on stderr that `var` holds the malformed value `raw`, naming the
+/// fallback, and returns the fallback: the one wording of every `ILT_*`
+/// parser, [`env_or_warn`] and the hand-written grammars alike.
+pub fn warn_invalid<T: Display>(var: &str, raw: &str, fallback: T) -> T {
+    eprintln!("warning: invalid {var}={raw:?}; using default {fallback}");
+    fallback
+}
+
 /// Reads `ILT_TRACE` and enables collection when it is on (see
-/// [`parse_flag`]). Returns the resulting enabled state.
-pub fn init_from_env() -> bool {
-    let on = parse_flag(std::env::var("ILT_TRACE").ok().as_deref());
+/// [`parse_flag`]); when it is unset, collection follows `default_on`
+/// (the service and the drills that report on telemetry collect by
+/// default, the paper driver does not). Returns the resulting state.
+pub fn init_from_env(default_on: bool) -> bool {
+    let on = match std::env::var("ILT_TRACE") {
+        Ok(raw) => parse_flag(Some(&raw)),
+        Err(_) => default_on,
+    };
     set_enabled(on);
     on
 }

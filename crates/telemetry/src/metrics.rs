@@ -181,15 +181,6 @@ impl Histogram {
         self.max
     }
 
-    /// Mean of recorded values (0.0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Approximate quantile `q ∈ [0, 1]`: the upper bound of the bucket
     /// containing the `⌈q·count⌉`-th smallest sample (clamped by the exact
     /// max). Returns 0 for an empty histogram.

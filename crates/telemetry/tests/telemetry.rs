@@ -158,26 +158,31 @@ fn exporters_cover_all_spans_and_parse_as_json_shapes() {
         tele::record_value("unit.export_hist", 42);
     });
 
-    let jsonl = t.to_jsonl();
-    let span_lines = jsonl.lines().filter(|l| l.contains("\"type\":\"span\""));
-    assert_eq!(span_lines.count(), t.events.len());
-    assert!(jsonl.contains("\\\"flow\\\"")); // quotes escaped
-    assert!(jsonl.contains("\"type\":\"counter\""));
-    assert!(jsonl.contains("\"type\":\"histogram\""));
+    // The nested JSON is the record a consumer reads: one node per span,
+    // quotes escaped, and every field the events carry.
+    let tree_json = tele::span_forest_json(&t.events);
+    assert!(tree_json.starts_with('['));
+    assert_eq!(tree_json.matches("\"children\":").count(), t.events.len());
+    assert!(tree_json.contains("\"name\":\"demo \\\"flow\\\"\""));
+    for e in &t.events {
+        let node = format!(
+            "\"id\":{},\"trace\":{},\"thread\":{},\"start_us\":{},",
+            e.id,
+            e.trace,
+            e.thread,
+            e.start_ns / 1000
+        );
+        assert!(tree_json.contains(&node), "{node} missing from {tree_json}");
+    }
+    assert_eq!(t.counters["unit.export_counter"], 1);
+    assert_eq!(t.histograms["unit.export_hist"].count(), 1);
 
     let chrome = t.to_chrome_trace();
     assert!(chrome.starts_with("{\"traceEvents\":["));
     assert!(chrome.ends_with("]}"));
     assert_eq!(chrome.matches("\"ph\":\"X\"").count(), t.events.len());
-
-    let tree = t.render_tree();
-    assert!(tree.contains("stage(stage 1)"));
-    assert!(tree.contains("tile(2)"));
-    assert!(tree.contains("unit.export_counter = 1"));
-
-    let tree_json = t.span_tree_json();
-    assert!(tree_json.starts_with('['));
-    assert!(tree_json.contains("\"children\":["));
+    assert!(chrome.contains("\"name\":\"stage(stage 1)\""));
+    assert!(chrome.contains("\"name\":\"tile(2)\""));
 
     let flows = t.flow_summaries();
     assert_eq!(flows.len(), 1);
@@ -440,8 +445,6 @@ fn gauges_snapshot_export_and_drain() {
         let prom = snap.to_prometheus();
         assert!(prom.contains("# TYPE ilt_unit_gauge_depth gauge"), "{prom}");
         assert!(prom.contains("ilt_unit_gauge_depth 3"), "{prom}");
-        let jsonl = snap.to_jsonl();
-        assert!(jsonl.contains("{\"type\":\"gauge\",\"name\":\"unit.gauge_depth\",\"value\":3"));
     });
     assert_eq!(t.gauges["unit.gauge_depth"], 3.0);
     // drain() took the registry with it.
