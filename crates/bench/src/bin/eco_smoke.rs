@@ -23,9 +23,9 @@
 
 use std::fmt::Write as _;
 
+use ilt_bench::diff::DiffThresholds;
 use ilt_bench::HarnessOptions;
 use ilt_core::experiment::Method;
-use ilt_diag::DiffThresholds;
 use ilt_layout::generate_clip;
 use ilt_store::MaskStore;
 use ilt_telemetry::json;
@@ -237,8 +237,8 @@ fn main() {
         outcome.flow.wall_seconds
     );
 
-    ilt_bench::set_report_section("incremental", render_section(&outcome, speedup, &phases));
-    opts.finish_run("eco_smoke");
+    let incremental = render_section(&outcome, speedup, &phases);
+    opts.finish_run("eco_smoke", &[], &[("incremental", incremental)]);
 }
 
 /// Renders the optional `incremental` section of `report.json`: the reuse

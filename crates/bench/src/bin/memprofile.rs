@@ -162,7 +162,7 @@ fn main() {
     println!("wrote {}", flame.display());
 
     ilt_prof::stop_sampler();
-    opts.finish_run("memprofile");
+    opts.finish_run("memprofile", &[], &[]);
     assert!(
         worst.0 >= 0.9,
         "{}: only {:.1}% of tracked bytes attributed to a named stage",

@@ -24,7 +24,7 @@
 
 use std::process::ExitCode;
 
-use ilt_diag::{compare_reports, DiffThresholds};
+use ilt_bench::diff::{compare_reports, DiffThresholds, Regression};
 use ilt_json::Json;
 
 fn main() -> ExitCode {
@@ -52,7 +52,7 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<Vec<ilt_diag::Regression>, String> {
+fn run(args: &[String]) -> Result<Vec<Regression>, String> {
     let mut paths = Vec::new();
     let mut thresholds = DiffThresholds::default();
     let mut it = args.iter();

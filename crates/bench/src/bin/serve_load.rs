@@ -111,7 +111,7 @@ fn main() {
         println!("kernel bank cache: no lookups observed (is server telemetry off?)");
     }
 
-    opts.finish_run("serve_load");
+    opts.finish_run("serve_load", &[], &[]);
     if stats.lost > 0 {
         eprintln!("serve_load: {} job(s) lost", stats.lost);
         std::process::exit(1);

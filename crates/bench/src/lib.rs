@@ -25,16 +25,25 @@
 //! Invalid values of `ILT_SCALE`, `ILT_CASES` or `ILT_WORKERS` are
 //! reported on stderr (naming the variable and the fallback used) instead
 //! of being silently ignored.
+//!
+//! The run report is read off the drained span forest; what no span holds
+//! is handed to [`HarnessOptions::finish_run`]: the [`spatial`] quality
+//! matrices of `reproduce`'s Table 1 flows and a binary's own sections.
+//! [`diff`] compares two reports for the `report_diff` gate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::fmt::Write as _;
+pub mod diff;
+mod report;
+pub mod spatial;
+
 use std::path::PathBuf;
 
 use ilt_core::ExperimentConfig;
-use ilt_telemetry::Telemetry;
 use ilt_tile::TileExecutor;
+
+use crate::spatial::CaseQuality;
 
 /// Runtime options shared by the bench binaries.
 #[derive(Debug, Clone)]
@@ -76,11 +85,7 @@ impl HarnessOptions {
             ilt_telemetry::flight::set_capacity(usize::MAX);
         }
         ilt_telemetry::fault::configure_from_env();
-        let scale = scale_or_warn(std::env::var("ILT_SCALE").ok());
-        let config = match scale.as_str() {
-            "tiny" => ExperimentConfig::test_tiny(),
-            _ => ExperimentConfig::paper_default(),
-        };
+        let (scale, config) = scale_or_warn(std::env::var("ILT_SCALE").ok());
         let cases = ilt_telemetry::env_or_warn("ILT_CASES", 20usize).clamp(1, 20);
         let workers = ilt_telemetry::env_or_warn("ILT_WORKERS", 1usize).max(1);
         let out_dir = std::env::var("ILT_OUT")
@@ -126,21 +131,20 @@ impl HarnessOptions {
     }
 
     /// Finalises a run: drains the telemetry collected since startup and
-    /// writes the machine-readable artifacts.
-    ///
-    /// Always writes `report.json` (schema `ilt-report/v2`) into the
-    /// artifact directory; on a traced run its `spans` section holds every
-    /// span as nested JSON. A traced run also writes `<binary>_trace.json`
-    /// (Chrome `trace_event` format, for Perfetto) beside it and renders
-    /// the spatial diagnostic maps collected by `ilt-diag` (per-case EPE
-    /// hotspot / seam mismatch / MRC overlay PGMs plus a
-    /// `tile_quality.csv` matrix).
+    /// writes `report.json` (schema `ilt-report/v2`) into the artifact
+    /// directory, with `quality` in its diagnostics and each of `sections`
+    /// (a name that collides with no standard key, and a complete JSON
+    /// document) as a top-level section. A traced run's report holds every
+    /// span; the run also writes `<binary>_trace.json` (Chrome
+    /// `trace_event` format, for Perfetto) and `quality`'s maps (per-case
+    /// EPE hotspot / seam mismatch / MRC overlay PGMs and
+    /// `tile_quality.csv`).
     ///
     /// # Panics
     ///
     /// Panics if an artifact cannot be written — unrecoverable for a
     /// harness.
-    pub fn finish_run(&self, binary: &str) {
+    pub fn finish_run(&self, binary: &str, quality: &[CaseQuality], sections: &[(&str, String)]) {
         let trace_enabled = ilt_telemetry::enabled();
         let mut tele = ilt_telemetry::drain();
         if !trace_enabled {
@@ -148,8 +152,7 @@ impl HarnessOptions {
             // of this run; an untraced report carries no spans.
             tele.events.clear();
         }
-        let diag = ilt_diag::sink::drain();
-        let report = render_report(binary, self, &tele, trace_enabled, &diag);
+        let report = report::render_report(binary, self, &tele, trace_enabled, quality, sections);
         let path = self.artifact("report.json");
         std::fs::write(&path, report).expect("cannot write report.json");
         println!("wrote {}", path.display());
@@ -157,39 +160,9 @@ impl HarnessOptions {
             let trace_path = self.artifact(&format!("{binary}_trace.json"));
             std::fs::write(&trace_path, tele.to_chrome_trace()).expect("cannot write Chrome trace");
             println!("wrote {}", trace_path.display());
-            write_diag_artifacts(&self.out_dir, &diag);
+            write_quality_artifacts(&self.out_dir, quality);
         }
     }
-}
-
-/// Extra top-level report sections registered by the running binary before
-/// [`HarnessOptions::finish_run`], keyed by section name. The ECO smoke
-/// drill uses this to attach its `incremental` section (reuse accounting,
-/// cold-vs-warm timing, quality deltas) to the standard `ilt-report/v2`
-/// document, where `report_diff` gates it alongside quality.
-static EXTRA_SECTIONS: std::sync::Mutex<Vec<(String, String)>> = std::sync::Mutex::new(Vec::new());
-
-/// Registers (or replaces) an extra top-level `report.json` section. The
-/// value must be a complete JSON document; it is embedded verbatim under
-/// the given key by the next [`HarnessOptions::finish_run`]. Section names
-/// must not collide with the standard `ilt-report/v2` keys — consumers
-/// treat unknown sections as optional, so a report with extras stays
-/// backwards-compatible.
-pub fn set_report_section(name: &str, json: String) {
-    let mut sections = EXTRA_SECTIONS.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(slot) = sections.iter_mut().find(|(n, _)| n == name) {
-        slot.1 = json;
-    } else {
-        sections.push((name.to_string(), json));
-    }
-}
-
-/// Snapshot of the registered extra sections, in registration order.
-fn extra_sections() -> Vec<(String, String)> {
-    EXTRA_SECTIONS
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
 }
 
 /// Replaces every non-alphanumeric character with `_` so case and method
@@ -202,12 +175,12 @@ fn sanitize(label: &str) -> String {
         .collect()
 }
 
-/// Writes the spatial diagnostic maps: for every traced case×method, the
-/// EPE hotspot grid, seam mismatch map, and MRC overlay as PGM images,
-/// plus a `tile_quality.csv` with one row per tile across all cases.
-fn write_diag_artifacts(dir: &std::path::Path, diag: &ilt_diag::RunDiagnostics) {
+/// Writes the spatial diagnostic maps: for every case×method, the EPE
+/// hotspot grid, seam mismatch map, and MRC overlay as PGM images, plus a
+/// `tile_quality.csv` with one row per tile across all cases.
+fn write_quality_artifacts(dir: &std::path::Path, quality: &[CaseQuality]) {
     let mut rows: Vec<Vec<String>> = Vec::new();
-    for case in &diag.cases {
+    for case in quality {
         let stem = format!("{}_{}", sanitize(&case.case), sanitize(&case.method));
         for (suffix, map) in [
             ("epe", &case.epe_heatmap),
@@ -256,156 +229,19 @@ fn write_diag_artifacts(dir: &std::path::Path, diag: &ilt_diag::RunDiagnostics) 
     }
 }
 
-/// Validates an `ILT_SCALE` value, warning on stderr for anything other
-/// than the two recognised scales.
-fn scale_or_warn(raw: Option<String>) -> String {
-    match raw {
-        Some(s) if s == "default" || s == "tiny" => s,
-        Some(other) => {
-            eprintln!(
-                "warning: invalid ILT_SCALE={other:?} (expected \"default\" or \"tiny\"); \
+/// Resolves an `ILT_SCALE` value to its name and configuration, warning on
+/// stderr for anything other than the two recognised scales.
+fn scale_or_warn(raw: Option<String>) -> (String, ExperimentConfig) {
+    if let Some(s) = raw {
+        match ExperimentConfig::for_scale(&s) {
+            Some(config) => return (s, config),
+            None => eprintln!(
+                "warning: invalid ILT_SCALE={s:?} (expected \"default\" or \"tiny\"); \
                  using default \"default\""
-            );
-            "default".to_string()
+            ),
         }
-        None => "default".to_string(),
     }
-}
-
-/// Renders the `ilt-report/v2` run report: run parameters (among them
-/// `kernel_body`, the compiled body the CPU probe chose for the FFT passes
-/// and logistic sweeps — a timing means little without it), per-flow stage
-/// summaries (with interpolated per-tile latency percentiles), merged
-/// counters/gauges/histograms, the per-stage latency budget (queue wait
-/// vs kernel build vs tile classes vs assembly), the diagnostics section
-/// (convergence matrix, quality matrix, anomalies), and the nested span
-/// tree. v2 is a strict superset of v1: every v1 field is unchanged, and
-/// the `gauges`/`latency_budget`/`profile`/`memory` sections are optional
-/// for report consumers (`report_diff` skips sections absent from either
-/// side). `profile` and `memory` have the shape `ilt-serve`'s
-/// `/debug/profile` and `/debug/memory` serve (one renderer,
-/// [`ilt_prof::render`]), less the daemon-only `collapsed` and
-/// `top_traces`; `profile` appears only when the `ilt-prof` CPU sampler
-/// collected anything this run, `memory` always (`"rss": null` where RSS
-/// is unreadable).
-fn render_report(
-    binary: &str,
-    opts: &HarnessOptions,
-    tele: &Telemetry,
-    trace_enabled: bool,
-    diag: &ilt_diag::RunDiagnostics,
-) -> String {
-    use ilt_telemetry::json;
-    let mut out = String::from("{\"schema\":\"ilt-report/v2\",\"binary\":");
-    json::push_str_literal(&mut out, binary);
-    out.push_str(",\"scale\":");
-    json::push_str_literal(&mut out, &opts.scale);
-    let _ = write!(
-        out,
-        ",\"cases\":{},\"workers\":{},\"kernel_body\":\"{}\",\"trace_enabled\":{}",
-        opts.cases,
-        opts.workers,
-        ilt_fft::simd::body_name(),
-        trace_enabled
-    );
-    out.push_str(",\"flows\":[");
-    for (i, flow) in tele.flow_summaries().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":");
-        json::push_str_literal(&mut out, &flow.name);
-        out.push_str(",\"seconds\":");
-        json::push_f64(&mut out, flow.seconds);
-        out.push_str(",\"stages\":[");
-        for (j, stage) in flow.stages.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"label\":");
-            json::push_str_literal(&mut out, &stage.label);
-            out.push_str(",\"seconds\":");
-            json::push_f64(&mut out, stage.seconds);
-            let _ = write!(
-                out,
-                ",\"tile_count\":{},\"tile_seconds\":",
-                stage.tile_count
-            );
-            json::push_f64(&mut out, stage.tile_seconds);
-            out.push_str(",\"assembly_seconds\":");
-            json::push_f64(&mut out, stage.assembly_seconds);
-            let (p50, p95, p99) = stage.tile_us_percentiles();
-            out.push_str(",\"tile_us_p50\":");
-            json::push_f64(&mut out, p50);
-            out.push_str(",\"tile_us_p95\":");
-            json::push_f64(&mut out, p95);
-            out.push_str(",\"tile_us_p99\":");
-            json::push_f64(&mut out, p99);
-            out.push('}');
-        }
-        out.push_str("]}");
-    }
-    out.push_str("],\"counters\":{");
-    for (i, (name, v)) in tele.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::push_str_literal(&mut out, name);
-        let _ = write!(out, ":{v}");
-    }
-    out.push_str("},\"histograms\":{");
-    for (i, (name, h)) in tele.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::push_str_literal(&mut out, name);
-        let _ = write!(
-            out,
-            ":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-            h.count(),
-            h.sum(),
-            h.min(),
-            h.max(),
-            h.quantile(0.5),
-            h.quantile(0.95),
-            h.quantile(0.99)
-        );
-    }
-    out.push_str("},\"gauges\":{");
-    for (i, (name, v)) in tele.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::push_str_literal(&mut out, name);
-        out.push(':');
-        json::push_f64(&mut out, *v);
-    }
-    out.push('}');
-    for (name, section) in extra_sections() {
-        out.push(',');
-        json::push_str_literal(&mut out, &name);
-        out.push(':');
-        out.push_str(&section);
-    }
-    // The sections `/debug/profile` and `/debug/memory` serve, less the
-    // daemon-only members; `profile` only when the sampler ran.
-    let (samples, _) = ilt_prof::cpu::sample_counts();
-    if samples > 0 || ilt_prof::sampler_running() {
-        out.push_str(",\"profile\":{");
-        ilt_prof::render::push_profile(&mut out);
-        out.push('}');
-    }
-    out.push_str(",\"memory\":{");
-    ilt_prof::render::push_memory(&mut out, ilt_prof::rss::read(), &ilt_prof::alloc::stats());
-    out.push('}');
-    out.push_str(",\"latency_budget\":");
-    out.push_str(&tele.latency_budget().to_json());
-    out.push_str(",\"diagnostics\":");
-    out.push_str(&ilt_diag::render_diagnostics_json(diag));
-    out.push_str(",\"spans\":");
-    out.push_str(&ilt_telemetry::span_forest_json(&tele.events));
-    out.push('}');
-    out
+    ("default".to_string(), ExperimentConfig::paper_default())
 }
 
 #[cfg(test)]
@@ -424,155 +260,8 @@ mod tests {
 
     #[test]
     fn invalid_scale_falls_back() {
-        assert_eq!(scale_or_warn(Some("tiny".into())), "tiny");
-        assert_eq!(scale_or_warn(Some("huge".into())), "default");
-        assert_eq!(scale_or_warn(None), "default");
-    }
-
-    #[test]
-    fn report_is_valid_shape() {
-        let opts = HarnessOptions {
-            config: ExperimentConfig::test_tiny(),
-            scale: "tiny".to_string(),
-            cases: 1,
-            workers: 1,
-            out_dir: PathBuf::from("results"),
-        };
-        let report = render_report(
-            "smoke",
-            &opts,
-            &Telemetry::default(),
-            false,
-            &ilt_diag::RunDiagnostics::default(),
-        );
-        assert!(report.starts_with("{\"schema\":\"ilt-report/v2\""));
-        assert!(report.contains("\"binary\":\"smoke\""));
-        assert!(report.contains("\"scale\":\"tiny\""));
-        assert!(report.contains("\"trace_enabled\":false"));
-        assert!(report.contains(&format!(
-            "\"kernel_body\":\"{}\"",
-            ilt_fft::simd::body_name()
-        )));
-        assert!(report.ends_with('}'));
-        // The whole report must be well-formed JSON with the v2 sections in
-        // place (empty, since no telemetry was collected).
-        let json = ilt_json::Json::parse(&report).expect("report parses");
-        assert_eq!(
-            json.get("schema").and_then(|s| s.as_str()),
-            Some("ilt-report/v2")
-        );
-        let diagnostics = json.get("diagnostics").expect("diagnostics section");
-        for key in ["convergence", "quality", "anomalies", "degraded"] {
-            let arr = diagnostics
-                .get(key)
-                .and_then(|v| v.as_arr())
-                .unwrap_or_else(|| panic!("diagnostics.{key} is an array"));
-            assert!(arr.is_empty());
-        }
-        assert_eq!(
-            diagnostics.get("tiles_degraded").and_then(|v| v.as_u64()),
-            Some(0),
-            "a clean run reports zero degraded tiles"
-        );
-        let budget = json.get("latency_budget").expect("latency_budget section");
-        for key in [
-            "queue_wait_s",
-            "kernel_build_s",
-            "coarse_tiles_s",
-            "fine_tiles_s",
-            "assembly_s",
-            "unattributed_s",
-        ] {
-            assert!(
-                budget.get(key).and_then(|v| v.as_f64()).is_some(),
-                "latency_budget.{key} is a number"
-            );
-        }
-        assert!(json.get("gauges").is_some(), "gauges section present");
-        // Every report carries the memory section; on Linux the RSS reader
-        // always has something to say.
-        let memory = json.get("memory").expect("memory section");
-        assert!(memory.path(&["alloc", "enabled"]).is_some());
-        #[cfg(target_os = "linux")]
-        assert!(
-            memory
-                .path(&["rss", "peak_bytes"])
-                .and_then(|v| v.as_f64())
-                .is_some_and(|v| v > 0.0),
-            "rss.peak_bytes is a positive number"
-        );
-    }
-
-    #[test]
-    fn profile_section_renders_after_a_sample() {
-        ilt_telemetry::set_enabled(true);
-        ilt_telemetry::flight::set_recording(true);
-        {
-            let mut flow = ilt_telemetry::span(ilt_telemetry::names::FLOW);
-            flow.add_field("name", "profile shape test");
-            ilt_prof::sample_now();
-        }
-        let opts = HarnessOptions {
-            config: ExperimentConfig::test_tiny(),
-            scale: "tiny".to_string(),
-            cases: 1,
-            workers: 1,
-            out_dir: PathBuf::from("results"),
-        };
-        let report = render_report(
-            "smoke",
-            &opts,
-            &Telemetry::default(),
-            false,
-            &ilt_diag::RunDiagnostics::default(),
-        );
-        let json = ilt_json::Json::parse(&report).expect("report parses");
-        let profile = json.get("profile").expect("profile section");
-        assert!(
-            profile
-                .get("samples")
-                .and_then(|v| v.as_u64())
-                .is_some_and(|v| v > 0),
-            "sample recorded"
-        );
-        assert!(
-            profile
-                .get("top_self")
-                .and_then(|v| v.as_arr())
-                .is_some_and(|a| !a.is_empty()),
-            "top_self has the sampled frame"
-        );
-        assert!(
-            profile.get("samples_per_stage").is_some(),
-            "samples_per_stage present"
-        );
-    }
-
-    #[test]
-    fn extra_sections_land_in_the_report() {
-        let opts = HarnessOptions {
-            config: ExperimentConfig::test_tiny(),
-            scale: "tiny".to_string(),
-            cases: 1,
-            workers: 1,
-            out_dir: PathBuf::from("results"),
-        };
-        set_report_section("extra_section_test", "{\"speedup\":3.5}".to_string());
-        // Replacement by name, not duplication.
-        set_report_section("extra_section_test", "{\"speedup\":4.0}".to_string());
-        let report = render_report(
-            "smoke",
-            &opts,
-            &Telemetry::default(),
-            false,
-            &ilt_diag::RunDiagnostics::default(),
-        );
-        let json = ilt_json::Json::parse(&report).expect("report parses");
-        assert_eq!(
-            json.path(&["extra_section_test", "speedup"])
-                .and_then(|v| v.as_f64()),
-            Some(4.0)
-        );
-        assert_eq!(report.matches("extra_section_test").count(), 1);
+        assert_eq!(scale_or_warn(Some("tiny".into())).0, "tiny");
+        assert_eq!(scale_or_warn(Some("huge".into())).0, "default");
+        assert_eq!(scale_or_warn(None).0, "default");
     }
 }

@@ -225,6 +225,18 @@ impl ExperimentConfig {
         }
     }
 
+    /// The configuration a scale name denotes — `"default"` is
+    /// [`paper_default`](Self::paper_default), `"tiny"` is
+    /// [`test_tiny`](Self::test_tiny) — or `None` for any other name. The
+    /// one mapping `ILT_SCALE` and the job service's `"scale"` share.
+    pub fn for_scale(name: &str) -> Option<Self> {
+        match name {
+            "default" => Some(Self::paper_default()),
+            "tiny" => Some(Self::test_tiny()),
+            _ => None,
+        }
+    }
+
     /// Validates cross-field consistency.
     ///
     /// # Panics
@@ -301,6 +313,13 @@ mod tests {
     fn defaults_validate() {
         ExperimentConfig::paper_default().validate();
         ExperimentConfig::test_tiny().validate();
+    }
+
+    #[test]
+    fn scale_mapping_is_total_over_valid_names() {
+        assert!(ExperimentConfig::for_scale("tiny").is_some());
+        assert!(ExperimentConfig::for_scale("default").is_some());
+        assert!(ExperimentConfig::for_scale("huge").is_none());
     }
 
     #[test]

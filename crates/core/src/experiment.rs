@@ -6,9 +6,7 @@ use std::borrow::Borrow;
 use ilt_grid::{BitGrid, RealGrid};
 use ilt_layout::Clip;
 use ilt_litho::{Corner, LithoBank, LithoSystem};
-use ilt_metrics::{
-    check_mask, edge_placement_error, mask_quality, stitch_loss, EpeConfig, MrcRules, StitchReport,
-};
+use ilt_metrics::{mask_quality, stitch_loss, StitchReport};
 use ilt_opt::{LevelSetIlt, PixelIlt};
 use ilt_tile::{restrict, Partition, StitchLine, TileExecutor};
 
@@ -294,25 +292,12 @@ pub fn run_case_with<F: Borrow<FlowResult>>(
         Some(_) => None,
         None => Some(ilt_telemetry::new_trace_scope()),
     };
-    let partition = Partition::new(clip.size(), clip.size(), config.partition)?;
-    let lines = partition.stitch_lines();
+    let lines = Partition::new(clip.size(), clip.size(), config.partition)?.stitch_lines();
     let mut methods = Vec::new();
     for method in Method::all() {
         let flow = solve(method)?;
         let flow = flow.borrow();
         let metrics = inspect(config, inspection, &lines, &clip.target, flow)?;
-        if ilt_telemetry::enabled() {
-            record_quality_diagnostics(
-                config,
-                inspection,
-                &partition,
-                &lines,
-                &clip.name,
-                method.label(),
-                &clip.target,
-                &flow.mask,
-            )?;
-        }
         methods.push(MethodResult {
             method: method.label().to_string(),
             metrics,
@@ -324,40 +309,6 @@ pub fn run_case_with<F: Borrow<FlowResult>>(
         area: clip.area,
         methods,
     })
-}
-
-/// Builds and records the spatial quality diagnostics for one (case,
-/// method) result into the `ilt-diag` sink: the per-tile quality matrix
-/// plus the EPE-hotspot, seam-mismatch, and MRC-overlay heatmaps. Only
-/// called while tracing is enabled — it re-prints the binarised mask, which
-/// is too expensive for untraced runs.
-#[allow(clippy::too_many_arguments)]
-fn record_quality_diagnostics(
-    config: &ExperimentConfig,
-    inspection: &LithoSystem,
-    partition: &Partition,
-    lines: &[StitchLine],
-    case: &str,
-    method: &str,
-    target: &BitGrid,
-    mask: &RealGrid,
-) -> Result<(), CoreError> {
-    let binary = mask.threshold(0.5);
-    let printed = inspection.print(&binary.to_real(), Corner::Nominal)?;
-    let epe_config = EpeConfig::m1_default();
-    let epe = edge_placement_error(target, &printed, &epe_config);
-    let stitch = stitch_loss(&binary, lines, &config.stitch);
-    let mrc = check_mask(&binary, &MrcRules::m1_default());
-    let cell = ilt_diag::HEATMAP_CELL;
-    ilt_diag::sink::record_case(ilt_diag::CaseQuality {
-        case: case.to_string(),
-        method: method.to_string(),
-        tiles: ilt_diag::tile_quality_matrix(partition, &epe, &epe_config, &stitch, &mrc),
-        epe_heatmap: ilt_diag::epe_hotspot_grid(partition, &epe, &epe_config, cell),
-        seam_map: ilt_diag::seam_mismatch_map(partition, &stitch, cell),
-        mrc_overlay: ilt_diag::mrc_overlay(partition, &mrc, cell),
-    });
-    Ok(())
 }
 
 /// Column averages over a set of case rows, per method.

@@ -51,7 +51,6 @@ pub fn divide_and_conquer(
                 &SolveRequest::new(&tile_target, &tile_target, iterations),
             )?)
         })?;
-        ilt_diag::observe_solve(&name, "dnc", i, &outcome.loss_history);
         Ok::<_, CoreError>((outcome.mask, elapsed))
     };
 

@@ -43,7 +43,6 @@ pub fn full_chip(
             ),
         )?)
     })?;
-    ilt_diag::observe_solve(&name, "full-chip", 0, &outcome.loss_history);
     // No partition means no assembly work: the single "tile" is the mask.
     let (mask, timing) = stage.finish(vec![(outcome.mask, solve_seconds)], |mut masks| {
         Ok::<_, CoreError>(masks.pop().expect("exactly one full-chip tile"))

@@ -89,7 +89,6 @@ pub fn multigrid_schwarz(
                     &ctx,
                     &SolveRequest::new(&tile_target, &tile_init, config.schedule.coarse_iterations),
                 )?;
-                ilt_diag::observe_solve(&name, &label, i, &outcome.loss_history);
                 // Promote the coarse solution back to the fine grid with a
                 // band-limited interpolation: bilinear alone leaves blocky
                 // staircases that the fine stages (optically blind to them)
@@ -111,7 +110,6 @@ pub fn multigrid_schwarz(
     // Phase 2: staged fine-grid additive Schwarz with weighted assembly.
     let partition = Partition::new(clip_w, clip_h, config.partition)?;
     let tiles = FineTiles {
-        flow: &name,
         config,
         bank,
         solver,
@@ -125,7 +123,7 @@ pub fn multigrid_schwarz(
         // the assembled layout) and is stitched by the same weighted blend.
         let (assembled, timing) = run_assembled_stage(&label, &partition, tiles.blend(), |band| {
             recovering.solve(&label, &partition, &mask, band, |i| {
-                tiles.solve(&label, &mask, i, iterations, false)
+                tiles.solve(&mask, i, iterations, false)
             })
         })?;
         mask = assembled;

@@ -47,7 +47,6 @@ pub fn overlap_select(
                 &ctx,
                 &SolveRequest::new(&tile_target, &tile_target, iterations),
             )?;
-            ilt_diag::observe_solve(&name, "overlap-select", i, &outcome.loss_history);
             let system = ctx.system()?;
             let aerial = system.aerial(&outcome.mask, Corner::Nominal)?;
             let wafer = system.resist().sigmoid(&aerial);

@@ -122,7 +122,7 @@ pub(crate) fn run_assembled_stage_lent(
 /// run under the executor's per-tile retry, and a tile that still fails
 /// degrades instead of aborting the flow.
 pub(crate) struct Recovering<'a> {
-    /// Flow report name, for diagnostics.
+    /// Flow report name, for the `degraded` spans.
     flow: &'a str,
     executor: &'a TileExecutor,
     /// Every tile degraded so far, in stage order.
@@ -143,8 +143,9 @@ impl<'a> Recovering<'a> {
     /// returns their `(mask, seconds)` pairs in the same order. A tile
     /// whose solve failed after retries — by panicking or by returning a
     /// typed error — degrades gracefully: it keeps its crop of `mask` (its
-    /// pre-stage, i.e. coarse-grid, mask), gets flagged in diagnostics and
-    /// the `flow.tiles_degraded` counter, and the stage's normal fold
+    /// pre-stage, i.e. coarse-grid, mask), is counted in
+    /// `flow.tiles_degraded` and, under tracing, recorded as a zero-length
+    /// `degraded` span where it happened, and the stage's normal fold
     /// stitches it in. The one exception is
     /// [`ilt_opt::OptError::DeadlineExceeded`]: the job's budget is already
     /// blown, so the whole flow aborts with the typed error instead of
@@ -176,7 +177,13 @@ impl<'a> Recovering<'a> {
                 Err(failure) => failure.to_string(),
             };
             tele::counter_add("flow.tiles_degraded", 1);
-            ilt_diag::observe_degraded(self.flow, label, tile, &error);
+            if tele::enabled() {
+                let mut span = tele::span(tele::names::DEGRADED);
+                span.add_field("flow", self.flow);
+                span.add_field("stage", label);
+                span.add_field("tile", tile);
+                span.add_field("error", error.as_str());
+            }
             self.degraded.push(DegradedTile {
                 stage: label.to_string(),
                 tile,
@@ -191,7 +198,6 @@ impl<'a> Recovering<'a> {
 /// The fine-level (scale 1) tiles of one flow run: what every fine, ECO
 /// fine and refine tile solve reads besides the current layout.
 pub(crate) struct FineTiles<'a> {
-    pub flow: &'a str,
     pub config: &'a ExperimentConfig,
     pub bank: &'a LithoBank,
     pub solver: &'a dyn TileSolver,
@@ -218,7 +224,6 @@ impl FineTiles<'_> {
     /// the refine pass's small learning rate over the fine stages'.
     pub(crate) fn solve(
         &self,
-        label: &str,
         mask: &RealGrid,
         i: usize,
         iterations: usize,
@@ -246,7 +251,6 @@ impl FineTiles<'_> {
         };
         let (outcome, elapsed) =
             trace::timed_tile(i, || Ok::<_, CoreError>(self.solver.solve(&ctx, &request)?))?;
-        ilt_diag::observe_solve(self.flow, label, i, &outcome.loss_history);
         Ok((outcome.mask, elapsed))
     }
 }
@@ -283,7 +287,7 @@ pub(crate) fn refine_pass(
         // A degraded refine tile keeps its fine-stage mask: feeding its
         // current crop back through the weighted update is a no-op.
         let solved = recovering.solve(&label, partition, mask, &group, |i| {
-            tiles.solve(&label, mask, i, iterations, true)
+            tiles.solve(mask, i, iterations, true)
         })?;
         let ((), timing) = stage.finish(solved, |masks| {
             for (new_mask, &i) in masks.iter().zip(&group) {

@@ -80,7 +80,6 @@ pub fn stitch_and_heal(
             };
             let (outcome, elapsed) =
                 trace::timed_tile(k, || Ok::<_, CoreError>(solver.solve(&ctx, &request)?))?;
-            ilt_diag::observe_solve(&name, &label, k, &outcome.loss_history);
             Ok::<_, CoreError>((outcome.mask, elapsed))
         });
         let solved = solved.into_iter().collect::<Result<Vec<_>, _>>()?;

@@ -300,7 +300,6 @@ pub(crate) fn run_incremental_lent(
     let target_real = edited.to_real();
     let tile_count = partition.tiles().len();
     let tiles = FineTiles {
-        flow: &name,
         config,
         bank,
         solver,
@@ -402,7 +401,7 @@ pub(crate) fn run_incremental_lent(
             } else {
                 config.schedule.warm_per_stage(fine_stage)
             };
-            tiles.solve(&label, &mask, i, iterations, false)
+            tiles.solve(&mask, i, iterations, false)
         })?;
         let ((), timing) = stage.finish(solved, |new_masks| {
             let mut updates: Vec<(usize, RealGrid)> =

@@ -75,6 +75,45 @@ fn one_fine_tile_failure_degrades_to_the_coarse_mask() {
 }
 
 #[test]
+fn a_degraded_tile_is_one_span_under_tracing_only() {
+    use ilt_telemetry as tele;
+    let _g = lock();
+    fault::quiet_injected_panics();
+    // The same single fine-tile failure as above; tracing is process-global,
+    // so it is flipped only under the lock, and spans are found by trace id.
+    let degraded_spans = |traced: bool| {
+        fault::configure(vec![FaultSpec {
+            limit: Some(2),
+            skip: 1,
+            ..FaultSpec::always(points::TILE_PANIC, 1913)
+        }]);
+        let (trace, _scope) = tele::new_trace_scope();
+        tele::set_enabled(traced);
+        let result = run_tiny();
+        tele::set_enabled(false);
+        fault::clear();
+        assert_eq!(result.expect("flow completes").degraded.len(), 1);
+        tele::flight::trace_spans(trace.0)
+            .into_iter()
+            .filter(|e| e.name == tele::names::DEGRADED)
+            .collect::<Vec<_>>()
+    };
+
+    assert!(
+        degraded_spans(false).is_empty(),
+        "untraced: no degraded span"
+    );
+    let spans = degraded_spans(true);
+    assert_eq!(spans.len(), 1, "traced: exactly one degraded span");
+    let text = |key: &str| spans[0].field(key).and_then(|v| v.as_str());
+    assert_eq!(text("flow"), Some("ours:multi-level-ilt"));
+    assert_eq!(text("stage"), Some("fine stage 1"));
+    assert_eq!(spans[0].field("tile").and_then(|v| v.as_u64()), Some(0));
+    let error = text("error").unwrap_or_default();
+    assert!(error.contains("injected fault"), "got {error:?}");
+}
+
+#[test]
 fn fault_pattern_is_deterministic_for_a_fixed_seed() {
     let _g = lock();
     fault::quiet_injected_panics();

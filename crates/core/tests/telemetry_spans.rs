@@ -8,6 +8,7 @@
 //! does. This file is its own integration
 //! binary, so enabling tracing here cannot leak into other test binaries.
 
+use std::collections::HashMap;
 use std::sync::Mutex;
 
 use ilt_core::flows::{divide_and_conquer, multigrid_schwarz, FlowResult};
@@ -23,25 +24,16 @@ static TRACING: Mutex<()> = Mutex::new(());
 /// Runs `run` with tracing enabled and returns its result plus the drained
 /// telemetry snapshot, serialised against the other tests in this binary.
 fn with_tracing<R>(run: impl FnOnce() -> R) -> (R, tele::Telemetry) {
-    let (out, t, _diag) = with_tracing_diag(run);
-    (out, t)
-}
-
-/// Like [`with_tracing`], but also drains the `ilt-diag` sink (which is
-/// fed by the flows' `observe_solve` hooks under the same global flag).
-fn with_tracing_diag<R>(run: impl FnOnce() -> R) -> (R, tele::Telemetry, ilt_diag::RunDiagnostics) {
     let guard = TRACING.lock().unwrap_or_else(|e| e.into_inner());
     let _ = tele::drain();
-    let _ = ilt_diag::sink::drain();
     tele::flight::set_capacity(usize::MAX);
     tele::set_enabled(true);
     let out = run();
     tele::set_enabled(false);
     let t = tele::drain();
     tele::flight::set_capacity(tele::flight::DEFAULT_CAPACITY);
-    let diag = ilt_diag::sink::drain();
     drop(guard);
-    (out, t, diag)
+    (out, t)
 }
 
 fn close(a: f64, b: f64, what: &str) {
@@ -137,47 +129,80 @@ fn parallel_execution_attributes_all_tiles_to_the_stage() {
 }
 
 #[test]
-fn traced_flow_fills_the_diag_convergence_matrix() {
+fn traced_flows_give_one_convergence_cell_per_solve_span() {
     let config = ExperimentConfig::test_tiny();
     let bank = LithoBank::new(config.optics, ResistModel::m1_default()).unwrap();
     let target = generate_clip(&config.generator, 4);
-    let (result, t, diag) = with_tracing_diag(|| {
-        multigrid_schwarz(
-            &config,
-            &bank,
-            &target,
-            &PixelIlt::new(),
-            &TileExecutor::new(3),
-        )
-        .unwrap()
+    let (solver, executor) = (PixelIlt::new(), TileExecutor::new(3));
+    let (results, t) = with_tracing(|| {
+        [
+            multigrid_schwarz(&config, &bank, &target, &solver, &executor).unwrap(),
+            divide_and_conquer(&config, &bank, &target, &solver, &executor).unwrap(),
+        ]
     });
 
-    // Every tile solve of every stage produced one convergence cell, with
-    // flow/stage labels matching the StageTiming report.
-    let tiles: usize = result.stages.iter().map(|s| s.tile_seconds.len()).sum();
-    assert_eq!(diag.solves.len(), tiles);
-    assert!(diag.solves.iter().all(|c| c.flow == result.name));
-    for timing in &result.stages {
-        let cells = diag
-            .solves
-            .iter()
-            .filter(|c| c.stage == timing.label)
-            .count();
-        assert_eq!(cells, timing.tile_seconds.len(), "{}", timing.label);
+    // The nearest ancestor span named `name`, walked up the parent links.
+    let by_id: HashMap<u64, &tele::SpanEvent> = t.events.iter().map(|e| (e.id, e)).collect();
+    let ancestor = |e: &tele::SpanEvent, name: &str| {
+        let mut up = by_id.get(&e.parent?).copied();
+        while let Some(a) = up.filter(|a| a.name != name) {
+            up = by_id.get(&a.parent?).copied();
+        }
+        up
+    };
+    let field = |e: Option<&tele::SpanEvent>, key| e?.field(key).cloned();
+
+    // One cell per solve span under a flow, named by its ancestors.
+    let cells = t.solve_cells();
+    let solves: Vec<_> = t
+        .events
+        .iter()
+        .filter(|e| e.name == tele::names::SOLVE && ancestor(e, tele::names::FLOW).is_some())
+        .collect();
+    assert_eq!(cells.len(), solves.len());
+    for (cell, solve) in cells.iter().zip(&solves) {
+        assert_eq!(cell.solve.id, solve.id);
+        let flow = field(ancestor(solve, tele::names::FLOW), "name");
+        let stage = field(ancestor(solve, tele::names::STAGE), "label");
+        let tile = field(ancestor(solve, tele::names::TILE), "tile");
+        assert_eq!(flow.as_ref().and_then(|v| v.as_str()), Some(cell.flow));
+        assert_eq!(stage.as_ref().and_then(|v| v.as_str()), Some(cell.stage));
+        assert_eq!(tile.and_then(|v| v.as_u64()), Some(cell.tile));
+        assert!(solve.field("iterations").and_then(|v| v.as_u64()) > Some(0));
+        assert!(solve.field("final_loss").is_some());
     }
-    assert!(diag.solves.iter().all(|c| c.iterations > 0));
-    assert!(diag.solves.iter().all(|c| c.final_loss.is_some()));
-    // The report's anomaly list is rendered from the cells; the span tree
-    // shows each of them once, where it was detected.
-    let cell_anomalies: usize = diag.solves.iter().map(|c| c.anomalies.len()).sum();
-    assert_eq!(t.span_count(tele::names::ANOMALY), cell_anomalies);
+    // Every tile solve of every stage is one cell, as the flows' own
+    // StageTiming reports count them.
+    let tiles: usize = results
+        .iter()
+        .flat_map(|r| &r.stages)
+        .map(|s| s.tile_seconds.len())
+        .sum();
+    assert_eq!(cells.len(), tiles);
+    for result in &results {
+        for timing in &result.stages {
+            let n = cells
+                .iter()
+                .filter(|c| c.flow == result.name && c.stage == timing.label)
+                .count();
+            assert_eq!(
+                n,
+                timing.tile_seconds.len(),
+                "{} {}",
+                result.name,
+                timing.label
+            );
+        }
+    }
+    // The anomaly list is every anomaly span, each under its solve.
+    let listed: usize = cells.iter().map(|c| c.anomalies.len()).sum();
+    assert_eq!(listed, t.span_count(tele::names::ANOMALY));
 }
 
 #[test]
 fn disabled_tracing_collects_nothing_but_still_times() {
     let guard = TRACING.lock().unwrap_or_else(|e| e.into_inner());
     let _ = tele::drain();
-    let _ = ilt_diag::sink::drain();
     tele::set_enabled(false);
 
     let config = ExperimentConfig::test_tiny();
@@ -193,10 +218,9 @@ fn disabled_tracing_collects_nothing_but_still_times() {
     .unwrap();
 
     let t = tele::drain();
-    let diag = ilt_diag::sink::drain();
     drop(guard);
     // Spans are always on (one store, whatever the flag says); the flag
-    // gates the metrics and the diagnostics sink.
+    // gates the metrics and the anomaly detection.
     assert_eq!(t.span_count(tele::names::TILE), 9);
     assert!(
         t.counters.is_empty() && t.gauges.is_empty() && t.histograms.is_empty(),
@@ -204,7 +228,7 @@ fn disabled_tracing_collects_nothing_but_still_times() {
         t.counters,
         t.gauges
     );
-    assert!(diag.is_empty(), "disabled run fed the diag sink");
+    assert_eq!(t.span_count(tele::names::ANOMALY), 0, "untraced anomalies");
     // The StageTiming API still reports real measurements.
     assert_eq!(result.stages[0].tile_seconds.len(), 9);
     assert!(result.stages[0].tile_seconds.iter().all(|&s| s > 0.0));

@@ -106,7 +106,7 @@ impl TileSolver for LevelSetIlt {
         ctx: &SolveContext<'_>,
         request: &SolveRequest<'_>,
     ) -> Result<IltOutcome, OptError> {
-        crate::solver::with_solve_span(self.name(), ctx, request, || self.solve_inner(ctx, request))
+        crate::solver::with_solve_span(self.name(), ctx, || self.solve_inner(ctx, request))
     }
 }
 

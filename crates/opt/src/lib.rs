@@ -15,7 +15,10 @@
 //!   L2.
 //!
 //! Both implement [`TileSolver`], which is what the multigrid-Schwarz flows
-//! in `ilt-core` consume.
+//! in `ilt-core` consume. Every solve runs inside a `solve` telemetry span
+//! that records its iteration count and final loss; under tracing, the
+//! stalls, divergences and oscillations of its loss trace become
+//! `anomaly` spans beneath it.
 //!
 //! # Examples
 //!
@@ -38,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod anomaly;
 mod error;
 mod level_set;
 mod loss;

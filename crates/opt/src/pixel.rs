@@ -145,7 +145,7 @@ impl TileSolver for PixelIlt {
         ctx: &SolveContext<'_>,
         request: &SolveRequest<'_>,
     ) -> Result<IltOutcome, OptError> {
-        crate::solver::with_solve_span(self.name(), ctx, request, || self.solve_inner(ctx, request))
+        crate::solver::with_solve_span(self.name(), ctx, || self.solve_inner(ctx, request))
     }
 }
 
@@ -602,9 +602,9 @@ mod tests {
 
     #[test]
     fn nan_latent_pixel_yields_nan_loss() {
-        // A diverged solve must stay visible: `ilt-diag`'s divergence
-        // anomaly keys on a non-finite loss, so no clamp on the way from
-        // latent to loss may turn NaN into a number.
+        // A diverged solve must stay visible: the solve span's divergence
+        // anomaly (`crate::anomaly`) keys on a non-finite loss, so no clamp
+        // on the way from latent to loss may turn NaN into a number.
         let bank = bank();
         let config = PixelIltConfig::multi_level();
         let system = bank.system(64, 1).unwrap();

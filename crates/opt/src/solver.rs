@@ -169,25 +169,30 @@ impl IltOutcome {
 }
 
 /// Runs `body` (one solver invocation) inside a `solve` telemetry span
-/// tagged with the solver name and grid geometry, and feeds the iteration
-/// count and final loss into the metrics registry.
+/// tagged with the solver name and grid geometry, records the iterations
+/// it ran and its final loss on the span and in the metrics registry, and
+/// under tracing adds the loss trace's anomalies as child spans. A failed
+/// solve's span carries no `iterations`.
 pub(crate) fn with_solve_span(
     name: &str,
     ctx: &SolveContext<'_>,
-    request: &SolveRequest<'_>,
     body: impl FnOnce() -> Result<IltOutcome, OptError>,
 ) -> Result<IltOutcome, OptError> {
     let mut span = ilt_telemetry::span(ilt_telemetry::names::SOLVE);
     span.add_field("solver", name);
     span.add_field("n", ctx.n);
     span.add_field("scale", ctx.scale);
-    span.add_field("iterations", request.iterations);
     let outcome = body()?;
+    let losses = &outcome.loss_history;
+    span.add_field("iterations", losses.len());
     if let Some(loss) = outcome.final_loss() {
         span.add_field("final_loss", loss);
     }
+    if ilt_telemetry::enabled() {
+        crate::anomaly::record(losses);
+    }
     ilt_telemetry::counter_add("solver.solves", 1);
-    ilt_telemetry::record_value("solver.iterations", outcome.loss_history.len() as u64);
+    ilt_telemetry::record_value("solver.iterations", losses.len() as u64);
     Ok(outcome)
 }
 
@@ -259,6 +264,53 @@ mod tests {
         assert_eq!(outcome.loss_history, vec![3.0, 2.0, 1.0]);
         let empty = IltOutcome::new(Grid::new(2, 2, 0.0), ConvergenceTrace::default());
         assert_eq!(empty.final_loss(), None);
+    }
+
+    #[test]
+    fn solve_span_records_the_run_and_its_anomalies_under_tracing() {
+        use ilt_telemetry as tele;
+        let bank = LithoBank::new(OpticsConfig::test_small(), ResistModel::default()).unwrap();
+        let ctx = SolveContext {
+            bank: &bank,
+            n: 64,
+            scale: 1,
+        };
+        let stalled = || {
+            Ok(IltOutcome::new(
+                Grid::new(2, 2, 0.0),
+                ConvergenceTrace::single("fine", vec![5.0; 20]),
+            ))
+        };
+        // This test alone flips the flag in this binary; spans are found
+        // by trace id, so concurrent tests' spans do not interfere.
+        let spans_of = |traced: bool| {
+            let (trace, _scope) = tele::new_trace_scope();
+            tele::set_enabled(traced);
+            with_solve_span("stub", &ctx, stalled).unwrap();
+            tele::set_enabled(false);
+            let anomalies = tele::trace_counters(trace.0).get("diag.anomalies").copied();
+            (tele::flight::trace_spans(trace.0), anomalies)
+        };
+
+        let (untraced, anomalies) = spans_of(false);
+        assert_eq!(untraced.len(), 1, "only the solve span: {untraced:?}");
+        assert_eq!(anomalies, None);
+        let solve = &untraced[0];
+        assert_eq!(solve.name, tele::names::SOLVE);
+        assert_eq!(solve.field("iterations").and_then(|v| v.as_u64()), Some(20));
+
+        let (traced, anomalies) = spans_of(true);
+        assert_eq!(anomalies, Some(1), "one diag.anomalies bump per anomaly");
+        let solve = traced.iter().find(|e| e.name == tele::names::SOLVE);
+        let anomaly = traced.iter().find(|e| e.name == tele::names::ANOMALY);
+        let (solve, anomaly) = (solve.unwrap(), anomaly.unwrap());
+        assert_eq!(traced.len(), 2);
+        assert_eq!(anomaly.parent, Some(solve.id));
+        assert_eq!(
+            anomaly.field("kind").and_then(|v| v.as_str()),
+            Some("stall")
+        );
+        assert_eq!(anomaly.field("iteration").and_then(|v| v.as_u64()), Some(5));
     }
 
     #[test]

@@ -19,19 +19,6 @@ use std::collections::HashMap;
 
 use ilt_core::{CoreError, ExperimentConfig, Session};
 
-/// The experiment configuration a scale name denotes — the same mapping
-/// `ILT_SCALE` uses for the batch binaries.
-///
-/// Returns `None` for unknown scale names (the job parser rejects them
-/// first; this keeps the mapping total and honest).
-pub fn config_for_scale(scale: &str) -> Option<ExperimentConfig> {
-    match scale {
-        "tiny" => Some(ExperimentConfig::test_tiny()),
-        "default" => Some(ExperimentConfig::paper_default()),
-        _ => None,
-    }
-}
-
 /// Session memoisation key: the scale plus the per-job `s_max` override,
 /// the only job field that changes the session's `ExperimentConfig`. Two
 /// jobs share a session exactly when they resolve to the same configuration.
@@ -99,7 +86,7 @@ impl SessionCache {
         let key: SessionKey = (scale.to_string(), s_max);
         if !self.sessions.contains_key(&key) {
             ilt_telemetry::counter_add("serve.session_cache.miss", 1);
-            let mut config = config_for_scale(scale)
+            let mut config = ExperimentConfig::for_scale(scale)
                 .unwrap_or_else(|| panic!("unvalidated scale {scale:?} reached the cache"));
             if let Some(s) = s_max {
                 config.s_max = s;
@@ -117,13 +104,6 @@ impl SessionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scale_mapping_is_total_over_valid_names() {
-        assert!(config_for_scale("tiny").is_some());
-        assert!(config_for_scale("default").is_some());
-        assert!(config_for_scale("huge").is_none());
-    }
 
     #[test]
     fn second_lookup_reuses_the_session() {

@@ -11,6 +11,7 @@
 use std::fmt::Write as _;
 
 use ilt_core::experiment::Method;
+use ilt_core::ExperimentConfig;
 use ilt_json::Json;
 use ilt_telemetry::json::{push_f64, push_str_literal};
 
@@ -151,10 +152,13 @@ impl JobSpec {
         if method != Method::Ours && matches!(source, CaseSource::Eco { .. }) {
             return Err("incremental jobs support only method \"ours\"".to_string());
         }
-        let scale = match json.get("scale").map(|s| s.as_str()) {
-            None => "tiny".to_string(),
-            Some(Some(s)) if s == "tiny" || s == "default" => s.to_string(),
-            Some(_) => return Err("\"scale\" must be \"tiny\" or \"default\"".to_string()),
+        // A non-string scale reads as "", which names no scale.
+        let scale = json
+            .get("scale")
+            .map_or(Some("tiny"), Json::as_str)
+            .unwrap_or_default();
+        let Some(config) = ExperimentConfig::for_scale(scale) else {
+            return Err("\"scale\" must be \"tiny\" or \"default\"".to_string());
         };
         let s_max = match json.get("s_max") {
             None => None,
@@ -164,8 +168,6 @@ impl JobSpec {
                     .filter(|s| *s >= 1 && s.is_power_of_two())
                     .ok_or_else(|| "\"s_max\" must be a power of two (1, 2, 4, ...)".to_string())?
                     as usize;
-                let config =
-                    crate::cache::config_for_scale(&scale).expect("scale validated just above");
                 if s * config.partition.tile > config.clip {
                     return Err(format!(
                         "\"s_max\" {s} puts the coarsest level at {} pixels, larger than \
@@ -189,7 +191,7 @@ impl JobSpec {
         Ok(JobSpec {
             source,
             method,
-            scale,
+            scale: scale.to_string(),
             s_max,
             timeout_ms,
         })

@@ -588,10 +588,6 @@ fn worker_loop(shared: &Shared) {
     while let Some(id) = shared.queue.pop() {
         run_job(shared, &mut cache, &executor, id);
         tele::flush_thread();
-        // The convergence matrix `ilt-diag` accumulates while collection is
-        // enabled is the input of a batch run's report. A daemon writes no
-        // such report, and what nobody drains grows with every job served.
-        let _ = ilt_diag::sink::drain();
     }
 }
 

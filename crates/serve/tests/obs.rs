@@ -400,8 +400,7 @@ fn debug_endpoints_and_disjoint_job_traces() {
 /// whatever it stores per closed span or per tile solve has to be bounded:
 /// after a run that overflows the ring several times, the spans held are
 /// within the ring's bound, the overflow was counted, the counters still
-/// read right, the newest job's trace is still whole, and no convergence
-/// cells have piled up in `ilt-diag`'s sink.
+/// read right, and the newest job's trace is still whole.
 #[test]
 fn span_memory_stays_bounded_while_collection_is_enabled() {
     const CAPACITY: usize = 512;
@@ -452,10 +451,6 @@ fn span_memory_stays_bounded_while_collection_is_enabled() {
     );
     assert!(tele::flight::len() <= SHARDS * CAPACITY);
     handle.shutdown();
-    assert!(
-        ilt_diag::sink::drain().is_empty(),
-        "the job workers leave no convergence cells behind"
-    );
     // `drain` hands out every span the process still holds anywhere.
     let held = tele::drain().events.len();
     assert!(

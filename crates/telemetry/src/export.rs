@@ -53,6 +53,22 @@ pub struct FlowSummary {
     pub stages: Vec<StageSummary>,
 }
 
+/// One completed `solve` span inside a `flow`: a cell of the run's
+/// flow × stage × tile convergence matrix.
+#[derive(Debug, Clone)]
+pub struct SolveCell<'a> {
+    /// The nearest enclosing flow span's `name`.
+    pub flow: &'a str,
+    /// The nearest enclosing stage span's `label`.
+    pub stage: &'a str,
+    /// The nearest enclosing tile span's `tile`.
+    pub tile: u64,
+    /// The solve span itself (fields `iterations`, `final_loss`).
+    pub solve: &'a SpanEvent,
+    /// Its `anomaly` child spans, in start order.
+    pub anomalies: Vec<&'a SpanEvent>,
+}
+
 /// Span-tree index: indices of root events plus a parent-id → child-indices
 /// map, both in start order (events are sorted by [`crate::drain`]).
 struct TreeIndex {
@@ -221,6 +237,46 @@ impl Telemetry {
             });
         }
         flows
+    }
+
+    /// The convergence matrix: every solve span that completed (it carries
+    /// `iterations`) under a flow, stage and tile span, in start order,
+    /// with the flow, stage and tile its nearest such ancestors name.
+    pub fn solve_cells<'a>(&'a self) -> Vec<SolveCell<'a>> {
+        let by_id: HashMap<u64, &SpanEvent> = self.events.iter().map(|e| (e.id, e)).collect();
+        let mut anomalies: HashMap<u64, Vec<&SpanEvent>> = HashMap::new();
+        for e in &self.events {
+            if let (names::ANOMALY, Some(parent)) = (e.name, e.parent) {
+                anomalies.entry(parent).or_default().push(e);
+            }
+        }
+        let cell = |solve: &'a SpanEvent| {
+            let (mut stage, mut tile) = (None, None);
+            let mut up = solve.parent.and_then(|p| by_id.get(&p));
+            while let Some(&e) = up {
+                match e.name {
+                    names::FLOW => {
+                        return Some(SolveCell {
+                            flow: e.field("name")?.as_str()?,
+                            stage: stage?,
+                            tile: tile?,
+                            solve,
+                            anomalies: anomalies.get(&solve.id).cloned().unwrap_or_default(),
+                        })
+                    }
+                    names::STAGE => stage = stage.or_else(|| e.field("label")?.as_str()),
+                    names::TILE => tile = tile.or_else(|| e.field("tile")?.as_u64()),
+                    _ => {}
+                }
+                up = e.parent.and_then(|p| by_id.get(&p));
+            }
+            None
+        };
+        self.events
+            .iter()
+            .filter(|e| e.name == names::SOLVE && e.field("iterations").is_some())
+            .filter_map(cell)
+            .collect()
     }
 }
 

@@ -89,7 +89,7 @@ mod span;
 mod trace;
 
 pub use collect::{drain, flush_thread, snapshot, trace_counters, SpanEvent, Telemetry};
-pub use export::{span_forest_json, FlowSummary, LatencyBudget, StageSummary};
+pub use export::{span_forest_json, FlowSummary, LatencyBudget, SolveCell, StageSummary};
 pub use live::{sample_stacks, LiveFrame};
 pub use metrics::{counter_add, gauge_add, gauge_set, record_value, Histogram};
 pub use span::{
@@ -119,20 +119,22 @@ pub mod names {
     pub const TILE: &str = "tile";
     /// The sequential assembly that follows a stage's tile solves.
     pub const ASSEMBLY: &str = "assembly";
-    /// A single-tile solver invocation.
+    /// A single-tile solver invocation (fields `solver`, `n`, `scale`,
+    /// and once it succeeded `iterations` run and `final_loss`).
     pub const SOLVE: &str = "solve";
     /// One served request in `ilt-serve` (fields `method`, `path`,
     /// `status`); job execution spans nest underneath it, so traces and
     /// diagnostics work unchanged in server mode.
     pub const REQUEST: &str = "request";
-    /// A convergence anomaly detected by `ilt-diag` (fields `kind`,
-    /// `flow`, `stage`, `tile`, `iteration`, `value`). Recorded as a
-    /// zero-length span so anomalies sit inside the span tree at the
-    /// moment they were detected.
+    /// A convergence anomaly in one solve's loss trace (fields `kind`,
+    /// `iteration`, `value`): a zero-length child of the [`SOLVE`] span,
+    /// recorded by `ilt-opt` under tracing. Its flow, stage and tile are
+    /// its ancestors' (see [`crate::Telemetry::solve_cells`]).
     pub const ANOMALY: &str = "anomaly";
     /// A tile falling back to its coarse-grid mask after its fine-grid
-    /// solve failed every retry (fields `flow`, `stage`, `tile`, `error`).
-    /// Recorded as a zero-length span by `ilt-diag`.
+    /// solve failed every retry (fields `flow`, `stage`, `tile`, `error`):
+    /// a zero-length span the `ilt-core` flows record under tracing, and
+    /// the one record of the event.
     pub const DEGRADED: &str = "degraded";
     /// One serve job's execution, from worker pickup to completion
     /// (fields `job`, `target`, `method`, `scale`). The root of the job's

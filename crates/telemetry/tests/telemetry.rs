@@ -215,6 +215,38 @@ fn tiles_found_below_job_spans() {
 }
 
 #[test]
+fn solve_cells_name_their_ancestors_and_skip_failed_or_stray_solves() {
+    let ((), t) = with_tracing(|| {
+        // A completed solve with no flow around it is no cell.
+        tele::span(tele::names::SOLVE).add_field("iterations", 9usize);
+        let mut flow = tele::span(tele::names::FLOW);
+        flow.add_field("name", "f");
+        let mut stage = tele::span(tele::names::STAGE);
+        stage.add_field("label", "s");
+        for i in 0..3usize {
+            let _job = tele::span(tele::names::JOB);
+            let mut tile = tele::span(tele::names::TILE);
+            tile.add_field("tile", i);
+            let mut solve = tele::span(tele::names::SOLVE);
+            if i == 1 {
+                continue; // a failed solve records no iterations
+            }
+            solve.add_field("iterations", 4 + i);
+            let mut anomaly = tele::span(tele::names::ANOMALY);
+            anomaly.add_field("kind", "stall");
+        }
+    });
+    let cells = t.solve_cells();
+    let seen: Vec<_> = cells.iter().map(|c| (c.flow, c.stage, c.tile)).collect();
+    assert_eq!(seen, [("f", "s", 0), ("f", "s", 2)]);
+    assert_eq!(
+        cells[1].solve.field("iterations").unwrap().as_u64(),
+        Some(6)
+    );
+    assert!(cells.iter().all(|c| c.anomalies.len() == 1));
+}
+
+#[test]
 fn snapshot_is_non_destructive_and_drain_still_sees_everything() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _ = tele::drain();
