@@ -1,24 +1,24 @@
-//! `memprofile`: where the memory and CPU samples of the
-//! multigrid-Schwarz flow go, by pipeline stage.
+//! `memprofile`: where the memory and time of the multigrid-Schwarz flow
+//! go, by pipeline stage.
 //!
 //! Runs `Method::Ours` on a 1×1 clip (one tile, no coarse grid) and the
-//! paper-ratio 3×3 clip, with the full `ilt-prof` layer on: the tracking
-//! global allocator attributes every byte to the pipeline stage that
-//! allocated it, the sampling CPU profiler attributes ticks to span
-//! paths, and the RSS window records the per-grid high-water mark.
+//! paper-ratio 3×3 clip with allocation tracking on: the tracking global
+//! allocator attributes every byte to the pipeline stage that allocated
+//! it and records each grid's peak of live bytes; the span store's
+//! self-time profile says where the time went.
 //!
 //! The gate is attribution, not size: on each grid at least 90% of the
-//! tracked bytes must carry a named stage and the RSS reader must report
-//! a non-zero peak, or the binary exits non-zero (after writing its
-//! artifacts). How much memory a run takes is `peak_rss_mib` in
-//! `benchmark/`.
+//! tracked bytes must carry a named stage, or the binary exits non-zero
+//! (after writing its artifacts). How much memory a run takes is
+//! `peak_rss_mib` in `benchmark/`.
 //!
 //! Artifacts, all in `ILT_OUT` (default `results/`):
 //!
 //! * `memprofile_flame.txt` — collapsed-stack (flamegraph-ready) text of
-//!   the whole run, one `span;path count` line per distinct stack;
-//! * `report.json` — the usual `ilt-report/v2`, here carrying the
-//!   optional `profile` and `memory` sections.
+//!   the whole run, one `span;path µs` line per span path: the
+//!   `collapsed` member of the report's `profile`;
+//! * `report.json` — the usual `ilt-report/v2` with its `profile` and
+//!   `memory` sections.
 //!
 //! ```text
 //! ILT_SCALE=tiny cargo run --release -p ilt-bench --bin memprofile
@@ -40,25 +40,16 @@ struct StageDelta {
     stage: Stage,
     bytes: u64,
     calls: u64,
-    samples: u64,
 }
 
 fn main() {
     let opts = HarnessOptions::from_env_traced();
-    // This binary exists to profile: allocation counting is always on and
-    // the sampler defaults to DEFAULT_HZ (ILT_PROF_HZ=0 still disables).
+    // This binary exists to profile: allocation counting is always on.
     ilt_prof::alloc::set_enabled(true);
-    ilt_prof::init_from_env(true);
     let base_n = opts.config.optics.base_n;
     println!(
-        "memprofile: scale={} base_n={} sampler={} alloc=on",
-        opts.scale,
-        base_n,
-        if ilt_prof::sampler_running() {
-            format!("{:.0} Hz", ilt_prof::sampler_hz())
-        } else {
-            "off".to_string()
-        }
+        "memprofile: scale={} base_n={} alloc=on",
+        opts.scale, base_n
     );
 
     let executor = opts.executor();
@@ -75,17 +66,14 @@ fn main() {
         config.validate();
         let clip = suite_of_size(&config.generator, 1).remove(0);
 
-        // Snapshot all three profilers, run, then diff.
+        // Snapshot the allocator, run, then diff.
         let before = ilt_prof::alloc::stats();
-        let samples_before = ilt_prof::cpu::samples_per_stage();
-        ilt_prof::rss::reset_window();
+        ilt_prof::alloc::reset_peak();
         let session = Session::new(config.clone()).expect("session setup failed");
         let flow = session
             .run_method(Method::Ours, &clip.target, &executor)
             .expect("flow failed");
-        ilt_prof::rss::note_window_sample();
         let after = ilt_prof::alloc::stats();
-        let samples_after = ilt_prof::cpu::samples_per_stage();
         drop(session);
 
         let allocated = after.allocated_bytes - before.allocated_bytes;
@@ -95,14 +83,10 @@ fn main() {
             .map(|&stage| {
                 let b = &before.stages[stage as usize];
                 let a = &after.stages[stage as usize];
-                let name = stage.name();
-                let s0 = samples_before.get(name).copied().unwrap_or(0);
-                let s1 = samples_after.get(name).copied().unwrap_or(0);
                 StageDelta {
                     stage,
                     bytes: a.bytes - b.bytes,
                     calls: a.calls - b.calls,
-                    samples: s1 - s0,
                 }
             })
             .collect();
@@ -121,47 +105,42 @@ fn main() {
         let partition = ilt_tile::Partition::new(config.clip, config.clip, config.partition)
             .expect("partition");
         let grid = format!("{}x{}", partition.tiles_x(), partition.tiles_y());
-        let window_peak_rss = ilt_prof::rss::window_peak();
+        let peak = after.peak_live_bytes;
         println!(
             "grid {grid:>3} ({} tiles, clip {:>4}): {:>7.2} MiB allocated in {calls} calls, \
-             {:>6.2} MiB window-peak RSS, {:>5.1}% stage-attributed, {:.2}s",
+             {:>6.2} MiB peak live, {:>5.1}% stage-attributed, {:.2}s",
             partition.tiles().len(),
             config.clip,
             allocated as f64 / (1 << 20) as f64,
-            window_peak_rss as f64 / (1 << 20) as f64,
+            peak as f64 / (1 << 20) as f64,
             attribution * 100.0,
             flow.wall_seconds,
         );
-        for s in &stages {
-            if s.bytes > 0 || s.samples > 0 {
-                println!(
-                    "    {:<12} {:>10} B in {:>7} calls, {:>5} cpu samples",
-                    s.stage.name(),
-                    s.bytes,
-                    s.calls,
-                    s.samples
-                );
-            }
+        for s in stages.iter().filter(|s| s.bytes > 0) {
+            println!(
+                "    {:<12} {:>10} B in {:>7} calls",
+                s.stage.name(),
+                s.bytes,
+                s.calls
+            );
         }
-        // Only Linux has the `/proc/self/status` the RSS reader parses.
-        if cfg!(target_os = "linux") {
-            assert!(window_peak_rss > 0, "{grid}: RSS reader saw no peak");
-        }
+        assert!(peak > 0, "{grid}: the allocator saw no live bytes");
         if attribution < worst.0 {
             worst = (attribution, grid);
         }
     }
 
-    println!("\ntop self-time frames:");
-    for (frame, n) in ilt_prof::cpu::top_self(10) {
-        println!("  {n:>6}  {frame}");
+    // The spans `finish_run` drains into the report's `profile`.
+    let profile = ilt_prof::render::self_us(&ilt_telemetry::flight::spans(None));
+    println!("\ntop self-time frames (us):");
+    for (frame, us) in ilt_prof::render::top_self(&profile, 10) {
+        println!("  {us:>9}  {frame}");
     }
-
     let flame = opts.artifact("memprofile_flame.txt");
-    std::fs::write(&flame, ilt_prof::collapsed()).expect("cannot write flamegraph text");
+    std::fs::write(&flame, ilt_prof::render::collapsed(&profile))
+        .expect("cannot write flamegraph text");
     println!("wrote {}", flame.display());
 
-    ilt_prof::stop_sampler();
     opts.finish_run("memprofile", &[], &[]);
     assert!(
         worst.0 >= 0.9,

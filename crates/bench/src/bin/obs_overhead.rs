@@ -13,9 +13,6 @@
 //! * **allocation tracking** — ns per allocate/free pair with
 //!   [`ilt_prof::alloc`] counting on minus off, × the allocations of one
 //!   cold `PixelIlt` solve divided by its iterations;
-//! * **CPU sampler** — ns per [`ilt_prof::cpu::sample_now`] ×
-//!   [`ilt_prof::DEFAULT_HZ`] per second, charged in full to the solving
-//!   thread;
 //!
 //! over the median of `simulate_into` → `evaluate_loss_into` →
 //! `gradient_into` iterations on one thread. Every unit cost and
@@ -43,8 +40,6 @@ static GLOBAL: ilt_prof::TrackingAlloc = ilt_prof::TrackingAlloc::new();
 
 /// Operations per timed pass of the span and allocation loops.
 const OPS: usize = 200_000;
-/// `sample_now` calls per timed pass (each reads `/proc/self/status`).
-const SAMPLES: usize = 2_000;
 /// Timed passes per arm; the fastest counts.
 const REPS: usize = 5;
 /// Timed solver iterations behind the median (after `WARMUP` untimed).
@@ -131,8 +126,8 @@ fn main() {
     let allocations_per_iteration = solve_allocations as f64 / iterations as f64;
 
     // Unit costs, measured where production pays them: under an open
-    // flow -> stage -> tile stack, so the spans have a parent, allocations
-    // carry a trace id and the sampler has a stack to walk.
+    // flow -> stage -> tile stack, so the spans have a parent and
+    // allocations carry a trace id.
     let _flow = tele::span(tele::names::FLOW);
     let _stage = tele::span(tele::names::STAGE);
     let _tile = tele::span(tele::names::TILE);
@@ -143,13 +138,9 @@ fn main() {
         drop(black_box(Vec::<u8>::with_capacity(black_box(256))));
     });
     ilt_prof::alloc::set_enabled(false);
-    let sample_ns = (0..REPS)
-        .map(|_| pass_ns(SAMPLES, &ilt_prof::cpu::sample_now))
-        .fold(f64::INFINITY, f64::min);
 
     let recorder_ns = (span_on - span_off).max(0.0);
     let alloc_ns = (alloc_on - alloc_off).max(0.0) * allocations_per_iteration;
-    let sampler_ns = sample_ns * ilt_prof::DEFAULT_HZ * iteration_ns / 1e9;
     println!(
         "span open/close: {span_off:.1} ns recorder off, {span_on:.1} ns on \
          -> +{recorder_ns:.1} ns x 1 span per iteration"
@@ -159,15 +150,11 @@ fn main() {
          x {allocations_per_iteration:.1} allocations per iteration \
          ({solve_allocations} in a {iterations}-iteration cold solve) -> +{alloc_ns:.1} ns"
     );
-    println!(
-        "cpu sample: {sample_ns:.0} ns x {} Hz -> +{sampler_ns:.1} ns per iteration",
-        ilt_prof::DEFAULT_HZ
-    );
 
     let recorder = 1.0 + recorder_ns / iteration_ns;
-    let stack = 1.0 + (recorder_ns + alloc_ns + sampler_ns) / iteration_ns;
+    let stack = 1.0 + (recorder_ns + alloc_ns) / iteration_ns;
     println!("flight-recorder overhead: {recorder:.5}x (limit {RECORDER_LIMIT})");
-    println!("recorder + sampler + allocation tracking: {stack:.5}x (limit {STACK_LIMIT})");
+    println!("recorder + allocation tracking: {stack:.5}x (limit {STACK_LIMIT})");
     assert!(
         recorder <= RECORDER_LIMIT,
         "always-on flight recorder costs {:.2}% of an iteration",
@@ -175,7 +162,7 @@ fn main() {
     );
     assert!(
         stack <= STACK_LIMIT,
-        "recorder + profiler stack costs {:.2}% of an iteration",
+        "recorder + allocation tracking cost {:.2}% of an iteration",
         (stack - 1.0) * 100.0
     );
 }

@@ -50,9 +50,9 @@ fn push_field(out: &mut String, e: &SpanEvent, key: &str) {
 /// `kernel_body`, the FFT body the CPU probe chose — a timing means little
 /// without it), per-flow stage summaries, merged counters, histograms and
 /// gauges, the binary's extra `sections` (each a complete JSON document
-/// under its name), `profile` (only when the `ilt-prof` sampler collected
-/// anything) and `memory` in the shape `ilt-serve`'s `/debug/profile` and
-/// `/debug/memory` serve ([`ilt_prof::render`]), the latency budget, the
+/// under its name), `profile` (the spans' self-time profile) and `memory`
+/// in the shape `ilt-serve`'s `/debug/profile` and `/debug/memory` serve
+/// ([`ilt_prof::render`]), the latency budget, the
 /// diagnostics and the nested span tree. v2 is a strict superset of v1;
 /// `report_diff` skips optional sections absent from either side.
 pub(crate) fn render_report(
@@ -139,14 +139,10 @@ pub(crate) fn render_report(
         out.push_str(section);
     }
     // The sections `/debug/profile` and `/debug/memory` serve, less the
-    // daemon-only members; `profile` only when the sampler ran.
-    let (samples, _) = ilt_prof::cpu::sample_counts();
-    if samples > 0 || ilt_prof::sampler_running() {
-        out.push_str(",\"profile\":{");
-        ilt_prof::render::push_profile(&mut out);
-        out.push('}');
-    }
-    out.push_str(",\"memory\":{");
+    // daemon-only members.
+    out.push_str(",\"profile\":{");
+    ilt_prof::render::push_profile(&mut out, &tele.events);
+    out.push_str("},\"memory\":{");
     ilt_prof::render::push_memory(&mut out, ilt_prof::rss::read(), &ilt_prof::alloc::stats());
     out.push('}');
     out.push_str(",\"latency_budget\":");
@@ -324,35 +320,28 @@ mod tests {
     }
 
     #[test]
-    fn profile_section_renders_after_a_sample() {
-        ilt_telemetry::set_enabled(true);
-        ilt_telemetry::flight::set_recording(true);
+    fn profile_section_folds_the_drained_spans() {
+        let (trace, _scope) = tele::new_trace_scope();
         {
-            let mut flow = ilt_telemetry::span(ilt_telemetry::names::FLOW);
+            let mut flow = tele::span(names::FLOW);
             flow.add_field("name", "profile shape test");
-            ilt_prof::sample_now();
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        let report = render_report("smoke", &opts(), &Telemetry::default(), false, &[], &[]);
+        let t = Telemetry {
+            events: tele::flight::spans(Some(trace.0)),
+            ..Telemetry::default()
+        };
+        let report = render_report("smoke", &opts(), &t, false, &[], &[]);
         let json = Json::parse(&report).expect("report parses");
-        let profile = json.get("profile").expect("profile section");
-        assert!(
-            profile
-                .get("samples")
-                .and_then(|v| v.as_u64())
-                .is_some_and(|v| v > 0),
-            "sample recorded"
+        let top = json.path(&["profile", "top_self"]).and_then(Json::as_arr);
+        assert_eq!(
+            top.and_then(|a| a.first()?.get("frame")?.as_str()),
+            Some("flow(profile_shape_test)")
         );
-        assert!(
-            profile
-                .get("top_self")
-                .and_then(|v| v.as_arr())
-                .is_some_and(|a| !a.is_empty()),
-            "top_self has the sampled frame"
-        );
-        assert!(
-            profile.get("samples_per_stage").is_some(),
-            "samples_per_stage present"
-        );
+        assert!(json
+            .path(&["profile", "total_us"])
+            .and_then(Json::as_u64)
+            .is_some_and(|us| us >= 1_000));
     }
 
     #[test]
@@ -400,7 +389,7 @@ mod tests {
         let (trace, _scope) = tele::new_trace_scope();
         record();
         let t = Telemetry {
-            events: tele::flight::trace_spans(trace.0),
+            events: tele::flight::spans(Some(trace.0)),
             ..Telemetry::default()
         };
         let mut out = String::new();

@@ -4,8 +4,9 @@
 //! assembler's canonical order: solve one band, record its per-tile
 //! seconds, fold it into the stage's sink inside an `assembly` span, drop
 //! it, and after the last band finish the sink. At most one colour band of
-//! solved tile masks is therefore resident at once (tracked in
-//! [`ilt_prof::residency`]), and every flow folds in the same fixed order.
+//! solved tile masks is therefore resident at once (each band's `assembly`
+//! span carries its `resident_bytes`), and every flow folds in the same
+//! fixed order.
 //! [`run_banded_stage`] is that loop; flows differ only in how a band's
 //! tiles are produced (plain `run` for the baselines, which abort on the
 //! first tile error; [`Recovering::solve`] for Ours and ECO, which degrade
@@ -60,18 +61,16 @@ pub(crate) fn run_banded_stage<T, S, R>(
         }
         // Each payload carries one solved tile mask.
         let band_bytes = band.len() * mask_bytes;
-        ilt_prof::residency::acquire(band_bytes);
-        let ((), fold_seconds) = trace::assembly_fold(|| {
+        let ((), fold_seconds) = trace::assembly_fold(Some(band_bytes), || {
             for ((payload, _), &i) in band.iter().zip(&group) {
                 fold(&mut sink, i, payload)?;
             }
             Ok::<_, CoreError>(())
         })?;
         assembly_seconds += fold_seconds;
-        ilt_prof::residency::release(band_bytes);
         // `band` drops here: a stage never holds more than one colour band.
     }
-    let (out, finish_seconds) = trace::assembly_fold(|| finish(sink))?;
+    let (out, finish_seconds) = trace::assembly_fold(None, || finish(sink))?;
     assembly_seconds += finish_seconds;
     Ok((out, stage.finish_streamed(tile_seconds, assembly_seconds)))
 }

@@ -59,7 +59,7 @@ impl StageGuard {
         apply: impl FnOnce(Vec<T>) -> Result<R, E>,
     ) -> Result<(R, StageTiming), E> {
         let (payloads, times): (Vec<_>, Vec<_>) = solved.into_iter().unzip();
-        let (out, assembly_seconds) = assembly_fold(|| apply(payloads))?;
+        let (out, assembly_seconds) = assembly_fold(None, || apply(payloads))?;
         Ok((out, self.finish_streamed(times, assembly_seconds)))
     }
 
@@ -91,10 +91,17 @@ impl StageGuard {
 /// streaming assembler, or its final validation) inside an `assembly`
 /// span billed to the assembly profiling stage, and returns the body's
 /// result with the span's duration so streamed stages report the same
-/// `assembly_seconds` the trace records.
-pub(crate) fn assembly_fold<R, E>(body: impl FnOnce() -> Result<R, E>) -> Result<(R, f64), E> {
+/// `assembly_seconds` the trace records. A band fold puts the bytes of
+/// solved tile masks it holds on the span as `resident_bytes`.
+pub(crate) fn assembly_fold<R, E>(
+    resident_bytes: Option<usize>,
+    body: impl FnOnce() -> Result<R, E>,
+) -> Result<(R, f64), E> {
     let _assembly_tag = ilt_prof::stage_scope(ilt_prof::Stage::Assembly);
-    let span = tele::span(tele::names::ASSEMBLY);
+    let mut span = tele::span(tele::names::ASSEMBLY);
+    if let Some(bytes) = resident_bytes {
+        span.add_field("resident_bytes", bytes);
+    }
     let out = body()?;
     Ok((out, span.end()))
 }

@@ -38,8 +38,9 @@
 //!    re-solved tiles only; clean tiles are never touched (no global
 //!    threshold — the reused masks are already post-refine).
 //!
-//! Finally the re-solved tiles' crops are stored under their new
-//! content keys, so a follow-up edit warm-starts from *this* result.
+//! Nothing is written back: the store keeps the base solve, so every edit
+//! applied to one stored base — the same edit twice included — warm-starts
+//! from the same masks and repeats bit for bit.
 //!
 //! [`Schedule::warm_fine_iterations`]: crate::Schedule::warm_fine_iterations
 
@@ -247,7 +248,7 @@ pub fn run_and_store(
 
 /// Incremental re-solve of `edited` given that `base` was previously solved
 /// (and stored) under the same config. See the module docs for the
-/// three-phase structure.
+/// three-phase structure; `store` is only read.
 ///
 /// # Errors
 ///
@@ -423,13 +424,6 @@ pub(crate) fn run_incremental_lent(
         &mut recovering,
     )?);
 
-    // Store the re-solved tiles under their edited content keys, so the
-    // next edit on top of this layout warm-starts from here.
-    for &i in &resolve {
-        let key = tile_key(edited, &partition, i, config_fp);
-        store.put_crop(key, &mask, partition.tile(i).rect);
-    }
-
     let degraded = recovering.degraded;
     let wall_seconds = fspan.end();
     Ok(IncrementalOutcome {
@@ -561,15 +555,9 @@ mod tests {
         let bank = LithoBank::new(config.optics, config.resist).unwrap();
         let (solver, executor) = (ilt_opt::PixelIlt::new(), TileExecutor::sequential());
         let base = ilt_layout::generate_clip(&config.generator, 1);
-        // A re-solve overwrites its overlap-only neighbours' entries (same
-        // content, same key), so each arm edits its own stored base.
-        let stored_base = || {
-            let store = MaskStore::new(64 << 20, None);
-            run_and_store(&config, &bank, &store, &base, &solver, &executor).unwrap();
-            store
-        };
-        let (kept_store, mut coverage) = (stored_base(), Vec::new());
-        let fresh_store = stored_base();
+        let store = MaskStore::new(64 << 20, None);
+        run_and_store(&config, &bank, &store, &base, &solver, &executor).unwrap();
+        let mut coverage = Vec::new();
         // The second edit assembles in what the first left behind.
         for corner in [10, 40] {
             let mut edited = base.clone();
@@ -583,8 +571,8 @@ mod tests {
                 .flow
                 .mask
             };
-            let fresh = run(&fresh_store, &mut Vec::new());
-            let kept = run(&kept_store, &mut coverage);
+            let fresh = run(&store, &mut Vec::new());
+            let kept = run(&store, &mut coverage);
             assert!(kept.as_slice() == fresh.as_slice());
         }
     }

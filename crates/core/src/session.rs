@@ -155,7 +155,8 @@ impl Session {
     /// the dirty set warm-started from the base masks. The base layout must
     /// have been solved with [`Session::run_and_store`] under this
     /// session's config for warm starts to hit; on a cold store every tile
-    /// re-solves (correct, just not fast).
+    /// re-solves (correct, just not fast). The store is only read, so the
+    /// same edit run twice gives the same mask bit for bit.
     ///
     /// # Errors
     ///

@@ -93,7 +93,7 @@ fn a_degraded_tile_is_one_span_under_tracing_only() {
         tele::set_enabled(false);
         fault::clear();
         assert_eq!(result.expect("flow completes").degraded.len(), 1);
-        tele::flight::trace_spans(trace.0)
+        tele::flight::spans(Some(trace.0))
             .into_iter()
             .filter(|e| e.name == tele::names::DEGRADED)
             .collect::<Vec<_>>()

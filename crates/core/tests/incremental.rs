@@ -120,6 +120,27 @@ fn clean_cores_are_bit_identical_to_the_base_solve() {
 }
 
 #[test]
+fn repeated_edits_on_one_store_are_bit_identical() {
+    // The store holds the base solve; a re-solve must not replace those
+    // entries, or each repeat would warm-start from the previous result.
+    let config = ExperimentConfig::test_tiny();
+    let bank = LithoBank::new(config.optics, ResistModel::m1_default()).unwrap();
+    let store = MaskStore::new(64 * 1024 * 1024, None);
+    let (executor, solver) = (TileExecutor::sequential(), PixelIlt::new());
+    let base = generate_clip(&config.generator, 1);
+    let edited = flip_rect(&base, Rect::new(10, 10, 18, 18));
+    run_and_store(&config, &bank, &store, &base, &solver, &executor).unwrap();
+    let run = || {
+        run_incremental_in(&config, &bank, &store, &base, &edited, &solver, &executor)
+            .unwrap()
+            .flow
+            .mask
+    };
+    let (first, second) = (run(), run());
+    assert!(first.as_slice() == second.as_slice());
+}
+
+#[test]
 fn no_change_edit_reuses_everything() {
     let config = ExperimentConfig::test_tiny();
     let bank = LithoBank::new(config.optics, ResistModel::m1_default()).unwrap();

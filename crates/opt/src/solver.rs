@@ -289,7 +289,7 @@ mod tests {
             with_solve_span("stub", &ctx, stalled).unwrap();
             tele::set_enabled(false);
             let anomalies = tele::trace_counters(trace.0).get("diag.anomalies").copied();
-            (tele::flight::trace_spans(trace.0), anomalies)
+            (tele::flight::spans(Some(trace.0)), anomalies)
         };
 
         let (untraced, anomalies) = spans_of(false);

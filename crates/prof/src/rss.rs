@@ -1,17 +1,12 @@
-//! Process resident-set-size sampling from `/proc/self/status`.
+//! Process resident-set-size reading from `/proc/self/status`.
 //!
 //! Two numbers per read: `VmRSS` (current resident bytes) and `VmHWM`
-//! (the kernel's monotonic process-lifetime high-water mark). For
-//! per-window trajectories (one peak per tile-grid size in `memprofile`)
-//! the kernel HWM is useless after the first window, so this module also
-//! keeps a resettable *window* high-water mark fed by
-//! [`note_window_sample`] — which the CPU sampler calls on every tick,
-//! and harnesses may call directly.
+//! (the kernel's monotonic process-lifetime high-water mark). A per-run
+//! peak of live bytes is the tracking allocator's
+//! ([`crate::alloc::reset_peak`]).
 //!
-//! On non-Linux targets [`read`] returns `None` and the window peak
-//! stays zero; everything downstream treats RSS as optional.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! On non-Linux targets [`read`] returns `None`; everything downstream
+//! treats RSS as optional.
 
 /// One resident-set reading.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,8 +16,6 @@ pub struct RssSample {
     /// Kernel lifetime high-water mark (`VmHWM`), bytes.
     pub peak_bytes: u64,
 }
-
-static WINDOW_PEAK: AtomicU64 = AtomicU64::new(0);
 
 /// Reads the current process RSS. Returns `None` where `/proc` is
 /// unavailable (non-Linux) or unparseable.
@@ -65,28 +58,6 @@ fn parse_kb(rest: &str) -> Option<u64> {
     number.parse::<u64>().ok().map(|kb| kb * 1024)
 }
 
-/// Samples RSS once and folds it into the window high-water mark.
-/// Returns the reading.
-pub fn note_window_sample() -> Option<RssSample> {
-    let sample = read()?;
-    WINDOW_PEAK.fetch_max(sample.current_bytes, Ordering::Relaxed);
-    Some(sample)
-}
-
-/// The highest `VmRSS` seen by [`note_window_sample`] since the last
-/// [`reset_window`] (`0` if never sampled).
-pub fn window_peak() -> u64 {
-    WINDOW_PEAK.load(Ordering::Relaxed)
-}
-
-/// Re-arms the window high-water mark to the current RSS (or zero where
-/// RSS is unavailable), then returns the new mark.
-pub fn reset_window() -> u64 {
-    let now = read().map_or(0, |s| s.current_bytes);
-    WINDOW_PEAK.store(now, Ordering::Relaxed);
-    now
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,11 +77,5 @@ mod tests {
         let sample = read().expect("/proc/self/status readable on linux");
         assert!(sample.current_bytes > 0);
         assert!(sample.peak_bytes >= sample.current_bytes);
-        let peak = note_window_sample().unwrap();
-        assert!(window_peak() >= peak.current_bytes);
-        let rearmed = reset_window();
-        // `>=`, not `==`: a concurrently running sampler (other tests)
-        // may fold in a fresh reading right after the re-arm.
-        assert!(window_peak() >= rearmed);
     }
 }

@@ -184,14 +184,12 @@ pub(crate) fn render_job_trace(
     out
 }
 
-/// `GET /debug/profile`: the sampler's state and profile as the bench
-/// report renders them ([`ilt_prof::render::push_profile`]), plus the
-/// collapsed-stack text (flamegraph-ready, embedded as one JSON string).
+/// `GET /debug/profile`: the self-time profile of every span the store
+/// holds (a copy; nothing is drained), rendered as the bench report
+/// renders its own ([`ilt_prof::render::push_profile`]).
 pub(crate) fn render_profile() -> String {
     let mut out = String::from("{");
-    ilt_prof::render::push_profile(&mut out);
-    out.push_str(",\"collapsed\":");
-    push_str_literal(&mut out, &ilt_prof::collapsed());
+    ilt_prof::render::push_profile(&mut out, &tele::flight::spans(None));
     out.push('}');
     out
 }
@@ -364,7 +362,7 @@ mod tests {
     fn profile_render_is_well_formed() {
         let body = render_profile();
         let parsed = Json::parse(&body).expect("valid JSON");
-        assert!(parsed.path(&["sampler_running"]).is_some());
+        assert!(parsed.path(&["total_us"]).is_some());
         assert!(parsed.path(&["collapsed"]).is_some());
         assert!(parsed
             .path(&["top_self"])

@@ -18,7 +18,7 @@
 //! | `GET /debug/queue` | Admission state plus recent jobs with their trace ids |
 //! | `GET /debug/caches` | Kernel-bank / FFT-plan / session-cache sizes and hit rates |
 //! | `GET /debug/slo` | Burn rates per objective and window, with raw good/bad counts, over the daemon's three fixed objectives |
-//! | `GET /debug/profile` | CPU sampler state and profile (the `report.json` `profile` section) plus the collapsed-stack text |
+//! | `GET /debug/profile` | Self-time profile of the spans the store holds: collapsed-stack text, top self-time frames and the total (the `report.json` `profile` section) |
 //! | `GET /debug/memory` | RSS and allocator counters (the `report.json` `memory` section) plus the heaviest-allocating traces |
 //! | `POST /admin/shutdown` | Start the graceful drain (in-flight and queued jobs still finish) |
 //!

@@ -10,10 +10,9 @@
 //! 64), `ILT_SERVE_WORKERS` (job workers, default 1), `ILT_WORKERS`
 //! (tile threads per job, default 1), `ILT_TRACE`, `ILT_FAULTS`
 //! (deterministic fault-injection profile for drills, see `ilt_telemetry::fault`),
-//! `ILT_OBS_RING` (flight-recorder capacity per shard, or `off`),
-//! `ILT_PROF_HZ` (CPU sampler rate; on by default for the service,
-//! `0`/`off` disables) and `ILT_PROF_ALLOC` (allocation counting for
-//! `/debug/memory`). The SLO objectives and windows are fixed.
+//! `ILT_OBS_RING` (flight-recorder capacity per shard, or `off`) and
+//! `ILT_PROF_ALLOC` (allocation counting for `/debug/memory`). The SLO
+//! objectives and windows are fixed.
 
 use ilt_serve::ServeConfig;
 
@@ -28,9 +27,7 @@ fn main() {
     // metrics unless explicitly muted.
     ilt_telemetry::init_from_env(true);
     ilt_telemetry::flight::init_from_env();
-    // A service profiles by default: the sampler feeds /debug/profile and
-    // the RSS window, at well under 1% overhead (gated by the `obs_overhead` bin).
-    ilt_prof::init_from_env(true);
+    ilt_prof::init_from_env();
     ilt_telemetry::fault::configure_from_env();
     let config = ServeConfig::from_env();
     let handle = match ilt_serve::start(config.clone()) {

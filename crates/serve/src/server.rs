@@ -486,7 +486,7 @@ fn debug_job_trace(shared: &Shared, path: &str) -> Response {
     // Flush this connection thread's buffer only; worker threads flush at
     // the end of every job, so finished jobs are fully visible.
     tele::flush_thread();
-    let spans = tele::flight::trace_spans(trace);
+    let spans = tele::flight::spans(Some(trace));
     Response::json(200, debug::render_job_trace(id, trace, status, &spans))
 }
 

@@ -2,6 +2,7 @@
 //! entries, and optional spill-to-disk on eviction.
 
 use std::collections::HashMap;
+use std::num::NonZeroU64;
 use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 
@@ -11,8 +12,9 @@ use ilt_telemetry as tele;
 use crate::disk;
 use crate::key::StoreKey;
 
-/// Default in-memory budget when `ILT_STORE_BUDGET_MB` is unset.
-const DEFAULT_BUDGET_MB: u64 = 64;
+/// Default in-memory budget when `ILT_STORE_BUDGET_MB` is unset (or not
+/// a positive whole number).
+const DEFAULT_BUDGET_MB: NonZeroU64 = NonZeroU64::new(64).unwrap();
 
 fn mask_bytes(mask: &RealGrid) -> u64 {
     (mask.len() * std::mem::size_of::<f64>()) as u64
@@ -100,14 +102,11 @@ impl MaskStore {
     }
 
     /// Store configured from the environment: `ILT_STORE_BUDGET_MB` (default
-    /// 64) and `ILT_STORE_DIR` (spill disabled when unset). `ILT_STORE=0`
-    /// turns the store off entirely — every lookup misses, puts are dropped.
+    /// 64; anything but a positive whole number warns and keeps it) and
+    /// `ILT_STORE_DIR` (spill disabled when unset). [`MaskStore::enabled`]
+    /// reads `ILT_STORE`.
     fn from_env() -> Self {
-        let budget_mb = std::env::var("ILT_STORE_BUDGET_MB")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<u64>().ok())
-            .filter(|&mb| mb > 0)
-            .unwrap_or(DEFAULT_BUDGET_MB);
+        let budget_mb = tele::env_or_warn("ILT_STORE_BUDGET_MB", DEFAULT_BUDGET_MB).get();
         let dir = std::env::var("ILT_STORE_DIR")
             .ok()
             .filter(|raw| !raw.trim().is_empty())
@@ -117,11 +116,11 @@ impl MaskStore {
         store
     }
 
+    /// Whether `ILT_STORE` leaves the store on: `0`, `off`, `false` or `no`
+    /// (any case) turn it off. Read once per process.
     pub fn enabled() -> bool {
-        !matches!(
-            std::env::var("ILT_STORE").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        )
+        static ENABLED: OnceLock<bool> = OnceLock::new();
+        *ENABLED.get_or_init(|| parse_enabled(std::env::var("ILT_STORE").ok().as_deref()))
     }
 
     pub fn budget_bytes(&self) -> u64 {
@@ -294,6 +293,19 @@ impl MaskStore {
     }
 }
 
+/// The `ILT_STORE` grammar: `0`, `off`, `false` or `no` turn the store
+/// off, `1`, `on`, `true` or `yes` leave it on (case-insensitive,
+/// surrounding whitespace ignored); unset it is on, and anything else warns
+/// and leaves it on.
+fn parse_enabled(raw: Option<&str>) -> bool {
+    let Some(raw) = raw else { return true };
+    match raw.trim().to_ascii_lowercase().as_str() {
+        "0" | "off" | "false" | "no" => false,
+        "1" | "on" | "true" | "yes" => true,
+        _ => tele::warn_invalid("ILT_STORE", raw, true),
+    }
+}
+
 /// Process-wide shared store, configured once from the environment.
 pub fn shared_store() -> &'static MaskStore {
     static STORE: OnceLock<MaskStore> = OnceLock::new();
@@ -311,6 +323,21 @@ mod tests {
 
     fn key(geometry: u64) -> StoreKey {
         StoreKey::new(geometry, 42, "ours:pixel")
+    }
+
+    #[test]
+    fn store_switch_grammar_is_trimmed_case_insensitive_and_warns() {
+        for off in ["0", "off", "OFF", " 0", "no", "False "] {
+            assert!(!parse_enabled(Some(off)), "{off:?} turns the store off");
+        }
+        for on in ["1", "on", "Yes", " true "] {
+            assert!(parse_enabled(Some(on)), "{on:?} leaves the store on");
+        }
+        assert!(parse_enabled(None));
+        // Malformed values warn and keep the default, which is on.
+        for bad in ["", "disable", "00"] {
+            assert!(parse_enabled(Some(bad)), "{bad:?} falls back to on");
+        }
     }
 
     #[test]

@@ -4,14 +4,15 @@
 //! buffer; the global mutex is taken when a thread flushes and once per
 //! [`snapshot`] or [`drain`]. Closed spans are not buffered here: they go
 //! straight into the one span store, [`crate::flight`], which [`drain`]
-//! empties.
+//! empties. The buffer also holds the thread's open-span stack, which no
+//! other thread reads, so opening a span takes no lock.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use crate::flight;
-use crate::live::LiveStack;
 use crate::metrics::{self, Histogram};
 use crate::span::FieldValue;
 
@@ -103,8 +104,11 @@ static TRACE_COUNTERS: Mutex<VecDeque<TraceCounterEntry>> = Mutex::new(VecDeque:
 const TRACE_COUNTER_TRACES: usize = 256;
 
 pub(crate) struct LocalBuf {
-    /// The thread's open-span stack and ordinal (see [`crate::live`]).
-    pub live: Arc<LiveStack>,
+    /// Small per-thread ordinal (0 = first thread that recorded).
+    pub thread: u64,
+    /// Ids of the spans open on this thread, innermost last: the spans it
+    /// opened and the parents it adopted ([`crate::parent_scope`]).
+    pub open: Vec<u64>,
     pub counters: HashMap<&'static str, u64>,
     /// Counter increments attributed to an ambient trace, keyed
     /// `(trace, name)`.
@@ -114,11 +118,29 @@ pub(crate) struct LocalBuf {
 
 impl LocalBuf {
     fn new() -> Self {
+        static THREAD_SEQ: AtomicU64 = AtomicU64::new(0);
         LocalBuf {
-            live: LiveStack::register(),
+            thread: THREAD_SEQ.fetch_add(1, Ordering::Relaxed),
+            open: Vec::new(),
             counters: HashMap::new(),
             trace_counters: HashMap::new(),
             histograms: HashMap::new(),
+        }
+    }
+
+    /// Pushes `id` on the open-span stack and returns the id it landed on:
+    /// a new span's parent.
+    pub fn push(&mut self, id: u64) -> Option<u64> {
+        let parent = self.open.last().copied();
+        self.open.push(id);
+        parent
+    }
+
+    /// Pops back to (and including) `id`: a guard dropped out of order also
+    /// closes everything opened above it.
+    pub fn pop(&mut self, id: u64) {
+        if let Some(pos) = self.open.iter().rposition(|&open| open == id) {
+            self.open.truncate(pos);
         }
     }
 

@@ -2,9 +2,9 @@
 //!
 //! Every closed span is moved here, once, whether or not `ILT_TRACE` is
 //! set, and read from here: `ilt-serve`'s `/debug` endpoints rebuild a
-//! job's span tree with [`trace_spans`] after (or while) the job runs, and
-//! [`crate::drain`] empties the store into the [`crate::Telemetry`] the
-//! exporters render.
+//! job's span tree and the profile from a copy ([`spans`]) after (or
+//! while) the job runs, and [`crate::drain`] empties the store into the
+//! [`crate::Telemetry`] the exporters render.
 //!
 //! Retention is the store's property: drop-oldest at [`DEFAULT_CAPACITY`]
 //! spans per shard, so a long-lived process keeps the *most recent* spans
@@ -101,13 +101,19 @@ fn parse_ring(raw: Option<&str>) -> usize {
     }
 }
 
-/// All buffered spans belonging to one trace, sorted by `(start_ns, id)`.
-/// The `/debug/jobs/{id}/trace` endpoint renders its tree from this.
-pub fn trace_spans(trace: u64) -> Vec<SpanEvent> {
+/// A copy of the buffered spans — all of them, or with `Some(trace)` only
+/// that trace's — sorted by `(start_ns, id)`, leaving the store as it is.
+/// `/debug/jobs/{id}/trace` renders a job's tree from it and
+/// `/debug/profile` the self-time profile of everything buffered.
+pub fn spans(trace: Option<u64>) -> Vec<SpanEvent> {
     let mut out = Vec::new();
     for shard in &SHARDS {
         let ring = shard.lock().unwrap_or_else(|e| e.into_inner());
-        out.extend(ring.iter().filter(|e| e.trace == trace).cloned());
+        out.extend(
+            ring.iter()
+                .filter(|e| trace.is_none_or(|t| e.trace == t))
+                .cloned(),
+        );
     }
     out.sort_by_key(|e| (e.start_ns, e.id));
     out

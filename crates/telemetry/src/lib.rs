@@ -23,9 +23,10 @@
 //!   histograms render as Prometheus text ([`Telemetry::to_prometheus`]).
 //! * Each fact is kept **once**. A closed span is moved into the one span
 //!   store, the sharded [`flight`] ring, where [`drain`],
-//!   [`flight::trace_spans`] and through them every exporter read it. Each
-//!   thread has one open-span stack ([`live`]): it parents new spans and
-//!   is what the sampling profiler walks. Counters and histograms are
+//!   [`flight::spans`] and through them every exporter read it — the
+//!   self-time profile ([`self_time_profile`]) too, so time has one
+//!   source. Each thread has one open-span stack, a plain thread-local
+//!   `Vec` that parents new spans. Counters and histograms are
 //!   buffered **per thread** (no locks on the hot path) and merged into a
 //!   process-global sink when the thread flushes — via [`flush_thread`],
 //!   when a [`ParentScope`] drops, or at thread exit as a backstop;
@@ -83,14 +84,14 @@ mod export;
 pub mod fault;
 pub mod flight;
 pub mod json;
-pub mod live;
 mod metrics;
 mod span;
 mod trace;
 
 pub use collect::{drain, flush_thread, snapshot, trace_counters, SpanEvent, Telemetry};
-pub use export::{span_forest_json, FlowSummary, LatencyBudget, SolveCell, StageSummary};
-pub use live::{sample_stacks, LiveFrame};
+pub use export::{
+    self_time_profile, span_forest_json, FlowSummary, LatencyBudget, SolveCell, StageSummary,
+};
 pub use metrics::{counter_add, gauge_add, gauge_set, record_value, Histogram};
 pub use span::{
     current_span, parent_scope, record_span_at, span, FieldValue, ParentScope, SpanGuard, SpanRef,

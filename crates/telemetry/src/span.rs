@@ -119,9 +119,12 @@ pub struct SpanGuard {
 /// allocates a fresh trace id for its subtree, so every recorded span
 /// carries a non-zero trace id.
 pub fn span(name: &'static str) -> SpanGuard {
+    // Fix the epoch before the first span starts: a start before it would
+    // record as 0 and stretch that span past its children.
+    epoch();
     let start = Instant::now();
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-    let parent = collect::with_local(|l| l.live.push(id, name, false)).flatten();
+    let parent = collect::with_local(|l| l.push(id)).flatten();
     let mut trace_id = trace::current_trace_raw();
     let minted = (trace_id == 0 && parent.is_none()).then(|| {
         let (id, scope) = trace::new_trace_scope();
@@ -143,20 +146,10 @@ pub fn span(name: &'static str) -> SpanGuard {
 }
 
 impl SpanGuard {
-    /// Attaches a structured field. The first *identifying* string field
-    /// (`label`, `name`, `what`, or `method`) also becomes the span's
-    /// frame detail on the open-span stack the sampling profiler reads,
-    /// so flamegraph frames read `stage:coarse s=4` rather than `stage`.
+    /// Attaches a structured field.
     pub fn add_field(&mut self, key: &'static str, value: impl Into<FieldValue>) {
         if let Some(rec) = &mut self.rec {
-            let value = value.into();
-            if matches!(key, "label" | "name" | "what" | "method") {
-                if let FieldValue::Str(s) = &value {
-                    let id = rec.id;
-                    collect::with_local(|l| l.live.set_detail(id, s));
-                }
-            }
-            rec.fields.push((key, value));
+            rec.fields.push((key, value.into()));
         }
     }
 
@@ -187,8 +180,8 @@ impl SpanGuard {
         // `None` while the thread's buffer is being torn down: the stack
         // is gone with it, the span is still recorded.
         let thread = collect::with_local(|l| {
-            l.live.pop(rec.id);
-            l.live.thread
+            l.pop(rec.id);
+            l.thread
         });
         flight::record(SpanEvent {
             id: rec.id,
@@ -230,7 +223,7 @@ pub fn record_span_at(
     fields: Vec<(&'static str, FieldValue)>,
 ) {
     let (parent, thread) =
-        collect::with_local(|l| (l.live.innermost(), l.live.thread)).unwrap_or((None, u64::MAX));
+        collect::with_local(|l| (l.open.last().copied(), l.thread)).unwrap_or((None, u64::MAX));
     flight::record(SpanEvent {
         id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
         parent,
@@ -248,20 +241,18 @@ pub fn record_span_at(
 /// The innermost open span on the current thread (an adopted parent
 /// counts), if any.
 pub fn current_span() -> Option<SpanRef> {
-    collect::with_local(|l| l.live.innermost())
+    collect::with_local(|l| l.open.last().copied())
         .flatten()
         .map(SpanRef)
 }
 
 /// Adopts `parent` as the current thread's span context until the returned
-/// guard drops: it becomes a frame on the thread's open-span stack, marked
-/// so the sampling profiler skips it. Worker pools call this so spans
-/// opened inside jobs attach to the span that was active where the jobs
-/// were submitted.
+/// guard drops: it goes on the thread's open-span stack. Worker pools call
+/// this so spans opened inside jobs attach to the span that was active
+/// where the jobs were submitted.
 pub fn parent_scope(parent: Option<SpanRef>) -> ParentScope {
     if let Some(p) = parent {
-        // Nameless: adopted frames are never shown.
-        collect::with_local(|l| l.live.push(p.0, "", true));
+        collect::with_local(|l| l.push(p.0));
     }
     ParentScope {
         id: parent.map(|p| p.0),
@@ -279,7 +270,7 @@ pub struct ParentScope {
 impl Drop for ParentScope {
     fn drop(&mut self) {
         if let Some(id) = self.id {
-            collect::with_local(|l| l.live.pop(id));
+            collect::with_local(|l| l.pop(id));
             // Worker threads end their useful life when the adopted scope
             // closes; flush now, because thread-local destructors may run
             // after the pool's join is observed (see `flush_thread`).

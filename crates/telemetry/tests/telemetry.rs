@@ -75,7 +75,14 @@ fn parent_scope_adopts_across_threads() {
             for _ in 0..2 {
                 scope.spawn(move || {
                     let _adopt = tele::parent_scope(parent);
-                    let _job = tele::span("unit.worker_job");
+                    let job = tele::span("unit.worker_job");
+                    assert_eq!(tele::current_span(), job.span_ref());
+                    drop(job);
+                    assert_eq!(
+                        tele::current_span(),
+                        parent,
+                        "the adopted parent is current"
+                    );
                 });
             }
         });
@@ -264,7 +271,7 @@ fn snapshot_is_non_destructive_and_drain_still_sees_everything() {
     assert_eq!(first.histograms["unit.snap_hist"].count(), 1);
     // A snapshot copies metrics only; the span stays in the store.
     assert!(first.events.is_empty());
-    assert_eq!(tele::flight::trace_spans(id.0).len(), 1);
+    assert_eq!(tele::flight::spans(Some(id.0)).len(), 1);
     // A second snapshot sees the same totals plus anything new.
     tele::counter_add("unit.snap_counter", 3);
     let second = tele::snapshot();
@@ -394,14 +401,14 @@ fn flight_recorder_keeps_spans_without_ilt_trace() {
     drop(tele::span("unit.flight_child"));
     drop(root);
     drop(scope);
-    let spans = tele::flight::trace_spans(id.0);
+    let spans = tele::flight::spans(Some(id.0));
     let names: Vec<&str> = spans.iter().map(|e| e.name).collect();
     assert!(names.contains(&"unit.flight_root"), "{names:?}");
     assert!(names.contains(&"unit.flight_child"), "{names:?}");
     assert!(spans.iter().all(|e| e.trace == id.0));
     // The store is the only place they are: draining it takes them.
     assert_eq!(tele::drain().events.len(), spans.len());
-    assert!(tele::flight::trace_spans(id.0).is_empty());
+    assert!(tele::flight::spans(Some(id.0)).is_empty());
 }
 
 #[test]
@@ -417,7 +424,7 @@ fn flight_recorder_overflow_drops_oldest_and_counts() {
     }
     // All 100 spans came from this thread, so they share one shard of
     // capacity 16: memory stayed bounded and the rest were evicted.
-    let kept = tele::flight::trace_spans(id.0).len();
+    let kept = tele::flight::spans(Some(id.0)).len();
     assert!(kept <= 16, "ring kept {kept} spans over capacity");
     assert!(kept > 0, "ring kept the newest spans");
     let dropped = tele::flight::spans_dropped() - dropped_before;
@@ -532,4 +539,55 @@ fn latency_budget_attributes_stage_classes() {
     let json = budget.to_json();
     assert!(json.starts_with("{\"queue_wait_s\":"), "{json}");
     assert!(json.contains("\"flow_total_s\":"), "{json}");
+}
+
+/// A closed span with a hand-set interval, for the pure folds.
+fn event(id: u64, parent: Option<u64>, thread: u64, start_ns: u64, dur_ns: u64) -> tele::SpanEvent {
+    tele::SpanEvent {
+        id,
+        parent,
+        trace: 1,
+        name: if parent.is_none() {
+            tele::names::STAGE
+        } else {
+            tele::names::TILE
+        },
+        fields: vec![
+            ("label", tele::FieldValue::from("coarse s=4")),
+            ("tile", tele::FieldValue::from(id)),
+        ],
+        start_ns,
+        dur_ns,
+        thread,
+    }
+}
+
+#[test]
+fn self_time_subtracts_only_same_thread_children() {
+    let events = [
+        // A stage on thread 0 over [0, 1000).
+        event(1, None, 0, 0, 1_000),
+        // Two overlapping children on its thread: [100, 300) ∪ [200, 400)
+        // covers 300 ns, not 400.
+        event(2, Some(1), 0, 100, 200),
+        event(3, Some(1), 0, 200, 200),
+        // A child reaching past its parent's end is clipped to it.
+        event(4, Some(1), 0, 900, 500),
+        // A child on a worker thread roots that thread's chain and takes
+        // nothing from the stage.
+        event(5, Some(1), 1, 100, 700),
+        // A grandchild on the worker.
+        event(6, Some(5), 1, 200, 100),
+    ];
+    let profile = tele::self_time_profile(&events);
+    let stage = "stage(coarse_s=4)";
+    let expected = [
+        (stage.to_string(), 1_000 - 300 - 100),
+        (format!("{stage};tile(2)"), 200),
+        (format!("{stage};tile(3)"), 200),
+        (format!("{stage};tile(4)"), 500),
+        ("tile(5)".to_string(), 700 - 100),
+        ("tile(5);tile(6)".to_string(), 100),
+    ];
+    assert_eq!(profile.into_iter().collect::<Vec<_>>(), expected);
 }
