@@ -141,7 +141,7 @@ fn main() {
         .expect("cannot write flamegraph text");
     println!("wrote {}", flame.display());
 
-    opts.finish_run("memprofile", &[], &[]);
+    opts.finish_run("memprofile", &[]);
     assert!(
         worst.0 >= 0.9,
         "{}: only {:.1}% of tracked bytes attributed to a named stage",

@@ -151,7 +151,7 @@ fn main() {
     related_baselines(&runs);
     manufacturability(&runs);
     via_templates(&runs);
-    runs.opts.finish_run("reproduce", &quality, &[]);
+    runs.opts.finish_run("reproduce", &quality);
 }
 
 /// Formats a fixed-width table row for terminal output.

@@ -8,8 +8,7 @@
 //! (`serve.load.queue_wait_us`, from the done body's `queue_seconds`)
 //! and service time (`serve.load.service_us`), alongside the combined
 //! `serve.load.latency_us`, and everything lands in the usual
-//! `ilt-report/v2` `report.json` so `report_diff` can gate runs against
-//! `results/baselines/serve_smoke.json`.
+//! `ilt-report/v2` `report.json`.
 //!
 //! By default the target server is started **in-process** (so a smoke run
 //! needs exactly one command and the report also carries the server-side
@@ -111,7 +110,7 @@ fn main() {
         println!("kernel bank cache: no lookups observed (is server telemetry off?)");
     }
 
-    opts.finish_run("serve_load", &[], &[]);
+    opts.finish_run("serve_load", &[]);
     if stats.lost > 0 {
         eprintln!("serve_load: {} job(s) lost", stats.lost);
         std::process::exit(1);

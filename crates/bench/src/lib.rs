@@ -3,9 +3,9 @@
 //! Shared plumbing for `reproduce`, the one driver that regenerates every
 //! table and figure of the paper's evaluation (see `DESIGN.md` for the
 //! experiment-to-section index), and for the drills whose gates are
-//! counts, quality digits or same-process ratios (`eco_smoke`,
-//! `serve_load`, `memprofile`, `obs_overhead`, `report_diff`). Wall-clock
-//! speed is not measured here: that is `benchmark/` (`BENCHMARK.json`).
+//! counts or same-process ratios (`serve_load`, `memprofile`,
+//! `obs_overhead`). Wall-clock speed is not measured here: that is
+//! `benchmark/` (`BENCHMARK.json`).
 //!
 //! Environment knobs honoured by all binaries:
 //!
@@ -28,13 +28,11 @@
 //!
 //! The run report is read off the drained span forest; what no span holds
 //! is handed to [`HarnessOptions::finish_run`]: the [`spatial`] quality
-//! matrices of `reproduce`'s Table 1 flows and a binary's own sections.
-//! [`diff`] compares two reports for the `report_diff` gate.
+//! matrices of `reproduce`'s Table 1 flows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod diff;
 mod report;
 pub mod spatial;
 
@@ -132,10 +130,8 @@ impl HarnessOptions {
 
     /// Finalises a run: drains the telemetry collected since startup and
     /// writes `report.json` (schema `ilt-report/v2`) into the artifact
-    /// directory, with `quality` in its diagnostics and each of `sections`
-    /// (a name that collides with no standard key, and a complete JSON
-    /// document) as a top-level section. A traced run's report holds every
-    /// span; the run also writes `<binary>_trace.json` (Chrome
+    /// directory, with `quality` in its diagnostics. A traced run's report
+    /// holds every span; the run also writes `<binary>_trace.json` (Chrome
     /// `trace_event` format, for Perfetto) and `quality`'s maps (per-case
     /// EPE hotspot / seam mismatch / MRC overlay PGMs and
     /// `tile_quality.csv`).
@@ -144,7 +140,7 @@ impl HarnessOptions {
     ///
     /// Panics if an artifact cannot be written — unrecoverable for a
     /// harness.
-    pub fn finish_run(&self, binary: &str, quality: &[CaseQuality], sections: &[(&str, String)]) {
+    pub fn finish_run(&self, binary: &str, quality: &[CaseQuality]) {
         let trace_enabled = ilt_telemetry::enabled();
         let mut tele = ilt_telemetry::drain();
         if !trace_enabled {
@@ -152,7 +148,7 @@ impl HarnessOptions {
             // of this run; an untraced report carries no spans.
             tele.events.clear();
         }
-        let report = report::render_report(binary, self, &tele, trace_enabled, quality, sections);
+        let report = report::render_report(binary, self, &tele, trace_enabled, quality);
         let path = self.artifact("report.json");
         std::fs::write(&path, report).expect("cannot write report.json");
         println!("wrote {}", path.display());

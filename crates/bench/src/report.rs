@@ -1,8 +1,8 @@
 //! The `ilt-report/v2` document [`crate::HarnessOptions::finish_run`]
 //! writes. Every span-derived section — `flows`, `latency_budget` and the
 //! `diagnostics` convergence matrix, anomalies and degraded tiles — is
-//! read off the one drained span forest; only the quality matrices and the
-//! binary's own extra sections are handed in.
+//! read off the one drained span forest; only the quality matrices are
+//! handed in.
 
 use std::fmt::Write as _;
 
@@ -49,19 +49,16 @@ fn push_field(out: &mut String, e: &SpanEvent, key: &str) {
 /// Renders the `ilt-report/v2` run report: run parameters (among them
 /// `kernel_body`, the FFT body the CPU probe chose — a timing means little
 /// without it), per-flow stage summaries, merged counters, histograms and
-/// gauges, the binary's extra `sections` (each a complete JSON document
-/// under its name), `profile` (the spans' self-time profile) and `memory`
-/// in the shape `ilt-serve`'s `/debug/profile` and `/debug/memory` serve
-/// ([`ilt_prof::render`]), the latency budget, the
-/// diagnostics and the nested span tree. v2 is a strict superset of v1;
-/// `report_diff` skips optional sections absent from either side.
+/// gauges, `profile` (the spans' self-time profile) and `memory` in the
+/// shape `ilt-serve`'s `/debug/profile` and `/debug/memory` serve
+/// ([`ilt_prof::render`]), the latency budget, the diagnostics and the
+/// nested span tree. v2 is a strict superset of v1.
 pub(crate) fn render_report(
     binary: &str,
     opts: &HarnessOptions,
     tele: &Telemetry,
     trace_enabled: bool,
     quality: &[CaseQuality],
-    sections: &[(&str, String)],
 ) -> String {
     let mut out = String::from("{\"schema\":\"ilt-report/v2\",\"binary\":");
     json::push_str_literal(&mut out, binary);
@@ -116,15 +113,17 @@ pub(crate) fn render_report(
         json::push_str_literal(out, name);
         let _ = write!(
             out,
-            ":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
+            ":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{}",
             h.count(),
             h.sum(),
             h.min(),
-            h.max(),
-            h.quantile(0.5),
-            h.quantile(0.95),
-            h.quantile(0.99)
+            h.max()
         );
+        for (key, q) in [("p50", 0.5), ("p95", 0.95), ("p99", 0.99)] {
+            let _ = write!(out, ",\"{key}\":");
+            json::push_f64(out, h.quantile(q));
+        }
+        out.push('}');
     });
     out.push_str(",\"gauges\":");
     push_list(&mut out, ('{', '}'), &tele.gauges, |out, (name, v)| {
@@ -132,12 +131,6 @@ pub(crate) fn render_report(
         out.push(':');
         json::push_f64(out, *v);
     });
-    for (name, section) in sections {
-        out.push(',');
-        json::push_str_literal(&mut out, name);
-        out.push(':');
-        out.push_str(section);
-    }
     // The sections `/debug/profile` and `/debug/memory` serve, less the
     // daemon-only members.
     out.push_str(",\"profile\":{");
@@ -260,7 +253,7 @@ mod tests {
 
     #[test]
     fn report_is_valid_shape() {
-        let report = render_report("smoke", &opts(), &Telemetry::default(), false, &[], &[]);
+        let report = render_report("smoke", &opts(), &Telemetry::default(), false, &[]);
         assert!(report.starts_with("{\"schema\":\"ilt-report/v2\""));
         assert!(report.contains("\"binary\":\"smoke\""));
         assert!(report.contains("\"scale\":\"tiny\""));
@@ -331,7 +324,7 @@ mod tests {
             events: tele::flight::spans(Some(trace.0)),
             ..Telemetry::default()
         };
-        let report = render_report("smoke", &opts(), &t, false, &[], &[]);
+        let report = render_report("smoke", &opts(), &t, false, &[]);
         let json = Json::parse(&report).expect("report parses");
         let top = json.path(&["profile", "top_self"]).and_then(Json::as_arr);
         assert_eq!(
@@ -345,23 +338,32 @@ mod tests {
     }
 
     #[test]
-    fn extra_sections_land_in_the_report() {
-        let sections = [("extra_section_test", "{\"speedup\":4.0}".to_string())];
-        let report = render_report(
-            "smoke",
-            &opts(),
-            &Telemetry::default(),
-            false,
-            &[],
-            &sections,
-        );
-        let json = Json::parse(&report).expect("report parses");
-        assert_eq!(
-            json.path(&["extra_section_test", "speedup"])
-                .and_then(|v| v.as_f64()),
-            Some(4.0)
-        );
-        assert_eq!(report.matches("extra_section_test").count(), 1);
+    fn report_and_metrics_print_one_quantile_per_histogram() {
+        // Samples spread over several buckets, so an estimator that reads
+        // a bucket bound would disagree with one that interpolates.
+        let mut h = tele::Histogram::new();
+        for v in [3u64, 9, 12, 40, 41, 77, 300, 1_000, 1_001, 5_000] {
+            h.record(v);
+        }
+        let mut t = Telemetry::default();
+        t.histograms.insert("unit.latency_us".to_string(), h);
+        let report = render_report("smoke", &opts(), &t, false, &[]);
+        let report = Json::parse(&report).expect("report parses");
+        let metrics = t.to_prometheus();
+        for (key, q) in [("p50", "0.5"), ("p95", "0.95"), ("p99", "0.99")] {
+            let in_report = report
+                .path(&["histograms", "unit.latency_us", key])
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("report misses {key}"));
+            let line = format!("ilt_unit_latency_us{{quantile=\"{q}\"}} ");
+            let in_metrics: f64 = metrics
+                .lines()
+                .find_map(|l| l.strip_prefix(&line))
+                .unwrap_or_else(|| panic!("/metrics misses {line}"))
+                .parse()
+                .expect("sample value");
+            assert_eq!(in_report, in_metrics, "{key}");
+        }
     }
 
     /// The spans one traced tile solve leaves: flow > stage > tile > solve,

@@ -90,9 +90,9 @@ impl CaseQuality {
         })
     }
 
-    /// Case-level aggregates folded from the tile rows — the numbers
-    /// `report_diff` gates on.
-    pub(crate) fn summary(&self) -> QualitySummary {
+    /// Case-level aggregates folded from the tile rows — the `summary` of
+    /// the report's `diagnostics.quality` entry.
+    pub fn summary(&self) -> QualitySummary {
         let mut s = QualitySummary::default();
         for t in &self.tiles {
             s.epe_p95 = s.epe_p95.max(t.epe_p95);
@@ -107,17 +107,17 @@ impl CaseQuality {
 
 /// Case-level quality aggregates (see [`CaseQuality::summary`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub(crate) struct QualitySummary {
+pub struct QualitySummary {
     /// Worst per-tile p95 |EPE|.
-    pub(crate) epe_p95: f64,
+    pub epe_p95: f64,
     /// Worst per-tile max |EPE|.
-    pub(crate) epe_max: usize,
+    pub epe_max: usize,
     /// Total EPE violations across tiles.
-    pub(crate) epe_violations: usize,
+    pub epe_violations: usize,
     /// Total stitch loss attributed to tiles.
-    pub(crate) stitch: f64,
+    pub stitch: f64,
     /// Total MRC violations across tiles.
-    pub(crate) mrc: usize,
+    pub mrc: usize,
 }
 
 /// Heatmap cell size in layout pixels: matches the default EPE gauge

@@ -95,8 +95,10 @@ pub fn inspect_detailed(
     mask: &RealGrid,
 ) -> Result<(ilt_metrics::MaskQuality, StitchReport), CoreError> {
     // Manufactured masks are binary; inspect the binarised mask. The
-    // whole-clip print and metric pass bills to the inspect stage.
+    // whole-clip print and metric pass bills to the inspect stage and is
+    // one span of its own.
     let _stage = ilt_prof::stage_scope(ilt_prof::Stage::Inspect);
+    let _span = ilt_telemetry::span(ilt_telemetry::names::INSPECT);
     let binary = mask.threshold(0.5);
     let quality = mask_quality(inspection, &binary.to_real(), target)?;
     let report = stitch_loss(&binary, lines, &config.stitch);
@@ -107,8 +109,9 @@ pub fn inspect_detailed(
 /// full-clip print: binarises the mask, prints each tile of the clip's
 /// partition through a `tile`-sized system (tile sides are always powers
 /// of two, so the system always builds), and counts wafer/target
-/// mismatches over each tile's **core** pixels. Cores are disjoint and
-/// cover the clip, so every pixel is counted exactly once.
+/// mismatches over each tile's **core** pixels inside `window` (chip
+/// coordinates). Cores are disjoint and cover the clip, so every pixel of
+/// the window is counted exactly once.
 ///
 /// This is the quality measurement for the paper-scale sweep, whose
 /// `M x N` clip sides (e.g. `3 x tile/2`) are not powers of two and
@@ -118,27 +121,12 @@ pub fn inspect_detailed(
 /// is consistent across clip sizes, which is what the convergence-flatness
 /// gate compares.
 ///
-/// # Errors
-///
-/// Propagates partition and lithography failures.
-pub fn tiled_print_loss(
-    config: &ExperimentConfig,
-    bank: &LithoBank,
-    target: &BitGrid,
-    mask: &RealGrid,
-) -> Result<usize, CoreError> {
-    let window = ilt_grid::Rect::new(0, 0, target.width() as i64, target.height() as i64);
-    tiled_print_loss_in(config, bank, target, mask, window)
-}
-
-/// Like [`tiled_print_loss`], but counts mismatches only inside `window`
-/// (chip coordinates). Tiles are still printed with their full halo, so
-/// the window restricts *where* loss is counted, not the optical context
-/// it is measured with. The convergence-flatness test uses this to
-/// compare chip sizes on their interiors: the outermost ring of any chip
-/// prints against missing off-chip context, so its loss density depends
-/// on the perimeter-to-area ratio rather than on how well the tile
-/// hierarchy converged.
+/// Tiles are still printed with their full halo, so `window` restricts
+/// *where* loss is counted, not the optical context it is measured with.
+/// The convergence-flatness test compares chip sizes on their interiors:
+/// the outermost ring of any chip prints against missing off-chip
+/// context, so its loss density depends on the perimeter-to-area ratio
+/// rather than on how well the tile hierarchy converged.
 ///
 /// # Errors
 ///
@@ -230,51 +218,14 @@ pub fn run_method(
 }
 
 /// Runs all four methods on one clip and inspects each, producing one row
-/// of Table 1.
-///
-/// Builds a fresh inspection system for the clip; multi-case runs should
-/// build one up front (or use [`crate::Session`]) and call [`run_case_in`]
-/// so the kernel resampling and FFT setup happen once, not per case.
-///
-/// # Errors
-///
-/// Propagates flow and inspection failures.
-pub fn run_case(
-    config: &ExperimentConfig,
-    bank: &LithoBank,
-    clip: &Clip,
-    executor: &TileExecutor,
-) -> Result<CaseResult, CoreError> {
-    let inspection = bank.system(config.clip, config.inspection_scale())?;
-    run_case_in(config, bank, &inspection, clip, executor)
-}
-
-/// Like [`run_case`], but inspects with a prebuilt full-clip system
-/// instead of constructing one internally — the entry point for callers
-/// that amortise setup across cases or jobs.
+/// of Table 1. Each method's flow comes from `solve`, asked once per
+/// method in column order, so a caller that keeps flows (the paper-record
+/// driver shares them with its figure sections) hands over the ones it
+/// already has instead of solving them again; [`run_method`] solves one.
 ///
 /// `inspection` must cover the whole clip at full resolution, i.e. be
-/// `bank.system(config.clip, config.inspection_scale())`.
-///
-/// # Errors
-///
-/// Propagates flow and inspection failures.
-pub fn run_case_in(
-    config: &ExperimentConfig,
-    bank: &LithoBank,
-    inspection: &LithoSystem,
-    clip: &Clip,
-    executor: &TileExecutor,
-) -> Result<CaseResult, CoreError> {
-    run_case_with(config, inspection, clip, |method| {
-        run_method(method, config, bank, &clip.target, executor)
-    })
-}
-
-/// Like [`run_case_in`], but takes each method's flow from `solve`, asked
-/// once per method in column order, so a caller that keeps flows (the
-/// paper-record driver shares them with its figure sections) hands over
-/// the ones it already has instead of solving them again.
+/// `bank.system(config.clip, config.inspection_scale())` (a
+/// [`crate::Session`] holds one).
 ///
 /// # Errors
 ///
@@ -402,11 +353,16 @@ mod tests {
     }
 
     #[test]
-    fn run_case_produces_full_row() {
+    fn run_case_with_produces_full_row() {
         let config = ExperimentConfig::test_tiny();
         let bank = LithoBank::new(config.optics, ResistModel::m1_default()).unwrap();
         let suite = suite_of_size(&config.generator, 1);
-        let row = run_case(&config, &bank, &suite[0], &TileExecutor::sequential()).unwrap();
+        let inspection = bank.system(config.clip, config.inspection_scale()).unwrap();
+        let executor = TileExecutor::sequential();
+        let row = run_case_with(&config, &inspection, &suite[0], |m| {
+            run_method(m, &config, &bank, &suite[0].target, &executor)
+        })
+        .unwrap();
         assert_eq!(row.methods.len(), 4);
         assert_eq!(row.name, "case1");
         for m in &row.methods {
@@ -466,8 +422,9 @@ mod tests {
         let bank = LithoBank::new(config.optics, ResistModel::m1_default()).unwrap();
         let clip = suite_of_size(&config.generator, 1).remove(0);
         let dark = RealGrid::new(config.clip, config.clip, 0.0);
-        let loss = tiled_print_loss(&config, &bank, &clip.target, &dark).unwrap();
-        assert_eq!(loss, clip.area);
+        let whole = |size: usize| ilt_grid::Rect::new(0, 0, size as i64, size as i64);
+        let loss = tiled_print_loss_in(&config, &bank, &clip.target, &dark, whole(config.clip));
+        assert_eq!(loss.unwrap(), clip.area);
 
         // A non-power-of-two clip (the paper-scale case) also measures:
         // regenerate the suite at 3/2 tile so the full-clip system could
@@ -476,7 +433,13 @@ mod tests {
         wide.generator.size = 3 * wide.partition.tile / 2;
         let clip = suite_of_size(&wide.generator, 1).remove(0);
         let dark = RealGrid::new(wide.generator.size, wide.generator.size, 0.0);
-        let loss = tiled_print_loss(&wide, &bank, &clip.target, &dark).unwrap();
-        assert_eq!(loss, clip.area);
+        let loss = tiled_print_loss_in(
+            &wide,
+            &bank,
+            &clip.target,
+            &dark,
+            whole(wide.generator.size),
+        );
+        assert_eq!(loss.unwrap(), clip.area);
     }
 }

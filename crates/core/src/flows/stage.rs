@@ -23,8 +23,8 @@ use ilt_litho::LithoBank;
 use ilt_opt::{SolveContext, SolveRequest, TileSolver};
 use ilt_telemetry as tele;
 use ilt_tile::{
-    multi_coloring, restrict, AssemblyMode, Partition, RetryPolicy, StreamingAssembler,
-    TileExecutor, TileWeights,
+    multi_coloring, restrict, AssemblyMode, Partition, StreamingAssembler, TileExecutor,
+    TileWeights,
 };
 
 use crate::config::ExperimentConfig;
@@ -157,9 +157,7 @@ impl<'a> Recovering<'a> {
         indices: &[usize],
         solve: impl Fn(usize) -> Result<(RealGrid, f64), CoreError> + Sync,
     ) -> Result<Vec<(RealGrid, f64)>, CoreError> {
-        let results = self
-            .executor
-            .run_recoverable(indices, RetryPolicy::default(), solve);
+        let results = self.executor.run_recoverable(indices, solve);
         let mut solved = Vec::with_capacity(results.len());
         for (result, &tile) in results.into_iter().zip(indices) {
             let error = match result {

@@ -21,14 +21,13 @@
 use std::sync::{Arc, Mutex};
 
 use ilt_grid::{BitGrid, RealGrid};
-use ilt_layout::Clip;
 use ilt_litho::{LithoBank, LithoSystem};
 use ilt_metrics::StitchReport;
 use ilt_tile::TileExecutor;
 
 use crate::config::ExperimentConfig;
 use crate::error::CoreError;
-use crate::experiment::{inspect_detailed, run_case_in, run_method, CaseResult, Method};
+use crate::experiment::{inspect_detailed, run_method, Method};
 use crate::flows::FlowResult;
 
 /// A reusable experiment session over one configuration.
@@ -186,16 +185,6 @@ impl Session {
         outcome
     }
 
-    /// Runs all four methods on one clip (one Table 1 row), reusing the
-    /// session's bank and inspection system.
-    ///
-    /// # Errors
-    ///
-    /// Propagates flow and inspection failures.
-    pub fn run_case(&self, clip: &Clip, executor: &TileExecutor) -> Result<CaseResult, CoreError> {
-        run_case_in(&self.config, &self.bank, &self.inspection, clip, executor)
-    }
-
     /// Inspects a raw mask against a target over the whole clip with the
     /// prebuilt inspection system (see
     /// [`inspect_detailed`](crate::experiment::inspect_detailed)).
@@ -217,27 +206,7 @@ impl Session {
 mod tests {
     use super::*;
     use ilt_layout::suite_of_size;
-    use ilt_litho::{LithoBank, ResistModel};
     use ilt_tile::Partition;
-
-    #[test]
-    fn session_matches_direct_run_case() {
-        let config = ExperimentConfig::test_tiny();
-        let session = Session::new(config.clone()).unwrap();
-        let clip = suite_of_size(&config.generator, 1).remove(0);
-        let executor = TileExecutor::sequential();
-        let via_session = session.run_case(&clip, &executor).unwrap();
-        let bank = LithoBank::new(config.optics, ResistModel::m1_default()).unwrap();
-        let direct = crate::experiment::run_case(&config, &bank, &clip, &executor).unwrap();
-        // Metrics must agree exactly except TAT, which is a wall clock.
-        assert_eq!(via_session.methods.len(), direct.methods.len());
-        for (a, b) in via_session.methods.iter().zip(&direct.methods) {
-            assert_eq!(a.method, b.method);
-            assert_eq!(a.metrics.l2, b.metrics.l2);
-            assert_eq!(a.metrics.pvband, b.metrics.pvband);
-            assert_eq!(a.metrics.stitch, b.metrics.stitch);
-        }
-    }
 
     #[test]
     fn sessions_share_the_cached_bank() {

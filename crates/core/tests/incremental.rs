@@ -7,6 +7,8 @@ use std::collections::BTreeSet;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
+use ilt_core::experiment::inspect_detailed;
+use ilt_core::flows::multigrid_schwarz;
 use ilt_core::incremental::{run_and_store, run_incremental_in};
 use ilt_core::ExperimentConfig;
 use ilt_grid::{BitGrid, Rect};
@@ -28,6 +30,9 @@ fn flip_rect(layout: &BitGrid, rect: Rect) -> BitGrid {
 }
 
 struct Eco {
+    config: ExperimentConfig,
+    bank: LithoBank,
+    edited: BitGrid,
     base_mask: ilt_grid::RealGrid,
     outcome: ilt_core::IncrementalOutcome,
     partition: Partition,
@@ -49,6 +54,9 @@ fn run_single_tile_edit() -> Eco {
         run_incremental_in(&config, &bank, &store, &base, &edited, &solver, &executor).unwrap();
     let partition = Partition::new(config.clip, config.clip, config.partition).unwrap();
     Eco {
+        config,
+        bank,
+        edited,
         base_mask: base_flow.mask,
         outcome,
         partition,
@@ -98,6 +106,38 @@ fn single_tile_edit_resolves_only_the_dirty_set() {
     assert_eq!(refined, 4, "refine covers each dirty tile exactly once");
     assert!(outcome.flow.name.starts_with("ours-eco:"));
     assert!(outcome.flow.degraded.is_empty());
+}
+
+#[test]
+fn warm_quality_stays_within_the_cold_resolve_of_the_same_edit() {
+    // The warm re-solve trades the dirty set's fine budget for its base
+    // masks; its L2, PVBand and stitch loss may exceed a cold solve of the
+    // edited layout by at most 10% plus half a unit.
+    let eco = run_single_tile_edit();
+    let (config, bank) = (&eco.config, &eco.bank);
+    let cold = multigrid_schwarz(
+        config,
+        bank,
+        &eco.edited,
+        &PixelIlt::new(),
+        &TileExecutor::sequential(),
+    )
+    .unwrap();
+    let inspection = bank.system(config.clip, config.inspection_scale()).unwrap();
+    let lines = eco.partition.stitch_lines();
+    let score = |mask| {
+        let (quality, stitch) =
+            inspect_detailed(config, &inspection, &lines, &eco.edited, mask).unwrap();
+        [quality.l2 as f64, quality.pvband as f64, stitch.total]
+    };
+    let (cold, warm) = (score(&cold.mask), score(&eco.outcome.flow.mask));
+    for ((metric, cold), warm) in ["l2", "pvband", "stitch"].iter().zip(cold).zip(warm) {
+        let bound = cold * 1.10 + 0.5;
+        assert!(
+            warm <= bound,
+            "warm {metric} {warm} exceeds cold {cold} * 1.10 + 0.5 = {bound}"
+        );
+    }
 }
 
 #[test]

@@ -5,11 +5,12 @@
 //! `ilt-telemetry`, for the fault-injection registry).
 //!
 //! The workspace writes JSON by hand (`ilt_telemetry::json`) and has no
-//! serde; `report_diff` and the `ilt-serve` request path need the reverse
-//! direction. This is a strict recursive-descent parser over the full JSON
-//! grammar — enough to load reports the workspace itself produced and to
-//! parse job-submission bodies, with real error positions for hand-edited
-//! baselines and hand-typed curl payloads.
+//! serde; the `ilt-serve` request path and the clients that read the
+//! workspace's own reports and responses need the reverse direction. This
+//! is a strict recursive-descent parser over the full JSON grammar —
+//! enough to load reports the workspace itself produced and to parse
+//! job-submission bodies, with real error positions for hand-typed curl
+//! payloads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -119,6 +119,23 @@ fn collect_spans(forest: &Json, out: &mut Vec<(u64, u64, String)>) {
     }
 }
 
+/// Names of the spans directly under the first span named `parent` in a
+/// span forest (depth-first), or `None` when no span has that name.
+fn child_names(forest: &Json, parent: &str) -> Option<Vec<String>> {
+    for node in forest.as_arr()? {
+        let children = node.get("children");
+        if node.get("name").and_then(Json::as_str) == Some(parent) {
+            let children = children.and_then(Json::as_arr).unwrap_or(&[]);
+            let names = children.iter().filter_map(|c| c.get("name")?.as_str());
+            return Some(names.map(str::to_string).collect());
+        }
+        if let Some(found) = children.and_then(|c| child_names(c, parent)) {
+            return Some(found);
+        }
+    }
+    None
+}
+
 /// Fetches a job's trace tree, retrying briefly until the root
 /// `serve.job` span has landed (the worker closes it just after the
 /// status flips to done).
@@ -197,6 +214,16 @@ fn debug_endpoints_and_disjoint_job_traces() {
             );
         }
     }
+
+    // The job's whole-clip inspection runs after its `session` span closed,
+    // and is a span of its own directly under the job's root.
+    let trace = request(addr, "GET", &format!("/debug/jobs/{id_a}/trace"), None).json();
+    let under_job = child_names(trace.get("spans").expect("spans section"), "serve.job")
+        .expect("the trace holds the serve.job span");
+    assert!(
+        under_job.iter().any(|name| name == "inspect"),
+        "no inspect span directly under serve.job: {under_job:?}"
+    );
 
     // Disjoint: concurrent jobs never share a span.
     let ids_a: BTreeSet<u64> = spans_a.iter().map(|(id, _, _)| *id).collect();

@@ -35,9 +35,9 @@ impl StageSummary {
     /// time in microseconds (0.0 for stages without tile spans).
     pub fn tile_us_percentiles(&self) -> (f64, f64, f64) {
         (
-            self.tile_us.quantile_interpolated(0.5),
-            self.tile_us.quantile_interpolated(0.95),
-            self.tile_us.quantile_interpolated(0.99),
+            self.tile_us.quantile(0.5),
+            self.tile_us.quantile(0.95),
+            self.tile_us.quantile(0.99),
         )
     }
 }
@@ -153,9 +153,9 @@ impl Telemetry {
             let m = metric_name(name);
             let _ = writeln!(out, "# TYPE {m} summary");
             for (q, v) in [
-                (0.5, h.quantile_interpolated(0.5)),
-                (0.95, h.quantile_interpolated(0.95)),
-                (0.99, h.quantile_interpolated(0.99)),
+                (0.5, h.quantile(0.5)),
+                (0.95, h.quantile(0.95)),
+                (0.99, h.quantile(0.99)),
             ] {
                 let _ = writeln!(out, "{m}{{quantile=\"{q}\"}} {v}");
             }

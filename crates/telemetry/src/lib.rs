@@ -147,6 +147,10 @@ pub mod names {
     /// One `Session::run_method` invocation (field `method`): the
     /// cache-amortised solve a serve job or bench case runs.
     pub const SESSION: &str = "session";
+    /// One whole-clip inspection of a finished mask (its print through the
+    /// inspection system and the Table 1 metrics), e.g. a serve job's
+    /// scoring after its `session` span closed.
+    pub const INSPECT: &str = "inspect";
     /// Expensive one-off construction: litho kernel-bank or
     /// inspection-system builds (field `what`).
     pub const BUILD: &str = "build";

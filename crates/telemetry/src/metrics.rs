@@ -84,8 +84,8 @@ const BUCKETS: usize = 65;
 
 /// A histogram over `u64` values with power-of-two buckets: bucket 0 holds
 /// exactly the value 0 and bucket `b ≥ 1` holds `[2^(b-1), 2^b - 1]`.
-/// Quantiles are approximate (bucket upper bound); `min`/`max`/`sum` are
-/// exact.
+/// Quantiles are approximate (interpolated inside a bucket, see
+/// [`Histogram::quantile`]); `min`/`max`/`sum` are exact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
@@ -181,31 +181,15 @@ impl Histogram {
         self.max
     }
 
-    /// Approximate quantile `q ∈ [0, 1]`: the upper bound of the bucket
-    /// containing the `⌈q·count⌉`-th smallest sample (clamped by the exact
-    /// max). Returns 0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return Self::bucket_upper(b).min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Quantile with linear interpolation inside the containing bucket:
-    /// samples in a bucket are assumed evenly spread over
+    /// Quantile `q ∈ [0, 1]`, interpolated linearly inside the containing
+    /// bucket — the one estimator behind every printed percentile (the
+    /// report's histograms and stage percentiles, `/metrics`): samples in
+    /// a bucket are assumed evenly spread over
     /// `[bucket_lower, bucket_upper]`, and the `⌈q·count⌉`-th smallest
     /// sample's position within the bucket picks the point on that span.
     /// The result is clamped to the exact `[min, max]` so single-sample and
     /// tail quantiles stay truthful. Returns 0.0 for an empty histogram.
-    pub fn quantile_interpolated(&self, q: f64) -> f64 {
+    pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -248,41 +232,41 @@ mod tests {
 
     /// Pins the interpolation formula: on a dense uniform 1..=100 run the
     /// evenly-spread-within-bucket assumption is exact, so the interpolated
-    /// percentiles land on the true order statistics (the bucket-upper
-    /// `quantile` would report 63/100/100 here).
+    /// percentiles land on the true order statistics (a bucket's upper
+    /// bound would read 63/100/100 here).
     #[test]
     fn interpolated_percentiles_are_exact_on_uniform_data() {
         let mut h = Histogram::new();
         for v in 1..=100u64 {
             h.record(v);
         }
-        assert_eq!(h.quantile_interpolated(0.5), 50.0);
-        assert_eq!(h.quantile_interpolated(0.95), 95.0);
-        assert_eq!(h.quantile_interpolated(0.99), 99.0);
-        assert_eq!(h.quantile_interpolated(1.0), 100.0);
-        assert_eq!(h.quantile_interpolated(0.0), 1.0);
+        assert_eq!(h.quantile(0.5), 50.0);
+        assert_eq!(h.quantile(0.95), 95.0);
+        assert_eq!(h.quantile(0.99), 99.0);
+        assert_eq!(h.quantile(1.0), 100.0);
+        assert_eq!(h.quantile(0.0), 1.0);
     }
 
     #[test]
-    fn interpolated_quantile_clamps_to_observed_range() {
+    fn quantile_clamps_to_observed_range() {
         let mut h = Histogram::new();
         h.record(7);
         // One sample in bucket [4, 7]: interpolation alone would report the
         // lower bound 4; the clamp to [min, max] restores the exact value.
-        assert_eq!(h.quantile_interpolated(0.5), 7.0);
-        assert_eq!(h.quantile_interpolated(1.0), 7.0);
-        assert_eq!(Histogram::new().quantile_interpolated(0.5), 0.0);
+        assert_eq!(h.quantile(0.5), 7.0);
+        assert_eq!(h.quantile(1.0), 7.0);
+        assert_eq!(Histogram::new().quantile(0.5), 0.0);
     }
 
     #[test]
-    fn interpolated_quantile_spreads_within_bucket() {
+    fn quantile_spreads_within_bucket() {
         let mut h = Histogram::new();
         // Three samples in bucket [8, 15]: ranks map to lo / mid / hi.
         for v in [8u64, 12, 15] {
             h.record(v);
         }
-        assert_eq!(h.quantile_interpolated(1.0 / 3.0), 8.0);
-        assert_eq!(h.quantile_interpolated(2.0 / 3.0), 11.5);
-        assert_eq!(h.quantile_interpolated(1.0), 15.0);
+        assert_eq!(h.quantile(1.0 / 3.0), 8.0);
+        assert_eq!(h.quantile(2.0 / 3.0), 11.5);
+        assert_eq!(h.quantile(1.0), 15.0);
     }
 }

@@ -31,43 +31,18 @@ fn traced_job<T, F: Fn(usize) -> T>(job: &F, i: usize, worker: usize) -> T {
     out
 }
 
-/// Retry behaviour for [`TileExecutor::run_recoverable`]: how many attempts
-/// a tile job gets and how long to back off between them (exponential,
-/// doubling per failed attempt).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per tile (minimum 1; the first run counts).
-    pub attempts: usize,
-    /// Backoff slept after the first failed attempt; doubles each retry.
-    pub backoff: Duration,
-}
+/// Attempts [`TileExecutor::run_recoverable`] gives each tile job (the
+/// first run counts).
+const RETRY_ATTEMPTS: usize = 2;
 
-impl RetryPolicy {
-    /// A policy with `attempts` total attempts and `backoff` base backoff.
-    pub fn new(attempts: usize, backoff: Duration) -> Self {
-        RetryPolicy {
-            attempts: attempts.max(1),
-            backoff,
-        }
-    }
+/// Backoff slept after a tile job's first failed attempt; it doubles with
+/// each further failed attempt.
+const RETRY_BACKOFF: Duration = Duration::from_millis(5);
 
-    /// One attempt, no retries.
-    pub fn no_retry() -> Self {
-        RetryPolicy::new(1, Duration::ZERO)
-    }
-
-    /// Backoff to sleep after failed attempt number `attempt` (1-based):
-    /// `backoff * 2^(attempt-1)`, saturating.
-    fn backoff_for(&self, attempt: usize) -> Duration {
-        self.backoff
-            .saturating_mul(1u32 << (attempt - 1).min(16) as u32)
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::new(2, Duration::from_millis(5))
-    }
+/// Backoff to sleep after failed attempt number `attempt` (1-based):
+/// `RETRY_BACKOFF * 2^(attempt-1)`, saturating.
+fn backoff_for(attempt: usize) -> Duration {
+    RETRY_BACKOFF.saturating_mul(1u32 << (attempt - 1).min(16) as u32)
 }
 
 /// A tile job that panicked on every attempt it was given.
@@ -223,8 +198,8 @@ impl TileExecutor {
     /// Recoverable variant over an explicit set of tile indices (e.g. one
     /// colour band of a partition): `job` receives each **tile index**, not
     /// its position in the slice, and results align with `indices`. Each
-    /// attempt runs under `catch_unwind` and panicking attempts are retried
-    /// per `policy` (exponential backoff between attempts). A job that
+    /// attempt runs under `catch_unwind`; a panicking attempt is retried
+    /// once, after a 5 ms backoff (two attempts in all). A job that
     /// panics on every attempt yields `Err(TileFailure)` in its slot —
     /// carrying its tile index — instead of taking down the whole run, so
     /// callers can substitute a degraded per-tile answer.
@@ -233,12 +208,7 @@ impl TileExecutor {
     /// points live (see `ilt_telemetry::fault`): injection happens inside the attempt,
     /// so an injected panic exercises exactly the retry and degradation
     /// machinery a real one would.
-    pub fn run_recoverable<T, F>(
-        &self,
-        indices: &[usize],
-        policy: RetryPolicy,
-        job: F,
-    ) -> Vec<Result<T, TileFailure>>
+    pub fn run_recoverable<T, F>(&self, indices: &[usize], job: F) -> Vec<Result<T, TileFailure>>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
@@ -267,7 +237,7 @@ impl TileExecutor {
                     Ok(value) => return Ok(value),
                     Err(payload) => {
                         tele::counter_add("executor.tile_panics", 1);
-                        if attempt >= policy.attempts {
+                        if attempt >= RETRY_ATTEMPTS {
                             return Err(TileFailure {
                                 tile,
                                 attempts: attempt,
@@ -275,10 +245,7 @@ impl TileExecutor {
                             });
                         }
                         tele::counter_add("executor.tile_retries", 1);
-                        let backoff = policy.backoff_for(attempt);
-                        if !backoff.is_zero() {
-                            std::thread::sleep(backoff);
-                        }
+                        std::thread::sleep(backoff_for(attempt));
                     }
                 }
             }
@@ -345,21 +312,17 @@ mod tests {
     }
 
     #[test]
-    fn retry_policy_floors_attempts_and_scales_backoff() {
-        let p = RetryPolicy::new(0, Duration::from_millis(4));
-        assert_eq!(p.attempts, 1);
-        assert_eq!(p.backoff_for(1), Duration::from_millis(4));
-        assert_eq!(p.backoff_for(2), Duration::from_millis(8));
-        assert_eq!(p.backoff_for(3), Duration::from_millis(16));
-        assert_eq!(RetryPolicy::no_retry().attempts, 1);
-        assert_eq!(RetryPolicy::default().attempts, 2);
+    fn retry_backoff_doubles_per_failed_attempt() {
+        assert_eq!(backoff_for(1), Duration::from_millis(5));
+        assert_eq!(backoff_for(2), Duration::from_millis(10));
+        assert_eq!(backoff_for(3), Duration::from_millis(20));
     }
 
     #[test]
     fn recoverable_matches_run_when_nothing_panics() {
         let e = TileExecutor::new(3);
         let all: Vec<usize> = (0..8).collect();
-        let out = e.run_recoverable(&all, RetryPolicy::default(), |i| i * 3);
+        let out = e.run_recoverable(&all, |i| i * 3);
         let values: Vec<usize> = out.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(values, (0..8).map(|i| i * 3).collect::<Vec<_>>());
     }
@@ -369,20 +332,19 @@ mod tests {
         fault::quiet_injected_panics();
         let attempts: Vec<AtomicUsize> = (0..6).map(|_| AtomicUsize::new(0)).collect();
         let all: Vec<usize> = (0..6).collect();
-        let out =
-            TileExecutor::new(2).run_recoverable(&all, RetryPolicy::new(3, Duration::ZERO), |i| {
-                let n = attempts[i].fetch_add(1, Ordering::Relaxed);
-                // Even tiles fail on their first two attempts, then succeed.
-                if i % 2 == 0 && n < 2 {
-                    panic!("{} flaky tile {i}", fault::INJECTED_PANIC_PREFIX);
-                }
-                i
-            });
+        let out = TileExecutor::new(2).run_recoverable(&all, |i| {
+            let n = attempts[i].fetch_add(1, Ordering::Relaxed);
+            // Even tiles fail on their first attempt, then succeed.
+            if i % 2 == 0 && n < 1 {
+                panic!("{} flaky tile {i}", fault::INJECTED_PANIC_PREFIX);
+            }
+            i
+        });
         for (i, r) in out.iter().enumerate() {
             assert_eq!(*r.as_ref().unwrap(), i);
         }
         for (i, a) in attempts.iter().enumerate() {
-            let expected = if i % 2 == 0 { 3 } else { 1 };
+            let expected = if i % 2 == 0 { 2 } else { 1 };
             assert_eq!(a.load(Ordering::Relaxed), expected, "tile {i}");
         }
     }
@@ -391,13 +353,12 @@ mod tests {
     fn recoverable_surfaces_persistent_failures_without_aborting_others() {
         fault::quiet_injected_panics();
         let all: Vec<usize> = (0..10).collect();
-        let out =
-            TileExecutor::new(4).run_recoverable(&all, RetryPolicy::new(2, Duration::ZERO), |i| {
-                if i == 7 {
-                    panic!("{} always broken", fault::INJECTED_PANIC_PREFIX);
-                }
-                i * i
-            });
+        let out = TileExecutor::new(4).run_recoverable(&all, |i| {
+            if i == 7 {
+                panic!("{} always broken", fault::INJECTED_PANIC_PREFIX);
+            }
+            i * i
+        });
         for (i, r) in out.iter().enumerate() {
             if i == 7 {
                 let failure = r.as_ref().unwrap_err();
@@ -417,7 +378,7 @@ mod tests {
         let all: Vec<usize> = (0..9).collect();
         let run = |workers: usize| -> Vec<Result<usize, usize>> {
             TileExecutor::new(workers)
-                .run_recoverable(&all, RetryPolicy::no_retry(), |i| {
+                .run_recoverable(&all, |i| {
                     if i % 4 == 1 {
                         panic!("{} tile {i}", fault::INJECTED_PANIC_PREFIX);
                     }
@@ -434,7 +395,7 @@ mod tests {
     fn recoverable_passes_tile_indices_and_reports_them_in_failures() {
         fault::quiet_injected_panics();
         let band = [4usize, 7, 11];
-        let out = TileExecutor::new(2).run_recoverable(&band, RetryPolicy::no_retry(), |i| {
+        let out = TileExecutor::new(2).run_recoverable(&band, |i| {
             if i == 7 {
                 panic!("{} tile {i}", fault::INJECTED_PANIC_PREFIX);
             }

@@ -52,5 +52,5 @@ pub use assemble::{
 };
 pub use color::{multi_coloring, Coloring};
 pub use error::TileError;
-pub use executor::{RetryPolicy, TileExecutor, TileFailure};
+pub use executor::{TileExecutor, TileFailure};
 pub use partition::{Orientation, Partition, PartitionConfig, StitchLine, Tile};

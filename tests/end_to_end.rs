@@ -1,7 +1,9 @@
 //! End-to-end integration: the Table 1 engine across all crates at the
 //! miniature test scale.
 
-use multigrid_schwarz_ilt::core::experiment::{averages, ratios, run_case, Method};
+use multigrid_schwarz_ilt::core::experiment::{
+    averages, ratios, run_case_with, run_method, Method,
+};
 use multigrid_schwarz_ilt::core::ExperimentConfig;
 use multigrid_schwarz_ilt::layout::suite_of_size;
 use multigrid_schwarz_ilt::litho::{LithoBank, ResistModel};
@@ -13,10 +15,16 @@ fn full_case_produces_all_methods_and_sane_metrics() {
     let bank = LithoBank::new(config.optics, ResistModel::m1_default()).expect("bank");
     let suite = suite_of_size(&config.generator, 2);
     let executor = TileExecutor::sequential();
+    let inspection = bank
+        .system(config.clip, config.inspection_scale())
+        .expect("inspection");
 
     let mut cases = Vec::new();
     for clip in &suite {
-        let row = run_case(&config, &bank, clip, &executor).expect("case run");
+        let row = run_case_with(&config, &inspection, clip, |m| {
+            run_method(m, &config, &bank, &clip.target, &executor)
+        })
+        .expect("case run");
         assert_eq!(row.methods.len(), 4);
         for m in &row.methods {
             // L2 can never exceed the whole clip; PVB must be positive for
@@ -57,14 +65,7 @@ fn every_method_beats_the_naive_mask() {
     .expect("naive quality");
 
     for method in Method::all() {
-        let flow = multigrid_schwarz_ilt::core::experiment::run_method(
-            method,
-            &config,
-            &bank,
-            &clip.target,
-            &executor,
-        )
-        .expect("flow");
+        let flow = run_method(method, &config, &bank, &clip.target, &executor).expect("flow");
         let binary = flow.mask.threshold(0.5).to_real();
         let quality =
             multigrid_schwarz_ilt::metrics::mask_quality(&inspection, &binary, &clip.target)
@@ -87,22 +88,8 @@ fn flows_are_deterministic() {
     let bank = LithoBank::new(config.optics, ResistModel::m1_default()).expect("bank");
     let clip = suite_of_size(&config.generator, 1).remove(0);
     let executor = TileExecutor::sequential();
-    let a = multigrid_schwarz_ilt::core::experiment::run_method(
-        Method::Ours,
-        &config,
-        &bank,
-        &clip.target,
-        &executor,
-    )
-    .expect("first run");
-    let b = multigrid_schwarz_ilt::core::experiment::run_method(
-        Method::Ours,
-        &config,
-        &bank,
-        &clip.target,
-        &executor,
-    )
-    .expect("second run");
+    let a = run_method(Method::Ours, &config, &bank, &clip.target, &executor).expect("first run");
+    let b = run_method(Method::Ours, &config, &bank, &clip.target, &executor).expect("second run");
     assert_eq!(a.mask, b.mask);
 }
 
@@ -111,7 +98,7 @@ fn parallel_and_sequential_executors_agree() {
     let config = ExperimentConfig::test_tiny();
     let bank = LithoBank::new(config.optics, ResistModel::m1_default()).expect("bank");
     let clip = suite_of_size(&config.generator, 2).remove(1);
-    let seq = multigrid_schwarz_ilt::core::experiment::run_method(
+    let seq = run_method(
         Method::MultiLevelDnc,
         &config,
         &bank,
@@ -119,7 +106,7 @@ fn parallel_and_sequential_executors_agree() {
         &TileExecutor::sequential(),
     )
     .expect("sequential");
-    let par = multigrid_schwarz_ilt::core::experiment::run_method(
+    let par = run_method(
         Method::MultiLevelDnc,
         &config,
         &bank,
