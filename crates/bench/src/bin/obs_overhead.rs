@@ -82,21 +82,24 @@ fn main() {
 
     // The denominator: one solver iteration, median of individually timed
     // repetitions so a scheduler hiccup moves nothing.
+    // In the solver's precision: f32 images on the system's f32 simulator.
     let system = bank.system(n, 1).expect("system construction failed");
+    let simulator = system.simulator();
     let mut ws = system.workspace();
     let mask = Grid::from_fn(n, n, |x, y| {
-        0.3 + 0.2 * ((x as f64 * 0.3).sin() * (y as f64 * 0.21).cos())
+        0.3 + 0.2 * ((x as f32 * 0.3).sin() * (y as f32 * 0.21).cos())
     });
+    let target32 = target.map(|&t| t as f32);
     let mut loss = LossEval {
         value: 0.0,
-        dldi: Grid::new(n, n, 0.0),
+        dldi: Grid::new(n, n, 0.0f32),
     };
     let mut timed: Vec<f64> = (0..WARMUP + ITERATIONS)
         .map(|_| {
             let started = Instant::now();
-            system.simulate_into(&mask, &mut ws).unwrap();
-            evaluate_loss_into(system.resist(), ws.intensity(), &target, &mut loss);
-            system.gradient_into(&mut ws, &loss.dldi).unwrap();
+            simulator.simulate_into(&mask, &mut ws).unwrap();
+            evaluate_loss_into(system.resist(), ws.intensity(), &target32, &mut loss);
+            simulator.gradient_into(&mut ws, &loss.dldi).unwrap();
             started.elapsed().as_secs_f64() * 1e9
         })
         .skip(WARMUP)

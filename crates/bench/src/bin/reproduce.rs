@@ -617,7 +617,7 @@ fn ablations(runs: &Runs) {
     let n = runs.opts.config.optics.base_n;
     let mask = Grid::from_fn(n, n, |x, y| if target.get(x, y) != 0 { 1.0 } else { 0.0 });
     let aerial = |set: KernelSet| {
-        let sim = LithoSimulator::new(n, set).expect("sim");
+        let sim = LithoSimulator::<f64>::new(n, set).expect("sim");
         sim.aerial_image(&mask).expect("sim")
     };
     let reference = aerial(reference_set.clone());

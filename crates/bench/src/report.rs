@@ -69,7 +69,7 @@ pub(crate) fn render_report(
         ",\"cases\":{},\"workers\":{},\"kernel_body\":\"{}\",\"trace_enabled\":{}",
         opts.cases,
         opts.workers,
-        ilt_fft::simd::body_name(),
+        ilt_fft::body_name(),
         trace_enabled
     );
     out.push_str(",\"flows\":");
@@ -258,10 +258,7 @@ mod tests {
         assert!(report.contains("\"binary\":\"smoke\""));
         assert!(report.contains("\"scale\":\"tiny\""));
         assert!(report.contains("\"trace_enabled\":false"));
-        assert!(report.contains(&format!(
-            "\"kernel_body\":\"{}\"",
-            ilt_fft::simd::body_name()
-        )));
+        assert!(report.contains(&format!("\"kernel_body\":\"{}\"", ilt_fft::body_name())));
         assert!(report.ends_with('}'));
         // The whole report must be well-formed JSON with the v2 sections in
         // place (empty, since no telemetry was collected).

@@ -29,18 +29,24 @@
 //!    colours so later colours see earlier results.
 //!
 //! The coarse and fine stages are colour-banded stages of the shared
-//! pipeline ([`run_assembled_stage`]): one colour band of tile masks is
-//! solved, folded into the assembler and dropped at a time, so peak
-//! resident tile masks are one band instead of the whole M×N grid.
+//! pipeline ([`run_assembled_stage_lent`]): one colour band of tile masks
+//! is solved, folded into the assembler and dropped at a time, so peak
+//! resident tile masks are one band instead of the whole M×N grid. The
+//! stages hand one pixel-sum accumulator along, and a coarse tile reads
+//! its window of the layout without copying it out: at 1024² every
+//! clip-sized grid is a mapping of its own (see [`crate::Session`]), and
+//! each one allocated is faulted in page by page.
+
+use std::borrow::Cow;
 
 use ilt_grid::{resample, BitGrid};
 use ilt_litho::LithoBank;
 use ilt_opt::{SolveContext, SolveRequest, TileSolver};
-use ilt_tile::{restrict, AssemblyMode, Partition, PartitionConfig, TileExecutor};
+use ilt_tile::{AssemblyMode, Partition, PartitionConfig, TileExecutor};
 
 use crate::config::ExperimentConfig;
 use crate::error::CoreError;
-use crate::flows::stage::{refine_pass, run_assembled_stage, FineTiles, Recovering};
+use crate::flows::stage::{refine_pass, run_assembled_stage_lent, FineTiles, Recovering};
 use crate::flows::{trace, FlowResult};
 
 /// Runs the multigrid-Schwarz flow.
@@ -62,8 +68,12 @@ pub fn multigrid_schwarz(
     let clip_w = target.width();
     let clip_h = target.height();
     let target_real = target.to_real();
-    // Algorithm 1 line 4: M <- Z_t.
-    let mut mask = target_real.clone();
+    // Algorithm 1 line 4: M <- Z_t (borrowed until the first stage
+    // assembles a mask of its own).
+    let mut mask = Cow::Borrowed(&target_real);
+    // The assemblers' clip-sized pixel-sum accumulator, handed from each
+    // assembled stage to the next.
+    let mut coverage = Vec::new();
     let mut stages = Vec::new();
     let mut recovering = Recovering::new(&name, executor);
 
@@ -81,9 +91,9 @@ pub fn multigrid_schwarz(
         // the stage's `tile_seconds` own everything a coarse tile costs.
         let solve = |i: usize| {
             trace::timed_tile(i, || {
-                let tile = partition.tile(i);
-                let tile_target = resample::downsample(&restrict(&target_real, tile), s);
-                let tile_init = resample::downsample(&restrict(&mask, tile), s);
+                let rect = partition.tile(i).rect;
+                let tile_target = resample::downsample_rect(&target_real, rect, s);
+                let tile_init = resample::downsample_rect(&mask, rect, s);
                 let ctx = SolveContext { bank, n, scale: s };
                 let outcome = solver.solve(
                     &ctx,
@@ -93,16 +103,19 @@ pub fn multigrid_schwarz(
                 // band-limited interpolation: bilinear alone leaves blocky
                 // staircases that the fine stages (optically blind to them)
                 // would never remove.
-                let up = resample::upsample_bilinear(&outcome.mask, s);
-                let filter = ilt_grid::GaussianFilter::new(0.5 * s as f64);
-                Ok::<_, CoreError>(filter.apply(&up))
+                let mut up = resample::upsample_bilinear(&outcome.mask, s);
+                ilt_grid::GaussianFilter::new(0.5 * s as f64).apply_in_place(&mut up);
+                Ok::<_, CoreError>(up)
             })
         };
-        let (assembled, timing) =
-            run_assembled_stage(&label, &partition, AssemblyMode::Restricted, |band| {
-                recovering.solve(&label, &partition, &mask, band, solve)
-            })?;
-        mask = assembled;
+        let (assembled, timing) = run_assembled_stage_lent(
+            &label,
+            &partition,
+            AssemblyMode::Restricted,
+            &mut coverage,
+            |band| recovering.solve(&label, &partition, &mask, band, solve),
+        )?;
+        mask = Cow::Owned(assembled);
         stages.push(timing);
         s /= 2;
     }
@@ -114,29 +127,34 @@ pub fn multigrid_schwarz(
         bank,
         solver,
         partition: &partition,
-        target: &target_real,
+        target,
     };
     for fine_stage in 0..config.schedule.fine_stages {
         let label = format!("fine stage {}", fine_stage + 1);
         let iterations = config.schedule.fine_per_stage(fine_stage);
         // A degraded fine tile keeps its coarse-grid mask (= its crop of
         // the assembled layout) and is stitched by the same weighted blend.
-        let (assembled, timing) = run_assembled_stage(&label, &partition, tiles.blend(), |band| {
-            recovering.solve(&label, &partition, &mask, band, |i| {
-                tiles.solve(&mask, i, iterations, false)
-            })
-        })?;
-        mask = assembled;
+        let (assembled, timing) =
+            run_assembled_stage_lent(&label, &partition, tiles.blend(), &mut coverage, |band| {
+                recovering.solve(&label, &partition, &mask, band, |i| {
+                    tiles.solve(&mask, i, iterations, false)
+                })
+            })?;
+        mask = Cow::Owned(assembled);
         stages.push(timing);
     }
+    drop(coverage);
 
     // Between the fine stages and the refine pass, resolve the remaining
     // gray ambiguity of the blend bands: at exactly 0.5 the binarisation
     // penalty's gradient vanishes, so gradient steps alone cannot break the
     // tie between two tiles' disagreeing proposals, while thresholding
     // commits to definite, manufacturable shapes the refine pass then
-    // polishes.
-    mask = mask.threshold(0.5).to_real();
+    // polishes. In place, as `threshold(0.5).to_real()` would.
+    let mut mask = mask.into_owned();
+    for v in mask.as_mut_slice() {
+        *v = if *v >= 0.5 { 1.0 } else { 0.0 };
+    }
 
     // Phase 3: multi-colour multiplicative refine.
     stages.extend(refine_pass(

@@ -18,7 +18,7 @@
 //! here: the warm-started fine tile solve ([`FineTiles::solve`]) and the
 //! multi-colour multiplicative refine ([`refine_pass`]).
 
-use ilt_grid::RealGrid;
+use ilt_grid::{BitGrid, RealGrid};
 use ilt_litho::LithoBank;
 use ilt_opt::{SolveContext, SolveRequest, TileSolver};
 use ilt_telemetry as tele;
@@ -90,7 +90,8 @@ pub(crate) fn run_assembled_stage(
 /// `coverage`, which the caller keeps for its next stage: the incremental
 /// flow assembles once per operation, and allocating that clip-sized block
 /// afresh each time (8 MiB at 1024²: mapped, faulted in page by page,
-/// unmapped) was two thirds of its assembly seconds.
+/// unmapped) was two thirds of its assembly seconds; the multigrid flow
+/// hands it from each of its assembled stages to the next.
 pub(crate) fn run_assembled_stage_lent(
     label: &str,
     partition: &Partition,
@@ -199,8 +200,8 @@ pub(crate) struct FineTiles<'a> {
     pub bank: &'a LithoBank,
     pub solver: &'a dyn TileSolver,
     pub partition: &'a Partition,
-    /// The whole-clip target as a real grid.
-    pub target: &'a RealGrid,
+    /// The whole-clip target; a tile solve converts only its own crop.
+    pub target: &'a BitGrid,
 }
 
 impl FineTiles<'_> {
@@ -228,7 +229,7 @@ impl FineTiles<'_> {
     ) -> Result<(RealGrid, f64), CoreError> {
         let schedule = &self.config.schedule;
         let tile = self.partition.tile(i);
-        let tile_target = restrict(self.target, tile);
+        let tile_target = self.target.crop(tile.rect).to_real();
         let tile_init = restrict(mask, tile);
         let ctx = SolveContext {
             bank: self.bank,

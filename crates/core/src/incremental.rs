@@ -51,7 +51,7 @@ use ilt_litho::LithoBank;
 use ilt_opt::TileSolver;
 use ilt_store::{tile_content_hash, MaskStore, StoreKey};
 use ilt_telemetry as tele;
-use ilt_tile::{multi_coloring, restrict, Partition, Tile, TileExecutor, TileWeights};
+use ilt_tile::{multi_coloring, Partition, Tile, TileExecutor, TileWeights};
 
 use crate::config::ExperimentConfig;
 use crate::error::CoreError;
@@ -298,14 +298,13 @@ pub(crate) fn run_incremental_lent(
     let fspan = trace::flow_span(&name);
     let partition = Partition::new(edited.width(), edited.height(), config.partition)?;
     let config_fp = config.fingerprint();
-    let target_real = edited.to_real();
     let tile_count = partition.tiles().len();
     let tiles = FineTiles {
         config,
         bank,
         solver,
         partition: &partition,
-        target: &target_real,
+        target: edited,
     };
     let blend = tiles.blend();
     let mut recovering = Recovering::new(&name, executor);
@@ -350,7 +349,7 @@ pub(crate) fn run_incremental_lent(
                     resolve.push(i);
                 }
                 cold_budget.insert(i);
-                restrict(&target_real, partition.tile(i))
+                edited.crop(partition.tile(i).rect).to_real()
             }
         }
     };

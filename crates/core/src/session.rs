@@ -13,6 +13,11 @@
 //! assembler per operation, so nothing inside it can spare the allocator
 //! mapping, faulting in and unmapping the block every time.
 //!
+//! Building a session pins the allocator's mmap threshold
+//! ([`ilt_prof::rss::pin_mmap_threshold`]), so the flows' clip-sized grids
+//! are mapped and unmapped whole and a process's peak resident set does
+//! not depend on how many operations it has run.
+//!
 //! Simulators and FFT plans are `Sync` (scratch lives in per-call
 //! [`ilt_litho::SimWorkspace`] arenas, not in the plans), but sessions are
 //! still best treated as per-worker state: give each worker thread its own
@@ -58,6 +63,7 @@ impl Session {
     /// [`ExperimentConfig::validate`]).
     pub fn new(config: ExperimentConfig) -> Result<Self, CoreError> {
         config.validate();
+        ilt_prof::rss::pin_mmap_threshold();
         // Construction costs (TCC eigendecomposition, kernel resampling,
         // FFT plan setup) bill to the kernel-build profiling stage.
         let _stage = ilt_prof::stage_scope(ilt_prof::Stage::KernelBuild);

@@ -1,14 +1,112 @@
-//! Minimal double-precision complex number used throughout the workspace.
+//! The complex numbers of the workspace, generic over their element type.
 //!
 //! The lithography pipeline only needs a small, predictable subset of complex
 //! arithmetic (add/sub/mul, conjugation, modulus), so we implement it here
 //! rather than pulling in an external numerics crate.
+//!
+//! # Two precisions, one source
+//!
+//! Every transform and every complex value of this crate is generic over a
+//! [`Float`] element: `f32`, the precision the simulation runs in, and
+//! `f64`, the precision its test references run in. The trait is sealed —
+//! those two are the only instances — because each carries its own compiled
+//! vector kernels. [`Complex`] without a parameter is the `f64` instance.
 
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// A complex number with `f64` real and imaginary parts.
+/// A real element type the transforms run in: `f32` or `f64`.
+///
+/// Sealed: besides the arithmetic listed here, each instance carries the
+/// compiled vector kernels of [`crate::FftPlan`] and of the logistic sweeps,
+/// which is why no other type can implement it.
+pub trait Float:
+    crate::simd::Kernels
+    + Copy
+    + Default
+    + PartialEq
+    + PartialOrd
+    + fmt::Debug
+    + fmt::Display
+    + Send
+    + Sync
+    + 'static
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + Neg<Output = Self>
+    + AddAssign
+    + SubAssign
+    + MulAssign
+    + DivAssign
+    + Sum
+{
+    /// `0`.
+    const ZERO: Self;
+    /// `1`.
+    const ONE: Self;
+    /// Rounds an `f64` to this type (the identity for `f64`).
+    fn from_f64(v: f64) -> Self;
+    /// Widens to `f64` (exact).
+    fn to_f64(self) -> f64;
+    /// Square root.
+    fn sqrt(self) -> Self;
+    /// Four-quadrant arctangent of `self / other`.
+    fn atan2(self, other: Self) -> Self;
+    /// Sine and cosine.
+    fn sin_cos(self) -> (Self, Self);
+    /// Returns `true` for NaN.
+    fn is_nan(self) -> bool;
+    /// The bit pattern, widened to 64 bits: what the bit-identity tests
+    /// compare (`==` would let `0.0` pass for `-0.0`).
+    #[cfg(test)]
+    fn bits(self) -> u64;
+}
+
+macro_rules! float_impl {
+    ($t:ty) => {
+        impl Float for $t {
+            const ZERO: Self = 0.0;
+            const ONE: Self = 1.0;
+            #[inline(always)]
+            fn from_f64(v: f64) -> Self {
+                v as $t
+            }
+            #[inline(always)]
+            fn to_f64(self) -> f64 {
+                f64::from(self)
+            }
+            #[inline(always)]
+            fn sqrt(self) -> Self {
+                <$t>::sqrt(self)
+            }
+            #[inline(always)]
+            fn atan2(self, other: Self) -> Self {
+                <$t>::atan2(self, other)
+            }
+            #[inline(always)]
+            fn sin_cos(self) -> (Self, Self) {
+                (<$t>::sin(self), <$t>::cos(self))
+            }
+            #[inline(always)]
+            fn is_nan(self) -> bool {
+                <$t>::is_nan(self)
+            }
+            #[cfg(test)]
+            fn bits(self) -> u64 {
+                u64::from(self.to_bits())
+            }
+        }
+    };
+}
+
+float_impl!(f64);
+float_impl!(f32);
+
+/// A complex number with real and imaginary parts of type `T` (`f64`
+/// unless named otherwise).
 ///
 /// # Examples
 ///
@@ -21,30 +119,39 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 /// assert_eq!(a * Complex::I, Complex::new(-2.0, 1.0));
 /// ```
 ///
-/// The layout is part of the type: `repr(C)`, so a `Complex` is exactly the
-/// two `f64`s `[re, im]` in that order, and a slice of them is a slice of
-/// interleaved pairs. The vector kernels in [`crate::simd`] load and store
+/// The layout is part of the type: `repr(C)`, so a `Complex<T>` is exactly
+/// the two `T`s `[re, im]` in that order, and a slice of them is a slice of
+/// interleaved pairs. The vector kernels of the transforms load and store
 /// through that view.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[repr(C)]
-pub struct Complex {
+pub struct Complex<T = f64> {
     /// Real part.
-    pub re: f64,
+    pub re: T,
     /// Imaginary part.
-    pub im: f64,
+    pub im: T,
 }
 
-impl Complex {
+impl<T: Float> Complex<T> {
     /// The additive identity, `0 + 0i`.
-    pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
+    pub const ZERO: Self = Complex {
+        re: T::ZERO,
+        im: T::ZERO,
+    };
     /// The multiplicative identity, `1 + 0i`.
-    pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
+    pub const ONE: Self = Complex {
+        re: T::ONE,
+        im: T::ZERO,
+    };
     /// The imaginary unit, `0 + 1i`.
-    pub const I: Complex = Complex { re: 0.0, im: 1.0 };
+    pub const I: Self = Complex {
+        re: T::ZERO,
+        im: T::ONE,
+    };
 
     /// Creates a complex number from real and imaginary parts.
     #[inline]
-    pub const fn new(re: f64, im: f64) -> Self {
+    pub const fn new(re: T, im: T) -> Self {
         Complex { re, im }
     }
 
@@ -55,11 +162,11 @@ impl Complex {
     /// assert_eq!(Complex::from_re(2.5), Complex::new(2.5, 0.0));
     /// ```
     #[inline]
-    pub const fn from_re(re: f64) -> Self {
-        Complex { re, im: 0.0 }
+    pub const fn from_re(re: T) -> Self {
+        Complex { re, im: T::ZERO }
     }
 
-    /// Creates the unit-modulus complex number `e^{i theta}`.
+    /// Creates the complex number `r e^{i theta}`.
     ///
     /// ```
     /// # use ilt_fft::Complex;
@@ -67,10 +174,11 @@ impl Complex {
     /// assert!((z.re).abs() < 1e-15 && (z.im - 1.0).abs() < 1e-15);
     /// ```
     #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
+    pub fn from_polar(r: T, theta: T) -> Self {
+        let (sin, cos) = theta.sin_cos();
         Complex {
-            re: r * theta.cos(),
-            im: r * theta.sin(),
+            re: r * cos,
+            im: r * sin,
         }
     }
 
@@ -88,25 +196,25 @@ impl Complex {
     /// This is the quantity the Hopkins model sums over kernels in Eq. (1) of
     /// the paper, so it is provided directly to avoid a needless square root.
     #[inline]
-    pub fn norm_sqr(self) -> f64 {
+    pub fn norm_sqr(self) -> T {
         self.re * self.re + self.im * self.im
     }
 
     /// Modulus `|z|`.
     #[inline]
-    pub fn abs(self) -> f64 {
+    pub fn abs(self) -> T {
         self.norm_sqr().sqrt()
     }
 
     /// Argument (phase angle) in radians.
     #[inline]
-    pub fn arg(self) -> f64 {
+    pub fn arg(self) -> T {
         self.im.atan2(self.re)
     }
 
     /// Multiplies by a real scalar.
     #[inline]
-    pub fn scale(self, s: f64) -> Self {
+    pub fn scale(self, s: T) -> Self {
         Complex {
             re: self.re * s,
             im: self.im * s,
@@ -117,7 +225,7 @@ impl Complex {
     /// path to another bit for bit (`==` would let `0.0` pass for `-0.0`).
     #[cfg(test)]
     pub(crate) fn to_bits(self) -> [u64; 2] {
-        [self.re.to_bits(), self.im.to_bits()]
+        [self.re.bits(), self.im.bits()]
     }
 
     /// Returns `true` if either component is NaN.
@@ -130,17 +238,26 @@ impl Complex {
     ///
     /// The FFT butterflies and TCC assembly are dominated by this pattern.
     #[inline]
-    pub fn mul_add(self, a: Complex, b: Complex) -> Self {
+    pub fn mul_add(self, a: Self, b: Self) -> Self {
         Complex {
             re: self.re + a.re * b.re - a.im * b.im,
             im: self.im + a.re * b.im + a.im * b.re,
         }
     }
+
+    /// Rounds (or widens) both parts to another element type.
+    #[inline]
+    pub fn cast<U: Float>(self) -> Complex<U> {
+        Complex {
+            re: U::from_f64(self.re.to_f64()),
+            im: U::from_f64(self.im.to_f64()),
+        }
+    }
 }
 
-impl fmt::Display for Complex {
+impl<T: Float> fmt::Display for Complex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.im >= 0.0 {
+        if self.im >= T::ZERO {
             write!(f, "{}+{}i", self.re, self.im)
         } else {
             write!(f, "{}{}i", self.re, self.im)
@@ -148,48 +265,48 @@ impl fmt::Display for Complex {
     }
 }
 
-impl From<f64> for Complex {
-    fn from(re: f64) -> Self {
+impl<T: Float> From<T> for Complex<T> {
+    fn from(re: T) -> Self {
         Complex::from_re(re)
     }
 }
 
-impl Add for Complex {
-    type Output = Complex;
+impl<T: Float> Add for Complex<T> {
+    type Output = Self;
     #[inline]
-    fn add(self, rhs: Complex) -> Complex {
+    fn add(self, rhs: Self) -> Self {
         Complex::new(self.re + rhs.re, self.im + rhs.im)
     }
 }
 
-impl AddAssign for Complex {
+impl<T: Float> AddAssign for Complex<T> {
     #[inline]
-    fn add_assign(&mut self, rhs: Complex) {
+    fn add_assign(&mut self, rhs: Self) {
         self.re += rhs.re;
         self.im += rhs.im;
     }
 }
 
-impl Sub for Complex {
-    type Output = Complex;
+impl<T: Float> Sub for Complex<T> {
+    type Output = Self;
     #[inline]
-    fn sub(self, rhs: Complex) -> Complex {
+    fn sub(self, rhs: Self) -> Self {
         Complex::new(self.re - rhs.re, self.im - rhs.im)
     }
 }
 
-impl SubAssign for Complex {
+impl<T: Float> SubAssign for Complex<T> {
     #[inline]
-    fn sub_assign(&mut self, rhs: Complex) {
+    fn sub_assign(&mut self, rhs: Self) {
         self.re -= rhs.re;
         self.im -= rhs.im;
     }
 }
 
-impl Mul for Complex {
-    type Output = Complex;
+impl<T: Float> Mul for Complex<T> {
+    type Output = Self;
     #[inline]
-    fn mul(self, rhs: Complex) -> Complex {
+    fn mul(self, rhs: Self) -> Self {
         Complex::new(
             self.re * rhs.re - self.im * rhs.im,
             self.re * rhs.im + self.im * rhs.re,
@@ -197,33 +314,41 @@ impl Mul for Complex {
     }
 }
 
-impl MulAssign for Complex {
+impl<T: Float> MulAssign for Complex<T> {
     #[inline]
-    fn mul_assign(&mut self, rhs: Complex) {
+    fn mul_assign(&mut self, rhs: Self) {
         *self = *self * rhs;
     }
 }
 
-impl Mul<f64> for Complex {
-    type Output = Complex;
+impl<T: Float> Mul<T> for Complex<T> {
+    type Output = Self;
     #[inline]
-    fn mul(self, rhs: f64) -> Complex {
+    fn mul(self, rhs: T) -> Self {
         self.scale(rhs)
     }
 }
 
-impl Mul<Complex> for f64 {
-    type Output = Complex;
+impl Mul<Complex<f64>> for f64 {
+    type Output = Complex<f64>;
     #[inline]
-    fn mul(self, rhs: Complex) -> Complex {
+    fn mul(self, rhs: Complex<f64>) -> Complex<f64> {
         rhs.scale(self)
     }
 }
 
-impl Div for Complex {
-    type Output = Complex;
+impl Mul<Complex<f32>> for f32 {
+    type Output = Complex<f32>;
     #[inline]
-    fn div(self, rhs: Complex) -> Complex {
+    fn mul(self, rhs: Complex<f32>) -> Complex<f32> {
+        rhs.scale(self)
+    }
+}
+
+impl<T: Float> Div for Complex<T> {
+    type Output = Self;
+    #[inline]
+    fn div(self, rhs: Self) -> Self {
         let d = rhs.norm_sqr();
         Complex::new(
             (self.re * rhs.re + self.im * rhs.im) / d,
@@ -232,31 +357,31 @@ impl Div for Complex {
     }
 }
 
-impl DivAssign for Complex {
+impl<T: Float> DivAssign for Complex<T> {
     #[inline]
-    fn div_assign(&mut self, rhs: Complex) {
+    fn div_assign(&mut self, rhs: Self) {
         *self = *self / rhs;
     }
 }
 
-impl Div<f64> for Complex {
-    type Output = Complex;
+impl<T: Float> Div<T> for Complex<T> {
+    type Output = Self;
     #[inline]
-    fn div(self, rhs: f64) -> Complex {
+    fn div(self, rhs: T) -> Self {
         Complex::new(self.re / rhs, self.im / rhs)
     }
 }
 
-impl Neg for Complex {
-    type Output = Complex;
+impl<T: Float> Neg for Complex<T> {
+    type Output = Self;
     #[inline]
-    fn neg(self) -> Complex {
+    fn neg(self) -> Self {
         Complex::new(-self.re, -self.im)
     }
 }
 
-impl Sum for Complex {
-    fn sum<I: Iterator<Item = Complex>>(iter: I) -> Complex {
+impl<T: Float> Sum for Complex<T> {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
         iter.fold(Complex::ZERO, |acc, z| acc + z)
     }
 }
@@ -282,7 +407,7 @@ mod tests {
 
     #[test]
     fn polar_roundtrip() {
-        let z = Complex::from_polar(2.0, 0.7);
+        let z = Complex::<f64>::from_polar(2.0, 0.7);
         assert!((z.abs() - 2.0).abs() < EPS);
         assert!((z.arg() - 0.7).abs() < EPS);
     }
@@ -322,7 +447,7 @@ mod tests {
 
     #[test]
     fn norm_and_abs() {
-        let z = Complex::new(3.0, 4.0);
+        let z = Complex::<f64>::new(3.0, 4.0);
         assert!((z.norm_sqr() - 25.0).abs() < EPS);
         assert!((z.abs() - 5.0).abs() < EPS);
     }
@@ -374,6 +499,6 @@ mod tests {
     fn nan_detection() {
         assert!(Complex::new(f64::NAN, 0.0).is_nan());
         assert!(Complex::new(0.0, f64::NAN).is_nan());
-        assert!(!Complex::ONE.is_nan());
+        assert!(!Complex::<f64>::ONE.is_nan());
     }
 }

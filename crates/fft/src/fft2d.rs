@@ -20,7 +20,7 @@ use std::sync::Arc;
 use ilt_par::InnerPool;
 
 use crate::cache::shared_plan;
-use crate::complex::Complex;
+use crate::complex::{Complex, Float};
 use crate::error::FftError;
 use crate::plan::{Direction, FftPlan};
 
@@ -34,7 +34,8 @@ use crate::plan::{Direction, FftPlan};
 /// (EXPERIMENTS.md "Paired kernels").
 pub(crate) const TRANSPOSE_BLOCK: usize = 8;
 
-/// A reusable 2-D FFT for row-major `rows x cols` buffers.
+/// A reusable 2-D FFT for row-major `rows x cols` buffers of element type
+/// `T` (`f64` unless named otherwise).
 ///
 /// Both dimensions must be powers of two. The transform is separable: each
 /// row is transformed, then each column (via transposes). The plan holds no
@@ -47,7 +48,7 @@ pub(crate) const TRANSPOSE_BLOCK: usize = 8;
 /// use ilt_fft::{Complex, Fft2d};
 ///
 /// # fn main() -> Result<(), ilt_fft::FftError> {
-/// let fft = Fft2d::new(4, 4)?;
+/// let fft = Fft2d::<f64>::new(4, 4)?;
 /// let mut img = vec![Complex::ZERO; 16];
 /// img[0] = Complex::ONE; // impulse at the origin
 /// fft.forward(&mut img)?;
@@ -58,16 +59,17 @@ pub(crate) const TRANSPOSE_BLOCK: usize = 8;
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct Fft2d {
+pub struct Fft2d<T = f64> {
     rows: usize,
     cols: usize,
     /// 1-D plans come from the process-wide [`crate::cache`], so every
-    /// `Fft2d` of a given shape shares one set of twiddle tables.
-    row_plan: Arc<FftPlan>,
-    col_plan: Arc<FftPlan>,
+    /// `Fft2d` of a given shape and element type shares one set of twiddle
+    /// tables.
+    row_plan: Arc<FftPlan<T>>,
+    col_plan: Arc<FftPlan<T>>,
 }
 
-impl Fft2d {
+impl<T: Float> Fft2d<T> {
     /// Creates a 2-D plan for `rows x cols` buffers.
     ///
     /// # Errors
@@ -124,7 +126,7 @@ impl Fft2d {
     /// # Errors
     ///
     /// Returns [`FftError::ShapeMismatch`] if `data.len() != rows * cols`.
-    pub fn forward(&self, data: &mut [Complex]) -> Result<(), FftError> {
+    pub fn forward(&self, data: &mut [Complex<T>]) -> Result<(), FftError> {
         ilt_telemetry::counter_add("fft.forward", 1);
         self.transform_normalised(data, Direction::Forward, None)
     }
@@ -134,7 +136,7 @@ impl Fft2d {
     /// # Errors
     ///
     /// Returns [`FftError::ShapeMismatch`] if `data.len() != rows * cols`.
-    pub fn inverse(&self, data: &mut [Complex]) -> Result<(), FftError> {
+    pub fn inverse(&self, data: &mut [Complex<T>]) -> Result<(), FftError> {
         ilt_telemetry::counter_add("fft.inverse", 1);
         self.transform_normalised(data, Direction::Inverse, None)
     }
@@ -161,7 +163,7 @@ impl Fft2d {
     /// range.
     pub fn inverse_support(
         &self,
-        data: &mut [Complex],
+        data: &mut [Complex<T>],
         support_rows: &[usize],
     ) -> Result<(), FftError> {
         if let Some(&bad) = support_rows.iter().find(|&&r| r >= self.rows) {
@@ -185,7 +187,7 @@ impl Fft2d {
     /// final transpose, saving one full sweep over the buffer.
     fn transform_normalised(
         &self,
-        data: &mut [Complex],
+        data: &mut [Complex<T>],
         dir: Direction,
         support_rows: Option<&[usize]>,
     ) -> Result<(), FftError> {
@@ -197,7 +199,7 @@ impl Fft2d {
         }
         let scale = match dir {
             Direction::Forward => None,
-            Direction::Inverse => Some(1.0 / self.len() as f64),
+            Direction::Inverse => Some(T::from_f64(1.0 / self.len() as f64)),
         };
         // First pass: transform the rows (only the support rows when the
         // caller vouches the rest are zero).
@@ -266,7 +268,7 @@ impl Fft2d {
     /// support column index is out of range.
     pub fn forward_support_transposed(
         &self,
-        data: &mut [Complex],
+        data: &mut [Complex<T>],
         support_cols: &[usize],
         _pool: &InnerPool,
     ) -> Result<(), FftError> {
@@ -305,7 +307,7 @@ impl Fft2d {
 
 /// In-place blocked transpose of a square `n x n` row-major buffer with a
 /// [`TRANSPOSE_BLOCK`]-edged tile walk.
-fn transpose_square_block(data: &mut [Complex], n: usize) {
+fn transpose_square_block<T: Float>(data: &mut [Complex<T>], n: usize) {
     let block = TRANSPOSE_BLOCK;
     for bi in (0..n).step_by(block) {
         for bj in (bi..n).step_by(block) {
@@ -323,7 +325,7 @@ fn transpose_square_block(data: &mut [Complex], n: usize) {
 
 /// [`transpose_square_block`] with an optional per-element scale fused
 /// into the swap (each element is scaled exactly once).
-fn transpose_square_scaled(data: &mut [Complex], n: usize, scale: Option<f64>) {
+fn transpose_square_scaled<T: Float>(data: &mut [Complex<T>], n: usize, scale: Option<T>) {
     let Some(s) = scale else {
         transpose_square_block(data, n);
         return;
@@ -355,11 +357,11 @@ fn transpose_square_scaled(data: &mut [Complex], n: usize, scale: Option<f64>) {
 /// `rows x cols`, `dst` is `cols x rows`, and `dst[j * rows + i]` becomes
 /// `src[i * cols + j]` for every `i` in `span`. The other columns of `dst`
 /// are left as they were.
-pub(crate) fn transpose_into_block(
-    src: &[Complex],
+pub(crate) fn transpose_into_block<T: Float>(
+    src: &[Complex<T>],
     rows: usize,
     cols: usize,
-    dst: &mut [Complex],
+    dst: &mut [Complex<T>],
     span: Range<usize>,
 ) {
     assert_eq!(src.len(), rows * cols);
@@ -403,9 +405,9 @@ mod tests {
 
     #[test]
     fn rejects_bad_shapes() {
-        assert!(Fft2d::new(3, 4).is_err());
-        assert!(Fft2d::new(4, 0).is_err());
-        let fft = Fft2d::new(4, 4).unwrap();
+        assert!(Fft2d::<f64>::new(3, 4).is_err());
+        assert!(Fft2d::<f64>::new(4, 0).is_err());
+        let fft = Fft2d::<f64>::new(4, 4).unwrap();
         let mut short = vec![Complex::ZERO; 8];
         assert!(matches!(
             fft.forward(&mut short),
@@ -415,7 +417,7 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let fft = Fft2d::new(8, 4).unwrap();
+        let fft = Fft2d::<f64>::new(8, 4).unwrap();
         assert_eq!(fft.rows(), 8);
         assert_eq!(fft.cols(), 4);
         assert_eq!(fft.len(), 32);
@@ -544,7 +546,7 @@ mod tests {
 
     #[test]
     fn sparse_support_rejects_out_of_range_rows() {
-        let fft = Fft2d::new(8, 8).unwrap();
+        let fft = Fft2d::<f64>::new(8, 8).unwrap();
         let mut data = vec![Complex::ZERO; 64];
         assert!(matches!(
             fft.inverse_support(&mut data, &[8]),
@@ -645,15 +647,58 @@ mod tests {
         );
     }
 
+    /// The same at `f32`: the simulation's own transforms, bit-identical
+    /// across the vector bodies.
+    #[test]
+    fn f32_support_transforms_are_bit_identical_across_the_vector_bodies() {
+        use crate::simd::Body;
+        let narrow =
+            |v: Vec<Complex>| -> Vec<Complex<f32>> { v.iter().map(|z| z.cast()).collect() };
+        let bits =
+            |v: &[Complex<f32>]| -> Vec<[u64; 2]> { v.iter().map(|z| z.to_bits()).collect() };
+        for n in [64usize, 128, 256] {
+            let support: Vec<usize> = (n - 13..n).chain(0..14).collect();
+            let mut sparse = vec![Complex::<f32>::ZERO; n * n];
+            for &r in &support {
+                sparse[r * n..(r + 1) * n].copy_from_slice(&narrow(ramp(1, n)));
+            }
+            let dense = narrow(ramp(n, n));
+            let outputs: Vec<_> = Body::supported()
+                .into_iter()
+                .filter(|&body| body != Body::PORTABLE)
+                .map(|body| {
+                    let fft = Fft2d::<f32>::with_body(n, body);
+                    let mut inverse = sparse.clone();
+                    fft.inverse_support(&mut inverse, &support).unwrap();
+                    let mut forward = dense.clone();
+                    fft.forward_support_transposed(&mut forward, &support, &InnerPool::serial())
+                        .unwrap();
+                    let kept: Vec<Complex<f32>> = support
+                        .iter()
+                        .flat_map(|&c| forward[c * n..(c + 1) * n].to_vec())
+                        .collect();
+                    (bits(&inverse), bits(&kept))
+                })
+                .collect();
+            for pair in outputs.windows(2) {
+                assert!(pair[0] == pair[1], "n={n}");
+            }
+        }
+        println!(
+            "{}",
+            crate::simd::tests::covered("f32 Fft2d support transforms")
+        );
+    }
+
     #[test]
     fn forward_support_rejects_bad_inputs() {
-        let fft = Fft2d::new(8, 8).unwrap();
+        let fft = Fft2d::<f64>::new(8, 8).unwrap();
         let mut data = vec![Complex::ZERO; 64];
         assert!(matches!(
             fft.forward_support_transposed(&mut data, &[8], &InnerPool::serial()),
             Err(FftError::LengthMismatch { .. })
         ));
-        let rect = Fft2d::new(8, 4).unwrap();
+        let rect = Fft2d::<f64>::new(8, 4).unwrap();
         let mut rdata = vec![Complex::ZERO; 32];
         assert!(matches!(
             rect.forward_support_transposed(&mut rdata, &[0], &InnerPool::serial()),

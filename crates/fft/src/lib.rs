@@ -7,13 +7,34 @@
 //! of squared convolutions evaluated in the frequency domain; every ILT
 //! iteration performs a handful of 2-D FFTs. This crate provides:
 //!
-//! * [`Complex`] — a small `f64` complex number;
-//! * [`FftPlan`] / [`Fft2d`] — reusable radix-2 plans for 1-D and 2-D
-//!   transforms;
+//! * [`Complex`] — a small complex number, generic over its [`Float`]
+//!   element (`f64` unless named otherwise);
+//! * [`FftPlan`] / [`Fft2d`] / [`RfftPlan`] / [`Rfft2d`] — reusable radix-2
+//!   plans for 1-D and 2-D complex and real-input transforms, each one
+//!   source with an `f32` and an `f64` instance;
 //! * [`spectral`] — signed/unshifted bin conversions, the low-frequency crop
 //!   `[.]_P` and its adjoint, and the fractional-frequency kernel resampling
 //!   `H_i(j/s, k/s)` required by the paper's Eq. (3) and Eq. (9);
 //! * [`dft_reference`] / [`dft2_reference`] — `O(n^2)` oracles for testing.
+//!
+//! # Precision
+//!
+//! The simulation runs in `f32`: its transforms, fields and images are
+//! `f32` instances of these types. `f64` is the reference the tests hold
+//! the engine to (bit-identity oracles and `1e-12` dense references run on
+//! the `f64` instance, which shares every line of source with the `f32`
+//! one). There is no run-time switch: the element type is a type
+//! parameter, chosen where the buffers are declared.
+//!
+//! # Kernels
+//!
+//! Every transform and sweep runs on one compiled body per process —
+//! portable, `avx2+fma` or `avx512f`, the widest the CPU reports
+//! ([`body_name`]). Besides the transforms, the same bodies carry the two
+//! pointwise sweeps of a pixel-ILT iteration, exported here at both
+//! element types: [`logistic_scaled`] (latent to mask, intensity to wafer)
+//! and [`logistic_loss`] (intensity to loss and `dL/dI`, the loss summed in
+//! `f64`), with [`logistic`] their scalar `f64` form.
 //!
 //! # Examples
 //!
@@ -46,15 +67,16 @@ mod fft2d;
 mod plan;
 mod rfft;
 #[allow(unsafe_code)]
-pub mod simd;
+mod simd;
 pub mod spectral;
 
 pub use cache::{
     cached_plan_bytes, cached_plan_count, shared_plan, shared_rplan, tuned_summary, TunedParams,
 };
-pub use complex::Complex;
+pub use complex::{Complex, Float};
 pub use dft::{dft2_reference, dft_reference};
 pub use error::FftError;
 pub use fft2d::Fft2d;
 pub use plan::{Direction, FftPlan};
 pub use rfft::{Rfft2d, RfftPlan};
+pub use simd::{body_name, logistic, logistic_loss, logistic_scaled};

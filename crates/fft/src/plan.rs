@@ -15,9 +15,9 @@
 //!
 //! * **Whole-array passes, two stages at a time.** The stages of size 2 and
 //!   4 need no twiddle and form the first pass. Every later pass keeps two
-//!   consecutive stages in registers ([`simd::fused_pass`]): four values
+//!   consecutive stages in registers (`simd::fused_pass`): four values
 //!   are loaded, go through both butterflies, and are stored, once. An odd
-//!   stage count leaves one trailing [`simd::single_pass`]. A 128-point
+//!   stage count leaves one trailing `simd::single_pass`. A 128-point
 //!   transform is four sweeps over its data instead of seven, and no pass
 //!   is entered through a per-block call.
 //! * **Bit reversal off the critical path.** A transform that reads its
@@ -30,14 +30,18 @@
 //!   two consecutive stages' adjacent, walked sequentially) and **per
 //!   direction** — the inverse table holds the conjugates, so no loop
 //!   branches on [`Direction`] or strides through a shared table.
-//! * Each pass has three compiled bodies in [`crate::simd`] — portable,
+//! * Each pass has three compiled bodies in `simd.rs` — portable,
 //!   `avx2,fma` and `avx512f` — and a plan runs the widest one the CPU
-//!   reports ([`simd::body_name`]), chosen once per process. The two
+//!   reports ([`crate::body_name`]), chosen once per process. The two
 //!   vector bodies of a twiddled pass are one source at two lane widths
 //!   and bit-identical to each other; the portable one (no FMA) is
 //!   bit-identical to the portable form of the oracle.
+//! * A plan is generic over its element type ([`Float`]): `f32`, the
+//!   simulation's precision, and `f64`, its test reference. Both run the
+//!   one source above; the twiddles are evaluated in `f64` and rounded to
+//!   the element type once, at planning.
 
-use crate::complex::Complex;
+use crate::complex::{Complex, Float};
 use crate::error::FftError;
 use crate::simd::{self, Body, QuadOrder};
 
@@ -61,7 +65,8 @@ impl Direction {
     }
 }
 
-/// A reusable plan for power-of-two FFTs of a fixed length.
+/// A reusable plan for power-of-two FFTs of a fixed length, in element type
+/// `T` (`f64` unless named otherwise).
 ///
 /// The plan stores the bit-reversal permutation (as a swap list for
 /// in-place transforms and as a read order for out-of-place ones) and
@@ -75,7 +80,7 @@ impl Direction {
 /// use ilt_fft::{Complex, FftPlan};
 ///
 /// # fn main() -> Result<(), ilt_fft::FftError> {
-/// let plan = FftPlan::new(8)?;
+/// let plan = FftPlan::<f64>::new(8)?;
 /// let mut data = vec![Complex::ONE; 8];
 /// plan.forward(&mut data)?;
 /// // DC bin picks up the sum, every other bin is zero.
@@ -85,7 +90,7 @@ impl Direction {
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct FftPlan {
+pub struct FftPlan<T = f64> {
     len: usize,
     /// The bit-reversal permutation as its disjoint swaps `[i, rev(i)]`,
     /// `i < rev(i)`: what an in-place transform applies before its first
@@ -98,14 +103,14 @@ pub struct FftPlan {
     /// the stage of size `s` contributes `s/2` sequential factors
     /// `e^{-2 pi i k / s}`, `k in 0..s/2`, starting at entry `s/2 - 4`.
     /// Stages of size 2 and 4 are specialized in code and store nothing.
-    fwd: Vec<Complex>,
+    fwd: Vec<Complex<T>>,
     /// Conjugates of `fwd` (the inverse-direction table).
-    inv: Vec<Complex>,
+    inv: Vec<Complex<T>>,
     /// The compiled body every pass of this plan runs: the probe's choice.
     body: Body,
 }
 
-impl FftPlan {
+impl<T: Float> FftPlan<T> {
     /// Creates a plan for transforms of length `len`.
     ///
     /// # Errors
@@ -137,7 +142,7 @@ impl FftPlan {
             let half = size / 2;
             for k in 0..half {
                 let theta = -2.0 * std::f64::consts::PI * k as f64 / size as f64;
-                fwd.push(Complex::from_polar(1.0, theta));
+                fwd.push(Complex::from_polar(1.0, theta).cast());
             }
             size *= 2;
         }
@@ -170,7 +175,7 @@ impl FftPlan {
     pub fn estimated_bytes(&self) -> u64 {
         (std::mem::size_of_val(&*self.swaps)
             + self.order.as_ref().map_or(0, QuadOrder::bytes)
-            + (self.fwd.len() + self.inv.len()) * std::mem::size_of::<Complex>()) as u64
+            + (self.fwd.len() + self.inv.len()) * std::mem::size_of::<Complex<T>>()) as u64
     }
 
     /// In-place forward FFT.
@@ -179,7 +184,7 @@ impl FftPlan {
     ///
     /// Returns [`FftError::LengthMismatch`] if `data.len()` differs from the
     /// plan length.
-    pub fn forward(&self, data: &mut [Complex]) -> Result<(), FftError> {
+    pub fn forward(&self, data: &mut [Complex<T>]) -> Result<(), FftError> {
         self.transform(data, Direction::Forward)
     }
 
@@ -190,9 +195,9 @@ impl FftPlan {
     ///
     /// Returns [`FftError::LengthMismatch`] if `data.len()` differs from the
     /// plan length.
-    pub fn inverse(&self, data: &mut [Complex]) -> Result<(), FftError> {
+    pub fn inverse(&self, data: &mut [Complex<T>]) -> Result<(), FftError> {
         self.transform(data, Direction::Inverse)?;
-        let inv = 1.0 / self.len as f64;
+        let inv = T::from_f64(1.0 / self.len as f64);
         for z in data.iter_mut() {
             *z = z.scale(inv);
         }
@@ -205,7 +210,7 @@ impl FftPlan {
     ///
     /// Returns [`FftError::LengthMismatch`] if `data.len()` differs from the
     /// plan length.
-    pub fn transform(&self, data: &mut [Complex], dir: Direction) -> Result<(), FftError> {
+    pub fn transform(&self, data: &mut [Complex<T>], dir: Direction) -> Result<(), FftError> {
         if data.len() != self.len {
             return Err(FftError::LengthMismatch {
                 expected: self.len,
@@ -237,10 +242,10 @@ impl FftPlan {
     /// real-input drivers, which size both by construction).
     pub(crate) fn transform_from(
         &self,
-        src: &[Complex],
+        src: &[Complex<T>],
         first: usize,
         stride: usize,
-        dst: &mut [Complex],
+        dst: &mut [Complex<T>],
         dir: Direction,
     ) {
         assert_eq!(dst.len(), self.len, "transform_from: output length");
@@ -260,7 +265,7 @@ impl FftPlan {
     /// stage an odd count leaves over. One code path per direction
     /// regardless of caller, so every transform of the same values is
     /// bit-identical no matter how it is batched or fed.
-    fn later_stages(&self, data: &mut [Complex], dir: Direction) {
+    fn later_stages(&self, data: &mut [Complex<T>], dir: Direction) {
         let table = match dir {
             Direction::Forward => &self.fwd,
             Direction::Inverse => &self.inv,
@@ -283,7 +288,7 @@ impl FftPlan {
 
 /// The length-2 transform (either direction): `out = [a + b, a - b]`.
 #[inline]
-fn two_point(a: Complex, b: Complex, out: &mut [Complex]) {
+fn two_point<T: Float>(a: Complex<T>, b: Complex<T>, out: &mut [Complex<T>]) {
     out[0] = a + b;
     out[1] = a - b;
 }
@@ -294,12 +299,17 @@ fn two_point(a: Complex, b: Complex, out: &mut [Complex]) {
 /// produce its output bit for bit.
 #[cfg(test)]
 mod reference {
-    use super::{Complex, Direction, FftPlan};
+    use super::{Complex, Direction, FftPlan, Float};
 
     /// `lo[k], hi[k] <- lo[k] ± tw[k] * hi[k]` over one block.
-    pub(super) type Block = fn(&mut [Complex], &mut [Complex], &[Complex]);
+    pub(super) type Block<T = f64> = fn(&mut [Complex<T>], &mut [Complex<T>], &[Complex<T>]);
 
-    pub(super) fn transform(plan: &FftPlan, data: &mut [Complex], dir: Direction, block: Block) {
+    pub(super) fn transform<T: Float>(
+        plan: &FftPlan<T>,
+        data: &mut [Complex<T>],
+        dir: Direction,
+        block: Block<T>,
+    ) {
         let n = plan.len;
         assert_eq!(data.len(), n);
         if n == 1 {
@@ -319,8 +329,8 @@ mod reference {
             return;
         }
         let flip = match dir {
-            Direction::Forward => 1.0,
-            Direction::Inverse => -1.0,
+            Direction::Forward => T::ONE,
+            Direction::Inverse => -T::ONE,
         };
         for q in data.chunks_exact_mut(4) {
             let s0 = q[0] + q[1];
@@ -353,7 +363,11 @@ mod reference {
 
     /// The portable block: two butterflies per iteration, the complex
     /// product spelled out component-wise.
-    pub(super) fn butterfly_block(lo: &mut [Complex], hi: &mut [Complex], tw: &[Complex]) {
+    pub(super) fn butterfly_block<T: Float>(
+        lo: &mut [Complex<T>],
+        hi: &mut [Complex<T>],
+        tw: &[Complex<T>],
+    ) {
         assert_eq!(lo.len(), hi.len());
         assert_eq!(lo.len(), tw.len());
         let lo2 = lo.chunks_exact_mut(2);
@@ -412,6 +426,19 @@ mod tests {
             }
         }
 
+        /// [`Rng::finite`] at single precision: trial 1 mixes in signed
+        /// zeros and `f32` subnormals.
+        fn finite32(&mut self, trial: usize) -> f32 {
+            let unit = self.unit() as f32;
+            match (trial, self.bits() % 8) {
+                (1.., 0) => 0.0,
+                (1.., 1) => -0.0,
+                (1.., 2) => unit * f32::MIN_POSITIVE * 0.125,
+                (1.., 3) => f32::from_bits((self.bits() % (1 << 23)) as u32),
+                _ => unit,
+            }
+        }
+
         fn signal(&mut self, n: usize, trial: usize) -> Vec<Complex> {
             (0..n)
                 .map(|_| Complex::new(self.finite(trial), self.finite(trial)))
@@ -426,10 +453,10 @@ mod tests {
     /// The stage-at-a-time block kernel a body must reproduce: the portable
     /// one for the portable body, the per-block `avx2,fma` one for both
     /// vector bodies (which makes those two bit-identical to each other).
-    fn oracle_block(body: Body) -> reference::Block {
+    fn oracle_block<T: Float>(body: Body) -> reference::Block<T> {
         #[cfg(target_arch = "x86_64")]
         if body != Body::PORTABLE {
-            return simd::butterfly_block_x86;
+            return simd::butterfly_block_x86::<T>;
         }
         assert_eq!(body, Body::PORTABLE);
         reference::butterfly_block
@@ -518,6 +545,82 @@ mod tests {
         }
     }
 
+    /// The single-precision twin of the oracle above: at every power of two
+    /// 1..=4096, in both directions, in place and gathered, every body this
+    /// host runs reproduces the `f32` stage-at-a-time loop over the
+    /// matching `f32` block kernel bit for bit — which makes the two
+    /// vector bodies bit-identical to each other at `f32` too (including
+    /// the `avx512f` body's fall-back to the 256-bit stamp for the passes
+    /// a 512-bit register cannot fill).
+    #[test]
+    fn every_f32_body_is_bit_identical_to_the_stage_at_a_time_loop() {
+        let mut rng = Rng(0x5eed_f00d_cafe_0032);
+        let bits =
+            |v: &[Complex<f32>]| -> Vec<[u64; 2]> { v.iter().map(|z| z.to_bits()).collect() };
+        let poison = Complex::new(f32::NAN, f32::NAN);
+        for body in Body::supported() {
+            let block = oracle_block::<f32>(body);
+            for log in 0..=12 {
+                let n = 1usize << log;
+                let plan = FftPlan::<f32>::with_body(n, body).unwrap();
+                for dir in [Direction::Forward, Direction::Inverse] {
+                    for trial in 0..2 {
+                        let x: Vec<Complex<f32>> = (0..n)
+                            .map(|_| Complex::new(rng.finite32(trial), rng.finite32(trial)))
+                            .collect();
+                        let mut want = x.clone();
+                        reference::transform(&plan, &mut want, dir, block);
+
+                        let mut got = x.clone();
+                        plan.transform(&mut got, dir).unwrap();
+                        assert_eq!(bits(&got), bits(&want), "{body:?} n={n} {dir:?} #{trial}");
+
+                        let mut spread = vec![poison; 3 * n + 2];
+                        for (k, &z) in x.iter().enumerate() {
+                            spread[2 + 3 * k] = z;
+                        }
+                        let mut got = vec![poison; n];
+                        plan.transform_from(&spread, 2, 3, &mut got, dir);
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "{body:?} gathered n={n} {dir:?} #{trial}"
+                        );
+                    }
+                }
+            }
+        }
+        println!(
+            "{}",
+            crate::simd::tests::covered("f32 FftPlan vs the stage-at-a-time oracle")
+        );
+    }
+
+    #[test]
+    fn f32_plans_track_the_f64_reference() {
+        // Rounding the twiddles once and running every butterfly in f32
+        // costs a few ulps of the signal's scale per stage, nothing more.
+        for n in [8usize, 64, 256, 1024] {
+            let x: Vec<Complex> = (0..n)
+                .map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 1.3).cos()))
+                .collect();
+            let mut wide = x.clone();
+            FftPlan::new(n).unwrap().forward(&mut wide).unwrap();
+            let mut narrow: Vec<Complex<f32>> = x.iter().map(|z| z.cast()).collect();
+            FftPlan::<f32>::new(n)
+                .unwrap()
+                .forward(&mut narrow)
+                .unwrap();
+            let err = wide
+                .iter()
+                .zip(&narrow)
+                .map(|(w, s)| (*w - s.cast()).abs())
+                .fold(0.0, f64::max);
+            let bound = 4.0 * f64::from(f32::EPSILON) * (n as f64) * (n as f64).log2();
+            assert!(err < bound, "n={n}: {err} >= {bound}");
+        }
+    }
+
     fn max_err(a: &[Complex], b: &[Complex]) -> f64 {
         a.iter()
             .zip(b)
@@ -528,18 +631,18 @@ mod tests {
     #[test]
     fn rejects_non_power_of_two() {
         assert!(matches!(
-            FftPlan::new(12),
+            FftPlan::<f64>::new(12),
             Err(FftError::NonPowerOfTwo { len: 12 })
         ));
         assert!(matches!(
-            FftPlan::new(0),
+            FftPlan::<f64>::new(0),
             Err(FftError::NonPowerOfTwo { len: 0 })
         ));
     }
 
     #[test]
     fn rejects_length_mismatch() {
-        let plan = FftPlan::new(8).unwrap();
+        let plan = FftPlan::<f64>::new(8).unwrap();
         let mut data = vec![Complex::ZERO; 4];
         assert!(matches!(
             plan.forward(&mut data),
@@ -562,7 +665,7 @@ mod tests {
 
     #[test]
     fn impulse_transforms_to_flat_spectrum() {
-        let plan = FftPlan::new(16).unwrap();
+        let plan = FftPlan::<f64>::new(16).unwrap();
         let mut data = vec![Complex::ZERO; 16];
         data[0] = Complex::ONE;
         plan.forward(&mut data).unwrap();

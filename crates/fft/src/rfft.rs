@@ -47,13 +47,14 @@ use std::sync::Arc;
 use ilt_par::InnerPool;
 
 use crate::cache::{shared_plan, shared_rplan};
-use crate::complex::Complex;
+use crate::complex::{Complex, Float};
 use crate::error::FftError;
 use crate::fft2d::transpose_into_block;
 use crate::plan::{Direction, FftPlan};
 use crate::simd;
 
-/// A reusable real-input FFT plan for one power-of-two length `n >= 2`.
+/// A reusable real-input FFT plan for one power-of-two length `n >= 2`,
+/// in element type `T` (`f64` unless named otherwise).
 ///
 /// The forward transform maps `n` reals to the `n/2 + 1` non-redundant
 /// spectrum bins; the inverse maps them back. Internally the plan wraps
@@ -67,26 +68,27 @@ use crate::simd;
 /// use ilt_fft::{Complex, RfftPlan};
 ///
 /// # fn main() -> Result<(), ilt_fft::FftError> {
-/// let plan = RfftPlan::new(8)?;
+/// // The simulation's precision; `RfftPlan::<f64>` is the same source.
+/// let plan = RfftPlan::<f32>::new(8)?;
 /// let x = [1.0, 2.0, 0.5, -1.0, 0.0, 3.0, -2.0, 0.25];
 /// let mut spec = [Complex::ZERO; 5]; // n/2 + 1 bins
 /// plan.forward(&x, &mut spec)?;
 /// let mut back = [0.0; 8];
 /// plan.inverse(&mut spec, &mut back)?;
-/// assert!((back[5] - 3.0).abs() < 1e-12);
+/// assert!((back[5] - 3.0).abs() < 1e-6);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct RfftPlan {
+pub struct RfftPlan<T = f64> {
     len: usize,
     /// Shared complex plan of length `len / 2`.
-    half: Arc<FftPlan>,
+    half: Arc<FftPlan<T>>,
     /// Untangle twiddles `e^{-2 pi i k / len}` for `k in 0..=len/4`.
-    post: Vec<Complex>,
+    post: Vec<Complex<T>>,
 }
 
-impl RfftPlan {
+impl<T: Float> RfftPlan<T> {
     /// Creates a real-input plan for transforms of length `len`.
     ///
     /// # Errors
@@ -103,11 +105,11 @@ impl RfftPlan {
 
     /// The real plan of length `2 * half.len()` over its half-length
     /// complex plan.
-    fn over(half: Arc<FftPlan>) -> Self {
+    fn over(half: Arc<FftPlan<T>>) -> Self {
         let (m, len) = (half.len(), 2 * half.len());
         let step = -2.0 * std::f64::consts::PI / len as f64;
         let post = (0..=m / 2)
-            .map(|k| Complex::from_polar(1.0, step * k as f64))
+            .map(|k| Complex::from_polar(1.0, step * k as f64).cast())
             .collect();
         RfftPlan { len, half, post }
     }
@@ -134,7 +136,7 @@ impl RfftPlan {
     /// twiddles). The embedded half-length complex plan is shared through
     /// the plan cache and accounted there, not here.
     pub fn estimated_bytes(&self) -> u64 {
-        (self.post.len() * std::mem::size_of::<Complex>()) as u64
+        (self.post.len() * std::mem::size_of::<Complex<T>>()) as u64
     }
 
     /// Forward real FFT: `src` holds `len` reals, `dst` receives the
@@ -145,7 +147,7 @@ impl RfftPlan {
     ///
     /// Returns [`FftError::LengthMismatch`] if either buffer has the wrong
     /// length.
-    pub fn forward(&self, src: &[f64], dst: &mut [Complex]) -> Result<(), FftError> {
+    pub fn forward(&self, src: &[T], dst: &mut [Complex<T>]) -> Result<(), FftError> {
         self.forward_bins(src, dst, 0..self.spectrum_len())
     }
 
@@ -161,8 +163,8 @@ impl RfftPlan {
     /// length or `bins` reaches past `len/2 + 1`.
     pub(crate) fn forward_bins(
         &self,
-        src: &[f64],
-        dst: &mut [Complex],
+        src: &[T],
+        dst: &mut [Complex<T>],
         bins: Range<usize>,
     ) -> Result<(), FftError> {
         let n = self.len;
@@ -190,6 +192,7 @@ impl RfftPlan {
         // wanted bin are formed.
         let pairs = self.pair_span(&bins);
         let h = m / 2;
+        let half = T::from_f64(0.5);
         if pairs.contains(&0) {
             let z0 = dst[0];
             dst[0] = Complex::from_re(z0.re + z0.im);
@@ -198,8 +201,8 @@ impl RfftPlan {
         for k in pairs.start.max(1)..pairs.end.min(h) {
             let zk = dst[k];
             let zmk = dst[m - k];
-            let e = Complex::new(0.5 * (zk.re + zmk.re), 0.5 * (zk.im - zmk.im));
-            let d = Complex::new(0.5 * (zk.re - zmk.re), 0.5 * (zk.im + zmk.im));
+            let e = Complex::new(half * (zk.re + zmk.re), half * (zk.im - zmk.im));
+            let d = Complex::new(half * (zk.re - zmk.re), half * (zk.im + zmk.im));
             let o = Complex::new(d.im, -d.re); // -i * d
             let wo = self.post[k] * o;
             dst[k] = e + wo;
@@ -221,8 +224,8 @@ impl RfftPlan {
     ///
     /// Returns [`FftError::LengthMismatch`] if either buffer has the wrong
     /// length.
-    pub fn inverse(&self, spec: &mut [Complex], dst: &mut [f64]) -> Result<(), FftError> {
-        self.inverse_scaled(spec, dst, 1.0 / self.len as f64)
+    pub fn inverse(&self, spec: &mut [Complex<T>], dst: &mut [T]) -> Result<(), FftError> {
+        self.inverse_scaled(spec, dst, T::from_f64(1.0 / self.len as f64))
     }
 
     /// Inverse real FFT scaled so that `dst = scale * S`, where `S` is the
@@ -238,9 +241,9 @@ impl RfftPlan {
     /// length.
     pub fn inverse_scaled(
         &self,
-        spec: &mut [Complex],
-        dst: &mut [f64],
-        scale: f64,
+        spec: &mut [Complex<T>],
+        dst: &mut [T],
+        scale: T,
     ) -> Result<(), FftError> {
         self.inverse_bins_scaled(spec, 0..self.spectrum_len(), dst, scale)
     }
@@ -256,10 +259,10 @@ impl RfftPlan {
     /// length or `bins` reaches past `len/2 + 1`.
     pub(crate) fn inverse_bins_scaled(
         &self,
-        spec: &mut [Complex],
+        spec: &mut [Complex<T>],
         bins: Range<usize>,
-        dst: &mut [f64],
-        scale: f64,
+        dst: &mut [T],
+        scale: T,
     ) -> Result<(), FftError> {
         let n = self.len;
         let m = n / 2;
@@ -270,7 +273,7 @@ impl RfftPlan {
                 actual: dst.len(),
             });
         }
-        let at = |spec: &[Complex], k: usize| {
+        let at = |spec: &[Complex<T>], k: usize| {
             if bins.contains(&k) {
                 spec[k]
             } else {
@@ -292,7 +295,7 @@ impl RfftPlan {
             scale * ((x0.im + xm.im) + (x0.re - xm.re)),
         );
         let h = m / 2;
-        let retangle = |a: Complex, b: Complex, k: usize| {
+        let retangle = |a: Complex<T>, b: Complex<T>, k: usize| {
             let b = b.conj();
             let eh = Complex::new(scale * (a.re + b.re), scale * (a.im + b.im));
             let dh = Complex::new(scale * (a.re - b.re), scale * (a.im - b.im));
@@ -323,7 +326,7 @@ impl RfftPlan {
             spec[h + 1..=m - hi].fill(zero_hi);
             spec[m - lo + 1..m].fill(zero_hi);
         }
-        spec[h] = at(spec, h).conj().scale(2.0 * scale);
+        spec[h] = at(spec, h).conj().scale(T::from_f64(2.0) * scale);
         // The half-length inverse reads Z in bit-reversed order and leaves
         // its output as interleaved pairs — which is the real row.
         self.half.transform_from(
@@ -376,19 +379,20 @@ impl RfftPlan {
     }
 }
 
-/// A reusable real-input 2-D FFT for square `n x n` real grids, storing
-/// only the `n/2 + 1` non-redundant spectrum columns (transposed layout —
-/// see the module docs).
+/// A reusable real-input 2-D FFT for square `n x n` real grids of element
+/// type `T` (`f64` unless named otherwise), storing only the `n/2 + 1`
+/// non-redundant spectrum columns (transposed layout — see the module
+/// docs).
 ///
 /// Plans come from the process-wide cache.
 #[derive(Debug)]
-pub struct Rfft2d {
+pub struct Rfft2d<T = f64> {
     n: usize,
-    row: Arc<RfftPlan>,
-    col_plan: Arc<FftPlan>,
+    row: Arc<RfftPlan<T>>,
+    col_plan: Arc<FftPlan<T>>,
 }
 
-impl Rfft2d {
+impl<T: Float> Rfft2d<T> {
     /// Creates a real 2-D plan for `n x n` grids.
     ///
     /// # Errors
@@ -446,9 +450,9 @@ impl Rfft2d {
     /// length.
     pub fn forward(
         &self,
-        src: &[f64],
-        spec: &mut [Complex],
-        scratch: &mut [Complex],
+        src: &[T],
+        spec: &mut [Complex<T>],
+        scratch: &mut [Complex<T>],
         _pool: &InnerPool,
     ) -> Result<(), FftError> {
         self.forward_support(src, spec, scratch, None)
@@ -471,9 +475,9 @@ impl Rfft2d {
     /// is out of range.
     pub fn forward_support(
         &self,
-        src: &[f64],
-        spec: &mut [Complex],
-        scratch: &mut [Complex],
+        src: &[T],
+        spec: &mut [Complex<T>],
+        scratch: &mut [Complex<T>],
         support_cols: Option<&[usize]>,
     ) -> Result<(), FftError> {
         let n = self.n;
@@ -531,11 +535,11 @@ impl Rfft2d {
     /// length.
     pub fn inverse(
         &self,
-        spec: &mut [Complex],
-        dst: &mut [f64],
-        scratch: &mut [Complex],
+        spec: &mut [Complex<T>],
+        dst: &mut [T],
+        scratch: &mut [Complex<T>],
     ) -> Result<(), FftError> {
-        self.inverse_support_scaled(spec, dst, scratch, None, 1.0, &InnerPool::serial())
+        self.inverse_support_scaled(spec, dst, scratch, None, T::ONE, &InnerPool::serial())
     }
 
     /// Inverse real 2-D FFT of a half-spectrum known to be zero outside
@@ -559,11 +563,11 @@ impl Rfft2d {
     /// is out of range.
     pub fn inverse_support_scaled(
         &self,
-        spec: &mut [Complex],
-        dst: &mut [f64],
-        scratch: &mut [Complex],
+        spec: &mut [Complex<T>],
+        dst: &mut [T],
+        scratch: &mut [Complex<T>],
         support_cols: Option<&[usize]>,
-        extra: f64,
+        extra: T,
         _pool: &InnerPool,
     ) -> Result<(), FftError> {
         let n = self.n;
@@ -603,7 +607,7 @@ impl Rfft2d {
         // 2-D normalisation (and the caller's extra scale) is fused into
         // the row re-tangle.
         transpose_into_block(spec, hw, n, scratch, bins.clone());
-        let scale = extra / (n * n) as f64;
+        let scale = T::from_f64(extra.to_f64() / (n * n) as f64);
         for (srow, drow) in scratch.chunks_exact_mut(hw).zip(dst.chunks_exact_mut(n)) {
             self.row
                 .inverse_bins_scaled(srow, bins.clone(), drow, scale)
@@ -664,11 +668,11 @@ mod tests {
 
     #[test]
     fn rejects_bad_lengths() {
-        assert!(RfftPlan::new(0).is_err());
-        assert!(RfftPlan::new(1).is_err());
-        assert!(RfftPlan::new(12).is_err());
-        assert!(Rfft2d::new(6).is_err());
-        let plan = RfftPlan::new(8).unwrap();
+        assert!(RfftPlan::<f64>::new(0).is_err());
+        assert!(RfftPlan::<f64>::new(1).is_err());
+        assert!(RfftPlan::<f64>::new(12).is_err());
+        assert!(Rfft2d::<f64>::new(6).is_err());
+        let plan = RfftPlan::<f64>::new(8).unwrap();
         assert!(!plan.is_empty());
         assert_eq!(plan.spectrum_len(), 5);
         assert!(plan.estimated_bytes() > 0);
@@ -1003,6 +1007,49 @@ mod tests {
         println!(
             "{}",
             crate::simd::tests::covered("Rfft2d support transforms")
+        );
+    }
+
+    /// The same at `f32`, the simulation's own precision.
+    #[test]
+    fn f32_support_transforms_are_bit_identical_across_the_vector_bodies() {
+        use crate::simd::Body;
+        for (n, p) in [(64, 23), (128, 23), (256, 27), (512, 54)] {
+            let x: Vec<f32> = reals(n * n, 0.41).iter().map(|&v| v as f32).collect();
+            let cols: Vec<usize> = (0..p).collect();
+            let pool = InnerPool::serial();
+            let outputs: Vec<_> = Body::supported()
+                .into_iter()
+                .filter(|&body| body != Body::PORTABLE)
+                .map(|body| {
+                    let rfft = Rfft2d::<f32>::with_body(n, body);
+                    let poison = Complex::new(f32::NAN, f32::NAN);
+                    let mut spec = vec![Complex::ZERO; rfft.spectrum_len()];
+                    let mut scratch = vec![poison; rfft.spectrum_len()];
+                    rfft.forward_support(&x, &mut spec, &mut scratch, Some(&cols))
+                        .unwrap();
+                    let forward: Vec<[u64; 2]> = spec.iter().map(|z| z.to_bits()).collect();
+                    let mut back = vec![0.0f32; n * n];
+                    rfft.inverse_support_scaled(
+                        &mut spec,
+                        &mut back,
+                        &mut scratch,
+                        Some(&cols),
+                        0.75,
+                        &pool,
+                    )
+                    .unwrap();
+                    let back: Vec<u32> = back.iter().map(|v| v.to_bits()).collect();
+                    (forward, back)
+                })
+                .collect();
+            for pair in outputs.windows(2) {
+                assert!(pair[0] == pair[1], "n={n}");
+            }
+        }
+        println!(
+            "{}",
+            crate::simd::tests::covered("f32 Rfft2d support transforms")
         );
     }
 

@@ -1,5 +1,6 @@
 //! Runtime-gated x86_64 vector kernels: the passes of the FFT butterfly
-//! engine and the pointwise logistic sweeps of an ILT iteration.
+//! engine and the pointwise logistic sweeps of an ILT iteration, each at
+//! both element types of [`crate::Float`].
 //!
 //! # The butterfly passes
 //!
@@ -31,17 +32,22 @@
 //! transform in a process runs the same code path — the property the
 //! serial-vs-parallel and workspace-reuse bit-identity suites rely on.
 //!
-//! * The twiddled passes are written **once** over a lane width
-//!   (`vector_passes!`) and stamped for `__m256d` and `__m512d`: a complex
-//!   product is `movedup`/`permute` to splat the twiddle components, one
-//!   `mul` and one `fmaddsub`, on two or four complex values per register.
-//!   Both instances do the same to every lane, so they are bit-identical
-//!   to each other and to the per-block `avx2,fma` oracle. Every pass of a
-//!   plan has `h >= 4`, so four values always fit; the entries assert it.
-//! * The first passes hold one complex value per 128-bit register and
-//!   gather their reads; both vector bodies run the one `avx2,fma` form (a
-//!   two-quads-per-register form measured −3.5% / +2.1% on a 128-point
-//!   transform, EXPERIMENTS.md "512-bit lanes").
+//! * The twiddled passes are written **once** over a lane width and an
+//!   element type (`vector_passes!`) and stamped four times: `__m256d`,
+//!   `__m512d`, `__m256` and `__m512`. A complex product splats the twiddle
+//!   components (`movedup`/`permute` for `f64`, `moveldup`/`movehdup` for
+//!   `f32`), then one `mul` and one `fmaddsub`, on two to eight complex
+//!   values per register. The instances of one element type do the same to
+//!   every lane, so they are bit-identical to each other and to the
+//!   per-block `avx2,fma` oracle of that type. Every pass of a plan has
+//!   `h >= 4`, so four values always fit; the entries assert it. An `f32`
+//!   pass whose quarter holds four values (eight floats) fills half an
+//!   `__m512`, so the `avx512f` body runs it on the `__m256` stamp.
+//! * The first passes hold one complex value per 128-bit register (the low
+//!   half of it for `f32`) and gather their reads; both vector bodies run
+//!   the one `avx2,fma` form (a two-quads-per-register form measured −3.5%
+//!   / +2.1% on a 128-point `f64` transform, EXPERIMENTS.md "512-bit
+//!   lanes").
 //! * The portable bodies spell the same butterflies over [`Complex`] for
 //!   the autovectorizer, without FMA: they differ from the vector bodies in
 //!   the last ulp (as do machines with and without FMA; cross-machine
@@ -53,13 +59,18 @@
 //! The same choice covers the two slice kernels a pixel-ILT iteration
 //! spends most of its non-FFT time in — [`logistic_scaled`] (latent to
 //! mask) and [`logistic_loss`] (intensity to loss and `dL/dI`). They are
-//! built on one branch-free polynomial `exp` (so the loops vectorise;
-//! libm's `exp` is an opaque scalar call), each body written once and
-//! compiled per instruction set. They are compute-bound (as slow from L1
-//! as from memory), so they scale with lane width until, at eight lanes,
-//! the division binds. The two FMA instances are bit-identical: the loss
-//! sums in pixel-index order whatever the lane count. [`logistic`] is the
-//! scalar form: the workspace has one logistic function.
+//! built on one branch-free polynomial `exp` per element type (so the loops
+//! vectorise; libm's `exp` is an opaque scalar call), each body written
+//! once and compiled per instruction set. They are compute-bound (as slow
+//! from L1 as from memory) and the division binds them: `vdivpd` at `f64`,
+//! whose eight-lane sweep is barely faster than its four-lane one, while
+//! `vdivps` at `f32` takes twice the lanes at a fraction of the latency:
+//! the `f32` latent-to-mask sweep runs at 2.5–3x the `f64` one's speed
+//! (the loss sweep gains less: its `f64` lane sum is latency-bound). The
+//! two FMA instances of a type are bit-identical: the loss sums its
+//! squared errors in `f64`, in pixel-index order whatever the lane count
+//! or element type. [`logistic`] is the scalar form: the workspace has one
+//! logistic function.
 //!
 //! # Safety
 //!
@@ -71,22 +82,26 @@
 //! private to this module, so no safe caller can hand a kernel an index out
 //! of range.
 
-use crate::complex::Complex;
+use crate::complex::{Complex, Float};
 
-// `Complex` is `repr(C)`: two `f64`s, `re` first. Every kernel below that
-// reads a `*const Complex` as `[re, im]` pairs of `f64`, and the two slice
+// `Complex<T>` is `repr(C)`: two `T`s, `re` first. Every kernel below that
+// reads a `*const Complex<T>` as `[re, im]` pairs of `T`, and the two slice
 // views, rest on exactly this.
 const _: () = {
-    assert!(std::mem::size_of::<Complex>() == 16);
-    assert!(std::mem::align_of::<Complex>() == 8);
-    assert!(std::mem::offset_of!(Complex, re) == 0);
-    assert!(std::mem::offset_of!(Complex, im) == 8);
+    assert!(std::mem::size_of::<Complex<f64>>() == 16);
+    assert!(std::mem::align_of::<Complex<f64>>() == 8);
+    assert!(std::mem::offset_of!(Complex<f64>, re) == 0);
+    assert!(std::mem::offset_of!(Complex<f64>, im) == 8);
+    assert!(std::mem::size_of::<Complex<f32>>() == 8);
+    assert!(std::mem::align_of::<Complex<f32>>() == 4);
+    assert!(std::mem::offset_of!(Complex<f32>, re) == 0);
+    assert!(std::mem::offset_of!(Complex<f32>, im) == 4);
 };
 
 /// The instruction sets a body is compiled for, widest last: safe Rust for
 /// the baseline target (no FMA), `avx2,fma`, `avx512f`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Isa {
+pub enum Isa {
     Portable,
     #[cfg(target_arch = "x86_64")]
     Avx2Fma,
@@ -98,7 +113,7 @@ enum Isa {
 /// gets it from [`Body::probed`] alone; the field is private, so no value
 /// can claim a vector body on a CPU the probe has not cleared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Body {
+pub struct Body {
     isa: Isa,
 }
 
@@ -148,7 +163,7 @@ impl Body {
     }
 }
 
-/// The compiled body every kernel of this module runs in this process —
+/// The compiled body every kernel of this crate runs in this process —
 /// `"portable"`, `"avx2+fma"` or `"avx512f"` — for run records.
 pub fn body_name() -> &'static str {
     Body::probed().name()
@@ -160,11 +175,12 @@ pub fn body_name() -> &'static str {
 /// # Panics
 ///
 /// Panics if the length is odd.
-pub(crate) fn as_pairs(reals: &[f64]) -> &[Complex] {
+pub(crate) fn as_pairs<T: Float>(reals: &[T]) -> &[Complex<T>] {
     assert!(reals.len().is_multiple_of(2), "odd number of reals");
-    // SAFETY: `Complex` is two `f64`s with `f64`'s alignment and no invalid
-    // bit pattern (asserted above), so `len / 2` of them cover exactly the
-    // bytes of `reals`; the borrow carries over unchanged.
+    // SAFETY: `Complex<T>` is two `T`s with `T`'s alignment and no invalid
+    // bit pattern (asserted above for both element types), so `len / 2` of
+    // them cover exactly the bytes of `reals`; the borrow carries over
+    // unchanged.
     unsafe { std::slice::from_raw_parts(reals.as_ptr().cast(), reals.len() / 2) }
 }
 
@@ -174,10 +190,84 @@ pub(crate) fn as_pairs(reals: &[f64]) -> &[Complex] {
 /// # Panics
 ///
 /// Panics if the length is odd.
-pub(crate) fn as_pairs_mut(reals: &mut [f64]) -> &mut [Complex] {
+pub(crate) fn as_pairs_mut<T: Float>(reals: &mut [T]) -> &mut [Complex<T>] {
     assert!(reals.len().is_multiple_of(2), "odd number of reals");
     // SAFETY: as in `as_pairs`; the exclusive borrow carries over unchanged.
     unsafe { std::slice::from_raw_parts_mut(reals.as_mut_ptr().cast(), reals.len() / 2) }
+}
+
+/// The compiled kernels one element type carries: the vector bodies of the
+/// butterfly passes and both logistic sweeps. A supertrait of
+/// [`crate::Float`] that only this module implements (for `f64` and
+/// `f32`), and that no code outside the crate can name.
+pub trait Kernels: Sized + Copy {
+    /// The vector first pass over data in bit-reversed order.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have AVX2+FMA and the length must be a multiple of four.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn first_pass_vector(data: &mut [Complex<Self>], inverse: bool);
+
+    /// The vector first pass reading `src` in the order `starts` gives.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have AVX2+FMA; every entry of `starts` must be below
+    /// `starts.len()`, `dst` must hold `4 * starts.len()` values, and
+    /// `first + (dst.len() - 1) * stride` must index `src`.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn first_pass_from_vector(
+        starts: &[u32],
+        src: &[Complex<Self>],
+        first: usize,
+        stride: usize,
+        dst: &mut [Complex<Self>],
+        inverse: bool,
+    );
+
+    /// [`fused_pass`] on a vector body.
+    ///
+    /// # Safety
+    ///
+    /// `isa` must be a vector body the probe cleared on this CPU, and the
+    /// lengths must be those [`fused_pass`] asserts.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn fused_pass_vector(isa: Isa, data: &mut [Complex<Self>], tw: &[Complex<Self>]);
+
+    /// [`single_pass`] on a vector body.
+    ///
+    /// # Safety
+    ///
+    /// `isa` must be a vector body the probe cleared on this CPU, and the
+    /// lengths must be those [`single_pass`] asserts.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn single_pass_vector(isa: Isa, data: &mut [Complex<Self>], tw: &[Complex<Self>]);
+
+    /// [`logistic_scaled`] on a given body (equal lengths checked by the
+    /// caller).
+    fn logistic_scaled_on(body: Body, xs: &[Self], center: Self, scale: Self, out: &mut [Self]);
+
+    /// [`logistic_loss`] on a given body (equal lengths checked by the
+    /// caller).
+    fn logistic_loss_on(
+        body: Body,
+        xs: &[Self],
+        center: Self,
+        scale: Self,
+        target: &[Self],
+        dldx: &mut [Self],
+    ) -> f64;
+
+    /// The per-block AVX2+FMA butterfly of the stage-at-a-time engine,
+    /// kept as the oracle the fused passes are compared against bit for
+    /// bit (`plan.rs`).
+    #[cfg(all(test, target_arch = "x86_64"))]
+    fn butterfly_block_x86(
+        lo: &mut [Complex<Self>],
+        hi: &mut [Complex<Self>],
+        tw: &[Complex<Self>],
+    );
 }
 
 // ---- The butterfly passes -----------------------------------------------
@@ -187,7 +277,7 @@ pub(crate) fn as_pairs_mut(reals: &mut [f64]) -> &mut [Complex] {
 /// `-1` inverse (the size-4 stage's twiddles are `1` and `∓i`, and
 /// multiplying by `∓i` is an exact component swap).
 #[inline(always)]
-fn quad(x: [Complex; 4], flip: f64) -> [Complex; 4] {
+fn quad<T: Float>(x: [Complex<T>; 4], flip: T) -> [Complex<T>; 4] {
     let s0 = x[0] + x[1];
     let d0 = x[0] - x[1];
     let s1 = x[2] + x[3];
@@ -199,17 +289,17 @@ fn quad(x: [Complex; 4], flip: f64) -> [Complex; 4] {
 
 /// One radix-2 butterfly: `u + w v` and `u - w v`.
 #[inline(always)]
-fn butterfly(u: Complex, v: Complex, w: Complex) -> (Complex, Complex) {
+fn butterfly<T: Float>(u: Complex<T>, v: Complex<T>, w: Complex<T>) -> (Complex<T>, Complex<T>) {
     let t = w * v;
     (u + t, u - t)
 }
 
 #[inline]
-fn direction_flip(inverse: bool) -> f64 {
+fn direction_flip<T: Float>(inverse: bool) -> T {
     if inverse {
-        -1.0
+        -T::ONE
     } else {
-        1.0
+        T::ONE
     }
 }
 
@@ -222,7 +312,7 @@ fn direction_flip(inverse: bool) -> f64 {
 /// it, which is what lets the vector body index by its entries unchecked:
 /// there are `n / 4` of them and each is below `n / 4`.
 #[derive(Debug, Clone)]
-pub(crate) struct QuadOrder {
+pub struct QuadOrder {
     starts: Vec<u32>,
 }
 
@@ -264,12 +354,12 @@ impl QuadOrder {
     ///
     /// Panics unless `dst` has this order's length and `src` holds every
     /// element addressed.
-    pub(crate) fn first_pass_from(
+    pub(crate) fn first_pass_from<T: Float>(
         &self,
-        src: &[Complex],
+        src: &[Complex<T>],
         first: usize,
         stride: usize,
-        dst: &mut [Complex],
+        dst: &mut [Complex<T>],
         inverse: bool,
         body: Body,
     ) {
@@ -287,9 +377,12 @@ impl QuadOrder {
         #[cfg(target_arch = "x86_64")]
         if body != Body::PORTABLE {
             // SAFETY: a non-portable body exists only after the probe
-            // verified avx2+fma on this CPU; both lengths were asserted
-            // just above.
-            return unsafe { self.first_pass_from_avx(src, first, stride, dst, inverse) };
+            // verified avx2+fma on this CPU; every entry of `starts` is
+            // below its length (the type's invariant); both lengths were
+            // asserted just above.
+            return unsafe {
+                T::first_pass_from_vector(&self.starts, src, first, stride, dst, inverse)
+            };
         }
         let flip = direction_flip(inverse);
         let quarter = self.starts.len();
@@ -305,49 +398,6 @@ impl QuadOrder {
             out.copy_from_slice(&quad(x, flip));
         }
     }
-
-    /// # Safety
-    ///
-    /// The CPU must have AVX2+FMA, `dst` this order's length, and
-    /// `first + (len - 1) * stride` must index `src`.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn first_pass_from_avx(
-        &self,
-        src: &[Complex],
-        first: usize,
-        stride: usize,
-        dst: &mut [Complex],
-        inverse: bool,
-    ) {
-        use core::arch::x86_64::*;
-        let sign = rotation_sign(inverse);
-        let quarter = self.starts.len();
-        // Doubles between input elements a quarter of the length apart.
-        let step = 2 * stride * quarter;
-        let s = src.as_ptr().cast::<f64>();
-        let d = dst.as_mut_ptr().cast::<f64>();
-        for (q, &start) in self.starts.iter().enumerate() {
-            // SAFETY: `start < quarter` (the type's invariant), so the four
-            // elements read are `k = start + {0, 2, 1, 3} * quarter <=
-            // 4 * quarter - 1 = n - 1`, and the caller vouches that
-            // `first + (n - 1) * stride` indexes `src`; `dst` has
-            // `n = 4 * quarter` elements, so quad `q < quarter` is inside.
-            unsafe {
-                let x0 = s.add(2 * (first + start as usize * stride));
-                let out = quad_avx(
-                    [
-                        _mm_loadu_pd(x0),
-                        _mm_loadu_pd(x0.add(2 * step)),
-                        _mm_loadu_pd(x0.add(step)),
-                        _mm_loadu_pd(x0.add(3 * step)),
-                    ],
-                    sign,
-                );
-                store_quad(d.add(8 * q), out);
-            }
-        }
-    }
 }
 
 /// The stages of size 2 and 4 over data already in bit-reversed order, in
@@ -356,13 +406,13 @@ impl QuadOrder {
 /// # Panics
 ///
 /// Panics unless the length is a multiple of four.
-pub(crate) fn first_pass(data: &mut [Complex], inverse: bool, body: Body) {
+pub(crate) fn first_pass<T: Float>(data: &mut [Complex<T>], inverse: bool, body: Body) {
     assert!(data.len().is_multiple_of(4), "first_pass: length");
     #[cfg(target_arch = "x86_64")]
     if body != Body::PORTABLE {
         // SAFETY: a non-portable body exists only after the probe verified
         // avx2+fma on this CPU; the length was asserted just above.
-        return unsafe { first_pass_avx(data, inverse) };
+        return unsafe { T::first_pass_vector(data, inverse) };
     }
     let flip = direction_flip(inverse);
     for q in data.chunks_exact_mut(4) {
@@ -384,23 +434,20 @@ pub(crate) fn first_pass(data: &mut [Complex], inverse: bool, body: Body) {
 /// # Panics
 ///
 /// Panics unless `h` is a positive multiple of four (every pass of a plan
-/// has `h >= 4`, a power of two, so the widest body's four complex values
-/// per register always fit) and the array is whole blocks.
-pub(crate) fn fused_pass(data: &mut [Complex], tw: &[Complex], body: Body) {
+/// has `h >= 4`, a power of two, so four complex values per register
+/// always fit) and the array is whole blocks.
+pub(crate) fn fused_pass<T: Float>(data: &mut [Complex<T>], tw: &[Complex<T>], body: Body) {
     let h = tw.len() / 3;
     assert!(
         tw.len() == 3 * h && h >= 4 && h.is_multiple_of(4),
         "fused_pass: twiddles"
     );
     assert!(data.len().is_multiple_of(4 * h), "fused_pass: length");
-    match body.isa {
-        // SAFETY (both arms): the probe verified the arm's features on this
-        // CPU before it made the body; the lengths were asserted just above.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => return unsafe { lanes256::fused_pass(data, tw) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512f => return unsafe { lanes512::fused_pass(data, tw) },
-        Isa::Portable => {}
+    #[cfg(target_arch = "x86_64")]
+    if body != Body::PORTABLE {
+        // SAFETY: the probe verified the body's features on this CPU before
+        // it made the body; the lengths were asserted just above.
+        return unsafe { T::fused_pass_vector(body.isa, data, tw) };
     }
     let (w1, w2) = tw.split_at(h);
     let (w2_lo, w2_hi) = w2.split_at(h);
@@ -426,18 +473,15 @@ pub(crate) fn fused_pass(data: &mut [Complex], tw: &[Complex], body: Body) {
 ///
 /// Panics unless the half size is a positive multiple of four (as in
 /// [`fused_pass`]) and the array is whole blocks.
-pub(crate) fn single_pass(data: &mut [Complex], tw: &[Complex], body: Body) {
+pub(crate) fn single_pass<T: Float>(data: &mut [Complex<T>], tw: &[Complex<T>], body: Body) {
     let half = tw.len();
     assert!(half >= 4 && half.is_multiple_of(4), "single_pass: twiddles");
     assert!(data.len().is_multiple_of(2 * half), "single_pass: length");
-    match body.isa {
-        // SAFETY (both arms): the probe verified the arm's features on this
-        // CPU before it made the body; the lengths were asserted just above.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => return unsafe { lanes256::single_pass(data, tw) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512f => return unsafe { lanes512::single_pass(data, tw) },
-        Isa::Portable => {}
+    #[cfg(target_arch = "x86_64")]
+    if body != Body::PORTABLE {
+        // SAFETY: the probe verified the body's features on this CPU before
+        // it made the body; the lengths were asserted just above.
+        return unsafe { T::single_pass_vector(body.isa, data, tw) };
     }
     for block in data.chunks_exact_mut(2 * half) {
         let (lo, hi) = block.split_at_mut(half);
@@ -447,8 +491,13 @@ pub(crate) fn single_pass(data: &mut [Complex], tw: &[Complex], body: Body) {
     }
 }
 
+/// The first passes' vector forms: one complex value per 128-bit register
+/// (`f64`: the whole register; `f32`: its low half), stamped per element
+/// type. The quad arithmetic has no product, so these agree with the
+/// portable form bit for bit.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use crate::complex::Complex;
     use core::arch::x86_64::*;
 
     /// The sign mask that turns a component swap into a multiplication by
@@ -456,7 +505,7 @@ mod x86 {
     /// negate the new real part).
     #[target_feature(enable = "avx2,fma")]
     #[inline]
-    pub(super) fn rotation_sign(inverse: bool) -> __m128d {
+    fn rotation_sign_pd(inverse: bool) -> __m128d {
         if inverse {
             _mm_set_pd(0.0, -0.0)
         } else {
@@ -464,31 +513,83 @@ mod x86 {
         }
     }
 
-    /// [`super::quad`] on one complex value per register.
+    /// [`rotation_sign_pd`] for one `f32` complex value in the low half.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
-    pub(super) fn quad_avx(x: [__m128d; 4], sign: __m128d) -> [__m128d; 4] {
-        let s0 = _mm_add_pd(x[0], x[1]);
-        let d0 = _mm_sub_pd(x[0], x[1]);
-        let s1 = _mm_add_pd(x[2], x[3]);
-        let d1 = _mm_sub_pd(x[2], x[3]);
-        let t = _mm_xor_pd(_mm_permute_pd(d1, 0b01), sign);
-        [
-            _mm_add_pd(s0, s1),
-            _mm_add_pd(d0, t),
-            _mm_sub_pd(s0, s1),
-            _mm_sub_pd(d0, t),
-        ]
+    fn rotation_sign_ps(inverse: bool) -> __m128 {
+        if inverse {
+            _mm_set_ps(0.0, 0.0, 0.0, -0.0)
+        } else {
+            _mm_set_ps(0.0, 0.0, -0.0, 0.0)
+        }
     }
 
-    /// Stores four complex values at `out .. out + 8`.
+    /// The four-point transform (`super::quad`) on one complex value per
+    /// register, stamped for `__m128d` and `__m128`.
+    macro_rules! quad_fn {
+        ($name:ident, $vec:ty, $add:ident, $sub:ident, $xor:ident, $swap:expr) => {
+            #[target_feature(enable = "avx2,fma")]
+            #[inline]
+            fn $name(x: [$vec; 4], sign: $vec) -> [$vec; 4] {
+                let s0 = $add(x[0], x[1]);
+                let d0 = $sub(x[0], x[1]);
+                let s1 = $add(x[2], x[3]);
+                let d1 = $sub(x[2], x[3]);
+                let t = $xor($swap(d1), sign);
+                [$add(s0, s1), $add(d0, t), $sub(s0, s1), $sub(d0, t)]
+            }
+        };
+    }
+    quad_fn!(
+        quad_pd,
+        __m128d,
+        _mm_add_pd,
+        _mm_sub_pd,
+        _mm_xor_pd,
+        _mm_permute_pd::<0b01>
+    );
+    quad_fn!(
+        quad_ps,
+        __m128,
+        _mm_add_ps,
+        _mm_sub_ps,
+        _mm_xor_ps,
+        _mm_permute_ps::<0xB1>
+    );
+
+    /// Loads one complex `f64` value.
+    ///
+    /// # Safety
+    ///
+    /// `at` must be valid for reading two `f64`s.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn load_pd(at: *const f64) -> __m128d {
+        // SAFETY: the caller vouches for `at .. at + 2`.
+        unsafe { _mm_loadu_pd(at) }
+    }
+
+    /// Loads one complex `f32` value into the low half.
+    ///
+    /// # Safety
+    ///
+    /// `at` must be valid for reading two `f32`s.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn load_ps(at: *const f32) -> __m128 {
+        // SAFETY: the caller vouches for the eight bytes at `at`; the load
+        // has no alignment requirement.
+        unsafe { _mm_castsi128_ps(_mm_loadl_epi64(at.cast())) }
+    }
+
+    /// Stores four complex `f64` values at `out .. out + 8`.
     ///
     /// # Safety
     ///
     /// `out` must be valid for writing eight `f64`s.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
-    pub(super) unsafe fn store_quad(out: *mut f64, q: [__m128d; 4]) {
+    unsafe fn store_quad_pd(out: *mut f64, q: [__m128d; 4]) {
         // SAFETY: the caller vouches for `out .. out + 8`.
         unsafe {
             _mm_storeu_pd(out, q[0]);
@@ -497,56 +598,296 @@ mod x86 {
             _mm_storeu_pd(out.add(6), q[3]);
         }
     }
-}
 
-#[cfg(target_arch = "x86_64")]
-use x86::{quad_avx, rotation_sign, store_quad};
-
-/// # Safety
-///
-/// The CPU must have AVX2+FMA and the length must be a multiple of four.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn first_pass_avx(data: &mut [Complex], inverse: bool) {
-    use core::arch::x86_64::*;
-    let sign = rotation_sign(inverse);
-    let p = data.as_mut_ptr().cast::<f64>();
-    for q in 0..data.len() / 4 {
-        // SAFETY: quad `q < len / 4` is elements `4q .. 4q + 4 <= len`,
-        // i.e. doubles `8q .. 8q + 8`; it is read whole before it is
-        // written.
+    /// Stores four complex `f32` values (each in a low half) at
+    /// `out .. out + 8`.
+    ///
+    /// # Safety
+    ///
+    /// `out` must be valid for writing eight `f32`s.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn store_quad_ps(out: *mut f32, q: [__m128; 4]) {
+        // SAFETY: the caller vouches for `out .. out + 8`.
         unsafe {
-            let at = p.add(8 * q);
-            let x = [
-                _mm_loadu_pd(at),
-                _mm_loadu_pd(at.add(2)),
-                _mm_loadu_pd(at.add(4)),
-                _mm_loadu_pd(at.add(6)),
-            ];
-            store_quad(at, quad_avx(x, sign));
+            _mm_storeu_ps(out, _mm_movelh_ps(q[0], q[1]));
+            _mm_storeu_ps(out.add(4), _mm_movelh_ps(q[2], q[3]));
+        }
+    }
+
+    /// Both first passes for one element type.
+    macro_rules! first_passes {
+        (
+            $elem:ty, $sign:ident, $quad:ident, $load:ident, $store:ident,
+            $in_place:ident, $gathered:ident
+        ) => {
+            /// # Safety
+            ///
+            /// The CPU must have AVX2+FMA and the length must be a multiple
+            /// of four.
+            #[target_feature(enable = "avx2,fma")]
+            pub(super) unsafe fn $in_place(data: &mut [Complex<$elem>], inverse: bool) {
+                let sign = $sign(inverse);
+                let p = data.as_mut_ptr().cast::<$elem>();
+                for q in 0..data.len() / 4 {
+                    // SAFETY: quad `q < len / 4` is elements `4q .. 4q + 4
+                    // <= len`, i.e. components `8q .. 8q + 8`; it is read
+                    // whole before it is written.
+                    unsafe {
+                        let at = p.add(8 * q);
+                        let x = [
+                            $load(at),
+                            $load(at.add(2)),
+                            $load(at.add(4)),
+                            $load(at.add(6)),
+                        ];
+                        $store(at, $quad(x, sign));
+                    }
+                }
+            }
+
+            /// The quads of `starts` of a transform whose read order has
+            /// `quarter` entries.
+            ///
+            /// # Safety
+            ///
+            /// The CPU must have AVX2+FMA, every entry of `starts` must be
+            /// below `quarter`, `dst` must hold `4 * starts.len()` values
+            /// and `first + (4 * quarter - 1) * stride` must index `src`.
+            #[target_feature(enable = "avx2,fma")]
+            pub(super) unsafe fn $gathered(
+                starts: &[u32],
+                quarter: usize,
+                src: &[Complex<$elem>],
+                first: usize,
+                stride: usize,
+                dst: &mut [Complex<$elem>],
+                inverse: bool,
+            ) {
+                let sign = $sign(inverse);
+                // Components between input elements a quarter of the
+                // length apart.
+                let step = 2 * stride * quarter;
+                let s = src.as_ptr().cast::<$elem>();
+                let d = dst.as_mut_ptr().cast::<$elem>();
+                for (q, &start) in starts.iter().enumerate() {
+                    // SAFETY: `start < quarter` (vouched for by the
+                    // caller), so the four elements read are `k = start +
+                    // {0, 2, 1, 3} * quarter <= 4 * quarter - 1`, and the
+                    // caller vouches that `first + (4 * quarter - 1) *
+                    // stride` indexes `src`; `dst` has `4 * starts.len()`
+                    // elements, so quad `q < starts.len()` is inside.
+                    unsafe {
+                        let x0 = s.add(2 * (first + start as usize * stride));
+                        let out = $quad(
+                            [
+                                $load(x0),
+                                $load(x0.add(2 * step)),
+                                $load(x0.add(step)),
+                                $load(x0.add(3 * step)),
+                            ],
+                            sign,
+                        );
+                        $store(d.add(8 * q), out);
+                    }
+                }
+            }
+        };
+    }
+    first_passes!(
+        f64,
+        rotation_sign_pd,
+        quad_pd,
+        load_pd,
+        store_quad_pd,
+        first_pass_f64,
+        first_pass_from_f64
+    );
+    first_passes!(
+        f32,
+        rotation_sign_ps,
+        quad_ps,
+        load_ps,
+        store_quad_ps,
+        first_pass_one_f32,
+        first_pass_from_one_f32
+    );
+
+    /// [`rotation_sign_ps`] for four complex `f32` values.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn rotation_sign_4ps(inverse: bool) -> __m256 {
+        if inverse {
+            _mm256_set_ps(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0)
+        } else {
+            _mm256_set_ps(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0)
+        }
+    }
+    quad_fn!(
+        quad_4ps,
+        __m256,
+        _mm256_add_ps,
+        _mm256_sub_ps,
+        _mm256_xor_ps,
+        _mm256_permute_ps::<0xB1>
+    );
+
+    /// Transposes four registers of four complex `f32` values each, as a
+    /// 4 x 4 matrix of 64-bit elements: `out[j][i] = r[i][j]`.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn transpose4(r: [__m256; 4]) -> [__m256; 4] {
+        let (r0, r1) = (_mm256_castps_pd(r[0]), _mm256_castps_pd(r[1]));
+        let (r2, r3) = (_mm256_castps_pd(r[2]), _mm256_castps_pd(r[3]));
+        let t0 = _mm256_unpacklo_pd(r0, r1);
+        let t1 = _mm256_unpackhi_pd(r0, r1);
+        let t2 = _mm256_unpacklo_pd(r2, r3);
+        let t3 = _mm256_unpackhi_pd(r2, r3);
+        [
+            _mm256_castpd_ps(_mm256_permute2f128_pd::<0x20>(t0, t2)),
+            _mm256_castpd_ps(_mm256_permute2f128_pd::<0x20>(t1, t3)),
+            _mm256_castpd_ps(_mm256_permute2f128_pd::<0x31>(t0, t2)),
+            _mm256_castpd_ps(_mm256_permute2f128_pd::<0x31>(t1, t3)),
+        ]
+    }
+
+    /// The `f32` first pass in place, four quads per register: four quads
+    /// are loaded whole, transposed so that register `j` holds their
+    /// values `j`, run through the four-point transform together and
+    /// transposed back. A count of quads that is no multiple of four
+    /// leaves its last ones to the one-value-per-register form.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have AVX2+FMA and the length must be a multiple of four.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn first_pass_f32(data: &mut [Complex<f32>], inverse: bool) {
+        let sign = rotation_sign_4ps(inverse);
+        let whole = data.len() / 16 * 16;
+        let p = data.as_mut_ptr().cast::<f32>();
+        for q in (0..whole / 4).step_by(4) {
+            // SAFETY: quads `q .. q + 4` are elements `4q .. 4q + 16 <=
+            // whole <= len`, i.e. floats `8q .. 8q + 32`; they are read
+            // whole before they are written.
+            unsafe {
+                let at = p.add(8 * q);
+                let quads = [
+                    _mm256_loadu_ps(at),
+                    _mm256_loadu_ps(at.add(8)),
+                    _mm256_loadu_ps(at.add(16)),
+                    _mm256_loadu_ps(at.add(24)),
+                ];
+                let out = transpose4(quad_4ps(transpose4(quads), sign));
+                _mm256_storeu_ps(at, out[0]);
+                _mm256_storeu_ps(at.add(8), out[1]);
+                _mm256_storeu_ps(at.add(16), out[2]);
+                _mm256_storeu_ps(at.add(24), out[3]);
+            }
+        }
+        // SAFETY: the rest is a whole number of quads; the caller's
+        // contract covers it.
+        unsafe { first_pass_one_f32(&mut data[whole..], inverse) }
+    }
+
+    /// The gathered `f32` first pass, four quads per register: each
+    /// register is filled with one value of each of four quads, read
+    /// where the order says, and the results are transposed back into
+    /// whole quads.
+    ///
+    /// # Safety
+    ///
+    /// As for `first_pass_from_f64`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn first_pass_from_f32(
+        starts: &[u32],
+        quarter: usize,
+        src: &[Complex<f32>],
+        first: usize,
+        stride: usize,
+        dst: &mut [Complex<f32>],
+        inverse: bool,
+    ) {
+        let sign = rotation_sign_4ps(inverse);
+        let whole = starts.len() / 4 * 4;
+        let step = 2 * stride * quarter;
+        let s = src.as_ptr().cast::<f32>();
+        let d = dst.as_mut_ptr().cast::<f32>();
+        for (q, group) in (0..whole).step_by(4).zip(starts.chunks_exact(4)) {
+            // SAFETY: every `start < quarter` (vouched for by the caller),
+            // so each element read is `k = start + {0, 2, 1, 3} * quarter
+            // <= 4 * quarter - 1`, whose `first + k * stride` the caller
+            // vouches indexes `src`; quads `q .. q + 4 <= starts.len()` of
+            // `dst` (`4 * starts.len()` elements) are inside.
+            unsafe {
+                let x0 = [
+                    s.add(2 * (first + group[0] as usize * stride)),
+                    s.add(2 * (first + group[1] as usize * stride)),
+                    s.add(2 * (first + group[2] as usize * stride)),
+                    s.add(2 * (first + group[3] as usize * stride)),
+                ];
+                let x = [
+                    gather4(x0, 0),
+                    gather4(x0, 2 * step),
+                    gather4(x0, step),
+                    gather4(x0, 3 * step),
+                ];
+                let out = transpose4(quad_4ps(x, sign));
+                _mm256_storeu_ps(d.add(8 * q), out[0]);
+                _mm256_storeu_ps(d.add(8 * q + 8), out[1]);
+                _mm256_storeu_ps(d.add(8 * q + 16), out[2]);
+                _mm256_storeu_ps(d.add(8 * q + 24), out[3]);
+            }
+        }
+        // SAFETY: the remaining starts keep the caller's contract for the
+        // quads they address; `dst` is offset to match.
+        unsafe {
+            first_pass_from_one_f32(
+                &starts[whole..],
+                quarter,
+                src,
+                first,
+                stride,
+                &mut dst[4 * whole..],
+                inverse,
+            )
+        }
+    }
+
+    /// The complex values at `x[i] + offset`, `i < 4`, side by side.
+    ///
+    /// # Safety
+    ///
+    /// Each `x[i] + offset` must be valid for reading two `f32`s.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn gather4(x: [*const f32; 4], offset: usize) -> __m256 {
+        // SAFETY: the caller vouches for the four reads.
+        unsafe {
+            let lo = _mm_movelh_ps(load_ps(x[0].add(offset)), load_ps(x[1].add(offset)));
+            let hi = _mm_movelh_ps(load_ps(x[2].add(offset)), load_ps(x[3].add(offset)));
+            _mm256_set_m128(hi, lo)
         }
     }
 }
 
-/// The twiddled passes on vector lanes, written once and stamped at two
-/// widths: `$lanes` doubles (`$lanes / 2` complex values) per `$vec`.
+/// The twiddled passes on vector lanes, written once and stamped per lane
+/// width and element type: `$lanes` components (`$lanes / 2` complex
+/// values) per `$vec`. `$dup_re` / `$dup_im` splat each complex value's
+/// real / imaginary part across its two lanes and `$swap` swaps every
+/// pair.
 #[cfg(target_arch = "x86_64")]
 macro_rules! vector_passes {
     (
-        $module:ident, $feature:literal, $vec:ty, $lanes:literal,
-        $load:ident, $store:ident, $add:ident, $sub:ident, $mul:ident,
-        $movedup:ident, $permute:ident, $fmaddsub:ident
+        $module:ident, $feature:literal, $elem:ty, $vec:ty, $lanes:literal,
+        $load:ident, $store:ident, $add:ident, $sub:ident, $mul:ident, $fmaddsub:ident,
+        $dup_re:expr, $dup_im:expr, $swap:expr
     ) => {
         mod $module {
             use crate::complex::Complex;
             use core::arch::x86_64::*;
 
-            /// Doubles per register.
+            /// Components per register.
             const LANES: usize = $lanes;
-            /// `permute` selectors, one bit per lane: every pair's odd lane
-            /// into both of its lanes, and every pair swapped.
-            const ODD: i32 = (1 << LANES) - 1;
-            const SWAP: i32 = 0x55 & ODD;
 
             /// `LANES / 2` twiddles with their components splat across
             /// their lanes: `re = [re0, re0, re1, re1, ..]`, `im` likewise.
@@ -560,15 +901,15 @@ macro_rules! vector_passes {
             ///
             /// # Safety
             ///
-            /// `w` must be valid for reading `LANES` `f64`s.
+            /// `w` must be valid for reading `LANES` components.
             #[target_feature(enable = $feature)]
             #[inline]
-            unsafe fn splat(w: *const f64) -> Splat {
+            unsafe fn splat(w: *const $elem) -> Splat {
                 // SAFETY: the caller vouches for `w .. w + LANES`.
                 let w = unsafe { $load(w) };
                 Splat {
-                    re: $movedup(w),
-                    im: $permute::<ODD>(w),
+                    re: $dup_re(w),
+                    im: $dup_im(w),
                 }
             }
 
@@ -581,7 +922,7 @@ macro_rules! vector_passes {
             #[target_feature(enable = $feature)]
             #[inline]
             fn cmul(w: Splat, v: $vec) -> $vec {
-                let vs = $permute::<SWAP>(v);
+                let vs = $swap(v);
                 $fmaddsub(w.re, v, $mul(w.im, vs))
             }
 
@@ -591,24 +932,24 @@ macro_rules! vector_passes {
             /// `3h` with `2h` a multiple of `LANES`, and `data.len()` a
             /// multiple of `4h`.
             #[target_feature(enable = $feature)]
-            pub(super) unsafe fn fused_pass(data: &mut [Complex], tw: &[Complex]) {
-                // Doubles per quarter block.
+            pub(crate) unsafe fn fused_pass(data: &mut [Complex<$elem>], tw: &[Complex<$elem>]) {
+                // Components per quarter block.
                 let quarter = 2 * (tw.len() / 3);
-                let doubles = 2 * data.len();
-                let p = data.as_mut_ptr().cast::<f64>();
-                let w = tw.as_ptr().cast::<f64>();
+                let components = 2 * data.len();
+                let p = data.as_mut_ptr().cast::<$elem>();
+                let w = tw.as_ptr().cast::<$elem>();
                 let mut block = 0;
-                while block < doubles {
+                while block < components {
                     let mut k = 0;
                     while k < quarter {
                         // SAFETY: `k + LANES <= quarter` (a multiple of
-                        // `LANES`) and `block + 4 * quarter <= doubles`
+                        // `LANES`) and `block + 4 * quarter <= components`
                         // (whole blocks, both vouched for by the caller),
                         // so the four data loads and stores at
                         // `block + j * quarter + k .. + LANES`, `j < 4`,
                         // stay in `data`; the twiddle loads at `k`,
                         // `quarter + k` and `2 * quarter + k` stay in
-                        // `tw`'s `3 * quarter` doubles.
+                        // `tw`'s `3 * quarter` components.
                         unsafe {
                             let a = p.add(block + k);
                             let b = a.add(quarter);
@@ -639,21 +980,21 @@ macro_rules! vector_passes {
             /// be a multiple of `LANES`, and `data.len()` a multiple of
             /// `2 * tw.len()`.
             #[target_feature(enable = $feature)]
-            pub(super) unsafe fn single_pass(data: &mut [Complex], tw: &[Complex]) {
-                // Doubles per half block.
+            pub(crate) unsafe fn single_pass(data: &mut [Complex<$elem>], tw: &[Complex<$elem>]) {
+                // Components per half block.
                 let half = 2 * tw.len();
-                let doubles = 2 * data.len();
-                let p = data.as_mut_ptr().cast::<f64>();
-                let w = tw.as_ptr().cast::<f64>();
+                let components = 2 * data.len();
+                let p = data.as_mut_ptr().cast::<$elem>();
+                let w = tw.as_ptr().cast::<$elem>();
                 let mut block = 0;
-                while block < doubles {
+                while block < components {
                     let mut k = 0;
                     while k < half {
                         // SAFETY: `k + LANES <= half` (a multiple of
-                        // `LANES`) and `block + 2 * half <= doubles` (whole
-                        // blocks, both vouched for by the caller), so both
-                        // halves' accesses stay in `data` and the twiddle
-                        // load in `tw`'s `half` doubles.
+                        // `LANES`) and `block + 2 * half <= components`
+                        // (whole blocks, both vouched for by the caller),
+                        // so both halves' accesses stay in `data` and the
+                        // twiddle load in `tw`'s `half` components.
                         unsafe {
                             let lo = p.add(block + k);
                             let hi = lo.add(half);
@@ -667,152 +1008,76 @@ macro_rules! vector_passes {
                     block += 2 * half;
                 }
             }
+
+            /// The per-block form of [`single_pass`]'s butterfly over one
+            /// `lo`/`hi` pair, kept as the test oracle.
+            ///
+            /// # Safety
+            ///
+            /// The CPU must have this module's features and the three
+            /// slices one length, a multiple of `LANES / 2`.
+            #[cfg(test)]
+            #[allow(dead_code)] // the oracle runs the 256-bit stamps only
+            #[target_feature(enable = $feature)]
+            pub(crate) unsafe fn butterfly_block(
+                lo: &mut [Complex<$elem>],
+                hi: &mut [Complex<$elem>],
+                tw: &[Complex<$elem>],
+            ) {
+                let components = 2 * lo.len();
+                let (lp, hp) = (
+                    lo.as_mut_ptr().cast::<$elem>(),
+                    hi.as_mut_ptr().cast::<$elem>(),
+                );
+                let wp = tw.as_ptr().cast::<$elem>();
+                let mut k = 0;
+                while k < components {
+                    // SAFETY: `k + LANES <= components` (a multiple of
+                    // `LANES`, vouched for by the caller) in all three
+                    // equal-length slices.
+                    unsafe {
+                        let u = $load(lp.add(k));
+                        let t = cmul(splat(wp.add(k)), $load(hp.add(k)));
+                        $store(lp.add(k), $add(u, t));
+                        $store(hp.add(k), $sub(u, t));
+                    }
+                    k += LANES;
+                }
+            }
         }
     };
 }
 
 #[cfg(target_arch = "x86_64")]
 vector_passes! {
-    lanes256, "avx2,fma", __m256d, 4,
+    lanes256, "avx2,fma", f64, __m256d, 4,
     _mm256_loadu_pd, _mm256_storeu_pd, _mm256_add_pd, _mm256_sub_pd, _mm256_mul_pd,
-    _mm256_movedup_pd, _mm256_permute_pd, _mm256_fmaddsub_pd
+    _mm256_fmaddsub_pd,
+    _mm256_movedup_pd, _mm256_permute_pd::<0b1111>, _mm256_permute_pd::<0b0101>
 }
 #[cfg(target_arch = "x86_64")]
 vector_passes! {
-    lanes512, "avx512f", __m512d, 8,
+    lanes512, "avx512f", f64, __m512d, 8,
     _mm512_loadu_pd, _mm512_storeu_pd, _mm512_add_pd, _mm512_sub_pd, _mm512_mul_pd,
-    _mm512_movedup_pd, _mm512_permute_pd, _mm512_fmaddsub_pd
+    _mm512_fmaddsub_pd,
+    _mm512_movedup_pd, _mm512_permute_pd::<0xFF>, _mm512_permute_pd::<0x55>
 }
-
-/// The per-block AVX2+FMA butterfly the stage-at-a-time engine called
-/// through a function pointer, kept as the oracle the fused passes are
-/// compared against bit for bit (`plan.rs`).
-///
-/// # Panics
-///
-/// Panics unless the three slices share one even length and the CPU has
-/// AVX2+FMA.
-#[cfg(all(test, target_arch = "x86_64"))]
-pub(crate) fn butterfly_block_x86(lo: &mut [Complex], hi: &mut [Complex], tw: &[Complex]) {
-    assert_eq!(lo.len(), hi.len());
-    assert_eq!(lo.len(), tw.len());
-    assert!(lo.len().is_multiple_of(2));
-    assert_ne!(Body::probed(), Body::PORTABLE);
-    // SAFETY: a non-portable probe means avx2+fma, verified just above; the
-    // kernel only dereferences within the equal-length input slices.
-    unsafe { butterfly_block_avx(lo, hi, tw) }
+#[cfg(target_arch = "x86_64")]
+vector_passes! {
+    lanes256_f32, "avx2,fma", f32, __m256, 8,
+    _mm256_loadu_ps, _mm256_storeu_ps, _mm256_add_ps, _mm256_sub_ps, _mm256_mul_ps,
+    _mm256_fmaddsub_ps,
+    _mm256_moveldup_ps, _mm256_movehdup_ps, _mm256_permute_ps::<0xB1>
 }
-
-#[cfg(all(test, target_arch = "x86_64"))]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn butterfly_block_avx(lo: &mut [Complex], hi: &mut [Complex], tw: &[Complex]) {
-    use core::arch::x86_64::*;
-    let doubles = lo.len() * 2;
-    let lp = lo.as_mut_ptr().cast::<f64>();
-    let hp = hi.as_mut_ptr().cast::<f64>();
-    let wp = tw.as_ptr().cast::<f64>();
-    let mut k = 0;
-    while k < doubles {
-        // SAFETY: k + 3 < doubles because the length is a multiple of four
-        // doubles (two complex values) and k advances by four.
-        unsafe {
-            let u = _mm256_loadu_pd(lp.add(k));
-            let v = _mm256_loadu_pd(hp.add(k));
-            let w = _mm256_loadu_pd(wp.add(k));
-            // Splat twiddle components: wr = [re0, re0, re1, re1],
-            // wi = [im0, im0, im1, im1]; vs swaps each lane's re/im.
-            let wr = _mm256_movedup_pd(w);
-            let wi = _mm256_permute_pd(w, 0b1111);
-            let vs = _mm256_permute_pd(v, 0b0101);
-            // fmaddsub: even lanes wr*v - wi*vs, odd lanes wr*v + wi*vs —
-            // exactly the interleaved complex product w * v.
-            let t = _mm256_fmaddsub_pd(wr, v, _mm256_mul_pd(wi, vs));
-            _mm256_storeu_pd(lp.add(k), _mm256_add_pd(u, t));
-            _mm256_storeu_pd(hp.add(k), _mm256_sub_pd(u, t));
-        }
-        k += 4;
-    }
+#[cfg(target_arch = "x86_64")]
+vector_passes! {
+    lanes512_f32, "avx512f", f32, __m512, 16,
+    _mm512_loadu_ps, _mm512_storeu_ps, _mm512_add_ps, _mm512_sub_ps, _mm512_mul_ps,
+    _mm512_fmaddsub_ps,
+    _mm512_moveldup_ps, _mm512_movehdup_ps, _mm512_permute_ps::<0xB1>
 }
 
 // ---- The logistic function and its slice kernels ------------------------
-
-/// `exp` arguments below this are raised to it: `exp(-708)` is about
-/// `3.3e-308`, and the power-of-two scale `2^k` stays a normal number down
-/// to here, so the result needs no subnormal handling. The logistic of
-/// anything this far out is 0 or 1 to 300 digits either way.
-const EXP_FLOOR: f64 = -708.0;
-/// `1.5 * 2^52`: adding it to `|v| < 2^51` rounds `v` to the nearest
-/// integer, which is then readable from the sum's low mantissa bits.
-const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
-/// `ln 2` split for a Cody–Waite reduction: the high part carries 32
-/// significant bits, so `k * LN2_HI` is exact for `|k| < 2^20`.
-const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
-const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
-/// Taylor coefficients `1/k!`, `k = 13, 12, .., 2`: on `|r| <= ln(2)/2`
-/// the truncation error is below `4e-18`, a few hundredths of an ulp.
-const EXP_TAYLOR: [f64; 12] = [
-    1.0 / 6_227_020_800.0,
-    1.0 / 479_001_600.0,
-    1.0 / 39_916_800.0,
-    1.0 / 3_628_800.0,
-    1.0 / 362_880.0,
-    1.0 / 40_320.0,
-    1.0 / 5_040.0,
-    1.0 / 720.0,
-    1.0 / 120.0,
-    1.0 / 24.0,
-    1.0 / 6.0,
-    1.0 / 2.0,
-];
-
-/// `a * b + c`, fused when the surrounding body is compiled with FMA.
-/// (Without the hardware instruction `mul_add` is a libm call.)
-#[inline(always)]
-fn mla<const FMA: bool>(a: f64, b: f64, c: f64) -> f64 {
-    if FMA {
-        a.mul_add(b, c)
-    } else {
-        a * b + c
-    }
-}
-
-/// `exp(x)` for `x <= 0`, branch-free (every `if` is a select), to well
-/// under one ulp. NaN propagates: the floor is a comparison, which NaN
-/// fails, not `f64::max`, which would swallow it.
-#[inline(always)]
-fn exp_nonpositive<const FMA: bool>(x: f64) -> f64 {
-    let x = if x < EXP_FLOOR { EXP_FLOOR } else { x };
-    // x = k ln 2 + r with k = round(x / ln 2) and |r| <= ln(2)/2.
-    let t = mla::<FMA>(x, std::f64::consts::LOG2_E, ROUND_MAGIC);
-    let k = t - ROUND_MAGIC;
-    let r = mla::<FMA>(k, -LN2_LO, mla::<FMA>(k, -LN2_HI, x));
-    // exp(r) = 1 + r + r^2 (1/2 + r/6 + ...), Horner on the bracket.
-    let mut u = EXP_TAYLOR[0];
-    for &c in &EXP_TAYLOR[1..] {
-        u = mla::<FMA>(u, r, c);
-    }
-    let p = mla::<FMA>(r * r, u, r) + 1.0;
-    // 2^k from the integer in t's low mantissa bits: k in [-1022, 0], so
-    // the biased exponent k + 1023 is that of a normal number.
-    let scale = f64::from_bits((t.to_bits() << 52).wrapping_add(1023 << 52));
-    p * scale
-}
-
-/// The logistic function `1 / (1 + exp(-x))` in its stable two-sided
-/// form, one `exp` and one division, no branch.
-#[inline(always)]
-fn logistic_with<const FMA: bool>(x: f64) -> f64 {
-    let e = exp_nonpositive::<FMA>(-x.abs());
-    let numerator = if x >= 0.0 { 1.0 } else { e };
-    numerator / (1.0 + e)
-}
-
-#[inline(always)]
-fn logistic_scaled_body<const FMA: bool>(xs: &[f64], center: f64, scale: f64, out: &mut [f64]) {
-    for (o, &x) in out.iter_mut().zip(xs) {
-        *o = logistic_with::<FMA>(scale * (x - center));
-    }
-}
 
 /// Independent partial sums of [`logistic_loss`]: squared errors of pixels
 /// `i = j (mod 4)` go to lane `j`.
@@ -822,102 +1087,407 @@ const SUM_LANES: usize = 4;
 /// fixed-order summation.
 const LOSS_BLOCK: usize = 64 * SUM_LANES;
 
-#[inline(always)]
-fn logistic_loss_body<const FMA: bool>(
-    xs: &[f64],
-    center: f64,
-    scale: f64,
-    target: &[f64],
-    dldx: &mut [f64],
-) -> f64 {
-    let mut lanes = [0.0f64; SUM_LANES];
-    let mut tail = 0.0f64;
-    let mut squares = [0.0f64; LOSS_BLOCK];
-    for ((x, zt), d) in xs
-        .chunks(LOSS_BLOCK)
-        .zip(target.chunks(LOSS_BLOCK))
-        .zip(dldx.chunks_mut(LOSS_BLOCK))
-    {
-        let squares = &mut squares[..x.len()];
-        for (((sq, d), &x), &zt) in squares.iter_mut().zip(d).zip(x).zip(zt) {
-            let z = logistic_with::<FMA>(scale * (x - center));
-            let e = z - zt;
-            *sq = e * e;
-            *d = 2.0 * e * (scale * z * (1.0 - z));
-        }
-        // The order of the additions depends on the pixel index alone,
-        // not on vector width, alignment or dispatch.
-        let mut quads = squares.chunks_exact(SUM_LANES);
-        for quad in &mut quads {
-            for (lane, sq) in lanes.iter_mut().zip(quad) {
-                *lane += sq;
+/// The polynomial `exp`, the logistic and both slice-kernel bodies for one
+/// element type, from its constants:
+///
+/// * `floor` — `exp` arguments below it are raised to it: the power-of-two
+///   scale `2^k` and the product with the polynomial stay normal numbers
+///   down to there, so the result needs no subnormal handling, and the
+///   logistic of anything that far out is 0 or 1 to the type's precision;
+/// * `magic` — `1.5 * 2^m` for an `m`-bit mantissa: adding it to
+///   `|v| < 2^(m-1)` rounds `v` to the nearest integer, which is then
+///   readable from the sum's low mantissa bits;
+/// * `ln2` — `ln 2` split for a Cody–Waite reduction, the high part short
+///   enough that `k * hi` is exact for every `k` the floor allows;
+/// * `taylor` — `1/k!` from the highest degree down to `k = 2`: on
+///   `|r| <= ln(2)/2` the truncation error is a few hundredths of an ulp.
+macro_rules! logistic_kernels {
+    (
+        $module:ident, $t:ty, $bits:ty, $mantissa:literal, $bias:literal,
+        floor: $floor:expr, magic: $magic:expr, ln2: ($hi:expr, $lo:expr),
+        log2e: $log2e:expr, taylor: [$($c:expr),* $(,)?]
+    ) => {
+        pub(crate) mod $module {
+            use super::{LOSS_BLOCK, SUM_LANES};
+
+            pub(crate) const EXP_FLOOR: $t = $floor;
+            const ROUND_MAGIC: $t = $magic;
+            const LN2_HI: $t = $hi;
+            const LN2_LO: $t = $lo;
+            const EXP_TAYLOR: &[$t] = &[$($c),*];
+
+            /// `a * b + c`, fused when the surrounding body is compiled
+            /// with FMA. (Without the hardware instruction `mul_add` is a
+            /// libm call.)
+            #[inline(always)]
+            fn mla<const FMA: bool>(a: $t, b: $t, c: $t) -> $t {
+                if FMA {
+                    a.mul_add(b, c)
+                } else {
+                    a * b + c
+                }
             }
-        }
-        // Only the last block can leave a remainder.
-        for sq in quads.remainder() {
-            tail += sq;
-        }
-    }
-    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
-}
 
-/// The two slice kernels' `FMA = true` bodies compiled under `$feature`:
-/// safe Rust, the same IEEE operations on every lane of either width.
-#[cfg(target_arch = "x86_64")]
-macro_rules! logistic_bodies {
-    ($feature:literal, $scaled:ident, $loss:ident) => {
-        #[target_feature(enable = $feature)]
-        fn $scaled(xs: &[f64], center: f64, scale: f64, out: &mut [f64]) {
-            logistic_scaled_body::<true>(xs, center, scale, out)
-        }
+            /// `exp(x)` for `x <= 0`, branch-free (every `if` is a select),
+            /// to well under one ulp. NaN propagates: the floor is a
+            /// comparison, which NaN fails, not `max`, which would swallow
+            /// it.
+            #[inline(always)]
+            fn exp_nonpositive<const FMA: bool>(x: $t) -> $t {
+                let x = if x < EXP_FLOOR { EXP_FLOOR } else { x };
+                // x = k ln 2 + r with k = round(x / ln 2), |r| <= ln(2)/2.
+                let t = mla::<FMA>(x, $log2e, ROUND_MAGIC);
+                let k = t - ROUND_MAGIC;
+                let r = mla::<FMA>(k, -LN2_LO, mla::<FMA>(k, -LN2_HI, x));
+                // exp(r) = 1 + r + r^2 (1/2 + r/6 + ...), Horner on the
+                // bracket.
+                let mut u = EXP_TAYLOR[0];
+                for &c in &EXP_TAYLOR[1..] {
+                    u = mla::<FMA>(u, r, c);
+                }
+                let p = mla::<FMA>(r * r, u, r) + 1.0;
+                // 2^k from the integer in t's low mantissa bits: k is in
+                // [floor / ln 2, 0], so the biased exponent k + bias is
+                // that of a normal number.
+                let scale = <$t>::from_bits(
+                    (t.to_bits() << $mantissa).wrapping_add(($bias as $bits) << $mantissa),
+                );
+                p * scale
+            }
 
-        #[target_feature(enable = $feature)]
-        fn $loss(xs: &[f64], center: f64, scale: f64, target: &[f64], dldx: &mut [f64]) -> f64 {
-            logistic_loss_body::<true>(xs, center, scale, target, dldx)
+            /// The logistic function `1 / (1 + exp(-x))` in its stable
+            /// two-sided form, one `exp` and one division, no branch.
+            #[inline(always)]
+            pub(crate) fn logistic_with<const FMA: bool>(x: $t) -> $t {
+                let e = exp_nonpositive::<FMA>(-x.abs());
+                let numerator = if x >= 0.0 { 1.0 } else { e };
+                numerator / (1.0 + e)
+            }
+
+            #[inline(always)]
+            pub(crate) fn logistic_scaled_body<const FMA: bool>(
+                xs: &[$t],
+                center: $t,
+                scale: $t,
+                out: &mut [$t],
+            ) {
+                for (o, &x) in out.iter_mut().zip(xs) {
+                    *o = logistic_with::<FMA>(scale * (x - center));
+                }
+            }
+
+            #[inline(always)]
+            pub(crate) fn logistic_loss_body<const FMA: bool>(
+                xs: &[$t],
+                center: $t,
+                scale: $t,
+                target: &[$t],
+                dldx: &mut [$t],
+            ) -> f64 {
+                let mut lanes = [0.0f64; SUM_LANES];
+                let mut tail = 0.0f64;
+                let mut squares = [0.0f64; LOSS_BLOCK];
+                for ((x, zt), d) in xs
+                    .chunks(LOSS_BLOCK)
+                    .zip(target.chunks(LOSS_BLOCK))
+                    .zip(dldx.chunks_mut(LOSS_BLOCK))
+                {
+                    let squares = &mut squares[..x.len()];
+                    for (((sq, d), &x), &zt) in squares.iter_mut().zip(d).zip(x).zip(zt) {
+                        let z = logistic_with::<FMA>(scale * (x - center));
+                        let e = z - zt;
+                        // Squared in f64 whatever the element type.
+                        let wide = f64::from(e);
+                        *sq = wide * wide;
+                        *d = 2.0 * e * (scale * z * (1.0 - z));
+                    }
+                    // The order of the additions depends on the pixel index
+                    // alone, not on vector width, alignment, dispatch or
+                    // element type.
+                    let mut quads = squares.chunks_exact(SUM_LANES);
+                    for quad in &mut quads {
+                        for (lane, sq) in lanes.iter_mut().zip(quad) {
+                            *lane += sq;
+                        }
+                    }
+                    // Only the last block can leave a remainder.
+                    for sq in quads.remainder() {
+                        tail += sq;
+                    }
+                }
+                (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
+            }
+
+            // The two slice kernels' `FMA = true` bodies compiled per
+            // instruction set: safe Rust, the same IEEE operations on every
+            // lane of either width.
+
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2,fma")]
+            pub(crate) fn logistic_scaled_256(xs: &[$t], center: $t, scale: $t, out: &mut [$t]) {
+                logistic_scaled_body::<true>(xs, center, scale, out)
+            }
+
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx512f")]
+            pub(crate) fn logistic_scaled_512(xs: &[$t], center: $t, scale: $t, out: &mut [$t]) {
+                logistic_scaled_body::<true>(xs, center, scale, out)
+            }
+
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2,fma")]
+            pub(crate) fn logistic_loss_256(
+                xs: &[$t],
+                center: $t,
+                scale: $t,
+                target: &[$t],
+                dldx: &mut [$t],
+            ) -> f64 {
+                logistic_loss_body::<true>(xs, center, scale, target, dldx)
+            }
+
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx512f")]
+            pub(crate) fn logistic_loss_512(
+                xs: &[$t],
+                center: $t,
+                scale: $t,
+                target: &[$t],
+                dldx: &mut [$t],
+            ) -> f64 {
+                logistic_loss_body::<true>(xs, center, scale, target, dldx)
+            }
         }
     };
 }
 
-#[cfg(target_arch = "x86_64")]
-logistic_bodies!("avx2,fma", logistic_scaled_256, logistic_loss_256);
-#[cfg(target_arch = "x86_64")]
-logistic_bodies!("avx512f", logistic_scaled_512, logistic_loss_512);
+logistic_kernels! {
+    sweeps_f64, f64, u64, 52, 1023,
+    // exp(-708) is about 3.3e-308.
+    floor: -708.0,
+    magic: 6_755_399_441_055_744.0,
+    // The high part carries 32 significant bits: k * hi is exact for
+    // |k| < 2^20.
+    ln2: (
+        f64::from_bits(0x3fe6_2e42_fee0_0000),
+        f64::from_bits(0x3dea_39ef_3579_3c76)
+    ),
+    log2e: std::f64::consts::LOG2_E,
+    // Degree 13: truncation below 4e-18.
+    taylor: [
+        1.0 / 6_227_020_800.0,
+        1.0 / 479_001_600.0,
+        1.0 / 39_916_800.0,
+        1.0 / 3_628_800.0,
+        1.0 / 362_880.0,
+        1.0 / 40_320.0,
+        1.0 / 5_040.0,
+        1.0 / 720.0,
+        1.0 / 120.0,
+        1.0 / 24.0,
+        1.0 / 6.0,
+        1.0 / 2.0,
+    ]
+}
+
+logistic_kernels! {
+    sweeps_f32, f32, u32, 23, 127,
+    // exp(-86) is about 4.5e-38: k >= -124, so p * 2^k stays normal.
+    floor: -86.0,
+    magic: 12_582_912.0,
+    // The high part carries 9 significant bits: k * hi is exact for
+    // |k| < 2^15.
+    ln2: (0.693_359_4, -2.121_944_4e-4),
+    log2e: std::f32::consts::LOG2_E,
+    // Degree 7: truncation below 6e-9, a tenth of an ulp.
+    taylor: [
+        1.0 / 5_040.0,
+        1.0 / 720.0,
+        1.0 / 120.0,
+        1.0 / 24.0,
+        1.0 / 6.0,
+        1.0 / 2.0,
+    ]
+}
+
+#[cfg(test)]
+use sweeps_f64::{logistic_loss_body, logistic_scaled_body, EXP_FLOOR};
+
+/// The per-block oracle butterfly at either element type, for `plan.rs`.
+#[cfg(all(test, target_arch = "x86_64"))]
+pub(crate) fn butterfly_block_x86<T: Float>(
+    lo: &mut [Complex<T>],
+    hi: &mut [Complex<T>],
+    tw: &[Complex<T>],
+) {
+    T::butterfly_block_x86(lo, hi, tw)
+}
+
+/// The per-type hooks, one impl per element type.
+macro_rules! kernels_impl {
+    (
+        $t:ty, $sweeps:ident, $first:ident, $first_from:ident,
+        $lanes256:ident, $lanes512:ident, $min_512:expr
+    ) => {
+        impl Kernels for $t {
+            #[cfg(target_arch = "x86_64")]
+            unsafe fn first_pass_vector(data: &mut [Complex<Self>], inverse: bool) {
+                // SAFETY: the caller's contract is the callee's.
+                unsafe { x86::$first(data, inverse) }
+            }
+
+            #[cfg(target_arch = "x86_64")]
+            unsafe fn first_pass_from_vector(
+                starts: &[u32],
+                src: &[Complex<Self>],
+                first: usize,
+                stride: usize,
+                dst: &mut [Complex<Self>],
+                inverse: bool,
+            ) {
+                // SAFETY: the caller's contract is the callee's, the whole
+                // order's quads at once.
+                unsafe { x86::$first_from(starts, starts.len(), src, first, stride, dst, inverse) }
+            }
+
+            #[cfg(target_arch = "x86_64")]
+            unsafe fn fused_pass_vector(
+                isa: Isa,
+                data: &mut [Complex<Self>],
+                tw: &[Complex<Self>],
+            ) {
+                // SAFETY (every arm): the caller vouches that the probe
+                // cleared `isa` on this CPU, and `avx512f` is only ever
+                // cleared together with `avx2,fma`; the lengths are those
+                // `fused_pass` asserted, and the 512-bit stamp runs only
+                // when a quarter block fills its register.
+                match isa {
+                    Isa::Avx512f if 2 * (tw.len() / 3) >= $min_512 => unsafe {
+                        $lanes512::fused_pass(data, tw)
+                    },
+                    Isa::Avx512f | Isa::Avx2Fma => unsafe { $lanes256::fused_pass(data, tw) },
+                    Isa::Portable => unreachable!("the portable body is not a vector body"),
+                }
+            }
+
+            #[cfg(target_arch = "x86_64")]
+            unsafe fn single_pass_vector(
+                isa: Isa,
+                data: &mut [Complex<Self>],
+                tw: &[Complex<Self>],
+            ) {
+                // SAFETY (every arm): as in `fused_pass_vector`.
+                match isa {
+                    Isa::Avx512f if 2 * tw.len() >= $min_512 => unsafe {
+                        $lanes512::single_pass(data, tw)
+                    },
+                    Isa::Avx512f | Isa::Avx2Fma => unsafe { $lanes256::single_pass(data, tw) },
+                    Isa::Portable => unreachable!("the portable body is not a vector body"),
+                }
+            }
+
+            fn logistic_scaled_on(
+                body: Body,
+                xs: &[Self],
+                center: Self,
+                scale: Self,
+                out: &mut [Self],
+            ) {
+                match body.isa {
+                    // SAFETY (both arms): the probe verified the arm's
+                    // features on this CPU before it made the body.
+                    #[cfg(target_arch = "x86_64")]
+                    Isa::Avx2Fma => unsafe { $sweeps::logistic_scaled_256(xs, center, scale, out) },
+                    #[cfg(target_arch = "x86_64")]
+                    Isa::Avx512f => unsafe { $sweeps::logistic_scaled_512(xs, center, scale, out) },
+                    Isa::Portable => $sweeps::logistic_scaled_body::<false>(xs, center, scale, out),
+                }
+            }
+
+            fn logistic_loss_on(
+                body: Body,
+                xs: &[Self],
+                center: Self,
+                scale: Self,
+                target: &[Self],
+                dldx: &mut [Self],
+            ) -> f64 {
+                match body.isa {
+                    // SAFETY (both arms): the probe verified the arm's
+                    // features on this CPU before it made the body.
+                    #[cfg(target_arch = "x86_64")]
+                    Isa::Avx2Fma => unsafe {
+                        $sweeps::logistic_loss_256(xs, center, scale, target, dldx)
+                    },
+                    #[cfg(target_arch = "x86_64")]
+                    Isa::Avx512f => unsafe {
+                        $sweeps::logistic_loss_512(xs, center, scale, target, dldx)
+                    },
+                    Isa::Portable => {
+                        $sweeps::logistic_loss_body::<false>(xs, center, scale, target, dldx)
+                    }
+                }
+            }
+
+            #[cfg(all(test, target_arch = "x86_64"))]
+            fn butterfly_block_x86(
+                lo: &mut [Complex<Self>],
+                hi: &mut [Complex<Self>],
+                tw: &[Complex<Self>],
+            ) {
+                assert_eq!(lo.len(), hi.len());
+                assert_eq!(lo.len(), tw.len());
+                assert!(lo.len().is_multiple_of(4));
+                assert_ne!(Body::probed(), Body::PORTABLE);
+                // SAFETY: a non-portable probe means avx2+fma, verified
+                // just above; the three slices share a length that is a
+                // multiple of four complex values, one register of the
+                // `f32` stamp and two of the `f64` one.
+                unsafe { $lanes256::butterfly_block(lo, hi, tw) }
+            }
+        }
+    };
+}
+
+kernels_impl!(
+    f64,
+    sweeps_f64,
+    first_pass_f64,
+    first_pass_from_f64,
+    lanes256,
+    lanes512,
+    8
+);
+kernels_impl!(
+    f32,
+    sweeps_f32,
+    first_pass_f32,
+    first_pass_from_f32,
+    lanes256_f32,
+    lanes512_f32,
+    16
+);
 
 /// [`logistic_scaled`] on a given body (equal lengths checked by the caller).
-fn logistic_scaled_on(body: Body, xs: &[f64], center: f64, scale: f64, out: &mut [f64]) {
-    match body.isa {
-        // SAFETY (both arms): the probe verified the arm's features on this
-        // CPU before it made the body.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { logistic_scaled_256(xs, center, scale, out) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512f => unsafe { logistic_scaled_512(xs, center, scale, out) },
-        Isa::Portable => logistic_scaled_body::<false>(xs, center, scale, out),
-    }
+fn logistic_scaled_on<T: Float>(body: Body, xs: &[T], center: T, scale: T, out: &mut [T]) {
+    T::logistic_scaled_on(body, xs, center, scale, out)
 }
 
 /// [`logistic_loss`] on a given body (equal lengths checked by the caller).
-fn logistic_loss_on(
+fn logistic_loss_on<T: Float>(
     body: Body,
-    xs: &[f64],
-    center: f64,
-    scale: f64,
-    target: &[f64],
-    dldx: &mut [f64],
+    xs: &[T],
+    center: T,
+    scale: T,
+    target: &[T],
+    dldx: &mut [T],
 ) -> f64 {
-    match body.isa {
-        // SAFETY (both arms): the probe verified the arm's features on this
-        // CPU before it made the body.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { logistic_loss_256(xs, center, scale, target, dldx) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512f => unsafe { logistic_loss_512(xs, center, scale, target, dldx) },
-        Isa::Portable => logistic_loss_body::<false>(xs, center, scale, target, dldx),
-    }
+    T::logistic_loss_on(body, xs, center, scale, target, dldx)
 }
 
 /// The logistic function `1 / (1 + exp(-x))`: the scalar form of
-/// [`logistic_scaled`], bit-identical to it on any one machine.
+/// [`logistic_scaled`], bit-identical to its `f64` instance on any one
+/// machine.
 ///
 /// Saturates instead of over- or underflowing (`logistic(-inf)` is about
 /// `3e-308`, `logistic(inf)` is 1) and returns NaN for NaN.
@@ -925,7 +1495,7 @@ fn logistic_loss_on(
 /// # Examples
 ///
 /// ```
-/// use ilt_fft::simd::logistic;
+/// use ilt_fft::logistic;
 ///
 /// assert_eq!(logistic(0.0), 0.5);
 /// assert!((logistic(2.0) + logistic(-2.0) - 1.0).abs() < 1e-15);
@@ -939,12 +1509,12 @@ pub fn logistic(x: f64) -> f64 {
 
 /// `out[i] = logistic(scale * (xs[i] - center))` — the latent-to-mask map
 /// of pixel ILT (`center = 0`, which is exact: `x - 0` is `x`) and the
-/// resist's wafer image (`center` the threshold).
+/// resist's wafer image (`center` the threshold), in either element type.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
-pub fn logistic_scaled(xs: &[f64], center: f64, scale: f64, out: &mut [f64]) {
+pub fn logistic_scaled<T: Float>(xs: &[T], center: T, scale: T, out: &mut [T]) {
     assert_eq!(xs.len(), out.len(), "logistic_scaled: length mismatch");
     logistic_scaled_on(Body::probed(), xs, center, scale, out)
 }
@@ -954,15 +1524,16 @@ pub fn logistic_scaled(xs: &[f64], center: f64, scale: f64, out: &mut [f64]) {
 /// `sum_i (z_i - target[i])^2` and writes its derivative
 /// `dldx[i] = 2 (z_i - target[i]) . scale . z_i (1 - z_i)`.
 ///
-/// The sum is accumulated in four interleaved partial sums combined in a
-/// fixed order, so it is a function of the values alone (not of the
-/// slices' alignment or the lane width, and the same on every compiled
-/// body given the same `z`). A NaN input yields a NaN sum.
+/// Each squared error is formed and summed in `f64` whatever `T` is, in
+/// four interleaved partial sums combined in a fixed order, so the sum is a
+/// function of the values alone (not of the slices' alignment or the lane
+/// width, and the same on every compiled body given the same `z`). A NaN
+/// input yields a NaN sum.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
-pub fn logistic_loss(xs: &[f64], center: f64, scale: f64, target: &[f64], dldx: &mut [f64]) -> f64 {
+pub fn logistic_loss<T: Float>(xs: &[T], center: T, scale: T, target: &[T], dldx: &mut [T]) -> f64 {
     assert_eq!(xs.len(), target.len(), "logistic_loss: length mismatch");
     assert_eq!(xs.len(), dldx.len(), "logistic_loss: length mismatch");
     logistic_loss_on(Body::probed(), xs, center, scale, target, dldx)
@@ -1202,5 +1773,118 @@ pub(crate) mod tests {
     #[should_panic(expected = "length mismatch")]
     fn mismatched_slices_panic() {
         logistic_scaled(&[0.0; 3], 0.0, 1.0, &mut [0.0; 2]);
+    }
+
+    // ---- The single-precision sweeps ------------------------------------
+
+    /// Distance in units in the last place between two `f32`s (both
+    /// finite, same sign).
+    fn ulps32(a: f32, b: f32) -> u32 {
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    #[test]
+    fn f32_logistic_is_within_two_ulp_of_the_rounded_f64_form() {
+        for len in LENGTHS {
+            let wide = sweep(len);
+            let xs: Vec<f32> = wide.iter().map(|&x| x as f32).collect();
+            for body in Body::supported() {
+                let mut z = vec![0.0f32; len];
+                logistic_scaled_on(body, &xs, 0.0, 1.0, &mut z);
+                for (&x, &got) in xs.iter().zip(&z) {
+                    let want = logistic_reference(f64::from(x)) as f32;
+                    assert!(
+                        ulps32(got, want) <= 2,
+                        "{body:?} x={x}: {got:e} vs {want:e}"
+                    );
+                }
+            }
+        }
+        let mut out = [0.0f32; 4];
+        let far = [f32::NEG_INFINITY, -1e30, 1e30, f32::NAN];
+        logistic_scaled(&far, 0.0, 1.0, &mut out);
+        assert!(out[0].is_finite() && (0.0..1e-37).contains(&out[0]));
+        assert!(out[1].is_finite() && (0.0..1e-37).contains(&out[1]));
+        assert_eq!(out[2], 1.0);
+        assert!(out[3].is_nan());
+    }
+
+    #[test]
+    fn f32_loss_sweep_sums_in_f64_and_matches_the_naive_sum() {
+        let (center, scale) = (0.32f32, 32.0f32);
+        for len in LENGTHS {
+            let xs: Vec<f32> = sweep(len).iter().map(|v| (0.3 + v / 80.0) as f32).collect();
+            let target: Vec<f32> = (0..len).map(|i| (i % 3 == 0) as u8 as f32).collect();
+            let mut dldx = vec![0.0f32; len];
+            let value = logistic_loss(&xs, center, scale, &target, &mut dldx);
+            let mut naive = 0.0f64;
+            for i in 0..len {
+                let mut z = [0.0f32];
+                logistic_scaled(&xs[i..=i], center, scale, &mut z);
+                let e = z[0] - target[i];
+                naive += f64::from(e) * f64::from(e);
+                assert_eq!(
+                    dldx[i].to_bits(),
+                    (2.0 * e * (scale * z[0] * (1.0 - z[0]))).to_bits(),
+                    "len {len} pixel {i}"
+                );
+            }
+            assert!(
+                (value - naive).abs() <= 1e-12 * naive,
+                "len {len}: {value} vs {naive}"
+            );
+        }
+        let mut xs = vec![0.4f32; 1000];
+        xs[777] = f32::NAN;
+        let mut dldx = vec![0.0f32; 1000];
+        assert!(logistic_loss(&xs, 0.32, 32.0, &vec![1.0; 1000], &mut dldx).is_nan());
+    }
+
+    /// [`hostile`] at single precision, with the `f32` floor's neighbours.
+    fn hostile32(len: usize) -> Vec<f32> {
+        let floor = sweeps_f32::EXP_FLOOR;
+        let special = [floor, floor.next_up(), floor.next_down(), -floor];
+        hostile(len)
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| match i % 7 {
+                6 => special[(i / 7) % special.len()],
+                _ => x as f32,
+            })
+            .collect()
+    }
+
+    /// The `f32` twin of the `f64` cross-body test: the same fused
+    /// operations lane for lane, so the two vector bodies' masks,
+    /// derivatives and loss agree in every bit.
+    #[test]
+    fn f32_logistic_kernels_are_bit_identical_across_the_vector_bodies() {
+        let vector: Vec<Body> = Body::supported()
+            .into_iter()
+            .filter(|&b| b != Body::PORTABLE)
+            .collect();
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        for len in [1, 7, 9, 15, 17, 255, 257, 65_536] {
+            for (xs, center, scale) in [
+                (hostile32(len), 0.0, 1.0),
+                (sweep(len).iter().map(|&x| x as f32).collect(), 0.32, 32.0),
+            ] {
+                let target: Vec<f32> = (0..len).map(|i| (i % 3 == 0) as u8 as f32).collect();
+                let outputs: Vec<_> = vector
+                    .iter()
+                    .map(|&body| {
+                        let mut z = vec![0.0f32; len];
+                        logistic_scaled_on(body, &xs, center, scale, &mut z);
+                        let mut dldx = vec![0.0f32; len];
+                        let loss = logistic_loss_on(body, &xs, center, scale, &target, &mut dldx);
+                        (bits(&z), bits(&dldx), loss.to_bits())
+                    })
+                    .collect();
+                for pair in outputs.windows(2) {
+                    assert!(pair[0] == pair[1], "len {len} scale {scale}");
+                }
+            }
+        }
+        println!("{}", covered("f32 logistic sweeps"));
     }
 }

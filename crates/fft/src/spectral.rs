@@ -13,7 +13,7 @@
 //! kernel evaluation `H_i(j/s, k/s)` from Eq. (3)/(9) as a bilinear
 //! interpolation on the centered grid.
 
-use crate::complex::Complex;
+use crate::complex::{Complex, Float};
 use crate::error::FftError;
 
 /// Maps a signed frequency index `k` (`-n/2 <= k < n/2`) to the unshifted
@@ -134,10 +134,10 @@ pub fn embed_lowfreq(block: &[Complex], p: usize, n: usize) -> Result<Vec<Comple
 /// (the band then stays clear of either Nyquist bin), or
 /// [`FftError::ShapeMismatch`] if a buffer is not a half-spectrum of its
 /// grid size.
-pub fn copy_half_band(
-    src: &[Complex],
+pub fn copy_half_band<T: Float>(
+    src: &[Complex<T>],
     n_src: usize,
-    dst: &mut [Complex],
+    dst: &mut [Complex<T>],
     n_dst: usize,
     band: usize,
 ) -> Result<(), FftError> {
@@ -361,7 +361,7 @@ mod tests {
 
     #[test]
     fn half_band_copy_rejects_bad_shapes() {
-        let src = vec![Complex::ZERO; 5 * 8];
+        let src = vec![Complex::<f64>::ZERO; 5 * 8];
         let mut dst = vec![Complex::ZERO; 9 * 16];
         assert!(copy_half_band(&src, 8, &mut dst, 16, 3).is_ok());
         // 2*4+1 = 9 bins do not fit an 8-point grid.

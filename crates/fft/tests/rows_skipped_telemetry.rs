@@ -11,7 +11,7 @@ fn sparse_inverse_reports_skipped_rows() {
     let (n, p) = (64usize, 23usize);
     let fft = Fft2d::new(n, n).unwrap();
     let bins: Vec<usize> = (0..p).collect(); // any valid support rows
-    let mut data = vec![Complex::ZERO; n * n];
+    let mut data: Vec<Complex> = vec![Complex::ZERO; n * n];
 
     ilt_telemetry::set_enabled(true);
     let _ = ilt_telemetry::drain(); // discard anything collected so far

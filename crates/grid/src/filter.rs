@@ -79,6 +79,14 @@ impl GaussianFilter {
         self.pass(&horizontal, false)
     }
 
+    /// [`Self::apply`] with the result written back into `img`, bit for
+    /// bit: one intermediate grid is allocated instead of two.
+    pub fn apply_in_place(&self, img: &mut RealGrid) {
+        let horizontal = self.pass(img, true);
+        img.as_mut_slice().fill(0.0);
+        self.pass_into(&horizontal, false, img);
+    }
+
     /// Applies the filter `iterations` times, as Definition 1 requires.
     pub fn apply_iterated(&self, img: &RealGrid, iterations: usize) -> RealGrid {
         let mut out = img.clone();
@@ -96,9 +104,17 @@ impl GaussianFilter {
     /// paid once per (row, tap) — or only within `radius` of a vertical
     /// border — instead of once per (pixel, tap).
     fn pass(&self, img: &RealGrid, horizontal: bool) -> RealGrid {
+        let mut out = RealGrid::new(img.width(), img.height(), 0.0);
+        self.pass_into(img, horizontal, &mut out);
+        out
+    }
+
+    /// [`Self::pass`] accumulated into `out`, which must be zero and of
+    /// `img`'s size.
+    fn pass_into(&self, img: &RealGrid, horizontal: bool, out: &mut RealGrid) {
         let (w, h) = (img.width(), img.height());
+        debug_assert!(out.width() == w && out.height() == h);
         let r = self.radius;
-        let mut out = RealGrid::new(w, h, 0.0);
         let rows = out.as_mut_slice().chunks_exact_mut(w).enumerate();
         if horizontal {
             // Columns whose taps all land inside the row.
@@ -130,7 +146,6 @@ impl GaussianFilter {
                 }
             }
         }
-        out
     }
 
     /// The per-pixel definition [`Self::pass`] must reproduce bit for bit.
@@ -288,6 +303,23 @@ mod tests {
                         "{w}x{h} sigma {sigma} horizontal {horizontal}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_application_is_bit_identical() {
+        for (w, h) in [(1, 1), (13, 40), (64, 33)] {
+            let img = Grid::from_fn(w, h, |x, y| ((x * 37 + y * 101) % 29) as f64 / 7.0 - 1.5);
+            for sigma in [0.5, 1.0, 2.0] {
+                let f = GaussianFilter::new(sigma);
+                let mut in_place = img.clone();
+                f.apply_in_place(&mut in_place);
+                assert_eq!(
+                    in_place.as_slice(),
+                    f.apply(&img).as_slice(),
+                    "{w}x{h} sigma {sigma}"
+                );
             }
         }
     }

@@ -2,7 +2,29 @@
 //! the corresponding upsampling used when a coarse-grid solution initialises
 //! the fine grid.
 
-use crate::grid::RealGrid;
+use std::ops::{Add, Mul};
+
+use crate::grid::{Grid, RealGrid};
+use crate::rect::Rect;
+
+/// A pixel type the in-place resamplers run on: `f64`, and the `f32` a
+/// solver iterating in single precision keeps its images in.
+pub trait Sample: Copy + Default + Add<Output = Self> + Mul<Output = Self> {
+    /// Rounds an `f64` to this type (the identity for `f64`).
+    fn of_f64(v: f64) -> Self;
+}
+
+impl Sample for f64 {
+    fn of_f64(v: f64) -> Self {
+        v
+    }
+}
+
+impl Sample for f32 {
+    fn of_f64(v: f64) -> Self {
+        v as f32
+    }
+}
 
 /// Downsamples by integer factor `s` using `s x s` block averaging.
 ///
@@ -28,7 +50,7 @@ pub fn downsample(img: &RealGrid, s: usize) -> RealGrid {
 ///
 /// Panics if `s == 0`, the grid dimensions are not divisible by `s`, or
 /// `out` is not `width/s x height/s`.
-pub fn downsample_into(img: &RealGrid, s: usize, out: &mut RealGrid) {
+pub fn downsample_into<T: Sample>(img: &Grid<T>, s: usize, out: &mut Grid<T>) {
     assert!(s > 0, "downsample factor must be nonzero");
     let (w, h) = (img.width(), img.height());
     assert!(
@@ -43,15 +65,46 @@ pub fn downsample_into(img: &RealGrid, s: usize, out: &mut RealGrid) {
         out.as_mut_slice().copy_from_slice(img.as_slice());
         return;
     }
-    let norm = 1.0 / (s * s) as f64;
-    let src = img.as_slice();
-    for (y, row) in out.as_mut_slice().chunks_exact_mut(w / s).enumerate() {
+    block_average(img, 0, 0, s, out);
+}
+
+/// [`downsample`] of the `rect` window of `img`, bit for bit, without
+/// copying the window out first: a coarse tile of the multigrid flow is
+/// read straight off the clip-sized layout.
+///
+/// # Panics
+///
+/// Panics if `s == 0`, `rect` is not inside `img`, or its dimensions are
+/// not divisible by `s`.
+pub fn downsample_rect(img: &RealGrid, rect: Rect, s: usize) -> RealGrid {
+    assert!(s > 0, "downsample factor must be nonzero");
+    assert!(img.bounds().contains_rect(rect), "window escapes the grid");
+    let (w, h) = (rect.width() as usize, rect.height() as usize);
+    assert!(
+        w % s == 0 && h % s == 0,
+        "window {w}x{h} is not divisible by factor {s}"
+    );
+    if s == 1 {
+        return img.crop(rect);
+    }
+    let mut out = RealGrid::new(w / s, h / s, 0.0);
+    block_average(img, rect.x0 as usize, rect.y0 as usize, s, &mut out);
+    out
+}
+
+/// `out` pixel `(x, y)` = mean of the `s x s` block of `img` whose top-left
+/// corner is `(x0 + x * s, y0 + y * s)`, summed row by row.
+fn block_average<T: Sample>(img: &Grid<T>, x0: usize, y0: usize, s: usize, out: &mut Grid<T>) {
+    let norm = T::of_f64(1.0 / (s * s) as f64);
+    let (w, src) = (img.width(), img.as_slice());
+    let out_w = out.width();
+    for (y, row) in out.as_mut_slice().chunks_exact_mut(out_w).enumerate() {
         for (x, dst) in row.iter_mut().enumerate() {
-            let mut acc = 0.0;
+            let mut acc = T::default();
             for dy in 0..s {
-                let start = (y * s + dy) * w + x * s;
-                for v in &src[start..start + s] {
-                    acc += v;
+                let start = (y0 + y * s + dy) * w + x0 + x * s;
+                for &v in &src[start..start + s] {
+                    acc = acc + v;
                 }
             }
             *dst = acc * norm;
@@ -96,7 +149,7 @@ pub fn upsample_nearest(img: &RealGrid, s: usize) -> RealGrid {
 /// # Panics
 ///
 /// Panics if `s == 0` or `out` is not `width*s x height*s`.
-pub fn upsample_nearest_into(img: &RealGrid, s: usize, out: &mut RealGrid) {
+pub fn upsample_nearest_into<T: Copy>(img: &Grid<T>, s: usize, out: &mut Grid<T>) {
     assert!(s > 0, "upsample factor must be nonzero");
     let w = img.width();
     assert!(
@@ -190,6 +243,29 @@ mod tests {
         let mean_full = img.sum() / img.len() as f64;
         let mean_down = d.sum() / d.len() as f64;
         assert!((mean_full - mean_down).abs() < 1e-12);
+    }
+
+    #[test]
+    fn window_downsample_is_bit_identical_to_crop_then_downsample() {
+        let img = Grid::from_fn(24, 20, |x, y| ((x * 37 + y * 101) % 29) as f64 / 7.0 - 1.5);
+        for (rect, s) in [
+            (Rect::new(0, 0, 24, 20), 4),
+            (Rect::new(4, 2, 16, 18), 2),
+            (Rect::new(3, 5, 12, 14), 3),
+            (Rect::new(1, 1, 6, 7), 1),
+        ] {
+            assert_eq!(
+                downsample_rect(&img, rect, s).as_slice(),
+                downsample(&img.crop(rect), s).as_slice(),
+                "{rect:?} by {s}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "escapes")]
+    fn window_downsample_rejects_a_window_outside_the_grid() {
+        downsample_rect(&Grid::new(8, 8, 0.0), Rect::new(4, 4, 12, 8), 2);
     }
 
     #[test]

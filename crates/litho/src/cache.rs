@@ -229,10 +229,30 @@ mod tests {
         // A set holds one P x P spectrum per kernel and one table per slot:
         // the nominal kernels pair up (K / 2 slots), the defocused ones
         // cannot (K slots).
+        // Counted on a bank of its own: the shared one also holds the
+        // resampled sets of every scale other tests asked it for.
         let (k, p) = (a.config().kernel_count, a.config().kernel_support());
         let tables = (k + k / 2) + (k + k);
-        assert!(cached_bank_bytes() >= a.estimated_bytes());
-        assert_eq!(a.estimated_bytes(), (tables * p * p * 16) as u64);
+        // A bank's memo only grows, and other tests grow this one's
+        // concurrently: read the bank before the cache-wide sum.
+        let shared = a.estimated_bytes();
+        assert!(cached_bank_bytes() >= shared);
+        let own = LithoBank::new(config, ResistModel::m1_default()).unwrap();
+        assert_eq!(own.estimated_bytes(), (tables * p * p * 16) as u64);
+        // A scale's slot tables at f32 join it; the resampled f64 sets
+        // join them once somebody asks to see them.
+        let system = own.system(config.base_n, 1).unwrap();
+        let f32_tables = (k / 2 + k) * p * p * 8;
+        assert_eq!(
+            own.estimated_bytes(),
+            (tables * p * p * 16 + f32_tables) as u64
+        );
+        assert_eq!(system.simulator().kernels().len(), k);
+        let nominal_set = (k + k / 2) * p * p * 16;
+        assert_eq!(
+            own.estimated_bytes(),
+            (tables * p * p * 16 + f32_tables + nominal_set) as u64
+        );
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! `H_i = B^H u_i / sqrt(lambda_i)` with weights `w_i = lambda_i`. This is
 //! the same decomposition the ICCAD-2013 kernels were distributed as.
 
-use ilt_fft::{spectral, Complex};
+use std::sync::{Arc, OnceLock};
+
+use ilt_fft::{spectral, Complex, Float};
 
 use crate::eigen::{eigh, Matrix};
 use crate::error::LithoError;
@@ -132,6 +134,126 @@ impl Slot {
     #[inline]
     pub fn kernels(&self) -> (usize, Option<usize>) {
         self.kernels
+    }
+}
+
+/// What a simulator runs of a [`KernelSet`]: its slot tables rounded to
+/// the simulator's element type, once, with their weights and support. The
+/// kernels themselves come out of the TCC, the eigendecomposition and the
+/// resampling in `f64`; a simulator needs nothing else of them.
+#[derive(Debug)]
+pub(crate) struct SlotTables<T> {
+    support: usize,
+    tables: Vec<Vec<Complex<T>>>,
+    weights: Vec<(f64, f64)>,
+}
+
+impl<T: Float> SlotTables<T> {
+    /// `set`'s slot tables, in slot order.
+    pub(crate) fn of(set: &KernelSet) -> Self {
+        SlotTables {
+            support: set.support(),
+            tables: set
+                .slots()
+                .iter()
+                .map(|slot| slot.table().iter().map(|h| h.cast()).collect())
+                .collect(),
+            weights: set.slots().iter().map(Slot::weights).collect(),
+        }
+    }
+
+    /// Kernel support edge length (scaled).
+    #[inline]
+    pub(crate) fn support(&self) -> usize {
+        self.support
+    }
+
+    /// Number of slots.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.tables.len()
+    }
+
+    /// The table of slot `k`, centered row-major `support x support`.
+    #[inline]
+    pub(crate) fn table(&self, k: usize) -> &[Complex<T>] {
+        &self.tables[k]
+    }
+
+    /// Weights `(w_re, w_im)` of slot `k` (see [`Slot::weights`]).
+    #[inline]
+    pub(crate) fn weights(&self, k: usize) -> (f64, f64) {
+        self.weights[k]
+    }
+
+    /// Bytes of the tables (headers ignored).
+    pub(crate) fn bytes(&self) -> u64 {
+        self.tables
+            .iter()
+            .map(|t| std::mem::size_of_val(&t[..]) as u64)
+            .sum()
+    }
+}
+
+/// A simulator's kernels: the slot tables it runs, and the `f64` kernel
+/// set they were rounded from — held, or, for the bank's per-scale memo,
+/// rebuilt from the base set on first request (the resampled `f64`
+/// spectra are four times the tables' size and nothing on the simulation
+/// path reads them, so the memo does not keep them).
+#[derive(Debug)]
+pub(crate) struct Optics<T> {
+    tables: SlotTables<T>,
+    set: OnceLock<KernelSet>,
+    base: Option<(Arc<KernelSet>, usize)>,
+}
+
+impl<T: Float> Optics<T> {
+    /// A held kernel set and its tables.
+    pub(crate) fn held(set: KernelSet) -> Self {
+        Optics {
+            tables: SlotTables::of(&set),
+            set: OnceLock::from(set),
+            base: None,
+        }
+    }
+
+    /// `base` resampled to `scale`, counted on `litho.kernel_resample`;
+    /// only the tables are kept.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LithoError::KernelConstruction`] if resampling fails.
+    pub(crate) fn resampled(base: &Arc<KernelSet>, scale: usize) -> Result<Self, LithoError> {
+        ilt_telemetry::counter_add("litho.kernel_resample", 1);
+        Ok(Optics {
+            tables: SlotTables::of(&base.scaled(scale)?),
+            set: OnceLock::new(),
+            base: Some((Arc::clone(base), scale)),
+        })
+    }
+
+    /// The tables the simulator runs.
+    #[inline]
+    pub(crate) fn tables(&self) -> &SlotTables<T> {
+        &self.tables
+    }
+
+    /// The `f64` kernel set, rebuilt (and then kept) if it is not held.
+    pub(crate) fn kernels(&self) -> &KernelSet {
+        self.set.get_or_init(|| {
+            let (base, scale) = self
+                .base
+                .as_ref()
+                .expect("an optics without a base holds its set");
+            ilt_telemetry::counter_add("litho.kernel_resample", 1);
+            base.scaled(*scale)
+                .expect("the same resampling succeeded when the tables were built")
+        })
+    }
+
+    /// Bytes of the tables and of the `f64` set, if one is held.
+    pub(crate) fn bytes(&self) -> u64 {
+        self.tables.bytes() + self.set.get().map_or(0, KernelSet::estimated_bytes)
     }
 }
 

@@ -7,7 +7,7 @@
 //! surrogate, so the same model also exposes the logistic relaxation
 //! `Z = sigmoid(steepness * (I - threshold))` and its derivative.
 
-use ilt_fft::simd::{logistic, logistic_scaled};
+use ilt_fft::{logistic, logistic_scaled};
 use ilt_grid::{BitGrid, RealGrid};
 
 /// Constant-threshold resist with a sigmoid relaxation.

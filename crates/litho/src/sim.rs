@@ -94,17 +94,36 @@
 //!   registers, bit-identical to the stage-at-a-time loop they replaced,
 //!   each compiled three times (portable, `avx2,fma`, `avx512f`; the two
 //!   vector bodies bit-identical to each other) with the widest body the
-//!   CPU reports chosen once per process (`ilt_fft::simd::body_name`).
+//!   CPU reports chosen once per process (`ilt_fft::body_name`).
 //!   At `n = 256`, `s = 1` the four `n`-size real transforms are ~0.4 ms
-//!   of a ~0.6 ms simulate + gradient pair; at the coarsest level, where
-//!   `n_s = n`, the three slots' complex transforms are 2.0 ms of 3.3 ms.
+//!   of a ~0.6 ms `f64` simulate + gradient pair; at the coarsest level,
+//!   where `n_s = n`, the three slots' complex transforms are 2.0 ms of
+//!   3.3 ms.
+//!
+//! # Precision
+//!
+//! The simulator is generic over its element type ([`Float`]): the
+//! workspace's systems ([`crate::LithoSystem`]) run it in `f32` — every
+//! transform, slot field and image — and the tests run its `f64` instance,
+//! the same source, against the dense references. What stays `f64` either
+//! way: the kernels ([`KernelSet`], out of the TCC, the eigendecomposition
+//! and the resampling), rounded to the element type once per simulator
+//! (`SlotTables`), and the per-pixel intensity sum `sum w |A|^2`, formed
+//! from the widened field values and rounded once. At `f64` every step is
+//! the arithmetic it always was.
 
-use ilt_fft::{spectral, Complex, Fft2d, Rfft2d};
-use ilt_grid::{Grid, RealGrid};
+use std::sync::Arc;
+
+use ilt_fft::{spectral, Complex, Fft2d, Float, Rfft2d};
+use ilt_grid::Grid;
 use ilt_par::InnerPool;
 
 use crate::error::LithoError;
-use crate::kernels::KernelSet;
+use crate::kernels::{KernelSet, Optics};
+
+/// Pixels per block of the intensity reduction: their `f64` sums wait in
+/// a stack buffer while the slots are added in order.
+const SUM_BLOCK: usize = 256;
 
 /// Edge `n_s = min(n, next_pow2(2P - 1))` of the grid the per-slot fields
 /// are evaluated on: the fields span `P` bins and the intensity the
@@ -114,14 +133,16 @@ fn nyquist_edge(n: usize, support: usize) -> usize {
     (2 * support).saturating_sub(1).next_power_of_two().min(n)
 }
 
-/// A reusable aerial-image simulator for square `n x n` masks.
+/// A reusable aerial-image simulator for square `n x n` masks, in element
+/// type `T` (`f64` unless named otherwise; the systems run `f32`).
 #[derive(Debug)]
-pub struct LithoSimulator {
+pub struct LithoSimulator<T = f64> {
     n: usize,
     /// Real-input plan for the `n`-size transforms of the mask, `dL/dI`,
     /// the interpolated intensity and the gradient.
-    rfft: Rfft2d,
-    kernels: KernelSet,
+    rfft: Rfft2d<T>,
+    /// The slot tables rounded to `T`, and the kernel set behind them.
+    optics: Arc<Optics<T>>,
     /// `bin[i]` is the unshifted spectrum index of centered support row or
     /// column `i`.
     bin: Vec<usize>,
@@ -132,10 +153,10 @@ pub struct LithoSimulator {
     /// [`nyquist_edge`]).
     ns: usize,
     /// Complex plan for the `n_s`-grid per-slot transforms.
-    ns_fft: Fft2d,
+    ns_fft: Fft2d<T>,
     /// Real plan moving the intensity and `dL/dI` between the `n_s` and
     /// `n` grids (`None` when `n_s == n`: nothing to resample).
-    ns_rfft: Option<Rfft2d>,
+    ns_rfft: Option<Rfft2d<T>>,
     /// [`LithoSimulator::bin`] on the `n_s` grid.
     ns_bin: Vec<usize>,
     /// Stored half-spectrum columns `0..P` holding the intensity's
@@ -164,41 +185,44 @@ struct WorkspaceShape {
 /// reallocates (counted on the `litho.workspace.realloc` telemetry
 /// counter).
 #[derive(Debug)]
-pub struct SimWorkspace {
+pub struct SimWorkspace<T = f64> {
     shape: WorkspaceShape,
     /// Half-spectrum of the mask (forward pass) or of `dL/dI` (adjoint
     /// pass, when `n_s < n`) in transposed `(n/2+1) x n` layout. Only the
     /// stored columns each pass reads (`0..=P/2`, `0..P`) are computed;
     /// the rest hold whatever an earlier call left there.
-    half_spectrum: Vec<Complex>,
+    half_spectrum: Vec<Complex<T>>,
     /// Real-transform scratch, `(n/2+1) * n`.
-    rscratch: Vec<Complex>,
+    rscratch: Vec<Complex<T>>,
     /// `n`-size half-spectrum staged for the sparse real inverse: the
     /// Hermitianised adjoint accumulator, and the embedded intensity band
     /// when `n_s < n`; `(n/2+1) * n`. Only its first `min(P, n/2+1)` stored
     /// columns are ever written — each user clears those and relies on the
     /// rest staying zero.
-    raccum: Vec<Complex>,
+    raccum: Vec<Complex<T>>,
     /// Per-slot fields (see [`SimWorkspace::fields`]).
-    fields: Vec<Vec<Complex>>,
+    fields: Vec<Vec<Complex<T>>>,
     /// Per-slot adjoint support products, each `P^2`.
-    partials: Vec<Vec<Complex>>,
+    partials: Vec<Vec<Complex<T>>>,
     /// Scratch for the adjoint's per-slot forward transforms, `n_s^2`.
-    scratch: Vec<Complex>,
+    scratch: Vec<Complex<T>>,
     /// Real `n_s^2` image: the intensity before interpolation (forward
     /// pass), the low-passed `dL/dI` (adjoint pass). Empty when `n_s == n`.
-    ns_real: Vec<f64>,
+    ns_real: Vec<T>,
     /// Its half-spectrum, `(n_s/2+1) * n_s`. Empty when `n_s == n`.
-    ns_half: Vec<Complex>,
+    ns_half: Vec<Complex<T>>,
     /// Real-transform scratch of the same size. Empty when `n_s == n`.
-    ns_scratch: Vec<Complex>,
+    ns_scratch: Vec<Complex<T>>,
     /// The aerial image written by the forward pass.
-    intensity: RealGrid,
+    intensity: Grid<T>,
     /// The mask gradient written by the adjoint pass.
-    grad: RealGrid,
+    grad: Grid<T>,
+    /// An `f64` input rounded to `T` for [`crate::LithoSystem`]'s `f64`
+    /// entry points; `None` until one is used.
+    pub(crate) staged: Option<Grid<T>>,
 }
 
-impl SimWorkspace {
+impl<T: Float> SimWorkspace<T> {
     fn new(shape: WorkspaceShape) -> Self {
         let WorkspaceShape { n, slots, support } = shape;
         let ns = nyquist_edge(n, support);
@@ -218,11 +242,12 @@ impl SimWorkspace {
                 .map(|_| vec![Complex::ZERO; support * support])
                 .collect(),
             scratch: vec![Complex::ZERO; ns * ns],
-            ns_real: vec![0.0; ns_len],
+            ns_real: vec![T::ZERO; ns_len],
             ns_half: vec![Complex::ZERO; ns_half_len],
             ns_scratch: vec![Complex::ZERO; ns_half_len],
-            intensity: Grid::new(n, n, 0.0),
-            grad: Grid::new(n, n, 0.0),
+            intensity: Grid::new(n, n, T::ZERO),
+            grad: Grid::new(n, n, T::ZERO),
+            staged: None,
         }
     }
 
@@ -235,7 +260,7 @@ impl SimWorkspace {
     /// The aerial image produced by the most recent
     /// [`LithoSimulator::simulate_into`].
     #[inline]
-    pub fn intensity(&self) -> &RealGrid {
+    pub fn intensity(&self) -> &Grid<T> {
         &self.intensity
     }
 
@@ -252,14 +277,14 @@ impl SimWorkspace {
     /// the adjoint and the intensity interpolation absorb the factor). When
     /// `n_s == n` they are the `n^2` mask-grid fields.
     #[inline]
-    pub fn fields(&self) -> &[Vec<Complex>] {
+    pub fn fields(&self) -> &[Vec<Complex<T>>] {
         &self.fields
     }
 
     /// The mask gradient produced by the most recent
     /// [`LithoSimulator::gradient_into`].
     #[inline]
-    pub fn grad(&self) -> &RealGrid {
+    pub fn grad(&self) -> &Grid<T> {
         &self.grad
     }
 
@@ -273,23 +298,33 @@ impl SimWorkspace {
     }
 }
 
-impl LithoSimulator {
+impl<T: Float> LithoSimulator<T> {
     /// Creates a simulator for `n x n` masks using the given (already
-    /// scaled) kernel set.
+    /// scaled) kernel set, its slot tables rounded to `T`.
     ///
     /// # Errors
     ///
     /// * [`LithoError::GridMismatch`] if the kernel support exceeds `n`;
     /// * [`LithoError::Fft`] if `n` is not a power of two of at least 2.
     pub fn new(n: usize, kernels: KernelSet) -> Result<Self, LithoError> {
-        if kernels.support() > n {
+        Self::with_optics(n, Arc::new(Optics::held(kernels)))
+    }
+
+    /// [`LithoSimulator::new`] over rounded tables built once and shared
+    /// (the bank's per-scale memo).
+    ///
+    /// # Errors
+    ///
+    /// As [`LithoSimulator::new`].
+    pub(crate) fn with_optics(n: usize, optics: Arc<Optics<T>>) -> Result<Self, LithoError> {
+        let p = optics.tables().support();
+        if p > n {
             return Err(LithoError::GridMismatch {
                 grid: n,
-                support: kernels.support(),
+                support: p,
             });
         }
         let rfft = Rfft2d::new(n)?;
-        let p = kernels.support();
         let half = p as i64 / 2;
         let bins = |grid: usize| -> Vec<usize> {
             (0..p)
@@ -316,7 +351,7 @@ impl LithoSimulator {
         Ok(LithoSimulator {
             n,
             rfft,
-            kernels,
+            optics,
             bin,
             rbin_cols,
             ns,
@@ -332,8 +367,8 @@ impl LithoSimulator {
     /// directions carry (the adjoint is the transpose of the
     /// interpolation, so they must agree).
     #[inline]
-    fn resampler(&self) -> Option<(&Rfft2d, f64)> {
-        let scale = (self.ns * self.ns) as f64 / (self.n * self.n) as f64;
+    fn resampler(&self) -> Option<(&Rfft2d<T>, T)> {
+        let scale = T::from_f64((self.ns * self.ns) as f64 / (self.n * self.n) as f64);
         self.ns_rfft.as_ref().map(|plan| (plan, scale))
     }
 
@@ -345,21 +380,24 @@ impl LithoSimulator {
 
     /// The kernel set in use.
     #[inline]
+    ///
+    /// A simulator from [`crate::LithoBank::system`] keeps only its rounded
+    /// tables; the first call rebuilds the set from the bank's base set.
     pub fn kernels(&self) -> &KernelSet {
-        &self.kernels
+        self.optics.kernels()
     }
 
     /// The workspace shape this simulator needs.
     fn shape(&self) -> WorkspaceShape {
         WorkspaceShape {
             n: self.n,
-            slots: self.kernels.slots().len(),
-            support: self.kernels.support(),
+            slots: self.optics.tables().len(),
+            support: self.optics.tables().support(),
         }
     }
 
     /// Creates a scratch arena sized for this simulator.
-    pub fn workspace(&self) -> SimWorkspace {
+    pub fn workspace(&self) -> SimWorkspace<T> {
         SimWorkspace::new(self.shape())
     }
 
@@ -371,11 +409,16 @@ impl LithoSimulator {
     /// # Errors
     ///
     /// Returns [`LithoError::MaskShape`] if the mask is not `n x n`.
-    pub fn simulate_into(&self, mask: &RealGrid, ws: &mut SimWorkspace) -> Result<(), LithoError> {
+    pub fn simulate_into(
+        &self,
+        mask: &Grid<T>,
+        ws: &mut SimWorkspace<T>,
+    ) -> Result<(), LithoError> {
         ilt_telemetry::counter_add("litho.simulate", 1);
         self.check_shape(mask)?;
         let n = self.n;
-        let p = self.kernels.support();
+        let tables = self.optics.tables();
+        let p = tables.support();
         ws.ensure(self.shape());
 
         // The mask is real: a half-length rfft produces the stored half of
@@ -389,13 +432,12 @@ impl LithoSimulator {
             &mut ws.rscratch,
             Some(&self.band_cols[..=p / 2]),
         )?;
-        let slots = self.kernels.slots();
         let bin = &self.bin;
         let hw = n / 2 + 1;
         let half = &ws.half_spectrum;
         let (ns, ns_bin, ns_fft) = (self.ns, &self.ns_bin, &self.ns_fft);
-        for (slot, field) in slots.iter().zip(&mut ws.fields) {
-            let h = slot.table();
+        for (k, field) in ws.fields.iter_mut().enumerate() {
+            let h = tables.table(k);
             field.fill(Complex::ZERO);
             for r in 0..p {
                 let rr = bin[r];
@@ -418,17 +460,27 @@ impl LithoSimulator {
         }
 
         // Intensity reduction in slot order, on the fields' own grid:
-        // straight into the output unless that grid is coarser.
+        // straight into the output unless that grid is coarser. Each
+        // pixel's sum runs in f64 over the widened field values and is
+        // rounded to T once.
         let resample = self.resampler();
-        let sum: &mut [f64] = match resample {
+        let sum: &mut [T] = match resample {
             Some(_) => &mut ws.ns_real,
             None => ws.intensity.as_mut_slice(),
         };
-        sum.fill(0.0);
-        for (slot, field) in slots.iter().zip(&ws.fields) {
-            let (w_re, w_im) = slot.weights();
-            for (acc, z) in sum.iter_mut().zip(field) {
-                *acc += w_re * (z.re * z.re) + w_im * (z.im * z.im);
+        let mut acc = [0.0f64; SUM_BLOCK];
+        for (start, out) in (0..).step_by(SUM_BLOCK).zip(sum.chunks_mut(SUM_BLOCK)) {
+            let acc = &mut acc[..out.len()];
+            acc.fill(0.0);
+            for (k, field) in ws.fields.iter().enumerate() {
+                let (w_re, w_im) = tables.weights(k);
+                for (a, z) in acc.iter_mut().zip(&field[start..start + out.len()]) {
+                    let (re, im) = (z.re.to_f64(), z.im.to_f64());
+                    *a += w_re * (re * re) + w_im * (im * im);
+                }
+            }
+            for (o, &a) in out.iter_mut().zip(acc.iter()) {
+                *o = T::from_f64(a);
             }
         }
         if let Some((ns_rfft, scale)) = resample {
@@ -463,7 +515,7 @@ impl LithoSimulator {
     /// # Errors
     ///
     /// Same as [`LithoSimulator::simulate_into`].
-    pub fn aerial_image(&self, mask: &RealGrid) -> Result<RealGrid, LithoError> {
+    pub fn aerial_image(&self, mask: &Grid<T>) -> Result<Grid<T>, LithoError> {
         let mut ws = self.workspace();
         self.simulate_into(mask, &mut ws)?;
         Ok(ws.intensity)
@@ -479,13 +531,14 @@ impl LithoSimulator {
     /// Returns [`LithoError::MaskShape`] if `dldi` is not `n x n`.
     pub fn gradient_into<'w>(
         &self,
-        ws: &'w mut SimWorkspace,
-        dldi: &RealGrid,
-    ) -> Result<&'w RealGrid, LithoError> {
+        ws: &'w mut SimWorkspace<T>,
+        dldi: &Grid<T>,
+    ) -> Result<&'w Grid<T>, LithoError> {
         ilt_telemetry::counter_add("litho.gradient", 1);
         self.check_shape(dldi)?;
         let n = self.n;
-        let p = self.kernels.support();
+        let tables = self.optics.tables();
+        let p = tables.support();
         ws.ensure(self.shape());
 
         // The per-slot products run on the fields' grid. When that is the
@@ -493,7 +546,7 @@ impl LithoSimulator {
         // forward pass's interpolation: keep its |k| <= P - 1 band (nothing
         // else can reach the support through a product with a P-bin field)
         // and carry the same scale.
-        let dldi_field: &[f64] = match self.resampler() {
+        let dldi_field: &[T] = match self.resampler() {
             Some((ns_rfft, scale)) => {
                 self.rfft.forward_support(
                     dldi.as_slice(),
@@ -524,16 +577,16 @@ impl LithoSimulator {
         // terms H_e X_o + H_o X_e; they are anti-Hermitian, so the
         // Hermitianised reduction below cancels them. Each slot owns its
         // partial buffer.
-        let slots = self.kernels.slots();
         let bin = &self.bin;
         let scratch = &mut ws.scratch;
         let (ns, ns_bin, ns_fft) = (self.ns, &self.ns_bin, &self.ns_fft);
-        for ((slot, field), partial) in slots.iter().zip(&ws.fields).zip(&mut ws.partials) {
-            let (w_re, w_im) = slot.weights();
+        for (k, (field, partial)) in ws.fields.iter().zip(&mut ws.partials).enumerate() {
+            let (w_re, w_im) = tables.weights(k);
+            let (w_re, w_im) = (T::from_f64(w_re), T::from_f64(w_im));
             for ((dst, a), &g) in scratch.iter_mut().zip(field).zip(dldi_field) {
                 *dst = Complex::new(w_re * g * a.re, w_im * g * a.im);
             }
-            let h = slot.table();
+            let h = tables.table(k);
             // Only the P support columns of the spectrum are read below, so
             // the forward can skip the other column transforms. The result
             // is transposed.
@@ -577,13 +630,13 @@ impl LithoSimulator {
             ws.grad.as_mut_slice(),
             &mut ws.rscratch,
             Some(&self.rbin_cols),
-            1.0,
+            T::ONE,
             &InnerPool::serial(),
         )?;
         Ok(&ws.grad)
     }
 
-    fn check_shape(&self, grid: &RealGrid) -> Result<(), LithoError> {
+    fn check_shape(&self, grid: &Grid<T>) -> Result<(), LithoError> {
         if grid.width() != self.n || grid.height() != self.n {
             return Err(LithoError::MaskShape {
                 expected: self.n,
@@ -600,7 +653,7 @@ mod tests {
     use crate::kernels::tests::mixed_parity_set;
     use crate::kernels::KernelSet;
     use crate::optics::OpticsConfig;
-    use ilt_grid::{Grid, Rect};
+    use ilt_grid::{Grid, RealGrid, Rect};
 
     fn simulator() -> LithoSimulator {
         let cfg = OpticsConfig::test_small();
@@ -619,7 +672,7 @@ mod tests {
         let cfg = OpticsConfig::test_small();
         let kernels = KernelSet::build(&cfg, false).unwrap();
         assert!(matches!(
-            LithoSimulator::new(16, kernels),
+            LithoSimulator::<f64>::new(16, kernels),
             Err(LithoError::GridMismatch { .. })
         ));
     }
@@ -630,7 +683,7 @@ mod tests {
         // half-length complex transform.
         let kernels = KernelSet::from_spectra(1, vec![(1.0, vec![Complex::new(1.0, 0.0)])]);
         assert_eq!(
-            LithoSimulator::new(1, kernels).unwrap_err(),
+            LithoSimulator::<f64>::new(1, kernels).unwrap_err(),
             LithoError::Fft(ilt_fft::FftError::NonPowerOfTwo { len: 1 })
         );
     }
@@ -1253,5 +1306,40 @@ mod tests {
         big.simulate_into(&mask, &mut ws).unwrap();
         let fresh = big.aerial_image(&mask).unwrap();
         assert_eq!(fresh.as_slice(), ws.intensity().as_slice());
+    }
+
+    /// The systems' f32 instance against the f64 reference, on every
+    /// Nyquist case: the aerial image within `2e-6` of the clear field's
+    /// unit intensity, the gradient within `2e-6` of its own peak.
+    #[test]
+    fn f32_simulator_tracks_the_f64_reference() {
+        for (name, n, kernels, _) in nyquist_cases() {
+            let wide = LithoSimulator::<f64>::new(n, kernels.clone()).unwrap();
+            let single = LithoSimulator::<f32>::new(n, kernels).unwrap();
+            let mask = hard_mask(n);
+            let dldi = noise(n, 0x3c6e_f372_fe94_f82b);
+            let mut ws = wide.workspace();
+            wide.simulate_into(&mask, &mut ws).unwrap();
+            wide.gradient_into(&mut ws, &dldi).unwrap();
+            let narrow = |g: &RealGrid| g.map(|&v| v as f32);
+            let mut ws32 = single.workspace();
+            single.simulate_into(&narrow(&mask), &mut ws32).unwrap();
+            single.gradient_into(&mut ws32, &narrow(&dldi)).unwrap();
+            let widen = |g: &Grid<f32>| -> Vec<f64> {
+                g.as_slice().iter().map(|&v| f64::from(v)).collect()
+            };
+            let di = max_abs_diff(ws.intensity().as_slice(), &widen(ws32.intensity()));
+            let peak = ws
+                .grad()
+                .as_slice()
+                .iter()
+                .fold(0.0f64, |m, g| m.max(g.abs()));
+            let dg = max_abs_diff(ws.grad().as_slice(), &widen(ws32.grad())) / peak;
+            println!(
+                "f32 vs f64 {name}: aerial max |dI| {di:.2e}, gradient max |dg| / peak {dg:.2e}"
+            );
+            assert!(di < 2e-6, "{name}: aerial off by {di}");
+            assert!(dg < 2e-6, "{name}: gradient off by {dg} of its peak");
+        }
     }
 }

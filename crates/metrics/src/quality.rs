@@ -2,7 +2,7 @@
 //! Definition 3, evaluated through the full-region lithography system.
 
 use ilt_grid::{BitGrid, RealGrid};
-use ilt_litho::{Corner, LithoError, LithoSystem};
+use ilt_litho::{LithoError, LithoSystem};
 
 /// L2 loss (Definition 2): `||Z - Z_t||_2^2`. For binary images this is the
 /// XOR area between the nominal print and the target.
@@ -21,7 +21,9 @@ pub struct MaskQuality {
 }
 
 /// Evaluates a (continuous) mask: prints it at the nominal corner for L2
-/// and at the process-window corners for PVBand.
+/// and at the process-window corners for PVBand — two full-region
+/// simulations, the nominal image serving both the nominal and the
+/// over-dose print ([`LithoSystem::inspect`]).
 ///
 /// Per the paper's protocol, the inspection must run on the **entire**
 /// region without tile partitioning — pass the full-layout `system`.
@@ -34,11 +36,9 @@ pub fn mask_quality(
     mask: &RealGrid,
     target: &BitGrid,
 ) -> Result<MaskQuality, LithoError> {
-    let nominal = system.print(mask, Corner::Nominal)?;
-    let l2 = l2_loss(&nominal, target);
-    let pv = system.pvband(mask)?;
+    let (nominal, pv) = system.inspect(mask)?;
     Ok(MaskQuality {
-        l2,
+        l2: l2_loss(&nominal, target),
         pvband: pv.area,
     })
 }

@@ -8,7 +8,7 @@
 //! than pixel ILT — which is exactly why the paper observes lower stitch
 //! loss (but worse L2) for GLS-ILT under divide-and-conquer.
 
-use ilt_grid::RealGrid;
+use ilt_grid::{Grid, RealGrid};
 
 use crate::error::OptError;
 use crate::loss::{evaluate_loss_into, LossEval};
@@ -129,13 +129,16 @@ impl LevelSetIlt {
         // everything preallocated, iterations between re-initialisations
         // perform zero heap allocations (pinned by the counting-allocator
         // test in `tests/zero_alloc.rs`).
+        // The system simulates in f32: the target is rounded once, the
+        // mask on its way into every simulation.
         let mut ws = system.workspace();
         let (w, h) = (phi.width(), phi.height());
+        let target = request.target.map(|&t| t as f32);
         let mut mask = RealGrid::new(w, h, 0.0);
         let mut dmask_dphi = RealGrid::new(w, h, 0.0);
         let mut eval = LossEval {
             value: 0.0,
-            dldi: RealGrid::new(w, h, 0.0),
+            dldi: Grid::new(w, h, 0.0f32),
         };
         let mut step = vec![0.0f64; w * h];
         for iter in 0..request.iterations {
@@ -146,9 +149,9 @@ impl LevelSetIlt {
             }
             smooth_mask_into(&phi, cfg.band_eps, &mut mask);
             system.simulate_into(&mask, &mut ws)?;
-            evaluate_loss_into(system.resist(), ws.intensity(), request.target, &mut eval);
+            evaluate_loss_into(system.resist(), ws.intensity(), &target, &mut eval);
             history.push(eval.value);
-            let grad_mask = system.gradient_into(&mut ws, &eval.dldi)?;
+            let grad_mask = system.simulator().gradient_into(&mut ws, &eval.dldi)?;
             smooth_mask_derivative_into(&phi, cfg.band_eps, &mut dmask_dphi);
 
             // Gradient descent direction on phi, then a CFL clamp so the
@@ -158,7 +161,7 @@ impl LevelSetIlt {
                 .zip(grad_mask.as_slice())
                 .zip(dmask_dphi.as_slice())
             {
-                *s = -lr * g * d;
+                *s = -lr * f64::from(*g) * d;
             }
             let peak = step.iter().fold(0.0f64, |m, v| m.max(v.abs()));
             if peak > cfg.cfl {

@@ -1,18 +1,21 @@
 //! The ILT objective: squared error between the sigmoid-relaxed wafer image
 //! and the target, differentiated with respect to the aerial intensity.
 
-use ilt_fft::simd::logistic_loss;
-use ilt_grid::RealGrid;
+use ilt_fft::{logistic_loss, Float};
+use ilt_grid::{Grid, RealGrid};
 use ilt_litho::ResistModel;
 
-/// Result of evaluating the objective at one aerial image.
+/// Result of evaluating the objective at one aerial image, whose pixels
+/// are of type `T` (`f64` unless named otherwise; the pixel solver
+/// iterates in `f32`).
 #[derive(Debug, Clone)]
-pub struct LossEval {
-    /// Scalar loss `sum (Z - Z_t)^2` over the relaxed wafer image.
+pub struct LossEval<T = f64> {
+    /// Scalar loss `sum (Z - Z_t)^2` over the relaxed wafer image, summed
+    /// in `f64` whatever `T` is.
     pub value: f64,
     /// Derivative of the loss with respect to the aerial intensity,
     /// `dL/dI = 2 (Z - Z_t) . k Z (1 - Z)`.
-    pub dldi: RealGrid,
+    pub dldi: Grid<T>,
 }
 
 /// Evaluates the relaxed L2 objective against `target` (0/1 valued).
@@ -44,21 +47,22 @@ pub fn evaluate_loss(resist: &ResistModel, aerial: &RealGrid, target: &RealGrid)
     out
 }
 
-/// Evaluates the relaxed L2 objective into reusable buffers: at steady
-/// state (matching shapes) this performs zero heap allocations, which is
-/// what lets the level-set solver's iteration loop stay allocation-free.
-/// Mismatched buffer shapes are (re)allocated on first use. One vectorised
-/// sweep ([`ilt_fft::simd::logistic_loss`]): one logistic per pixel, and a
-/// NaN intensity yields a NaN loss.
+/// Evaluates the relaxed L2 objective into reusable buffers, in either
+/// element type: at steady state (matching shapes) this performs zero heap
+/// allocations, which is what lets the solvers' iteration loops stay
+/// allocation-free. Mismatched buffer shapes are (re)allocated on first
+/// use. One vectorised sweep ([`ilt_fft::logistic_loss`]): one logistic
+/// per pixel, the loss summed in `f64`, and a NaN intensity yields a NaN
+/// loss.
 ///
 /// # Panics
 ///
 /// Panics if `aerial` and `target` shapes differ.
-pub fn evaluate_loss_into(
+pub fn evaluate_loss_into<T: Float>(
     resist: &ResistModel,
-    aerial: &RealGrid,
-    target: &RealGrid,
-    out: &mut LossEval,
+    aerial: &Grid<T>,
+    target: &Grid<T>,
+    out: &mut LossEval<T>,
 ) {
     assert_eq!(
         (aerial.width(), aerial.height()),
@@ -67,12 +71,12 @@ pub fn evaluate_loss_into(
     );
     let (w, h) = (aerial.width(), aerial.height());
     if (out.dldi.width(), out.dldi.height()) != (w, h) {
-        out.dldi = RealGrid::new(w, h, 0.0);
+        out.dldi = Grid::new(w, h, T::ZERO);
     }
     out.value = logistic_loss(
         aerial.as_slice(),
-        resist.threshold,
-        resist.steepness,
+        T::from_f64(resist.threshold),
+        T::from_f64(resist.steepness),
         target.as_slice(),
         out.dldi.as_mut_slice(),
     );

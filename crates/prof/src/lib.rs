@@ -9,7 +9,9 @@
 //!   trace and the current pipeline stage ([`stage_scope`]), both read
 //!   from the thread's one [`ilt_telemetry::context`] record. Opt-in via
 //!   `ILT_PROF_ALLOC`; off, it costs one relaxed load per allocation.
-//! * [`rss`] — `/proc/self/status` `VmRSS`/`VmHWM` reading.
+//! * [`rss`] — `/proc/self/status` `VmRSS`/`VmHWM` reading, and the
+//!   allocator threshold that keeps the resident set from growing with
+//!   the number of operations a process runs ([`rss::pin_mmap_threshold`]).
 //!
 //! Where the time went is not sampled: [`render::push_profile`] folds the
 //! span store's exact intervals into a self-time profile
@@ -26,8 +28,8 @@
 //! | `ILT_PROF_ALLOC` | `1`/`true`/`on`/`yes` enables allocation counting (requires the binary to install [`TrackingAlloc`]). |
 
 #![warn(missing_docs)]
-// `alloc` implements `GlobalAlloc`, which is an unsafe trait; everything
-// else in the crate is safe code.
+// `alloc` implements `GlobalAlloc`, which is an unsafe trait, and `rss`
+// calls glibc's `mallopt`; everything else in the crate is safe code.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod alloc;

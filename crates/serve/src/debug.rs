@@ -88,7 +88,7 @@ pub(crate) fn render_caches(
         counter("fft.plan_cache.miss"),
         // The compiled body every plan (and logistic sweep) of this process
         // runs: one of three fixed names, no escaping needed.
-        ilt_fft::simd::body_name()
+        ilt_fft::body_name()
     ));
     out.push_str(&format!(
         ",\"mask_store\":{{\"entries\":{},\"bytes\":{},\"hits\":{},\"misses\":{},\
@@ -299,7 +299,7 @@ mod tests {
             parsed
                 .path(&["fft_plan_cache", "body"])
                 .and_then(|v| v.as_str()),
-            Some(ilt_fft::simd::body_name())
+            Some(ilt_fft::body_name())
         );
         assert!(body.contains("\"session_cache\":{\"entries\":2"));
         assert_eq!(
