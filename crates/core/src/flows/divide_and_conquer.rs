@@ -55,13 +55,18 @@ pub fn divide_and_conquer(
     };
 
     // No recovery: the first tile error aborts the flow, a panic propagates.
-    let (mask, timing) =
-        run_assembled_stage("dnc", &partition, AssemblyMode::Restricted, |band| {
+    let (mask, timing) = run_assembled_stage(
+        "dnc",
+        &partition,
+        AssemblyMode::Restricted,
+        executor,
+        |band| {
             executor
                 .run(band.len(), |k| solve(band[k]))
                 .into_iter()
                 .collect()
-        })?;
+        },
+    )?;
 
     let wall_seconds = fspan.end();
     Ok(FlowResult {

@@ -112,6 +112,7 @@ pub fn multigrid_schwarz(
             &label,
             &partition,
             AssemblyMode::Restricted,
+            executor,
             &mut coverage,
             |band| recovering.solve(&label, &partition, &mask, band, solve),
         )?;
@@ -134,12 +135,18 @@ pub fn multigrid_schwarz(
         let iterations = config.schedule.fine_per_stage(fine_stage);
         // A degraded fine tile keeps its coarse-grid mask (= its crop of
         // the assembled layout) and is stitched by the same weighted blend.
-        let (assembled, timing) =
-            run_assembled_stage_lent(&label, &partition, tiles.blend(), &mut coverage, |band| {
+        let (assembled, timing) = run_assembled_stage_lent(
+            &label,
+            &partition,
+            tiles.blend(),
+            executor,
+            &mut coverage,
+            |band| {
                 recovering.solve(&label, &partition, &mask, band, |i| {
                     tiles.solve(&mask, i, iterations, false)
                 })
-            })?;
+            },
+        )?;
         mask = Cow::Owned(assembled);
         stages.push(timing);
     }

@@ -77,16 +77,18 @@ pub fn overlap_select(
                 .into_iter()
                 .collect()
         },
-        |(mask, best), i, (tile_mask, error): &(RealGrid, RealGrid)| {
-            let tile = partition.tile(i);
-            for y in 0..n {
-                let gy = tile.rect.y0 as usize + y;
-                for x in 0..n {
-                    let gx = tile.rect.x0 as usize + x;
-                    let e = error.get(x, y);
-                    if e < best.get(gx, gy) {
-                        best.set(gx, gy, e);
-                        mask.set(gx, gy, tile_mask.get(x, y));
+        |(mask, best), band: &[(usize, &(RealGrid, RealGrid))]| {
+            for &(i, (tile_mask, error)) in band {
+                let tile = partition.tile(i);
+                for y in 0..n {
+                    let gy = tile.rect.y0 as usize + y;
+                    for x in 0..n {
+                        let gx = tile.rect.x0 as usize + x;
+                        let e = error.get(x, y);
+                        if e < best.get(gx, gy) {
+                            best.set(gx, gy, e);
+                            mask.set(gx, gy, tile_mask.get(x, y));
+                        }
                     }
                 }
             }

@@ -10,9 +10,17 @@
 //! [`run_banded_stage`] is that loop; flows differ only in how a band's
 //! tiles are produced (plain `run` for the baselines, which abort on the
 //! first tile error; [`Recovering::solve`] for Ours and ECO, which degrade
-//! a failed tile to its pre-stage crop; store lookups for the ECO reuse
-//! stage) and in how one tile folds ([`run_assembled_stage`] for every
-//! flow that assembles masks).
+//! a failed tile to its pre-stage crop) and in how a band folds
+//! ([`run_assembled_stage`] for every flow that assembles masks).
+//!
+//! An assembled stage's folds run on the tile workers too: each band, and
+//! the pixel-sum check that finishes the stage, is split into disjoint
+//! ranges of layout rows, one per worker
+//! ([`StreamingAssembler::push_band`]). The split is by pixels, not by
+//! tiles, so a band is still folded and dropped before the next is solved
+//! (the residency above is unchanged) and every pixel still receives its
+//! additions in canonical order: the mask is bit-identical at any worker
+//! count.
 //!
 //! The fine-level pieces Ours and its incremental re-solve share also live
 //! here: the warm-started fine tile solve ([`FineTiles::solve`]) and the
@@ -34,16 +42,17 @@ use crate::flows::{trace, DegradedTile, StageTiming};
 /// Runs one stage over `partition`, one colour band at a time.
 ///
 /// `solve_band` receives a band's **tile indices** and returns one
-/// `(payload, seconds)` pair per index, in the same order; `fold` folds one
-/// tile's payload into `sink`, in canonical colour-band order; `finish`
-/// turns the sink into the stage's output once every tile is folded. The
-/// returned timing's `tile_seconds` is indexed by tile.
+/// `(payload, seconds)` pair per index, in the same order; `fold` folds a
+/// band's `(tile index, payload)` pairs into `sink`, bands in canonical
+/// colour-band order; `finish` turns the sink into the stage's output once
+/// every tile is folded. The returned timing's `tile_seconds` is indexed by
+/// tile.
 pub(crate) fn run_banded_stage<T, S, R>(
     label: &str,
     partition: &Partition,
     mut sink: S,
     mut solve_band: impl FnMut(&[usize]) -> Result<Vec<(T, f64)>, CoreError>,
-    mut fold: impl FnMut(&mut S, usize, &T) -> Result<(), CoreError>,
+    mut fold: impl FnMut(&mut S, &[(usize, &T)]) -> Result<(), CoreError>,
     finish: impl FnOnce(S) -> Result<R, CoreError>,
 ) -> Result<(R, StageTiming), CoreError> {
     let stage = trace::stage(label.to_string());
@@ -61,12 +70,13 @@ pub(crate) fn run_banded_stage<T, S, R>(
         }
         // Each payload carries one solved tile mask.
         let band_bytes = band.len() * mask_bytes;
-        let ((), fold_seconds) = trace::assembly_fold(Some(band_bytes), || {
-            for ((payload, _), &i) in band.iter().zip(&group) {
-                fold(&mut sink, i, payload)?;
-            }
-            Ok::<_, CoreError>(())
-        })?;
+        let pairs: Vec<(usize, &T)> = group
+            .iter()
+            .copied()
+            .zip(band.iter().map(|(p, _)| p))
+            .collect();
+        let ((), fold_seconds) =
+            trace::assembly_fold(Some(band_bytes), || fold(&mut sink, &pairs))?;
         assembly_seconds += fold_seconds;
         // `band` drops here: a stage never holds more than one colour band.
     }
@@ -76,14 +86,23 @@ pub(crate) fn run_banded_stage<T, S, R>(
 }
 
 /// A banded stage whose tiles are masks, assembled into a layout by
-/// Eq. (6) ([`AssemblyMode::Restricted`]) or Eq. (14) (weighted).
+/// Eq. (6) ([`AssemblyMode::Restricted`]) or Eq. (14) (weighted), each fold
+/// split by rows over `executor`'s workers.
 pub(crate) fn run_assembled_stage(
     label: &str,
     partition: &Partition,
     mode: AssemblyMode,
+    executor: &TileExecutor,
     solve_band: impl FnMut(&[usize]) -> Result<Vec<(RealGrid, f64)>, CoreError>,
 ) -> Result<(RealGrid, StageTiming), CoreError> {
-    run_assembled_stage_lent(label, partition, mode, &mut Vec::new(), solve_band)
+    run_assembled_stage_lent(
+        label,
+        partition,
+        mode,
+        executor,
+        &mut Vec::new(),
+        solve_band,
+    )
 }
 
 /// [`run_assembled_stage`] with the assembler's pixel-sum accumulator in
@@ -96,26 +115,36 @@ pub(crate) fn run_assembled_stage_lent(
     label: &str,
     partition: &Partition,
     mode: AssemblyMode,
+    executor: &TileExecutor,
     coverage: &mut Vec<f64>,
     solve_band: impl FnMut(&[usize]) -> Result<Vec<(RealGrid, f64)>, CoreError>,
 ) -> Result<(RealGrid, StageTiming), CoreError> {
-    // The assembler's two clip-sized grids are assembly memory; they are
-    // built before `run_banded_stage` opens the stage's own tag. No
-    // `assembly` span: their time stays out of the assembly seconds.
-    let assembler = {
-        let _tag = ilt_prof::stage_scope(ilt_prof::Stage::Assembly);
-        StreamingAssembler::with_coverage(partition, mode, std::mem::take(coverage))
-    };
+    let assembler = assembler(partition, mode, executor, coverage);
     let ((assembled, lent), timing) = run_banded_stage(
         label,
         partition,
         assembler,
         solve_band,
-        |assembler, i, mask| Ok(assembler.push(i, mask)?),
+        |assembler, band| Ok(assembler.push_band(band)?),
         |assembler| Ok(assembler.finish_lent()?),
     )?;
     *coverage = lent;
     Ok((assembled, timing))
+}
+
+/// A streaming assembler over `partition` whose folds split over
+/// `executor`'s workers, its pixel-sum accumulator taken from `coverage`.
+/// Its two clip-sized grids are assembly memory, so they are built under
+/// that profiling tag; no `assembly` span, so their time stays out of the
+/// stage's assembly seconds.
+pub(crate) fn assembler<'p>(
+    partition: &'p Partition,
+    mode: AssemblyMode,
+    executor: &TileExecutor,
+    coverage: &mut Vec<f64>,
+) -> StreamingAssembler<'p> {
+    let _tag = ilt_prof::stage_scope(ilt_prof::Stage::Assembly);
+    StreamingAssembler::with_coverage(partition, mode, std::mem::take(coverage)).on(executor)
 }
 
 /// The failure policy of Ours and its incremental re-solve: tile solves

@@ -12,11 +12,17 @@
 //! warm-started from the base masks:
 //!
 //! 1. **Reuse**: every tile's slice of the *edited* target is hashed
-//!    ([`ilt_store::tile_content_hash`]) and looked up. Clean tiles hit (the
-//!    content is unchanged, so the key is the base key) and their stored
-//!    masks are reassembled by the same weighted seam assembly the cold flow
-//!    uses — overlapping crops of one layout agree exactly, so clean regions
-//!    reproduce the base mask bit-for-bit.
+//!    ([`ilt_store::tile_content_hash`]) and looked up, all tiles in one
+//!    executor call, so the hashes and lookups run on the tile workers.
+//!    Clean tiles hit (the content is unchanged, so the key is the base
+//!    key) and their stored masks are reassembled by the same weighted seam
+//!    assembly the cold flow uses — overlapping crops of one layout agree
+//!    exactly, so clean regions reproduce the base mask bit-for-bit. A
+//!    stored mask is shared with the store, not copied; only an edited
+//!    tile, whose warm start is patched, takes a private copy. The hit and
+//!    miss bookkeeping runs afterwards on the calling thread, in tile
+//!    order, and every tile folds in one call split by layout rows over the
+//!    workers ([`ilt_tile::StreamingAssembler::push_band`]).
 //! 2. **Warm fine stages**: dirty tiles (plus any clean tile that missed,
 //!    e.g. after eviction with no spill directory) re-solve, re-cropping
 //!    from the assembled layout between stages exactly like the cold flow.
@@ -45,6 +51,7 @@
 //! [`Schedule::warm_fine_iterations`]: crate::Schedule::warm_fine_iterations
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use ilt_grid::{BitGrid, RealGrid};
 use ilt_litho::LithoBank;
@@ -55,7 +62,7 @@ use ilt_tile::{multi_coloring, Partition, Tile, TileExecutor, TileWeights};
 
 use crate::config::ExperimentConfig;
 use crate::error::CoreError;
-use crate::flows::stage::{refine_pass, run_assembled_stage_lent, FineTiles, Recovering};
+use crate::flows::stage::{assembler, refine_pass, FineTiles, Recovering};
 use crate::flows::{multigrid_schwarz, trace, FlowResult};
 
 /// Store method tag for masks produced by the multigrid-Schwarz flow with
@@ -319,7 +326,15 @@ pub(crate) fn run_incremental_lent(
     // clean hits are reused verbatim, everything else joins the re-solve
     // set. Dirty tiles warm-start from the *base* content key (the mask the
     // base solve stored for the geometry they used to contain); a miss
-    // falls back to the edited target crop.
+    // falls back to the edited target crop. The keys and lookups run on the
+    // workers; what they found is counted here, in tile order.
+    let stage = trace::stage("eco reuse".to_string());
+    let found = executor.run(tile_count, |i| {
+        let content = if dirty.contains(&i) { base } else { edited };
+        trace::timed_tile(i, || {
+            Ok::<_, CoreError>(store.get(&tile_key(content, &partition, i, config_fp)))
+        })
+    });
     let mut resolve: Vec<usize> = Vec::new();
     // Tiles that need the *full* fine budget: their target changed (the
     // base mask optimises a different geometry there) or their lookup
@@ -328,18 +343,19 @@ pub(crate) fn run_incremental_lent(
     // are identical, only the boundary conditions moved.
     let edited_tiles: BTreeSet<usize> = diff.edited.iter().copied().collect();
     let mut cold_budget: BTreeSet<usize> = edited_tiles.clone();
-    let mut lookup = |i: usize| {
-        let key = if dirty.contains(&i) {
+    let mut tile_seconds = Vec::with_capacity(tile_count);
+    let mut masks: Vec<Arc<RealGrid>> = Vec::with_capacity(tile_count);
+    for (i, lookup) in found.into_iter().enumerate() {
+        let (stored, seconds) = lookup?;
+        tile_seconds.push(seconds);
+        if dirty.contains(&i) {
             resolve.push(i);
-            tile_key(base, &partition, i, config_fp)
-        } else {
-            tile_key(edited, &partition, i, config_fp)
-        };
-        match store.get(&key) {
+        }
+        masks.push(match stored {
             Some(mut mask) => {
                 store_hits += 1;
                 if edited_tiles.contains(&i) {
-                    patch_changed_pixels(&mut mask, partition.tile(i), base, edited);
+                    patch_changed_pixels(Arc::make_mut(&mut mask), partition.tile(i), base, edited);
                 }
                 mask
             }
@@ -349,22 +365,28 @@ pub(crate) fn run_incremental_lent(
                     resolve.push(i);
                 }
                 cold_budget.insert(i);
-                edited.crop(partition.tile(i).rect).to_real()
+                Arc::new(edited.crop(partition.tile(i).rect).to_real())
             }
-        }
-    };
-    // The lookups stream straight into the assembler one colour band at a
-    // time: a reused crop is resident only while its band folds.
-    let (mut mask, timing) =
-        run_assembled_stage_lent("eco reuse", &partition, blend, coverage, |band| {
-            band.iter()
-                .map(|&i| trace::timed_tile(i, || Ok(lookup(i))))
-                .collect()
-        })?;
-    resolve.sort_unstable();
+        });
+    }
+    // Every tile folds in one call, split by layout rows over the workers;
+    // the masks it holds are the store's, so it records no resident bytes.
+    let mut assembler = assembler(&partition, blend, executor, coverage);
+    let (mut mask, assembly_seconds) = trace::assembly_fold(None, || {
+        let band: Vec<(usize, &RealGrid)> = assembler
+            .canonical_order()
+            .iter()
+            .map(|&i| (i, &*masks[i]))
+            .collect();
+        assembler.push_band(&band)?;
+        let (layout, lent) = assembler.finish_lent()?;
+        *coverage = lent;
+        Ok::<_, CoreError>(layout)
+    })?;
+    drop(masks);
+    stages.push(stage.finish_streamed(tile_seconds, assembly_seconds));
     let tiles_resolved = resolve.len();
     let tiles_reused = tile_count - tiles_resolved;
-    stages.push(timing);
 
     tele::counter_add("incremental.tiles_reused", tiles_reused as u64);
     tele::counter_add("incremental.tiles_resolved", tiles_resolved as u64);

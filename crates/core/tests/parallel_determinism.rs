@@ -7,10 +7,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
 
 use ilt_core::flows::{divide_and_conquer, multigrid_schwarz, overlap_select, stitch_and_heal};
+use ilt_core::incremental::{run_and_store, run_incremental_in};
 use ilt_core::ExperimentConfig;
+use ilt_grid::Rect;
 use ilt_layout::generate_clip;
 use ilt_litho::{LithoBank, ResistModel};
 use ilt_opt::PixelIlt;
+use ilt_store::MaskStore;
 use ilt_tile::TileExecutor;
 
 /// Silences the default panic-hook backtrace for the deliberate test
@@ -130,6 +133,72 @@ fn multigrid_identical_across_one_two_and_eight_workers() {
             reference.mask, run.mask,
             "mask diverged at {workers} workers"
         );
+    }
+}
+
+#[test]
+fn incremental_identical_across_one_two_and_eight_workers() {
+    let (config, bank, base) = setup();
+    let solver = PixelIlt::new();
+    let tile_bytes = (config.partition.tile.pow(2) * std::mem::size_of::<f64>()) as u64;
+    // A store that keeps every tile, and one that keeps six of nine, so
+    // three clean tiles miss and join the re-solve set.
+    for kept in [9u64, 6] {
+        let store = MaskStore::new(kept * tile_bytes, None);
+        run_and_store(
+            &config,
+            &bank,
+            &store,
+            &base,
+            &solver,
+            &TileExecutor::sequential(),
+        )
+        .unwrap();
+        // A corner edit and one across the middle of the clip.
+        for rect in [Rect::new(10, 10, 18, 18), Rect::new(60, 28, 68, 36)] {
+            let mut edited = base.clone();
+            edited.fill_rect(rect, 1 - base.get(rect.x0 as usize, rect.y0 as usize));
+            let run = |workers: usize| {
+                let out = run_incremental_in(
+                    &config,
+                    &bank,
+                    &store,
+                    &base,
+                    &edited,
+                    &solver,
+                    &TileExecutor::new(workers),
+                )
+                .unwrap();
+                let bits: Vec<u64> = out
+                    .flow
+                    .mask
+                    .as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                let counts = (
+                    out.tiles_reused,
+                    out.tiles_resolved,
+                    out.store_hits,
+                    out.store_misses,
+                );
+                (bits, counts)
+            };
+            let (reference, counts) = run(1);
+            assert_eq!(counts.2 + counts.3, 9, "every tile is looked up once");
+            assert_eq!(counts.3 as u64, 9 - kept, "{kept} tiles kept");
+            for workers in [2usize, 8] {
+                let (bits, at) = run(workers);
+                assert!(
+                    bits == reference,
+                    "{rect:?}, {kept} kept: mask diverged at {workers} workers"
+                );
+                assert_eq!(
+                    at, counts,
+                    "{rect:?}, {kept} kept: counts at {workers} workers"
+                );
+            }
+        }
     }
 }
 

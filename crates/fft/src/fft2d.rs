@@ -23,6 +23,7 @@ use crate::cache::shared_plan;
 use crate::complex::{Complex, Float};
 use crate::error::FftError;
 use crate::plan::{Direction, FftPlan};
+use crate::simd;
 
 /// Edge length of the blocked-transpose tiles. From 256 up a row is a
 /// multiple of 4 KiB long, so the rows of one tile all map to the same L1
@@ -221,13 +222,14 @@ impl<T: Float> Fft2d<T> {
         }
         if self.rows == self.cols {
             // Square: transpose in place, no scratch at all.
-            transpose_square_block(data, self.rows);
+            let body = self.col_plan.body();
+            simd::transpose_square(data, self.rows, None, body);
             for row in data.chunks_exact_mut(self.rows) {
                 self.col_plan
                     .transform(row, dir)
                     .expect("column length matches plan by construction");
             }
-            transpose_square_scaled(data, self.rows, scale);
+            simd::transpose_square(data, self.rows, scale, body);
         } else {
             // Rectangular (test/diagnostic shapes only — the litho hot path
             // is square): transpose through a temporary.
@@ -295,61 +297,13 @@ impl<T: Float> Fft2d<T> {
                 .transform(row, Direction::Forward)
                 .expect("row length matches plan by construction");
         }
-        transpose_square_block(data, n);
+        simd::transpose_square(data, n, None, self.col_plan.body());
         for &c in support_cols {
             self.col_plan
                 .transform(&mut data[c * n..(c + 1) * n], Direction::Forward)
                 .expect("column length matches plan by construction");
         }
         Ok(())
-    }
-}
-
-/// In-place blocked transpose of a square `n x n` row-major buffer with a
-/// [`TRANSPOSE_BLOCK`]-edged tile walk.
-fn transpose_square_block<T: Float>(data: &mut [Complex<T>], n: usize) {
-    let block = TRANSPOSE_BLOCK;
-    for bi in (0..n).step_by(block) {
-        for bj in (bi..n).step_by(block) {
-            let i_end = (bi + block).min(n);
-            let j_end = (bj + block).min(n);
-            for i in bi..i_end {
-                let j_start = if bi == bj { i + 1 } else { bj };
-                for j in j_start..j_end {
-                    data.swap(i * n + j, j * n + i);
-                }
-            }
-        }
-    }
-}
-
-/// [`transpose_square_block`] with an optional per-element scale fused
-/// into the swap (each element is scaled exactly once).
-fn transpose_square_scaled<T: Float>(data: &mut [Complex<T>], n: usize, scale: Option<T>) {
-    let Some(s) = scale else {
-        transpose_square_block(data, n);
-        return;
-    };
-    let block = TRANSPOSE_BLOCK;
-    for bi in (0..n).step_by(block) {
-        for bj in (bi..n).step_by(block) {
-            let i_end = (bi + block).min(n);
-            let j_end = (bj + block).min(n);
-            for i in bi..i_end {
-                if bi == bj {
-                    let d = i * n + i;
-                    data[d] = data[d].scale(s);
-                }
-                let j_start = if bi == bj { i + 1 } else { bj };
-                for j in j_start..j_end {
-                    let a = i * n + j;
-                    let b = j * n + i;
-                    let t = data[a].scale(s);
-                    data[a] = data[b].scale(s);
-                    data[b] = t;
-                }
-            }
-        }
     }
 }
 
@@ -556,32 +510,42 @@ mod tests {
 
     #[test]
     fn transpose_square_roundtrip() {
-        // Below, at, just over and at a multiple of the tile edge.
-        for n in [1usize, 2, 7, 8, 9, 31, 32, 33, 64] {
-            let data: Vec<Complex> = (0..n * n).map(|i| Complex::from_re(i as f64)).collect();
-            let mut t = data.clone();
-            transpose_square_block(&mut t, n);
-            for i in 0..n {
-                for j in 0..n {
-                    assert_eq!(t[j * n + i], data[i * n + j]);
+        use crate::simd::Body;
+        // Below, at, just over and at multiples of the tile edge, on every
+        // body (a vector body takes the multiples of the block).
+        for body in Body::supported() {
+            for n in [1usize, 2, 7, 8, 9, 16, 31, 32, 33, 64] {
+                let data: Vec<Complex> = (0..n * n).map(|i| Complex::from_re(i as f64)).collect();
+                let mut t = data.clone();
+                simd::transpose_square(&mut t, n, None, body);
+                for i in 0..n {
+                    for j in 0..n {
+                        assert_eq!(t[j * n + i], data[i * n + j], "{body:?} n={n}");
+                    }
                 }
+                simd::transpose_square(&mut t, n, None, body);
+                assert_eq!(t, data);
             }
-            transpose_square_block(&mut t, n);
-            assert_eq!(t, data);
         }
     }
 
     #[test]
     fn transpose_scaled_scales_every_element_once() {
-        let n = 33; // exercises partial blocks and the diagonal
-        let data: Vec<Complex> = (0..n * n)
-            .map(|i| Complex::from_re(i as f64 + 1.0))
-            .collect();
-        let mut t = data.clone();
-        transpose_square_scaled(&mut t, n, Some(0.5));
-        for i in 0..n {
-            for j in 0..n {
-                assert_eq!(t[j * n + i], data[i * n + j].scale(0.5));
+        use crate::simd::Body;
+        for body in Body::supported() {
+            // 33 exercises partial blocks and the diagonal; 32 the vector
+            // bodies.
+            for n in [32, 33] {
+                let data: Vec<Complex> = (0..n * n)
+                    .map(|i| Complex::new(i as f64 + 1.0, -(i as f64)))
+                    .collect();
+                let mut t = data.clone();
+                simd::transpose_square(&mut t, n, Some(0.5), body);
+                for i in 0..n {
+                    for j in 0..n {
+                        assert_eq!(t[j * n + i], data[i * n + j].scale(0.5), "{body:?} n={n}");
+                    }
+                }
             }
         }
     }

@@ -163,6 +163,12 @@ impl<T: Float> FftPlan<T> {
         self.len
     }
 
+    /// The compiled body this plan's passes run on.
+    #[inline]
+    pub(crate) fn body(&self) -> Body {
+        self.body
+    }
+
     /// Returns `true` if the plan length is zero (never, by construction).
     #[inline]
     pub fn is_empty(&self) -> bool {

@@ -23,6 +23,17 @@
 //! * `single_pass` — one radix-2 stage, for the stage left over when the
 //!   count is odd.
 //!
+//! The in-place square transposes of [`crate::Fft2d`]
+//! (`transpose_square`) live here too: between its row and column passes a
+//! square 2-D transform transposes its buffer twice. Their vector bodies
+//! move register tiles — eight rows of eight complex `f32` values (64-bit
+//! elements) or four of four complex `f64` values (128-bit elements) per
+//! `avx512f` tile, four of four and two of two per `avx2,fma` tile — that
+//! are transposed in registers by unpacks and lane shuffles, where the
+//! portable body swaps one element at a time. A transpose only moves data
+//! and the inverse transform's scale multiplies every element once, so all
+//! three bodies are bit-identical; the portable loop is the oracle.
+//!
 //! # Three bodies, one source per pass
 //!
 //! Every kernel here is compiled three times — portable, `avx2,fma`
@@ -83,6 +94,7 @@
 //! of range.
 
 use crate::complex::{Complex, Float};
+use crate::fft2d::TRANSPOSE_BLOCK;
 
 // `Complex<T>` is `repr(C)`: two `T`s, `re` first. Every kernel below that
 // reads a `*const Complex<T>` as `[re, im]` pairs of `T`, and the two slice
@@ -243,6 +255,20 @@ pub trait Kernels: Sized + Copy {
     /// lengths must be those [`single_pass`] asserts.
     #[cfg(target_arch = "x86_64")]
     unsafe fn single_pass_vector(isa: Isa, data: &mut [Complex<Self>], tw: &[Complex<Self>]);
+
+    /// [`transpose_square`] on a vector body.
+    ///
+    /// # Safety
+    ///
+    /// `isa` must be a vector body the probe cleared on this CPU, `n` a
+    /// multiple of [`TRANSPOSE_BLOCK`] and `data` exactly `n * n` long.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn transpose_square_vector(
+        isa: Isa,
+        data: &mut [Complex<Self>],
+        n: usize,
+        scale: Option<Self>,
+    );
 
     /// [`logistic_scaled`] on a given body (equal lengths checked by the
     /// caller).
@@ -487,6 +513,63 @@ pub(crate) fn single_pass<T: Float>(data: &mut [Complex<T>], tw: &[Complex<T>], 
         let (lo, hi) = block.split_at_mut(half);
         for ((l, h), &w) in lo.iter_mut().zip(hi).zip(tw) {
             (*l, *h) = butterfly(*l, *h, w);
+        }
+    }
+}
+
+// ---- The square transposes -----------------------------------------------
+
+/// Transposes the square row-major `n x n` buffer `data` in place, scaling
+/// every element by `scale` (exactly once) when one is given: the two
+/// transposes of a square [`crate::Fft2d`] transform, the second carrying
+/// the inverse's normalisation. A vector body needs `n` to be a multiple of
+/// [`TRANSPOSE_BLOCK`]; smaller buffers take the portable body.
+///
+/// # Panics
+///
+/// Panics unless `data` is `n * n` long.
+pub(crate) fn transpose_square<T: Float>(
+    data: &mut [Complex<T>],
+    n: usize,
+    scale: Option<T>,
+    body: Body,
+) {
+    assert_eq!(data.len(), n * n, "transpose_square: length");
+    #[cfg(target_arch = "x86_64")]
+    if body != Body::PORTABLE && n.is_multiple_of(TRANSPOSE_BLOCK) {
+        // SAFETY: the probe verified the body's features on this CPU before
+        // it made the body; the shape was checked just above.
+        return unsafe { T::transpose_square_vector(body.isa, data, n, scale) };
+    }
+    transpose_square_portable(data, n, scale);
+}
+
+/// The portable body of [`transpose_square`], and the oracle of its vector
+/// bodies: element swaps over a [`TRANSPOSE_BLOCK`]-edged tile walk.
+fn transpose_square_portable<T: Float>(data: &mut [Complex<T>], n: usize, scale: Option<T>) {
+    let block = TRANSPOSE_BLOCK;
+    for bi in (0..n).step_by(block) {
+        for bj in (bi..n).step_by(block) {
+            let i_end = (bi + block).min(n);
+            let j_end = (bj + block).min(n);
+            for i in bi..i_end {
+                if let (Some(s), true) = (scale, bi == bj) {
+                    let d = i * n + i;
+                    data[d] = data[d].scale(s);
+                }
+                let j_start = if bi == bj { i + 1 } else { bj };
+                for j in j_start..j_end {
+                    let (a, b) = (i * n + j, j * n + i);
+                    match scale {
+                        Some(s) => {
+                            let t = data[a].scale(s);
+                            data[a] = data[b].scale(s);
+                            data[b] = t;
+                        }
+                        None => data.swap(a, b),
+                    }
+                }
+            }
         }
     }
 }
@@ -868,6 +951,215 @@ mod x86 {
             _mm256_set_m128(hi, lo)
         }
     }
+
+    // ---- The square transposes' register tiles --------------------------
+
+    /// Transposes four registers of four 128-bit lanes each as a 4 x 4
+    /// matrix of lanes: `out[j]` holds lane `j` of `r[0..4]`, in order.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn transpose4_128(r: [__m512d; 4]) -> [__m512d; 4] {
+        let a = _mm512_shuffle_f64x2::<0x44>(r[0], r[1]);
+        let b = _mm512_shuffle_f64x2::<0xEE>(r[0], r[1]);
+        let c = _mm512_shuffle_f64x2::<0x44>(r[2], r[3]);
+        let d = _mm512_shuffle_f64x2::<0xEE>(r[2], r[3]);
+        [
+            _mm512_shuffle_f64x2::<0x88>(a, c),
+            _mm512_shuffle_f64x2::<0xDD>(a, c),
+            _mm512_shuffle_f64x2::<0x88>(b, d),
+            _mm512_shuffle_f64x2::<0xDD>(b, d),
+        ]
+    }
+
+    /// Transposes eight registers of eight 64-bit elements (complex `f32`
+    /// values) as an 8 x 8 matrix: the unpacks transpose the 2 x 2 blocks
+    /// inside each 128-bit lane, [`transpose4_128`] then moves the lanes.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn transpose8_64(r: [__m512d; 8]) -> [__m512d; 8] {
+        let lo = |a, b| _mm512_unpacklo_pd(a, b);
+        let hi = |a, b| _mm512_unpackhi_pd(a, b);
+        let even = transpose4_128([
+            lo(r[0], r[1]),
+            lo(r[2], r[3]),
+            lo(r[4], r[5]),
+            lo(r[6], r[7]),
+        ]);
+        let odd = transpose4_128([
+            hi(r[0], r[1]),
+            hi(r[2], r[3]),
+            hi(r[4], r[5]),
+            hi(r[6], r[7]),
+        ]);
+        [
+            even[0], odd[0], even[1], odd[1], even[2], odd[2], even[3], odd[3],
+        ]
+    }
+
+    /// Transposes two registers of two 128-bit lanes (complex `f64` values)
+    /// as a 2 x 2 matrix.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn transpose2_128(r: [__m256d; 2]) -> [__m256d; 2] {
+        [
+            _mm256_permute2f128_pd::<0x20>(r[0], r[1]),
+            _mm256_permute2f128_pd::<0x31>(r[0], r[1]),
+        ]
+    }
+
+    /// [`transpose4`] on 64-bit lanes, as the tile walk stores them.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn transpose4_64(r: [__m256d; 4]) -> [__m256d; 4] {
+        transpose4(r.map(|v| _mm256_castpd_ps(v))).map(|v| _mm256_castps_pd(v))
+    }
+
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn scale_512_f32(v: __m512d, s: f32) -> __m512d {
+        _mm512_castps_pd(_mm512_mul_ps(_mm512_castpd_ps(v), _mm512_set1_ps(s)))
+    }
+
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn scale_512_f64(v: __m512d, s: f64) -> __m512d {
+        _mm512_mul_pd(v, _mm512_set1_pd(s))
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn scale_256_f32(v: __m256d, s: f32) -> __m256d {
+        _mm256_castps_pd(_mm256_mul_ps(_mm256_castpd_ps(v), _mm256_set1_ps(s)))
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn scale_256_f64(v: __m256d, s: f64) -> __m256d {
+        _mm256_mul_pd(v, _mm256_set1_pd(s))
+    }
+
+    /// The in-place square transpose on one body and element type: the
+    /// portable body's walk over `TRANSPOSE_BLOCK`-edged blocks, each block
+    /// pair cut into `$edge x $edge` register tiles of one row per `$vec`.
+    /// A tile is loaded with its mirror, both are transposed in registers
+    /// and each is stored in the other's place; a diagonal tile is its own
+    /// mirror, so it is transposed where it stands (loaded and stored
+    /// twice, the same values both times). Every stored value is its
+    /// element scaled exactly once.
+    macro_rules! square_transpose {
+        (
+            $name:ident, $feature:literal, $elem:ty, $vec:ty, $edge:literal,
+            $zero:ident, $load:ident, $store:ident, $transpose:ident, $scale:ident
+        ) => {
+            /// # Safety
+            ///
+            /// The CPU must have the body's features, `n` must be a
+            /// multiple of `TRANSPOSE_BLOCK` and `data` exactly `n * n`
+            /// long.
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn $name(
+                data: &mut [Complex<$elem>],
+                n: usize,
+                scale: Option<$elem>,
+            ) {
+                const EDGE: usize = $edge;
+                let block = super::TRANSPOSE_BLOCK;
+                let p = data.as_mut_ptr().cast::<f64>();
+                // Complex values to `f64` offsets.
+                let at = |row: usize, col: usize| (row * n + col) * size_of::<Complex<$elem>>() / 8;
+                for bi in (0..n).step_by(block) {
+                    for bj in (bi..n).step_by(block) {
+                        for ti in (bi..bi + block).step_by(EDGE) {
+                            let first = if bi == bj { ti } else { bj };
+                            for tj in (first..bj + block).step_by(EDGE) {
+                                let mut a = [$zero(); EDGE];
+                                let mut b = [$zero(); EDGE];
+                                for k in 0..EDGE {
+                                    // SAFETY: rows `ti..ti + EDGE` and
+                                    // columns `tj..tj + EDGE` lie inside
+                                    // the `n x n` buffer, as do their
+                                    // mirrors: tiles sit inside blocks
+                                    // (`EDGE` divides the block), and the
+                                    // caller vouches that `n` is a multiple
+                                    // of the block and `data` is `n * n`.
+                                    unsafe {
+                                        a[k] = $load(p.add(at(ti + k, tj)));
+                                        b[k] = $load(p.add(at(tj + k, ti)));
+                                    }
+                                }
+                                let (mut a, mut b) = ($transpose(a), $transpose(b));
+                                if let Some(s) = scale {
+                                    for k in 0..EDGE {
+                                        a[k] = $scale(a[k], s);
+                                        b[k] = $scale(b[k], s);
+                                    }
+                                }
+                                for k in 0..EDGE {
+                                    // SAFETY: as for the loads. On the
+                                    // diagonal `a` and `b` are one tile,
+                                    // both transposed: the second store
+                                    // writes the same values again.
+                                    unsafe {
+                                        $store(p.add(at(tj + k, ti)), a[k]);
+                                        $store(p.add(at(ti + k, tj)), b[k]);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        };
+    }
+
+    square_transpose!(
+        transpose_square_512_f32,
+        "avx512f",
+        f32,
+        __m512d,
+        8,
+        _mm512_setzero_pd,
+        _mm512_loadu_pd,
+        _mm512_storeu_pd,
+        transpose8_64,
+        scale_512_f32
+    );
+    square_transpose!(
+        transpose_square_512_f64,
+        "avx512f",
+        f64,
+        __m512d,
+        4,
+        _mm512_setzero_pd,
+        _mm512_loadu_pd,
+        _mm512_storeu_pd,
+        transpose4_128,
+        scale_512_f64
+    );
+    square_transpose!(
+        transpose_square_256_f32,
+        "avx2,fma",
+        f32,
+        __m256d,
+        4,
+        _mm256_setzero_pd,
+        _mm256_loadu_pd,
+        _mm256_storeu_pd,
+        transpose4_64,
+        scale_256_f32
+    );
+    square_transpose!(
+        transpose_square_256_f64,
+        "avx2,fma",
+        f64,
+        __m256d,
+        2,
+        _mm256_setzero_pd,
+        _mm256_loadu_pd,
+        _mm256_storeu_pd,
+        transpose2_128,
+        scale_256_f64
+    );
 }
 
 /// The twiddled passes on vector lanes, written once and stamped per lane
@@ -1327,9 +1619,26 @@ pub(crate) fn butterfly_block_x86<T: Float>(
 macro_rules! kernels_impl {
     (
         $t:ty, $sweeps:ident, $first:ident, $first_from:ident,
-        $lanes256:ident, $lanes512:ident, $min_512:expr
+        $lanes256:ident, $lanes512:ident, $min_512:expr,
+        $transpose256:ident, $transpose512:ident
     ) => {
         impl Kernels for $t {
+            #[cfg(target_arch = "x86_64")]
+            unsafe fn transpose_square_vector(
+                isa: Isa,
+                data: &mut [Complex<Self>],
+                n: usize,
+                scale: Option<Self>,
+            ) {
+                // SAFETY (both arms): the caller vouches that the probe
+                // cleared `isa` on this CPU and for the shape.
+                match isa {
+                    Isa::Avx512f => unsafe { x86::$transpose512(data, n, scale) },
+                    Isa::Avx2Fma => unsafe { x86::$transpose256(data, n, scale) },
+                    Isa::Portable => unreachable!("the portable body is not a vector body"),
+                }
+            }
+
             #[cfg(target_arch = "x86_64")]
             unsafe fn first_pass_vector(data: &mut [Complex<Self>], inverse: bool) {
                 // SAFETY: the caller's contract is the callee's.
@@ -1456,7 +1765,9 @@ kernels_impl!(
     first_pass_from_f64,
     lanes256,
     lanes512,
-    8
+    8,
+    transpose_square_256_f64,
+    transpose_square_512_f64
 );
 kernels_impl!(
     f32,
@@ -1465,7 +1776,9 @@ kernels_impl!(
     first_pass_from_f32,
     lanes256_f32,
     lanes512_f32,
-    16
+    16,
+    transpose_square_256_f32,
+    transpose_square_512_f32
 );
 
 /// [`logistic_scaled`] on a given body (equal lengths checked by the caller).
@@ -1767,6 +2080,37 @@ pub(crate) mod tests {
             }
         }
         println!("{}", covered("logistic sweeps"));
+    }
+
+    /// Every body's square transpose against the portable oracle, at both
+    /// element types, scaled and not, on hostile bit patterns (NaNs with
+    /// payloads, infinities, subnormals, signed zeros): a transpose moves
+    /// bits, and a scale is one product per component on every body.
+    #[test]
+    fn square_transposes_are_bit_identical_to_the_portable_body() {
+        let values = hostile(4 * 256 * 256);
+        for n in [1usize, 2, 4, 8, 16, 24, 64, 128, 256] {
+            let wide: Vec<Complex> = values[..2 * n * n]
+                .chunks_exact(2)
+                .map(|p| Complex::new(p[0], f64::from_bits(p[1].to_bits() ^ 0x7ff0_0000_0000_0123)))
+                .collect();
+            let narrow: Vec<Complex<f32>> = wide.iter().map(|z| z.cast()).collect();
+            for scale in [None, Some(0.37)] {
+                let run = |body: Body| {
+                    let (mut w, mut f) = (wide.clone(), narrow.clone());
+                    transpose_square(&mut w, n, scale, body);
+                    transpose_square(&mut f, n, scale.map(|s| s as f32), body);
+                    let w: Vec<[u64; 2]> = w.iter().map(|z| z.to_bits()).collect();
+                    let f: Vec<[u64; 2]> = f.iter().map(|z| z.to_bits()).collect();
+                    (w, f)
+                };
+                let oracle = run(Body::PORTABLE);
+                for body in Body::supported() {
+                    assert!(run(body) == oracle, "{} n={n} scale={scale:?}", body.name());
+                }
+            }
+        }
+        println!("{}", covered("square transposes"));
     }
 
     #[test]

@@ -176,6 +176,7 @@ mod tests {
             fields: vec![("label", "fine stage 1".into())],
             start_ns,
             dur_ns,
+            child_ns: 0,
             thread: 0,
         };
         let solve = SpanEvent {
@@ -186,7 +187,14 @@ mod tests {
         };
         // 9 µs of stage self time and 2.5 µs of solve; a second stage on
         // the same path adds 0.999 µs, which whole microseconds drop.
-        let events = [stage(1, 0, 11_500), solve, stage(2, 20_000, 999)];
+        let events = [
+            SpanEvent {
+                child_ns: 2_500,
+                ..stage(1, 0, 11_500)
+            },
+            solve,
+            stage(2, 20_000, 999),
+        ];
         let mut out = String::new();
         push_profile(&mut out, &events);
         let profile = object(&out);

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::num::NonZeroU64;
 use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use ilt_grid::{RealGrid, Rect};
 use ilt_telemetry as tele;
@@ -21,7 +21,8 @@ fn mask_bytes(mask: &RealGrid) -> u64 {
 }
 
 struct Entry {
-    mask: RealGrid,
+    /// Shared with every caller a [`MaskStore::get`] handed it to.
+    mask: Arc<RealGrid>,
     version: u64,
     bytes: u64,
     /// Recency tick; larger = more recently touched.
@@ -133,16 +134,20 @@ impl MaskStore {
 
     /// Look up a mask. Falls back to the spill directory on a memory miss;
     /// a verified disk hit is re-admitted to memory.
-    pub fn get(&self, key: &StoreKey) -> Option<RealGrid> {
+    ///
+    /// The mask is shared, not copied: the lock is held for a reference
+    /// count, and a caller that must change the mask makes its own copy
+    /// ([`Arc::make_mut`]). A memory hit changes neither the bytes nor the
+    /// entries held, so it publishes no gauge.
+    pub fn get(&self, key: &StoreKey) -> Option<Arc<RealGrid>> {
         let mut inner = self.inner.lock().unwrap();
         inner.clock += 1;
         let tick = inner.clock;
         if let Some(entry) = inner.entries.get_mut(key) {
             entry.touched = tick;
-            let mask = entry.mask.clone();
+            let mask = Arc::clone(&entry.mask);
             inner.stats.hits += 1;
             self.count("store.hits", 1);
-            self.publish(&inner);
             return Some(mask);
         }
         if let Some(dir) = &self.dir {
@@ -152,10 +157,11 @@ impl MaskStore {
                 self.count("store.hits", 1);
                 self.count("store.disk_hits", 1);
                 let bytes = mask_bytes(&mask);
+                let mask = Arc::new(mask);
                 inner.entries.insert(
                     *key,
                     Entry {
-                        mask: mask.clone(),
+                        mask: Arc::clone(&mask),
                         version,
                         bytes,
                         touched: tick,
@@ -191,7 +197,7 @@ impl MaskStore {
         inner.entries.insert(
             key,
             Entry {
-                mask,
+                mask: Arc::new(mask),
                 version,
                 bytes,
                 touched: tick,
@@ -365,6 +371,19 @@ mod tests {
         assert_eq!(stats.misses, 0);
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.bytes, 8 * 4 * 8);
+    }
+
+    #[test]
+    fn hits_share_the_stored_mask_and_a_private_copy_leaves_it_alone() {
+        let store = MaskStore::new(1 << 20, None);
+        let m = mask(8, 4, 0.5);
+        store.put(key(1), m.clone());
+        let (a, mut b) = (store.get(&key(1)).unwrap(), store.get(&key(1)).unwrap());
+        assert!(Arc::ptr_eq(&a, &b), "a hit hands out the stored grid");
+        Arc::make_mut(&mut b).set(0, 0, 9.0);
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(store.get(&key(1)).unwrap().as_slice(), m.as_slice());
+        assert_eq!(store.stats().bytes, 8 * 4 * 8);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 use crate::flight;
 use crate::metrics::{self, Histogram};
@@ -35,6 +36,12 @@ pub struct SpanEvent {
     pub start_ns: u64,
     /// Duration in nanoseconds.
     pub dur_ns: u64,
+    /// Nanoseconds of the span that its children on its own thread covered,
+    /// recorded as they closed: children nest strictly on one thread, so
+    /// the sum of their durations is the union. The span's self time is
+    /// `dur_ns - child_ns` whether or not those children are still in the
+    /// store.
+    pub child_ns: u64,
     /// Small per-thread ordinal (0 = first thread that recorded).
     pub thread: u64,
 }
@@ -103,12 +110,23 @@ static TRACE_COUNTERS: Mutex<VecDeque<TraceCounterEntry>> = Mutex::new(VecDeque:
 /// Maximum distinct traces retained in the per-trace counter registry.
 const TRACE_COUNTER_TRACES: usize = 256;
 
+/// One entry of a thread's open-span stack.
+pub(crate) struct Open {
+    id: u64,
+    /// When the span opened, for a span this thread opened; `None` for a
+    /// parent adopted from another thread, which children here do not
+    /// cover (they are not its own-thread children).
+    start: Option<Instant>,
+    /// Nanoseconds its closed children on this thread covered so far.
+    covered_ns: u64,
+}
+
 pub(crate) struct LocalBuf {
     /// Small per-thread ordinal (0 = first thread that recorded).
     pub thread: u64,
-    /// Ids of the spans open on this thread, innermost last: the spans it
-    /// opened and the parents it adopted ([`crate::parent_scope`]).
-    pub open: Vec<u64>,
+    /// The spans open on this thread, innermost last: the spans it opened
+    /// and the parents it adopted ([`crate::parent_scope`]).
+    open: Vec<Open>,
     pub counters: HashMap<&'static str, u64>,
     /// Counter increments attributed to an ambient trace, keyed
     /// `(trace, name)`.
@@ -128,19 +146,47 @@ impl LocalBuf {
         }
     }
 
-    /// Pushes `id` on the open-span stack and returns the id it landed on:
-    /// a new span's parent.
-    pub fn push(&mut self, id: u64) -> Option<u64> {
-        let parent = self.open.last().copied();
-        self.open.push(id);
+    /// Pushes `id`, opened at `start` (`None` for an adopted parent), on
+    /// the open-span stack and returns the id it landed on: a new span's
+    /// parent.
+    pub fn push(&mut self, id: u64, start: Option<Instant>) -> Option<u64> {
+        let parent = self.innermost();
+        self.open.push(Open {
+            id,
+            start,
+            covered_ns: 0,
+        });
         parent
     }
 
-    /// Pops back to (and including) `id`: a guard dropped out of order also
-    /// closes everything opened above it.
-    pub fn pop(&mut self, id: u64) {
-        if let Some(pos) = self.open.iter().rposition(|&open| open == id) {
-            self.open.truncate(pos);
+    /// Pops back to (and including) `id` — a guard dropped out of order
+    /// also closes everything opened above it — and returns the
+    /// nanoseconds `id`'s children covered.
+    pub fn pop(&mut self, id: u64) -> u64 {
+        let Some(pos) = self.open.iter().rposition(|open| open.id == id) else {
+            return 0;
+        };
+        let covered = self.open[pos].covered_ns;
+        self.open.truncate(pos);
+        covered
+    }
+
+    /// The innermost open span, if any.
+    pub fn innermost(&self) -> Option<u64> {
+        self.open.last().map(|open| open.id)
+    }
+
+    /// Charges a closed child's interval `start..end` to the innermost open
+    /// span, clipped to that span's own interval (which is still open, so
+    /// it runs at least until `end`). An adopted parent is not charged.
+    pub fn cover(&mut self, start: Instant, end: Instant) {
+        if let Some(Open {
+            start: Some(opened),
+            covered_ns,
+            ..
+        }) = self.open.last_mut()
+        {
+            *covered_ns += end.saturating_duration_since(start.max(*opened)).as_nanos() as u64;
         }
     }
 

@@ -436,49 +436,33 @@ impl Telemetry {
 /// The self-time profile of `events`: nanoseconds of self time per span
 /// path, in collapsed-stack (flamegraph) form, keyed and sorted by path.
 ///
-/// A span's self time is its duration less the part of its interval that
-/// its children **on its own thread** cover; work a span hands to worker
-/// threads stays its own, and each worker's chain roots at its first span
-/// there (`job`). So per thread the self times sum to the durations of the
-/// thread's root spans. A path is the span's chain of same-thread
-/// ancestors, outermost first, each frame its display label (`tile(3)`,
-/// `stage(coarse s=4)`) with spaces as `_` and `;` as `,`, joined by `;`.
-/// A span whose parent is not in `events` roots its own chain.
+/// A span's self time is its duration less the time its children **on its
+/// own thread** covered, as the span recorded when it closed
+/// ([`SpanEvent::child_ns`]) — so a child the drop-oldest store has
+/// already evicted (children close, and are evicted, before their parents)
+/// still counts. Work a span hands to worker threads stays its own, and
+/// each worker's chain roots at its first span there (`job`). So per
+/// thread the self times sum to the durations of the thread's root spans.
+/// A path is the span's chain of same-thread ancestors, outermost first,
+/// each frame its display label (`tile(3)`, `stage(coarse s=4)`) with
+/// spaces as `_` and `;` as `,`, joined by `;`. A span whose parent is not
+/// in `events` roots its own chain.
 pub fn self_time_profile(events: &[SpanEvent]) -> BTreeMap<String, u64> {
     let by_id: HashMap<u64, &SpanEvent> = events.iter().map(|e| (e.id, e)).collect();
     let parent_here = |e: &SpanEvent| {
         let parent = *by_id.get(&e.parent?)?;
         (parent.thread == e.thread).then_some(parent)
     };
-    let mut children: HashMap<u64, Vec<(u64, u64)>> = HashMap::new();
-    for e in events {
-        if let Some(parent) = parent_here(e) {
-            let interval = (e.start_ns, e.start_ns + e.dur_ns);
-            children.entry(parent.id).or_default().push(interval);
-        }
-    }
     let frame = |e: &SpanEvent| display_label(e).replace(' ', "_").replace(';', ",");
     let mut profile = BTreeMap::new();
     for e in events {
-        let end = e.start_ns + e.dur_ns;
-        let mut kids = children.remove(&e.id).unwrap_or_default();
-        kids.sort_unstable();
-        // Covered time: the union of the children's intervals within `e`'s.
-        let (mut covered, mut reached) = (0, e.start_ns);
-        for (start, stop) in kids {
-            let (start, stop) = (start.max(reached), stop.min(end));
-            if stop > start {
-                covered += stop - start;
-                reached = stop;
-            }
-        }
         let mut path = frame(e);
         let mut up = parent_here(e);
         while let Some(parent) = up {
             path = format!("{};{path}", frame(parent));
             up = parent_here(parent);
         }
-        *profile.entry(path).or_insert(0) += e.dur_ns - covered;
+        *profile.entry(path).or_insert(0) += e.dur_ns.saturating_sub(e.child_ns);
     }
     profile
 }

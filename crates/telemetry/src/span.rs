@@ -124,7 +124,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     epoch();
     let start = Instant::now();
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-    let parent = collect::with_local(|l| l.push(id)).flatten();
+    let parent = collect::with_local(|l| l.push(id, Some(start))).flatten();
     let mut trace_id = trace::current_trace_raw();
     let minted = (trace_id == 0 && parent.is_none()).then(|| {
         let (id, scope) = trace::new_trace_scope();
@@ -179,10 +179,14 @@ impl SpanGuard {
         let Some(rec) = self.rec.take() else { return };
         // `None` while the thread's buffer is being torn down: the stack
         // is gone with it, the span is still recorded.
-        let thread = collect::with_local(|l| {
-            l.pop(rec.id);
-            l.thread
+        let local = collect::with_local(|l| {
+            let covered = l.pop(rec.id);
+            if l.innermost() == rec.parent {
+                l.cover(self.start, self.start + dur);
+            }
+            (l.thread, covered)
         });
+        let (thread, child_ns) = local.unwrap_or((u64::MAX, 0));
         flight::record(SpanEvent {
             id: rec.id,
             parent: rec.parent,
@@ -191,7 +195,8 @@ impl SpanGuard {
             fields: rec.fields,
             start_ns: ns_since_epoch(self.start),
             dur_ns: dur.as_nanos() as u64,
-            thread: thread.unwrap_or(u64::MAX),
+            child_ns,
+            thread,
         });
     }
 }
@@ -222,8 +227,11 @@ pub fn record_span_at(
     end: Instant,
     fields: Vec<(&'static str, FieldValue)>,
 ) {
-    let (parent, thread) =
-        collect::with_local(|l| (l.open.last().copied(), l.thread)).unwrap_or((None, u64::MAX));
+    let (parent, thread) = collect::with_local(|l| {
+        l.cover(start, end);
+        (l.innermost(), l.thread)
+    })
+    .unwrap_or((None, u64::MAX));
     flight::record(SpanEvent {
         id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
         parent,
@@ -234,6 +242,7 @@ pub fn record_span_at(
         dur_ns: end
             .checked_duration_since(start)
             .map_or(0, |d| d.as_nanos() as u64),
+        child_ns: 0,
         thread,
     });
 }
@@ -241,7 +250,7 @@ pub fn record_span_at(
 /// The innermost open span on the current thread (an adopted parent
 /// counts), if any.
 pub fn current_span() -> Option<SpanRef> {
-    collect::with_local(|l| l.open.last().copied())
+    collect::with_local(|l| l.innermost())
         .flatten()
         .map(SpanRef)
 }
@@ -252,7 +261,7 @@ pub fn current_span() -> Option<SpanRef> {
 /// where the jobs were submitted.
 pub fn parent_scope(parent: Option<SpanRef>) -> ParentScope {
     if let Some(p) = parent {
-        collect::with_local(|l| l.push(p.0));
+        collect::with_local(|l| l.push(p.0, None));
     }
     ParentScope {
         id: parent.map(|p| p.0),

@@ -525,8 +525,15 @@ fn latency_budget_attributes_stage_classes() {
     assert!(json.contains("\"flow_total_s\":"), "{json}");
 }
 
-/// A closed span with a hand-set interval, for the pure folds.
-fn event(id: u64, parent: Option<u64>, thread: u64, start_ns: u64, dur_ns: u64) -> tele::SpanEvent {
+/// A closed span with a hand-set interval and the time its own-thread
+/// children covered, for the pure folds.
+fn event(
+    id: u64,
+    parent: Option<u64>,
+    thread: u64,
+    (start_ns, dur_ns): (u64, u64),
+    child_ns: u64,
+) -> tele::SpanEvent {
     tele::SpanEvent {
         id,
         parent,
@@ -542,36 +549,70 @@ fn event(id: u64, parent: Option<u64>, thread: u64, start_ns: u64, dur_ns: u64) 
         ],
         start_ns,
         dur_ns,
+        child_ns,
         thread,
     }
 }
 
 #[test]
-fn self_time_subtracts_only_same_thread_children() {
+fn self_time_subtracts_the_child_time_each_span_recorded() {
     let events = [
-        // A stage on thread 0 over [0, 1000).
-        event(1, None, 0, 0, 1_000),
-        // Two overlapping children on its thread: [100, 300) ∪ [200, 400)
-        // covers 300 ns, not 400.
-        event(2, Some(1), 0, 100, 200),
-        event(3, Some(1), 0, 200, 200),
-        // A child reaching past its parent's end is clipped to it.
-        event(4, Some(1), 0, 900, 500),
-        // A child on a worker thread roots that thread's chain and takes
+        // A stage on thread 0 over [0, 1000) whose children on its thread
+        // covered [100, 300), [300, 500) and [900, 1000) when they closed.
+        event(1, None, 0, (0, 1_000), 500),
+        event(2, Some(1), 0, (100, 200), 0),
+        event(3, Some(1), 0, (300, 200), 0),
+        // The third child was evicted from the store; its 100 ns are still
+        // not the stage's own.
+        // A child on a worker thread roots that thread's chain and took
         // nothing from the stage.
-        event(5, Some(1), 1, 100, 700),
+        event(5, Some(1), 1, (100, 700), 100),
         // A grandchild on the worker.
-        event(6, Some(5), 1, 200, 100),
+        event(6, Some(5), 1, (200, 100), 0),
     ];
     let profile = tele::self_time_profile(&events);
     let stage = "stage(coarse_s=4)";
     let expected = [
-        (stage.to_string(), 1_000 - 300 - 100),
+        (stage.to_string(), 1_000 - 500),
         (format!("{stage};tile(2)"), 200),
         (format!("{stage};tile(3)"), 200),
-        (format!("{stage};tile(4)"), 500),
         ("tile(5)".to_string(), 700 - 100),
         ("tile(5);tile(6)".to_string(), 100),
     ];
     assert_eq!(profile.into_iter().collect::<Vec<_>>(), expected);
+}
+
+#[test]
+fn a_span_records_what_its_own_thread_children_covered() {
+    let ((), t) = with_tracing(|| {
+        let (_id, _scope) = tele::new_trace_scope();
+        let (queued, picked_up) = (std::time::Instant::now(), std::time::Instant::now());
+        let _parent = tele::span("unit.parent");
+        // A backfilled interval that ended before the parent opened
+        // covers none of it.
+        tele::record_span_at("unit.early", queued, picked_up, Vec::new());
+        for _ in 0..3 {
+            let _child = tele::span("unit.child");
+            let _grandchild = tele::span("unit.grandchild");
+        }
+        // Work handed to another thread is the parent's own.
+        let parent = tele::current_span();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _adopted = tele::parent_scope(parent);
+                let _worker = tele::span("unit.worker");
+            });
+        });
+    });
+    let named = |name: &'static str| t.events.iter().filter(move |e| e.name == name);
+    let parent = named("unit.parent").next().unwrap();
+    let children: u64 = named("unit.child").map(|e| e.dur_ns).sum();
+    assert_eq!(parent.child_ns, children);
+    for child in named("unit.child") {
+        let grandchild = named("unit.grandchild")
+            .find(|g| g.parent == Some(child.id))
+            .unwrap();
+        assert_eq!(child.child_ns, grandchild.dur_ns);
+    }
+    assert_eq!(named("unit.worker").next().unwrap().child_ns, 0);
 }

@@ -37,6 +37,7 @@ use ilt_grid::RealGrid;
 
 use crate::color::multi_coloring;
 use crate::error::TileError;
+use crate::executor::TileExecutor;
 use crate::partition::{Partition, Tile};
 
 /// How tile results are interpolated back into the layout.
@@ -368,15 +369,52 @@ impl TileWeights {
 
     /// The rows of tile `index`'s non-zero weight support, top to bottom.
     fn span_rows(&self, index: usize) -> impl Iterator<Item = SpanRow<'_>> {
+        self.span_rows_within(index, 0..self.height)
+    }
+
+    /// The rows of tile `index`'s non-zero weight support that fall in the
+    /// layout rows `rows`, top to bottom, with `layout_start` counted from
+    /// the first pixel of row `rows.start`.
+    fn span_rows_within(
+        &self,
+        index: usize,
+        rows: Range<usize>,
+    ) -> impl Iterator<Item = SpanRow<'_>> {
         let col = &self.cols[index % self.cols.len()];
         let row = &self.rows[index / self.cols.len()];
         let wx = &col.weights[col.span.clone()];
-        row.span.clone().map(move |y| SpanRow {
-            layout_start: (row.origin + y) * self.width + col.origin + col.span.start,
+        let first = row.span.start.max(rows.start.saturating_sub(row.origin));
+        let last = row.span.end.min(rows.end.saturating_sub(row.origin));
+        (first..last).map(move |y| SpanRow {
+            layout_start: (row.origin + y - rows.start) * self.width + col.origin + col.span.start,
             tile_start: y * self.tile + col.span.start,
             wy: row.weights[y],
             wx,
         })
+    }
+
+    /// Folds tile `index`'s weighted `data` and its weights into the layout
+    /// rows `rows`, whose pixels `out` and `coverage` hold.
+    fn fold_rows(
+        &self,
+        index: usize,
+        data: &RealGrid,
+        rows: Range<usize>,
+        out: &mut [f64],
+        coverage: &mut [f64],
+    ) {
+        let data = data.as_slice();
+        for row in self.span_rows_within(index, rows) {
+            let n = row.wx.len();
+            let out = &mut out[row.layout_start..][..n];
+            let coverage = &mut coverage[row.layout_start..][..n];
+            let data = &data[row.tile_start..][..n];
+            for (((o, c), &v), &wx) in out.iter_mut().zip(coverage).zip(data).zip(row.wx) {
+                let weight = row.wy * wx;
+                *o += weight * v;
+                *c += weight;
+            }
+        }
     }
 
     fn check_tile_shape(&self, index: usize, data: &RealGrid) -> Result<(), TileError> {
@@ -488,7 +526,7 @@ impl TileWeights {
 }
 
 /// Incremental (bounded-memory) assembly: tiles are folded into the output
-/// one at a time, in the canonical colour-band order, so a producer that
+/// a band at a time, in the canonical colour-band order, so a producer that
 /// solves tiles colour by colour only ever keeps one colour band of fine
 /// tiles resident instead of all `T`.
 ///
@@ -496,6 +534,14 @@ impl TileWeights {
 /// bit-identical if both fold in one fixed order; the assembler therefore
 /// enforces its [`canonical_order`](Self::canonical_order) on `push`, and
 /// the batch [`assemble`] delegates here pushing in the same order.
+///
+/// Every fold — [`push_band`](Self::push_band), and the pixel-sum check of
+/// [`finish`](Self::finish) — splits the layout into disjoint row ranges,
+/// one per worker of the executor it runs [`on`](Self::on) (one range, on
+/// the calling thread, by default). A worker folds every tile of the band,
+/// in order, into its own rows only, so each pixel receives the same
+/// additions in the same order whatever the worker count: the layout is
+/// bit-identical at any.
 ///
 /// [`finish`](Self::finish) verifies the pixel-sum invariant: the
 /// normalized weights accumulated over all pushes must cover every pixel
@@ -510,6 +556,7 @@ pub struct StreamingAssembler<'a> {
     cursor: usize,
     out: RealGrid,
     coverage: RealGrid,
+    executor: TileExecutor,
 }
 
 impl<'a> StreamingAssembler<'a> {
@@ -525,7 +572,8 @@ impl<'a> StreamingAssembler<'a> {
 
     /// Like [`new`](Self::new), but keeping the pixel-sum accumulator in
     /// storage the caller lends and gets back from
-    /// [`finish_lent`](Self::finish_lent); whatever it held is discarded.
+    /// [`finish_lent`](Self::finish_lent); whatever it held is discarded
+    /// (the first fold zeroes it).
     /// The layout accumulator leaves with the result, so it cannot be
     /// lent; this one can, and a caller that builds one assembler per
     /// operation (the incremental re-solve) then touches pages it already
@@ -550,11 +598,12 @@ impl<'a> StreamingAssembler<'a> {
             .flatten()
             .collect();
         let pixels = partition.width() * partition.height();
+        // Fresh zeroed pages cost nothing until they are touched; lent
+        // storage keeps what it held until the first fold zeroes it.
         if coverage.capacity() < pixels {
-            // Fresh zeroed pages cost nothing until they are touched.
             coverage = vec![0.0; pixels];
         } else {
-            coverage.clear();
+            coverage.truncate(pixels);
             coverage.resize(pixels, 0.0);
         }
         StreamingAssembler {
@@ -565,7 +614,15 @@ impl<'a> StreamingAssembler<'a> {
             cursor: 0,
             out: RealGrid::new(partition.width(), partition.height(), 0.0),
             coverage: RealGrid::from_vec(partition.width(), partition.height(), coverage),
+            executor: TileExecutor::sequential(),
         }
+    }
+
+    /// Splits every later fold over `executor`'s workers, one range of
+    /// layout rows each.
+    pub fn on(mut self, executor: &TileExecutor) -> Self {
+        self.executor = *executor;
+        self
     }
 
     /// The fold order `push` enforces: colour groups in colour order, tiles
@@ -586,39 +643,62 @@ impl<'a> StreamingAssembler<'a> {
     ///
     /// # Errors
     ///
-    /// * [`TileError::StreamOrder`] if `tile_index` is not the next tile in
-    ///   [`canonical_order`](Self::canonical_order);
-    /// * [`TileError::TileShape`] if `data` is not tile-sized;
-    /// * [`TileError::AssemblyMismatch`] if every tile was already pushed.
+    /// As [`push_band`](Self::push_band).
     pub fn push(&mut self, tile_index: usize, data: &RealGrid) -> Result<(), TileError> {
+        self.push_band(&[(tile_index, data)])
+    }
+
+    /// Folds `band`'s `(tile index, data)` pairs, in the order given, in one
+    /// call split by rows over the workers. The whole band is checked
+    /// before the first write, so on error nothing of it is folded.
+    ///
+    /// # Errors
+    ///
+    /// * [`TileError::StreamOrder`] if a tile is not the next one in
+    ///   [`canonical_order`](Self::canonical_order);
+    /// * [`TileError::TileShape`] if a grid is not tile-sized;
+    /// * [`TileError::AssemblyMismatch`] if the band runs past the last
+    ///   tile.
+    pub fn push_band(&mut self, band: &[(usize, &RealGrid)]) -> Result<(), TileError> {
         let total = self.order.len();
-        let Some(&expected) = self.order.get(self.cursor) else {
-            return Err(TileError::AssemblyMismatch {
-                expected: total,
-                actual: total + 1,
-            });
-        };
-        if tile_index != expected {
-            return Err(TileError::StreamOrder {
-                expected,
-                actual: tile_index,
-            });
-        }
-        self.weights.check_tile_shape(tile_index, data)?;
-        let (out, coverage) = (self.out.as_mut_slice(), self.coverage.as_mut_slice());
-        let data = data.as_slice();
-        for row in self.weights.span_rows(tile_index) {
-            let n = row.wx.len();
-            let out = &mut out[row.layout_start..][..n];
-            let coverage = &mut coverage[row.layout_start..][..n];
-            let data = &data[row.tile_start..][..n];
-            for (((o, c), &v), &wx) in out.iter_mut().zip(coverage).zip(data).zip(row.wx) {
-                let weight = row.wy * wx;
-                *o += weight * v;
-                *c += weight;
+        for (k, &(tile_index, data)) in band.iter().enumerate() {
+            let Some(&expected) = self.order.get(self.cursor + k) else {
+                return Err(TileError::AssemblyMismatch {
+                    expected: total,
+                    actual: self.cursor + band.len(),
+                });
+            };
+            if tile_index != expected {
+                return Err(TileError::StreamOrder {
+                    expected,
+                    actual: tile_index,
+                });
             }
+            self.weights.check_tile_shape(tile_index, data)?;
         }
-        self.cursor += 1;
+        // The first fold zeroes both accumulators, each worker its own
+        // rows. A fresh clip-sized block is mapped lazily, and a fold that
+        // reads a page before writing it faults twice (the shared zero
+        // page, then a private copy); written first, every page faults
+        // once, on the worker that folds into it.
+        let zero = self.cursor == 0;
+        let weights = &self.weights;
+        by_rows(
+            &self.executor,
+            self.out.as_mut_slice(),
+            self.coverage.as_mut_slice(),
+            weights.width,
+            |rows, out, coverage| {
+                if zero {
+                    out.fill(0.0);
+                    coverage.fill(0.0);
+                }
+                for &(tile_index, data) in band {
+                    weights.fold_rows(tile_index, data, rows.clone(), out, coverage);
+                }
+            },
+        );
+        self.cursor += band.len();
         Ok(())
     }
 
@@ -648,7 +728,7 @@ impl<'a> StreamingAssembler<'a> {
     /// # Panics
     ///
     /// As [`finish`](Self::finish).
-    pub fn finish_lent(self) -> Result<(RealGrid, Vec<f64>), TileError> {
+    pub fn finish_lent(mut self) -> Result<(RealGrid, Vec<f64>), TileError> {
         if self.cursor != self.order.len() {
             return Err(TileError::AssemblyMismatch {
                 expected: self.order.len(),
@@ -659,18 +739,53 @@ impl<'a> StreamingAssembler<'a> {
             AssemblyMode::Restricted => 0.0,
             _ => 1e-6,
         };
-        for (x, y, &c) in self.coverage.iter() {
-            assert!(
-                (c - 1.0).abs() <= tolerance,
-                "pixel-sum invariant violated at ({x}, {y}): total weight {c}"
-            );
-        }
+        let width = self.weights.width;
+        by_rows(
+            &self.executor,
+            self.out.as_mut_slice(),
+            self.coverage.as_mut_slice(),
+            width,
+            |rows, _, coverage| {
+                for (k, &c) in coverage.iter().enumerate() {
+                    let (x, y) = (k % width, rows.start + k / width);
+                    assert!(
+                        (c - 1.0).abs() <= tolerance,
+                        "pixel-sum invariant violated at ({x}, {y}): total weight {c}"
+                    );
+                }
+            },
+        );
         ilt_telemetry::counter_add(
             "tile.pixels_assembled",
             (self.partition.width() * self.partition.height()) as u64,
         );
         Ok((self.out, self.coverage.into_vec()))
     }
+}
+
+/// Runs `body` once per range of layout rows — one range per worker of
+/// `executor`, as even as whole rows allow — with those rows of the two
+/// `width`-wide layouts `out` and `coverage`. The ranges are disjoint, so
+/// each pixel is written by exactly one call.
+fn by_rows(
+    executor: &TileExecutor,
+    out: &mut [f64],
+    coverage: &mut [f64],
+    width: usize,
+    body: impl Fn(Range<usize>, &mut [f64], &mut [f64]) + Sync,
+) {
+    let height = out.len() / width;
+    let parts = executor.workers().min(height).max(1);
+    let mut ranges = Vec::with_capacity(parts);
+    let (mut out, mut coverage) = (out, coverage);
+    for k in 0..parts {
+        let rows = k * height / parts..(k + 1) * height / parts;
+        let (here, rest) = std::mem::take(&mut out).split_at_mut(rows.len() * width);
+        let (here_c, rest_c) = std::mem::take(&mut coverage).split_at_mut(rows.len() * width);
+        ranges.push((rows, here, here_c));
+        (out, coverage) = (rest, rest_c);
+    }
+    executor.run_parts(ranges, |(rows, out, coverage)| body(rows, out, coverage));
 }
 
 /// Assembles per-tile results into a full layout:
@@ -780,11 +895,12 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "pixel-sum invariant")]
-    fn finish_panics_when_the_weights_are_not_a_partition_of_unity() {
+    /// Folds every tile of `p` into an assembler on `workers` whose
+    /// weights over-cover one layout column, then finishes it.
+    fn finish_with_broken_weights(workers: usize) {
         let p = partition();
-        let mut asm = StreamingAssembler::new(&p, AssemblyMode::weighted_default(&p));
+        let mut asm = StreamingAssembler::new(&p, AssemblyMode::weighted_default(&p))
+            .on(&TileExecutor::new(workers));
         // One wrong entry inside tile column 1's support: every tile of
         // that column now over-covers one layout column.
         let k = asm.weights.cols[1].span.start + 20;
@@ -795,6 +911,117 @@ mod tests {
             asm.push(idx, &data).unwrap();
         }
         let _ = asm.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "pixel-sum invariant")]
+    fn finish_panics_when_the_weights_are_not_a_partition_of_unity() {
+        finish_with_broken_weights(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "pixel-sum invariant")]
+    fn finish_panics_on_two_workers_when_the_weights_are_not_a_partition_of_unity() {
+        finish_with_broken_weights(2);
+    }
+
+    #[test]
+    fn the_row_split_fold_is_bit_identical_to_the_serial_push_loop() {
+        // 300x200 clamps both axes; 200x331 is taller than wide; neither
+        // height divides evenly by 3, 4 or 5 workers.
+        for (w, h) in [(256, 256), (300, 200), (200, 331)] {
+            let p = Partition::new(
+                w,
+                h,
+                PartitionConfig {
+                    tile: 128,
+                    overlap: 64,
+                },
+            )
+            .unwrap();
+            let tiles: Vec<RealGrid> = p
+                .tiles()
+                .iter()
+                .map(|t| {
+                    Grid::from_fn(128, 128, |x, y| {
+                        ((x * 13 + y * 29 + t.index * 7) % 17) as f64 / 17.0 + 1e-9 * x as f64
+                    })
+                })
+                .collect();
+            for mode in [AssemblyMode::Restricted, AssemblyMode::weighted_default(&p)] {
+                let mut serial = StreamingAssembler::new(&p, mode);
+                for k in 0..serial.canonical_order().len() {
+                    let i = serial.canonical_order()[k];
+                    serial.push(i, &tiles[i]).unwrap();
+                }
+                let bits =
+                    |g: &RealGrid| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let serial = bits(&serial.finish().unwrap());
+                let bands = multi_coloring(&p).groups();
+                for workers in 1..=5 {
+                    let executor = TileExecutor::new(workers);
+                    // Band by band, as the cold flows fold, and every tile
+                    // in one call, as the incremental reuse stage does.
+                    for one_call in [false, true] {
+                        let mut split = StreamingAssembler::new(&p, mode).on(&executor);
+                        let band = |group: &[usize]| -> Vec<(usize, &RealGrid)> {
+                            group.iter().map(|&i| (i, &tiles[i])).collect()
+                        };
+                        if one_call {
+                            let order = split.canonical_order().to_vec();
+                            split.push_band(&band(&order)).unwrap();
+                        } else {
+                            for group in &bands {
+                                split.push_band(&band(group)).unwrap();
+                            }
+                        }
+                        assert_eq!(
+                            bits(&split.finish().unwrap()),
+                            serial,
+                            "{mode:?} at {w}x{h} on {workers} workers (one call: {one_call})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_rejected_band_folds_nothing() {
+        let p = partition();
+        let data = Grid::new(128, 128, 0.5);
+        let mut asm =
+            StreamingAssembler::new(&p, AssemblyMode::Restricted).on(&TileExecutor::new(2));
+        let order = asm.canonical_order().to_vec();
+        // The band's second tile is out of order: the first is not folded.
+        let wrong = [(order[0], &data), (order[2], &data)];
+        assert_eq!(
+            asm.push_band(&wrong),
+            Err(TileError::StreamOrder {
+                expected: order[1],
+                actual: order[2]
+            })
+        );
+        assert_eq!(asm.pushed(), 0);
+        // A band past the last tile names how far it reached.
+        let all: Vec<(usize, &RealGrid)> = order.iter().map(|&i| (i, &data)).collect();
+        asm.push_band(&all[..8]).unwrap();
+        assert_eq!(
+            asm.push_band(&all[7..]),
+            Err(TileError::StreamOrder {
+                expected: order[8],
+                actual: order[7]
+            })
+        );
+        assert_eq!(
+            asm.push_band(&[(order[8], &data), (order[8], &data)]),
+            Err(TileError::AssemblyMismatch {
+                expected: 9,
+                actual: 10
+            })
+        );
+        asm.push_band(&all[8..]).unwrap();
+        assert!(asm.finish().unwrap().as_slice().iter().all(|&v| v == 0.5));
     }
 
     #[test]

@@ -122,8 +122,45 @@ impl TileExecutor {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
+        self.dispatch(count, |i, worker| traced_job(&job, i, worker))
+    }
+
+    /// Moves each of `parts` to exactly one worker and runs `job` on it:
+    /// how a whole-clip fold hands disjoint row ranges of one layout to the
+    /// workers. Unlike [`run`](Self::run) no `job` span is recorded (the
+    /// caller's own span times the call), and a single part, or a single
+    /// worker, runs on the calling thread with no dispatch at all.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first panicking part's payload, like
+    /// [`run`](Self::run).
+    pub fn run_parts<P, F>(&self, parts: Vec<P>, job: F)
+    where
+        P: Send,
+        F: Fn(P) + Sync,
+    {
+        if self.workers == 1 || parts.len() <= 1 {
+            parts.into_iter().for_each(job);
+            return;
+        }
+        let parts: Vec<Mutex<Option<P>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
+        self.dispatch(parts.len(), |k, _| {
+            let part = parts[k].lock().unwrap_or_else(|e| e.into_inner()).take();
+            job(part.expect("each part is claimed once"));
+        });
+    }
+
+    /// The pool behind [`run`](Self::run) and [`run_parts`](Self::run_parts):
+    /// evaluates `job(i, worker)` for `i in 0..count` and returns the results
+    /// in index order.
+    fn dispatch<T, F>(&self, count: usize, job: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize, usize) -> T + Sync,
+    {
         if self.workers == 1 || count <= 1 {
-            return (0..count).map(|i| traced_job(&job, i, 0)).collect();
+            return (0..count).map(|i| job(i, 0)).collect();
         }
         // What the caller knows about the job: its context record — trace
         // id (so spans stay attributable to the submitting job/request),
@@ -140,13 +177,14 @@ impl TileExecutor {
         let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
         let (sender, receiver) = mpsc::channel::<(usize, T)>();
         std::thread::scope(|scope| {
+            let mut threads = Vec::with_capacity(self.workers.min(count));
             for worker in 0..self.workers.min(count) {
                 let sender = sender.clone();
                 let next = &next;
                 let stop = &stop;
                 let panicked = &panicked;
                 let job = &job;
-                scope.spawn(move || {
+                threads.push(scope.spawn(move || {
                     let _context = tele::context::scope(|c| c, context);
                     // Dropped first, which flushes this worker's counters
                     // into the sink before the scope joins it.
@@ -162,7 +200,7 @@ impl TileExecutor {
                         // AssertUnwindSafe: on panic the payload is
                         // re-raised to the caller and no partial results
                         // escape, so no broken invariant is observable.
-                        match catch_unwind(AssertUnwindSafe(|| traced_job(job, i, worker))) {
+                        match catch_unwind(AssertUnwindSafe(|| job(i, worker))) {
                             // The receiver outlives the scope; send cannot
                             // fail unless a sibling panicked first.
                             Ok(value) => {
@@ -178,7 +216,18 @@ impl TileExecutor {
                             }
                         }
                     }
-                });
+                }));
+            }
+            // Join each thread outright: the scope alone only waits for the
+            // closures to return, and a thread still running its exit
+            // (thread-local destructors, handing its malloc arena back)
+            // when the next call spawns makes that call's threads take
+            // fresh arenas, each of which keeps freed memory of its own.
+            for thread in threads {
+                if let Err(payload) = thread.join() {
+                    let mut slot = panicked.lock().unwrap_or_else(|e| e.into_inner());
+                    slot.get_or_insert(payload);
+                }
             }
         });
         drop(sender);
@@ -309,6 +358,34 @@ mod tests {
     #[test]
     fn default_is_sequential() {
         assert_eq!(TileExecutor::default().workers(), 1);
+    }
+
+    #[test]
+    fn run_parts_hands_each_part_to_one_call() {
+        for workers in [1usize, 2, 5] {
+            let mut data = vec![0usize; 10];
+            let parts: Vec<(usize, &mut [usize])> = data.chunks_mut(3).enumerate().collect();
+            TileExecutor::new(workers).run_parts(parts, |(k, chunk)| {
+                for v in chunk {
+                    *v += k + 1;
+                }
+            });
+            assert_eq!(data, [1, 1, 1, 2, 2, 2, 3, 3, 3, 4], "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn run_parts_reraises_a_panicking_part() {
+        fault::quiet_injected_panics();
+        let outcome = catch_unwind(|| {
+            TileExecutor::new(2).run_parts(vec![0, 1, 2], |k| {
+                if k == 1 {
+                    panic!("{} part {k}", fault::INJECTED_PANIC_PREFIX);
+                }
+            })
+        });
+        let payload = outcome.expect_err("the part's panic reaches the caller");
+        assert!(panic_text(payload.as_ref()).contains("part 1"));
     }
 
     #[test]
