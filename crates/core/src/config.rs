@@ -174,16 +174,16 @@ impl ExperimentConfig {
     }
 
     /// The paper's literal scale: 4096-pixel clips, 2048-pixel tiles,
-    /// overlap 2 x 512, with the optics scaled so features keep the same
-    /// `k1`. Accepted by every flow unchanged, but expect hours per clip on
-    /// a CPU — the default scale exists precisely so the experiments run on
-    /// a laptop.
+    /// overlap 2 x 512, with features drawn as many times wider as the grid
+    /// is finer, so they keep the same `k1`: the pupil radius in frequency
+    /// bins (`NA · N · pitch / λ`) is unchanged, because the grid's extent
+    /// in nm is. Accepted by every flow unchanged, but expect hours per
+    /// clip on a CPU — the default scale exists precisely so the
+    /// experiments run on a laptop.
     pub fn paper_scale() -> Self {
         let mut cfg = ExperimentConfig::paper_default();
         let factor = 2048 / cfg.optics.base_n;
         cfg.optics.base_n = 2048;
-        cfg.optics.pupil_radius_bins *= factor as f64;
-        cfg.optics.source_step_bins *= factor as f64;
         cfg.clip = 4096;
         cfg.partition = PartitionConfig {
             tile: 2048,
@@ -434,10 +434,18 @@ mod tests {
         assert_eq!(cfg.partition.tile, 2048);
         assert_eq!(cfg.partition.overlap, 2 * 512);
         assert_eq!(cfg.optics.base_n, 2048);
-        // Same k1: pupil radius scales with the grid.
+        // Same k1: features are as many times wider as the grid is finer,
+        // over a pupil of the same radius in frequency bins.
         let default = ExperimentConfig::paper_default();
-        let ratio = cfg.optics.pupil_radius_bins / default.optics.pupil_radius_bins;
-        assert_eq!(ratio as usize, 2048 / default.optics.base_n);
+        let k1 = |c: &ExperimentConfig| {
+            c.generator.wire_width as f64 * c.optics.pupil_radius_bins / c.optics.base_n as f64
+        };
+        assert_eq!(k1(&cfg), k1(&default));
+        assert_eq!(
+            cfg.optics.pupil_radius_bins,
+            default.optics.pupil_radius_bins
+        );
+        assert_eq!(cfg.optics.kernel_support(), default.optics.kernel_support());
     }
 
     #[test]

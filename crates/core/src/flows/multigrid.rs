@@ -29,13 +29,12 @@
 //!    colours so later colours see earlier results.
 //!
 //! The coarse and fine stages are colour-banded stages of the shared
-//! pipeline ([`run_assembled_stage_lent`]): one colour band of tile masks
+//! pipeline ([`run_assembled_stage`]): one colour band of tile masks
 //! is solved, folded into the assembler and dropped at a time, so peak
-//! resident tile masks are one band instead of the whole M×N grid. The
-//! stages hand one pixel-sum accumulator along, and a coarse tile reads
-//! its window of the layout without copying it out: at 1024² every
-//! clip-sized grid is a mapping of its own (see [`crate::Session`]), and
-//! each one allocated is faulted in page by page.
+//! resident tile masks are one band instead of the whole M×N grid. A
+//! coarse tile reads its window of the layout without copying it out: at
+//! 1024² every clip-sized grid is a mapping of its own (see
+//! [`crate::Session`]), and each one allocated is faulted in page by page.
 
 use std::borrow::Cow;
 
@@ -46,7 +45,7 @@ use ilt_tile::{AssemblyMode, Partition, PartitionConfig, TileExecutor};
 
 use crate::config::ExperimentConfig;
 use crate::error::CoreError;
-use crate::flows::stage::{refine_pass, run_assembled_stage_lent, FineTiles, Recovering};
+use crate::flows::stage::{refine_pass, run_assembled_stage, FineTiles, Recovering};
 use crate::flows::{trace, FlowResult};
 
 /// Runs the multigrid-Schwarz flow.
@@ -71,9 +70,6 @@ pub fn multigrid_schwarz(
     // Algorithm 1 line 4: M <- Z_t (borrowed until the first stage
     // assembles a mask of its own).
     let mut mask = Cow::Borrowed(&target_real);
-    // The assemblers' clip-sized pixel-sum accumulator, handed from each
-    // assembled stage to the next.
-    let mut coverage = Vec::new();
     let mut stages = Vec::new();
     let mut recovering = Recovering::new(&name, executor);
 
@@ -108,12 +104,11 @@ pub fn multigrid_schwarz(
                 Ok::<_, CoreError>(up)
             })
         };
-        let (assembled, timing) = run_assembled_stage_lent(
+        let (assembled, timing) = run_assembled_stage(
             &label,
             &partition,
             AssemblyMode::Restricted,
             executor,
-            &mut coverage,
             |band| recovering.solve(&label, &partition, &mask, band, solve),
         )?;
         mask = Cow::Owned(assembled);
@@ -135,22 +130,15 @@ pub fn multigrid_schwarz(
         let iterations = config.schedule.fine_per_stage(fine_stage);
         // A degraded fine tile keeps its coarse-grid mask (= its crop of
         // the assembled layout) and is stitched by the same weighted blend.
-        let (assembled, timing) = run_assembled_stage_lent(
-            &label,
-            &partition,
-            tiles.blend(),
-            executor,
-            &mut coverage,
-            |band| {
+        let (assembled, timing) =
+            run_assembled_stage(&label, &partition, tiles.blend(), executor, |band| {
                 recovering.solve(&label, &partition, &mask, band, |i| {
                     tiles.solve(&mask, i, iterations, false)
                 })
-            },
-        )?;
+            })?;
         mask = Cow::Owned(assembled);
         stages.push(timing);
     }
-    drop(coverage);
 
     // Between the fine stages and the refine pass, resolve the remaining
     // gray ambiguity of the blend bands: at exactly 0.5 the binarisation

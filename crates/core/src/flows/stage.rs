@@ -13,9 +13,8 @@
 //! a failed tile to its pre-stage crop) and in how a band folds
 //! ([`run_assembled_stage`] for every flow that assembles masks).
 //!
-//! An assembled stage's folds run on the tile workers too: each band, and
-//! the pixel-sum check that finishes the stage, is split into disjoint
-//! ranges of layout rows, one per worker
+//! An assembled stage's folds run on the tile workers too: each band is
+//! split into disjoint ranges of layout rows, one per worker
 //! ([`StreamingAssembler::push_band`]). The split is by pixels, not by
 //! tiles, so a band is still folded and dropped before the next is solved
 //! (the residency above is unchanged) and every pixel still receives its
@@ -95,56 +94,27 @@ pub(crate) fn run_assembled_stage(
     executor: &TileExecutor,
     solve_band: impl FnMut(&[usize]) -> Result<Vec<(RealGrid, f64)>, CoreError>,
 ) -> Result<(RealGrid, StageTiming), CoreError> {
-    run_assembled_stage_lent(
+    run_banded_stage(
         label,
         partition,
-        mode,
-        executor,
-        &mut Vec::new(),
+        assembler(partition, mode, executor),
         solve_band,
+        |assembler, band| Ok(assembler.push_band(band)?),
+        |assembler| Ok(assembler.finish()?),
     )
 }
 
-/// [`run_assembled_stage`] with the assembler's pixel-sum accumulator in
-/// `coverage`, which the caller keeps for its next stage: the incremental
-/// flow assembles once per operation, and allocating that clip-sized block
-/// afresh each time (8 MiB at 1024²: mapped, faulted in page by page,
-/// unmapped) was two thirds of its assembly seconds; the multigrid flow
-/// hands it from each of its assembled stages to the next.
-pub(crate) fn run_assembled_stage_lent(
-    label: &str,
-    partition: &Partition,
-    mode: AssemblyMode,
-    executor: &TileExecutor,
-    coverage: &mut Vec<f64>,
-    solve_band: impl FnMut(&[usize]) -> Result<Vec<(RealGrid, f64)>, CoreError>,
-) -> Result<(RealGrid, StageTiming), CoreError> {
-    let assembler = assembler(partition, mode, executor, coverage);
-    let ((assembled, lent), timing) = run_banded_stage(
-        label,
-        partition,
-        assembler,
-        solve_band,
-        |assembler, band| Ok(assembler.push_band(band)?),
-        |assembler| Ok(assembler.finish_lent()?),
-    )?;
-    *coverage = lent;
-    Ok((assembled, timing))
-}
-
 /// A streaming assembler over `partition` whose folds split over
-/// `executor`'s workers, its pixel-sum accumulator taken from `coverage`.
-/// Its two clip-sized grids are assembly memory, so they are built under
-/// that profiling tag; no `assembly` span, so their time stays out of the
-/// stage's assembly seconds.
+/// `executor`'s workers. Its clip-sized layout is assembly memory, so it is
+/// built under that profiling tag; no `assembly` span, so its time stays
+/// out of the stage's assembly seconds.
 pub(crate) fn assembler<'p>(
     partition: &'p Partition,
     mode: AssemblyMode,
     executor: &TileExecutor,
-    coverage: &mut Vec<f64>,
 ) -> StreamingAssembler<'p> {
     let _tag = ilt_prof::stage_scope(ilt_prof::Stage::Assembly);
-    StreamingAssembler::with_coverage(partition, mode, std::mem::take(coverage)).on(executor)
+    StreamingAssembler::new(partition, mode).on(executor)
 }
 
 /// The failure policy of Ours and its incremental re-solve: tile solves

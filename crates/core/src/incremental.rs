@@ -273,33 +273,6 @@ pub fn run_incremental_in(
     solver: &dyn TileSolver,
     executor: &TileExecutor,
 ) -> Result<IncrementalOutcome, CoreError> {
-    run_incremental_lent(
-        config,
-        bank,
-        store,
-        base,
-        edited,
-        solver,
-        executor,
-        &mut Vec::new(),
-    )
-}
-
-/// [`run_incremental_in`] with its assembler's pixel-sum accumulator in
-/// storage the caller lends: the flow builds exactly one assembler, so only
-/// a caller that outlives the operation ([`crate::Session`]) can spare it
-/// the allocation.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_incremental_lent(
-    config: &ExperimentConfig,
-    bank: &LithoBank,
-    store: &MaskStore,
-    base: &BitGrid,
-    edited: &BitGrid,
-    solver: &dyn TileSolver,
-    executor: &TileExecutor,
-    coverage: &mut Vec<f64>,
-) -> Result<IncrementalOutcome, CoreError> {
     config.validate();
     let name = format!("ours-eco:{}", solver.name());
     let fspan = trace::flow_span(&name);
@@ -371,7 +344,7 @@ pub(crate) fn run_incremental_lent(
     }
     // Every tile folds in one call, split by layout rows over the workers;
     // the masks it holds are the store's, so it records no resident bytes.
-    let mut assembler = assembler(&partition, blend, executor, coverage);
+    let mut assembler = assembler(&partition, blend, executor);
     let (mut mask, assembly_seconds) = trace::assembly_fold(None, || {
         let band: Vec<(usize, &RealGrid)> = assembler
             .canonical_order()
@@ -379,9 +352,7 @@ pub(crate) fn run_incremental_lent(
             .map(|&i| (i, &*masks[i]))
             .collect();
         assembler.push_band(&band)?;
-        let (layout, lent) = assembler.finish_lent()?;
-        *coverage = lent;
-        Ok::<_, CoreError>(layout)
+        Ok::<_, CoreError>(assembler.finish()?)
     })?;
     drop(masks);
     stages.push(stage.finish_streamed(tile_seconds, assembly_seconds));
@@ -567,34 +538,6 @@ mod tests {
                 i == 0 || partition.tile(i).rect.overlaps(partition.tile(0).rect),
                 "tile {i} in the frontier without overlapping the edit"
             );
-        }
-    }
-
-    #[test]
-    fn an_accumulator_kept_between_operations_leaks_nothing() {
-        let config = ExperimentConfig::test_tiny();
-        let bank = LithoBank::new(config.optics, config.resist).unwrap();
-        let (solver, executor) = (ilt_opt::PixelIlt::new(), TileExecutor::sequential());
-        let base = ilt_layout::generate_clip(&config.generator, 1);
-        let store = MaskStore::new(64 << 20, None);
-        run_and_store(&config, &bank, &store, &base, &solver, &executor).unwrap();
-        let mut coverage = Vec::new();
-        // The second edit assembles in what the first left behind.
-        for corner in [10, 40] {
-            let mut edited = base.clone();
-            let rect = Rect::new(corner, corner, corner + 8, corner + 8);
-            edited.fill_rect(rect, 1 - base.get(corner as usize, corner as usize));
-            let run = |store: &MaskStore, coverage: &mut Vec<f64>| {
-                run_incremental_lent(
-                    &config, &bank, store, &base, &edited, &solver, &executor, coverage,
-                )
-                .unwrap()
-                .flow
-                .mask
-            };
-            let fresh = run(&store, &mut Vec::new());
-            let kept = run(&store, &mut coverage);
-            assert!(kept.as_slice() == fresh.as_slice());
         }
     }
 

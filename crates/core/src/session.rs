@@ -8,11 +8,6 @@
 //! costs. A [`Session`] is cheap to construct once its bank is cached:
 //! warm construction is a cache hit plus one inspection-system resample.
 //!
-//! A session also keeps the incremental re-solve's clip-sized pixel-sum
-//! accumulator from one operation to the next: that flow builds a single
-//! assembler per operation, so nothing inside it can spare the allocator
-//! mapping, faulting in and unmapping the block every time.
-//!
 //! Building a session pins the allocator's mmap threshold
 //! ([`ilt_prof::rss::pin_mmap_threshold`]), so the flows' clip-sized grids
 //! are mapped and unmapped whole and a process's peak resident set does
@@ -23,7 +18,7 @@
 //! still best treated as per-worker state: give each worker thread its own
 //! `Session` and let the bank cache dedupe the heavy state underneath.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ilt_grid::{BitGrid, RealGrid};
 use ilt_litho::{LithoBank, LithoSystem};
@@ -41,11 +36,6 @@ pub struct Session {
     config: ExperimentConfig,
     bank: Arc<LithoBank>,
     inspection: LithoSystem,
-    /// The incremental flow's pixel-sum accumulator between operations.
-    /// Locked only to take it out and to put it back, never across a flow:
-    /// of two concurrent operations the second starts with none (and
-    /// allocates), and the last to finish leaves its own here.
-    coverage: Mutex<Vec<f64>>,
 }
 
 impl Session {
@@ -79,7 +69,6 @@ impl Session {
             config,
             bank,
             inspection,
-            coverage: Mutex::default(),
         })
     }
 
@@ -174,10 +163,7 @@ impl Session {
     ) -> Result<crate::incremental::IncrementalOutcome, CoreError> {
         let mut span = ilt_telemetry::span(ilt_telemetry::names::SESSION);
         span.add_field("method", "ours-eco");
-        // A poisoned lock still guards a valid (possibly empty) vector.
-        let slot = || self.coverage.lock().unwrap_or_else(|e| e.into_inner());
-        let mut coverage = std::mem::take(&mut *slot());
-        let outcome = crate::incremental::run_incremental_lent(
+        crate::incremental::run_incremental_in(
             &self.config,
             &self.bank,
             ilt_store::shared_store(),
@@ -185,10 +171,7 @@ impl Session {
             edited,
             &ilt_opt::PixelIlt::new(),
             executor,
-            &mut coverage,
-        );
-        *slot() = coverage;
-        outcome
+        )
     }
 
     /// Inspects a raw mask against a target over the whole clip with the

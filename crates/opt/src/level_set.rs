@@ -249,7 +249,7 @@ mod tests {
         let outcome = LevelSetIlt::new()
             .solve(&ctx, &SolveRequest::new(&target, &target, 30))
             .unwrap();
-        let first = outcome.loss_history[0];
+        let first = outcome.convergence.flatten()[0];
         let last = outcome.final_loss().unwrap();
         assert!(last < 0.8 * first, "loss {first} -> {last}");
 

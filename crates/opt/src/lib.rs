@@ -33,7 +33,7 @@
 //! let mut target = Grid::new(64, 64, 0.0);
 //! target.fill_rect(Rect::new(20, 24, 44, 36), 1.0);
 //! let outcome = PixelIlt::new().solve(&ctx, &SolveRequest::new(&target, &target, 5))?;
-//! assert_eq!(outcome.loss_history.len(), 5);
+//! assert_eq!(outcome.convergence.iterations(), 5);
 //! # Ok(())
 //! # }
 //! ```

@@ -776,8 +776,8 @@ mod tests {
         let solver = PixelIlt::new();
         let request = SolveRequest::new(&target, &target, 30);
         let outcome = solver.solve(&ctx, &request).unwrap();
-        assert_eq!(outcome.loss_history.len(), 30);
-        let first = outcome.loss_history[0];
+        assert_eq!(outcome.convergence.iterations(), 30);
+        let first = outcome.convergence.flatten()[0];
         let last = outcome.final_loss().unwrap();
         assert!(last < 0.7 * first, "loss {first} -> {last}");
 
@@ -810,10 +810,10 @@ mod tests {
         });
         let request = SolveRequest::new(&target, &target, 10);
         let outcome = solver.solve(&ctx, &request).unwrap();
-        assert_eq!(outcome.loss_history.len(), 10);
+        assert_eq!(outcome.convergence.iterations(), 10);
         // Coarse losses are computed on a 4x smaller grid, so the scale of
         // the first half differs from the second; both halves must be finite.
-        assert!(outcome.loss_history.iter().all(|l| l.is_finite()));
+        assert!(outcome.convergence.flatten().iter().all(|l| l.is_finite()));
     }
 
     #[test]
@@ -1021,6 +1021,6 @@ mod tests {
         ));
         let bounded = solver.solve(&ctx, &request).unwrap();
         assert_eq!(free.mask.as_slice(), bounded.mask.as_slice());
-        assert_eq!(free.loss_history, bounded.loss_history);
+        assert_eq!(free.convergence, bounded.convergence);
     }
 }

@@ -143,28 +143,21 @@ impl ConvergenceTrace {
 pub struct IltOutcome {
     /// Optimised continuous mask in `[0, 1]`.
     pub mask: RealGrid,
-    /// Objective value after every iteration (all segments concatenated;
-    /// kept for backward compatibility with [`ConvergenceTrace`]-unaware
-    /// callers — always equal to `convergence.flatten()`).
-    pub loss_history: Vec<f64>,
-    /// Segmented per-iteration convergence trace.
+    /// Segmented per-iteration convergence trace; the objective value after
+    /// every iteration is its [`flatten`](ConvergenceTrace::flatten).
     pub convergence: ConvergenceTrace,
 }
 
 impl IltOutcome {
-    /// Builds an outcome from a mask and its convergence trace; the flat
-    /// `loss_history` is derived from the trace.
+    /// Builds an outcome from a mask and its convergence trace.
     pub fn new(mask: RealGrid, convergence: ConvergenceTrace) -> Self {
-        IltOutcome {
-            mask,
-            loss_history: convergence.flatten(),
-            convergence,
-        }
+        IltOutcome { mask, convergence }
     }
 
     /// Final loss, if any iterations ran.
     pub fn final_loss(&self) -> Option<f64> {
-        self.loss_history.last().copied()
+        let segments = &self.convergence.segments;
+        segments.iter().rev().find_map(|s| s.losses.last()).copied()
     }
 }
 
@@ -183,16 +176,16 @@ pub(crate) fn with_solve_span(
     span.add_field("n", ctx.n);
     span.add_field("scale", ctx.scale);
     let outcome = body()?;
-    let losses = &outcome.loss_history;
-    span.add_field("iterations", losses.len());
+    let iterations = outcome.convergence.iterations();
+    span.add_field("iterations", iterations);
     if let Some(loss) = outcome.final_loss() {
         span.add_field("final_loss", loss);
     }
     if ilt_telemetry::enabled() {
-        crate::anomaly::record(losses);
+        crate::anomaly::record(&outcome.convergence.flatten());
     }
     ilt_telemetry::counter_add("solver.solves", 1);
-    ilt_telemetry::record_value("solver.iterations", losses.len() as u64);
+    ilt_telemetry::record_value("solver.iterations", iterations as u64);
     Ok(outcome)
 }
 
@@ -261,7 +254,7 @@ mod tests {
             ConvergenceTrace::single("fine", vec![3.0, 2.0, 1.0]),
         );
         assert_eq!(outcome.final_loss(), Some(1.0));
-        assert_eq!(outcome.loss_history, vec![3.0, 2.0, 1.0]);
+        assert_eq!(outcome.convergence.flatten(), vec![3.0, 2.0, 1.0]);
         let empty = IltOutcome::new(Grid::new(2, 2, 0.0), ConvergenceTrace::default());
         assert_eq!(empty.final_loss(), None);
     }

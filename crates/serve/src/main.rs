@@ -11,8 +11,7 @@
 //! (tile threads per job, default 1), `ILT_TRACE`, `ILT_FAULTS`
 //! (deterministic fault-injection profile for drills, see `ilt_telemetry::fault`),
 //! `ILT_OBS_RING` (flight-recorder capacity per shard, or `off`) and
-//! `ILT_PROF_ALLOC` (allocation counting for `/debug/memory`). The SLO
-//! objectives and windows are fixed.
+//! `ILT_PROF_ALLOC` (allocation counting for `/debug/memory`).
 
 use ilt_serve::ServeConfig;
 

@@ -20,7 +20,7 @@ use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ilt_grid::BitGrid;
@@ -40,15 +40,6 @@ use crate::job::{
     JobStatus, MaskSummary,
 };
 use crate::queue::{JobQueue, PushError, RETRY_AFTER_SECONDS};
-use crate::slo::{SloConfig, SloEngine};
-
-/// The process-wide SLO burn-rate engine over the daemon's objectives,
-/// fed by every job completion.
-static SLO: OnceLock<SloEngine> = OnceLock::new();
-
-fn slo_engine() -> &'static SloEngine {
-    SLO.get_or_init(|| SloEngine::new(SloConfig::serve_default()))
-}
 
 /// Idle keep-alive connections are dropped after this long, which also
 /// bounds how long a connection thread can outlive the server.
@@ -346,21 +337,20 @@ fn route(shared: &Shared, request: &Request) -> Response {
         ("GET", "/debug/queue") => debug_queue(shared),
         ("GET", "/debug/caches") => debug_caches(),
         ("GET", "/debug/store") => debug_store(),
-        ("GET", "/debug/slo") => Response::json(200, slo_engine().to_json()),
         ("GET", "/debug/profile") => Response::json(200, debug::render_profile()),
         ("GET", "/debug/memory") => debug_memory(shared),
         ("GET", path) if path.starts_with("/debug/jobs/") => debug_job_trace(shared, path),
         (
             _,
             "/healthz" | "/metrics" | "/v1/jobs" | "/admin/shutdown" | "/debug/queue"
-            | "/debug/caches" | "/debug/store" | "/debug/slo" | "/debug/profile" | "/debug/memory",
+            | "/debug/caches" | "/debug/store" | "/debug/profile" | "/debug/memory",
         ) => Response::error(405, "method not allowed"),
         _ => Response::error(404, "no such resource"),
     }
 }
 
 /// `GET /metrics`: the telemetry snapshot (counters, gauges, histogram
-/// summaries) plus the SLO burn-rate series. The span store's occupancy
+/// summaries). The span store's occupancy
 /// and drop count, the process RSS and the tracking allocator's totals
 /// are written straight into the snapshot's maps — not through
 /// `gauge_set`, a no-op while collection is off — so one writer renders
@@ -382,9 +372,7 @@ fn metrics() -> Response {
         counters.insert("alloc.allocated_bytes".into(), alloc.allocated_bytes);
         counters.insert("alloc.freed_bytes".into(), alloc.freed_bytes);
     }
-    let mut body = snapshot.to_prometheus();
-    body.push_str(&slo_engine().to_prometheus());
-    Response::text(200, body)
+    Response::text(200, snapshot.to_prometheus())
 }
 
 /// `GET /debug/queue`: one short registry lock to excerpt the job list,
@@ -633,13 +621,6 @@ fn run_job(shared: &Shared, cache: &mut SessionCache, executor: &TileExecutor, i
                 _ => "serve.jobs.failed",
             },
             1,
-        );
-        let failed = !matches!(status, JobStatus::Done(_));
-        let degraded = matches!(&status, JobStatus::Done(o) if o.tiles_degraded > 0);
-        slo_engine().observe_job(
-            (enqueued.elapsed().as_secs_f64() * 1e6) as u64,
-            failed,
-            degraded,
         );
         tele::gauge_add("serve.jobs.in_flight", -1.0);
         shared.with_job(id, |t| t.record.status = status);

@@ -279,39 +279,14 @@ fn debug_endpoints_and_disjoint_job_traces() {
         "plan cache estimates resident bytes: {caches:?}"
     );
 
-    // /debug/slo reports every objective with a burn rate per window; two
-    // clean jobs mean the error objective burns at zero.
-    let slo = request(addr, "GET", "/debug/slo", None);
-    assert_eq!(slo.status, 200);
-    let slo = slo.json();
-    let objectives = slo
-        .get("objectives")
-        .and_then(Json::as_arr)
-        .expect("slo body lists objectives");
-    assert!(!objectives.is_empty(), "default SLO config is non-empty");
-    let errors = objectives
-        .iter()
-        .find(|o| o.get("name").and_then(Json::as_str) == Some("job_errors"))
-        .expect("default config tracks job_errors");
-    let windows = errors
-        .get("windows")
-        .and_then(Json::as_arr)
-        .expect("objective carries windows");
-    assert!(!windows.is_empty());
-    for w in windows {
-        assert_eq!(
-            w.get("burn_rate").and_then(Json::as_f64),
-            Some(0.0),
-            "two clean jobs must not burn the error budget: {slo:?}"
-        );
-    }
+    // There is no SLO engine: its route is gone.
+    assert_eq!(request(addr, "GET", "/debug/slo", None).status, 404);
 
-    // /metrics carries the SLO series next to the ordinary exposition,
-    // and the span-store, RSS and allocator facts the handler writes into
-    // the snapshot each exactly once (one sample line, one TYPE line).
+    // /metrics carries the span-store, RSS and allocator facts the handler
+    // writes into the snapshot each exactly once (one sample line, one
+    // TYPE line).
     let metrics = request(addr, "GET", "/metrics", None);
     assert_eq!(metrics.status, 200);
-    assert!(metrics.body.contains("ilt_slo_burn_rate{"));
     let mut series = vec![
         ("ilt_obs_spans_buffered", "gauge"),
         ("ilt_obs_spans_dropped_total", "counter"),

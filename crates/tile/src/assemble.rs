@@ -30,6 +30,15 @@
 //! loops over that span: `out[x] += (wy · wx[x]) · data[x]`. The 2-D maps
 //! [`weight_map`] / [`normalized_weight_map`] remain as the reference the
 //! tests compare against; no production path calls them.
+//!
+//! # Partition of unity
+//!
+//! The same factorisation makes the pixel sum of an additive mode's 2-D
+//! weights the product of its two axis sums, so [`TileWeights::new`]
+//! checks each axis once — exactly 1 under [`AssemblyMode::Restricted`],
+//! within 1e-12 under [`AssemblyMode::Weighted`] — in `O(width + height)`,
+//! and panics otherwise. No assembly then needs a pixel-sum pass of its
+//! own: every [`StreamingAssembler`] builds its weights there.
 
 use std::ops::Range;
 
@@ -329,6 +338,12 @@ struct SpanRow<'w> {
 /// and of the incremental fine stages
 /// ([`update_stage`](Self::update_stage)), which touch only the updated
 /// tiles' weight supports.
+///
+/// # Panics
+///
+/// [`new`](Self::new) panics if an additive mode's weights are not a
+/// partition of unity along some axis (see the module docs) — a bug in the
+/// weights, not a caller error.
 #[derive(Debug, Clone)]
 pub struct TileWeights {
     tile: usize,
@@ -358,12 +373,44 @@ impl TileWeights {
         let axis = |lattice: &[_], extent| {
             axis_weights(lattice, config.tile, extent, config.overlap, mode)
         };
-        TileWeights {
+        let weights = TileWeights {
             tile: config.tile,
             width: partition.width(),
             height: partition.height(),
             cols: axis(&columns, partition.width()),
             rows: axis(&rows, partition.height()),
+        };
+        weights.check_partition_of_unity(mode);
+        weights
+    }
+
+    /// Asserts that, under an additive `mode`, the weights of every layout
+    /// column and row sum to 1 over the tiles covering it: exactly for
+    /// [`AssemblyMode::Restricted`] (disjoint cores), to 1e-12 for
+    /// [`AssemblyMode::Weighted`]. [`AssemblyMode::ExtendedCore`] is not a
+    /// partition of unity and is not checked.
+    fn check_partition_of_unity(&self, mode: AssemblyMode) {
+        let tolerance = match mode {
+            AssemblyMode::Restricted => 0.0,
+            AssemblyMode::Weighted { .. } => 1e-12,
+            AssemblyMode::ExtendedCore { .. } => return,
+        };
+        for (name, axis, extent) in [
+            ("column", &self.cols, self.width),
+            ("row", &self.rows, self.height),
+        ] {
+            let mut total = vec![0.0f64; extent];
+            for a in axis {
+                for (sum, &w) in total[a.origin..].iter_mut().zip(&a.weights) {
+                    *sum += w;
+                }
+            }
+            for (g, &sum) in total.iter().enumerate() {
+                assert!(
+                    (sum - 1.0).abs() <= tolerance,
+                    "partition of unity violated at layout {name} {g}: total weight {sum}"
+                );
+            }
         }
     }
 
@@ -393,26 +440,16 @@ impl TileWeights {
         })
     }
 
-    /// Folds tile `index`'s weighted `data` and its weights into the layout
-    /// rows `rows`, whose pixels `out` and `coverage` hold.
-    fn fold_rows(
-        &self,
-        index: usize,
-        data: &RealGrid,
-        rows: Range<usize>,
-        out: &mut [f64],
-        coverage: &mut [f64],
-    ) {
+    /// Folds tile `index`'s weighted `data` into the layout rows `rows`,
+    /// whose pixels `out` holds.
+    fn fold_rows(&self, index: usize, data: &RealGrid, rows: Range<usize>, out: &mut [f64]) {
         let data = data.as_slice();
         for row in self.span_rows_within(index, rows) {
             let n = row.wx.len();
             let out = &mut out[row.layout_start..][..n];
-            let coverage = &mut coverage[row.layout_start..][..n];
             let data = &data[row.tile_start..][..n];
-            for (((o, c), &v), &wx) in out.iter_mut().zip(coverage).zip(data).zip(row.wx) {
-                let weight = row.wy * wx;
-                *o += weight * v;
-                *c += weight;
+            for ((o, &v), &wx) in out.iter_mut().zip(data).zip(row.wx) {
+                *o += (row.wy * wx) * v;
             }
         }
     }
@@ -535,27 +572,23 @@ impl TileWeights {
 /// enforces its [`canonical_order`](Self::canonical_order) on `push`, and
 /// the batch [`assemble`] delegates here pushing in the same order.
 ///
-/// Every fold — [`push_band`](Self::push_band), and the pixel-sum check of
-/// [`finish`](Self::finish) — splits the layout into disjoint row ranges,
-/// one per worker of the executor it runs [`on`](Self::on) (one range, on
-/// the calling thread, by default). A worker folds every tile of the band,
-/// in order, into its own rows only, so each pixel receives the same
-/// additions in the same order whatever the worker count: the layout is
-/// bit-identical at any.
+/// Every fold ([`push_band`](Self::push_band)) splits the layout into
+/// disjoint row ranges, one per worker of the executor it runs
+/// [`on`](Self::on) (one range, on the calling thread, by default). A
+/// worker folds every tile of the band, in order, into its own rows only,
+/// so each pixel receives the same additions in the same order whatever the
+/// worker count: the layout is bit-identical at any.
 ///
-/// [`finish`](Self::finish) verifies the pixel-sum invariant: the
-/// normalized weights accumulated over all pushes must cover every pixel
-/// with total weight 1 (exact for [`AssemblyMode::Restricted`], to 1e-6
-/// for [`AssemblyMode::Weighted`]).
+/// The partition of unity is checked where the weights are built
+/// ([`TileWeights::new`], once per weight set), so the assembler holds no
+/// accumulator besides the layout itself.
 #[derive(Debug, Clone)]
 pub struct StreamingAssembler<'a> {
     partition: &'a Partition,
-    mode: AssemblyMode,
     weights: TileWeights,
     order: Vec<usize>,
     cursor: usize,
     out: RealGrid,
-    coverage: RealGrid,
     executor: TileExecutor,
 }
 
@@ -565,29 +598,10 @@ impl<'a> StreamingAssembler<'a> {
     /// # Panics
     ///
     /// Panics on [`AssemblyMode::ExtendedCore`], which is not a partition
-    /// of unity and only meaningful for sequential in-place replacement.
+    /// of unity and only meaningful for sequential in-place replacement,
+    /// and if the weights are not a partition of unity
+    /// ([`TileWeights::new`]).
     pub fn new(partition: &'a Partition, mode: AssemblyMode) -> Self {
-        Self::with_coverage(partition, mode, Vec::new())
-    }
-
-    /// Like [`new`](Self::new), but keeping the pixel-sum accumulator in
-    /// storage the caller lends and gets back from
-    /// [`finish_lent`](Self::finish_lent); whatever it held is discarded
-    /// (the first fold zeroes it).
-    /// The layout accumulator leaves with the result, so it cannot be
-    /// lent; this one can, and a caller that builds one assembler per
-    /// operation (the incremental re-solve) then touches pages it already
-    /// owns instead of having the allocator map, fault in and unmap a
-    /// clip-sized block every time.
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`AssemblyMode::ExtendedCore`], like [`new`](Self::new).
-    pub fn with_coverage(
-        partition: &'a Partition,
-        mode: AssemblyMode,
-        mut coverage: Vec<f64>,
-    ) -> Self {
         assert!(
             !matches!(mode, AssemblyMode::ExtendedCore { .. }),
             "extended-core replacement is sequential, not an additive assembly"
@@ -597,23 +611,12 @@ impl<'a> StreamingAssembler<'a> {
             .into_iter()
             .flatten()
             .collect();
-        let pixels = partition.width() * partition.height();
-        // Fresh zeroed pages cost nothing until they are touched; lent
-        // storage keeps what it held until the first fold zeroes it.
-        if coverage.capacity() < pixels {
-            coverage = vec![0.0; pixels];
-        } else {
-            coverage.truncate(pixels);
-            coverage.resize(pixels, 0.0);
-        }
         StreamingAssembler {
             partition,
-            mode,
             weights: TileWeights::new(partition, mode),
             order,
             cursor: 0,
             out: RealGrid::new(partition.width(), partition.height(), 0.0),
-            coverage: RealGrid::from_vec(partition.width(), partition.height(), coverage),
             executor: TileExecutor::sequential(),
         }
     }
@@ -676,25 +679,23 @@ impl<'a> StreamingAssembler<'a> {
             }
             self.weights.check_tile_shape(tile_index, data)?;
         }
-        // The first fold zeroes both accumulators, each worker its own
-        // rows. A fresh clip-sized block is mapped lazily, and a fold that
-        // reads a page before writing it faults twice (the shared zero
-        // page, then a private copy); written first, every page faults
-        // once, on the worker that folds into it.
+        // The first fold zeroes the layout, each worker its own rows. A
+        // fresh clip-sized block is mapped lazily, and a fold that reads a
+        // page before writing it faults twice (the shared zero page, then a
+        // private copy); written first, every page faults once, on the
+        // worker that folds into it.
         let zero = self.cursor == 0;
         let weights = &self.weights;
         by_rows(
             &self.executor,
             self.out.as_mut_slice(),
-            self.coverage.as_mut_slice(),
             weights.width,
-            |rows, out, coverage| {
+            |rows, out| {
                 if zero {
                     out.fill(0.0);
-                    coverage.fill(0.0);
                 }
                 for &(tile_index, data) in band {
-                    weights.fold_rows(tile_index, data, rows.clone(), out, coverage);
+                    weights.fold_rows(tile_index, data, rows.clone(), out);
                 }
             },
         );
@@ -702,90 +703,48 @@ impl<'a> StreamingAssembler<'a> {
         Ok(())
     }
 
-    /// Validates that every tile was pushed and the pixel-sum invariant
-    /// holds, then returns the assembled layout.
+    /// Validates that every tile was pushed, then returns the assembled
+    /// layout.
     ///
     /// # Errors
     ///
     /// Returns [`TileError::AssemblyMismatch`] if fewer tiles were pushed
     /// than the partition has.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the accumulated weights do not cover some pixel with total
-    /// weight 1 — a partition-of-unity bug, not a caller error.
     pub fn finish(self) -> Result<RealGrid, TileError> {
-        self.finish_lent().map(|(layout, _)| layout)
-    }
-
-    /// [`finish`](Self::finish), handing the pixel-sum accumulator's storage
-    /// back for the next [`with_coverage`](Self::with_coverage).
-    ///
-    /// # Errors
-    ///
-    /// As [`finish`](Self::finish).
-    ///
-    /// # Panics
-    ///
-    /// As [`finish`](Self::finish).
-    pub fn finish_lent(mut self) -> Result<(RealGrid, Vec<f64>), TileError> {
         if self.cursor != self.order.len() {
             return Err(TileError::AssemblyMismatch {
                 expected: self.order.len(),
                 actual: self.cursor,
             });
         }
-        let tolerance = match self.mode {
-            AssemblyMode::Restricted => 0.0,
-            _ => 1e-6,
-        };
-        let width = self.weights.width;
-        by_rows(
-            &self.executor,
-            self.out.as_mut_slice(),
-            self.coverage.as_mut_slice(),
-            width,
-            |rows, _, coverage| {
-                for (k, &c) in coverage.iter().enumerate() {
-                    let (x, y) = (k % width, rows.start + k / width);
-                    assert!(
-                        (c - 1.0).abs() <= tolerance,
-                        "pixel-sum invariant violated at ({x}, {y}): total weight {c}"
-                    );
-                }
-            },
-        );
         ilt_telemetry::counter_add(
             "tile.pixels_assembled",
             (self.partition.width() * self.partition.height()) as u64,
         );
-        Ok((self.out, self.coverage.into_vec()))
+        Ok(self.out)
     }
 }
 
 /// Runs `body` once per range of layout rows — one range per worker of
-/// `executor`, as even as whole rows allow — with those rows of the two
-/// `width`-wide layouts `out` and `coverage`. The ranges are disjoint, so
-/// each pixel is written by exactly one call.
+/// `executor`, as even as whole rows allow — with those rows of the
+/// `width`-wide layout `out`. The ranges are disjoint, so each pixel is
+/// written by exactly one call.
 fn by_rows(
     executor: &TileExecutor,
-    out: &mut [f64],
-    coverage: &mut [f64],
+    mut out: &mut [f64],
     width: usize,
-    body: impl Fn(Range<usize>, &mut [f64], &mut [f64]) + Sync,
+    body: impl Fn(Range<usize>, &mut [f64]) + Sync,
 ) {
     let height = out.len() / width;
     let parts = executor.workers().min(height).max(1);
     let mut ranges = Vec::with_capacity(parts);
-    let (mut out, mut coverage) = (out, coverage);
     for k in 0..parts {
         let rows = k * height / parts..(k + 1) * height / parts;
         let (here, rest) = std::mem::take(&mut out).split_at_mut(rows.len() * width);
-        let (here_c, rest_c) = std::mem::take(&mut coverage).split_at_mut(rows.len() * width);
-        ranges.push((rows, here, here_c));
-        (out, coverage) = (rest, rest_c);
+        ranges.push((rows, here));
+        out = rest;
     }
-    executor.run_parts(ranges, |(rows, out, coverage)| body(rows, out, coverage));
+    executor.run_parts(ranges, |(rows, out)| body(rows, out));
 }
 
 /// Assembles per-tile results into a full layout:
@@ -860,6 +819,8 @@ mod tests {
                 AssemblyMode::Weighted { band },
                 AssemblyMode::ExtendedCore { margin: band },
             ] {
+                // `new` also checks that each axis of an additive mode is a
+                // 1-D partition of unity (exact / 1e-12), panicking if not.
                 let weights = TileWeights::new(&p, mode);
                 for t in p.tiles() {
                     let reference = normalized_weight_map(&p, t.index, mode);
@@ -872,57 +833,76 @@ mod tests {
                         );
                     }
                 }
-                // Each axis is a 1-D partition of unity on its own.
-                if matches!(mode, AssemblyMode::ExtendedCore { .. }) {
-                    continue;
-                }
-                for (axis, extent) in [(&weights.cols, p.width()), (&weights.rows, p.height())] {
-                    let mut total = vec![0.0f64; extent];
-                    for a in axis {
-                        for (sum, &w) in total[a.origin..].iter_mut().zip(&a.weights) {
-                            *sum += w;
-                        }
-                    }
-                    for (g, &sum) in total.iter().enumerate() {
-                        if mode == AssemblyMode::Restricted {
-                            prop_assert!(sum == 1.0, "restricted axis sum {sum} at {g}");
-                        } else {
-                            prop_assert!((sum - 1.0).abs() <= 1e-12, "{mode:?}: axis sum {sum} at {g}");
-                        }
-                    }
-                }
             }
         }
     }
 
-    /// Folds every tile of `p` into an assembler on `workers` whose
-    /// weights over-cover one layout column, then finishes it.
-    fn finish_with_broken_weights(workers: usize) {
+    #[test]
+    fn weights_that_are_not_a_partition_of_unity_panic_on_construction() {
         let p = partition();
-        let mut asm = StreamingAssembler::new(&p, AssemblyMode::weighted_default(&p))
-            .on(&TileExecutor::new(workers));
-        // One wrong entry inside tile column 1's support: every tile of
-        // that column now over-covers one layout column.
-        let k = asm.weights.cols[1].span.start + 20;
-        asm.weights.cols[1].weights[k] += 1e-3;
-        let data = Grid::new(128, 128, 0.5);
-        for i in 0..asm.canonical_order().len() {
-            let idx = asm.canonical_order()[i];
-            asm.push(idx, &data).unwrap();
+        // One wrong entry inside tile column 1's support over-covers one
+        // layout column; the check runs on the weights alone, before any
+        // assembly and whatever its worker count.
+        for (mode, error) in [
+            (AssemblyMode::Restricted, f64::EPSILON),
+            (AssemblyMode::weighted_default(&p), 1e-9),
+        ] {
+            let mut weights = TileWeights::new(&p, mode);
+            let k = weights.cols[1].span.start + 20;
+            weights.cols[1].weights[k] += error;
+            let caught = std::panic::catch_unwind(|| weights.check_partition_of_unity(mode));
+            let message = caught.expect_err("a broken weight set must panic");
+            let message = message.downcast_ref::<String>().unwrap();
+            assert!(
+                message.starts_with("partition of unity violated at layout column "),
+                "{mode:?}: {message}"
+            );
         }
-        let _ = asm.finish();
     }
 
     #[test]
-    #[should_panic(expected = "pixel-sum invariant")]
-    fn finish_panics_when_the_weights_are_not_a_partition_of_unity() {
-        finish_with_broken_weights(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "pixel-sum invariant")]
-    fn finish_panics_on_two_workers_when_the_weights_are_not_a_partition_of_unity() {
-        finish_with_broken_weights(2);
+    fn all_ones_tiles_assemble_to_an_all_ones_layout() {
+        // Every partition the flows build at 512² and 1024² — fine 3×3 and
+        // 7×7 (tile 256), the coarse levels s = 2 and s = 4 — and one that
+        // clamps both axes.
+        let geometries = [
+            (512, 512, 256),
+            (1024, 1024, 256),
+            (512, 512, 512),
+            (1024, 1024, 512),
+            (1024, 1024, 1024),
+            (300, 200, 128),
+        ];
+        for (w, h, tile) in geometries {
+            let p = Partition::new(
+                w,
+                h,
+                PartitionConfig {
+                    tile,
+                    overlap: tile / 2,
+                },
+            )
+            .unwrap();
+            let ones = Grid::new(tile, tile, 1.0);
+            for (mode, tolerance) in [
+                (AssemblyMode::Restricted, 0.0),
+                (AssemblyMode::weighted_default(&p), 1e-12),
+            ] {
+                for workers in 1..=5 {
+                    let mut asm = StreamingAssembler::new(&p, mode).on(&TileExecutor::new(workers));
+                    let band: Vec<(usize, &RealGrid)> =
+                        asm.canonical_order().iter().map(|&i| (i, &ones)).collect();
+                    asm.push_band(&band).unwrap();
+                    let layout = asm.finish().unwrap();
+                    for (x, y, &v) in layout.iter() {
+                        assert!(
+                            (v - 1.0).abs() <= tolerance,
+                            "{mode:?} at {w}x{h}, tile {tile}, {workers} workers: {v} at ({x}, {y})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
