@@ -143,8 +143,8 @@ pub struct ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// The default benchmark setup: the paper's geometry ratios at 1/16
-    /// linear scale (clip 256, tile 128, overlap 2 x 32, 3 x 3 tiles,
+    /// The default benchmark setup: the paper's geometry ratios at 1/8
+    /// linear scale (clip 512, tile 256, overlap 2 x 64, 3 x 3 tiles,
     /// coarse scale 2 covering the whole clip).
     pub fn paper_default() -> Self {
         let optics = OpticsConfig::m1_default();
@@ -173,27 +173,42 @@ impl ExperimentConfig {
         }
     }
 
-    /// The paper's literal scale: 4096-pixel clips, 2048-pixel tiles,
-    /// overlap 2 x 512, with features drawn as many times wider as the grid
-    /// is finer, so they keep the same `k1`: the pupil radius in frequency
-    /// bins (`NA · N · pitch / λ`) is unchanged, because the grid's extent
-    /// in nm is. Accepted by every flow unchanged, but expect hours per
-    /// clip on a CPU — the default scale exists precisely so the
-    /// experiments run on a laptop.
-    pub fn paper_scale() -> Self {
+    /// The default setup drawn at an `f` times finer pixel pitch: the grid,
+    /// the clip, the partition and every pixel length of the generator
+    /// scale by `f`, so the same layout in nm covers `f²` times the pixels.
+    /// `pupil_radius_bins` and `source_step_bins` stay fixed, because the
+    /// grid's extent in nm does: the pupil keeps its radius in frequency
+    /// bins, so `k1` and the kernel support `P` are the same at every `f`.
+    /// The stitch-loss window stays at Definition 1's 40 pixels rather than
+    /// scaling with the pitch. `at_pitch(1)` is
+    /// [`paper_default`](Self::paper_default).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` is zero.
+    pub fn at_pitch(f: usize) -> Self {
+        assert!(f >= 1, "the pitch factor must be at least 1");
         let mut cfg = ExperimentConfig::paper_default();
-        let factor = 2048 / cfg.optics.base_n;
-        cfg.optics.base_n = 2048;
-        cfg.clip = 4096;
-        cfg.partition = PartitionConfig {
-            tile: 2048,
-            overlap: 1024,
-        };
-        cfg.generator = GeneratorConfig::with_size(4096);
-        cfg.generator.wire_width = 16 * factor;
-        cfg.generator.wire_space = 24 * factor;
-        cfg.generator.border = 20 * factor;
+        cfg.optics.base_n *= f;
+        cfg.clip *= f;
+        cfg.partition.tile *= f;
+        cfg.partition.overlap *= f;
+        let generator = &mut cfg.generator;
+        generator.size *= f;
+        generator.wire_width *= f;
+        generator.wire_space *= f;
+        generator.border *= f;
         cfg
+    }
+
+    /// The paper's literal scale, [`at_pitch(8)`](Self::at_pitch):
+    /// 4096-pixel clips, 2048-pixel tiles, overlap 2 x 512, with features
+    /// eight times wider in pixels, so they keep the default's `k1`.
+    /// Accepted by every flow unchanged, but expect hours per clip on a
+    /// CPU — the default scale exists precisely so the experiments run on a
+    /// laptop.
+    pub fn paper_scale() -> Self {
+        ExperimentConfig::at_pitch(8)
     }
 
     /// A miniature setup for unit tests: 128-pixel clips over the

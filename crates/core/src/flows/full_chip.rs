@@ -9,6 +9,7 @@ use ilt_opt::{SolveContext, SolveRequest, TileSolver};
 
 use crate::config::ExperimentConfig;
 use crate::error::CoreError;
+use crate::flows::stage::run_banded_stage;
 use crate::flows::{trace, FlowResult};
 
 /// Runs the full-chip flow.
@@ -32,21 +33,31 @@ pub fn full_chip(
         n: config.clip,
         scale: config.inspection_scale(),
     };
-    let stage = trace::stage("full-chip".to_string());
-    let (outcome, solve_seconds) = trace::timed_tile(0, || {
-        Ok::<_, CoreError>(solver.solve(
-            &ctx,
-            &SolveRequest::new(
-                &target_real,
-                &target_real,
-                config.schedule.baseline_iterations,
-            ),
-        )?)
-    })?;
-    // No partition means no assembly work: the single "tile" is the mask.
-    let (mask, timing) = stage.finish(vec![(outcome.mask, solve_seconds)], |mut masks| {
-        Ok::<_, CoreError>(masks.pop().expect("exactly one full-chip tile"))
-    })?;
+    // No partition: the one "tile" is the mask, and its fold keeps it.
+    let (mask, timing) = run_banded_stage(
+        "full-chip",
+        &[vec![0]],
+        None,
+        None,
+        |_, _| {
+            let (outcome, seconds) = trace::timed_tile(0, || {
+                Ok::<_, CoreError>(solver.solve(
+                    &ctx,
+                    &SolveRequest::new(
+                        &target_real,
+                        &target_real,
+                        config.schedule.baseline_iterations,
+                    ),
+                )?)
+            })?;
+            Ok(vec![(outcome.mask, seconds)])
+        },
+        |mask, mut solved| {
+            *mask = solved.pop().map(|(_, m)| m);
+            Ok(())
+        },
+    )?;
+    let mask = mask.expect("the one full-chip tile is folded");
 
     let wall_seconds = fspan.end();
     Ok(FlowResult {

@@ -13,7 +13,7 @@ use ilt_tile::{restrict, Partition, TileExecutor};
 
 use crate::config::ExperimentConfig;
 use crate::error::CoreError;
-use crate::flows::stage::run_banded_stage;
+use crate::flows::stage::{mask_bytes, run_banded_stage};
 use crate::flows::{trace, FlowResult};
 
 /// Runs the overlap-error-selection flow.
@@ -67,18 +67,19 @@ pub fn overlap_select(
         RealGrid::new(width, height, 0.0),
         RealGrid::new(width, height, f64::INFINITY),
     );
-    let (mask, timing) = run_banded_stage(
+    let ((mask, _), timing) = run_banded_stage(
         "overlap-select",
-        &partition,
+        partition.bands(),
+        Some(mask_bytes(n)),
         selection,
-        |band| {
+        |_, band| {
             executor
                 .run(band.len(), |k| solve(band[k]))
                 .into_iter()
                 .collect()
         },
-        |(mask, best), band: &[(usize, &(RealGrid, RealGrid))]| {
-            for &(i, (tile_mask, error)) in band {
+        |(mask, best), band| {
+            for (i, (tile_mask, error)) in band {
                 let tile = partition.tile(i);
                 for y in 0..n {
                     let gy = tile.rect.y0 as usize + y;
@@ -94,7 +95,6 @@ pub fn overlap_select(
             }
             Ok(())
         },
-        |(mask, _)| Ok(mask),
     )?;
 
     let wall_seconds = fspan.end();

@@ -1,25 +1,38 @@
-//! The one tile-stage pipeline every partitioned flow runs.
+//! The one stage driver every flow runs.
 //!
-//! A stage walks the partition's colour bands in the streaming
-//! assembler's canonical order: solve one band, record its per-tile
-//! seconds, fold it into the stage's sink inside an `assembly` span, drop
-//! it, and after the last band finish the sink. At most one colour band of
-//! solved tile masks is therefore resident at once (each band's `assembly`
-//! span carries its `resident_bytes`), and every flow folds in the same
-//! fixed order.
-//! [`run_banded_stage`] is that loop; flows differ only in how a band's
-//! tiles are produced (plain `run` for the baselines, which abort on the
-//! first tile error; [`Recovering::solve`] for Ours and ECO, which degrade
-//! a failed tile to its pre-stage crop) and in how a band folds
-//! ([`run_assembled_stage`] for every flow that assembles masks).
+//! Every phase of every flow is the same step: solve a set of tiles, then
+//! fold the results into the layout. [`run_banded_stage`] is that step and
+//! the only place a `stage` span opens. Its contract:
+//!
+//! - the caller hands it the stage's **solve set, already split into
+//!   bands** in the order they fold: a partition's colour bands
+//!   ([`Partition::bands`], computed once when the partition is built) for
+//!   the cold coarse and fine stages, D&C and overlap-select; one band of
+//!   the tiles to re-solve for a refine colour or an ECO stage; one band
+//!   of windows for a heal line; the band `[0]` for full-chip;
+//! - each band is solved by `solve_band`, which sees the sink by shared
+//!   reference, so a sink may be the very layout the solves crop from
+//!   (the refine pass, ECO's fine stages, stitch-and-heal);
+//! - the band's payloads then go to `fold` by value, inside one `assembly`
+//!   span per fold (which, on a colour-banded stage, records the bytes of
+//!   solved masks the band holds as `resident_bytes`), and are dropped
+//!   with it: a stage never holds more
+//!   than one band;
+//! - the stage's `tile_seconds` come back in ascending index order of the
+//!   solve set, whatever order the bands fold in.
+//!
+//! Flows differ only in how a band's tiles are produced (plain `run` for the
+//! baselines, which abort on the first tile error; [`Recovering::solve`]
+//! for Ours and ECO, which degrade a failed tile to its pre-stage crop) and
+//! in how a band folds ([`run_assembled_stage`] for every stage that
+//! assembles a layout from scratch).
 //!
 //! An assembled stage's folds run on the tile workers too: each band is
 //! split into disjoint ranges of layout rows, one per worker
 //! ([`StreamingAssembler::push_band`]). The split is by pixels, not by
 //! tiles, so a band is still folded and dropped before the next is solved
-//! (the residency above is unchanged) and every pixel still receives its
-//! additions in canonical order: the mask is bit-identical at any worker
-//! count.
+//! and every pixel still receives its additions in the partition's fold
+//! order: the mask is bit-identical at any worker count.
 //!
 //! The fine-level pieces Ours and its incremental re-solve share also live
 //! here: the warm-started fine tile solve ([`FineTiles::solve`]) and the
@@ -29,79 +42,96 @@ use ilt_grid::{BitGrid, RealGrid};
 use ilt_litho::LithoBank;
 use ilt_opt::{SolveContext, SolveRequest, TileSolver};
 use ilt_telemetry as tele;
-use ilt_tile::{
-    multi_coloring, restrict, AssemblyMode, Partition, StreamingAssembler, TileExecutor,
-    TileWeights,
-};
+use ilt_tile::{restrict, AssemblyMode, Partition, StreamingAssembler, TileExecutor, TileWeights};
 
 use crate::config::ExperimentConfig;
 use crate::error::CoreError;
 use crate::flows::{trace, DegradedTile, StageTiming};
 
-/// Runs one stage over `partition`, one colour band at a time.
-///
-/// `solve_band` receives a band's **tile indices** and returns one
-/// `(payload, seconds)` pair per index, in the same order; `fold` folds a
-/// band's `(tile index, payload)` pairs into `sink`, bands in canonical
-/// colour-band order; `finish` turns the sink into the stage's output once
-/// every tile is folded. The returned timing's `tile_seconds` is indexed by
-/// tile.
-pub(crate) fn run_banded_stage<T, S, R>(
-    label: &str,
-    partition: &Partition,
-    mut sink: S,
-    mut solve_band: impl FnMut(&[usize]) -> Result<Vec<(T, f64)>, CoreError>,
-    mut fold: impl FnMut(&mut S, &[(usize, &T)]) -> Result<(), CoreError>,
-    finish: impl FnOnce(S) -> Result<R, CoreError>,
-) -> Result<(R, StageTiming), CoreError> {
-    let stage = trace::stage(label.to_string());
-    let tile = partition.config().tile;
-    let mask_bytes = tile * tile * std::mem::size_of::<f64>();
-    let mut tile_seconds = vec![0.0; partition.tiles().len()];
-    let mut assembly_seconds = 0.0;
-    for group in multi_coloring(partition).groups() {
-        if group.is_empty() {
-            continue;
-        }
-        let band = solve_band(&group)?;
-        for ((_, seconds), &i) in band.iter().zip(&group) {
-            tile_seconds[i] = *seconds;
-        }
-        // Each payload carries one solved tile mask.
-        let band_bytes = band.len() * mask_bytes;
-        let pairs: Vec<(usize, &T)> = group
-            .iter()
-            .copied()
-            .zip(band.iter().map(|(p, _)| p))
-            .collect();
-        let ((), fold_seconds) =
-            trace::assembly_fold(Some(band_bytes), || fold(&mut sink, &pairs))?;
-        assembly_seconds += fold_seconds;
-        // `band` drops here: a stage never holds more than one colour band.
-    }
-    let (out, finish_seconds) = trace::assembly_fold(None, || finish(sink))?;
-    assembly_seconds += finish_seconds;
-    Ok((out, stage.finish_streamed(tile_seconds, assembly_seconds)))
+/// Bytes of one solved `n`×`n` mask.
+pub(crate) fn mask_bytes(n: usize) -> usize {
+    n * n * std::mem::size_of::<f64>()
 }
 
-/// A banded stage whose tiles are masks, assembled into a layout by
-/// Eq. (6) ([`AssemblyMode::Restricted`]) or Eq. (14) (weighted), each fold
-/// split by rows over `executor`'s workers.
+/// Runs one stage labelled `label` over `bands`, its solve set split into
+/// bands in fold order (see the module docs for the contract).
+///
+/// `solve_band` receives the sink and a band's indices and returns one
+/// `(payload, seconds)` pair per index, in the same order; `fold` folds the
+/// band's `(index, payload)` pairs into the sink inside an `assembly` span
+/// billed to the assembly profiling stage, whose duration the stage
+/// reports as assembly seconds. The span records `held_bytes` per payload
+/// as `resident_bytes`, the measure of the one-colour-band residency
+/// bound: the colour-banded stages (coarse, fine, D&C, overlap-select)
+/// pass it, every other stage `None`. Returns the sink and the stage's timing, `tile_seconds` in
+/// ascending index order.
+pub(crate) fn run_banded_stage<T, S>(
+    label: &str,
+    bands: &[Vec<usize>],
+    held_bytes: Option<usize>,
+    mut sink: S,
+    mut solve_band: impl FnMut(&S, &[usize]) -> Result<Vec<(T, f64)>, CoreError>,
+    mut fold: impl FnMut(&mut S, Vec<(usize, T)>) -> Result<(), CoreError>,
+) -> Result<(S, StageTiming), CoreError> {
+    // While the stage is open its tile spans nest under the span, and
+    // allocations here and on the workers (which inherit the tag) bill to
+    // the profiling stage the label names. Locals drop in reverse: the tag
+    // closes before the span.
+    let mut stage_span = tele::span(tele::names::STAGE);
+    stage_span.add_field("label", label);
+    let _stage_tag = ilt_prof::stage_scope(ilt_prof::Stage::from_label(label));
+    let mut tile_seconds = Vec::new();
+    let mut assembly_seconds = 0.0;
+    for band in bands {
+        let solved = solve_band(&sink, band)?;
+        let mut payloads = Vec::with_capacity(band.len());
+        for (&i, (payload, seconds)) in band.iter().zip(solved) {
+            tile_seconds.push((i, seconds));
+            payloads.push((i, payload));
+        }
+        let _tag = ilt_prof::stage_scope(ilt_prof::Stage::Assembly);
+        let mut span = tele::span(tele::names::ASSEMBLY);
+        if let Some(bytes) = held_bytes {
+            span.add_field("resident_bytes", bytes * payloads.len());
+        }
+        fold(&mut sink, payloads)?;
+        assembly_seconds += span.end();
+    }
+    tile_seconds.sort_by_key(|&(i, _)| i);
+    let timing = StageTiming {
+        label: label.to_string(),
+        tile_seconds: tile_seconds
+            .into_iter()
+            .map(|(_, seconds)| seconds)
+            .collect(),
+        assembly_seconds,
+    };
+    Ok((sink, timing))
+}
+
+/// A stage over every tile of `partition`, band by colour band, whose masks
+/// are assembled into a fresh layout by Eq. (6)
+/// ([`AssemblyMode::Restricted`]) or Eq. (14) (weighted), each fold split
+/// by rows over `executor`'s workers.
 pub(crate) fn run_assembled_stage(
     label: &str,
     partition: &Partition,
     mode: AssemblyMode,
     executor: &TileExecutor,
-    solve_band: impl FnMut(&[usize]) -> Result<Vec<(RealGrid, f64)>, CoreError>,
+    mut solve_band: impl FnMut(&[usize]) -> Result<Vec<(RealGrid, f64)>, CoreError>,
 ) -> Result<(RealGrid, StageTiming), CoreError> {
-    run_banded_stage(
+    let (assembler, timing) = run_banded_stage(
         label,
-        partition,
+        partition.bands(),
+        Some(mask_bytes(partition.config().tile)),
         assembler(partition, mode, executor),
-        solve_band,
-        |assembler, band| Ok(assembler.push_band(band)?),
-        |assembler| Ok(assembler.finish()?),
-    )
+        |_, band| solve_band(band),
+        |assembler, band| {
+            let band: Vec<(usize, &RealGrid)> = band.iter().map(|(i, mask)| (*i, mask)).collect();
+            Ok(assembler.push_band(&band)?)
+        },
+    )?;
+    Ok((assembler.finish()?, timing))
 }
 
 /// A streaming assembler over `partition` whose folds split over
@@ -274,24 +304,32 @@ pub(crate) fn refine_pass(
     };
     let replace = TileWeights::new(partition, AssemblyMode::ExtendedCore { margin });
     let mut stages = Vec::new();
-    for (color, group) in multi_coloring(partition).groups().into_iter().enumerate() {
-        let group: Vec<usize> = group.into_iter().filter(|&i| resolve(i)).collect();
-        if group.is_empty() {
+    for (color, band) in partition.bands().iter().enumerate() {
+        let band: Vec<usize> = band.iter().copied().filter(|&i| resolve(i)).collect();
+        if band.is_empty() {
             continue;
         }
         let label = format!("{prefix}refine color {}", color + 1);
-        let stage = trace::stage(label.clone());
         // A degraded refine tile keeps its fine-stage mask: feeding its
-        // current crop back through the weighted update is a no-op.
-        let solved = recovering.solve(&label, partition, mask, &group, |i| {
-            tiles.solve(mask, i, iterations, true)
-        })?;
-        let ((), timing) = stage.finish(solved, |masks| {
-            for (new_mask, &i) in masks.iter().zip(&group) {
-                replace.update(mask, i, new_mask)?;
-            }
-            Ok::<_, CoreError>(())
-        })?;
+        // current crop back through the replacement is a no-op.
+        let (_, timing) = run_banded_stage(
+            &label,
+            &[band],
+            None,
+            &mut *mask,
+            |mask, band| {
+                let mask: &RealGrid = mask;
+                recovering.solve(&label, partition, mask, band, |i| {
+                    tiles.solve(mask, i, iterations, true)
+                })
+            },
+            |mask, solved| {
+                for (i, new_mask) in solved {
+                    replace.update(mask, i, &new_mask)?;
+                }
+                Ok(())
+            },
+        )?;
         stages.push(timing);
     }
     Ok(stages)

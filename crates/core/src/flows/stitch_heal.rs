@@ -11,6 +11,7 @@ use ilt_tile::{restrict, Orientation, Partition, StitchLine, Tile, TileExecutor}
 
 use crate::config::ExperimentConfig;
 use crate::error::CoreError;
+use crate::flows::stage::run_banded_stage;
 use crate::flows::{trace, FlowResult};
 
 /// Result of the stitch-and-heal flow: the healed mask plus the seam
@@ -51,66 +52,76 @@ pub fn stitch_and_heal(
     let mut stages = Vec::new();
     let mut new_lines = Vec::new();
 
+    // Re-optimises window `w` at `rect` from its crop of `mask`.
+    let heal = |mask: &RealGrid, w: usize, rect: Rect| {
+        let fake_tile = Tile {
+            index: w,
+            grid_pos: (0, 0),
+            rect,
+            core: rect,
+        };
+        let tile_target = restrict(&target_real, &fake_tile);
+        let tile_init = restrict(mask, &fake_tile);
+        let ctx = SolveContext {
+            bank,
+            n: t,
+            scale: 1,
+        };
+        // Healing refines an existing solution: warm-start semantics.
+        let request = SolveRequest {
+            target: &tile_target,
+            initial: &tile_init,
+            iterations: config.schedule.heal_iterations,
+            lr_scale: config.schedule.fine_lr_scale,
+            warm: true,
+        };
+        let (outcome, elapsed) =
+            trace::timed_tile(w, || Ok::<_, CoreError>(solver.solve(&ctx, &request)?))?;
+        Ok::<_, CoreError>((outcome.mask, elapsed))
+    };
+
     for (line_idx, line) in lines.iter().enumerate() {
         let windows = heal_windows(line, t, target.width(), target.height());
         let label = format!("heal line {}", line_idx + 1);
-        let stage = trace::stage(label.clone());
-        let solved = executor.run(windows.len(), |k| {
-            let rect = windows[k];
-            let fake_tile = Tile {
-                index: k,
-                grid_pos: (0, 0),
-                rect,
-                core: rect,
-            };
-            let tile_target = restrict(&target_real, &fake_tile);
-            let tile_init = restrict(&mask, &fake_tile);
-            let ctx = SolveContext {
-                bank,
-                n: t,
-                scale: 1,
-            };
-            // Healing refines an existing solution: warm-start semantics.
-            let request = SolveRequest {
-                target: &tile_target,
-                initial: &tile_init,
-                iterations: config.schedule.heal_iterations,
-                lr_scale: config.schedule.fine_lr_scale,
-                warm: true,
-            };
-            let (outcome, elapsed) =
-                trace::timed_tile(k, || Ok::<_, CoreError>(solver.solve(&ctx, &request)?))?;
-            Ok::<_, CoreError>((outcome.mask, elapsed))
-        });
-        let solved = solved.into_iter().collect::<Result<Vec<_>, _>>()?;
-
-        let ((), timing) = stage.finish(solved, |healed_masks| {
-            for (k, healed) in healed_masks.iter().enumerate() {
-                // Paste back only the central band around the original
-                // line — a hard cut, exactly what creates the new seams.
-                let rect = windows[k];
-                let band_rect = match line.orientation {
-                    Orientation::Vertical => Rect::new(
-                        line.position as i64 - band,
-                        rect.y0,
-                        line.position as i64 + band,
-                        rect.y1,
-                    ),
-                    Orientation::Horizontal => Rect::new(
-                        rect.x0,
-                        line.position as i64 - band,
-                        rect.x1,
-                        line.position as i64 + band,
-                    ),
-                };
-                for (gx, gy) in band_rect.pixels() {
-                    let lx = (gx - rect.x0) as usize;
-                    let ly = (gy - rect.y0) as usize;
-                    mask.set(gx as usize, gy as usize, healed.get(lx, ly));
+        let (_, timing) = run_banded_stage(
+            &label,
+            &[(0..windows.len()).collect()],
+            None,
+            &mut mask,
+            |mask, band| {
+                executor
+                    .run(band.len(), |k| heal(mask, band[k], windows[band[k]]))
+                    .into_iter()
+                    .collect()
+            },
+            |mask, healed| {
+                for (k, healed) in healed {
+                    // Paste back only the central band around the original
+                    // line — a hard cut, exactly what creates the new seams.
+                    let rect = windows[k];
+                    let band_rect = match line.orientation {
+                        Orientation::Vertical => Rect::new(
+                            line.position as i64 - band,
+                            rect.y0,
+                            line.position as i64 + band,
+                            rect.y1,
+                        ),
+                        Orientation::Horizontal => Rect::new(
+                            rect.x0,
+                            line.position as i64 - band,
+                            rect.x1,
+                            line.position as i64 + band,
+                        ),
+                    };
+                    for (gx, gy) in band_rect.pixels() {
+                        let lx = (gx - rect.x0) as usize;
+                        let ly = (gy - rect.y0) as usize;
+                        mask.set(gx as usize, gy as usize, healed.get(lx, ly));
+                    }
                 }
-            }
-            Ok::<_, CoreError>(())
-        })?;
+                Ok(())
+            },
+        )?;
 
         // New seams: the band borders along the full line...
         match line.orientation {

@@ -44,6 +44,16 @@
 //!    re-solved tiles only; clean tiles are never touched (no global
 //!    threshold — the reused masks are already post-refine).
 //!
+//! Each phase is a stage of the flows' one driver (`run_banded_stage` in
+//! `flows/stage.rs`), which takes a stage's solve set already split into
+//! bands: the reuse stage is one band of every tile, folded by `push_band`;
+//! each fine stage is one band, the re-solve set, folded by `update_stage`
+//! in the partition's fold order ([`Partition::fold_order`]); each refine
+//! colour is one band, folded by [`TileWeights::update`]. A stage's
+//! `tile_seconds` list its solve set in ascending tile order, so a fine
+//! stage's pair up with [`LayoutDiff::dirty`] by position when no lookup
+//! missed.
+//!
 //! Nothing is written back: the store keeps the base solve, so every edit
 //! applied to one stored base — the same edit twice included — warm-starts
 //! from the same masks and repeats bit for bit.
@@ -58,11 +68,11 @@ use ilt_litho::LithoBank;
 use ilt_opt::TileSolver;
 use ilt_store::{tile_content_hash, MaskStore, StoreKey};
 use ilt_telemetry as tele;
-use ilt_tile::{multi_coloring, Partition, Tile, TileExecutor, TileWeights};
+use ilt_tile::{Partition, Tile, TileExecutor, TileWeights};
 
 use crate::config::ExperimentConfig;
 use crate::error::CoreError;
-use crate::flows::stage::{assembler, refine_pass, FineTiles, Recovering};
+use crate::flows::stage::{assembler, refine_pass, run_banded_stage, FineTiles, Recovering};
 use crate::flows::{multigrid_schwarz, trace, FlowResult};
 
 /// Store method tag for masks produced by the multigrid-Schwarz flow with
@@ -301,13 +311,6 @@ pub fn run_incremental_in(
     // base solve stored for the geometry they used to contain); a miss
     // falls back to the edited target crop. The keys and lookups run on the
     // workers; what they found is counted here, in tile order.
-    let stage = trace::stage("eco reuse".to_string());
-    let found = executor.run(tile_count, |i| {
-        let content = if dirty.contains(&i) { base } else { edited };
-        trace::timed_tile(i, || {
-            Ok::<_, CoreError>(store.get(&tile_key(content, &partition, i, config_fp)))
-        })
-    });
     let mut resolve: Vec<usize> = Vec::new();
     // Tiles that need the *full* fine budget: their target changed (the
     // base mask optimises a different geometry there) or their lookup
@@ -316,46 +319,61 @@ pub fn run_incremental_in(
     // are identical, only the boundary conditions moved.
     let edited_tiles: BTreeSet<usize> = diff.edited.iter().copied().collect();
     let mut cold_budget: BTreeSet<usize> = edited_tiles.clone();
-    let mut tile_seconds = Vec::with_capacity(tile_count);
-    let mut masks: Vec<Arc<RealGrid>> = Vec::with_capacity(tile_count);
-    for (i, lookup) in found.into_iter().enumerate() {
-        let (stored, seconds) = lookup?;
-        tile_seconds.push(seconds);
-        if dirty.contains(&i) {
-            resolve.push(i);
-        }
-        masks.push(match stored {
-            Some(mut mask) => {
-                store_hits += 1;
-                if edited_tiles.contains(&i) {
-                    patch_changed_pixels(Arc::make_mut(&mut mask), partition.tile(i), base, edited);
-                }
-                mask
-            }
-            None => {
-                store_misses += 1;
-                if !dirty.contains(&i) {
+    let (assembler, timing) = run_banded_stage(
+        "eco reuse",
+        &[(0..tile_count).collect()],
+        // The masks are the store's, shared rather than held.
+        None,
+        assembler(&partition, blend, executor),
+        |_, band| {
+            let found = executor.run(band.len(), |k| {
+                let i = band[k];
+                let content = if dirty.contains(&i) { base } else { edited };
+                trace::timed_tile(i, || {
+                    Ok::<_, CoreError>(store.get(&tile_key(content, &partition, i, config_fp)))
+                })
+            });
+            let mut masks = Vec::with_capacity(band.len());
+            for (&i, lookup) in band.iter().zip(found) {
+                let (stored, seconds) = lookup?;
+                if dirty.contains(&i) {
                     resolve.push(i);
                 }
-                cold_budget.insert(i);
-                Arc::new(edited.crop(partition.tile(i).rect).to_real())
+                let mask = match stored {
+                    Some(mut mask) => {
+                        store_hits += 1;
+                        if edited_tiles.contains(&i) {
+                            let tile = partition.tile(i);
+                            patch_changed_pixels(Arc::make_mut(&mut mask), tile, base, edited);
+                        }
+                        mask
+                    }
+                    None => {
+                        store_misses += 1;
+                        if !dirty.contains(&i) {
+                            resolve.push(i);
+                        }
+                        cold_budget.insert(i);
+                        Arc::new(edited.crop(partition.tile(i).rect).to_real())
+                    }
+                };
+                masks.push((mask, seconds));
             }
-        });
-    }
-    // Every tile folds in one call, split by layout rows over the workers;
-    // the masks it holds are the store's, so it records no resident bytes.
-    let mut assembler = assembler(&partition, blend, executor);
-    let (mut mask, assembly_seconds) = trace::assembly_fold(None, || {
-        let band: Vec<(usize, &RealGrid)> = assembler
-            .canonical_order()
-            .iter()
-            .map(|&i| (i, &*masks[i]))
-            .collect();
-        assembler.push_band(&band)?;
-        Ok::<_, CoreError>(assembler.finish()?)
-    })?;
-    drop(masks);
-    stages.push(stage.finish_streamed(tile_seconds, assembly_seconds));
+            Ok(masks)
+        },
+        // Every tile folds in one call, split by layout rows over the
+        // workers, in the partition's fold order.
+        |assembler, masks| {
+            let band: Vec<(usize, &RealGrid)> = partition
+                .fold_order()
+                .iter()
+                .map(|&i| (i, &*masks[i].1))
+                .collect();
+            Ok(assembler.push_band(&band)?)
+        },
+    )?;
+    let mut mask = assembler.finish()?;
+    stages.push(timing);
     let tiles_resolved = resolve.len();
     let tiles_reused = tile_count - tiles_resolved;
 
@@ -367,41 +385,34 @@ pub fn run_incremental_in(
     // tile would contribute its current crop, for which the weighted
     // assembly is the identity, so only the re-solved tiles' differences
     // against the pre-stage layout are blended in (`update_stage`), in the
-    // assembler's canonical order. A stage costs O(|resolve| · tile²) and
-    // never reads or writes a pixel outside the re-solved tiles' weight
-    // supports. The whole re-solve set goes to the executor in one call
-    // rather than band by band: an edit's dirty tiles are mutual overlap
-    // neighbours, so each sits in a different colour band and banding would
-    // serialise them.
+    // partition's fold order. A stage costs O(|resolve| · tile²) and never
+    // reads or writes a pixel outside the re-solved tiles' weight supports.
+    // The whole re-solve set is one band, one executor call: an edit's
+    // dirty tiles are mutual overlap neighbours, so each sits in a
+    // different colour band and banding would serialise them.
     let weights = TileWeights::new(&partition, blend);
-    let mut fold_rank = vec![0usize; tile_count];
-    for (rank, i) in multi_coloring(&partition)
-        .groups()
-        .into_iter()
-        .flatten()
-        .enumerate()
-    {
-        fold_rank[i] = rank;
-    }
     for fine_stage in 0..config.schedule.fine_stages {
         let label = format!("eco fine stage {}", fine_stage + 1);
-        let stage = trace::stage(label.clone());
         // A degraded tile comes back as its own pre-stage crop: a zero
         // difference, so the update leaves it untouched.
-        let solved = recovering.solve(&label, &partition, &mask, &resolve, |i| {
-            let iterations = if cold_budget.contains(&i) {
-                config.schedule.fine_per_stage(fine_stage)
-            } else {
-                config.schedule.warm_per_stage(fine_stage)
-            };
-            tiles.solve(&mask, i, iterations, false)
-        })?;
-        let ((), timing) = stage.finish(solved, |new_masks| {
-            let mut updates: Vec<(usize, RealGrid)> =
-                resolve.iter().copied().zip(new_masks).collect();
-            updates.sort_by_key(|&(i, _)| fold_rank[i]);
-            weights.update_stage(&mut mask, updates)
-        })?;
+        let (_, timing) = run_banded_stage(
+            &label,
+            std::slice::from_ref(&resolve),
+            None,
+            &mut mask,
+            |mask, band| {
+                let mask: &RealGrid = mask;
+                recovering.solve(&label, &partition, mask, band, |i| {
+                    let iterations = if cold_budget.contains(&i) {
+                        config.schedule.fine_per_stage(fine_stage)
+                    } else {
+                        config.schedule.warm_per_stage(fine_stage)
+                    };
+                    tiles.solve(mask, i, iterations, false)
+                })
+            },
+            |mask, updates| Ok(weights.update_stage(mask, updates)?),
+        )?;
         stages.push(timing);
     }
 

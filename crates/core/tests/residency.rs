@@ -12,7 +12,7 @@ use ilt_layout::generate_clip;
 use ilt_litho::{LithoBank, ResistModel};
 use ilt_opt::PixelIlt;
 use ilt_telemetry as tele;
-use ilt_tile::{multi_coloring, Partition, TileExecutor};
+use ilt_tile::{Partition, TileExecutor};
 
 /// Runs the flow on a `count`×`count` tile grid with two workers and
 /// checks its resident tile masks against one colour band.
@@ -37,12 +37,7 @@ fn resident_tile_masks_are_bounded_by_one_colour_band(count: usize) {
     // grids reach is s = 2, whose bands are a single (2·tile)² mask: four
     // fine tiles' worth, which is also the largest fine band of every grid
     // that has that level (3×3 and 4×4).
-    let largest_band = multi_coloring(&partition)
-        .groups()
-        .iter()
-        .map(Vec::len)
-        .max()
-        .unwrap();
+    let largest_band = partition.bands().iter().map(Vec::len).max().unwrap();
     let band_bound = (largest_band * tile * tile * std::mem::size_of::<f64>()) as u64;
 
     let target = generate_clip(&config.generator, 1);

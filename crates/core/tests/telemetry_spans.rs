@@ -11,11 +11,16 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use ilt_core::flows::{divide_and_conquer, multigrid_schwarz, FlowResult};
+use ilt_core::flows::{
+    divide_and_conquer, full_chip, multigrid_schwarz, overlap_select, stitch_and_heal, FlowResult,
+};
+use ilt_core::incremental::{run_and_store, run_incremental_in};
 use ilt_core::ExperimentConfig;
+use ilt_grid::{BitGrid, Rect};
 use ilt_layout::generate_clip;
 use ilt_litho::{LithoBank, ResistModel};
 use ilt_opt::PixelIlt;
+use ilt_store::MaskStore;
 use ilt_telemetry as tele;
 use ilt_tile::TileExecutor;
 
@@ -41,53 +46,195 @@ fn close(a: f64, b: f64, what: &str) {
     assert!((a - b).abs() <= tol, "{what}: span {a} vs report {b}");
 }
 
+/// Flips every pixel of `rect`: an edit of the base layout.
+fn flip_rect(layout: &BitGrid, rect: Rect) -> BitGrid {
+    let mut edited = layout.clone();
+    for (x, y) in rect.pixels() {
+        let (x, y) = (x as usize, y as usize);
+        edited.set(x, y, 1 - layout.get(x, y));
+    }
+    edited
+}
+
 #[test]
-fn multigrid_spans_agree_with_stage_timing() {
+fn every_flows_spans_agree_with_its_stage_timing() {
     let config = ExperimentConfig::test_tiny();
     let bank = LithoBank::new(config.optics, ResistModel::m1_default()).unwrap();
     let target = generate_clip(&config.generator, 1);
-    let (result, t): (FlowResult, _) = with_tracing(|| {
-        multigrid_schwarz(
-            &config,
-            &bank,
-            &target,
-            &PixelIlt::new(),
-            &TileExecutor::sequential(),
-        )
-        .unwrap()
+    let (solver, executor) = (PixelIlt::new(), TileExecutor::sequential());
+    // What the ECO re-solve and the heal pass start from, solved under the
+    // lock; their spans are discarded.
+    let store = MaskStore::new(64 * 1024 * 1024, None);
+    let edited = flip_rect(&target, Rect::new(10, 10, 18, 18));
+    let (dnc, _) = with_tracing(|| {
+        run_and_store(&config, &bank, &store, &target, &solver, &executor).unwrap();
+        divide_and_conquer(&config, &bank, &target, &solver, &executor).unwrap()
     });
 
-    let flows = t.flow_summaries();
-    let flow = flows
-        .iter()
-        .find(|f| f.name == result.name)
-        .expect("flow span present");
-    close(flow.seconds, result.wall_seconds, "flow wall time");
+    type Run<'a> = Box<dyn Fn() -> FlowResult + 'a>;
+    let flows: Vec<(&str, Run)> = vec![
+        (
+            "ours",
+            Box::new(|| multigrid_schwarz(&config, &bank, &target, &solver, &executor).unwrap()),
+        ),
+        (
+            "eco",
+            Box::new(|| {
+                run_incremental_in(&config, &bank, &store, &target, &edited, &solver, &executor)
+                    .unwrap()
+                    .flow
+            }),
+        ),
+        (
+            "dnc",
+            Box::new(|| divide_and_conquer(&config, &bank, &target, &solver, &executor).unwrap()),
+        ),
+        (
+            "full-chip",
+            Box::new(|| full_chip(&config, &bank, &target, &solver).unwrap()),
+        ),
+        (
+            "overlap-select",
+            Box::new(|| overlap_select(&config, &bank, &target, &solver, &executor).unwrap()),
+        ),
+        (
+            "stitch-and-heal",
+            Box::new(|| {
+                stitch_and_heal(&config, &bank, &target, &dnc.mask, &solver, &executor)
+                    .unwrap()
+                    .result
+            }),
+        ),
+    ];
+    let mut labels = Vec::new();
+    for (flow_name, run) in &flows {
+        let (result, t) = with_tracing(run);
+        let summaries = t.flow_summaries();
+        assert_eq!(summaries.len(), 1, "{flow_name}: one flow span");
+        let flow = &summaries[0];
+        assert_eq!(flow.name, result.name);
+        close(
+            flow.seconds,
+            result.wall_seconds,
+            &format!("{flow_name} wall time"),
+        );
 
-    assert_eq!(flow.stages.len(), result.stages.len());
-    for (summary, timing) in flow.stages.iter().zip(&result.stages) {
-        assert_eq!(summary.label, timing.label);
-        assert_eq!(summary.tile_count, timing.tile_seconds.len());
-        close(
-            summary.tile_seconds,
-            timing.total_tile_seconds(),
-            &format!("tile seconds of {}", timing.label),
+        assert_eq!(flow.stages.len(), result.stages.len(), "{flow_name}");
+        for (summary, timing) in flow.stages.iter().zip(&result.stages) {
+            let what = format!("{flow_name} {}", timing.label);
+            assert_eq!(summary.label, timing.label);
+            assert_eq!(summary.tile_count, timing.tile_seconds.len(), "{what}");
+            close(
+                summary.tile_seconds,
+                timing.total_tile_seconds(),
+                &format!("tile seconds of {what}"),
+            );
+            close(
+                summary.assembly_seconds,
+                timing.assembly_seconds,
+                &format!("assembly seconds of {what}"),
+            );
+            labels.push(timing.label.clone());
+        }
+
+        // Every fold is one `assembly` span under its stage; a colour-banded
+        // stage's folds record the solved masks they hold, no other stage's
+        // do. A stage's `tile_seconds` are its `tile` spans in ascending tile
+        // order.
+        let by_id: HashMap<u64, &tele::SpanEvent> = t.events.iter().map(|e| (e.id, e)).collect();
+        let stage_of = |e: &tele::SpanEvent| {
+            let mut up = by_id.get(&e.parent?).copied();
+            while let Some(a) = up.filter(|a| a.name != tele::names::STAGE) {
+                up = by_id.get(&a.parent?).copied();
+            }
+            up.map(|a| a.id)
+        };
+        for stage in t.events.iter().filter(|e| e.name == tele::names::STAGE) {
+            let label = stage.field("label").and_then(|v| v.as_str()).unwrap();
+            let timing = result.stages.iter().find(|s| s.label == label).unwrap();
+            let mut tiles: Vec<(u64, f64)> = t
+                .events
+                .iter()
+                .filter(|e| e.name == tele::names::TILE && stage_of(e) == Some(stage.id))
+                .map(|e| {
+                    (
+                        e.field("tile").and_then(|v| v.as_u64()).unwrap(),
+                        e.seconds(),
+                    )
+                })
+                .collect();
+            tiles.sort_by_key(|&(i, _)| i);
+            assert_eq!(
+                tiles.len(),
+                timing.tile_seconds.len(),
+                "{flow_name} {label}"
+            );
+            for (&(i, traced), &reported) in tiles.iter().zip(&timing.tile_seconds) {
+                assert!(
+                    (traced - reported).abs() <= 1e-9,
+                    "{flow_name} {label}: tile {i} traced {traced} s, reported {reported} s"
+                );
+            }
+            let folds: Vec<_> = t
+                .events
+                .iter()
+                .filter(|e| e.name == tele::names::ASSEMBLY && e.parent == Some(stage.id))
+                .collect();
+            assert!(!folds.is_empty(), "{flow_name} {label}: no assembly span");
+            let banded = label.starts_with("coarse")
+                || label.starts_with("fine stage")
+                || ["dnc", "overlap-select"].contains(&label);
+            for fold in folds {
+                let resident = fold.field("resident_bytes").and_then(|v| v.as_u64());
+                assert_eq!(
+                    resident.is_some(),
+                    banded,
+                    "{flow_name} {label}: resident bytes {resident:?}"
+                );
+            }
+        }
+
+        // Every tile is one `tile` span, and every tile but a reused one
+        // is one solve.
+        let tiles: usize = result.stages.iter().map(|s| s.tile_seconds.len()).sum();
+        let reused: usize = result
+            .stages
+            .iter()
+            .filter(|s| s.label == "eco reuse")
+            .map(|s| s.tile_seconds.len())
+            .sum();
+        assert_eq!(t.span_count(tele::names::TILE), tiles, "{flow_name}");
+        assert_eq!(
+            t.span_count(tele::names::SOLVE),
+            tiles - reused,
+            "{flow_name}"
         );
-        close(
-            summary.assembly_seconds,
-            timing.assembly_seconds,
-            &format!("assembly seconds of {}", timing.label),
+        assert_eq!(t.counters["solver.solves"], (tiles - reused) as u64);
+        assert!(t.counters["fft.forward"] > 0, "{flow_name}");
+        assert!(
+            t.histograms.contains_key("solver.iterations"),
+            "{flow_name}"
         );
+        // The flows that assemble a layout from scratch count its pixels.
+        if ["ours", "eco", "dnc"].contains(flow_name) {
+            assert!(t.counters["tile.pixels_assembled"] > 0, "{flow_name}");
+        }
     }
-
-    // Every tile solve produced a solver span and fed the hot-path metrics.
-    let tiles: usize = result.stages.iter().map(|s| s.tile_seconds.len()).sum();
-    assert_eq!(t.span_count(tele::names::TILE), tiles);
-    assert_eq!(t.span_count(tele::names::SOLVE), tiles);
-    assert_eq!(t.counters["solver.solves"], tiles as u64);
-    assert!(t.counters["fft.forward"] > 0);
-    assert!(t.counters["tile.pixels_assembled"] > 0);
-    assert!(t.histograms.contains_key("solver.iterations"));
+    // The table reaches every kind of stage.
+    for label in [
+        "coarse s=2",
+        "fine stage 1",
+        "refine color 1",
+        "eco reuse",
+        "eco fine stage 1",
+        "eco refine color 1",
+        "dnc",
+        "full-chip",
+        "overlap-select",
+        "heal line 1",
+    ] {
+        assert!(labels.iter().any(|l| l == label), "no {label:?} stage");
+    }
 }
 
 #[test]

@@ -215,17 +215,6 @@ fn every_injection_point_fails_cleanly_and_deterministically() {
     swept.push(points::JSON_INVALID);
     healthy(addr);
 
-    // grid.pgm_truncate is not on the serve request path; drill the
-    // reader directly in the same armed process.
-    fault::configure(vec![FaultSpec::always(points::GRID_PGM_TRUNCATE, 9)]);
-    let img = ilt_grid::Grid::from_fn(4, 4, |x, y| (x + y) as f64);
-    let mut buf = Vec::new();
-    ilt_grid::io::write_pgm_to(&mut buf, &img).unwrap();
-    let err = ilt_grid::io::read_pgm_from(&buf[..]).unwrap_err();
-    fault::clear();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    swept.push(points::GRID_PGM_TRUNCATE);
-
     // The sweep above must cover the whole registry — a new injection
     // point without a drill scenario fails here.
     let mut all: Vec<&str> = points::ALL.to_vec();

@@ -50,8 +50,6 @@ pub mod points {
     pub const SERVE_BODY_TRUNCATE: &str = "serve.body_truncate";
     /// Inflates the declared body size past the server limit.
     pub const SERVE_BODY_OVERSIZE: &str = "serve.body_oversize";
-    /// Drops the trailing byte of a PGM payload before decoding.
-    pub const GRID_PGM_TRUNCATE: &str = "grid.pgm_truncate";
     /// Fails JSON parsing at entry (corrupt payload on the wire).
     pub const JSON_INVALID: &str = "json.invalid";
 
@@ -64,7 +62,6 @@ pub mod points {
         SERVE_CONN_DROP,
         SERVE_BODY_TRUNCATE,
         SERVE_BODY_OVERSIZE,
-        GRID_PGM_TRUNCATE,
         JSON_INVALID,
     ];
 }

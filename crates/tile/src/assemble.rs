@@ -44,7 +44,6 @@ use std::ops::Range;
 
 use ilt_grid::RealGrid;
 
-use crate::color::multi_coloring;
 use crate::error::TileError;
 use crate::executor::TileExecutor;
 use crate::partition::{Partition, Tile};
@@ -351,6 +350,8 @@ pub struct TileWeights {
     height: usize,
     cols: Vec<AxisWeights>,
     rows: Vec<AxisWeights>,
+    /// Each tile's position in the partition's fold order.
+    fold_rank: Vec<usize>,
 }
 
 impl TileWeights {
@@ -373,13 +374,17 @@ impl TileWeights {
         let axis = |lattice: &[_], extent| {
             axis_weights(lattice, config.tile, extent, config.overlap, mode)
         };
-        let weights = TileWeights {
+        let mut weights = TileWeights {
             tile: config.tile,
             width: partition.width(),
             height: partition.height(),
             cols: axis(&columns, partition.width()),
             rows: axis(&rows, partition.height()),
+            fold_rank: vec![0; partition.tiles().len()],
         };
+        for (rank, &i) in partition.fold_order().iter().enumerate() {
+            weights.fold_rank[i] = rank;
+        }
         weights.check_partition_of_unity(mode);
         weights
     }
@@ -511,7 +516,8 @@ impl TileWeights {
     /// Additive in-place stage update: every `(tile, new mask)` pair in
     /// `updates` replaces that tile's contribution **relative to `layout` as
     /// it is on entry**, `M <- M + sum_j W_j (M_j_new - R_j M_entry)`,
-    /// applied in the order given. With normalised weights this equals a
+    /// applied in the partition's fold order whatever order they come in,
+    /// so the sums do not depend on how the tiles were scheduled. With normalised weights this equals a
     /// full assembly pass fed the new masks plus every other tile's crop of
     /// the entry layout (to rounding), at `O(updates · tile²)` cost: pixels
     /// outside the updated tiles' weight supports are not touched, and a
@@ -534,6 +540,7 @@ impl TileWeights {
         for (index, mask) in &updates {
             self.check_tile_shape(*index, mask)?;
         }
+        updates.sort_by_key(|&(index, _)| self.fold_rank[index]);
         // Overlapping updates must all difference against the entry layout,
         // so turn every mask into its delta before the first write.
         for (index, mask) in &mut updates {
@@ -586,7 +593,6 @@ impl TileWeights {
 pub struct StreamingAssembler<'a> {
     partition: &'a Partition,
     weights: TileWeights,
-    order: Vec<usize>,
     cursor: usize,
     out: RealGrid,
     executor: TileExecutor,
@@ -606,15 +612,9 @@ impl<'a> StreamingAssembler<'a> {
             !matches!(mode, AssemblyMode::ExtendedCore { .. }),
             "extended-core replacement is sequential, not an additive assembly"
         );
-        let order: Vec<usize> = multi_coloring(partition)
-            .groups()
-            .into_iter()
-            .flatten()
-            .collect();
         StreamingAssembler {
             partition,
             weights: TileWeights::new(partition, mode),
-            order,
             cursor: 0,
             out: RealGrid::new(partition.width(), partition.height(), 0.0),
             executor: TileExecutor::sequential(),
@@ -628,11 +628,11 @@ impl<'a> StreamingAssembler<'a> {
         self
     }
 
-    /// The fold order `push` enforces: colour groups in colour order, tiles
-    /// in index order within each group.
+    /// The fold order `push` enforces: the partition's
+    /// [`fold_order`](Partition::fold_order).
     #[inline]
     pub fn canonical_order(&self) -> &[usize] {
-        &self.order
+        self.partition.fold_order()
     }
 
     /// Number of tiles folded so far.
@@ -663,11 +663,11 @@ impl<'a> StreamingAssembler<'a> {
     /// * [`TileError::AssemblyMismatch`] if the band runs past the last
     ///   tile.
     pub fn push_band(&mut self, band: &[(usize, &RealGrid)]) -> Result<(), TileError> {
-        let total = self.order.len();
+        let order = self.partition.fold_order();
         for (k, &(tile_index, data)) in band.iter().enumerate() {
-            let Some(&expected) = self.order.get(self.cursor + k) else {
+            let Some(&expected) = order.get(self.cursor + k) else {
                 return Err(TileError::AssemblyMismatch {
-                    expected: total,
+                    expected: order.len(),
                     actual: self.cursor + band.len(),
                 });
             };
@@ -711,9 +711,10 @@ impl<'a> StreamingAssembler<'a> {
     /// Returns [`TileError::AssemblyMismatch`] if fewer tiles were pushed
     /// than the partition has.
     pub fn finish(self) -> Result<RealGrid, TileError> {
-        if self.cursor != self.order.len() {
+        let total = self.partition.tiles().len();
+        if self.cursor != total {
             return Err(TileError::AssemblyMismatch {
-                expected: self.order.len(),
+                expected: total,
                 actual: self.cursor,
             });
         }
@@ -937,7 +938,6 @@ mod tests {
                 let bits =
                     |g: &RealGrid| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 let serial = bits(&serial.finish().unwrap());
-                let bands = multi_coloring(&p).groups();
                 for workers in 1..=5 {
                     let executor = TileExecutor::new(workers);
                     // Band by band, as the cold flows fold, and every tile
@@ -951,7 +951,7 @@ mod tests {
                             let order = split.canonical_order().to_vec();
                             split.push_band(&band(&order)).unwrap();
                         } else {
-                            for group in &bands {
+                            for group in p.bands() {
                                 split.push_band(&band(group)).unwrap();
                             }
                         }
@@ -1027,6 +1027,34 @@ mod tests {
         // the update is partial.
         let mid = layout.get(46, 5);
         assert!(mid > 0.25 && mid < 1.0, "mid {mid}");
+    }
+
+    #[test]
+    fn a_stage_update_folds_in_fold_order_whatever_order_it_is_given() {
+        let p = partition();
+        let weights = TileWeights::new(&p, AssemblyMode::weighted_default(&p));
+        let before = Grid::from_fn(256, 256, |x, y| ((x * 7 + y * 13) % 19) as f64 / 19.0);
+        let updates = |order: &[usize]| -> Vec<(usize, RealGrid)> {
+            order
+                .iter()
+                .map(|&i| {
+                    (
+                        i,
+                        Grid::from_fn(128, 128, |x, y| ((x + 3 * y + i) % 5) as f64 / 4.0),
+                    )
+                })
+                .collect()
+        };
+        let mut folded = before.clone();
+        weights
+            .update_stage(&mut folded, updates(p.fold_order()))
+            .unwrap();
+        let mut reversed = before.clone();
+        let backwards: Vec<usize> = p.fold_order().iter().rev().copied().collect();
+        weights
+            .update_stage(&mut reversed, updates(&backwards))
+            .unwrap();
+        assert_eq!(folded.as_slice(), reversed.as_slice());
     }
 
     #[test]

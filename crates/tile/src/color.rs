@@ -132,6 +132,13 @@ mod tests {
     }
 
     #[test]
+    fn partitions_keep_their_colour_bands() {
+        let p = partition();
+        assert_eq!(p.bands(), &multi_coloring(&p).groups()[..]);
+        assert_eq!(p.fold_order(), &[0, 2, 6, 8, 1, 7, 3, 5, 4]);
+    }
+
+    #[test]
     fn groups_cover_all_tiles_once() {
         let p = partition();
         let c = multi_coloring(&p);

@@ -18,6 +18,8 @@
 //!   layout one colour band at a time, bit-identical to [`assemble`];
 //! * [`multi_coloring`] — the colouring of Section 3.4 (no two overlapping
 //!   tiles share a colour), enabling the parallel multiplicative refine;
+//!   every [`Partition`] computes its colour bands and the fold order of
+//!   every assembly once, when it is built;
 //! * [`TileExecutor`] — a work-stealing thread pool standing in for the
 //!   paper's one-GPU-per-tile execution.
 //!

@@ -3,6 +3,7 @@
 
 use ilt_grid::Rect;
 
+use crate::color::multi_coloring;
 use crate::error::TileError;
 
 /// Parameters of the overlapping partition.
@@ -82,6 +83,10 @@ pub struct Partition {
     nx: usize,
     ny: usize,
     tiles: Vec<Tile>,
+    /// The colour bands of [`multi_coloring`], in colour order.
+    bands: Vec<Vec<usize>>,
+    /// The bands concatenated: the one order every fold follows.
+    order: Vec<usize>,
 }
 
 /// Tile origins along one axis: stride-spaced, with the last origin clamped
@@ -184,14 +189,19 @@ impl Partition {
                 });
             }
         }
-        Ok(Partition {
+        let mut partition = Partition {
             width,
             height,
             config,
             nx,
             ny,
             tiles,
-        })
+            bands: Vec::new(),
+            order: Vec::new(),
+        };
+        partition.bands = multi_coloring(&partition).groups();
+        partition.order = partition.bands.concat();
+        Ok(partition)
     }
 
     /// Layout width.
@@ -238,6 +248,22 @@ impl Partition {
     #[inline]
     pub fn tile(&self, index: usize) -> &Tile {
         &self.tiles[index]
+    }
+
+    /// The colour bands of [`multi_coloring`], colours in order and tiles
+    /// ascending within each: no two tiles of a band overlap, so a band
+    /// solves in parallel. Computed once, when the partition is built.
+    #[inline]
+    pub fn bands(&self) -> &[Vec<usize>] {
+        &self.bands
+    }
+
+    /// Every tile in fold order: the [`bands`](Self::bands) concatenated.
+    /// Assemblies fold in this one order, so their floating-point sums do
+    /// not depend on how the tiles were scheduled.
+    #[inline]
+    pub fn fold_order(&self) -> &[usize] {
+        &self.order
     }
 
     /// Indices of tiles whose extents overlap tile `index` (the neighbour

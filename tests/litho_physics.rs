@@ -1,5 +1,6 @@
 //! Cross-crate physical consistency checks on the lithography stack.
 
+use multigrid_schwarz_ilt::core::ExperimentConfig;
 use multigrid_schwarz_ilt::fft::Complex;
 use multigrid_schwarz_ilt::grid::{Grid, Rect};
 use multigrid_schwarz_ilt::layout::{generate_clip, GeneratorConfig};
@@ -177,4 +178,31 @@ fn simulator_rejects_foreign_state() {
     // The system simulates in f32 and widens its aerial images exactly.
     let widened = ws.intensity().map(|&i| f64::from(i));
     assert_eq!(fresh.as_slice(), widened.as_slice());
+}
+
+#[test]
+fn k1_and_kernel_support_are_invariant_in_pitch() {
+    // A finer pitch draws the same layout on more pixels over a grid of the
+    // same extent in nm: features widen with the grid, the pupil keeps its
+    // radius in frequency bins, so k1 = CD · NA / λ and the kernel support
+    // P are the optics of the paper at every pitch.
+    let k1 = |c: &ExperimentConfig| {
+        c.generator.wire_width as f64 * c.optics.pupil_radius_bins / c.optics.base_n as f64
+    };
+    let default = ExperimentConfig::paper_default();
+    assert_eq!(ExperimentConfig::at_pitch(1), default);
+    assert_eq!(
+        ExperimentConfig::at_pitch(8),
+        ExperimentConfig::paper_scale()
+    );
+    for f in [1, 2, 4, 8] {
+        let config = ExperimentConfig::at_pitch(f);
+        config.validate();
+        assert_eq!(k1(&config), k1(&default), "k1 at f = {f}");
+        assert_eq!(config.optics.kernel_support(), 27, "P at f = {f}");
+        assert_eq!(config.clip, f * default.clip);
+        assert_eq!(config.partition.overlap, f * default.partition.overlap);
+        // Definition 1's window stays at the paper's 40 pixels.
+        assert_eq!(config.stitch.window, 40);
+    }
 }
